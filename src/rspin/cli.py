@@ -28,11 +28,19 @@ from .verify import (
     check_selection,
     check_string_dilaton,
     check_w_constraints,
+    extract_or_error,
 )
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
 
 CHECKS = ("wconstraints", "string_dilaton", "grading", "selection")
+CORRELATOR_CHECKS = {"string_dilaton", "grading", "selection"}
+
+
+def _add_verbosity(parser: argparse.ArgumentParser, default) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("-q", "--quiet", action="store_true", default=default, help="suppress progress output")
+    group.add_argument("-v", "--verbose", action="store_true", default=default, help="report timings on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
             "every checkable identity in exact arithmetic."
         ),
     )
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument("-q", "--quiet", action="store_true", help="suppress progress output")
-    verbosity.add_argument("-v", "--verbose", action="store_true", help="report timings on stderr")
+    _add_verbosity(parser, False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -59,6 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"piece cache directory (default: ${CACHE_ENV})",
         )
         p.add_argument("--workers", type=int, default=1, help="worker threads per degree")
+        # SUPPRESS keeps a flag given before the subcommand from being
+        # reset by the subparser's own default.
+        _add_verbosity(p, argparse.SUPPRESS)
 
     p = sub.add_parser("compute", help="compute the graded tau expansion")
     common(p)
@@ -127,6 +136,7 @@ def _run_verify(args) -> int:
     if unknown:
         raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
     tau = compute_tau(args.r, args.degree, cache=_cache(args), workers=args.workers)
+    extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None
     reports = []
     for name in CHECKS:  # canonical order, independent of flag order
         if name not in wanted:
@@ -134,11 +144,11 @@ def _run_verify(args) -> int:
         if name == "wconstraints":
             reports.append(check_w_constraints(tau, m_max=args.m_max))
         elif name == "string_dilaton":
-            reports.append(check_string_dilaton(tau))
+            reports.append(check_string_dilaton(tau, extracted))
         elif name == "grading":
-            reports.append(check_gradings(tau))
+            reports.append(check_gradings(tau, extracted))
         elif name == "selection":
-            reports.append(check_selection(tau))
+            reports.append(check_selection(tau, extracted))
     _write(args, reports_to_json(reports))
     failed = [rep.check_name for rep in reports if not rep.passed]
     for rep in reports:

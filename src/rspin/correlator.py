@@ -91,37 +91,35 @@ def selection_check(r: int, genus: int, insertions) -> bool:
 
 
 def log_tau(tau: TauExpansion) -> TPolynomial:
-    """Graded truncation of log applied to the expansion.
+    """Graded log of the expansion: the free energy pieces F_1 .. F_D.
 
-    Requires the degree-0 piece to equal 1; the result collects the free
-    energy pieces of degree 1 .. max_degree.
+    Requires the degree-0 piece to equal 1.  Applying the degree operator
+    to tau = exp(F) gives n tau_n = sum_{k=1..n} k F_k tau_{n-k}, solved
+    here for G_n = n F_n degree by degree; every product is homogeneous of
+    degree n, so nothing beyond the truncation is ever formed.
     """
     r = tau.r
     if tau.piece(0) != TPolynomial.one(r):
         raise ContractError("log requires the degree-0 piece to equal 1")
-    cap = tau.max_degree * (r + 1)
-    x = TPolynomial.sum_of(r, (tau.pieces[j] for j in range(1, tau.max_degree + 1)))
-    result = TPolynomial.zero(r)
-    power = TPolynomial.one(r)
-    for k in range(1, tau.max_degree + 1):
-        power = power.mul(x, weight_cap=cap)
-        sign = 1 if k % 2 else -1
-        result = result + power.scaled(Fraction(sign, k))
-    return result
+    pieces = tau.pieces
+    g = [TPolynomial.zero(r)]
+    for n in range(1, tau.max_degree + 1):
+        lower = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n)))
+        g.append(pieces[n].scaled(n) - lower)
+    return TPolynomial.sum_of(r, (g[n].scaled(Fraction(1, n)) for n in range(1, tau.max_degree + 1)))
 
 
 def exp_graded(poly: TPolynomial, max_degree: int) -> TauExpansion:
-    """Graded truncation of exp of a polynomial with no degree-0 part."""
+    """Graded exp of a polynomial with no degree-0 part, truncated at
+    max_degree, by n tau_n = sum_{k=1..n} k F_k tau_{n-k}."""
     r = poly.r
     if not poly.graded_part(0).is_zero:
         raise ContractError("exp requires a vanishing degree-0 part")
-    cap = max_degree * (r + 1)
-    total = TPolynomial.one(r)
-    power = TPolynomial.one(r)
-    for k in range(1, max_degree + 1):
-        power = power.mul(poly, weight_cap=cap).scaled(Fraction(1, k))
-        total = total + power
-    pieces = [total.graded_part(j) for j in range(max_degree + 1)]
+    g = [poly.graded_part(k).scaled(k) for k in range(max_degree + 1)]
+    pieces = [TPolynomial.one(r)]
+    for n in range(1, max_degree + 1):
+        total = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n + 1)))
+        pieces.append(total.scaled(Fraction(1, n)))
     return TauExpansion(r, max_degree, pieces)
 
 

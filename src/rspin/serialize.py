@@ -198,7 +198,6 @@ def report_to_obj(report: CheckReport) -> dict:
         "residuals": [
             {"label": label, "poly": poly_to_obj(poly)} for label, poly in report.residuals
         ],
-        "timing_ms": round(report.timing_ms, 3),
         "details": report.details,
     }
 

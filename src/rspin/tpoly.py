@@ -53,10 +53,6 @@ class TMonomial:
     def weight(self) -> int:
         return sum(n * e for n, e in self.exps)
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.exps
-
     def sort_key(self):
         return (self.weight, self.lambda_exp, self.exps)
 
@@ -188,13 +184,6 @@ class TPolynomial:
         """Largest monomial weight, 0 for the zero polynomial."""
         return max((m.weight for m in self.terms), default=0)
 
-    def homogeneous_weight(self) -> int | None:
-        """The common weight of all monomials, or None if mixed/zero."""
-        weights = {m.weight for m in self.terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
-
     def is_homogeneous(self, weight: int) -> bool:
         return all(m.weight == weight for m in self.terms)
 
@@ -246,18 +235,12 @@ class TPolynomial:
             return TPolynomial.zero(self.r)
         return TPolynomial._raw(self.r, {m: coeff * c for m, coeff in self.terms.items()})
 
-    def mul(self, other: TPolynomial, weight_cap: int | None = None) -> TPolynomial:
-        """Product, optionally dropping monomials above a weight cap.
-
-        The cap keeps graded series computations (log, exp) from growing
-        past the truncation degree.
-        """
+    def mul(self, other: TPolynomial) -> TPolynomial:
+        """Product of two polynomials over the same r."""
         self._check_same(other)
         acc: dict[TMonomial, QScalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                if weight_cap is not None and m1.weight + m2.weight > weight_cap:
-                    continue
                 mono = m1.times(m2)
                 coeff = c1 * c2
                 prev = acc.get(mono)

@@ -13,12 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .correlator import (
-    CorrelatorRecord,
-    Insertion,
-    extract_correlators,
-    selection_check,
-)
+from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .solver import TauExpansion, compute_tau, compute_tau_exponential
 from .tpoly import TPolynomial
 from .walgebra import WModeSpec, apply_raising_operator, apply_w_mode
@@ -32,6 +27,7 @@ __all__ = [
     "check_string_dilaton",
     "check_w_constraints",
     "default_constraint_mode_bound",
+    "extract_or_error",
     "w_constraint_residual",
 ]
 
@@ -61,6 +57,33 @@ class _Timer:
     def __exit__(self, *exc):
         self.ms = (time.perf_counter() - self._start) * 1000.0
         return False
+
+
+Extracted = list[CorrelatorRecord] | Exception
+
+
+def extract_or_error(tau: TauExpansion) -> Extracted:
+    """Correlator records of tau, or the exception extraction raised.
+
+    The correlator checks (string_dilaton, grading, selection) take this
+    value as an optional argument so that one extraction serves all three;
+    given none, each extracts for itself.
+    """
+    try:
+        return extract_correlators(tau)
+    except Exception as exc:  # tampered input: each check reports it, none crashes
+        return exc
+
+
+def _records(tau: TauExpansion, extracted: Extracted | None, residuals: list) -> list[CorrelatorRecord] | None:
+    """The extracted records, or None after appending the extraction error
+    to residuals."""
+    if extracted is None:
+        extracted = extract_or_error(tau)
+    if isinstance(extracted, Exception):
+        residuals.append((f"extraction: {extracted}", TPolynomial.one(tau.r)))
+        return None
+    return extracted
 
 
 def default_constraint_mode_bound(r: int, max_degree: int) -> int:
@@ -158,7 +181,9 @@ def _string_rhs(table, genus: int, rest: tuple[Insertion, ...]) -> Fraction:
     return total
 
 
-def _correlator_identity_residuals(tau: TauExpansion) -> tuple[list[tuple[str, TPolynomial]], dict]:
+def _correlator_identity_residuals(
+    tau: TauExpansion, records: list[CorrelatorRecord]
+) -> tuple[list[tuple[str, TPolynomial]], dict]:
     """Combinatorial string/dilaton identities on the extracted table.
 
     Works both ways: every record containing the special insertion is
@@ -168,11 +193,6 @@ def _correlator_identity_residuals(tau: TauExpansion) -> tuple[list[tuple[str, T
     (2g - 2 + n <= 0) carry no content and are skipped.
     """
     r = tau.r
-    try:
-        records = extract_correlators(tau)
-    except Exception as exc:  # tampered input: report, never crash
-        residual = TPolynomial.one(r)
-        return [(f"extraction: {exc}", residual)], {"records": 0}
     table = _record_table(records)
     string_ins = Insertion(0, 0)
     dilaton_ins = Insertion(1, 0)
@@ -231,13 +251,16 @@ def _correlator_identity_residuals(tau: TauExpansion) -> tuple[list[tuple[str, T
     return residuals, stats
 
 
-def check_string_dilaton(tau: TauExpansion) -> CheckReport:
+def check_string_dilaton(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
     """Translation/scaling operator identities plus the combinatorial
     string and dilaton equations on extracted correlators."""
     with _Timer() as t:
         residuals = _string_dilaton_operator_residuals(tau)
-        identity_residuals, stats = _correlator_identity_residuals(tau)
-        residuals.extend(identity_residuals)
+        records = _records(tau, extracted, residuals)
+        stats = {"records": 0}
+        if records is not None:
+            identity_residuals, stats = _correlator_identity_residuals(tau, records)
+            residuals.extend(identity_residuals)
     return CheckReport(
         check_name="string_dilaton",
         status=PASS if not residuals else FAIL,
@@ -247,12 +270,12 @@ def check_string_dilaton(tau: TauExpansion) -> CheckReport:
     )
 
 
-def check_gradings(tau: TauExpansion) -> CheckReport:
-    """Weight homogeneity, Euler eigenvalues, lam-exponent parity and genus
-    bounds, and the selection rule on every extracted correlator."""
+def check_gradings(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
+    """Weight homogeneity, Euler eigenvalues and lam-exponent parity and
+    bounds of every piece, and a successful extraction, which itself
+    enforces nonnegative genus and the selection rule on every record."""
     r = tau.r
     residuals = []
-    details: dict = {}
     with _Timer() as t:
         for j, piece in enumerate(tau.pieces):
             target = j * (r + 1)
@@ -274,50 +297,32 @@ def check_gradings(tau: TauExpansion) -> CheckReport:
             )
             if not bad_lambda.is_zero:
                 residuals.append((f"lam exponents degree={j}", bad_lambda))
-        try:
-            records = extract_correlators(tau)
-        except Exception as exc:  # extraction failure is a grading failure
-            residuals.append((f"extraction: {exc}", TPolynomial.one(r)))
-            records = []
-        bad_selection = sum(
-            1 for rec in records if not selection_check(r, rec.genus, rec.insertions)
-        )
-        bad_genus = sum(1 for rec in records if rec.genus < 0)
-        if bad_selection:
-            residuals.append((f"{bad_selection} records fail selection", TPolynomial.one(r)))
-        if bad_genus:
-            residuals.append((f"{bad_genus} records have negative genus", TPolynomial.one(r)))
-        details["records"] = len(records)
+        records = _records(tau, extracted, residuals)
     return CheckReport(
         check_name="grading",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
         timing_ms=t.ms,
-        details=details,
+        details={"records": len(records or ())},
     )
 
 
-def check_selection(tau: TauExpansion) -> CheckReport:
-    """Selection rule and rationality on every extracted correlator."""
-    r = tau.r
+def check_selection(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
+    """Selection rule and rationality on every extracted correlator.
+
+    extract_correlators enforces both on each record and raises otherwise,
+    so this report passes exactly when extraction succeeds.  It is kept as
+    a report of its own, with the record count in details, because the
+    verify output and the --checks option name it."""
     residuals = []
-    count = 0
     with _Timer() as t:
-        try:
-            records = extract_correlators(tau)
-            count = len(records)
-            for rec in records:
-                if not selection_check(r, rec.genus, rec.insertions):
-                    label = f"g={rec.genus} {[(i.m, i.a) for i in rec.insertions]}"
-                    residuals.append((label, TPolynomial.const(r, rec.value)))
-        except Exception as exc:
-            residuals.append((f"extraction: {exc}", TPolynomial.one(r)))
+        records = _records(tau, extracted, residuals)
     return CheckReport(
         check_name="selection",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
         timing_ms=t.ms,
-        details={"records": count},
+        details={"records": len(records or ())},
     )
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's multiset enumeration and
 recursion internals: W modes are rebuilt from ordered oscillator tuples
 applied one factor at a time, and genus-0 values for r=2 come from the
-string equation alone.  Expected values frozen in the tests were computed
+string equation alone; the graded log is checked against the plain power
+series of log(1 + x).  Expected values frozen in the tests were computed
 with these oracles or transcribed from independently published tables.
 """
 
@@ -184,6 +185,27 @@ def ordered_apply_raiser(r, l, poly, target_degree):
             )
             total = total + inner.mul_var(n_out, 1).scaled(pref).shift_lambda(k - 2)
     return total
+
+
+# -- power-series oracle for the graded log ---------------------------------
+
+
+def _drop_above(poly, cap):
+    return TPolynomial._raw(poly.r, {m: c for m, c in poly.terms.items() if m.weight <= cap})
+
+
+def power_series_log(tau) -> TPolynomial:
+    """log(1 + x) = sum_k (-1)^(k+1) x^k / k with x = tau_1 + .. + tau_D,
+    every power truncated above weight D*(r+1) after a plain product."""
+    r, D = tau.r, tau.max_degree
+    cap = D * (r + 1)
+    x = TPolynomial.sum_of(r, tau.pieces[1:])
+    result = TPolynomial.zero(r)
+    power = TPolynomial.one(r)
+    for k in range(1, D + 1):
+        power = _drop_above(power.mul(x), cap)
+        result = result + power.scaled(Fraction((-1) ** (k + 1), k))
+    return result
 
 
 # -- genus-0 string oracle for r=2 -------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rspin import compute_tau, parse_tau, serialize_tau
+from rspin import compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import main
 
 from helpers import tau1_r3
@@ -91,6 +91,37 @@ def test_verify_all_checks_pass(tmp_path, capsys):
     ]
     assert all(rep["status"] == "pass" for rep in reports)
     assert "wconstraints: pass" in capsys.readouterr().err
+
+
+def test_verify_extracts_correlators_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(tau):
+        calls.append(tau.max_degree)
+        return extract_correlators(tau)
+
+    monkeypatch.setattr(verify, "extract_correlators", counting)
+    assert main(["verify", "--r", "3", "--degree", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [2]
+
+
+def test_verify_is_byte_deterministic(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["verify", "--r", "3", "--degree", "2", "--out", str(a)]) == 0
+    assert main(["verify", "--r", "3", "--degree", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
+    def run(flag):
+        argv = ["verify", "--r", "3", "--degree", "1", "--checks", "selection", "--out", str(tmp_path / "r.json")]
+        assert main([flag] + argv if before else argv + [flag]) == 0
+        return capsys.readouterr().err
+
+    verbose = run("-v")
+    assert verbose.startswith("selection: pass (") and verbose.endswith(" ms)\n")
+    assert run("-q") == ""
 
 
 def test_verify_subset_of_checks(tmp_path):

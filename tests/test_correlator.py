@@ -21,7 +21,7 @@ from rspin import (
     variable_index,
 )
 
-from helpers import free_energy2_r3, poly_of, tau1_r3
+from helpers import free_energy2_r3, poly_of, power_series_log, tau1_r3
 
 
 def test_conversion_constants():
@@ -65,6 +65,14 @@ def test_log_requires_unit_constant_term():
     bad = TauExpansion(3, 1, [TPolynomial.const(3, 2), tau1_r3()])
     with pytest.raises(ContractError):
         log_tau(bad)
+
+
+@pytest.mark.parametrize("r, D", ((2, 6), (3, 5), (4, 4)))
+def test_log_matches_power_series_oracle(r, D):
+    tau = compute_tau(r, D)
+    free_energy = log_tau(tau)
+    assert free_energy == power_series_log(tau)
+    assert exp_graded(free_energy, D).pieces == tau.pieces
 
 
 def test_exp_log_round_trip():

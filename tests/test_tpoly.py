@@ -159,13 +159,6 @@ def test_euler_eigenvalues():
     assert other.euler() == other.scaled(Fraction(4, 3))
 
 
-def test_weight_cap_multiplication():
-    a = TPolynomial.var(3, 4) + TPolynomial.var(3, 1)
-    b = TPolynomial.var(3, 4)
-    capped = a.mul(b, weight_cap=5)
-    assert capped == TPolynomial.monomial(3, 1, 0, {1: 1, 4: 1})
-
-
 def test_shift_lambda():
     p = tau1_r3()
     assert p.shift_lambda(2).shift_lambda(-2) == p

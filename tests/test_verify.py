@@ -18,7 +18,7 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
-from rspin.verify import w_constraint_residual
+from rspin.verify import extract_or_error, w_constraint_residual
 
 
 def test_w_constraints_pass_r3():
@@ -94,6 +94,19 @@ def test_selection_report_passes():
     report = check_selection(compute_tau(3, 2))
     assert report.status == "pass"
     assert report.details["records"] == 7
+
+
+def test_correlator_checks_share_one_extraction():
+    tau = compute_tau(3, 2)
+    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 1)  # T1 breaks the selection rule
+    extracted = extract_or_error(tau)
+    assert isinstance(extracted, Exception)
+    for check in (check_string_dilaton, check_gradings, check_selection):
+        shared, alone = check(tau, extracted), check(tau)
+        assert shared.status == alone.status == "fail"
+        assert shared.residuals == alone.residuals
+        assert shared.details == alone.details
+        assert f"extraction: {extracted}" in [label for label, _ in shared.residuals]
 
 
 def test_scaled_translation_equals_lowest_constraint():
