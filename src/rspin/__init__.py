@@ -32,7 +32,7 @@ from .errors import (
 )
 from .scalar import QScalar
 from .serialize import FORMAT_VERSION, TauCache, parse_tau, serialize_tau
-from .solver import TauExpansion, compute_tau, compute_tau_exponential, mode_bound
+from .solver import TauExpansion, compute_tau, compute_tau_exponential
 from .tpoly import TMonomial, TPolynomial
 from .verify import (
     CheckReport,
@@ -44,19 +44,18 @@ from .verify import (
     check_w_constraints,
 )
 from .walgebra import (
-    BetaIndex,
     NormalTerm,
     WModeSpec,
     apply_beta,
     apply_raising_operator,
     apply_w_mode,
+    mode_bound,
     w_mode_terms,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaIndex",
     "CacheError",
     "CheckReport",
     "ContextError",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .errors import RSpinError
 from .correlator import extract_correlators
@@ -65,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=os.environ.get(CACHE_ENV),
             help=f"piece cache directory (default: ${CACHE_ENV})",
         )
-        p.add_argument("--workers", type=int, default=1, help="worker threads per degree")
         # SUPPRESS keeps a flag given before the subcommand from being
         # reset by the subparser's own default.
         _add_verbosity(p, argparse.SUPPRESS)
@@ -96,8 +96,6 @@ def _validate(args) -> None:
         raise RSpinError(f"--r must be >= 2, got {args.r}")
     if args.degree < 0:
         raise RSpinError(f"--degree must be >= 0, got {args.degree}")
-    if args.workers < 1:
-        raise RSpinError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _write(args, data: bytes) -> None:
@@ -131,14 +129,14 @@ def _warn_unchecked(args) -> None:
 
 def _run_compute(args) -> int:
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args), workers=args.workers)
+    tau = compute_tau(args.r, args.degree, cache=_cache(args))
     _write(args, serialize_tau(tau))
     return 0
 
 
 def _run_correlators(args) -> int:
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args), workers=args.workers)
+    tau = compute_tau(args.r, args.degree, cache=_cache(args))
     records = extract_correlators(tau)
     payload = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     _write(args, payload)
@@ -151,32 +149,31 @@ def _run_verify(args) -> int:
     if unknown:
         raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args), workers=args.workers)
+    tau = compute_tau(args.r, args.degree, cache=_cache(args))
     extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None
-    reports = []
+    runs = {
+        "wconstraints": lambda: check_w_constraints(tau, m_max=args.m_max),
+        "string_dilaton": lambda: check_string_dilaton(tau, extracted),
+        "grading": lambda: check_gradings(tau, extracted),
+        "selection": lambda: check_selection(tau, extracted),
+    }
+    reports, notes = [], []
     for name in CHECKS:  # canonical order, independent of flag order
         if name not in wanted:
             continue
-        if name == "wconstraints":
-            reports.append(check_w_constraints(tau, m_max=args.m_max))
-        elif name == "string_dilaton":
-            reports.append(check_string_dilaton(tau, extracted))
-        elif name == "grading":
-            reports.append(check_gradings(tau, extracted))
-        elif name == "selection":
-            reports.append(check_selection(tau, extracted))
+        start = time.perf_counter()
+        rep = runs[name]()
+        ms = (time.perf_counter() - start) * 1000.0
+        reports.append(rep)
+        notes.append(f"{rep.check_name}: {rep.status}" + (f" ({ms:.1f} ms)" if args.verbose else ""))
     _write(args, reports_to_json(reports))
-    failed = [rep.check_name for rep in reports if not rep.passed]
-    for rep in reports:
-        if args.verbose:
-            _note(args, f"{rep.check_name}: {rep.status} ({rep.timing_ms:.1f} ms)")
-        else:
-            _note(args, f"{rep.check_name}: {rep.status}")
-    return 1 if failed else 0
+    for note in notes:
+        _note(args, note)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _run_commutator(args) -> int:
-    tau = compute_tau(args.r, args.degree, cache=_cache(args), workers=args.workers)
+    tau = compute_tau(args.r, args.degree, cache=_cache(args))
     commutator = check_commutators(args.r, args.degree, tau=tau)
     agreement = check_exponential_agreement(args.r, args.degree, tau=tau)
     _write(args, reports_to_json([commutator, agreement]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord
@@ -259,4 +260,13 @@ class TauCache:
             "degree": degree,
             "piece": poly_to_obj(piece),
         }
-        self.path(r, degree).write_bytes(_dump(doc))
+        # Write a temporary file beside the entry, then rename it into place,
+        # so an interrupted store leaves the previous entry (or none) intact.
+        path = self.path(r, degree)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(_dump(doc))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

@@ -3,8 +3,8 @@
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
 computed bottom-up.  Within one degree the (l, k, m) contributions are
-independent; they may be evaluated on a thread pool and are reduced in a
-fixed key order, so the result is identical for every worker count.
+independent but evaluated one after another, in a fixed key order: they are
+pure-Python arithmetic, which threads cannot overlap under the GIL.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -13,7 +13,6 @@ raises instead of being recomputed silently.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
@@ -26,7 +25,6 @@ __all__ = [
     "TauExpansion",
     "compute_tau",
     "compute_tau_exponential",
-    "mode_bound",
 ]
 
 
@@ -81,28 +79,19 @@ def _degree_tasks(r: int, j: int) -> list[tuple[int, int, int]]:
     return tasks
 
 
-def _next_piece(r: int, j: int, pieces: list[TPolynomial], workers: int) -> TPolynomial:
-    tasks = _degree_tasks(r, j)
-
-    def run(task: tuple[int, int, int]) -> TPolynomial:
-        l, k, m = task
-        return raising_contribution(r, l, k, m, pieces[j - l], j)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    total = TPolynomial.sum_of(r, results)
+def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:
+    total = TPolynomial.sum_of(
+        r, (raising_contribution(r, l, k, m, pieces[j - l], j) for l, k, m in _degree_tasks(r, j))
+    )
     return total.scaled(Fraction(1, j))
 
 
-def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None, workers: int = 1) -> TauExpansion:
+def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> TauExpansion:
     """Compute the graded pieces up to max_degree by the degree recursion.
 
     Exact rational/quadratic arithmetic throughout; the output is
     deterministic (byte-identical canonical serialization) regardless of
-    worker count or cache hits.
+    cache hits.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -115,7 +104,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None, worker
             if piece.r != r or not piece.is_homogeneous(j * (r + 1)):
                 raise CacheError(f"cached piece for r={r} degree={j} fails homogeneity")
         else:
-            piece = _next_piece(r, j, pieces, workers)
+            piece = _next_piece(r, j, pieces)
             if cache is not None:
                 cache.store(r, j, piece)
         pieces.append(piece)

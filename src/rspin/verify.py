@@ -8,7 +8,6 @@ residual there is reported prominently but fails nothing.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,22 +40,11 @@ class CheckReport:
     check_name: str
     status: str
     residuals: list[tuple[str, TPolynomial]] = field(default_factory=list)
-    timing_ms: float = 0.0
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return self.status != FAIL
-
-
-class _Timer:
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self._start) * 1000.0
-        return False
 
 
 Extracted = list[CorrelatorRecord] | Exception
@@ -108,10 +96,8 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
         piece = tau.pieces[idx]
         if piece.is_zero:
             continue
-        cap = piece.max_weight() - r * m - l * (r + 1)
-        term = apply_w_mode(WModeSpec(r, k, l, m), piece, cap)
+        total = total + apply_w_mode(WModeSpec(r, k, l, m), piece)
         engaged = True
-        total = total + term
     return total, engaged
 
 
@@ -123,21 +109,19 @@ def check_w_constraints(tau: TauExpansion, m_max: int | None = None) -> CheckRep
         m_max = default_constraint_mode_bound(r, tau.max_degree)
     residuals = []
     checked = vacuous = 0
-    with _Timer() as t:
-        for k in range(2, r + 1):
-            for m in range(-(k - 1), m_max + 1):
-                for degree in range(tau.max_degree + 1):
-                    residual, engaged = w_constraint_residual(tau, k, m, degree)
-                    checked += 1
-                    if not engaged:
-                        vacuous += 1
-                    if not residual.is_zero:
-                        residuals.append((f"k={k} m={m} degree={degree}", residual))
+    for k in range(2, r + 1):
+        for m in range(-(k - 1), m_max + 1):
+            for degree in range(tau.max_degree + 1):
+                residual, engaged = w_constraint_residual(tau, k, m, degree)
+                checked += 1
+                if not engaged:
+                    vacuous += 1
+                if not residual.is_zero:
+                    residuals.append((f"k={k} m={m} degree={degree}", residual))
     return CheckReport(
         check_name="wconstraints",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
-        timing_ms=t.ms,
         details={"equations": checked, "vacuous": vacuous, "m_max": m_max},
     )
 
@@ -254,18 +238,16 @@ def _correlator_identity_residuals(
 def check_string_dilaton(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
     """Translation/scaling operator identities plus the combinatorial
     string and dilaton equations on extracted correlators."""
-    with _Timer() as t:
-        residuals = _string_dilaton_operator_residuals(tau)
-        records = _records(tau, extracted, residuals)
-        stats = {"records": 0}
-        if records is not None:
-            identity_residuals, stats = _correlator_identity_residuals(tau, records)
-            residuals.extend(identity_residuals)
+    residuals = _string_dilaton_operator_residuals(tau)
+    records = _records(tau, extracted, residuals)
+    stats = {"records": 0}
+    if records is not None:
+        identity_residuals, stats = _correlator_identity_residuals(tau, records)
+        residuals.extend(identity_residuals)
     return CheckReport(
         check_name="string_dilaton",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
-        timing_ms=t.ms,
         details=stats,
     )
 
@@ -276,33 +258,31 @@ def check_gradings(tau: TauExpansion, extracted: Extracted | None = None) -> Che
     enforces nonnegative genus and the selection rule on every record."""
     r = tau.r
     residuals = []
-    with _Timer() as t:
-        for j, piece in enumerate(tau.pieces):
-            target = j * (r + 1)
-            off_grade = TPolynomial._raw(
-                r, {m: c for m, c in piece.terms.items() if m.weight != target}
-            )
-            if not off_grade.is_zero:
-                residuals.append((f"inhomogeneous degree={j}", off_grade))
-            euler_residual = piece.euler() - piece.scaled(j)
-            if not euler_residual.is_zero:
-                residuals.append((f"euler degree={j}", euler_residual))
-            bad_lambda = TPolynomial._raw(
-                r,
-                {
-                    m: c
-                    for m, c in piece.terms.items()
-                    if m.lambda_exp % 2 or m.lambda_exp < -2 * j
-                },
-            )
-            if not bad_lambda.is_zero:
-                residuals.append((f"lam exponents degree={j}", bad_lambda))
-        records = _records(tau, extracted, residuals)
+    for j, piece in enumerate(tau.pieces):
+        target = j * (r + 1)
+        off_grade = TPolynomial._raw(
+            r, {m: c for m, c in piece.terms.items() if m.weight != target}
+        )
+        if not off_grade.is_zero:
+            residuals.append((f"inhomogeneous degree={j}", off_grade))
+        euler_residual = piece.euler() - piece.scaled(j)
+        if not euler_residual.is_zero:
+            residuals.append((f"euler degree={j}", euler_residual))
+        bad_lambda = TPolynomial._raw(
+            r,
+            {
+                m: c
+                for m, c in piece.terms.items()
+                if m.lambda_exp % 2 or m.lambda_exp < -2 * j
+            },
+        )
+        if not bad_lambda.is_zero:
+            residuals.append((f"lam exponents degree={j}", bad_lambda))
+    records = _records(tau, extracted, residuals)
     return CheckReport(
         check_name="grading",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
-        timing_ms=t.ms,
         details={"records": len(records or ())},
     )
 
@@ -315,13 +295,11 @@ def check_selection(tau: TauExpansion, extracted: Extracted | None = None) -> Ch
     a report of its own, with the record count in details, because the
     verify output and the --checks option name it."""
     residuals = []
-    with _Timer() as t:
-        records = _records(tau, extracted, residuals)
+    records = _records(tau, extracted, residuals)
     return CheckReport(
         check_name="selection",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
-        timing_ms=t.ms,
         details={"records": len(records or ())},
     )
 
@@ -344,24 +322,22 @@ def check_commutators(r: int, degree: int, tau: TauExpansion | None = None) -> C
     if fallback:
         instances = [(i, j, 0) for i in range(1, r) for j in range(i + 1, r)]
     max_base = max((d for _, _, d in instances), default=0)
-    with _Timer() as t:
-        if tau is None or tau.max_degree < max_base:
-            tau = compute_tau(r, max_base)
-        residuals = []
-        for i, j, d in instances:
-            base = tau.pieces[d]
-            if base.is_zero:
-                continue
-            ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
-            ji = apply_raising_operator(r, j, apply_raising_operator(r, i, base, d + i), d + i + j)
-            residual = ij - ji
-            if not residual.is_zero:
-                residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
+    if tau is None or tau.max_degree < max_base:
+        tau = compute_tau(r, max_base)
+    residuals = []
+    for i, j, d in instances:
+        base = tau.pieces[d]
+        if base.is_zero:
+            continue
+        ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
+        ji = apply_raising_operator(r, j, apply_raising_operator(r, i, base, d + i), d + i + j)
+        residual = ij - ji
+        if not residual.is_zero:
+            residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
     return CheckReport(
         check_name="commutator",
         status=DIAGNOSTIC,
         residuals=residuals,
-        timing_ms=t.ms,
         details={
             "instances": len(instances),
             "vacuous": not instances,
@@ -377,19 +353,17 @@ def check_exponential_agreement(r: int, degree: int, tau: TauExpansion | None = 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
     """
-    with _Timer() as t:
-        if tau is None or tau.max_degree < degree:
-            tau = compute_tau(r, degree)
-        exp_tau = compute_tau_exponential(r, degree)
-        residuals = []
-        for j in range(degree + 1):
-            diff = tau.pieces[j] - exp_tau.pieces[j]
-            if not diff.is_zero:
-                residuals.append((f"degree {j}", diff))
+    if tau is None or tau.max_degree < degree:
+        tau = compute_tau(r, degree)
+    exp_tau = compute_tau_exponential(r, degree)
+    residuals = []
+    for j in range(degree + 1):
+        diff = tau.pieces[j] - exp_tau.pieces[j]
+        if not diff.is_zero:
+            residuals.append((f"degree {j}", diff))
     return CheckReport(
         check_name="exponential_agreement",
         status=DIAGNOSTIC,
         residuals=residuals,
-        timing_ms=t.ms,
         details={"agrees": not residuals, "max_degree": degree},
     )

@@ -47,9 +47,11 @@ alternates in sign; the r=3 degree-one tau fixture pins this convention
 first raising operator cancel to zero).  For k <= 3 all of this reduces to
 the plain normal-ordered powers plus the one constant in W(2, 0, 0).
 
-Applying W(k, j, m) to a weight-homogeneous polynomial changes the weight
-by exactly -r*m - j*(r+1), which is what makes finite creator/annihilator
-weight caps exact rather than approximate.
+Applying W(k, j, m) changes the weight by exactly -r*m - j*(r+1): a term
+whose annihilators weigh wa has creators weighing wa + r*m + j*(r+1).  An
+annihilator block heavier than a monomial kills it, so the terms up to the
+input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
+say how far to truncate.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb, factorial
 
 from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
@@ -76,31 +78,11 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 ORACLE_CHECKED_R = 7
 
 
-@dataclass(frozen=True)
-class BetaIndex:
-    """Oscillator label u, standing for the mode index u/r.
-
-    Positive u is an annihilator (scaled derivative), negative u a creator
-    (scaled multiplication).  u must not be divisible by r.
-    """
-
-    u: int
-
-    def validate(self, r: int) -> None:
-        if not isinstance(self.u, int) or self.u == 0 or self.u % r == 0:
-            raise InvalidModeError(f"mode index {self.u}/{r} is integral or zero")
-
-    @property
-    def is_creator(self) -> bool:
-        return self.u < 0
-
-
-def apply_beta(u: int | BetaIndex, poly: TPolynomial) -> TPolynomial:
+def apply_beta(u: int, poly: TPolynomial) -> TPolynomial:
     """Apply a single oscillator: u > 0 gives lam * d/dT_u, u < 0 gives
-    lam^{-1} * |u| * T_{|u|}."""
-    if isinstance(u, BetaIndex):
-        u = u.u
-    BetaIndex(u).validate(poly.r)
+    lam^{-1} * |u| * T_{|u|}.  u must not be zero or divisible by r."""
+    if not isinstance(u, int) or u == 0 or u % poly.r == 0:
+        raise InvalidModeError(f"mode index {u}/{poly.r} is integral or zero")
     if u > 0:
         return poly.derive(u).shift_lambda(1)
     n = -u
@@ -121,14 +103,6 @@ class NormalTerm:
     annihilators: tuple[int, ...]
     coeff: QScalar
     lambda_shift: int
-
-    @property
-    def creator_weight(self) -> int:
-        return sum(self.creators)
-
-    @property
-    def annihilator_weight(self) -> int:
-        return sum(self.annihilators)
 
     def apply(self, poly: TPolynomial, derived: TPolynomial | None = None) -> TPolynomial:
         """Apply the term to poly; derived, when the caller has it, is poly
@@ -343,37 +317,27 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> F
 
 
 @lru_cache(maxsize=None)
-def _w_mode_terms(r: int, k: int, j: int, m: int, creator_cap: int, annihilator_cap: int) -> OperatorSum:
-    # Total annihilator weight minus creator weight is pinned by the label.
-    net = r * m + j * (r + 1)
+def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
+    """The terms of W(k, j, m) whose annihilators weigh wa in total; their
+    creators then weigh wa - r*m - j*(r+1)."""
+    wc = wa - r * m - j * (r + 1)
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for orders, coeff in _twisted_current(r, k):
         scale = coeff * Fraction(r**k, r ** len(orders))
         for rest, slot_weight in _constant_slots(orders, j, r):
-            size = len(rest)
-            for p in range(size + 1):  # number of annihilators
-                q = size - p
-                wa_values = range(p, annihilator_cap + 1) if p else (0,)
-                for wa in wa_values:
-                    wc = wa - net
-                    if q == 0:
-                        if wc != 0:
-                            continue
-                    elif wc < q or wc > creator_cap:
-                        continue
-                    for ann in _partitions(wa, p, r):
-                        for cre in _partitions(wc, q, r):
-                            key = (tuple(sorted(cre)), tuple(sorted(ann)))
-                            weight = _tuple_weight(r, ann + tuple(-n for n in cre), rest)
-                            acc[key] = acc.get(key, 0) + scale * slot_weight * weight
+            for p in range(len(rest) + 1):  # number of annihilators
+                for ann in _partitions(wa, p, r):
+                    for cre in _partitions(wc, len(rest) - p, r):
+                        key = (tuple(sorted(cre)), tuple(sorted(ann)))
+                        weight = _tuple_weight(r, ann + tuple(-n for n in cre), rest)
+                        acc[key] = acc.get(key, 0) + scale * slot_weight * weight
     unit = QScalar.of(r, 0, -r) ** j
-    terms = [NormalTerm(cre, ann, unit * c, -j) for (cre, ann), c in acc.items() if c]
-    terms.sort(key=lambda t: (t.creators, t.annihilators))
-    return tuple(terms)
+    return tuple(NormalTerm(cre, ann, unit * c, -j) for (cre, ann), c in acc.items() if c)
 
 
 def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_cap: int) -> OperatorSum:
-    """Finite normal-ordered truncation of W(k, j, m).
+    """Finite normal-ordered truncation of W(k, j, m), sorted by (creators,
+    annihilators).
 
     Keeps every term whose total creator weight and total annihilator weight
     fit under the respective caps; on inputs whose monomial weights stay
@@ -382,24 +346,28 @@ def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_ca
     spec.validate()
     if creator_weight_cap < 0 or annihilator_weight_cap < 0:
         raise ValueError("weight caps must be nonnegative")
-    return _w_mode_terms(spec.r, spec.k, spec.j, spec.m, creator_weight_cap, annihilator_weight_cap)
+    net = -spec.weight_shift
+    top = min(annihilator_weight_cap, creator_weight_cap + net)
+    blocks = (_w_mode_terms(spec.r, spec.k, spec.j, spec.m, wa) for wa in range(max(net, 0), top + 1))
+    return tuple(sorted(chain.from_iterable(blocks), key=lambda t: (t.creators, t.annihilators)))
 
 
-def apply_w_mode(spec: WModeSpec, poly: TPolynomial, target_weight_cap: int) -> TPolynomial:
-    """Apply W(k, j, m) to a polynomial.
+def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
+    """Apply W(k, j, m) to a polynomial, exactly.
 
-    The annihilator cap is taken from the input's own maximal weight; the
-    creator cap is the caller's target.  For homogeneous input of weight w
-    the result is homogeneous of weight w - r*m - j*(r+1), so passing that
-    value as the target cap loses nothing.
+    Each monomial of weight w goes to weight w + spec.weight_shift; where
+    that is negative for every monomial, the result is zero.
     """
     spec.validate()
     if spec.r != poly.r:
         raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
-    if poly.is_zero or target_weight_cap < 0:
+    if poly.is_zero:
+        return poly
+    w_in = poly.max_weight()
+    w_out = w_in + spec.weight_shift
+    if w_out < 0:
         return TPolynomial.zero(poly.r)
-    terms = w_mode_terms(spec, target_weight_cap, poly.max_weight())
-    return apply_operator_sum(terms, poly)
+    return apply_operator_sum(w_mode_terms(spec, w_out, w_in), poly)
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -421,12 +389,7 @@ def raising_contribution(r: int, l: int, k: int, m: int, poly: TPolynomial, targ
     """The (k, m) summand of the degree raiser applied to a homogeneous
     polynomial of degree target_degree - l."""
     j = k - 1 - l
-    spec = WModeSpec(r, k, j, m - k + 1)
-    w_in = (target_degree - l) * (r + 1)
-    w_mid = w_in + spec.weight_shift
-    if w_mid < 0:
-        return TPolynomial.zero(r)
-    inner = apply_w_mode(spec, poly, w_mid)
+    inner = apply_w_mode(WModeSpec(r, k, j, m - k + 1), poly)
     if inner.is_zero:
         return inner
     n_out = r * m + (k - 1)

@@ -240,12 +240,9 @@ def test_criterion_6_property_suites(constraint_runs):
 
 
 def test_criterion_7_determinism():
-    blobs = [
-        serialize_tau(compute_tau(3, 3, workers=workers))
-        for workers in (1, 1, 3, 4)
-    ]
+    blobs = [serialize_tau(compute_tau(3, 3)) for _ in range(4)]
     ok = all(blob == blobs[0] for blob in blobs)
-    _report("7", ok, "byte-identical output across repeated runs and worker counts")
+    _report("7", ok, "byte-identical output across repeated runs")
     assert all(blob == blobs[0] for blob in blobs)
 
 

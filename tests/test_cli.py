@@ -27,7 +27,7 @@ def test_compute_to_stdout(capsys):
 def test_compute_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["compute", "--r", "3", "--degree", "3", "--out", str(a)])
-    main(["compute", "--r", "3", "--degree", "3", "--out", str(b), "--workers", "4"])
+    main(["compute", "--r", "3", "--degree", "3", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

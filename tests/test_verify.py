@@ -162,8 +162,3 @@ def test_exponential_agreement_reports():
     assert high.status == "diagnostic"
     assert high.details["agrees"] is False
     assert [label for label, _ in high.residuals] == ["degree 3"]
-
-
-def test_reports_carry_timing():
-    report = check_w_constraints(compute_tau(2, 2))
-    assert report.timing_ms >= 0.0

@@ -16,14 +16,16 @@ from rspin import (
     apply_beta,
     apply_raising_operator,
     apply_w_mode,
+    compute_tau,
     mode_bound,
     w_mode_terms,
 )
-from rspin.walgebra import ORACLE_CHECKED_R, _contraction, _generator, apply_operator_sum
+from rspin.walgebra import ORACLE_CHECKED_R, _contraction, _generator, _w_mode_terms, apply_operator_sum
 
 from helpers import (
     SHEET_CURRENTS,
     ordered_apply_raiser,
+    ordered_apply_w,
     ordered_w_terms,
     poly_of,
     qs,
@@ -130,12 +132,12 @@ def test_w_terms_rejects_bad_specs():
 
 
 def test_apply_w_mode_central():
-    out = apply_w_mode(WModeSpec(3, 2, 0, 0), TPolynomial.one(3), 0)
+    out = apply_w_mode(WModeSpec(3, 2, 0, 0), TPolynomial.one(3))
     assert out == TPolynomial.const(3, Fraction(1, 3))
 
 
 def test_apply_w_mode_cubic_on_one():
-    out = apply_w_mode(WModeSpec(3, 3, 0, -2), TPolynomial.one(3), 8)
+    out = apply_w_mode(WModeSpec(3, 3, 0, -2), TPolynomial.one(3))
     expected = poly_of(
         3,
         (Fraction(4, 3), -3, {2: 3}),
@@ -145,7 +147,7 @@ def test_apply_w_mode_cubic_on_one():
 
 
 def test_apply_w_mode_top_derivative():
-    out = apply_w_mode(WModeSpec(3, 2, 1, -1), TPolynomial.var(3, 1), 4)
+    out = apply_w_mode(WModeSpec(3, 2, 1, -1), TPolynomial.var(3, 1))
     assert out == TPolynomial.const(3, QScalar.of(3, 0, -3))
 
 
@@ -169,10 +171,69 @@ def test_weight_shift_of_modes():
         p = TPolynomial.monomial(r, 1, 0, exps)
         w_in = p.max_weight()
         w_out = w_in + spec.weight_shift
-        out = apply_w_mode(spec, p, max(w_out, -1))
+        out = apply_w_mode(spec, p)
         assert out.is_homogeneous(w_out) or out.is_zero
         if w_out < 0:
             assert out.is_zero
+
+
+def test_caps_select_nested_blocks():
+    # a table under smaller caps is the (8, 8) table filtered by weight:
+    # the per-annihilator-weight blocks add up to the same terms in the
+    # same order whichever caps select them
+    for r in (2, 3, 4):
+        for k in range(2, r + 1):
+            for j in range(k):
+                for m in range(-(k - 1), 4):
+                    spec = WModeSpec(r, k, j, m)
+                    full = w_mode_terms(spec, 8, 8)
+                    for cc in range(9):
+                        for ac in range(9):
+                            kept = tuple(
+                                t for t in full if sum(t.creators) <= cc and sum(t.annihilators) <= ac
+                            )
+                            assert w_mode_terms(spec, cc, ac) == kept, (spec, cc, ac)
+
+
+def _random_monomial(rng, r, weight):
+    """Random monomial of exactly this weight, lam exponent even and <= 0."""
+    exps = {}
+    while weight:
+        n = rng.randint(1, weight)
+        if n % r:
+            exps[n] = exps.get(n, 0) + 1
+            weight -= n
+    coeff = qs(r, rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2))
+    return TPolynomial.monomial(r, coeff, -2 * rng.randint(0, 2), exps)
+
+
+def test_cap_free_application_matches_ordered_oracle():
+    # the oracle needs an explicit creator cap; the output weight bound
+    # max_weight + weight_shift is the one that drops nothing
+    rng = random.Random(23)
+    nonzero = mixed = 0
+    for case in range(30):
+        r = rng.choice((2, 3, 4))
+        k = rng.randint(2, r)
+        spec = WModeSpec(r, k, rng.randint(0, k - 1), rng.randint(-(k - 1), 1))
+        weights = [rng.randint(0, 5)] * 3 if case % 2 == 0 else [rng.randint(0, 5) for _ in range(3)]
+        p = TPolynomial.sum_of(r, (_random_monomial(rng, r, w) for w in weights))
+        mixed += not p.is_zero and not p.is_homogeneous(p.max_weight())
+        oracle = ordered_apply_w(r, spec.k, spec.j, spec.m, p, p.max_weight() + spec.weight_shift)
+        out = apply_w_mode(spec, p)
+        assert out == oracle, (spec, p)
+        nonzero += not out.is_zero
+    assert nonzero >= 15 and mixed >= 5
+
+
+def test_mode_tables_are_reused_across_degrees():
+    # one block per annihilator weight serves every input weight at or
+    # above it, so a recursion run finds most blocks already built
+    _w_mode_terms.cache_clear()
+    compute_tau(4, 5)
+    info = _w_mode_terms.cache_info()
+    assert info.hits > 0
+    assert info.misses == info.currsize
 
 
 def test_raiser_matches_degree_one_fixture():
@@ -230,9 +291,8 @@ def test_operator_linearity():
         a = qs(3, rng.randint(-4, 4), rng.randint(-4, 4))
         p = TPolynomial.monomial(3, 1, 0, {1: rng.randint(1, 3)})
         q = TPolynomial.monomial(3, 1, -2, {2: rng.randint(1, 2)})
-        cap = max(p.max_weight(), q.max_weight()) + 3
-        lhs = apply_w_mode(spec, p.scaled(a) + q, cap)
-        rhs = apply_w_mode(spec, p, cap).scaled(a) + apply_w_mode(spec, q, cap)
+        lhs = apply_w_mode(spec, p.scaled(a) + q)
+        rhs = apply_w_mode(spec, p).scaled(a) + apply_w_mode(spec, q)
         assert lhs == rhs
 
 
@@ -270,5 +330,5 @@ def test_modes_beyond_bound_annihilate():
             for extra in (1, 2):
                 m = mode_bound(r, k, target) + extra
                 j = k - 1 - l
-                out = apply_w_mode(WModeSpec(r, k, j, m - k + 1), p, w_in + 20)
+                out = apply_w_mode(WModeSpec(r, k, j, m - k + 1), p)
                 assert out.is_zero
