@@ -8,6 +8,14 @@ fractions.
 
 s denotes a different number for every r, so each value carries its r and
 mixing values from different r contexts raises instead of coercing.
+
+The grading puts every tau coefficient in Q or in Q*s, so one component of
+almost every operand is zero.  The arithmetic is written for that case:
+a product with a rational-only or s-only operand forms only its nonzero
+component products, a product with an int or Fraction scales the two
+components directly, and sums and negation pass zero components through.
+Mixed operands take the full formula.  Results are built without re-checking
+r, which the operands already carry.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QScalar:
     """Immutable element a + b*s of Q(s), s^2 = -r.
 
@@ -65,47 +73,65 @@ class QScalar:
     def _coerce(self, other) -> "QScalar | None":
         if isinstance(other, QScalar):
             if other.r != self.r:
-                raise ContextError(
-                    f"cannot combine scalars over r={self.r} and r={other.r}"
-                )
+                raise _mismatch(self, other)
             return other
         if isinstance(other, (int, Fraction)):
-            return QScalar(self.r, _frac(other), Fraction(0))
+            return QScalar(self.r, _frac(other), _ZERO)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QScalar(self.r, self.a + o.a, self.b + o.b)
+        r = self.r
+        if isinstance(other, QScalar):
+            if other.r != r:
+                raise _mismatch(self, other)
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            return _make(
+                r,
+                a1 + a2 if a1 and a2 else a1 or a2,
+                b1 + b2 if b1 and b2 else b1 or b2,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _make(r, self.a + other if other else self.a, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> QScalar:
-        return QScalar(self.r, -self.a, -self.b)
+        a, b = self.a, self.b
+        return _make(self.r, -a if a else a, -b if b else b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QScalar(self.r, self.a - o.a, self.b - o.b)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a1 + b1 s)(a2 + b2 s) = (a1 a2 - r b1 b2) + (a1 b2 + a2 b1) s
-        return QScalar(
-            self.r,
-            self.a * o.a - self.r * self.b * o.b,
-            self.a * o.b + o.a * self.b,
-        )
+        r, a1, b1 = self.r, self.a, self.b
+        if isinstance(other, QScalar):
+            if other.r != r:
+                raise _mismatch(self, other)
+            # (a1 + b1 s)(a2 + b2 s) = (a1 a2 - r b1 b2) + (a1 b2 + a2 b1) s;
+            # only the products of nonzero components are formed.
+            a2, b2 = other.a, other.b
+            if not b2:
+                return _make(r, a1 * a2 if a1 else a1, b1 * a2 if b1 else b1)
+            if not a2:
+                return _make(r, b1 * b2 * -r if b1 else b1, a1 * b2 if a1 else a1)
+            if not b1:
+                return _make(r, a1 * a2, a1 * b2)
+            if not a1:
+                return _make(r, b1 * b2 * -r, a2 * b1)
+            return _make(r, a1 * a2 - r * b1 * b2, a1 * b2 + a2 * b1)
+        if isinstance(other, (int, Fraction)):
+            return _make(r, a1 * other if a1 else a1, b1 * other if b1 else b1)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -165,3 +191,22 @@ class QScalar:
             else:
                 parts.append(term)
         return " ".join(parts)
+
+
+_ZERO = Fraction(0)
+_new_scalar = object.__new__
+_set_r, _set_a, _set_b = (QScalar.__dict__[name].__set__ for name in ("r", "a", "b"))
+
+
+def _mismatch(x: QScalar, y: QScalar) -> ContextError:
+    return ContextError(f"cannot combine scalars over r={x.r} and r={y.r}")
+
+
+def _make(r: int, a: Fraction, b: Fraction) -> QScalar:
+    """QScalar(r, a, b) without the check of r: the operands it is computed
+    from were already checked."""
+    out = _new_scalar(QScalar)
+    _set_r(out, r)
+    _set_a(out, a)
+    _set_b(out, b)
+    return out

@@ -272,7 +272,8 @@ class TPolynomial:
             else:
                 exps[n] = e - 1
             new_mono = TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))
-            acc[new_mono] = acc.get(new_mono, QScalar.of(self.r, 0)) + coeff * e
+            prev = acc.get(new_mono)
+            acc[new_mono] = coeff * e if prev is None else prev + coeff * e
         return TPolynomial._raw(self.r, {m: c for m, c in acc.items() if c})
 
     def shift_lambda(self, k: int) -> TPolynomial:

@@ -52,6 +52,12 @@ whose annihilators weigh wa has creators weighing wa + r*m + j*(r+1).  An
 annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
+
+Application runs monomial by monomial (apply_operator_sum): the terms are
+grouped by annihilator multiset, each monomial is differentiated once per
+group that divides it (an integer multiplicity and the exponents left), and
+every term of the group adds its creators and scalar straight into one
+output dict.  NormalTerm.apply is the plain pass-by-pass reference.
 """
 
 from __future__ import annotations
@@ -61,11 +67,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
 from .scalar import QScalar
-from .tpoly import TPolynomial
+from .tpoly import TMonomial, TPolynomial
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
 # another construction are refused rather than reused.
@@ -104,14 +110,12 @@ class NormalTerm:
     coeff: QScalar
     lambda_shift: int
 
-    def apply(self, poly: TPolynomial, derived: TPolynomial | None = None) -> TPolynomial:
-        """Apply the term to poly; derived, when the caller has it, is poly
-        already differentiated by the annihilators."""
-        out = derived
-        if out is None:
-            out = poly
-            for u in self.annihilators:
-                out = out.derive(u)
+    def apply(self, poly: TPolynomial) -> TPolynomial:
+        """Apply this one term to poly, pass by pass over the whole
+        polynomial; the reference that apply_operator_sum is tested against."""
+        out = poly
+        for u in self.annihilators:
+            out = out.derive(u)
         if out.is_zero:
             return out
         factor = self.coeff
@@ -125,28 +129,70 @@ class NormalTerm:
 OperatorSum = tuple[NormalTerm, ...]
 
 
+def _divisors(
+    exps: tuple[tuple[int, int], ...], prefixes: set[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Sub-multisets of the monomial with these exponents whose ascending
+    index tuples lie in prefixes, each with its derivative multiplicity
+    prod e!/(e-c)! over the variables taken c times.  A tuple outside
+    prefixes starts no annihilator multiset, so nothing is built on it."""
+    out = [((), 1)]
+    for n, e in exps:
+        for i in range(len(out)):
+            taken, mult = out[i]
+            for c in range(1, e + 1):
+                taken += (n,)
+                if taken not in prefixes:
+                    break
+                mult *= e - c + 1
+                out.append((taken, mult))
+    return out
+
+
 def apply_operator_sum(terms: OperatorSum, poly: TPolynomial) -> TPolynomial:
-    """Apply a sum of normal-ordered terms.
+    """Apply a sum of normal-ordered terms, one input monomial at a time.
 
-    Terms are taken in annihilator order, so the derivatives of a shared
-    annihilator prefix are taken once; only the derivative chain of the
-    current prefix is kept."""
-
-    def parts():
-        chain = [poly]  # chain[i]: poly differentiated by prefix[:i]
-        prefix: tuple[int, ...] = ()
-        for term in sorted(terms, key=lambda t: t.annihilators):
-            anns = term.annihilators
-            keep = 0
-            while keep < min(len(prefix), len(anns)) and prefix[keep] == anns[keep]:
-                keep += 1
-            del chain[keep + 1:]
-            for u in anns[keep:]:
-                chain.append(chain[-1].derive(u))
-            prefix = anns
-            yield term.apply(poly, chain[-1])
-
-    return TPolynomial.sum_of(poly.r, parts())
+    The terms are grouped by annihilator multiset.  For each monomial and
+    each group whose annihilators divide it, the derivative multiplicity
+    mult (a product of falling factorials of the exponents) and the
+    remaining exponents are found once; every term of the group then adds
+    coeff * (factor * mult), factor = term coeff * prod(creators), straight
+    into one output dict.  factor * mult is formed once per group and value
+    of mult in a call."""
+    groups: dict[tuple[int, ...], list[tuple[tuple[tuple[int, int], ...], QScalar, int]]] = {}
+    for term in terms:
+        net = term.lambda_shift + len(term.annihilators) - len(term.creators)
+        created = tuple(Counter(term.creators).items())
+        groups.setdefault(term.annihilators, []).append((created, term.coeff * prod(term.creators), net))
+    prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
+    multiples = {}  # (annihilators, mult) -> the group with factor * mult
+    acc: dict[tuple[int, tuple[tuple[int, int], ...]], QScalar] = {}  # (lam, exps) -> coeff
+    for mono, coeff in poly.terms.items():
+        lam = mono.lambda_exp
+        for taken, mult in _divisors(mono.exps, prefixes):
+            group = groups.get(taken)
+            if group is None:
+                continue
+            if mult != 1:
+                key = (taken, mult)
+                if key not in multiples:
+                    multiples[key] = [(created, factor * mult, net) for created, factor, net in group]
+                group = multiples[key]
+            left = dict(mono.exps)
+            for u in taken:
+                if left[u] == 1:
+                    del left[u]
+                else:
+                    left[u] -= 1
+            for created, factor, net in group:
+                exps = left.copy()
+                for u, e in created:
+                    exps[u] = exps.get(u, 0) + e
+                out = (lam + net, tuple(sorted(exps.items())))
+                value = coeff * factor
+                prev = acc.get(out)
+                acc[out] = value if prev is None else prev + value
+    return TPolynomial._raw(poly.r, {TMonomial(lam, exps): c for (lam, exps), c in acc.items() if c})
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
-# A coefficient is a polynomial in x: a tuple of Fractions, index = power.
+# An operator is a pair (terms, den): terms maps each order of d to its
+# coefficient, a polynomial in x given by its integer numerators (a tuple,
+# index = power), and den > 0 is one denominator shared by every numerator.
+# Products and sums come out reduced (den and all numerators coprime), so
+# the arithmetic below runs on small integers and forms no Fraction at all.
 
 
 def _padd(a, b):
@@ -57,13 +61,11 @@ def _pscale(a, c):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
                 out[i + j] += u * v
-    while out and not out[-1]:
-        out.pop()
     return tuple(out)
 
 
@@ -72,17 +74,31 @@ def _pder(a):
 
 
 def _binom(n, k):
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
+    """n choose k for any integer n; negative n are the orders of d^-1 and
+    below, where it is (-1)^k (k - n - 1 choose k)."""
+    if n >= 0:
+        return comb(n, k)
+    return (-1) ** k * comb(k - n - 1, k)
+
+
+def _reduced(terms, den):
+    """The operator terms/den with zero coefficients dropped, in lowest terms."""
+    terms = {i: v for i, v in terms.items() if v}
+    g = den
+    for v in terms.values():
+        for c in v:
+            g = gcd(g, c)
+    if g == 1:
+        return terms, den
+    return {i: tuple(c // g for c in v) for i, v in terms.items()}, den // g
 
 
 def _mul(A, B, lo):
-    """Product of operators {order: coefficient}, kept at orders >= lo."""
+    """Product of operators, kept at orders >= lo."""
+    (ta, da), (tb, db) = A, B
     out = {}
-    for i, a in A.items():
-        for j, b in B.items():
+    for i, a in ta.items():
+        for j, b in tb.items():
             k, bk = 0, b
             while bk and i + j - k >= lo:
                 c = _binom(i, k)
@@ -90,18 +106,22 @@ def _mul(A, B, lo):
                     out[i + j - k] = _padd(out.get(i + j - k, ()), _pscale(_pmul(a, bk), c))
                 k += 1
                 bk = _pder(bk)
-    return {i: v for i, v in out.items() if v}
+    return _reduced(out, da * db)
 
 
 def _add(A, B, c=1):
-    out = dict(A)
-    for i, v in B.items():
-        out[i] = _padd(out.get(i, ()), _pscale(v, Fraction(c)))
-    return {i: v for i, v in out.items() if v}
+    """A + c * B for an integer c."""
+    (ta, da), (tb, db) = A, B
+    den = da * db // gcd(da, db)
+    out = {i: _pscale(v, den // da) for i, v in ta.items()}
+    for i, v in tb.items():
+        out[i] = _padd(out.get(i, ()), _pscale(v, den // db * c))
+    return _reduced(out, den)
 
 
 def _positive(A):
-    return {i: v for i, v in A.items() if i >= 0}
+    terms, den = A
+    return {i: v for i, v in terms.items() if i >= 0}, den
 
 
 class GelfandDickeyOracle:
@@ -109,7 +129,7 @@ class GelfandDickeyOracle:
 
     def __init__(self, r: int):
         self.r = r
-        self._root = ({1: (Fraction(1),)}, 1)  # (operator, exact down to this order)
+        self._root = (({1: (1,)}, 1), 1)  # (operator, exact down to this order)
         self._derivs = {}  # (q, S) -> (operator, exact down to this order)
         self._values = {}
 
@@ -117,18 +137,18 @@ class GelfandDickeyOracle:
         """L_0^(1/r) = d + q_{-1} d^-1 + .., exact at orders >= lo."""
         root, known = self._root
         r = self.r
-        L = {r: (Fraction(1),), 0: (Fraction(0), Fraction(1))}
+        L = {r: (1,), 0: (0, 1)}
         while known > lo:
             order = known - 1
             # the d^order coefficient first enters Q^r at order r - 1 + order
             target = r - 1 + order
-            power = {0: (Fraction(1),)}
+            power = ({0: (1,)}, 1)
             for _ in range(r):
                 power = _mul(power, root, target - r)
-            diff = _padd(L.get(target, ()), _pscale(power.get(target, ()), Fraction(-1)))
+            terms, den = power
+            diff = _padd(_pscale(L.get(target, ()), den), _pscale(terms.get(target, ()), -1))
             if diff:
-                root = dict(root)
-                root[order] = _pscale(diff, Fraction(1, r))
+                root = _add(root, ({order: diff}, den * r))
             known = order
         self._root = (root, known)
         return root
@@ -140,15 +160,15 @@ class GelfandDickeyOracle:
             return got[0]
         if not S:
             root = self._root_to(lo - q)
-            out = {0: (Fraction(1),)}
+            out = ({0: (1,)}, 1)
             for _ in range(q):
                 out = _mul(out, root, lo - q)
-            out = {i: v for i, v in out.items() if i >= lo}
+            out = ({i: v for i, v in out[0].items() if i >= lo}, out[1])
         else:
             p, rest = S[-1], S[:-1]
             counts = Counter(rest)
             values = sorted(counts)
-            out = {}
+            out = ({}, 1)
 
             def splits(idx):
                 if idx == len(values):
@@ -161,9 +181,9 @@ class GelfandDickeyOracle:
 
             for part, mult in splits(0):
                 B = _positive(self._deriv(p, part, 0))
-                if not B:
+                if not B[0]:
                     continue
-                top = max(B)
+                top = max(B[0])
                 other = tuple(sorted((counts - Counter(part)).elements()))
                 Phi = self._deriv(q, other, lo - top)
                 out = _add(out, _mul(B, Phi, lo), mult)
@@ -178,9 +198,10 @@ class GelfandDickeyOracle:
         others = [p for p in ps if p != 1]
         if not others:
             others, ones = [1], ones - 1
-        res = self._deriv(others[-1], tuple(others[:-1]), -1).get(-1, ())
+        terms, den = self._deriv(others[-1], tuple(others[:-1]), -1)
+        res = terms.get(-1, ())
         e = ones - 1
-        return res[e] * factorial(e) if e < len(res) else Fraction(0)
+        return Fraction(res[e] * factorial(e), den) if e < len(res) else Fraction(0)
 
     def genus(self, insertions) -> int | None:
         """Genus from the selection rule, or None when it has no solution."""

@@ -1,5 +1,6 @@
 """Command-line interface: all four commands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -157,6 +158,21 @@ def test_verify_spin_four_and_five_passes(tmp_path, r, degree):
     out = tmp_path / "report.json"
     assert main(["verify", "--r", str(r), "--degree", str(degree), "--out", str(out)]) == 0
     assert all(rep["status"] == "pass" for rep in json.loads(out.read_text()))
+
+
+# sha256 of the tau documents written before the per-monomial W-mode kernel;
+# the benchmark pins only r = 3 outputs, so these guard the spin >= 4 bytes.
+SPIN_FOUR_AND_FIVE_DIGESTS = {
+    (4, 5): "73dceaf8cfd7b16bc1a7a4decd499d50cba57ce57e6995a57e10bb3f1dff6912",
+    (5, 4): "70a5d91807dd2b17d15dfe1324daeddf91ca2a0b36c8a9f960dd95838b411e80",
+}
+
+
+@pytest.mark.parametrize("r, degree", sorted(SPIN_FOUR_AND_FIVE_DIGESTS))
+def test_compute_spin_four_and_five_bytes_are_pinned(tmp_path, r, degree):
+    out = tmp_path / "tau.json"
+    assert main(["compute", "--r", str(r), "--degree", str(degree), "--out", str(out), "-q"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SPIN_FOUR_AND_FIVE_DIGESTS[(r, degree)]
 
 
 @pytest.mark.parametrize("command", ["compute", "correlators", "verify"])

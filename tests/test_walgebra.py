@@ -78,8 +78,9 @@ def test_normal_term_pure_creators():
 
 
 def test_operator_sum_shares_derivatives_exactly():
-    # apply_operator_sum reuses the derivatives of shared annihilator
-    # prefixes; the result must equal the plain sum of single-term applications
+    # apply_operator_sum differentiates each monomial once per annihilator
+    # multiset and shares that among the terms with those annihilators; the
+    # result must equal the plain sum of single-term applications
     p = _homogeneous_poly(4, 15, lam=-6) + TPolynomial.monomial(4, 3, -4, {1: 2, 6: 1, 7: 1})
     for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
         terms = w_mode_terms(spec, 20, p.max_weight())
@@ -213,7 +214,7 @@ def test_cap_free_application_matches_ordered_oracle():
     rng = random.Random(23)
     nonzero = mixed = 0
     for case in range(30):
-        r = rng.choice((2, 3, 4))
+        r = rng.choice((2, 3, 4, 5))
         k = rng.randint(2, r)
         spec = WModeSpec(r, k, rng.randint(0, k - 1), rng.randint(-(k - 1), 1))
         weights = [rng.randint(0, 5)] * 3 if case % 2 == 0 else [rng.randint(0, 5) for _ in range(3)]
@@ -224,6 +225,53 @@ def test_cap_free_application_matches_ordered_oracle():
         assert out == oracle, (spec, p)
         nonzero += not out.is_zero
     assert nonzero >= 15 and mixed >= 5
+
+
+def _random_scalar(rng, r):
+    """Nonzero, and rational-only, s-only or mixed."""
+    kind = rng.randrange(3)
+    a = rng.choice((-5, -3, -1, 2, 4)) if kind != 1 else 0
+    b = rng.choice((-4, -2, 1, 3, 5)) if kind != 0 else 0
+    return qs(r, a, b)
+
+
+def test_operator_sum_matches_single_terms_on_random_inputs():
+    # repeated annihilators such as (1, 1, 2) exercise the falling
+    # multiplicity e!/(e-c)!; exponents 0..3 leave monomials that some
+    # annihilators do not divide
+    rng = random.Random(41)
+    several_lams = undivided = 0
+    for r in (3, 4, 5):
+        variables = [n for n in (1, 2, 3, 5, 7) if n % r][:4]
+        for _ in range(12):
+            shapes = [(1, 1, 2), (1, 1), (1,), (), (2, 2), (1, 2)] + [
+                tuple(sorted(rng.choice(variables) for _ in range(rng.randint(1, 3)))) for _ in range(3)
+            ]
+            terms = tuple(
+                NormalTerm(
+                    tuple(sorted(rng.choice(variables) for _ in range(rng.randint(0, 3)))),
+                    anns,
+                    _random_scalar(rng, r),
+                    rng.randint(-2, 1),
+                )
+                for anns in shapes
+                for _ in range(rng.randint(1, 3))
+            )
+            p = TPolynomial.sum_of(
+                r,
+                (
+                    TPolynomial.monomial(
+                        r, _random_scalar(rng, r), rng.choice((-4, -2, 0, 1)), {n: rng.randint(0, 3) for n in variables}
+                    )
+                    for _ in range(rng.randint(3, 8))
+                ),
+            )
+            several_lams += len(p.lambda_exponents()) > 1
+            undivided += sum(dict(m.exps).get(1, 0) < 2 or 2 not in dict(m.exps) for m in p.terms)
+            plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms))
+            assert apply_operator_sum(terms, p) == plain
+            assert not plain.is_zero
+    assert several_lams >= 30 and undivided >= 30
 
 
 def test_mode_tables_are_reused_across_degrees():
