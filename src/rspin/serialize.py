@@ -136,11 +136,9 @@ def serialize_tau(tau: TauExpansion) -> bytes:
 
 def parse_tau(data: bytes | str) -> TauExpansion:
     """Parse and fully re-validate a tau document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -233,9 +231,11 @@ class TauCache:
             return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise CacheError(f"unreadable cache entry {path}: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+        if not isinstance(doc, dict):
+            raise CacheError(f"cache entry {path} is a JSON {type(doc).__name__}, not an object")
+        if doc.get("format_version") != FORMAT_VERSION:
             raise CacheError(
                 f"cache entry {path} has format_version {doc.get('format_version')!r}, "
                 f"expected {FORMAT_VERSION}"

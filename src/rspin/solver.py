@@ -2,9 +2,7 @@
 
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
-computed bottom-up.  Within one degree the (l, k, m) contributions are
-independent but evaluated one after another, in a fixed key order: they are
-pure-Python arithmetic, which threads cannot overlap under the GIL.
+computed bottom-up, one apply_raising_operator call per raiser.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -19,7 +17,7 @@ from typing import Protocol
 
 from .errors import CacheError, ContractError
 from .tpoly import TPolynomial
-from .walgebra import apply_raising_operator, mode_bound, raising_contribution
+from .walgebra import apply_raising_operator
 
 __all__ = [
     "TauExpansion",
@@ -70,18 +68,9 @@ class TauExpansion:
                     )
 
 
-def _degree_tasks(r: int, j: int) -> list[tuple[int, int, int]]:
-    tasks = []
-    for l in range(1, min(r - 1, j) + 1):
-        for k in range(l + 1, r + 1):
-            for m in range(0, mode_bound(r, k, j) + 1):
-                tasks.append((l, k, m))
-    return tasks
-
-
 def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:
     total = TPolynomial.sum_of(
-        r, (raising_contribution(r, l, k, m, pieces[j - l], j) for l, k, m in _degree_tasks(r, j))
+        r, (apply_raising_operator(r, l, pieces[j - l], j) for l in range(1, min(r - 1, j) + 1))
     )
     return total.scaled(Fraction(1, j))
 

@@ -58,6 +58,12 @@ grouped by annihilator multiset, each monomial is differentiated once per
 group that divides it (an integer multiplicity and the exponents left), and
 every term of the group adds its creators and scalar straight into one
 output dict.  NormalTerm.apply is the plain pass-by-pass reference.
+
+A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1) is one
+such sum, streamed and never stored: T_{r*m+k-1} is a creator, so adding it
+to each inner term keeps the term normal ordered.  The folded lam shift is
+the inner one plus k - 1, the lam^(k-1) of c_k; the kernel already counts
+the -1 of the new creator.
 """
 
 from __future__ import annotations
@@ -66,8 +72,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from math import comb, factorial, prod
+from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
 from .scalar import QScalar
@@ -149,21 +156,23 @@ def _divisors(
     return out
 
 
-def apply_operator_sum(terms: OperatorSum, poly: TPolynomial) -> TPolynomial:
+def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial) -> TPolynomial:
     """Apply a sum of normal-ordered terms, one input monomial at a time.
 
-    The terms are grouped by annihilator multiset.  For each monomial and
-    each group whose annihilators divide it, the derivative multiplicity
-    mult (a product of falling factorials of the exponents) and the
-    remaining exponents are found once; every term of the group then adds
-    coeff * (factor * mult), factor = term coeff * prod(creators), straight
-    into one output dict.  factor * mult is formed once per group and value
-    of mult in a call."""
+    The terms, read once from any iterable, are grouped by annihilator
+    multiset.  For each monomial and each group whose annihilators divide
+    it, the derivative multiplicity mult (a product of falling factorials
+    of the exponents) and the remaining exponents are found once; every
+    term of the group then adds coeff * (factor * mult), factor = term
+    coeff * prod(creators), straight into one output dict.  factor * mult
+    is formed once per group and value of mult in a call."""
     groups: dict[tuple[int, ...], list[tuple[tuple[tuple[int, int], ...], QScalar, int]]] = {}
     for term in terms:
         net = term.lambda_shift + len(term.annihilators) - len(term.creators)
         created = tuple(Counter(term.creators).items())
         groups.setdefault(term.annihilators, []).append((created, term.coeff * prod(term.creators), net))
+    if not groups:  # e.g. a mode that lowers the weight below zero
+        return TPolynomial.zero(poly.r)
     prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
     multiples = {}  # (annihilators, mult) -> the group with factor * mult
     acc: dict[tuple[int, tuple[tuple[int, int], ...]], QScalar] = {}  # (lam, exps) -> coeff
@@ -381,6 +390,14 @@ def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
     return tuple(NormalTerm(cre, ann, unit * c, -j) for (cre, ann), c in acc.items() if c)
 
 
+def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
+    """The terms of W(k, j, m) whose annihilators weigh at most top: on
+    inputs of weight at most top, every other term acts as zero."""
+    net = r * m + j * (r + 1)
+    for wa in range(max(net, 0), top + 1):
+        yield from _w_mode_terms(r, k, j, m, wa)
+
+
 def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_cap: int) -> OperatorSum:
     """Finite normal-ordered truncation of W(k, j, m), sorted by (creators,
     annihilators).
@@ -392,10 +409,9 @@ def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_ca
     spec.validate()
     if creator_weight_cap < 0 or annihilator_weight_cap < 0:
         raise ValueError("weight caps must be nonnegative")
-    net = -spec.weight_shift
-    top = min(annihilator_weight_cap, creator_weight_cap + net)
-    blocks = (_w_mode_terms(spec.r, spec.k, spec.j, spec.m, wa) for wa in range(max(net, 0), top + 1))
-    return tuple(sorted(chain.from_iterable(blocks), key=lambda t: (t.creators, t.annihilators)))
+    top = min(annihilator_weight_cap, creator_weight_cap - spec.weight_shift)
+    blocks = _mode_blocks(spec.r, spec.k, spec.j, spec.m, top)
+    return tuple(sorted(blocks, key=lambda t: (t.creators, t.annihilators)))
 
 
 def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
@@ -409,11 +425,7 @@ def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
         raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
     if poly.is_zero:
         return poly
-    w_in = poly.max_weight()
-    w_out = w_in + spec.weight_shift
-    if w_out < 0:
-        return TPolynomial.zero(poly.r)
-    return apply_operator_sum(w_mode_terms(spec, w_out, w_in), poly)
+    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, poly.max_weight()), poly)
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -431,17 +443,18 @@ def raising_prefactor(r: int, k: int) -> QScalar:
     return base.inv() * Fraction(-factorial(k - 1), r + 1)
 
 
-def raising_contribution(r: int, l: int, k: int, m: int, poly: TPolynomial, target_degree: int) -> TPolynomial:
-    """The (k, m) summand of the degree raiser applied to a homogeneous
-    polynomial of degree target_degree - l."""
-    j = k - 1 - l
-    inner = apply_w_mode(WModeSpec(r, k, j, m - k + 1), poly)
-    if inner.is_zero:
-        return inner
-    n_out = r * m + (k - 1)
-    scale = raising_prefactor(r, k) * n_out
-    # lam: +(k-1) from the prefactor, -1 from the outer creator.
-    return inner.mul_var(n_out, 1).scaled(scale).shift_lambda(k - 2)
+def _raiser_terms(r: int, l: int, w_in: int, target_degree: int):
+    """The degree-l raiser as one stream of normal-ordered terms: the outer
+    creator T_{r*m+k-1} and the prefactor folded into every term of
+    W(k, k-1-l, m-k+1) that can act on an input of weight w_in."""
+    for k in range(l + 1, r + 1):
+        j = k - 1 - l
+        prefactor = raising_prefactor(r, k)
+        for m in range(0, mode_bound(r, k, target_degree) + 1):
+            outer = r * m + k - 1
+            for t in _mode_blocks(r, k, j, m - k + 1, w_in):
+                creators = tuple(sorted(t.creators + (outer,)))
+                yield NormalTerm(creators, t.annihilators, t.coeff * prefactor, t.lambda_shift + k - 1)
 
 
 def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int) -> TPolynomial:
@@ -451,7 +464,7 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
 
     The outer mode sum is truncated at mode_bound(r, k, target_degree);
     beyond it every contribution vanishes on such input, so the truncation
-    is exact.
+    is exact.  The whole raiser is one apply_operator_sum call.
     """
     if not 1 <= l <= r - 1:
         raise InvalidSpecError(f"raiser label must lie in [1, r-1={r - 1}], got {l}")
@@ -464,8 +477,4 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
         raise ContractError(
             f"input must be homogeneous of degree {target_degree - l} (weight {w_in})"
         )
-    parts = []
-    for k in range(l + 1, r + 1):
-        for m in range(0, mode_bound(r, k, target_degree) + 1):
-            parts.append(raising_contribution(r, l, k, m, poly, target_degree))
-    return TPolynomial.sum_of(r, parts)
+    return apply_operator_sum(_raiser_terms(r, l, w_in, target_degree), poly)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
 from rspin import (
@@ -159,26 +158,37 @@ def _falling(a, n):
     return out
 
 
+def _fills(r, slots, consts, total, creator_cap, annihilator_cap):
+    """Ordered fills of `slots` slots, each an oscillator label u (u < 0 a
+    creator, u % r != 0) or None for a dilaton constant, with exactly
+    `consts` constants, labels summing to `total`, and creator and
+    annihilator weights within their caps."""
+    if slots == 0:
+        if consts == 0 and total == 0:
+            yield ()
+        return
+    if consts:
+        for rest in _fills(r, slots - 1, consts - 1, total, creator_cap, annihilator_cap):
+            yield (None,) + rest
+    for u in range(-creator_cap, annihilator_cap + 1):
+        if u % r == 0:
+            continue
+        caps = (creator_cap + min(u, 0), annihilator_cap - max(u, 0))
+        for rest in _fills(r, slots - 1, consts, total - u, *caps):
+            yield (u,) + rest
+
+
 def _ordered_tuples(r, k, j, m, creator_cap, annihilator_cap):
     """Every ordered tuple of W(k, j, m): yields (oscillator labels,
     rational coefficient).  A slot holds an oscillator label u (u < 0 a
     creator) or the dilaton-shift constant standing for u = -(r+1); the
     tuple is weighted by the falling factorial (-u/r - 1)_(i-1) of each
     slot of derivative order i, and the sheet sum contributes r^(1-p)."""
-    values = [u for u in range(-creator_cap, annihilator_cap + 1) if u and u % r] + [None]
     for orders, current in SHEET_CURRENTS[k].items():
         for contraction, left in _contracted(r, orders):
             scale = current * contraction * Fraction(r) ** (k - len(left))
-            for tup in product(values, repeat=len(left)):
-                if tup.count(None) != j:
-                    continue
+            for tup in _fills(r, len(left), j, r * m + j * (r + 1), creator_cap, annihilator_cap):
                 osc = tuple(u for u in tup if u is not None)
-                if sum(osc) != r * m + j * (r + 1):
-                    continue
-                if sum(u for u in osc if u > 0) > annihilator_cap:
-                    continue
-                if -sum(u for u in osc if u < 0) > creator_cap:
-                    continue
                 weight = scale
                 for u, order in zip(tup, left):
                     label = -(r + 1) if u is None else u

@@ -41,10 +41,22 @@ def test_cache_changes_timing_not_bytes(tmp_path):
     assert cold.read_bytes() == warm.read_bytes()
 
 
-def test_corrupt_cache_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(b"{broken", id="truncated"),
+        pytest.param(b"\xff\xfe{", id="not-utf8"),
+        pytest.param(b"null", id="null"),
+        pytest.param(b"[]", id="list"),
+        pytest.param(b'"x"', id="string"),
+        pytest.param(b"3", id="number"),
+        pytest.param(b"[" * 100_000, id="nested"),
+    ],
+)
+def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
     cache = tmp_path / "cache"
     main(["compute", "--r", "3", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "x.json")])
-    (cache / "r3_deg1.json").write_text("{broken", encoding="utf-8")
+    (cache / "r3_deg1.json").write_bytes(entry)
     code = main(["compute", "--r", "3", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "y.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -173,6 +185,20 @@ def test_compute_spin_four_and_five_bytes_are_pinned(tmp_path, r, degree):
     out = tmp_path / "tau.json"
     assert main(["compute", "--r", str(r), "--degree", str(degree), "--out", str(out), "-q"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPIN_FOUR_AND_FIVE_DIGESTS[(r, degree)]
+
+
+# sha256 of the commutator reports; the spin-4 raisers reach these through
+# check_commutators and compute_tau_exponential, not through the solver.
+COMMUTATOR_DIGESTS = {
+    (4, 4): "cc2213c595084db601b07f561081f50664ec12dd0ab32b8f564fe49697855f8c",
+}
+
+
+@pytest.mark.parametrize("r, degree", sorted(COMMUTATOR_DIGESTS))
+def test_commutator_spin_four_bytes_are_pinned(tmp_path, r, degree):
+    out = tmp_path / "comm.json"
+    assert main(["commutator", "--r", str(r), "--degree", str(degree), "--out", str(out), "-q"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMUTATOR_DIGESTS[(r, degree)]
 
 
 @pytest.mark.parametrize("command", ["compute", "correlators", "verify"])

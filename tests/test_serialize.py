@@ -74,6 +74,9 @@ def test_parse_rejects_malformed_documents():
         parse_tau(b"{broken")
     with pytest.raises(ParseError):
         parse_tau(json.dumps([1, 2, 3]))
+    for data in (b"\xff", b"\xff\xfe{", "null", "3", '"x"', "[" * 100_000):
+        with pytest.raises(ParseError):
+            parse_tau(data)
     doc = json.loads(serialize_tau(compute_tau(3, 1)))
     doc["pieces"][0][0]["coeff"]["a"] = "1/0"
     with pytest.raises(ParseError):

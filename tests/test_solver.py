@@ -15,7 +15,8 @@ from rspin import (
     compute_tau_exponential,
     serialize_tau,
 )
-from rspin.walgebra import MODE_CONSTRUCTION
+from rspin import walgebra
+from rspin.walgebra import MODE_CONSTRUCTION, apply_operator_sum
 
 from helpers import raiser1_squared_on_one_r3, raiser2_on_one_r3, tau1_r2, tau1_r3, tau2_r3
 
@@ -78,6 +79,20 @@ def test_invalid_arguments():
 def test_determinism_across_runs():
     blobs = [serialize_tau(compute_tau(3, 3)) for _ in range(3)]
     assert all(blob == blobs[0] for blob in blobs)
+
+
+def test_each_raiser_is_one_kernel_call(monkeypatch):
+    # j * tau_j = sum_l A_l tau_{j-l}: one operator sum per raiser A_l, so
+    # sum_j min(r-1, j) = 1 + 2 + 3 + 3 kernel calls at r = 4, depth 4
+    calls = []
+
+    def counting(terms, poly):
+        calls.append(poly.max_weight())
+        return apply_operator_sum(terms, poly)
+
+    monkeypatch.setattr(walgebra, "apply_operator_sum", counting)
+    compute_tau(4, 4)
+    assert sorted(calls) == [0, 0, 0, 5, 5, 5, 10, 10, 15]
 
 
 def test_cache_round_trip(tmp_path):

@@ -354,12 +354,34 @@ def test_multiset_enumeration_equals_ordered_tuples_small():
                     assert mine == oracle, (r, k, j, m)
 
 
+def _random_homogeneous(rng, r, degree):
+    """One random monomial of weight degree*(r+1) for each of three lam
+    exponents, with random coefficients in Q(s)."""
+    weight = degree * (r + 1)
+    parts = []
+    for lam in (-2 * degree - 2, 0, 2):
+        exps, left = {}, weight
+        while left:
+            n = rng.choice([u for u in range(1, left + 1) if u % r])
+            exps[n] = exps.get(n, 0) + 1
+            left -= n
+        coeff = qs(r, rng.randint(-5, 5), rng.randint(-5, 5))
+        parts.append(TPolynomial.monomial(r, coeff, lam, exps))
+    return TPolynomial.sum_of(r, parts)
+
+
 def test_raiser_matches_ordered_oracle():
-    one = TPolynomial.one(4)
-    for l in (1, 2, 3):
-        mine = apply_raising_operator(4, l, one, l)
-        oracle = ordered_apply_raiser(4, l, one, l)
-        assert mine == oracle
+    # every raiser for r = 2..5; the oracle walks every ordered tuple, so
+    # input degrees run to 2 at r <= 3, to 1 at r = 4 and 0 at r = 5
+    rng = random.Random(5)
+    for r in (2, 3, 4, 5):
+        for l in range(1, r):
+            for degree in range(min(2, 5 - r) + 1):
+                p = _random_homogeneous(rng, r, degree)
+                assert len(p.lambda_exponents()) > 1
+                mine = apply_raising_operator(r, l, p, degree + l)
+                assert mine == ordered_apply_raiser(r, l, p, degree + l), (r, l, degree)
+                assert not mine.is_zero
 
 
 def test_mode_bound_examples():
