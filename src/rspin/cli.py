@@ -148,6 +148,8 @@ def _run_verify(args) -> int:
     unknown = [name for name in wanted if name not in CHECKS]
     if unknown:
         raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
+    if not wanted:
+        raise RSpinError(f"--checks names no check; valid: {', '.join(CHECKS)}")
     _warn_unchecked(args)
     tau = compute_tau(args.r, args.degree, cache=_cache(args))
     extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None

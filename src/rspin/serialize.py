@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false parse to bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _frac_str(x: Fraction) -> str:
     return str(x)
 
@@ -69,7 +74,7 @@ def mono_from_obj(obj, where: str) -> TMonomial:
     if not isinstance(obj, dict) or set(obj) != {"lambda", "t"}:
         raise ParseError('monomial must be an object with fields "lambda" and "t"', where)
     lam = obj["lambda"]
-    if not isinstance(lam, int):
+    if not _is_int(lam):
         raise ParseError("lambda exponent must be an integer", where + ".lambda")
     pairs = obj["t"]
     if not isinstance(pairs, list):
@@ -78,7 +83,7 @@ def mono_from_obj(obj, where: str) -> TMonomial:
     last_n = 0
     for idx, pair in enumerate(pairs):
         loc = f"{where}.t[{idx}]"
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair)):
             raise ParseError("entry must be a pair of integers", loc)
         n, e = pair
         if n <= last_n:
@@ -143,13 +148,13 @@ def parse_tau(data: bytes | str) -> TauExpansion:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     r = doc.get("r")
     max_degree = doc.get("max_degree")
-    if not isinstance(r, int) or r < 2:
+    if not _is_int(r) or r < 2:
         raise ParseError(f"r must be an integer >= 2, got {r!r}", "r")
-    if not isinstance(max_degree, int) or max_degree < 0:
+    if not _is_int(max_degree) or max_degree < 0:
         raise ParseError(f"max_degree must be a nonnegative integer, got {max_degree!r}", "max_degree")
     pieces_obj = doc.get("pieces")
     if not isinstance(pieces_obj, list) or len(pieces_obj) != max_degree + 1:
@@ -235,9 +240,10 @@ class TauCache:
             raise CacheError(f"unreadable cache entry {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise CacheError(f"cache entry {path} is a JSON {type(doc).__name__}, not an object")
-        if doc.get("format_version") != FORMAT_VERSION:
+        version = doc.get("format_version")
+        if not _is_int(version) or version != FORMAT_VERSION:
             raise CacheError(
-                f"cache entry {path} has format_version {doc.get('format_version')!r}, "
+                f"cache entry {path} has format_version {version!r}, "
                 f"expected {FORMAT_VERSION}"
             )
         if doc.get("modes") != MODE_CONSTRUCTION:
@@ -245,7 +251,8 @@ class TauCache:
                 f"cache entry {path} was built by W-mode construction {doc.get('modes')!r}, "
                 f"expected {MODE_CONSTRUCTION!r}"
             )
-        if doc.get("r") != r or doc.get("degree") != degree:
+        label = (doc.get("r"), doc.get("degree"))
+        if not all(_is_int(x) for x in label) or label != (r, degree):
             raise CacheError(f"cache entry {path} labeled (r={doc.get('r')}, degree={doc.get('degree')})")
         try:
             return poly_from_obj(r, doc.get("piece"), "piece")

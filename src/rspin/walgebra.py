@@ -36,7 +36,9 @@ build W(k, m):
    sum over sheets keeps the ordered tuples with u_1 + .. + u_p = r*m and
    contributes r^(1-p).  Each ordered tuple is weighted by the product of
    its falling factorials, and W is scaled by r^(k-1), so its top part is
-   the plain power sum (1/k!) sum alpha_{u_1} .. alpha_{u_k}.
+   the plain power sum (1/k!) sum alpha_{u_1} .. alpha_{u_k}.  Dilaton
+   constants (below) fill slots too, with the label 0; the sum over the
+   orderings recurses over the derivative slots only.
 
 The dilaton shift replaces alpha_{-(r+1)} by alpha_{-(r+1)} - r*s/lam, with
 s = sqrt(-r).  W(k, j, m) is the part with j such constants (weight
@@ -72,7 +74,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial, prod
 from typing import Iterable
 
@@ -86,9 +87,9 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 
 # Largest r whose correlators from these modes have been compared with an
 # independent Gelfand-Dickey (r-KdV) computation, exactly and at every genus
-# in range: r = 4, 5, 6, 7 through degree 4, 3, 3, 2; r = 2, 3 also match
-# the published tables.
-ORACLE_CHECKED_R = 7
+# in range: r = 4, 5, 6 through degree 4, 3, 3 and r = 7 .. 12 through
+# degree 2; r = 2, 3 also match the published tables.
+ORACLE_CHECKED_R = 12
 
 
 def apply_beta(u: int, poly: TPolynomial) -> TPolynomial:
@@ -308,17 +309,22 @@ def _contraction(r: int, i: int, j: int) -> Fraction:
     return total
 
 
-def _pairings(orders: tuple[int, ...]):
-    """Every partial pairing of the positions: (pairs of orders, unpaired)."""
+@lru_cache(maxsize=None)
+def _contracted(r: int, orders: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """The partial pairings of factors of these (non-increasing) orders,
+    summed as {unpaired orders: sum of the products of their contractions}.
+    The first factor stays unpaired or pairs with one factor of each distinct
+    later order, weighted by that order's count.  Cached: do not mutate."""
     if not orders:
-        yield (), ()
-        return
+        return {(): Fraction(1)}
     first, rest = orders[0], orders[1:]
-    for pairs, unpaired in _pairings(rest):
-        yield pairs, (first,) + unpaired
-    for idx, other in enumerate(rest):
-        for pairs, unpaired in _pairings(rest[:idx] + rest[idx + 1:]):
-            yield ((first, other),) + pairs, unpaired
+    out = {(first,) + unpaired: w for unpaired, w in _contracted(r, rest).items()}
+    for other, count in Counter(rest).items():
+        idx = rest.index(other)
+        factor = count * _contraction(r, first, other)
+        for unpaired, w in _contracted(r, rest[:idx] + rest[idx + 1:]).items():
+            out[unpaired] = out.get(unpaired, 0) + factor * w
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -327,47 +333,32 @@ def _twisted_current(r: int, k: int) -> tuple[tuple[tuple[int, ...], Fraction], 
     sheet monomials (derivative orders, coefficient), constants included."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for orders, coeff in _generator(k).items():
-        for pairs, unpaired in _pairings(orders):
-            c = coeff
-            for i, j in pairs:
-                c *= _contraction(r, i, j)
-            acc[unpaired] = acc.get(unpaired, 0) + c
+        for unpaired, w in _contracted(r, orders).items():
+            acc[unpaired] = acc.get(unpaired, 0) + coeff * w
     return tuple(sorted(((o, c) for o, c in acc.items() if c), reverse=True))
 
 
-def _constant_slots(orders: tuple[int, ...], j: int, r: int):
-    """Ways to put the j dilaton-shift constants on positions of a sheet
-    monomial: (orders left for oscillators, multiplicity times weights)."""
-    groups = sorted(Counter(orders).items(), reverse=True)
-
-    def place(idx: int, left: int):
-        if idx == len(groups):
-            if not left:
-                yield (), Fraction(1)
-            return
-        order, count = groups[idx]
-        for used in range(min(count, left) + 1):
-            factor = comb(count, used) * _falling(Fraction(1, r), order - 1) ** used
-            for rest, weight in place(idx + 1, left - used):
-                yield (order,) * (count - used) + rest, factor * weight
-
-    yield from place(0, j)
+@lru_cache(maxsize=None)
+def _slot_weight(r: int, u: int, order: int) -> Fraction:
+    """Weight (-u/r - 1)_(order-1) of alpha_u in a slot of this derivative
+    order; u = 0 labels a dilaton constant, which weighs as u = -(r+1)."""
+    return _falling(Fraction(-u, r) - 1 if u else Fraction(1, r), order - 1)
 
 
 def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> Fraction:
-    """Sum over the ordered tuples with these oscillator labels (alpha_u,
-    u < 0 a creator) of the product of their falling-factorial weights."""
-    if all(o == 1 for o in orders):
+    """Sum over the distinct orderings of these labels (alpha_u, u < 0 a
+    creator, 0 a constant) of the product of their slot weights.  The
+    orders are non-increasing: each derivative slot takes each distinct
+    label in turn, and the order-1 slots left weigh 1 per ordering."""
+    if not orders or orders[0] == 1:
         count = factorial(len(labels))
         for repeats in Counter(labels).values():
             count //= factorial(repeats)
         return Fraction(count)
     total = Fraction(0)
-    for perm in set(permutations(labels)):
-        w = Fraction(1)
-        for u, o in zip(perm, orders):
-            w *= _falling(Fraction(-u, r) - 1, o - 1)
-        total += w
+    for u in set(labels):
+        idx = labels.index(u)
+        total += _slot_weight(r, u, orders[0]) * _tuple_weight(r, labels[:idx] + labels[idx + 1:], orders[1:])
     return total
 
 
@@ -379,13 +370,12 @@ def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for orders, coeff in _twisted_current(r, k):
         scale = coeff * Fraction(r**k, r ** len(orders))
-        for rest, slot_weight in _constant_slots(orders, j, r):
-            for p in range(len(rest) + 1):  # number of annihilators
-                for ann in _partitions(wa, p, r):
-                    for cre in _partitions(wc, len(rest) - p, r):
-                        key = (tuple(sorted(cre)), tuple(sorted(ann)))
-                        weight = _tuple_weight(r, ann + tuple(-n for n in cre), rest)
-                        acc[key] = acc.get(key, 0) + scale * slot_weight * weight
+        for p in range(len(orders) - j + 1):  # number of annihilators
+            for ann in _partitions(wa, p, r):
+                for cre in _partitions(wc, len(orders) - j - p, r):
+                    key = (tuple(sorted(cre)), tuple(sorted(ann)))
+                    weight = _tuple_weight(r, ann + (0,) * j + tuple(-n for n in cre), orders)
+                    acc[key] = acc.get(key, 0) + scale * weight
     unit = QScalar.of(r, 0, -r) ** j
     return tuple(NormalTerm(cre, ann, unit * c, -j) for (cre, ann), c in acc.items() if c)
 

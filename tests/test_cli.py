@@ -51,12 +51,23 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         pytest.param(b'"x"', id="string"),
         pytest.param(b"3", id="number"),
         pytest.param(b"[" * 100_000, id="nested"),
+        # JSON true equals 1 in Python, so each of these matches the entry it
+        # replaces unless booleans are refused as integers
+        pytest.param(lambda doc: doc.update(format_version=True), id="bool-version"),
+        pytest.param(lambda doc: doc.update(degree=True), id="bool-degree"),
+        pytest.param(lambda doc: doc["piece"][0]["monomial"]["t"][0].__setitem__(0, True), id="bool-index"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
     cache = tmp_path / "cache"
     main(["compute", "--r", "3", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "x.json")])
-    (cache / "r3_deg1.json").write_bytes(entry)
+    path = cache / "r3_deg1.json"
+    if callable(entry):
+        doc = json.loads(path.read_text())
+        assert doc["piece"][0]["monomial"]["t"][0][0] == 1
+        entry(doc)
+        entry = json.dumps(doc).encode()
+    path.write_bytes(entry)
     code = main(["compute", "--r", "3", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "y.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -150,6 +161,15 @@ def test_verify_unknown_check_exits_2(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_without_checks_exits_2(tmp_path, capsys, checks):
+    # running no check must not read as every gating check passing
+    out = tmp_path / "report.json"
+    assert main(["verify", "--r", "3", "--degree", "1", "--checks", checks, "--out", str(out)]) == 2
+    assert "names no check" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_exits_1(tmp_path):
     # a cached degree-1 piece with a homogeneous extra term passes the
     # cache's own checks, so verify runs on it and the constraints fail
@@ -203,14 +223,14 @@ def test_commutator_spin_four_bytes_are_pinned(tmp_path, r, degree):
 
 @pytest.mark.parametrize("command", ["compute", "correlators", "verify"])
 def test_unchecked_r_warns_without_changing_data(tmp_path, capsys, command):
-    argv = [command, "--r", "8", "--degree", "1", "-q"]
+    argv = [command, "--r", "13", "--degree", "1", "-q"]
     out = tmp_path / "a.out"
     assert main(argv + ["--out", str(out)]) == 0
-    assert "WARNING: genus >= 1 values for r=8 are unverified" in capsys.readouterr().err
+    assert "WARNING: genus >= 1 values for r=13 are unverified" in capsys.readouterr().err
     if command == "compute":
-        assert out.read_bytes() == serialize_tau(compute_tau(8, 1))
+        assert out.read_bytes() == serialize_tau(compute_tau(13, 1))
     checked = tmp_path / "b.out"
-    assert main([command, "--r", "7", "--degree", "1", "--out", str(checked), "-q"]) == 0
+    assert main([command, "--r", "12", "--degree", "1", "--out", str(checked), "-q"]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -81,6 +81,20 @@ def test_parse_rejects_malformed_documents():
     doc["pieces"][0][0]["coeff"]["a"] = "1/0"
     with pytest.raises(ParseError):
         parse_tau(json.dumps(doc))
+    # JSON true and false equal 1 and 0 in Python; each edit below matches
+    # the value it replaces, so only refusing booleans rejects it
+    edits = (
+        lambda doc: doc.update(format_version=True),
+        lambda doc: doc.update(max_degree=True),
+        lambda doc: doc["pieces"][0][0]["monomial"].update({"lambda": False}),
+        lambda doc: doc["pieces"][1][1]["monomial"]["t"][0].__setitem__(1, True),
+        lambda doc: doc["pieces"][1][0]["monomial"]["t"][0].__setitem__(0, True),
+    )
+    for edit in edits:
+        doc = json.loads(serialize_tau(compute_tau(3, 1)))
+        edit(doc)
+        with pytest.raises(ParseError):
+            parse_tau(json.dumps(doc))
 
 
 def test_parse_rejects_zero_or_duplicate_terms():

@@ -1,5 +1,6 @@
 """Oscillator algebra, W-mode construction, and the degree raisers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -345,13 +346,36 @@ def test_operator_linearity():
 
 
 def test_multiset_enumeration_equals_ordered_tuples_small():
-    for r in (2, 3):
+    # from r = 4 on, derivative slots and dilaton constants share a tuple
+    for r, cap in ((2, 6), (3, 6), (4, 8), (5, 5)):
         for k in range(2, r + 1):
             for j in range(k):
                 for m in range(-(k - 1), 3):
-                    mine = w_mode_terms(WModeSpec(r, k, j, m), 6, 6)
-                    oracle = ordered_w_terms(r, k, j, m, 6, 6)
+                    mine = w_mode_terms(WModeSpec(r, k, j, m), cap, cap)
+                    oracle = ordered_w_terms(r, k, j, m, cap, cap)
                     assert mine == oracle, (r, k, j, m)
+
+
+# sha256 over every term of W(k, j, m), all k and j, m = -(k-1)..2, under
+# caps (cap, cap): the tables of the pairing-by-pairing, permutation-summing
+# construction these digests were recorded from.
+MODE_TABLE_DIGESTS = {
+    (6, 10): "a77e570f95c141cba0931ebe3782f340266dcb3c3d317461959e1fa0fd896e38",
+    (7, 10): "17c14bed613926acefe6c5aa744d3706a62fe58502470605caa9995957d72281",
+    (12, 4): "567106cabdd43189d95d4cf4a6e4ed44b062959ffef120ac193aeac55612e4c2",
+}
+
+
+@pytest.mark.parametrize("r, cap", sorted(MODE_TABLE_DIGESTS))
+def test_mode_tables_are_pinned(r, cap):
+    digest = hashlib.sha256()
+    for k in range(2, r + 1):
+        for j in range(k):
+            for m in range(-(k - 1), 3):
+                for t in w_mode_terms(WModeSpec(r, k, j, m), cap, cap):
+                    row = (k, j, m, t.creators, t.annihilators, str(t.coeff.a), str(t.coeff.b), t.lambda_shift)
+                    digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == MODE_TABLE_DIGESTS[(r, cap)]
 
 
 def _random_homogeneous(rng, r, degree):
