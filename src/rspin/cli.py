@@ -150,6 +150,8 @@ def _run_verify(args) -> int:
         raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
     if not wanted:
         raise RSpinError(f"--checks names no check; valid: {', '.join(CHECKS)}")
+    if args.m_max is not None and args.m_max < 1 - args.r:
+        raise RSpinError(f"--m-max must be >= -(r-1)={1 - args.r}: a lower value leaves no constraint equation")
     _warn_unchecked(args)
     tau = compute_tau(args.r, args.degree, cache=_cache(args))
     extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None

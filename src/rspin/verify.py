@@ -96,8 +96,10 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
         piece = tau.pieces[idx]
         if piece.is_zero:
             continue
-        total = total + apply_w_mode(WModeSpec(r, k, l, m), piece)
         engaged = True
+        spec = WModeSpec(r, k, l, m)
+        if piece.max_weight() + spec.weight_shift >= 0:  # else the mode sends the whole piece below weight 0
+            total = total + apply_w_mode(spec, piece)
     return total, engaged
 
 

@@ -55,11 +55,17 @@ annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
-Application runs monomial by monomial (apply_operator_sum): the terms are
-grouped by annihilator multiset, each monomial is differentiated once per
-group that divides it (an integer multiplicity and the exponents left), and
-every term of the group adds its creators and scalar straight into one
-output dict.  NormalTerm.apply is the plain pass-by-pass reference.
+Application runs monomial by monomial on integer numerators
+(apply_operator_sum): the terms are grouped by annihilator multiset and
+their scalars written as numerators over one common denominator, the input
+coefficients over another.  Each monomial is differentiated once per group
+that divides it (an integer multiplicity and the exponents left), and every
+term of the group adds its creators and an int product straight into the
+output numerators; each output coefficient becomes a Q(s) scalar only at
+the end.  The grading puts every coefficient in Q or in Q*s, so the
+rational and the s-component are carried apart and a pair of graded
+operands costs one product.  NormalTerm.apply is the plain pass-by-pass
+reference.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1) is one
 such sum, streamed and never stored: T_{r*m+k-1} is a creator, so adding it
@@ -74,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
@@ -157,52 +163,94 @@ def _divisors(
     return out
 
 
+def _common_denominator(r: int, scalars: Iterable[QScalar]) -> int:
+    """lcm of the denominators of both components of these scalars; a
+    scalar over another r raises ContextError."""
+    dens = set()
+    for c in scalars:
+        if c.r != r:
+            raise ContextError(f"scalar over r={c.r} applied to polynomial over r={r}")
+        dens.add(c.a.denominator)
+        dens.add(c.b.denominator)
+    return lcm(*dens)
+
+
 def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial) -> TPolynomial:
-    """Apply a sum of normal-ordered terms, one input monomial at a time.
+    """Apply a sum of normal-ordered terms, one input monomial at a time, on
+    integer numerators over one denominator per call.
 
     The terms, read once from any iterable, are grouped by annihilator
-    multiset.  For each monomial and each group whose annihilators divide
-    it, the derivative multiplicity mult (a product of falling factorials
-    of the exponents) and the remaining exponents are found once; every
-    term of the group then adds coeff * (factor * mult), factor = term
-    coeff * prod(creators), straight into one output dict.  factor * mult
-    is formed once per group and value of mult in a call."""
-    groups: dict[tuple[int, ...], list[tuple[tuple[tuple[int, int], ...], QScalar, int]]] = {}
+    multiset.  Each term's factor, coeff * prod(creators), is written as
+    (A + B s) / D_T with one D_T for all terms, and each input coefficient
+    as (X + Y s) / D_in; a scalar over another r raises ContextError.  A
+    term keeps one entry per nonzero component, tagged by its s-parity, and
+    the -r of s*s is folded into the numerator that meets an s-part, so on
+    graded data, whose coefficients lie in Q or in Q*s, each pair of a term
+    and a monomial costs one int product.
+
+    For each monomial and each group whose annihilators divide it, the
+    derivative multiplicity mult and the remaining exponents are found
+    once; every entry of the group then adds (X or Y) * mult * numerator
+    to the int numerator, keyed by (lam, exps), of the output's rational or
+    s-part, as the two s-parities say.  Each output coefficient is built
+    once, over D_in * D_T, and zeros are dropped."""
+    r = poly.r
+    groups: dict[tuple[int, ...], list] = {}
     for term in terms:
         net = term.lambda_shift + len(term.annihilators) - len(term.creators)
         created = tuple(Counter(term.creators).items())
-        groups.setdefault(term.annihilators, []).append((created, term.coeff * prod(term.creators), net))
+        groups.setdefault(term.annihilators, []).append((created, net, term.coeff, prod(term.creators)))
     if not groups:  # e.g. a mode that lowers the weight below zero
-        return TPolynomial.zero(poly.r)
+        return TPolynomial.zero(r)
+    den_t = _common_denominator(r, (c for group in groups.values() for _, _, c, _ in group))
+    for group in groups.values():  # in place: (created, net, s-parity, numerators by input s-parity)
+        split = []
+        for created, net, c, scale in group:
+            if c.a:
+                a = c.a.numerator * scale * (den_t // c.a.denominator)
+                split.append((created, net, 0, (a, a)))
+            if c.b:
+                b = c.b.numerator * scale * (den_t // c.b.denominator)
+                split.append((created, net, 1, (b, -r * b)))
+        group[:] = split
+    den_in = _common_denominator(r, poly.terms.values())
     prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
-    multiples = {}  # (annihilators, mult) -> the group with factor * mult
-    acc: dict[tuple[int, tuple[tuple[int, int], ...]], QScalar] = {}  # (lam, exps) -> coeff
-    for mono, coeff in poly.terms.items():
+    accs: tuple[dict, dict] = ({}, {})  # numerators of the rational and the s-part, keyed by (lam, exps)
+    for mono, c in poly.terms.items():
         lam = mono.lambda_exp
-        for taken, mult in _divisors(mono.exps, prefixes):
-            group = groups.get(taken)
-            if group is None:
+        for p, x in ((0, c.a), (1, c.b)):  # one pass per nonzero component
+            if not x:
                 continue
-            if mult != 1:
-                key = (taken, mult)
-                if key not in multiples:
-                    multiples[key] = [(created, factor * mult, net) for created, factor, net in group]
-                group = multiples[key]
-            left = dict(mono.exps)
-            for u in taken:
-                if left[u] == 1:
-                    del left[u]
-                else:
-                    left[u] -= 1
-            for created, factor, net in group:
-                exps = left.copy()
-                for u, e in created:
-                    exps[u] = exps.get(u, 0) + e
-                out = (lam + net, tuple(sorted(exps.items())))
-                value = coeff * factor
-                prev = acc.get(out)
-                acc[out] = value if prev is None else prev + value
-    return TPolynomial._raw(poly.r, {TMonomial(lam, exps): c for (lam, exps), c in acc.items() if c})
+            x = x.numerator * (den_in // x.denominator)
+            for taken, mult in _divisors(mono.exps, prefixes):
+                group = groups.get(taken)
+                if group is None:
+                    continue
+                left = dict(mono.exps)
+                for u in taken:
+                    if left[u] == 1:
+                        del left[u]
+                    else:
+                        left[u] -= 1
+                n = x * mult
+                for created, net, t, by_parity in group:
+                    exps = left.copy()
+                    for u, e in created:
+                        exps[u] = exps.get(u, 0) + e
+                    key = (lam + net, tuple(sorted(exps.items())))
+                    acc = accs[p ^ t]
+                    acc[key] = acc.get(key, 0) + n * by_parity[p]
+    den = den_in * den_t
+    rational, irrational = accs
+    out = {}
+    for key, a in rational.items():
+        b = irrational.pop(key, 0)
+        if a or b:
+            out[TMonomial(*key)] = QScalar(r, Fraction(a, den), Fraction(b, den))
+    for key, b in irrational.items():
+        if b:
+            out[TMonomial(*key)] = QScalar(r, Fraction(0), Fraction(b, den))
+    return TPolynomial._raw(r, out)
 
 
 @dataclass(frozen=True)

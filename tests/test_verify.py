@@ -18,7 +18,9 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
+from rspin import walgebra
 from rspin.verify import extract_or_error, w_constraint_residual
+from rspin.walgebra import apply_operator_sum
 
 
 def test_w_constraints_pass_r3():
@@ -40,6 +42,24 @@ def test_w_constraints_detect_seeded_error():
     assert report.status == "fail"
     labels = [label for label, _ in report.residuals]
     assert "k=2 m=0 degree=1" in labels
+
+
+def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
+    # a mode that sends every monomial of a piece below weight 0 has no
+    # terms to apply; the check counts such equations as engaged but makes
+    # no kernel call for them: 185 of the 328 candidate calls at r=3 D=6
+    tau = compute_tau(3, 6)
+    calls = []
+
+    def counting(terms, poly):
+        calls.append(poly.max_weight())
+        return apply_operator_sum(terms, poly)
+
+    monkeypatch.setattr(walgebra, "apply_operator_sum", counting)
+    report = check_w_constraints(tau)
+    assert report.status == "pass"
+    assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
+    assert len(calls) == 143
 
 
 def test_string_dilaton_passes():

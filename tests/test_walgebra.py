@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rspin import (
+    ContextError,
     ContractError,
     InvalidModeError,
     InvalidSpecError,
@@ -88,6 +89,61 @@ def test_operator_sum_shares_derivatives_exactly():
         plain = TPolynomial.sum_of(4, (t.apply(p) for t in terms))
         assert apply_operator_sum(terms, p) == plain
         assert not plain.is_zero
+
+
+def test_operator_sum_over_coprime_denominators():
+    # mixed a + b*s on both sides, input denominators 7, 11, 13 against term
+    # denominators 17, 19: the common denominators are the full products,
+    # and all four component products, -r*s*s included, reach the output
+    r = 5
+    p = poly_of(
+        r,
+        ((Fraction(3, 7), Fraction(-2, 11)), -2, {1: 2, 2: 1}),
+        ((Fraction(-5, 13), Fraction(4, 7)), 0, {1: 1, 3: 1}),
+        ((Fraction(6, 11), Fraction(1, 13)), -2, {2: 2}),
+    )
+    terms = (
+        NormalTerm((2,), (1,), qs(r, Fraction(5, 17), Fraction(-4, 19)), 0),
+        NormalTerm((1, 3), (1, 1), qs(r, Fraction(2, 19), Fraction(7, 17)), -1),
+        NormalTerm((), (2,), qs(r, Fraction(-1, 17 * 19), Fraction(3, 17)), 1),
+        NormalTerm((4,), (), qs(r, Fraction(1, 19), Fraction(1, 17)), 0),
+    )
+    out = apply_operator_sum(terms, p)
+    assert out == TPolynomial.sum_of(r, (t.apply(p) for t in terms))
+    assert any(c.a and c.b for c in out.terms.values())
+    assert max(c.a.denominator for c in out.terms.values()) > 7 * 17
+
+
+def test_operator_sum_stores_no_cancelled_coefficient():
+    # the first four terms cancel exactly, in both components and in the
+    # s-part alone; the last two cancel in the rational component only, so
+    # each output has one nonzero component
+    r = 3
+    p = poly_of(r, (Fraction(2, 5), 0, {1: 2, 2: 1}), ((0, Fraction(1, 7)), -2, {1: 1, 4: 1}))
+    cancelling = (
+        NormalTerm((2,), (1,), qs(r, Fraction(1, 3), Fraction(2, 5)), 0),
+        NormalTerm((2,), (1,), qs(r, Fraction(-1, 3), Fraction(-2, 5)), 0),
+        NormalTerm((5,), (2,), qs(r, 0, Fraction(3, 7)), 0),
+        NormalTerm((5,), (2,), qs(r, 0, Fraction(-3, 7)), 0),
+    )
+    assert apply_operator_sum(cancelling, p).terms == {}
+    half = (
+        NormalTerm((4,), (1,), qs(r, 2, 1), 0),
+        NormalTerm((4,), (1,), qs(r, -2), 0),
+    )
+    out = apply_operator_sum(cancelling + half, p)
+    assert out == TPolynomial.sum_of(r, (t.apply(p) for t in half))
+    assert len(out) == 2
+    assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
+
+
+def test_operator_sum_refuses_a_term_over_another_r():
+    p = TPolynomial.monomial(3, 1, 0, {1: 2})
+    term = NormalTerm((2,), (1,), qs(5, 1, 1), 0)
+    with pytest.raises(ContextError):
+        apply_operator_sum((term,), p)
+    with pytest.raises(ContextError):
+        term.apply(p)
 
 
 def test_currents_and_contractions_match_closed_forms():
