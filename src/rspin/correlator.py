@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ContractError, ExtractionError, InvalidInsertionError
-from .scalar import QScalar
+from .scalar import QScalar, s_power
 from .solver import TauExpansion
 from .tpoly import TPolynomial
 
@@ -138,15 +138,14 @@ def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:
         genus = (mono.lambda_exp + 2) // 2
         if genus < 0:
             raise ExtractionError(f"negative genus {genus} in {where}")
+        # coeff * prod(e!) / prod(c^e) with c = q * s: s^(-N) times a rational
         insertions: list[Insertion] = []
-        divisor = QScalar.of(r, 1)
-        multiplicity = 1
+        factor = Fraction(1)
         for n, e in mono.exps:
             ins = insertion_for_index(r, n)
             insertions.extend([ins] * e)
-            divisor = divisor * conversion_constant(r, ins.m, ins.a) ** e
-            multiplicity *= factorial(e)
-        value = coeff * multiplicity / divisor
+            factor *= factorial(e) / conversion_constant(r, ins.m, ins.a).b ** e
+        value = coeff * s_power(r, -len(insertions)) * factor
         if not value.is_rational:
             raise ExtractionError(f"non-rational value {value} in {where}")
         record = CorrelatorRecord(genus, tuple(sorted(insertions)), value.a)

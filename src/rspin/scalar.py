@@ -1,10 +1,13 @@
 """Exact scalars a + b*s over the rationals, with s^2 = -r.
 
-Every number appearing in the core computation lives in the quadratic
-extension Q(sqrt(-r)): odd-degree tau coefficients carry odd powers of s,
-and the change to descendant variables divides them away again.  There is
-no floating point anywhere; equality means exact equality of reduced
-fractions.
+The coefficients of the tau expansion and of the free energy live in the
+quadratic extension Q(sqrt(-r)): odd-degree tau coefficients carry odd
+powers of s, and the change to descendant variables divides them away
+again.  There is no floating point anywhere; equality means exact equality
+of reduced fractions.  The W-mode tables and the raisers are rational: the
+grading gives each operator one power of -r*s, which s_power supplies, as
+it supplies the s^(-N) of correlator extraction.  Nothing here divides by a
+general scalar.
 
 s denotes a different number for every r, so each value carries its r and
 mixing values from different r contexts raises instead of coercing.
@@ -70,15 +73,6 @@ class QScalar:
         """True iff the s-component vanishes."""
         return not self.b
 
-    def _coerce(self, other) -> "QScalar | None":
-        if isinstance(other, QScalar):
-            if other.r != self.r:
-                raise _mismatch(self, other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QScalar(self.r, _frac(other), _ZERO)
-        return None
-
     def __add__(self, other):
         r = self.r
         if isinstance(other, QScalar):
@@ -101,16 +95,14 @@ class QScalar:
         return _make(self.r, -a if a else a, -b if b else b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
+        if isinstance(other, (QScalar, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + -self
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
         r, a1, b1 = self.r, self.a, self.b
@@ -134,39 +126,6 @@ class QScalar:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def inv(self) -> QScalar:
-        """Multiplicative inverse (a - b s) / (a^2 + r b^2)."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero scalar")
-        den = self.a * self.a + self.r * self.b * self.b
-        return QScalar(self.r, self.a / den, -self.b / den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int) -> QScalar:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = QScalar(self.r, Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -196,6 +155,14 @@ class QScalar:
 _ZERO = Fraction(0)
 _new_scalar = object.__new__
 _set_r, _set_a, _set_b = (QScalar.__dict__[name].__set__ for name in ("r", "a", "b"))
+
+
+def s_power(r: int, n: int) -> QScalar:
+    """s^n for any integer n, from s^2 = -r: (-r)^(n // 2) times s when n
+    is odd."""
+    half, odd = divmod(n, 2)
+    c = Fraction(-r) ** half
+    return QScalar(r, _ZERO, c) if odd else QScalar(r, c, _ZERO)
 
 
 def _mismatch(x: QScalar, y: QScalar) -> ContextError:

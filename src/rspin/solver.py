@@ -47,7 +47,10 @@ class TauExpansion:
         return TPolynomial.zero(self.r)
 
     def validate(self) -> None:
-        """Check the structural invariants of a well-formed expansion."""
+        """Check the structural invariants of a well-formed expansion: each
+        piece tau_j is homogeneous of weight j*(r+1), and each of its
+        monomials in N variables has an even lam exponent j - N >= -2j and
+        a coefficient in Q*s^(j mod 2)."""
         if self.max_degree < 0:
             raise ContractError("max_degree must be nonnegative")
         if len(self.pieces) != self.max_degree + 1:
@@ -59,13 +62,18 @@ class TauExpansion:
         for j, piece in enumerate(self.pieces):
             if piece.r != self.r:
                 raise ContractError(f"piece {j} built over r={piece.r}, expected {self.r}")
-            if not piece.is_homogeneous(j * (self.r + 1)):
-                raise ContractError(f"piece {j} is not homogeneous of weight {j * (self.r + 1)}")
-            for exp in piece.lambda_exponents():
-                if exp % 2 or exp < -2 * j:
+            weight, odd = j * (self.r + 1), j % 2
+            for mono, coeff in piece.terms.items():
+                if mono.weight != weight:
+                    raise ContractError(f"piece {j} is not homogeneous of weight {weight}")
+                exp, count = mono.lambda_exp, sum(e for _, e in mono.exps)
+                if exp % 2 or exp < -2 * j or exp != j - count:
                     raise ContractError(
-                        f"piece {j} carries lam exponent {exp}; expected even and >= {-2 * j}"
+                        f"piece {j} carries lam exponent {exp} on {count} variables; "
+                        f"expected {j - count}, even and >= {-2 * j}"
                     )
+                if coeff.a if odd else coeff.b:
+                    raise ContractError(f"piece {j} has coefficient {coeff} outside Q*s^{odd}")
 
 
 def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:

@@ -187,9 +187,6 @@ class TPolynomial:
     def is_homogeneous(self, weight: int) -> bool:
         return all(m.weight == weight for m in self.terms)
 
-    def lambda_exponents(self) -> set[int]:
-        return {m.lambda_exp for m in self.terms}
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_same(self, other: TPolynomial) -> None:

@@ -105,14 +105,17 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
 
 def check_w_constraints(tau: TauExpansion, m_max: int | None = None) -> CheckReport:
     """Assemble every per-degree constraint equation and record nonzero
-    residuals; vacuous equations are counted but cannot fail."""
+    residuals; vacuous equations are counted but cannot fail.  Modes past
+    default_constraint_mode_bound are counted without being visited, so
+    the cost does not grow with m_max."""
     r = tau.r
+    bound = default_constraint_mode_bound(r, tau.max_degree)
     if m_max is None:
-        m_max = default_constraint_mode_bound(r, tau.max_degree)
+        m_max = bound
     residuals = []
     checked = vacuous = 0
     for k in range(2, r + 1):
-        for m in range(-(k - 1), m_max + 1):
+        for m in range(-(k - 1), min(m_max, bound) + 1):
             for degree in range(tau.max_degree + 1):
                 residual, engaged = w_constraint_residual(tau, k, m, degree)
                 checked += 1
@@ -120,6 +123,14 @@ def check_w_constraints(tau: TauExpansion, m_max: int | None = None) -> CheckRep
                     vacuous += 1
                 if not residual.is_zero:
                     residuals.append((f"k={k} m={m} degree={degree}", residual))
+        # past the bound each mode sends every piece below weight 0, so the
+        # residuals vanish and an equation is vacuous as it is at bound + 1
+        if m_max > bound:
+            for degree in range(tau.max_degree + 1):
+                _, engaged = w_constraint_residual(tau, k, bound + 1, degree)
+                checked += m_max - bound
+                if not engaged:
+                    vacuous += m_max - bound
     return CheckReport(
         check_name="wconstraints",
         status=PASS if not residuals else FAIL,

@@ -55,23 +55,28 @@ annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
+The grading carries s: every term of W(k, j, m) is (-r*s)^j times a
+rational, so the tables store the rational terms (NormalTerm.coeff is a
+Fraction) and the one power of -r*s is an argument of the kernel.
+
 Application runs monomial by monomial on integer numerators
 (apply_operator_sum): the terms are grouped by annihilator multiset and
-their scalars written as numerators over one common denominator, the input
+their factors written as numerators over one common denominator, the input
 coefficients over another.  Each monomial is differentiated once per group
 that divides it (an integer multiplicity and the exponents left), and every
 term of the group adds its creators and an int product straight into the
-output numerators; each output coefficient becomes a Q(s) scalar only at
-the end.  The grading puts every coefficient in Q or in Q*s, so the
-rational and the s-component are carried apart and a pair of graded
-operands costs one product.  NormalTerm.apply is the plain pass-by-pass
-reference.
+output numerators of the input component it meets; the power of -r*s is
+applied once per call, and each output coefficient becomes a Q(s) scalar
+only at the end.  NormalTerm.apply is the plain pass-by-pass reference.
 
-A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1) is one
-such sum, streamed and never stored: T_{r*m+k-1} is a creator, so adding it
-to each inner term keeps the term normal ordered.  The folded lam shift is
-the inner one plus k - 1, the lam^(k-1) of c_k; the kernel already counts
-the -1 of the new creator.
+A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
+c_k = -(k-1)! lam^(k-1) / ((r+1) (-r*s)^(k-1)), is one such sum, streamed
+and never stored: T_{r*m+k-1} is a creator, so adding it to each inner
+term keeps the term normal ordered.  The powers of -r*s of c_k and of the
+inner mode combine to (-r*s)^(-l) for every k, so each term carries the
+rational -(k-1)!/(r+1) only.  The folded lam shift is the inner one plus
+k - 1, the lam^(k-1) of c_k; the kernel already counts the -1 of the new
+creator.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from math import comb, factorial, lcm, prod
 from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
-from .scalar import QScalar
+from .scalar import QScalar, s_power
 from .tpoly import TMonomial, TPolynomial
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
@@ -121,12 +126,13 @@ class NormalTerm:
 
     creators: tuple[int, ...]
     annihilators: tuple[int, ...]
-    coeff: QScalar
+    coeff: Fraction
     lambda_shift: int
 
     def apply(self, poly: TPolynomial) -> TPolynomial:
         """Apply this one term to poly, pass by pass over the whole
-        polynomial; the reference that apply_operator_sum is tested against."""
+        polynomial; the reference that apply_operator_sum is tested against
+        (its power of -r*s applied on top)."""
         out = poly
         for u in self.annihilators:
             out = out.derive(u)
@@ -163,37 +169,25 @@ def _divisors(
     return out
 
 
-def _common_denominator(r: int, scalars: Iterable[QScalar]) -> int:
-    """lcm of the denominators of both components of these scalars; a
-    scalar over another r raises ContextError."""
-    dens = set()
-    for c in scalars:
-        if c.r != r:
-            raise ContextError(f"scalar over r={c.r} applied to polynomial over r={r}")
-        dens.add(c.a.denominator)
-        dens.add(c.b.denominator)
-    return lcm(*dens)
-
-
-def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial) -> TPolynomial:
-    """Apply a sum of normal-ordered terms, one input monomial at a time, on
-    integer numerators over one denominator per call.
+def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
+    """Apply (-r*s)^unit_power times a sum of rational normal-ordered terms,
+    one input monomial at a time, on integer numerators over one
+    denominator per call.
 
     The terms, read once from any iterable, are grouped by annihilator
-    multiset.  Each term's factor, coeff * prod(creators), is written as
-    (A + B s) / D_T with one D_T for all terms, and each input coefficient
-    as (X + Y s) / D_in; a scalar over another r raises ContextError.  A
-    term keeps one entry per nonzero component, tagged by its s-parity, and
-    the -r of s*s is folded into the numerator that meets an s-part, so on
-    graded data, whose coefficients lie in Q or in Q*s, each pair of a term
-    and a monomial costs one int product.
+    multiset, and each term's factor coeff * prod(creators) is written as
+    one integer numerator over a denominator D_T shared by all terms.  Each
+    input coefficient is (X + Y s) / D_in, and a zero component is skipped.
 
     For each monomial and each group whose annihilators divide it, the
     derivative multiplicity mult and the remaining exponents are found
-    once; every entry of the group then adds (X or Y) * mult * numerator
-    to the int numerator, keyed by (lam, exps), of the output's rational or
-    s-part, as the two s-parities say.  Each output coefficient is built
-    once, over D_in * D_T, and zeros are dropped."""
+    once; every term of the group then adds (X or Y) * mult * numerator to
+    the int numerator, keyed by (lam, exps), of the output's rational or
+    s-part.  The power of -r*s is applied once, at the end: an odd power
+    swaps the two parts, the -r of s*s landing on the new rational part,
+    and the rest is one rational factor on the output denominator
+    D_in * D_T.  Each output coefficient is built once, and zeros are
+    dropped."""
     r = poly.r
     groups: dict[tuple[int, ...], list] = {}
     for term in terms:
@@ -202,23 +196,15 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial) -> TPolyn
         groups.setdefault(term.annihilators, []).append((created, net, term.coeff, prod(term.creators)))
     if not groups:  # e.g. a mode that lowers the weight below zero
         return TPolynomial.zero(r)
-    den_t = _common_denominator(r, (c for group in groups.values() for _, _, c, _ in group))
-    for group in groups.values():  # in place: (created, net, s-parity, numerators by input s-parity)
-        split = []
-        for created, net, c, scale in group:
-            if c.a:
-                a = c.a.numerator * scale * (den_t // c.a.denominator)
-                split.append((created, net, 0, (a, a)))
-            if c.b:
-                b = c.b.numerator * scale * (den_t // c.b.denominator)
-                split.append((created, net, 1, (b, -r * b)))
-        group[:] = split
-    den_in = _common_denominator(r, poly.terms.values())
+    den_t = lcm(*(c.denominator for group in groups.values() for _, _, c, _ in group))
+    for group in groups.values():  # in place: (created, net, numerator over den_t)
+        group[:] = [(created, net, c.numerator * scale * (den_t // c.denominator)) for created, net, c, scale in group]
+    den_in = lcm(*(x.denominator for c in poly.terms.values() for x in (c.a, c.b)))
     prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
     accs: tuple[dict, dict] = ({}, {})  # numerators of the rational and the s-part, keyed by (lam, exps)
     for mono, c in poly.terms.items():
         lam = mono.lambda_exp
-        for p, x in ((0, c.a), (1, c.b)):  # one pass per nonzero component
+        for acc, x in zip(accs, (c.a, c.b)):  # one pass per nonzero component
             if not x:
                 continue
             x = x.numerator * (den_in // x.denominator)
@@ -233,23 +219,28 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial) -> TPolyn
                     else:
                         left[u] -= 1
                 n = x * mult
-                for created, net, t, by_parity in group:
+                for created, net, numerator in group:
                     exps = left.copy()
                     for u, e in created:
                         exps[u] = exps.get(u, 0) + e
                     key = (lam + net, tuple(sorted(exps.items())))
-                    acc = accs[p ^ t]
-                    acc[key] = acc.get(key, 0) + n * by_parity[p]
-    den = den_in * den_t
+                    acc[key] = acc.get(key, 0) + n * numerator
+    unit = s_power(r, unit_power) * Fraction(-r) ** unit_power  # (-r*s)^n: rational or s-only
+    factor = unit.a or unit.b
     rational, irrational = accs
+    scale_a = scale_b = factor.numerator
+    if unit.b:  # (A + B s) * s = -r B + A s
+        rational, irrational = irrational, rational
+        scale_a *= -r
+    den = den_in * den_t * factor.denominator
     out = {}
     for key, a in rational.items():
         b = irrational.pop(key, 0)
         if a or b:
-            out[TMonomial(*key)] = QScalar(r, Fraction(a, den), Fraction(b, den))
+            out[TMonomial(*key)] = QScalar(r, Fraction(a * scale_a, den), Fraction(b * scale_b, den))
     for key, b in irrational.items():
         if b:
-            out[TMonomial(*key)] = QScalar(r, Fraction(0), Fraction(b, den))
+            out[TMonomial(*key)] = QScalar(r, Fraction(0), Fraction(b * scale_b, den))
     return TPolynomial._raw(r, out)
 
 
@@ -412,8 +403,9 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> F
 
 @lru_cache(maxsize=None)
 def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
-    """The terms of W(k, j, m) whose annihilators weigh wa in total; their
-    creators then weigh wa - r*m - j*(r+1)."""
+    """The terms of W(k, j, m) whose annihilators weigh wa in total, without
+    the (-r*s)^j that multiplies all of them; their creators then weigh
+    wa - r*m - j*(r+1)."""
     wc = wa - r * m - j * (r + 1)
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for orders, coeff in _twisted_current(r, k):
@@ -424,8 +416,7 @@ def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
                     key = (tuple(sorted(cre)), tuple(sorted(ann)))
                     weight = _tuple_weight(r, ann + (0,) * j + tuple(-n for n in cre), orders)
                     acc[key] = acc.get(key, 0) + scale * weight
-    unit = QScalar.of(r, 0, -r) ** j
-    return tuple(NormalTerm(cre, ann, unit * c, -j) for (cre, ann), c in acc.items() if c)
+    return tuple(NormalTerm(cre, ann, c, -j) for (cre, ann), c in acc.items() if c)
 
 
 def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
@@ -438,7 +429,7 @@ def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
 
 def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_cap: int) -> OperatorSum:
     """Finite normal-ordered truncation of W(k, j, m), sorted by (creators,
-    annihilators).
+    annihilators): W(k, j, m) is (-r*s)^j times these rational terms.
 
     Keeps every term whose total creator weight and total annihilator weight
     fit under the respective caps; on inputs whose monomial weights stay
@@ -463,7 +454,7 @@ def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
         raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
     if poly.is_zero:
         return poly
-    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, poly.max_weight()), poly)
+    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, poly.max_weight()), poly, spec.j)
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -475,19 +466,14 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
     return (target_degree * (r + 1) - (k - 1)) // r
 
 
-def raising_prefactor(r: int, k: int) -> QScalar:
-    """Scalar -(k-1)! / ((r+1) * (-r*s)^(k-1)) in front of one inner mode."""
-    base = QScalar.of(r, 0, -r) ** (k - 1)
-    return base.inv() * Fraction(-factorial(k - 1), r + 1)
-
-
 def _raiser_terms(r: int, l: int, w_in: int, target_degree: int):
-    """The degree-l raiser as one stream of normal-ordered terms: the outer
-    creator T_{r*m+k-1} and the prefactor folded into every term of
-    W(k, k-1-l, m-k+1) that can act on an input of weight w_in."""
+    """The degree-l raiser, without its (-r*s)^(-l), as one stream of
+    normal-ordered terms: the outer creator T_{r*m+k-1} and the rational
+    -(k-1)!/(r+1) of c_k folded into every term of W(k, k-1-l, m-k+1) that
+    can act on an input of weight w_in."""
     for k in range(l + 1, r + 1):
         j = k - 1 - l
-        prefactor = raising_prefactor(r, k)
+        prefactor = Fraction(-factorial(k - 1), r + 1)
         for m in range(0, mode_bound(r, k, target_degree) + 1):
             outer = r * m + k - 1
             for t in _mode_blocks(r, k, j, m - k + 1, w_in):
@@ -515,4 +501,4 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
         raise ContractError(
             f"input must be homogeneous of degree {target_degree - l} (weight {w_in})"
         )
-    return apply_operator_sum(_raiser_terms(r, l, w_in, target_degree), poly)
+    return apply_operator_sum(_raiser_terms(r, l, w_in, target_degree), poly, -l)

@@ -46,6 +46,16 @@ def poly_of(r, *terms) -> TPolynomial:
     return total
 
 
+def unit_power(r, n) -> QScalar:
+    """(-r*s)^n by repeated products of -r*s, or of 1/(-r*s) = s/r^2 for
+    n < 0."""
+    base = QScalar.of(r, 0, -r) if n >= 0 else QScalar.of(r, 0, Fraction(1, r * r))
+    out = QScalar.of(r, 1)
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
 # -- frozen fixtures (degree <= 2 displays are internally consistent) -------
 
 
@@ -200,8 +210,7 @@ def ordered_w_terms(r, k, j, m, creator_cap, annihilator_cap):
     """Build W(k, j, m) from ordered oscillator tuples with per-tuple
     weights, then collect by normal-ordered shape.  Independent of the
     package's multiset enumeration and of its generator and contraction
-    code."""
-    unit = QScalar.of(r, 0, -r) ** j
+    code.  The terms are rational: W(k, j, m) is (-r*s)^j times them."""
     acc = {}
     for osc, weight in _ordered_tuples(r, k, j, m, creator_cap, annihilator_cap):
         key = (
@@ -209,14 +218,14 @@ def ordered_w_terms(r, k, j, m, creator_cap, annihilator_cap):
             tuple(sorted(u for u in osc if u > 0)),
         )
         acc[key] = acc.get(key, 0) + weight
-    terms = [NormalTerm(cre, ann, unit * coeff, -j) for (cre, ann), coeff in acc.items() if coeff]
+    terms = [NormalTerm(cre, ann, coeff, -j) for (cre, ann), coeff in acc.items() if coeff]
     terms.sort(key=lambda t: (t.creators, t.annihilators))
     return tuple(terms)
 
 
 def ordered_apply_w(r, k, j, m, poly, creator_cap):
     """Apply W(k, j, m) by walking ordered tuples one oscillator at a time."""
-    unit = QScalar.of(r, 0, -r) ** j
+    unit = unit_power(r, j)
     total = TPolynomial.zero(r)
     for osc, weight in _ordered_tuples(r, k, j, m, creator_cap, poly.max_weight()):
         out = poly
@@ -243,9 +252,7 @@ def ordered_apply_raiser(r, l, poly, target_degree):
             if inner.is_zero:
                 continue
             n_out = r * m + k - 1
-            pref = (QScalar.of(r, 0, -r) ** (k - 1)).inv() * Fraction(
-                -factorial(k - 1) * n_out, r + 1
-            )
+            pref = unit_power(r, -(k - 1)) * Fraction(-factorial(k - 1) * n_out, r + 1)
             total = total + inner.mul_var(n_out, 1).scaled(pref).shift_lambda(k - 2)
     return total
 

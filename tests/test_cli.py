@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
+from rspin import QScalar, TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import main
 
 from helpers import tau1_r3
@@ -56,6 +56,9 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         pytest.param(lambda doc: doc.update(format_version=True), id="bool-version"),
         pytest.param(lambda doc: doc.update(degree=True), id="bool-degree"),
         pytest.param(lambda doc: doc["piece"][0]["monomial"]["t"][0].__setitem__(0, True), id="bool-index"),
+        # homogeneous and of even lam, but off the grading
+        pytest.param(lambda doc: doc["piece"][0]["monomial"].update({"lambda": 0}), id="lam-off-grade"),
+        pytest.param(lambda doc: doc["piece"][0]["coeff"].update(a="1"), id="coeff-off-grade"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
@@ -183,10 +186,11 @@ def test_verify_m_max_without_equations_exits_2(tmp_path, capsys, m_max):
 
 
 def test_verify_failure_exits_1(tmp_path):
-    # a cached degree-1 piece with a homogeneous extra term passes the
-    # cache's own checks, so verify runs on it and the constraints fail
+    # a cached degree-1 piece with an extra term that keeps the weight and
+    # the grading passes the cache's own checks, so verify runs on it and
+    # the constraints fail
     cache = TauCache(tmp_path / "cache")
-    cache.store(3, 1, compute_tau(3, 1).pieces[1] + TPolynomial.var(3, 4))
+    cache.store(3, 1, compute_tau(3, 1).pieces[1] + TPolynomial.var(3, 4).scaled(QScalar.root(3)))
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints",

@@ -95,6 +95,17 @@ def test_parse_rejects_malformed_documents():
         edit(doc)
         with pytest.raises(ParseError):
             parse_tau(json.dumps(doc))
+    # off the grading: lam 0 on the three variables of T1^2 T2 in degree 1
+    # (even and >= -2, but not 1 - 3), and a rational part in degree 1
+    graded = (
+        lambda doc: doc["pieces"][1][0]["monomial"].update({"lambda": 0}),
+        lambda doc: doc["pieces"][1][0]["coeff"].update(a="1"),
+    )
+    for edit in graded:
+        doc = json.loads(serialize_tau(compute_tau(3, 1)))
+        edit(doc)
+        with pytest.raises(ParseError, match="variables|outside"):
+            parse_tau(json.dumps(doc))
 
 
 def test_parse_rejects_zero_or_duplicate_terms():

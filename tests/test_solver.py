@@ -8,6 +8,8 @@ import pytest
 
 from rspin import (
     CacheError,
+    ContractError,
+    QScalar,
     TauCache,
     TauExpansion,
     TPolynomial,
@@ -60,6 +62,19 @@ def test_validate_accepts_good_and_rejects_bad():
     odd = TauExpansion(3, 1, [TPolynomial.one(3), tau.pieces[1].shift_lambda(1)])
     with pytest.raises(Exception):
         odd.validate()
+    # the grading: lam exponent j - (number of variables), coefficients in
+    # Q*s^(j mod 2); each edit keeps the weight and the lam parity and bound
+    graded = (
+        (1, tau.pieces[1].shift_lambda(2), "variables"),
+        (1, tau.pieces[1] + TPolynomial.var(3, 4), "outside"),
+        (2, tau.pieces[2] + TPolynomial.monomial(3, QScalar.root(3), 0, {4: 2}), "outside"),
+        (2, TPolynomial.monomial(3, QScalar.root(3), -2, {1: 2, 2: 1, 4: 1}), "outside"),
+    )
+    for j, piece, message in graded:
+        pieces = list(tau.pieces)
+        pieces[j] = piece
+        with pytest.raises(ContractError, match=message):
+            TauExpansion(3, 2, pieces).validate()
 
 
 def test_piece_outside_range_is_zero():
@@ -86,9 +101,9 @@ def test_each_raiser_is_one_kernel_call(monkeypatch):
     # sum_j min(r-1, j) = 1 + 2 + 3 + 3 kernel calls at r = 4, depth 4
     calls = []
 
-    def counting(terms, poly):
+    def counting(terms, poly, unit_power):
         calls.append(poly.max_weight())
-        return apply_operator_sum(terms, poly)
+        return apply_operator_sum(terms, poly, unit_power)
 
     monkeypatch.setattr(walgebra, "apply_operator_sum", counting)
     compute_tau(4, 4)

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from rspin import (
-    ContextError,
     ContractError,
     InvalidModeError,
     InvalidSpecError,
     NormalTerm,
     QScalar,
+    TMonomial,
     TPolynomial,
     WModeSpec,
     apply_beta,
@@ -36,6 +36,7 @@ from helpers import (
     sheet_contraction,
     tau1_r2,
     tau1_r3,
+    unit_power,
 )
 
 
@@ -64,37 +65,39 @@ def test_apply_beta_rejects_integral_modes():
 
 
 def test_normal_term_mixed():
-    term = NormalTerm(creators=(2,), annihilators=(1,), coeff=qs(3, 1), lambda_shift=0)
+    term = NormalTerm(creators=(2,), annihilators=(1,), coeff=Fraction(1), lambda_shift=0)
     p = TPolynomial.monomial(3, 1, 0, {1: 1, 4: 1})
     assert term.apply(p) == TPolynomial.monomial(3, 2, 0, {2: 1, 4: 1})
 
 
 def test_normal_term_annihilates():
-    term = NormalTerm(creators=(), annihilators=(5,), coeff=qs(3, 1), lambda_shift=0)
+    term = NormalTerm(creators=(), annihilators=(5,), coeff=Fraction(1), lambda_shift=0)
     assert term.apply(TPolynomial.monomial(3, 1, 0, {2: 4})).is_zero
 
 
 def test_normal_term_pure_creators():
-    term = NormalTerm(creators=(1, 1), annihilators=(), coeff=qs(3, 1), lambda_shift=0)
+    term = NormalTerm(creators=(1, 1), annihilators=(), coeff=Fraction(1), lambda_shift=0)
     assert term.apply(TPolynomial.one(3)) == TPolynomial.monomial(3, 1, -2, {1: 2})
 
 
 def test_operator_sum_shares_derivatives_exactly():
     # apply_operator_sum differentiates each monomial once per annihilator
     # multiset and shares that among the terms with those annihilators; the
-    # result must equal the plain sum of single-term applications
+    # result must equal the plain sum of single-term applications, times
+    # the mode's (-r*s)^j
     p = _homogeneous_poly(4, 15, lam=-6) + TPolynomial.monomial(4, 3, -4, {1: 2, 6: 1, 7: 1})
     for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
         terms = w_mode_terms(spec, 20, p.max_weight())
-        plain = TPolynomial.sum_of(4, (t.apply(p) for t in terms))
-        assert apply_operator_sum(terms, p) == plain
+        plain = TPolynomial.sum_of(4, (t.apply(p) for t in terms)).scaled(unit_power(4, spec.j))
+        assert apply_operator_sum(terms, p, spec.j) == plain
         assert not plain.is_zero
 
 
 def test_operator_sum_over_coprime_denominators():
-    # mixed a + b*s on both sides, input denominators 7, 11, 13 against term
-    # denominators 17, 19: the common denominators are the full products,
-    # and all four component products, -r*s*s included, reach the output
+    # mixed a + b*s inputs over denominators 7, 11, 13 against rational
+    # terms over 17, 19: the common denominators are the full products, and
+    # under an odd power of -r*s both components, the -r of s*s included,
+    # reach the output
     r = 5
     p = poly_of(
         r,
@@ -103,47 +106,51 @@ def test_operator_sum_over_coprime_denominators():
         ((Fraction(6, 11), Fraction(1, 13)), -2, {2: 2}),
     )
     terms = (
-        NormalTerm((2,), (1,), qs(r, Fraction(5, 17), Fraction(-4, 19)), 0),
-        NormalTerm((1, 3), (1, 1), qs(r, Fraction(2, 19), Fraction(7, 17)), -1),
-        NormalTerm((), (2,), qs(r, Fraction(-1, 17 * 19), Fraction(3, 17)), 1),
-        NormalTerm((4,), (), qs(r, Fraction(1, 19), Fraction(1, 17)), 0),
+        NormalTerm((2,), (1,), Fraction(5, 17), 0),
+        NormalTerm((1, 3), (1, 1), Fraction(7, 19), -1),
+        NormalTerm((), (2,), Fraction(-1, 17 * 19), 1),
+        NormalTerm((4,), (), Fraction(3, 19), 0),
+        NormalTerm((2, 2), (1,), Fraction(-4, 17), 0),
     )
-    out = apply_operator_sum(terms, p)
-    assert out == TPolynomial.sum_of(r, (t.apply(p) for t in terms))
-    assert any(c.a and c.b for c in out.terms.values())
-    assert max(c.a.denominator for c in out.terms.values()) > 7 * 17
+    plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms))
+    for n in (0, 1, -1):
+        out = apply_operator_sum(terms, p, n)
+        assert out == plain.scaled(unit_power(r, n))
+        assert any(c.a and c.b for c in out.terms.values())
+        assert max(c.a.denominator for c in out.terms.values()) > 7 * 17
 
 
 def test_operator_sum_stores_no_cancelled_coefficient():
-    # the first four terms cancel exactly, in both components and in the
-    # s-part alone; the last two cancel in the rational component only, so
-    # each output has one nonzero component
+    # the first four terms cancel exactly, on a rational and on an s-only
+    # input; the last two meet on T4 from T1 and from T2, where the rational
+    # parts of the mixed inputs cancel and the s-parts add, so each output
+    # has one nonzero component, before and after an odd power of -r*s
     r = 3
-    p = poly_of(r, (Fraction(2, 5), 0, {1: 2, 2: 1}), ((0, Fraction(1, 7)), -2, {1: 1, 4: 1}))
+    p = poly_of(
+        r,
+        (Fraction(2, 5), 0, {1: 2, 2: 1}),
+        ((0, Fraction(1, 7)), -2, {1: 1, 4: 1}),
+        ((1, 1), 0, {1: 1}),
+        ((-2, 1), 0, {2: 1}),
+    )
     cancelling = (
-        NormalTerm((2,), (1,), qs(r, Fraction(1, 3), Fraction(2, 5)), 0),
-        NormalTerm((2,), (1,), qs(r, Fraction(-1, 3), Fraction(-2, 5)), 0),
-        NormalTerm((5,), (2,), qs(r, 0, Fraction(3, 7)), 0),
-        NormalTerm((5,), (2,), qs(r, 0, Fraction(-3, 7)), 0),
+        NormalTerm((2,), (1,), Fraction(1, 3), 0),
+        NormalTerm((2,), (1,), Fraction(-1, 3), 0),
+        NormalTerm((5,), (4,), Fraction(3, 7), 0),
+        NormalTerm((5,), (4,), Fraction(-3, 7), 0),
     )
-    assert apply_operator_sum(cancelling, p).terms == {}
+    for n in (0, 1):
+        assert apply_operator_sum(cancelling, p, n).terms == {}
     half = (
-        NormalTerm((4,), (1,), qs(r, 2, 1), 0),
-        NormalTerm((4,), (1,), qs(r, -2), 0),
+        NormalTerm((4,), (1,), Fraction(1, 2), 0),
+        NormalTerm((4,), (2,), Fraction(1, 4), 0),
     )
-    out = apply_operator_sum(cancelling + half, p)
-    assert out == TPolynomial.sum_of(r, (t.apply(p) for t in half))
-    assert len(out) == 2
-    assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
-
-
-def test_operator_sum_refuses_a_term_over_another_r():
-    p = TPolynomial.monomial(3, 1, 0, {1: 2})
-    term = NormalTerm((2,), (1,), qs(5, 1, 1), 0)
-    with pytest.raises(ContextError):
-        apply_operator_sum((term,), p)
-    with pytest.raises(ContextError):
-        term.apply(p)
+    for n in (0, 1):
+        out = apply_operator_sum(cancelling + half, p, n)
+        assert out == TPolynomial.sum_of(r, (t.apply(p) for t in half)).scaled(unit_power(r, n))
+        assert out.coefficient(TMonomial(0, ((4, 1),))) == unit_power(r, n) * qs(r, 0, 3)
+        assert len(out) == 4
+        assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
 
 
 def test_currents_and_contractions_match_closed_forms():
@@ -158,21 +165,22 @@ def test_currents_and_contractions_match_closed_forms():
 
 def test_w_terms_central_only():
     terms = w_mode_terms(WModeSpec(3, 2, 0, 0), 0, 0)
-    assert terms == (NormalTerm((), (), qs(3, Fraction(1, 3)), 0),)
+    assert terms == (NormalTerm((), (), Fraction(1, 3), 0),)
 
 
 def test_w_terms_creator_pair():
     terms = w_mode_terms(WModeSpec(3, 2, 0, -1), 8, 8)
     pair = [t for t in terms if t.creators == (1, 2) and not t.annihilators]
     assert len(pair) == 1
-    assert pair[0].coeff == qs(3, 1)
+    assert pair[0].coeff == 1
     assert pair[0].lambda_shift == 0
 
 
 def test_w_terms_single_term_with_sign():
+    # W(3, 1, -2) is -3*s times the rational terms
     terms = w_mode_terms(WModeSpec(3, 3, 1, -2), 2, 0)
     assert terms == (
-        NormalTerm((1, 1), (), qs(3, 0, Fraction(-3, 2)), -1),
+        NormalTerm((1, 1), (), Fraction(1, 2), -1),
     )
 
 
@@ -295,9 +303,11 @@ def _random_scalar(rng, r):
 def test_operator_sum_matches_single_terms_on_random_inputs():
     # repeated annihilators such as (1, 1, 2) exercise the falling
     # multiplicity e!/(e-c)!; exponents 0..3 leave monomials that some
-    # annihilators do not divide
+    # annihilators do not divide; the inputs mix rational, s-only and mixed
+    # coefficients, and each case runs under a power of -r*s from -3 to 3
     rng = random.Random(41)
     several_lams = undivided = 0
+    powers = set()
     for r in (3, 4, 5):
         variables = [n for n in (1, 2, 3, 5, 7) if n % r][:4]
         for _ in range(12):
@@ -308,7 +318,7 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
                 NormalTerm(
                     tuple(sorted(rng.choice(variables) for _ in range(rng.randint(0, 3)))),
                     anns,
-                    _random_scalar(rng, r),
+                    Fraction(rng.choice((-5, -3, -1, 2, 4)), rng.randint(1, 6)),
                     rng.randint(-2, 1),
                 )
                 for anns in shapes
@@ -323,12 +333,14 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
                     for _ in range(rng.randint(3, 8))
                 ),
             )
-            several_lams += len(p.lambda_exponents()) > 1
+            several_lams += len({m.lambda_exp for m in p.terms}) > 1
             undivided += sum(dict(m.exps).get(1, 0) < 2 or 2 not in dict(m.exps) for m in p.terms)
-            plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms))
-            assert apply_operator_sum(terms, p) == plain
+            n = rng.randint(-3, 3)
+            powers.add(n)
+            plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms)).scaled(unit_power(r, n))
+            assert apply_operator_sum(terms, p, n) == plain
             assert not plain.is_zero
-    assert several_lams >= 30 and undivided >= 30
+    assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4))
 
 
 def test_mode_tables_are_reused_across_degrees():
@@ -428,8 +440,10 @@ def test_mode_tables_are_pinned(r, cap):
     for k in range(2, r + 1):
         for j in range(k):
             for m in range(-(k - 1), 3):
+                unit = unit_power(r, j)
                 for t in w_mode_terms(WModeSpec(r, k, j, m), cap, cap):
-                    row = (k, j, m, t.creators, t.annihilators, str(t.coeff.a), str(t.coeff.b), t.lambda_shift)
+                    c = unit * t.coeff
+                    row = (k, j, m, t.creators, t.annihilators, str(c.a), str(c.b), t.lambda_shift)
                     digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == MODE_TABLE_DIGESTS[(r, cap)]
 
@@ -458,7 +472,7 @@ def test_raiser_matches_ordered_oracle():
         for l in range(1, r):
             for degree in range(min(2, 5 - r) + 1):
                 p = _random_homogeneous(rng, r, degree)
-                assert len(p.lambda_exponents()) > 1
+                assert len({m.lambda_exp for m in p.terms}) > 1
                 mine = apply_raising_operator(r, l, p, degree + l)
                 assert mine == ordered_apply_raiser(r, l, p, degree + l), (r, l, degree)
                 assert not mine.is_zero
