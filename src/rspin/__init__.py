@@ -11,7 +11,6 @@ from .correlator import (
     CorrelatorRecord,
     Insertion,
     conversion_constant,
-    exp_graded,
     extract_correlators,
     insertion_for_index,
     log_tau,
@@ -25,7 +24,6 @@ from .errors import (
     ExtractionError,
     InvalidIndexError,
     InvalidInsertionError,
-    InvalidModeError,
     InvalidSpecError,
     ParseError,
     RSpinError,
@@ -46,7 +44,6 @@ from .verify import (
 from .walgebra import (
     NormalTerm,
     WModeSpec,
-    apply_beta,
     apply_raising_operator,
     apply_w_mode,
     mode_bound,
@@ -66,7 +63,6 @@ __all__ = [
     "Insertion",
     "InvalidIndexError",
     "InvalidInsertionError",
-    "InvalidModeError",
     "InvalidSpecError",
     "NormalTerm",
     "ParseError",
@@ -77,7 +73,6 @@ __all__ = [
     "TauCache",
     "TauExpansion",
     "WModeSpec",
-    "apply_beta",
     "apply_raising_operator",
     "apply_w_mode",
     "check_commutators",
@@ -89,7 +84,6 @@ __all__ = [
     "compute_tau",
     "compute_tau_exponential",
     "conversion_constant",
-    "exp_graded",
     "extract_correlators",
     "insertion_for_index",
     "log_tau",

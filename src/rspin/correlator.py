@@ -32,7 +32,6 @@ __all__ = [
     "Insertion",
     "CorrelatorRecord",
     "conversion_constant",
-    "exp_graded",
     "extract_correlators",
     "insertion_for_index",
     "log_tau",
@@ -107,20 +106,6 @@ def log_tau(tau: TauExpansion) -> TPolynomial:
         lower = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n)))
         g.append(pieces[n].scaled(n) - lower)
     return TPolynomial.sum_of(r, (g[n].scaled(Fraction(1, n)) for n in range(1, tau.max_degree + 1)))
-
-
-def exp_graded(poly: TPolynomial, max_degree: int) -> TauExpansion:
-    """Graded exp of a polynomial with no degree-0 part, truncated at
-    max_degree, by n tau_n = sum_{k=1..n} k F_k tau_{n-k}."""
-    r = poly.r
-    if not poly.graded_part(0).is_zero:
-        raise ContractError("exp requires a vanishing degree-0 part")
-    g = [poly.graded_part(k).scaled(k) for k in range(max_degree + 1)]
-    pieces = [TPolynomial.one(r)]
-    for n in range(1, max_degree + 1):
-        total = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n + 1)))
-        pieces.append(total.scaled(Fraction(1, n)))
-    return TauExpansion(r, max_degree, pieces)
 
 
 def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:

@@ -13,10 +13,6 @@ class InvalidIndexError(RSpinError, ValueError):
     """A time variable index is not positive or is divisible by r."""
 
 
-class InvalidModeError(RSpinError, ValueError):
-    """An oscillator mode index is zero or divisible by r."""
-
-
 class InvalidSpecError(RSpinError, ValueError):
     """A W-mode label (k, j, m) is outside the admissible range."""
 

@@ -3,8 +3,9 @@
 Every document is JSON with a fixed key order and canonically ordered
 terms, so serialization is a pure function of the value: two equal values
 always produce byte-identical files.  Scalars are written as reduced
-fraction strings with the sign on the numerator; the s-legend field in
-tau documents records the defining relation of the quadratic generator.
+fraction strings with the sign on the numerator, and only that spelling is
+read back; the s-legend field in tau documents records the defining
+relation of the quadratic generator.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import csv
 import io
 import json
 import os
+import re
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord
-from .errors import CacheError, ParseError
+from .errors import CacheError, ContractError, ParseError
 from .scalar import QScalar
-from .solver import TauExpansion
+from .solver import TauExpansion, check_piece
 from .tpoly import TMonomial, TPolynomial
 from .verify import CheckReport
 from .walgebra import MODE_CONSTRUCTION
@@ -43,21 +45,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
+# What str(Fraction) writes.  Fraction() alone also takes exponent and
+# decimal forms, and expanding "1e10000000" takes it seconds.
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _frac_parse(text, where: str) -> Fraction:
+    """The value of a fraction string as str(Fraction) writes it: reduced,
+    the sign on the numerator, no "-0" and no "/1"; any other spelling is
+    refused."""
     if not isinstance(text, str):
         raise ParseError(f"expected a fraction string, got {type(text).__name__}", where)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad fraction {text!r}: {exc}", where) from None
+    if _FRACTION.fullmatch(text):
+        try:
+            value = Fraction(text)
+            if str(value) == text:
+                return value
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or over 4300 digits
+            pass
+    raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
 
 
 def scalar_to_obj(q: QScalar) -> dict:
-    return {"a": _frac_str(q.a), "b": _frac_str(q.b)}
+    return {"a": str(q.a), "b": str(q.b)}
 
 
 def scalar_from_obj(r: int, obj, where: str) -> QScalar:
@@ -143,7 +153,7 @@ def parse_tau(data: bytes | str) -> TauExpansion:
     """Parse and fully re-validate a tau document."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -175,7 +185,7 @@ def record_to_obj(rec: CorrelatorRecord) -> dict:
     return {
         "genus": rec.genus,
         "insertions": [[ins.m, ins.a] for ins in rec.insertions],
-        "value": _frac_str(rec.value),
+        "value": str(rec.value),
     }
 
 
@@ -189,7 +199,7 @@ def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
     writer.writerow(["genus", "insertions", "value"])
     for rec in records:
         joined = ";".join(f"{ins.m}:{ins.a}" for ins in rec.insertions)
-        writer.writerow([rec.genus, joined, _frac_str(rec.value)])
+        writer.writerow([rec.genus, joined, str(rec.value)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -236,7 +246,7 @@ class TauCache:
             return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CacheError(f"unreadable cache entry {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise CacheError(f"cache entry {path} is a JSON {type(doc).__name__}, not an object")
@@ -255,9 +265,11 @@ class TauCache:
         if not all(_is_int(x) for x in label) or label != (r, degree):
             raise CacheError(f"cache entry {path} labeled (r={doc.get('r')}, degree={doc.get('degree')})")
         try:
-            return poly_from_obj(r, doc.get("piece"), "piece")
-        except ParseError as exc:
+            piece = poly_from_obj(r, doc.get("piece"), "piece")
+            check_piece(r, degree, piece)
+        except (ParseError, ContractError) as exc:
             raise CacheError(f"corrupt cache entry {path}: {exc}") from None
+        return piece
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None:
         doc = {

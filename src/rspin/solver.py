@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
 
-from .errors import CacheError, ContractError
+from .errors import ContractError
 from .tpoly import TPolynomial
 from .walgebra import apply_raising_operator
 
@@ -47,10 +47,8 @@ class TauExpansion:
         return TPolynomial.zero(self.r)
 
     def validate(self) -> None:
-        """Check the structural invariants of a well-formed expansion: each
-        piece tau_j is homogeneous of weight j*(r+1), and each of its
-        monomials in N variables has an even lam exponent j - N >= -2j and
-        a coefficient in Q*s^(j mod 2)."""
+        """Check the structural invariants of a well-formed expansion: one
+        piece per degree, tau_0 = 1, and check_piece on every tau_j."""
         if self.max_degree < 0:
             raise ContractError("max_degree must be nonnegative")
         if len(self.pieces) != self.max_degree + 1:
@@ -60,20 +58,27 @@ class TauExpansion:
         if self.pieces[0] != TPolynomial.one(self.r):
             raise ContractError("degree-0 piece must equal 1")
         for j, piece in enumerate(self.pieces):
-            if piece.r != self.r:
-                raise ContractError(f"piece {j} built over r={piece.r}, expected {self.r}")
-            weight, odd = j * (self.r + 1), j % 2
-            for mono, coeff in piece.terms.items():
-                if mono.weight != weight:
-                    raise ContractError(f"piece {j} is not homogeneous of weight {weight}")
-                exp, count = mono.lambda_exp, sum(e for _, e in mono.exps)
-                if exp % 2 or exp < -2 * j or exp != j - count:
-                    raise ContractError(
-                        f"piece {j} carries lam exponent {exp} on {count} variables; "
-                        f"expected {j - count}, even and >= {-2 * j}"
-                    )
-                if coeff.a if odd else coeff.b:
-                    raise ContractError(f"piece {j} has coefficient {coeff} outside Q*s^{odd}")
+            check_piece(self.r, j, piece)
+
+
+def check_piece(r: int, j: int, piece: TPolynomial) -> None:
+    """Check that piece can be tau_j over this r: homogeneous of weight
+    j*(r+1), each monomial in N variables with an even lam exponent
+    j - N >= -2j and a coefficient in Q*s^(j mod 2)."""
+    if piece.r != r:
+        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+    weight, odd = j * (r + 1), j % 2
+    for mono, coeff in piece.terms.items():
+        if mono.weight != weight:
+            raise ContractError(f"piece {j} is not homogeneous of weight {weight}")
+        exp, count = mono.lambda_exp, sum(e for _, e in mono.exps)
+        if exp % 2 or exp < -2 * j or exp != j - count:
+            raise ContractError(
+                f"piece {j} carries lam exponent {exp} on {count} variables; "
+                f"expected {j - count}, even and >= {-2 * j}"
+            )
+        if coeff.a if odd else coeff.b:
+            raise ContractError(f"piece {j} has coefficient {coeff} outside Q*s^{odd}")
 
 
 def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:
@@ -97,10 +102,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
     pieces = [TPolynomial.one(r)]
     for j in range(1, max_degree + 1):
         piece = cache.load(r, j) if cache is not None else None
-        if piece is not None:
-            if piece.r != r or not piece.is_homogeneous(j * (r + 1)):
-                raise CacheError(f"cached piece for r={r} degree={j} fails homogeneity")
-        else:
+        if piece is None:
             piece = _next_piece(r, j, pieces)
             if cache is not None:
                 cache.store(r, j, piece)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ContextError, InvalidIndexError
 from .scalar import QScalar
@@ -63,16 +63,6 @@ class TMonomial:
         for n, e in other.exps:
             merged[n] = merged.get(n, 0) + e
         return TMonomial(self.lambda_exp + other.lambda_exp, tuple(sorted(merged.items())))
-
-    def times_var(self, n: int, k: int) -> TMonomial:
-        merged = dict(self.exps)
-        merged[n] = merged.get(n, 0) + k
-        return TMonomial(self.lambda_exp, tuple(sorted(merged.items())))
-
-    def shift_lambda(self, k: int) -> TMonomial:
-        if not k:
-            return self
-        return TMonomial(self.lambda_exp + k, self.exps)
 
     def __str__(self) -> str:
         parts = [f"T{n}" if e == 1 else f"T{n}^{e}" for n, e in self.exps]
@@ -177,9 +167,6 @@ class TPolynomial:
     def canonical_terms(self) -> list[tuple[TMonomial, QScalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coefficient(self, mono: TMonomial) -> QScalar:
-        return self.terms.get(mono, QScalar.of(self.r, 0))
-
     def max_weight(self) -> int:
         """Largest monomial weight, 0 for the zero polynomial."""
         return max((m.weight for m in self.terms), default=0)
@@ -248,43 +235,6 @@ class TPolynomial:
                     del acc[mono]
         return TPolynomial._raw(self.r, acc)
 
-    def mul_var(self, n: int, k: int = 1) -> TPolynomial:
-        """Multiply by T_n^k."""
-        check_index(self.r, n)
-        if k < 1:
-            raise ValueError(f"exponent must be positive, got {k}")
-        return TPolynomial._raw(self.r, {m.times_var(n, k): c for m, c in self.terms.items()})
-
-    def derive(self, n: int) -> TPolynomial:
-        """Formal partial derivative with respect to T_n."""
-        check_index(self.r, n)
-        acc: dict[TMonomial, QScalar] = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono.exps)
-            e = exps.get(n)
-            if not e:
-                continue
-            if e == 1:
-                del exps[n]
-            else:
-                exps[n] = e - 1
-            new_mono = TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))
-            prev = acc.get(new_mono)
-            acc[new_mono] = coeff * e if prev is None else prev + coeff * e
-        return TPolynomial._raw(self.r, {m: c for m, c in acc.items() if c})
-
-    def shift_lambda(self, k: int) -> TPolynomial:
-        if not k:
-            return self
-        return TPolynomial._raw(self.r, {m.shift_lambda(k): c for m, c in self.terms.items()})
-
-    def graded_part(self, d: int) -> TPolynomial:
-        """Terms of weight d*(r+1); everything else dropped."""
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got {d}")
-        target = d * (self.r + 1)
-        return TPolynomial._raw(self.r, {m: c for m, c in self.terms.items() if m.weight == target})
-
     def euler(self) -> TPolynomial:
         """Apply the Euler operator (1/(r+1)) * sum_n n T_n d/dT_n.
 
@@ -295,9 +245,6 @@ class TPolynomial:
             self.r,
             {m: c * (m.weight * scale) for m, c in self.terms.items() if m.weight},
         )
-
-    def __iter__(self) -> Iterator[tuple[TMonomial, QScalar]]:
-        return iter(self.canonical_terms())
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -67,7 +67,8 @@ that divides it (an integer multiplicity and the exponents left), and every
 term of the group adds its creators and an int product straight into the
 output numerators of the input component it meets; the power of -r*s is
 applied once per call, and each output coefficient becomes a Q(s) scalar
-only at the end.  NormalTerm.apply is the plain pass-by-pass reference.
+only at the end.  The plain pass-by-pass reference it is tested against,
+one term at a time over the whole polynomial, lives in tests/helpers.py.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)! lam^(k-1) / ((r+1) (-r*s)^(k-1)), is one such sum, streamed
@@ -88,7 +89,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from typing import Iterable
 
-from .errors import ContextError, ContractError, InvalidModeError, InvalidSpecError
+from .errors import ContextError, ContractError, InvalidSpecError
 from .scalar import QScalar, s_power
 from .tpoly import TMonomial, TPolynomial
 
@@ -98,20 +99,9 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 
 # Largest r whose correlators from these modes have been compared with an
 # independent Gelfand-Dickey (r-KdV) computation, exactly and at every genus
-# in range: r = 4, 5, 6 through degree 4, 3, 3 and r = 7 .. 12 through
-# degree 2; r = 2, 3 also match the published tables.
-ORACLE_CHECKED_R = 12
-
-
-def apply_beta(u: int, poly: TPolynomial) -> TPolynomial:
-    """Apply a single oscillator: u > 0 gives lam * d/dT_u, u < 0 gives
-    lam^{-1} * |u| * T_{|u|}.  u must not be zero or divisible by r."""
-    if not isinstance(u, int) or u == 0 or u % poly.r == 0:
-        raise InvalidModeError(f"mode index {u}/{poly.r} is integral or zero")
-    if u > 0:
-        return poly.derive(u).shift_lambda(1)
-    n = -u
-    return poly.mul_var(n, 1).scaled(n).shift_lambda(-1)
+# in range: r = 4, 5, 6, 7, 8 through degree 4, 3, 3, 3, 3 and r = 9 .. 14
+# through degree 2; r = 2, 3 also match the published tables.
+ORACLE_CHECKED_R = 14
 
 
 @dataclass(frozen=True)
@@ -129,21 +119,6 @@ class NormalTerm:
     coeff: Fraction
     lambda_shift: int
 
-    def apply(self, poly: TPolynomial) -> TPolynomial:
-        """Apply this one term to poly, pass by pass over the whole
-        polynomial; the reference that apply_operator_sum is tested against
-        (its power of -r*s applied on top)."""
-        out = poly
-        for u in self.annihilators:
-            out = out.derive(u)
-        if out.is_zero:
-            return out
-        factor = self.coeff
-        for u in self.creators:
-            out = out.mul_var(u, 1)
-            factor = factor * u
-        net = self.lambda_shift + len(self.annihilators) - len(self.creators)
-        return out.scaled(factor).shift_lambda(net)
 
 
 OperatorSum = tuple[NormalTerm, ...]

@@ -5,8 +5,11 @@ recursion internals: W modes are rebuilt from ordered oscillator tuples
 with per-tuple weights (from a hand-reduced table of the currents and
 closed-form contraction constants) and applied one factor at a time;
 genus-0 values for r=2 come from the string equation alone; the graded log
-is checked against the plain power series of log(1 + x); and correlators
-for any r come from the Gelfand-Dickey hierarchy in rkdv.py.  Expected
+is checked against the plain power series of log(1 + x) and against the
+graded exp; and correlators for any r come from the Gelfand-Dickey
+hierarchy in rkdv.py.  The pass-by-pass references apply one oscillator or
+one normal-ordered term at a time to the whole polynomial, where the
+package runs every operator through one monomial-by-monomial kernel.  Expected
 values frozen in the tests were computed with these oracles or
 transcribed from independently published tables.
 """
@@ -19,12 +22,14 @@ from functools import lru_cache
 from math import factorial
 
 from rspin import (
+    ContractError,
     NormalTerm,
     QScalar,
+    TauExpansion,
     TPolynomial,
-    apply_beta,
     mode_bound,
 )
+from rspin.tpoly import TMonomial, check_index
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -54,6 +59,95 @@ def unit_power(r, n) -> QScalar:
     for _ in range(abs(n)):
         out = out * base
     return out
+
+
+# -- pass-by-pass references ------------------------------------------------
+
+
+def mul_var(poly, n, k=1) -> TPolynomial:
+    """Multiply by T_n^k."""
+    check_index(poly.r, n)
+    if k < 1:
+        raise ValueError(f"exponent must be positive, got {k}")
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        exps = dict(mono.exps)
+        exps[n] = exps.get(n, 0) + k
+        terms[TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))] = coeff
+    return TPolynomial._raw(poly.r, terms)
+
+
+def derive(poly, n) -> TPolynomial:
+    """Formal partial derivative with respect to T_n."""
+    check_index(poly.r, n)
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        exps = dict(mono.exps)
+        e = exps.pop(n, 0)
+        if not e:
+            continue
+        if e > 1:
+            exps[n] = e - 1
+        # distinct monomials keep distinct derivatives, so nothing collects
+        terms[TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))] = coeff * e
+    return TPolynomial._raw(poly.r, terms)
+
+
+def shift_lambda(poly, k) -> TPolynomial:
+    """Multiply by lam^k."""
+    if not k:
+        return poly
+    return TPolynomial._raw(poly.r, {TMonomial(m.lambda_exp + k, m.exps): c for m, c in poly.terms.items()})
+
+
+def graded_part(poly, d) -> TPolynomial:
+    """Terms of weight d*(r+1); everything else dropped."""
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    target = d * (poly.r + 1)
+    return TPolynomial._raw(poly.r, {m: c for m, c in poly.terms.items() if m.weight == target})
+
+
+def apply_beta(u, poly) -> TPolynomial:
+    """Apply a single oscillator: u > 0 gives lam * d/dT_u, u < 0 gives
+    lam^{-1} * |u| * T_{|u|}.  u must not be zero or divisible by r."""
+    if not isinstance(u, int) or u == 0 or u % poly.r == 0:
+        raise ValueError(f"mode index {u}/{poly.r} is integral or zero")
+    if u > 0:
+        return shift_lambda(derive(poly, u), 1)
+    return shift_lambda(mul_var(poly, -u).scaled(-u), -1)
+
+
+def apply_term(term, poly) -> TPolynomial:
+    """Apply one NormalTerm to poly: every annihilator differentiates the
+    whole polynomial, then every creator multiplies it (the power of -r*s
+    that the kernel takes is left to the caller)."""
+    out = poly
+    for u in term.annihilators:
+        out = derive(out, u)
+    if out.is_zero:
+        return out
+    factor = term.coeff
+    for u in term.creators:
+        out = mul_var(out, u)
+        factor = factor * u
+    net = term.lambda_shift + len(term.annihilators) - len(term.creators)
+    return shift_lambda(out.scaled(factor), net)
+
+
+def exp_graded(poly, max_degree) -> TauExpansion:
+    """Graded exp of a polynomial with no degree-0 part, truncated at
+    max_degree, by n tau_n = sum_{k=1..n} k F_k tau_{n-k}: the inverse of
+    the package's log_tau."""
+    r = poly.r
+    if not graded_part(poly, 0).is_zero:
+        raise ContractError("exp requires a vanishing degree-0 part")
+    g = [graded_part(poly, k).scaled(k) for k in range(max_degree + 1)]
+    pieces = [TPolynomial.one(r)]
+    for n in range(1, max_degree + 1):
+        total = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n + 1)))
+        pieces.append(total.scaled(Fraction(1, n)))
+    return TauExpansion(r, max_degree, pieces)
 
 
 # -- frozen fixtures (degree <= 2 displays are internally consistent) -------
@@ -233,7 +327,7 @@ def ordered_apply_w(r, k, j, m, poly, creator_cap):
             out = apply_beta(u, out)
             if out.is_zero:
                 break
-        total = total + out.scaled(unit * weight).shift_lambda(-j)
+        total = total + shift_lambda(out.scaled(unit * weight), -j)
     return total
 
 
@@ -253,7 +347,7 @@ def ordered_apply_raiser(r, l, poly, target_degree):
                 continue
             n_out = r * m + k - 1
             pref = unit_power(r, -(k - 1)) * Fraction(-factorial(k - 1) * n_out, r + 1)
-            total = total + inner.mul_var(n_out, 1).scaled(pref).shift_lambda(k - 2)
+            total = total + shift_lambda(mul_var(inner, n_out).scaled(pref), k - 2)
     return total
 
 

@@ -51,6 +51,8 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         pytest.param(b'"x"', id="string"),
         pytest.param(b"3", id="number"),
         pytest.param(b"[" * 100_000, id="nested"),
+        # past Python's 4300-digit limit on converting strings to int
+        pytest.param(b"[" + b"7" * 5000 + b"]", id="long-int"),
         # JSON true equals 1 in Python, so each of these matches the entry it
         # replaces unless booleans are refused as integers
         pytest.param(lambda doc: doc.update(format_version=True), id="bool-version"),
@@ -59,6 +61,9 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         # homogeneous and of even lam, but off the grading
         pytest.param(lambda doc: doc["piece"][0]["monomial"].update({"lambda": 0}), id="lam-off-grade"),
         pytest.param(lambda doc: doc["piece"][0]["coeff"].update(a="1"), id="coeff-off-grade"),
+        # Fraction() reads exponents; this one has 5001 digits and passes
+        # every other check
+        pytest.param(lambda doc: doc["piece"][0]["coeff"].update(b="1e5000"), id="exponent-coeff"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
@@ -73,7 +78,9 @@ def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
     path.write_bytes(entry)
     code = main(["compute", "--r", "3", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "y.json")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert str(path) in err
 
 
 def test_correlators_json(tmp_path):
@@ -239,14 +246,14 @@ def test_commutator_spin_four_bytes_are_pinned(tmp_path, r, degree):
 
 @pytest.mark.parametrize("command", ["compute", "correlators", "verify"])
 def test_unchecked_r_warns_without_changing_data(tmp_path, capsys, command):
-    argv = [command, "--r", "13", "--degree", "1", "-q"]
+    argv = [command, "--r", "15", "--degree", "1", "-q"]
     out = tmp_path / "a.out"
     assert main(argv + ["--out", str(out)]) == 0
-    assert "WARNING: genus >= 1 values for r=13 are unverified" in capsys.readouterr().err
+    assert "WARNING: genus >= 1 values for r=15 are unverified" in capsys.readouterr().err
     if command == "compute":
-        assert out.read_bytes() == serialize_tau(compute_tau(13, 1))
+        assert out.read_bytes() == serialize_tau(compute_tau(15, 1))
     checked = tmp_path / "b.out"
-    assert main([command, "--r", "12", "--degree", "1", "--out", str(checked), "-q"]) == 0
+    assert main([command, "--r", "14", "--degree", "1", "--out", str(checked), "-q"]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -81,6 +81,19 @@ def test_parse_rejects_malformed_documents():
     doc["pieces"][0][0]["coeff"]["a"] = "1/0"
     with pytest.raises(ParseError):
         parse_tau(json.dumps(doc))
+    # an integer past Python's 4300-digit limit on converting strings to int
+    text = serialize_tau(compute_tau(3, 1)).decode()
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_tau(text.replace('"lambda": -2', '"lambda": -' + "2" * 5000, 1))
+    # only the spelling str(Fraction) writes: each of these equals the value
+    # it replaces, or (1e5000, 5001 digits) stays on the grading
+    spellings = [(0, "a", text) for text in ("1/1", "2/2", "+1", " 1", "1.0", "1e0")]
+    spellings += [(0, "b", "-0"), (0, "b", "0/5"), (1, "b", "1e5000")]
+    for piece, part, text in spellings:
+        doc = json.loads(serialize_tau(compute_tau(3, 1)))
+        doc["pieces"][piece][0]["coeff"][part] = text
+        with pytest.raises(ParseError, match="bad fraction"):
+            parse_tau(json.dumps(doc))
     # JSON true and false equal 1 and 0 in Python; each edit below matches
     # the value it replaces, so only refusing booleans rejects it
     edits = (

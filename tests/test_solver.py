@@ -20,7 +20,7 @@ from rspin import (
 from rspin import walgebra
 from rspin.walgebra import MODE_CONSTRUCTION, apply_operator_sum
 
-from helpers import raiser1_squared_on_one_r3, raiser2_on_one_r3, tau1_r2, tau1_r3, tau2_r3
+from helpers import raiser1_squared_on_one_r3, raiser2_on_one_r3, shift_lambda, tau1_r2, tau1_r3, tau2_r3
 
 
 def test_degree_zero_is_one():
@@ -59,13 +59,13 @@ def test_validate_accepts_good_and_rejects_bad():
     bad = TauExpansion(3, 2, [tau.pieces[0], tau.pieces[1] + TPolynomial.one(3), tau.pieces[2]])
     with pytest.raises(Exception):
         bad.validate()
-    odd = TauExpansion(3, 1, [TPolynomial.one(3), tau.pieces[1].shift_lambda(1)])
+    odd = TauExpansion(3, 1, [TPolynomial.one(3), shift_lambda(tau.pieces[1], 1)])
     with pytest.raises(Exception):
         odd.validate()
     # the grading: lam exponent j - (number of variables), coefficients in
     # Q*s^(j mod 2); each edit keeps the weight and the lam parity and bound
     graded = (
-        (1, tau.pieces[1].shift_lambda(2), "variables"),
+        (1, shift_lambda(tau.pieces[1], 2), "variables"),
         (1, tau.pieces[1] + TPolynomial.var(3, 4), "outside"),
         (2, tau.pieces[2] + TPolynomial.monomial(3, QScalar.root(3), 0, {4: 2}), "outside"),
         (2, TPolynomial.monomial(3, QScalar.root(3), -2, {1: 2, 2: 1, 4: 1}), "outside"),

@@ -8,14 +8,12 @@ import pytest
 
 from rspin import (
     ContractError,
-    InvalidModeError,
     InvalidSpecError,
     NormalTerm,
     QScalar,
     TMonomial,
     TPolynomial,
     WModeSpec,
-    apply_beta,
     apply_raising_operator,
     apply_w_mode,
     compute_tau,
@@ -26,6 +24,8 @@ from rspin.walgebra import ORACLE_CHECKED_R, _contraction, _generator, _w_mode_t
 
 from helpers import (
     SHEET_CURRENTS,
+    apply_beta,
+    apply_term,
     ordered_apply_raiser,
     ordered_apply_w,
     ordered_w_terms,
@@ -56,28 +56,28 @@ def test_apply_beta_absent_variable():
 
 
 def test_apply_beta_rejects_integral_modes():
-    with pytest.raises(InvalidModeError):
+    with pytest.raises(ValueError):
         apply_beta(3, TPolynomial.one(3))
-    with pytest.raises(InvalidModeError):
+    with pytest.raises(ValueError):
         apply_beta(0, TPolynomial.one(3))
-    with pytest.raises(InvalidModeError):
+    with pytest.raises(ValueError):
         apply_beta(-6, TPolynomial.one(2))
 
 
 def test_normal_term_mixed():
     term = NormalTerm(creators=(2,), annihilators=(1,), coeff=Fraction(1), lambda_shift=0)
     p = TPolynomial.monomial(3, 1, 0, {1: 1, 4: 1})
-    assert term.apply(p) == TPolynomial.monomial(3, 2, 0, {2: 1, 4: 1})
+    assert apply_term(term, p) == TPolynomial.monomial(3, 2, 0, {2: 1, 4: 1})
 
 
 def test_normal_term_annihilates():
     term = NormalTerm(creators=(), annihilators=(5,), coeff=Fraction(1), lambda_shift=0)
-    assert term.apply(TPolynomial.monomial(3, 1, 0, {2: 4})).is_zero
+    assert apply_term(term, TPolynomial.monomial(3, 1, 0, {2: 4})).is_zero
 
 
 def test_normal_term_pure_creators():
     term = NormalTerm(creators=(1, 1), annihilators=(), coeff=Fraction(1), lambda_shift=0)
-    assert term.apply(TPolynomial.one(3)) == TPolynomial.monomial(3, 1, -2, {1: 2})
+    assert apply_term(term, TPolynomial.one(3)) == TPolynomial.monomial(3, 1, -2, {1: 2})
 
 
 def test_operator_sum_shares_derivatives_exactly():
@@ -88,7 +88,7 @@ def test_operator_sum_shares_derivatives_exactly():
     p = _homogeneous_poly(4, 15, lam=-6) + TPolynomial.monomial(4, 3, -4, {1: 2, 6: 1, 7: 1})
     for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
         terms = w_mode_terms(spec, 20, p.max_weight())
-        plain = TPolynomial.sum_of(4, (t.apply(p) for t in terms)).scaled(unit_power(4, spec.j))
+        plain = TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)).scaled(unit_power(4, spec.j))
         assert apply_operator_sum(terms, p, spec.j) == plain
         assert not plain.is_zero
 
@@ -112,7 +112,7 @@ def test_operator_sum_over_coprime_denominators():
         NormalTerm((4,), (), Fraction(3, 19), 0),
         NormalTerm((2, 2), (1,), Fraction(-4, 17), 0),
     )
-    plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms))
+    plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms))
     for n in (0, 1, -1):
         out = apply_operator_sum(terms, p, n)
         assert out == plain.scaled(unit_power(r, n))
@@ -147,8 +147,8 @@ def test_operator_sum_stores_no_cancelled_coefficient():
     )
     for n in (0, 1):
         out = apply_operator_sum(cancelling + half, p, n)
-        assert out == TPolynomial.sum_of(r, (t.apply(p) for t in half)).scaled(unit_power(r, n))
-        assert out.coefficient(TMonomial(0, ((4, 1),))) == unit_power(r, n) * qs(r, 0, 3)
+        assert out == TPolynomial.sum_of(r, (apply_term(t, p) for t in half)).scaled(unit_power(r, n))
+        assert out.terms[TMonomial(0, ((4, 1),))] == unit_power(r, n) * qs(r, 0, 3)
         assert len(out) == 4
         assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
 
@@ -337,7 +337,7 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
             undivided += sum(dict(m.exps).get(1, 0) < 2 or 2 not in dict(m.exps) for m in p.terms)
             n = rng.randint(-3, 3)
             powers.add(n)
-            plain = TPolynomial.sum_of(r, (t.apply(p) for t in terms)).scaled(unit_power(r, n))
+            plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)).scaled(unit_power(r, n))
             assert apply_operator_sum(terms, p, n) == plain
             assert not plain.is_zero
     assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4))
