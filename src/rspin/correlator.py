@@ -11,22 +11,33 @@ a = r-1).  The descendant variable t_{m,a} equals c * T_n with
 The free energy is the graded log of tau; a monomial of the free energy
 with lam exponent 2g-2 and variable part prod T_n^{e_n} encodes the genus-g
 correlator of the matching insertions, scaled by the conversion constants
-and divided by the multiplicities e_n!.  Undoing that yields the exact
-rational intersection number; a nonzero s-component, an odd lam exponent,
-a negative genus, or a selection-rule violation can only come from an
-upstream bug and raises ExtractionError.
+and divided by the multiplicities e_n!.
+
+The grading makes the log rational.  A degree-j monomial of tau in N
+variables carries lam^(j-N) and a coefficient in Q * s^j, so each piece is
+read once as integer numerators over one denominator, with s^j and the lam
+exponent implied by the degree and the monomial.  The exponent vector of a
+monomial is packed into one int, a bit field per index wide enough for the
+top weight D*(r+1); no product in the log exceeds that weight, so adding
+two keys multiplies two monomials without a carry between fields.  The
+reading checks the grading of every monomial first and raises
+ContractError off it, so neither the log nor extraction meets a monomial
+it cannot pack.  Extraction then reads each free-energy monomial as one
+exact rational correlator; an odd lam exponent, a negative genus or a
+selection-rule violation can only come from an upstream bug and raises
+ExtractionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import ContractError, ExtractionError, InvalidInsertionError
-from .scalar import QScalar, s_power
+from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import TPolynomial
+from .tpoly import TMonomial, TPolynomial
 
 __all__ = [
     "Insertion",
@@ -59,16 +70,19 @@ def insertion_for_index(r: int, n: int) -> Insertion:
     return Insertion((n - 1) // r, (n - 1) % r)
 
 
-def conversion_constant(r: int, m: int, a: int) -> QScalar:
-    """Constant c with t_{m,a} = c * T_{r*m + a + 1}."""
+def _conversion_rational(r: int, m: int, a: int) -> Fraction:
+    """The rational q with conversion_constant(r, m, a) = q * s."""
     if m < 0 or not 0 <= a <= r - 2:
         raise InvalidInsertionError(f"insertion (m={m}, a={a}) out of range for r={r}")
     q = Fraction(1)
     for i in range(m + 1):
         q *= i + Fraction(a + 1, r)
-    if m % 2:
-        q = -q
-    return QScalar.of(r, 0, q)
+    return -q if m % 2 else q
+
+
+def conversion_constant(r: int, m: int, a: int) -> QScalar:
+    """Constant c with t_{m,a} = c * T_{r*m + a + 1}."""
+    return QScalar.of(r, 0, _conversion_rational(r, m, a))
 
 
 @dataclass(frozen=True)
@@ -89,53 +103,172 @@ def selection_check(r: int, genus: int, insertions) -> bool:
     return lhs == rhs
 
 
+# A packed graded polynomial of degree j: ({key: numerator}, denominator),
+# worth sum num/den * s^j * lam^(j-N) * prod T_n^e_n over its keys.
+Packed = tuple[dict[int, int], int]
+
+
+def _pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int], top: int) -> Packed:
+    """Read tau_j as integer numerators over one denominator, after
+    checking that every monomial keeps the grading."""
+
+    def refuse(mono, why):
+        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
+
+    if piece.r != r:
+        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+    weight, half, odd = j * (r + 1), j // 2, j % 2
+    ratios = {}
+    for mono, coeff in piece.terms.items():
+        key = total = count = last = 0
+        for n, e in mono.exps:
+            at = shift.get(n)
+            if at is None or e < 1 or n <= last:
+                refuse(mono, f"T{n}^{e} is not a power of a time of weight <= {top} in ascending order")
+            key += e << at
+            total += n * e
+            count += e
+            last = n
+        if total != weight:
+            refuse(mono, f"weight {total}, expected {weight}")
+        if mono.lambda_exp != j - count:
+            refuse(mono, f"lam exponent {mono.lambda_exp} on {count} variables, expected {j - count}")
+        if coeff.a if odd else coeff.b:
+            refuse(mono, f"coefficient {coeff} outside Q*s^{odd}")
+        ratios[key] = coeff.b if odd else coeff.a
+    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
+    common = lcm(*(x.denominator for x in ratios.values()))
+    sign = -1 if half % 2 else 1
+    nums = {key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}
+    return _reduced(nums, common * r**half)
+
+
+def _reduced(nums: dict[int, int], den: int) -> Packed:
+    """Drop zero numerators and cancel the common factor."""
+    nums = {key: c for key, c in nums.items() if c}
+    div = gcd(den, *nums.values())
+    return {key: c // div for key, c in nums.items()}, den // div
+
+
+def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
+    """The free energy F_1 .. F_D as (n, den, rows): F_n is the sum of
+    num/den * s^n * lam^lam_exp * prod T_i^e_i over its rows
+    (lam_exp, ((i, e_i), ...), num), which come in canonical order.
+
+    Requires one piece per degree and the degree-0 piece equal to 1.
+    Applying the degree operator to tau = exp(F) gives n tau_n =
+    sum_{k=1..n} G_k tau_{n-k} with G_k = k F_k, solved here for G_n
+    degree by degree: every product is homogeneous of degree n, so it
+    stays within the top weight and in Q * s^n.  A product key is one int
+    add and a product coefficient one int product; each degree has one
+    denominator.
+    """
+    r, top = tau.r, tau.max_degree
+    if len(tau.pieces) != top + 1:
+        raise ContractError(f"expected {top + 1} pieces, found {len(tau.pieces)}")
+    # one bit field per time T_i, wide enough for the exponent W // i
+    weight = top * (r + 1)
+    fields, shift, at = [], {}, 0
+    for i in range(1, weight + 1):
+        if i % r:
+            width = (weight // i).bit_length()
+            fields.append((i, width))
+            shift[i] = at
+            at += width
+    taus = [_pack_piece(r, j, p, shift, weight) for j, p in enumerate(tau.pieces)]
+    if not taus or taus[0] != ({0: 1}, 1):
+        raise ContractError("log requires the degree-0 piece to equal 1")
+    logs: list[Packed] = [({}, 1)]
+    free_energy = []
+    for n in range(1, top + 1):
+        den = taus[n][1]
+        for k in range(1, n):
+            den = lcm(den, logs[k][1] * taus[n - k][1])
+        scale = den // taus[n][1] * n
+        acc = {key: c * scale for key, c in taus[n][0].items()}
+        get = acc.get
+        for k in range(1, n):
+            (g, g_den), (t, t_den) = logs[k], taus[n - k]
+            scale = -(den // (g_den * t_den))
+            for key, c in g.items():
+                c *= scale
+                for key2, c2 in t.items():
+                    key2 += key
+                    acc[key2] = get(key2, 0) + c * c2
+        nums, den = _reduced(acc, den)
+        logs.append((nums, den))
+        rows = []
+        for key, num in nums.items():
+            exps, count = [], 0
+            for i, width in fields:
+                if not key:
+                    break
+                e = key & ((1 << width) - 1)
+                if e:
+                    exps.append((i, e))
+                    count += e
+                key >>= width
+            rows.append((n - count, tuple(exps), num))
+        rows.sort()  # weight n*(r+1) throughout: (lam, exps) is canonical
+        free_energy.append((n, den * n, rows))
+    return free_energy
+
+
 def log_tau(tau: TauExpansion) -> TPolynomial:
     """Graded log of the expansion: the free energy pieces F_1 .. F_D.
 
-    Requires the degree-0 piece to equal 1.  Applying the degree operator
-    to tau = exp(F) gives n tau_n = sum_{k=1..n} k F_k tau_{n-k}, solved
-    here for G_n = n F_n degree by degree; every product is homogeneous of
-    degree n, so nothing beyond the truncation is ever formed.
+    Raises ContractError unless the degree-0 piece equals 1 and every
+    piece keeps the grading.
     """
     r = tau.r
-    if tau.piece(0) != TPolynomial.one(r):
-        raise ContractError("log requires the degree-0 piece to equal 1")
-    pieces = tau.pieces
-    g = [TPolynomial.zero(r)]
-    for n in range(1, tau.max_degree + 1):
-        lower = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n)))
-        g.append(pieces[n].scaled(n) - lower)
-    return TPolynomial.sum_of(r, (g[n].scaled(Fraction(1, n)) for n in range(1, tau.max_degree + 1)))
+    terms = {}
+    for n, den, rows in _free_energy(tau):
+        unit = Fraction(-r) ** (n // 2)  # s^n / s^(n mod 2)
+        for lam, exps, num in rows:
+            x = Fraction(num, den) * unit
+            terms[TMonomial(lam, exps)] = QScalar.of(r, 0, x) if n % 2 else QScalar.of(r, x)
+    return TPolynomial._raw(r, terms)
 
 
 def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:
     """Read every correlator out of the free energy, exactly.
 
     Genus comes from the lam exponent alone; the selection rule is then an
-    independent cross-check on each record, not an input to it.
+    independent cross-check on each record, not an input to it.  A
+    free-energy coefficient num/den * s^n on N insertions with lam
+    exponent n - N = 2g-2 gives the value
+    num/den * (-r)^(g-1) * prod(e!) / prod(q^e),
+    q the rational part of each conversion constant.  The monomials are
+    read in canonical order, so an error names the first bad one.
     """
     r = tau.r
+    insertion, ratio = {}, {}
     records = []
-    for mono, coeff in log_tau(tau).canonical_terms():
-        where = f"free-energy monomial {mono}"
-        if mono.lambda_exp % 2:
-            raise ExtractionError(f"odd lam exponent {mono.lambda_exp} in {where}")
-        genus = (mono.lambda_exp + 2) // 2
-        if genus < 0:
-            raise ExtractionError(f"negative genus {genus} in {where}")
-        # coeff * prod(e!) / prod(c^e) with c = q * s: s^(-N) times a rational
-        insertions: list[Insertion] = []
-        factor = Fraction(1)
-        for n, e in mono.exps:
-            ins = insertion_for_index(r, n)
-            insertions.extend([ins] * e)
-            factor *= factorial(e) / conversion_constant(r, ins.m, ins.a).b ** e
-        value = coeff * s_power(r, -len(insertions)) * factor
-        if not value.is_rational:
-            raise ExtractionError(f"non-rational value {value} in {where}")
-        record = CorrelatorRecord(genus, tuple(sorted(insertions)), value.a)
-        if not selection_check(r, record.genus, record.insertions):
-            raise ExtractionError(f"selection rule fails for {where}")
-        records.append(record)
+    for n, den, rows in _free_energy(tau):
+        for lam, exps, num in rows:
+            if lam % 2:
+                raise ExtractionError(f"odd lam exponent {lam} in free-energy monomial {TMonomial(lam, exps)}")
+            genus = (lam + 2) // 2
+            if genus < 0:
+                raise ExtractionError(f"negative genus {genus} in free-energy monomial {TMonomial(lam, exps)}")
+            top, bottom = num, den
+            if genus:
+                top *= (-r) ** (genus - 1)
+            else:
+                bottom *= -r
+            insertions: list[Insertion] = []
+            for i, e in exps:
+                ins = insertion.get(i)
+                if ins is None:
+                    ins = insertion[i] = insertion_for_index(r, i)
+                    ratio[i] = _conversion_rational(r, ins.m, ins.a)
+                insertions.extend([ins] * e)
+                q = ratio[i]
+                top *= factorial(e) * q.denominator**e
+                bottom *= q.numerator**e
+            record = CorrelatorRecord(genus, tuple(insertions), Fraction(top, bottom))
+            if not selection_check(r, record.genus, record.insertions):
+                raise ExtractionError(f"selection rule fails for free-energy monomial {TMonomial(lam, exps)}")
+            records.append(record)
     records.sort(key=lambda rec: (rec.genus, rec.insertions))
     return records

@@ -5,9 +5,8 @@ quadratic extension Q(sqrt(-r)): odd-degree tau coefficients carry odd
 powers of s, and the change to descendant variables divides them away
 again.  There is no floating point anywhere; equality means exact equality
 of reduced fractions.  The W-mode tables and the raisers are rational: the
-grading gives each operator one power of -r*s, which s_power supplies, as
-it supplies the s^(-N) of correlator extraction.  Nothing here divides by a
-general scalar.
+grading gives each operator one power of -r*s, which s_power supplies.
+Nothing here divides by a general scalar.
 
 s denotes a different number for every r, so each value carries its r and
 mixing values from different r contexts raises instead of coercing.

@@ -241,6 +241,8 @@ class TauCache:
         return self.directory / f"r{r}_deg{degree}.json"
 
     def load(self, r: int, degree: int) -> TPolynomial | None:
+        """The cached tau_degree, which has passed check_piece, or None if
+        there is no entry."""
         path = self.path(r, degree)
         if not path.exists():
             return None

@@ -27,7 +27,11 @@ __all__ = [
 
 
 class PieceStore(Protocol):
-    def load(self, r: int, degree: int) -> TPolynomial | None: ...
+    def load(self, r: int, degree: int) -> TPolynomial | None:
+        """The stored tau_degree, or None if there is none.  A returned
+        piece has passed check_piece(r, degree, piece); compute_tau does
+        not check it again."""
+        ...
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None: ...
 
@@ -47,8 +51,14 @@ class TauExpansion:
         return TPolynomial.zero(self.r)
 
     def validate(self) -> None:
-        """Check the structural invariants of a well-formed expansion: one
-        piece per degree, tau_0 = 1, and check_piece on every tau_j."""
+        """Check the invariants of a well-formed expansion: one piece per
+        degree, tau_0 = 1, and check_piece on every tau_j."""
+        self._check_structure()
+        for j, piece in enumerate(self.pieces):
+            check_piece(self.r, j, piece)
+
+    def _check_structure(self) -> None:
+        """One piece per degree, and tau_0 = 1."""
         if self.max_degree < 0:
             raise ContractError("max_degree must be nonnegative")
         if len(self.pieces) != self.max_degree + 1:
@@ -57,8 +67,6 @@ class TauExpansion:
             )
         if self.pieces[0] != TPolynomial.one(self.r):
             raise ContractError("degree-0 piece must equal 1")
-        for j, piece in enumerate(self.pieces):
-            check_piece(self.r, j, piece)
 
 
 def check_piece(r: int, j: int, piece: TPolynomial) -> None:
@@ -93,7 +101,8 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
 
     Exact rational/quadratic arithmetic throughout; the output is
     deterministic (byte-identical canonical serialization) regardless of
-    cache hits.
+    cache hits.  Each piece is checked once: a computed piece by
+    check_piece before it is stored, a cached one by the store's load.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -104,11 +113,12 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
         piece = cache.load(r, j) if cache is not None else None
         if piece is None:
             piece = _next_piece(r, j, pieces)
+            check_piece(r, j, piece)
             if cache is not None:
                 cache.store(r, j, piece)
         pieces.append(piece)
     tau = TauExpansion(r, max_degree, pieces)
-    tau.validate()
+    tau._check_structure()
     return tau
 
 

@@ -56,14 +56,6 @@ class TMonomial:
     def sort_key(self):
         return (self.weight, self.lambda_exp, self.exps)
 
-    def times(self, other: TMonomial) -> TMonomial:
-        if not other.exps:
-            return TMonomial(self.lambda_exp + other.lambda_exp, self.exps)
-        merged = dict(self.exps)
-        for n, e in other.exps:
-            merged[n] = merged.get(n, 0) + e
-        return TMonomial(self.lambda_exp + other.lambda_exp, tuple(sorted(merged.items())))
-
     def __str__(self) -> str:
         parts = [f"T{n}" if e == 1 else f"T{n}^{e}" for n, e in self.exps]
         if self.lambda_exp:
@@ -201,15 +193,6 @@ class TPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, TPolynomial):
-            return self.mul(other)
-        if isinstance(other, (QScalar, int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def scaled(self, c: CoeffLike) -> TPolynomial:
         if not isinstance(c, QScalar):
             c = QScalar.of(self.r, c)
@@ -218,22 +201,6 @@ class TPolynomial:
         if not c:
             return TPolynomial.zero(self.r)
         return TPolynomial._raw(self.r, {m: coeff * c for m, coeff in self.terms.items()})
-
-    def mul(self, other: TPolynomial) -> TPolynomial:
-        """Product of two polynomials over the same r."""
-        self._check_same(other)
-        acc: dict[TMonomial, QScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1.times(m2)
-                coeff = c1 * c2
-                prev = acc.get(mono)
-                new = coeff if prev is None else prev + coeff
-                if new:
-                    acc[mono] = new
-                elif prev is not None:
-                    del acc[mono]
-        return TPolynomial._raw(self.r, acc)
 
     def euler(self) -> TPolynomial:
         """Apply the Euler operator (1/(r+1)) * sum_n n T_n d/dT_n.

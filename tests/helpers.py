@@ -64,6 +64,25 @@ def unit_power(r, n) -> QScalar:
 # -- pass-by-pass references ------------------------------------------------
 
 
+def poly_mul(p, q, weight_cap=None) -> TPolynomial:
+    """Plain product of two polynomials over the same r: every pair of
+    terms, monomials multiplied by merging their exponents; pairs of total
+    weight above weight_cap, if one is given, are left out."""
+    if p.r != q.r:
+        raise ValueError(f"cannot multiply polynomials over r={p.r} and r={q.r}")
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            if weight_cap is not None and m1.weight + m2.weight > weight_cap:
+                continue
+            exps = dict(m1.exps)
+            for n, e in m2.exps:
+                exps[n] = exps.get(n, 0) + e
+            mono = TMonomial(m1.lambda_exp + m2.lambda_exp, tuple(sorted(exps.items())))
+            acc[mono] = acc[mono] + c1 * c2 if mono in acc else c1 * c2
+    return TPolynomial(p.r, acc)
+
+
 def mul_var(poly, n, k=1) -> TPolynomial:
     """Multiply by T_n^k."""
     check_index(poly.r, n)
@@ -145,7 +164,7 @@ def exp_graded(poly, max_degree) -> TauExpansion:
     g = [graded_part(poly, k).scaled(k) for k in range(max_degree + 1)]
     pieces = [TPolynomial.one(r)]
     for n in range(1, max_degree + 1):
-        total = TPolynomial.sum_of(r, (g[k].mul(pieces[n - k]) for k in range(1, n + 1)))
+        total = TPolynomial.sum_of(r, (poly_mul(g[k], pieces[n - k]) for k in range(1, n + 1)))
         pieces.append(total.scaled(Fraction(1, n)))
     return TauExpansion(r, max_degree, pieces)
 
@@ -354,20 +373,17 @@ def ordered_apply_raiser(r, l, poly, target_degree):
 # -- power-series oracle for the graded log ---------------------------------
 
 
-def _drop_above(poly, cap):
-    return TPolynomial._raw(poly.r, {m: c for m, c in poly.terms.items() if m.weight <= cap})
-
-
 def power_series_log(tau) -> TPolynomial:
     """log(1 + x) = sum_k (-1)^(k+1) x^k / k with x = tau_1 + .. + tau_D,
-    every power truncated above weight D*(r+1) after a plain product."""
+    every power truncated above weight D*(r+1) by a plain product that
+    leaves out the pairs above it."""
     r, D = tau.r, tau.max_degree
     cap = D * (r + 1)
     x = TPolynomial.sum_of(r, tau.pieces[1:])
     result = TPolynomial.zero(r)
     power = TPolynomial.one(r)
     for k in range(1, D + 1):
-        power = _drop_above(power.mul(x), cap)
+        power = poly_mul(power, x, cap)
         result = result + power.scaled(Fraction((-1) ** (k + 1), k))
     return result
 

@@ -1,15 +1,19 @@
 """Coordinate conversion, the graded log, and exact correlator extraction."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from rspin import (
     ContractError,
+    ExtractionError,
     Insertion,
     InvalidInsertionError,
     QScalar,
     TauExpansion,
+    TMonomial,
     TPolynomial,
     compute_tau,
     conversion_constant,
@@ -19,8 +23,10 @@ from rspin import (
     selection_check,
     variable_index,
 )
+from rspin import scalar
+from rspin.serialize import records_to_json
 
-from helpers import exp_graded, free_energy2_r3, graded_part, power_series_log, tau1_r3
+from helpers import exp_graded, free_energy2_r3, graded_part, power_series_log, qs, tau1_r3
 
 
 def test_conversion_constants():
@@ -66,12 +72,95 @@ def test_log_requires_unit_constant_term():
         log_tau(bad)
 
 
-@pytest.mark.parametrize("r, D", ((2, 6), (3, 5), (4, 4)))
+@pytest.mark.parametrize("r, D", ((2, 6), (3, 5), (4, 4), (5, 4), (7, 3)))
 def test_log_matches_power_series_oracle(r, D):
     tau = compute_tau(r, D)
     free_energy = log_tau(tau)
     assert free_energy == power_series_log(tau)
     assert exp_graded(free_energy, D).pieces == tau.pieces
+
+
+def test_log_of_a_graded_tau_reaching_the_top_weight():
+    # T1^W at the top weight fills the widest packed field to its limit;
+    # W = 16 is a power of two, so a field one bit short would carry
+    r, D = 3, 4
+    rng = random.Random(7)
+    shapes = ({1: 4}, {2: 2}, {1: 2, 2: 1}, {4: 1})
+    pieces = [TPolynomial.one(r)]
+    for j in range(1, D + 1):
+        terms = {}
+        for _ in range(3):
+            exps = {}
+            for shape in rng.choices(shapes, k=j):
+                for n, e in shape.items():
+                    exps[n] = exps.get(n, 0) + e
+            terms[TMonomial.make(j - sum(exps.values()), exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        terms[TMonomial.make(j - 4 * j, {1: 4 * j})] = Fraction(1, j + 1)
+        unit = qs(r, 0, 1) if j % 2 else qs(r, 1)
+        pieces.append(TPolynomial(r, {m: unit * c for m, c in terms.items()}))
+    tau = TauExpansion(r, D, pieces)
+    free_energy = log_tau(tau)
+    assert any(dict(m.exps) == {1: D * (r + 1)} for m in free_energy.terms)
+    assert free_energy == power_series_log(tau)
+
+
+# Degree-1 additions that break the grading, each refused while the pieces
+# are read, before a key is packed
+ROOT3 = QScalar.root(3)
+OFF_GRADE = {
+    "rational-in-degree-1": TPolynomial.var(3, 4),
+    "lam-not-j-minus-N": TPolynomial.monomial(3, ROOT3, 2, {4: 1}),
+    "off-the-weight": TPolynomial.monomial(3, ROOT3, 0, {1: 1}),
+    "index-above-W": TPolynomial.monomial(3, ROOT3, 0, {5: 1}),
+    "index-divisible-by-r": TPolynomial._raw(3, {TMonomial(-1, ((1, 1), (3, 1))): ROOT3}),
+    "zero-exponent": TPolynomial._raw(3, {TMonomial(0, ((1, 0), (4, 1))): ROOT3}),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_GRADE))
+@pytest.mark.parametrize("read", (log_tau, extract_correlators))
+def test_off_grade_input_is_refused(case, read):
+    tau = TauExpansion(3, 1, [TPolynomial.one(3), tau1_r3() + OFF_GRADE[case]])
+    with pytest.raises((ContractError, ExtractionError), match="piece 1 has monomial"):
+        read(tau)
+
+
+# sha256 of records_to_json(extract_correlators(compute_tau(r, D))), as
+# extracted through QScalar polynomials; the r-KdV oracle covers these r.
+RECORD_DIGESTS = {
+    (2, 8): "15146d4abb1f38ed2a8ee12f5af030c8c8b9d9aa2a2545ee435e67e8ed8e166e",
+    (4, 6): "ee6f560aa05ae17a2fc1e27366b11741086873776a2971507f0d83de8558ccfc",
+    (5, 5): "4ec2347e5608f623a6f6dc4d71cc368bf716b9479bcf55b80f9b184f2877f44f",
+    (7, 3): "73200f20137b2697fb1922617ad4b2984b43c62d648bdacc1a66f04fc7fa160c",
+    (12, 2): "cdbe94a6fb8c1ce8897ca5de2fc7f82d1f72efebfbb0c2977d0ac5842950d39a",
+}
+
+
+@pytest.mark.parametrize("r, D", sorted(RECORD_DIGESTS))
+def test_records_are_pinned(r, D):
+    data = records_to_json(extract_correlators(compute_tau(r, D)))
+    assert hashlib.sha256(data).hexdigest() == RECORD_DIGESTS[(r, D)]
+
+
+def test_extraction_builds_no_scalar(monkeypatch):
+    tau = compute_tau(3, 4)
+    built = []
+    make, post_init = scalar._make, scalar.QScalar.__post_init__
+
+    def counting_make(*args):
+        built.append(args)
+        return make(*args)
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(scalar, "_make", counting_make)
+    monkeypatch.setattr(scalar.QScalar, "__post_init__", counting_post_init)
+    extract_correlators(tau)
+    assert not built
+    log_tau(tau)  # the one reader that builds QScalar coefficients
+    assert built
 
 
 def test_exp_log_round_trip():

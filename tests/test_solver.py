@@ -119,6 +119,32 @@ def test_cache_round_trip(tmp_path):
     assert first == second
 
 
+def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
+    from rspin import serialize, solver
+
+    cache = TauCache(tmp_path)
+    compute_tau(3, 3, cache=cache)
+    checked, check_piece = [], solver.check_piece
+
+    def counting(r, j, piece):
+        checked.append(j)
+        return check_piece(r, j, piece)
+
+    monkeypatch.setattr(solver, "check_piece", counting)
+    monkeypatch.setattr(serialize, "check_piece", counting)
+    compute_tau(3, 3, cache=cache)
+    assert sorted(checked) == [1, 2, 3]
+
+
+def test_bad_piece_never_reaches_the_cache(tmp_path, monkeypatch):
+    from rspin import solver
+
+    monkeypatch.setattr(solver, "_next_piece", lambda r, j, pieces: TPolynomial.var(3, 4))
+    with pytest.raises(ContractError, match="outside"):
+        compute_tau(3, 1, cache=TauCache(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_cache_is_shared_across_depths(tmp_path):
     cache = TauCache(tmp_path)
     compute_tau(3, 1, cache=cache)
