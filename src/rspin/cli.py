@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECKS),
         help=f"comma-separated subset of {{{','.join(CHECKS)}}}",
     )
-    p.add_argument("--m-max", type=int, default=None, help="largest constraint mode index")
 
     p = sub.add_parser("commutator", help="commutator and exponential-formula diagnostics")
     common(p)
@@ -150,13 +149,11 @@ def _run_verify(args) -> int:
         raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
     if not wanted:
         raise RSpinError(f"--checks names no check; valid: {', '.join(CHECKS)}")
-    if args.m_max is not None and args.m_max < 1 - args.r:
-        raise RSpinError(f"--m-max must be >= -(r-1)={1 - args.r}: a lower value leaves no constraint equation")
     _warn_unchecked(args)
     tau = compute_tau(args.r, args.degree, cache=_cache(args))
     extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None
     runs = {
-        "wconstraints": lambda: check_w_constraints(tau, m_max=args.m_max),
+        "wconstraints": lambda: check_w_constraints(tau),
         "string_dilaton": lambda: check_string_dilaton(tau, extracted),
         "grading": lambda: check_gradings(tau, extracted),
         "selection": lambda: check_selection(tau, extracted),

@@ -19,13 +19,14 @@ read once as integer numerators over one denominator, with s^j and the lam
 exponent implied by the degree and the monomial.  The exponent vector of a
 monomial is packed into one int, a bit field per index wide enough for the
 top weight D*(r+1); no product in the log exceeds that weight, so adding
-two keys multiplies two monomials without a carry between fields.  The
-reading checks the grading of every monomial first and raises
-ContractError off it, so neither the log nor extraction meets a monomial
-it cannot pack.  Extraction then reads each free-energy monomial as one
-exact rational correlator; an odd lam exponent, a negative genus or a
-selection-rule violation can only come from an upstream bug and raises
-ExtractionError.
+two keys multiplies two monomials without a carry between fields.  Each
+piece must first pass solver.check_piece, which applies the one grading
+rule, solver.off_grade, and raises ContractError off it; a graded monomial
+weighs at most the top weight, so every index has a field and every
+exponent fits it.
+Extraction then reads each free-energy monomial as one exact rational
+correlator; an odd lam exponent, a negative genus or a selection-rule
+violation can only come from an upstream bug and raises ExtractionError.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import factorial, gcd, lcm
 
 from .errors import ContractError, ExtractionError, InvalidInsertionError
 from .scalar import QScalar
-from .solver import TauExpansion
+from .solver import TauExpansion, check_piece
 from .tpoly import TMonomial, TPolynomial
 
 __all__ = [
@@ -108,33 +109,16 @@ def selection_check(r: int, genus: int, insertions) -> bool:
 Packed = tuple[dict[int, int], int]
 
 
-def _pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int], top: int) -> Packed:
-    """Read tau_j as integer numerators over one denominator, after
-    checking that every monomial keeps the grading."""
-
-    def refuse(mono, why):
-        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
-
-    if piece.r != r:
-        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
-    weight, half, odd = j * (r + 1), j // 2, j % 2
+def _pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
+    """Read tau_j, once check_piece has passed it, as integer numerators
+    over one denominator."""
+    check_piece(r, j, piece)
+    half, odd = divmod(j, 2)
     ratios = {}
     for mono, coeff in piece.terms.items():
-        key = total = count = last = 0
+        key = 0
         for n, e in mono.exps:
-            at = shift.get(n)
-            if at is None or e < 1 or n <= last:
-                refuse(mono, f"T{n}^{e} is not a power of a time of weight <= {top} in ascending order")
-            key += e << at
-            total += n * e
-            count += e
-            last = n
-        if total != weight:
-            refuse(mono, f"weight {total}, expected {weight}")
-        if mono.lambda_exp != j - count:
-            refuse(mono, f"lam exponent {mono.lambda_exp} on {count} variables, expected {j - count}")
-        if coeff.a if odd else coeff.b:
-            refuse(mono, f"coefficient {coeff} outside Q*s^{odd}")
+            key += e << shift[n]
         ratios[key] = coeff.b if odd else coeff.a
     # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
     common = lcm(*(x.denominator for x in ratios.values()))
@@ -175,7 +159,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
             fields.append((i, width))
             shift[i] = at
             at += width
-    taus = [_pack_piece(r, j, p, shift, weight) for j, p in enumerate(tau.pieces)]
+    taus = [_pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
     if not taus or taus[0] != ({0: 1}, 1):
         raise ContractError("log requires the degree-0 piece to equal 1")
     logs: list[Packed] = [({}, 1)]

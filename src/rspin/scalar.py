@@ -5,8 +5,9 @@ quadratic extension Q(sqrt(-r)): odd-degree tau coefficients carry odd
 powers of s, and the change to descendant variables divides them away
 again.  There is no floating point anywhere; equality means exact equality
 of reduced fractions.  The W-mode tables and the raisers are rational: the
-grading gives each operator one power of -r*s, which s_power supplies.
-Nothing here divides by a general scalar.
+grading gives each operator one power of -r*s, which the W-mode kernel
+applies to its integer numerators itself.  Nothing here divides by a
+general scalar.
 
 s denotes a different number for every r, so each value carries its r and
 mixing values from different r contexts raises instead of coercing.
@@ -151,17 +152,8 @@ class QScalar:
         return " ".join(parts)
 
 
-_ZERO = Fraction(0)
 _new_scalar = object.__new__
 _set_r, _set_a, _set_b = (QScalar.__dict__[name].__set__ for name in ("r", "a", "b"))
-
-
-def s_power(r: int, n: int) -> QScalar:
-    """s^n for any integer n, from s^2 = -r: (-r)^(n // 2) times s when n
-    is odd."""
-    half, odd = divmod(n, 2)
-    c = Fraction(-r) ** half
-    return QScalar(r, _ZERO, c) if odd else QScalar(r, c, _ZERO)
 
 
 def _mismatch(x: QScalar, y: QScalar) -> ContextError:

@@ -69,24 +69,42 @@ class TauExpansion:
             raise ContractError("degree-0 piece must equal 1")
 
 
-def check_piece(r: int, j: int, piece: TPolynomial) -> None:
-    """Check that piece can be tau_j over this r: homogeneous of weight
-    j*(r+1), each monomial in N variables with an even lam exponent
-    j - N >= -2j and a coefficient in Q*s^(j mod 2)."""
-    if piece.r != r:
-        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+def off_grade(r: int, j: int, piece: TPolynomial):
+    """Yield (monomial, kind, why) for each monomial of piece that tau_j
+    over this r cannot carry, under the first rule it breaks: ascending
+    positive indices not divisible by r with exponents >= 1 ("indices"),
+    weight j*(r+1) ("inhomogeneous"), a lam exponent j - N, even and
+    >= -2j, on N variables ("lam exponents"), and a coefficient in
+    Q*s^(j mod 2) ("coefficients").  This is the whole grading: every
+    reader of a piece applies it through this function."""
     weight, odd = j * (r + 1), j % 2
     for mono, coeff in piece.terms.items():
-        if mono.weight != weight:
-            raise ContractError(f"piece {j} is not homogeneous of weight {weight}")
-        exp, count = mono.lambda_exp, sum(e for _, e in mono.exps)
-        if exp % 2 or exp < -2 * j or exp != j - count:
-            raise ContractError(
-                f"piece {j} carries lam exponent {exp} on {count} variables; "
-                f"expected {j - count}, even and >= {-2 * j}"
-            )
-        if coeff.a if odd else coeff.b:
-            raise ContractError(f"piece {j} has coefficient {coeff} outside Q*s^{odd}")
+        total = count = last = 0
+        for n, e in mono.exps:
+            if n <= last or not n % r or e < 1:
+                yield mono, "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
+                break
+            total += n * e
+            count += e
+            last = n
+        else:
+            lam = mono.lambda_exp
+            if total != weight:
+                yield mono, "inhomogeneous", f"weight {total}, expected {weight}"
+            elif lam != j - count or lam % 2 or lam < -2 * j:
+                yield mono, "lam exponents", (
+                    f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
+                )
+            elif coeff.a if odd else coeff.b:
+                yield mono, "coefficients", f"coefficient {coeff} outside Q*s^{odd}"
+
+
+def check_piece(r: int, j: int, piece: TPolynomial) -> None:
+    """Check that piece is over this r and that no monomial is off_grade."""
+    if piece.r != r:
+        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+    for mono, _, why in off_grade(r, j, piece):
+        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
 def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:

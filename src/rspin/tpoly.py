@@ -202,17 +202,6 @@ class TPolynomial:
             return TPolynomial.zero(self.r)
         return TPolynomial._raw(self.r, {m: coeff * c for m, coeff in self.terms.items()})
 
-    def euler(self) -> TPolynomial:
-        """Apply the Euler operator (1/(r+1)) * sum_n n T_n d/dT_n.
-
-        Each monomial is an eigenvector with eigenvalue weight/(r+1).
-        """
-        scale = Fraction(1, self.r + 1)
-        return TPolynomial._raw(
-            self.r,
-            {m: c * (m.weight * scale) for m, c in self.terms.items() if m.weight},
-        )
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

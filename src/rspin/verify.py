@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
-from .solver import TauExpansion, compute_tau, compute_tau_exponential
+from .solver import TauExpansion, compute_tau, compute_tau_exponential, off_grade
 from .tpoly import TPolynomial
 from .walgebra import WModeSpec, apply_raising_operator, apply_w_mode
 
@@ -103,19 +103,17 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
     return total, engaged
 
 
-def check_w_constraints(tau: TauExpansion, m_max: int | None = None) -> CheckReport:
-    """Assemble every per-degree constraint equation and record nonzero
-    residuals; vacuous equations are counted but cannot fail.  Modes past
-    default_constraint_mode_bound are counted without being visited, so
-    the cost does not grow with m_max."""
+def check_w_constraints(tau: TauExpansion) -> CheckReport:
+    """Assemble every per-degree constraint equation up to
+    default_constraint_mode_bound and record nonzero residuals; vacuous
+    equations are counted but cannot fail.  Past the bound each mode sends
+    every piece below weight 0, so no equation there can fail."""
     r = tau.r
     bound = default_constraint_mode_bound(r, tau.max_degree)
-    if m_max is None:
-        m_max = bound
     residuals = []
     checked = vacuous = 0
     for k in range(2, r + 1):
-        for m in range(-(k - 1), min(m_max, bound) + 1):
+        for m in range(-(k - 1), bound + 1):
             for degree in range(tau.max_degree + 1):
                 residual, engaged = w_constraint_residual(tau, k, m, degree)
                 checked += 1
@@ -123,19 +121,11 @@ def check_w_constraints(tau: TauExpansion, m_max: int | None = None) -> CheckRep
                     vacuous += 1
                 if not residual.is_zero:
                     residuals.append((f"k={k} m={m} degree={degree}", residual))
-        # past the bound each mode sends every piece below weight 0, so the
-        # residuals vanish and an equation is vacuous as it is at bound + 1
-        if m_max > bound:
-            for degree in range(tau.max_degree + 1):
-                _, engaged = w_constraint_residual(tau, k, bound + 1, degree)
-                checked += m_max - bound
-                if not engaged:
-                    vacuous += m_max - bound
     return CheckReport(
         check_name="wconstraints",
         status=PASS if not residuals else FAIL,
         residuals=residuals,
-        details={"equations": checked, "vacuous": vacuous, "m_max": m_max},
+        details={"equations": checked, "vacuous": vacuous, "m_max": bound},
     )
 
 
@@ -266,31 +256,17 @@ def check_string_dilaton(tau: TauExpansion, extracted: Extracted | None = None) 
 
 
 def check_gradings(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
-    """Weight homogeneity, Euler eigenvalues and lam-exponent parity and
-    bounds of every piece, and a successful extraction, which itself
-    enforces nonnegative genus and the selection rule on every record."""
+    """The monomials of each piece that solver.off_grade finds, one
+    residual per piece and kind of fault, and a successful extraction,
+    which itself enforces nonnegative genus and the selection rule on
+    every record."""
     r = tau.r
     residuals = []
     for j, piece in enumerate(tau.pieces):
-        target = j * (r + 1)
-        off_grade = TPolynomial._raw(
-            r, {m: c for m, c in piece.terms.items() if m.weight != target}
-        )
-        if not off_grade.is_zero:
-            residuals.append((f"inhomogeneous degree={j}", off_grade))
-        euler_residual = piece.euler() - piece.scaled(j)
-        if not euler_residual.is_zero:
-            residuals.append((f"euler degree={j}", euler_residual))
-        bad_lambda = TPolynomial._raw(
-            r,
-            {
-                m: c
-                for m, c in piece.terms.items()
-                if m.lambda_exp % 2 or m.lambda_exp < -2 * j
-            },
-        )
-        if not bad_lambda.is_zero:
-            residuals.append((f"lam exponents degree={j}", bad_lambda))
+        faults: dict[str, dict] = {}
+        for mono, kind, _ in off_grade(r, j, piece):
+            faults.setdefault(kind, {})[mono] = piece.terms[mono]
+        residuals.extend((f"{kind} degree={j}", TPolynomial._raw(r, terms)) for kind, terms in sorted(faults.items()))
     records = _records(tau, extracted, residuals)
     return CheckReport(
         check_name="grading",

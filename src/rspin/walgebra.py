@@ -90,7 +90,7 @@ from math import comb, factorial, lcm, prod
 from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidSpecError
-from .scalar import QScalar, s_power
+from .scalar import QScalar
 from .tpoly import TMonomial, TPolynomial
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
@@ -200,11 +200,11 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
                         exps[u] = exps.get(u, 0) + e
                     key = (lam + net, tuple(sorted(exps.items())))
                     acc[key] = acc.get(key, 0) + n * numerator
-    unit = s_power(r, unit_power) * Fraction(-r) ** unit_power  # (-r*s)^n: rational or s-only
-    factor = unit.a or unit.b
+    # (-r*s)^n = (-r)^n * s^n = factor * s^(n mod 2), as s^2 = -r
+    factor = Fraction(-r) ** (unit_power + unit_power // 2)
     rational, irrational = accs
     scale_a = scale_b = factor.numerator
-    if unit.b:  # (A + B s) * s = -r B + A s
+    if unit_power % 2:  # (A + B s) * s = -r B + A s
         rational, irrational = irrational, rational
         scale_a *= -r
     den = den_in * den_t * factor.denominator

@@ -180,18 +180,6 @@ def test_verify_without_checks_exits_2(tmp_path, capsys, checks):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("m_max", ["-50", "-3"])
-def test_verify_m_max_without_equations_exits_2(tmp_path, capsys, m_max):
-    # below -(r-1) no constraint mode is left, so a pass would check nothing
-    out = tmp_path / "report.json"
-    argv = ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints", "--out", str(out)]
-    assert main(argv + ["--m-max", m_max]) == 2
-    assert "--m-max must be >= -(r-1)=-2" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(argv + ["--m-max", "-2"]) == 0
-    assert json.loads(out.read_text())[0]["details"]["equations"] == 3
-
-
 def test_verify_failure_exits_1(tmp_path):
     # a cached degree-1 piece with an extra term that keeps the weight and
     # the grading passes the cache's own checks, so verify runs on it and

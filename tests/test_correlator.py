@@ -2,25 +2,29 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from rspin import (
     ContractError,
-    ExtractionError,
     Insertion,
     InvalidInsertionError,
     QScalar,
+    TauCache,
     TauExpansion,
     TMonomial,
     TPolynomial,
+    check_gradings,
     compute_tau,
     conversion_constant,
     extract_correlators,
     insertion_for_index,
     log_tau,
+    parse_tau,
     selection_check,
+    serialize_tau,
     variable_index,
 )
 from rspin import scalar
@@ -81,48 +85,100 @@ def test_log_matches_power_series_oracle(r, D):
 
 
 def test_log_of_a_graded_tau_reaching_the_top_weight():
-    # T1^W at the top weight fills the widest packed field to its limit;
-    # W = 16 is a power of two, so a field one bit short would carry
-    r, D = 3, 4
+    # at r = 2 every monomial of weight 3j in odd indices with lam^(j-N) is
+    # graded, T1^(3j) among them; at the top weight W = 12 the packed log
+    # meets T1^W, which fills the T1 field, and T3^D = T3^4, which fills the
+    # T3 field at a power of two, so a field one bit short would carry
+    r, D = 2, 4
     rng = random.Random(7)
-    shapes = ({1: 4}, {2: 2}, {1: 2, 2: 1}, {4: 1})
     pieces = [TPolynomial.one(r)]
     for j in range(1, D + 1):
         terms = {}
         for _ in range(3):
-            exps = {}
-            for shape in rng.choices(shapes, k=j):
-                for n, e in shape.items():
-                    exps[n] = exps.get(n, 0) + e
+            exps, left = {}, 3 * j
+            while left:
+                n = rng.randrange(1, left + 1, 2)
+                exps[n] = exps.get(n, 0) + 1
+                left -= n
             terms[TMonomial.make(j - sum(exps.values()), exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms[TMonomial.make(j - 4 * j, {1: 4 * j})] = Fraction(1, j + 1)
+        terms[TMonomial.make(-2 * j, {1: 3 * j})] = Fraction(1, j + 1)
+        terms[TMonomial.make(0, {3: j})] = Fraction(-1, j + 2)
         unit = qs(r, 0, 1) if j % 2 else qs(r, 1)
         pieces.append(TPolynomial(r, {m: unit * c for m, c in terms.items()}))
     tau = TauExpansion(r, D, pieces)
+    tau.validate()
     free_energy = log_tau(tau)
-    assert any(dict(m.exps) == {1: D * (r + 1)} for m in free_energy.terms)
+    tops = {m.exps for m in free_energy.terms}
+    assert ((1, D * (r + 1)),) in tops and ((3, D),) in tops
     assert free_energy == power_series_log(tau)
 
 
-# Degree-1 additions that break the grading, each refused while the pieces
-# are read, before a key is packed
+# Additions to one piece of compute_tau(3, 2), each off the grading under
+# the kind of fault that solver.off_grade names for it
 ROOT3 = QScalar.root(3)
 OFF_GRADE = {
-    "rational-in-degree-1": TPolynomial.var(3, 4),
-    "lam-not-j-minus-N": TPolynomial.monomial(3, ROOT3, 2, {4: 1}),
-    "off-the-weight": TPolynomial.monomial(3, ROOT3, 0, {1: 1}),
-    "index-above-W": TPolynomial.monomial(3, ROOT3, 0, {5: 1}),
-    "index-divisible-by-r": TPolynomial._raw(3, {TMonomial(-1, ((1, 1), (3, 1))): ROOT3}),
-    "zero-exponent": TPolynomial._raw(3, {TMonomial(0, ((1, 0), (4, 1))): ROOT3}),
+    "rational-in-degree-1": (1, TPolynomial.var(3, 4), "coefficients"),
+    "lam-not-j-minus-N": (1, TPolynomial.monomial(3, ROOT3, 2, {4: 1}), "lam exponents"),
+    "off-the-weight": (1, TPolynomial.monomial(3, ROOT3, 0, {1: 1}), "inhomogeneous"),
+    "index-above-W": (1, TPolynomial.monomial(3, ROOT3, 0, {5: 1}), "inhomogeneous"),
+    "index-divisible-by-r": (1, TPolynomial._raw(3, {TMonomial(-1, ((1, 1), (3, 1))): ROOT3}), "indices"),
+    "zero-exponent": (1, TPolynomial._raw(3, {TMonomial(0, ((1, 0), (4, 1))): ROOT3}), "indices"),
+    # T3*T5 keeps the weight, the lam exponent and the component of degree 2
+    "index-divisible-by-r-on-the-weight": (2, TPolynomial._raw(3, {TMonomial(0, ((3, 1), (5, 1))): qs(3, 1)}), "indices"),
+    # lam = j - N, but odd
+    "odd-lam": (1, TPolynomial.monomial(3, ROOT3, -1, {2: 2}), "lam exponents"),
+    # lam = j - N and even, but below -2j
+    "lam-below-minus-2j": (2, TPolynomial.monomial(3, 1, -6, {1: 8}), "lam exponents"),
 }
 
 
+def _off_grade_tau(case):
+    j, extra, kind = OFF_GRADE[case]
+    tau = compute_tau(3, 2)
+    tau.pieces[j] = tau.pieces[j] + extra
+    (mono,) = extra.terms
+    return tau, j, mono, kind
+
+
 @pytest.mark.parametrize("case", list(OFF_GRADE))
-@pytest.mark.parametrize("read", (log_tau, extract_correlators))
+@pytest.mark.parametrize("read", (TauExpansion.validate, log_tau, extract_correlators))
 def test_off_grade_input_is_refused(case, read):
-    tau = TauExpansion(3, 1, [TPolynomial.one(3), tau1_r3() + OFF_GRADE[case]])
-    with pytest.raises((ContractError, ExtractionError), match="piece 1 has monomial"):
+    tau, j, mono, _ = _off_grade_tau(case)
+    with pytest.raises(ContractError, match=re.escape(f"piece {j} has monomial {mono} off the grading")):
         read(tau)
+
+
+@pytest.mark.parametrize("case", list(OFF_GRADE))
+def test_off_grade_input_fails_the_grading_check(case):
+    tau, j, mono, kind = _off_grade_tau(case)
+    report = check_gradings(tau)
+    assert report.status == "fail"
+    assert [label for label, poly in report.residuals if mono in poly.terms] == [f"{kind} degree={j}"]
+
+
+def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
+    from rspin import solver, verify
+
+    tau = compute_tau(3, 3, cache=TauCache(tmp_path))
+    records = extract_correlators(tau)
+    seen, off_grade = [], solver.off_grade
+
+    def counting(r, j, piece):
+        seen.append(j)
+        return off_grade(r, j, piece)
+
+    monkeypatch.setattr(solver, "off_grade", counting)
+    monkeypatch.setattr(verify, "off_grade", counting)
+    readers = {
+        "extract_correlators": (lambda: extract_correlators(tau), [0, 1, 2, 3]),
+        "check_gradings": (lambda: check_gradings(tau, records), [0, 1, 2, 3]),
+        "parse_tau": (lambda: parse_tau(serialize_tau(tau)), [0, 1, 2, 3]),
+        "TauCache.load": (lambda: [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)], [1, 2, 3]),
+    }
+    for name, (read, degrees) in readers.items():
+        seen.clear()
+        read()
+        assert sorted(seen) == degrees, name
 
 
 # sha256 of records_to_json(extract_correlators(compute_tau(r, D))), as

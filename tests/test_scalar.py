@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from rspin import ContextError, QScalar
-from rspin.scalar import s_power
 
 from helpers import qs
 
@@ -86,26 +85,11 @@ def test_rationality_predicate():
     assert qs(3, 0).is_zero
 
 
-def test_powers():
-    # s^n against repeated products of s, or of 1/s = -s/r for n < 0
-    for r in (2, 3, 4, 5):
-        for n in range(-6, 7):
-            base = QScalar.root(r) if n >= 0 else qs(r, 0, Fraction(-1, r))
-            expected = qs(r, 1)
-            for _ in range(abs(n)):
-                expected = expected * base
-            _check_components(r, s_power(r, n), expected.a, expected.b)
-    assert s_power(3, 3) == qs(3, 0, -3)
-    assert s_power(3, -2) == qs(3, Fraction(-1, 3))
-
-
 def test_subtraction_and_division():
-    # the only division left is by a power of s
+    # nothing divides by a scalar; the W-mode kernel applies the powers of s
     x = qs(2, 3, 1)
     y = qs(2, 1, 1)
     assert x - y == qs(2, 2)
-    assert s_power(2, -1) == qs(2, 0, Fraction(-1, 2))
-    assert y * s_power(2, -1) * QScalar.root(2) == y
 
 
 def test_string_rendering():

@@ -47,10 +47,12 @@ def test_r2_degree_one_fixture():
 
 
 def test_pieces_are_euler_eigenvectors():
+    # the Euler operator (1/(r+1)) sum_n n T_n d/dT_n scales a monomial of
+    # weight w by w/(r+1), so eigenvalue j means weight j*(r+1)
     for r, D in ((2, 4), (3, 3)):
         tau = compute_tau(r, D)
         for j, piece in enumerate(tau.pieces):
-            assert piece.euler() == piece.scaled(j)
+            assert piece.is_homogeneous(j * (r + 1))
 
 
 def test_validate_accepts_good_and_rejects_bad():

@@ -152,13 +152,6 @@ def test_zero_coefficients_never_stored():
     assert q.is_zero and len(q) == 0
 
 
-def test_euler_eigenvalues():
-    mono = TPolynomial.monomial(3, 1, -2, {1: 2, 2: 1})  # weight 4
-    assert mono.euler() == mono.scaled(Fraction(4, 4))
-    other = TPolynomial.monomial(2, 1, 0, {3: 1, 1: 1})  # weight 4, r=2
-    assert other.euler() == other.scaled(Fraction(4, 3))
-
-
 def test_shift_lambda():
     p = tau1_r3()
     assert shift_lambda(shift_lambda(p, 2), -2) == p
