@@ -83,7 +83,7 @@ def _conversion_rational(r: int, m: int, a: int) -> Fraction:
 
 def conversion_constant(r: int, m: int, a: int) -> QScalar:
     """Constant c with t_{m,a} = c * T_{r*m + a + 1}."""
-    return QScalar.of(r, 0, _conversion_rational(r, m, a))
+    return QScalar(Fraction(0), _conversion_rational(r, m, a))
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def log_tau(tau: TauExpansion) -> TPolynomial:
         unit = Fraction(-r) ** (n // 2)  # s^n / s^(n mod 2)
         for lam, exps, num in rows:
             x = Fraction(num, den) * unit
-            terms[TMonomial(lam, exps)] = QScalar.of(r, 0, x) if n % 2 else QScalar.of(r, x)
+            terms[TMonomial(lam, exps)] = QScalar(Fraction(0), x) if n % 2 else QScalar(x, Fraction(0))
     return TPolynomial._raw(r, terms)
 
 

@@ -6,7 +6,7 @@ class RSpinError(Exception):
 
 
 class ContextError(RSpinError, ValueError):
-    """Values built over different r were combined."""
+    """Polynomials or operators built over different r were combined."""
 
 
 class InvalidIndexError(RSpinError, ValueError):

@@ -70,10 +70,10 @@ def scalar_to_obj(q: QScalar) -> dict:
     return {"a": str(q.a), "b": str(q.b)}
 
 
-def scalar_from_obj(r: int, obj, where: str) -> QScalar:
+def scalar_from_obj(obj, where: str) -> QScalar:
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise ParseError('scalar must be an object with fields "a" and "b"', where)
-    return QScalar.of(r, _frac_parse(obj["a"], where + ".a"), _frac_parse(obj["b"], where + ".b"))
+    return QScalar(_frac_parse(obj["a"], where + ".a"), _frac_parse(obj["b"], where + ".b"))
 
 
 def mono_to_obj(mono: TMonomial) -> dict:
@@ -121,7 +121,7 @@ def poly_from_obj(r: int, obj, where: str) -> TPolynomial:
         if not isinstance(item, dict) or set(item) != {"monomial", "coeff"}:
             raise ParseError('term must be an object with fields "monomial" and "coeff"', loc)
         mono = mono_from_obj(item["monomial"], loc + ".monomial")
-        coeff = scalar_from_obj(r, item["coeff"], loc + ".coeff")
+        coeff = scalar_from_obj(item["coeff"], loc + ".coeff")
         if mono in terms:
             raise ParseError("duplicate monomial", loc)
         if coeff.is_zero:

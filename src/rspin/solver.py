@@ -44,12 +44,6 @@ class TauExpansion:
     max_degree: int
     pieces: list[TPolynomial] = field(default_factory=list)
 
-    def piece(self, j: int) -> TPolynomial:
-        """Degree-j piece; zero outside the computed range."""
-        if 0 <= j <= self.max_degree:
-            return self.pieces[j]
-        return TPolynomial.zero(self.r)
-
     def validate(self) -> None:
         """Check the invariants of a well-formed expansion: one piece per
         degree, tau_0 = 1, and check_piece on every tau_j."""

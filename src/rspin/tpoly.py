@@ -7,7 +7,8 @@ divisible by r never occur: the reduced hierarchy carries no such times, and
 constructors reject them.  The integer weight sum(n * e_n) drives the
 grading; the degree-d slice of a polynomial is its weight-d*(r+1) part.
 
-Coefficients are QScalar values over the same r as the polynomial.  Zero
+Coefficients are QScalar pairs a + b*s; the polynomial's r says that
+s^2 = -r, and polynomials over different r do not combine.  Zero
 coefficients are never stored, monomial tuples are always sorted, and the
 canonical term order (weight, lam exponent, exponent sequence) makes the
 representation of equal polynomials identical.
@@ -23,6 +24,14 @@ from .errors import ContextError, InvalidIndexError
 from .scalar import QScalar
 
 CoeffLike = QScalar | int | Fraction
+
+
+def _coeff(c: CoeffLike) -> QScalar:
+    if isinstance(c, QScalar):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return QScalar(Fraction(c), Fraction(0))
+    raise TypeError(f"expected QScalar, int or Fraction, got {type(c).__name__}")
 
 
 def check_index(r: int, n: int) -> None:
@@ -64,10 +73,12 @@ class TMonomial:
 
 
 ONE_MONOMIAL = TMonomial(0, ())
+_ONE = QScalar(Fraction(1), Fraction(0))
 
 
 class TPolynomial:
-    """Finite QScalar-linear combination of TMonomials over a fixed r."""
+    """Finite linear combination of TMonomials with QScalar coefficients,
+    over a fixed r."""
 
     __slots__ = ("r", "terms")
 
@@ -78,10 +89,7 @@ class TPolynomial:
         for mono, coeff in (terms or {}).items():
             for n, _ in mono.exps:
                 check_index(r, n)
-            if not isinstance(coeff, QScalar):
-                coeff = QScalar.of(r, coeff)
-            if coeff.r != r:
-                raise ContextError(f"coefficient over r={coeff.r} in polynomial over r={r}")
+            coeff = _coeff(coeff)
             if coeff:
                 clean[mono] = coeff
         object.__setattr__(self, "r", r)
@@ -106,18 +114,16 @@ class TPolynomial:
 
     @classmethod
     def one(cls, r: int) -> TPolynomial:
-        return cls._raw(r, {ONE_MONOMIAL: QScalar.of(r, 1)})
+        return cls._raw(r, {ONE_MONOMIAL: _ONE})
 
     @classmethod
     def const(cls, r: int, c: CoeffLike) -> TPolynomial:
-        if not isinstance(c, QScalar):
-            c = QScalar.of(r, c)
         return cls(r, {ONE_MONOMIAL: c})
 
     @classmethod
     def var(cls, r: int, n: int) -> TPolynomial:
         check_index(r, n)
-        return cls._raw(r, {TMonomial(0, ((n, 1),)): QScalar.of(r, 1)})
+        return cls._raw(r, {TMonomial(0, ((n, 1),)): _ONE})
 
     @classmethod
     def monomial(
@@ -127,7 +133,7 @@ class TPolynomial:
         lambda_exp: int = 0,
         exps: Mapping[int, int] | Iterable[tuple[int, int]] = (),
     ) -> TPolynomial:
-        return cls(r, {TMonomial.make(lambda_exp, exps): coeff if isinstance(coeff, QScalar) else QScalar.of(r, coeff)})
+        return cls(r, {TMonomial.make(lambda_exp, exps): coeff})
 
     @classmethod
     def sum_of(cls, r: int, polys: Iterable[TPolynomial]) -> TPolynomial:
@@ -193,11 +199,7 @@ class TPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, c: CoeffLike) -> TPolynomial:
-        if not isinstance(c, QScalar):
-            c = QScalar.of(self.r, c)
-        elif c.r != self.r:
-            raise ContextError(f"scalar over r={c.r} applied to polynomial over r={self.r}")
+    def scaled(self, c: int | Fraction) -> TPolynomial:
         if not c:
             return TPolynomial.zero(self.r)
         return TPolynomial._raw(self.r, {m: coeff * c for m, coeff in self.terms.items()})

@@ -66,7 +66,7 @@ coefficients over another.  Each monomial is differentiated once per group
 that divides it (an integer multiplicity and the exponents left), and every
 term of the group adds its creators and an int product straight into the
 output numerators of the input component it meets; the power of -r*s is
-applied once per call, and each output coefficient becomes a Q(s) scalar
+applied once per call, and each output coefficient becomes a pair a + b*s
 only at the end.  The plain pass-by-pass reference it is tested against,
 one term at a time over the whole polynomial, lives in tests/helpers.py.
 
@@ -212,10 +212,10 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
     for key, a in rational.items():
         b = irrational.pop(key, 0)
         if a or b:
-            out[TMonomial(*key)] = QScalar(r, Fraction(a * scale_a, den), Fraction(b * scale_b, den))
+            out[TMonomial(*key)] = QScalar(Fraction(a * scale_a, den), Fraction(b * scale_b, den))
     for key, b in irrational.items():
         if b:
-            out[TMonomial(*key)] = QScalar(r, Fraction(0), Fraction(b * scale_b, den))
+            out[TMonomial(*key)] = QScalar(Fraction(0), Fraction(b * scale_b, den))
     return TPolynomial._raw(r, out)
 
 

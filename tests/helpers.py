@@ -34,8 +34,8 @@ from rspin.tpoly import TMonomial, check_index
 # -- polynomial builders ----------------------------------------------------
 
 
-def qs(r, a, b=0) -> QScalar:
-    return QScalar.of(r, Fraction(a), Fraction(b))
+def qs(a, b=0) -> QScalar:
+    return QScalar(Fraction(a), Fraction(b))
 
 
 def poly_of(r, *terms) -> TPolynomial:
@@ -44,20 +44,31 @@ def poly_of(r, *terms) -> TPolynomial:
     total = TPolynomial.zero(r)
     for coeff, lam, exps in terms:
         if isinstance(coeff, tuple):
-            c = qs(r, *coeff)
+            c = qs(*coeff)
         else:
-            c = qs(r, coeff)
+            c = qs(coeff)
         total = total + TPolynomial.monomial(r, c, lam, exps)
     return total
+
+
+def q_mul(r, x, y) -> QScalar:
+    """The product in Q(s), s^2 = -r:
+    (a1 + b1 s)(a2 + b2 s) = (a1 a2 - r b1 b2) + (a1 b2 + a2 b1) s."""
+    return QScalar(x.a * y.a - r * x.b * y.b, x.a * y.b + x.b * y.a)
+
+
+def q_scaled(poly, q) -> TPolynomial:
+    """poly times the scalar q of Q(s), s^2 = -poly.r."""
+    return TPolynomial(poly.r, {m: q_mul(poly.r, c, q) for m, c in poly.terms.items()})
 
 
 def unit_power(r, n) -> QScalar:
     """(-r*s)^n by repeated products of -r*s, or of 1/(-r*s) = s/r^2 for
     n < 0."""
-    base = QScalar.of(r, 0, -r) if n >= 0 else QScalar.of(r, 0, Fraction(1, r * r))
-    out = QScalar.of(r, 1)
+    base = qs(0, -r) if n >= 0 else qs(0, Fraction(1, r * r))
+    out = qs(1)
     for _ in range(abs(n)):
-        out = out * base
+        out = q_mul(r, out, base)
     return out
 
 
@@ -79,7 +90,8 @@ def poly_mul(p, q, weight_cap=None) -> TPolynomial:
             for n, e in m2.exps:
                 exps[n] = exps.get(n, 0) + e
             mono = TMonomial(m1.lambda_exp + m2.lambda_exp, tuple(sorted(exps.items())))
-            acc[mono] = acc[mono] + c1 * c2 if mono in acc else c1 * c2
+            c = q_mul(p.r, c1, c2)
+            acc[mono] = acc[mono] + c if mono in acc else c
     return TPolynomial(p.r, acc)
 
 
@@ -346,7 +358,7 @@ def ordered_apply_w(r, k, j, m, poly, creator_cap):
             out = apply_beta(u, out)
             if out.is_zero:
                 break
-        total = total + shift_lambda(out.scaled(unit * weight), -j)
+        total = total + shift_lambda(q_scaled(out, unit * weight), -j)
     return total
 
 
@@ -366,7 +378,7 @@ def ordered_apply_raiser(r, l, poly, target_degree):
                 continue
             n_out = r * m + k - 1
             pref = unit_power(r, -(k - 1)) * Fraction(-factorial(k - 1) * n_out, r + 1)
-            total = total + shift_lambda(mul_var(inner, n_out).scaled(pref), k - 2)
+            total = total + shift_lambda(q_scaled(mul_var(inner, n_out), pref), k - 2)
     return total
 
 

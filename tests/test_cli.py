@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from rspin import QScalar, TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
+from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import main
 
-from helpers import tau1_r3
+from helpers import qs, tau1_r3
 
 
 def test_compute_writes_canonical_file(tmp_path):
@@ -180,12 +180,17 @@ def test_verify_without_checks_exits_2(tmp_path, capsys, checks):
     assert not out.exists()
 
 
+# sha256 of the report below, recorded when coefficients still carried r
+# and multiplied in Q(s): the residual sums mix rational and s-parts.
+BAD_CACHE_REPORT_DIGEST = "1f2af823801eec797f611a87a50d7531812dafa40ed91f0c69d3c79e66cc1b64"
+
+
 def test_verify_failure_exits_1(tmp_path):
-    # a cached degree-1 piece with an extra term that keeps the weight and
+    # a cached degree-1 piece with an extra s*T4 that keeps the weight and
     # the grading passes the cache's own checks, so verify runs on it and
     # the constraints fail
     cache = TauCache(tmp_path / "cache")
-    cache.store(3, 1, compute_tau(3, 1).pieces[1] + TPolynomial.var(3, 4).scaled(QScalar.root(3)))
+    cache.store(3, 1, compute_tau(3, 1).pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1}))
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints",
@@ -194,6 +199,7 @@ def test_verify_failure_exits_1(tmp_path):
     assert code == 1
     reports = json.loads(out.read_text())
     assert reports[0]["status"] == "fail"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BAD_CACHE_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("r, degree", [(4, 4), (5, 3)])

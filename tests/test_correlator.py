@@ -27,16 +27,15 @@ from rspin import (
     serialize_tau,
     variable_index,
 )
-from rspin import scalar
 from rspin.serialize import records_to_json
 
 from helpers import exp_graded, free_energy2_r3, graded_part, power_series_log, qs, tau1_r3
 
 
 def test_conversion_constants():
-    assert conversion_constant(3, 0, 0) == QScalar.of(3, 0, Fraction(1, 3))
-    assert conversion_constant(3, 0, 1) == QScalar.of(3, 0, Fraction(2, 3))
-    assert conversion_constant(2, 1, 0) == QScalar.of(2, 0, Fraction(-3, 4))
+    assert conversion_constant(3, 0, 0) == qs(0, Fraction(1, 3))
+    assert conversion_constant(3, 0, 1) == qs(0, Fraction(2, 3))
+    assert conversion_constant(2, 1, 0) == qs(0, Fraction(-3, 4))
 
 
 def test_conversion_rejects_bad_labels():
@@ -103,7 +102,7 @@ def test_log_of_a_graded_tau_reaching_the_top_weight():
             terms[TMonomial.make(j - sum(exps.values()), exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         terms[TMonomial.make(-2 * j, {1: 3 * j})] = Fraction(1, j + 1)
         terms[TMonomial.make(0, {3: j})] = Fraction(-1, j + 2)
-        unit = qs(r, 0, 1) if j % 2 else qs(r, 1)
+        unit = qs(0, 1) if j % 2 else qs(1)
         pieces.append(TPolynomial(r, {m: unit * c for m, c in terms.items()}))
     tau = TauExpansion(r, D, pieces)
     tau.validate()
@@ -115,7 +114,7 @@ def test_log_of_a_graded_tau_reaching_the_top_weight():
 
 # Additions to one piece of compute_tau(3, 2), each off the grading under
 # the kind of fault that solver.off_grade names for it
-ROOT3 = QScalar.root(3)
+ROOT3 = qs(0, 1)
 OFF_GRADE = {
     "rational-in-degree-1": (1, TPolynomial.var(3, 4), "coefficients"),
     "lam-not-j-minus-N": (1, TPolynomial.monomial(3, ROOT3, 2, {4: 1}), "lam exponents"),
@@ -124,7 +123,7 @@ OFF_GRADE = {
     "index-divisible-by-r": (1, TPolynomial._raw(3, {TMonomial(-1, ((1, 1), (3, 1))): ROOT3}), "indices"),
     "zero-exponent": (1, TPolynomial._raw(3, {TMonomial(0, ((1, 0), (4, 1))): ROOT3}), "indices"),
     # T3*T5 keeps the weight, the lam exponent and the component of degree 2
-    "index-divisible-by-r-on-the-weight": (2, TPolynomial._raw(3, {TMonomial(0, ((3, 1), (5, 1))): qs(3, 1)}), "indices"),
+    "index-divisible-by-r-on-the-weight": (2, TPolynomial._raw(3, {TMonomial(0, ((3, 1), (5, 1))): qs(1)}), "indices"),
     # lam = j - N, but odd
     "odd-lam": (1, TPolynomial.monomial(3, ROOT3, -1, {2: 2}), "lam exponents"),
     # lam = j - N and even, but below -2j
@@ -201,18 +200,14 @@ def test_records_are_pinned(r, D):
 def test_extraction_builds_no_scalar(monkeypatch):
     tau = compute_tau(3, 4)
     built = []
-    make, post_init = scalar._make, scalar.QScalar.__post_init__
+    init = QScalar.__init__
 
-    def counting_make(*args):
-        built.append(args)
-        return make(*args)
+    def counting_init(self, a, b):
+        built.append((a, b))
+        init(self, a, b)
 
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(scalar, "_make", counting_make)
-    monkeypatch.setattr(scalar.QScalar, "__post_init__", counting_post_init)
+    # QScalar(a, b) is the one construction path, arithmetic results included
+    monkeypatch.setattr(QScalar, "__init__", counting_init)
     extract_correlators(tau)
     assert not built
     log_tau(tau)  # the one reader that builds QScalar coefficients

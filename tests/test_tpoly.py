@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rspin import InvalidIndexError, QScalar, TMonomial, TPolynomial
+from rspin import InvalidIndexError, TMonomial, TPolynomial
 
 from helpers import derive, graded_part, mul_var, poly_mul, poly_of, qs, shift_lambda, tau1_r3
 
@@ -60,7 +60,7 @@ def test_derive_examples():
     assert derive(q, 5).is_zero
     # derivative of the degree-1 tau piece in its first variable
     expected = TPolynomial.monomial(
-        3, QScalar.of(3, 0, Fraction(-2, 9)), -2, {2: 1, 1: 1}
+        3, qs(0, Fraction(-2, 9)), -2, {2: 1, 1: 1}
     )
     assert derive(tau1_r3(), 1) == expected
 
@@ -88,7 +88,7 @@ def _random_poly(rng, r, max_terms=5):
                 continue
             exps[n] = rng.randint(1, 3)
         mono = TMonomial.make(2 * rng.randint(-2, 1), exps)
-        terms[mono] = qs(r, Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+        terms[mono] = qs(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
                          Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     return TPolynomial(r, terms)
 
@@ -146,7 +146,7 @@ def test_canonical_order_and_unique_representation():
 
 
 def test_zero_coefficients_never_stored():
-    p = TPolynomial(3, {TMonomial.make(0, {1: 1}): qs(3, 0)})
+    p = TPolynomial(3, {TMonomial.make(0, {1: 1}): qs(0)})
     assert p.is_zero
     q = TPolynomial.var(3, 1) - TPolynomial.var(3, 1)
     assert q.is_zero and len(q) == 0
@@ -156,3 +156,13 @@ def test_shift_lambda():
     p = tau1_r3()
     assert shift_lambda(shift_lambda(p, 2), -2) == p
     assert shift_lambda(p, 0) is p
+
+
+def test_scaling_takes_rationals_only():
+    # a product of two coefficients would need s^2 = -r
+    p = tau1_r3()
+    assert p.scaled(Fraction(-3, 2)).scaled(Fraction(-2, 3)) == p
+    with pytest.raises(TypeError):
+        p.scaled(qs(0, 1))
+    with pytest.raises(TypeError):
+        TPolynomial.monomial(3, 0.5, 0, {1: 1})

@@ -10,7 +10,6 @@ from rspin import (
     ContractError,
     InvalidSpecError,
     NormalTerm,
-    QScalar,
     TMonomial,
     TPolynomial,
     WModeSpec,
@@ -30,6 +29,8 @@ from helpers import (
     ordered_apply_w,
     ordered_w_terms,
     poly_of,
+    q_mul,
+    q_scaled,
     qs,
     raiser1_squared_on_one_r3,
     raiser2_on_one_r3,
@@ -88,7 +89,7 @@ def test_operator_sum_shares_derivatives_exactly():
     p = _homogeneous_poly(4, 15, lam=-6) + TPolynomial.monomial(4, 3, -4, {1: 2, 6: 1, 7: 1})
     for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
         terms = w_mode_terms(spec, 20, p.max_weight())
-        plain = TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)).scaled(unit_power(4, spec.j))
+        plain = q_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), unit_power(4, spec.j))
         assert apply_operator_sum(terms, p, spec.j) == plain
         assert not plain.is_zero
 
@@ -115,7 +116,7 @@ def test_operator_sum_over_coprime_denominators():
     plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms))
     for n in (0, 1, -1):
         out = apply_operator_sum(terms, p, n)
-        assert out == plain.scaled(unit_power(r, n))
+        assert out == q_scaled(plain, unit_power(r, n))
         assert any(c.a and c.b for c in out.terms.values())
         assert max(c.a.denominator for c in out.terms.values()) > 7 * 17
 
@@ -147,8 +148,8 @@ def test_operator_sum_stores_no_cancelled_coefficient():
     )
     for n in (0, 1):
         out = apply_operator_sum(cancelling + half, p, n)
-        assert out == TPolynomial.sum_of(r, (apply_term(t, p) for t in half)).scaled(unit_power(r, n))
-        assert out.terms[TMonomial(0, ((4, 1),))] == unit_power(r, n) * qs(r, 0, 3)
+        assert out == q_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in half)), unit_power(r, n))
+        assert out.terms[TMonomial(0, ((4, 1),))] == q_mul(r, unit_power(r, n), qs(0, 3))
         assert len(out) == 4
         assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
 
@@ -214,7 +215,7 @@ def test_apply_w_mode_cubic_on_one():
 
 def test_apply_w_mode_top_derivative():
     out = apply_w_mode(WModeSpec(3, 2, 1, -1), TPolynomial.var(3, 1))
-    assert out == TPolynomial.const(3, QScalar.of(3, 0, -3))
+    assert out == TPolynomial.const(3, qs(0, -3))
 
 
 def test_weight_shift_of_modes():
@@ -269,7 +270,7 @@ def _random_monomial(rng, r, weight):
         if n % r:
             exps[n] = exps.get(n, 0) + 1
             weight -= n
-    coeff = qs(r, rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2))
+    coeff = qs(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2))
     return TPolynomial.monomial(r, coeff, -2 * rng.randint(0, 2), exps)
 
 
@@ -297,7 +298,7 @@ def _random_scalar(rng, r):
     kind = rng.randrange(3)
     a = rng.choice((-5, -3, -1, 2, 4)) if kind != 1 else 0
     b = rng.choice((-4, -2, 1, 3, 5)) if kind != 0 else 0
-    return qs(r, a, b)
+    return qs(a, b)
 
 
 def test_operator_sum_matches_single_terms_on_random_inputs():
@@ -337,7 +338,7 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
             undivided += sum(dict(m.exps).get(1, 0) < 2 or 2 not in dict(m.exps) for m in p.terms)
             n = rng.randint(-3, 3)
             powers.add(n)
-            plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)).scaled(unit_power(r, n))
+            plain = q_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), unit_power(r, n))
             assert apply_operator_sum(terms, p, n) == plain
             assert not plain.is_zero
     assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4))
@@ -405,11 +406,11 @@ def test_operator_linearity():
     rng = random.Random(17)
     spec = WModeSpec(3, 2, 0, -1)
     for _ in range(10):
-        a = qs(3, rng.randint(-4, 4), rng.randint(-4, 4))
+        a = qs(rng.randint(-4, 4), rng.randint(-4, 4))
         p = TPolynomial.monomial(3, 1, 0, {1: rng.randint(1, 3)})
         q = TPolynomial.monomial(3, 1, -2, {2: rng.randint(1, 2)})
-        lhs = apply_w_mode(spec, p.scaled(a) + q)
-        rhs = apply_w_mode(spec, p).scaled(a) + apply_w_mode(spec, q)
+        lhs = apply_w_mode(spec, q_scaled(p, a) + q)
+        rhs = q_scaled(apply_w_mode(spec, p), a) + apply_w_mode(spec, q)
         assert lhs == rhs
 
 
@@ -459,7 +460,7 @@ def _random_homogeneous(rng, r, degree):
             n = rng.choice([u for u in range(1, left + 1) if u % r])
             exps[n] = exps.get(n, 0) + 1
             left -= n
-        coeff = qs(r, rng.randint(-5, 5), rng.randint(-5, 5))
+        coeff = qs(rng.randint(-5, 5), rng.randint(-5, 5))
         parts.append(TPolynomial.monomial(r, coeff, lam, exps))
     return TPolynomial.sum_of(r, parts)
 
