@@ -47,7 +47,6 @@ from .walgebra import (
     apply_raising_operator,
     apply_w_mode,
     mode_bound,
-    w_mode_terms,
 )
 
 __version__ = "0.1.0"
@@ -92,5 +91,4 @@ __all__ = [
     "selection_check",
     "serialize_tau",
     "variable_index",
-    "w_mode_terms",
 ]

@@ -72,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute the graded tau expansion")
     common(p)
+    p.set_defaults(run=_run_compute)
 
     p = sub.add_parser("correlators", help="extract exact correlators")
     common(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(run=_run_correlators)
 
     p = sub.add_parser("verify", help="run exact identity checks")
     common(p)
@@ -84,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(CHECKS),
         help=f"comma-separated subset of {{{','.join(CHECKS)}}}",
     )
+    p.set_defaults(run=_run_verify)
 
     p = sub.add_parser("commutator", help="commutator and exponential-formula diagnostics")
     common(p)
+    p.set_defaults(run=_run_commutator)
     return parser
 
 
@@ -206,19 +210,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        if args.command == "compute":
-            return _run_compute(args)
-        if args.command == "correlators":
-            return _run_correlators(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "commutator":
-            return _run_commutator(args)
-        raise RSpinError(f"unknown command {args.command!r}")
-    except RSpinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.run(args)
+    except (RSpinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import ContractError, ExtractionError, InvalidInsertionError
+from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
 from .solver import TauExpansion, check_piece
 from .tpoly import TMonomial, TPolynomial
@@ -147,9 +147,8 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
+    tau._check_structure()
     r, top = tau.r, tau.max_degree
-    if len(tau.pieces) != top + 1:
-        raise ContractError(f"expected {top + 1} pieces, found {len(tau.pieces)}")
     # one bit field per time T_i, wide enough for the exponent W // i
     weight = top * (r + 1)
     fields, shift, at = [], {}, 0
@@ -160,8 +159,6 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
             shift[i] = at
             at += width
     taus = [_pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
-    if not taus or taus[0] != ({0: 1}, 1):
-        raise ContractError("log requires the degree-0 piece to equal 1")
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):

@@ -85,22 +85,17 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
 
     Returns (residual, engaged); engaged is False when every contributing
     piece is absent or zero, i.e. the equation is vacuous at this depth.
+    Raises ContractError if a piece the equation applies a mode to is not
+    graded.
     """
     r = tau.r
-    total = TPolynomial.zero(r)
-    engaged = False
-    for l in range(k):
-        idx = degree - k + 1 + l
-        if idx < 0 or idx > tau.max_degree:
-            continue
-        piece = tau.pieces[idx]
-        if piece.is_zero:
-            continue
-        engaged = True
-        spec = WModeSpec(r, k, l, m)
-        if piece.max_weight() + spec.weight_shift >= 0:  # else the mode sends the whole piece below weight 0
-            total = total + apply_w_mode(spec, piece)
-    return total, engaged
+    pieces = [
+        (l, tau.pieces[idx])
+        for l, idx in enumerate(range(degree - k + 1, degree + 1))
+        if 0 <= idx <= tau.max_degree and not tau.pieces[idx].is_zero
+    ]
+    total = TPolynomial.sum_of(r, (apply_w_mode(WModeSpec(r, k, l, m), piece) for l, piece in pieces))
+    return total, bool(pieces)
 
 
 def check_w_constraints(tau: TauExpansion) -> CheckReport:

@@ -42,11 +42,11 @@ build W(k, m):
 
 The dilaton shift replaces alpha_{-(r+1)} by alpha_{-(r+1)} - r*s/lam, with
 s = sqrt(-r).  W(k, j, m) is the part with j such constants (weight
-(1/r)_(i-1) each), so it carries (-r*s)^j and a lam shift of -j, and its
-oscillators have mode indices summing to m + j(r+1)/r.  The j-power
-alternates in sign; the r=3 degree-one tau fixture pins this convention
-(with the non-alternating variant the k=2 and k=3 contributions of the
-first raising operator cancel to zero).  For k <= 3 all of this reduces to
+(1/r)_(i-1) each), so it is (-r*s/lam)^j times rational normal-ordered
+terms, and its oscillators have mode indices summing to m + j(r+1)/r.
+The j-power alternates in sign; the r=3 degree-one tau fixture pins this
+convention (with the non-alternating variant the k=2 and k=3
+contributions of the first raising operator cancel to zero).  For k <= 3 all of this reduces to
 the plain normal-ordered powers plus the one constant in W(2, 0, 0).
 
 Applying W(k, j, m) changes the weight by exactly -r*m - j*(r+1): a term
@@ -55,29 +55,35 @@ annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
-The grading carries s: every term of W(k, j, m) is (-r*s)^j times a
-rational, so the tables store the rational terms (NormalTerm.coeff is a
-Fraction) and the one power of -r*s is an argument of the kernel.
+The grading carries s and lam: the tables store the rational terms
+(NormalTerm.coeff is a Fraction), and the one power of -r*s/lam of the
+whole operator is an argument of the kernel.  A graded polynomial, as
+every tau piece is, has one offset lam + N over its monomials (N the
+variable count) and coefficients all in Q or all in Q*s.  An oscillator
+moves lam and N together, so a normal-ordered term keeps the offset, and
+W(k, j, m) maps a graded input to a graded output whose offset is j lower
+and whose s-parity flips j times.
 
 Application runs monomial by monomial on integer numerators
-(apply_operator_sum): the terms are grouped by annihilator multiset and
-their factors written as numerators over one common denominator, the input
-coefficients over another.  Each monomial is differentiated once per group
-that divides it (an integer multiplicity and the exponents left), and every
-term of the group adds its creators and an int product straight into the
-output numerators of the input component it meets; the power of -r*s is
-applied once per call, and each output coefficient becomes a pair a + b*s
-only at the end.  The plain pass-by-pass reference it is tested against,
-one term at a time over the whole polynomial, lives in tests/helpers.py.
+(apply_operator_sum): the kernel reads its input's grading once and
+refuses an ungraded input, so each monomial is known by its exponents and
+each coefficient by one rational.  The terms are grouped by annihilator
+multiset and their factors written as numerators over one common
+denominator, the input coefficients over another.  Each monomial is
+differentiated once per group that divides it (an integer multiplicity and
+the exponents left), and every term of the group adds its creators and an
+int product straight into one accumulator keyed by exponents; the
+output's lam exponents and s-parity follow from the grading, and the power
+of -r*s is applied once per call.  The plain pass-by-pass reference it is
+tested against, one term at a time over the whole polynomial, lives in
+tests/helpers.py.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
-c_k = -(k-1)! lam^(k-1) / ((r+1) (-r*s)^(k-1)), is one such sum, streamed
-and never stored: T_{r*m+k-1} is a creator, so adding it to each inner
-term keeps the term normal ordered.  The powers of -r*s of c_k and of the
-inner mode combine to (-r*s)^(-l) for every k, so each term carries the
-rational -(k-1)!/(r+1) only.  The folded lam shift is the inner one plus
-k - 1, the lam^(k-1) of c_k; the kernel already counts the -1 of the new
-creator.
+c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one such sum, streamed and
+never stored: T_{r*m+k-1} is a creator, so adding it to each inner term
+keeps the term normal ordered.  The powers of -r*s/lam of c_k and of the
+inner mode combine to (-r*s/lam)^(-l) for every k, so each term carries
+the rational -(k-1)!/(r+1) only, and A_l moves the offset up by l.
 """
 
 from __future__ import annotations
@@ -107,21 +113,16 @@ ORACLE_CHECKED_R = 14
 @dataclass(frozen=True)
 class NormalTerm:
     """One normal-ordered product: annihilators differentiate first, then
-    creators multiply, then the coefficient and lam bookkeeping apply.
+    creators multiply, then the coefficient applies.
 
-    creators and annihilators hold positive variable indices (sorted); the
-    net lam change on application is lambda_shift + #annihilators -
-    #creators, each oscillator contributing +1 or -1.
+    creators and annihilators hold positive variable indices (sorted).  An
+    annihilator brings lam and a creator lam^-1, so a term keeps the
+    lam + N offset of every monomial it meets.
     """
 
     creators: tuple[int, ...]
     annihilators: tuple[int, ...]
     coeff: Fraction
-    lambda_shift: int
-
-
-
-OperatorSum = tuple[NormalTerm, ...]
 
 
 def _divisors(
@@ -145,77 +146,77 @@ def _divisors(
 
 
 def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
-    """Apply (-r*s)^unit_power times a sum of rational normal-ordered terms,
-    one input monomial at a time, on integer numerators over one
-    denominator per call.
+    """Apply (-r*s/lam)^unit_power times a sum of rational normal-ordered
+    terms to a graded polynomial, one monomial at a time, on integer
+    numerators over one denominator per call.
 
-    The terms, read once from any iterable, are grouped by annihilator
-    multiset, and each term's factor coeff * prod(creators) is written as
-    one integer numerator over a denominator D_T shared by all terms.  Each
-    input coefficient is (X + Y s) / D_in, and a zero component is skipped.
-
-    For each monomial and each group whose annihilators divide it, the
-    derivative multiplicity mult and the remaining exponents are found
-    once; every term of the group then adds (X or Y) * mult * numerator to
-    the int numerator, keyed by (lam, exps), of the output's rational or
-    s-part.  The power of -r*s is applied once, at the end: an odd power
-    swaps the two parts, the -r of s*s landing on the new rational part,
-    and the rest is one rational factor on the output denominator
-    D_in * D_T.  Each output coefficient is built once, and zeros are
-    dropped."""
+    The input's grading is read once: one offset lam + N and coefficients
+    all in Q or all in Q*s, else ContractError.  So each monomial is known
+    by its exponents, and its coefficient by one rational X / D_in.  The
+    terms, read once from any iterable, are grouped by annihilator
+    multiset, each factor coeff * prod(creators) an integer numerator over
+    a denominator D_T shared by all terms.  For each monomial and each
+    group whose annihilators divide it, the derivative multiplicity mult
+    and the remaining exponents are found once; every term of the group
+    then adds X * mult * numerator to one int accumulator keyed by the
+    output exponents.  The output is graded too, its offset unit_power
+    lower and its s-parity unit_power further on, and the power of -r*s is
+    one rational factor on the output denominator D_in * D_T."""
     r = poly.r
+    if poly.is_zero:
+        return poly
+    grades = {  # (lam + N, s-parity), the parity None for a coefficient in neither Q nor Q*s
+        (mono.lambda_exp + sum(e for _, e in mono.exps), None if c.a and c.b else int(bool(c.b)))
+        for mono, c in poly.terms.items()
+    }
+    (offset, parity), *others = grades
+    if others or parity is None:
+        raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(grades, key=str)}")
     groups: dict[tuple[int, ...], list] = {}
     for term in terms:
-        net = term.lambda_shift + len(term.annihilators) - len(term.creators)
         created = tuple(Counter(term.creators).items())
-        groups.setdefault(term.annihilators, []).append((created, net, term.coeff, prod(term.creators)))
-    if not groups:  # e.g. a mode that lowers the weight below zero
+        groups.setdefault(term.annihilators, []).append((created, term.coeff, prod(term.creators)))
+    if not groups:  # e.g. a raiser whose modes all lower the weight below zero
         return TPolynomial.zero(r)
-    den_t = lcm(*(c.denominator for group in groups.values() for _, _, c, _ in group))
-    for group in groups.values():  # in place: (created, net, numerator over den_t)
-        group[:] = [(created, net, c.numerator * scale * (den_t // c.denominator)) for created, net, c, scale in group]
-    den_in = lcm(*(x.denominator for c in poly.terms.values() for x in (c.a, c.b)))
+    den_t = lcm(*(c.denominator for group in groups.values() for _, c, _ in group))
+    for group in groups.values():  # in place: (created, numerator over den_t)
+        group[:] = [(created, c.numerator * scale * (den_t // c.denominator)) for created, c, scale in group]
+    xs = {mono.exps: c.b if parity else c.a for mono, c in poly.terms.items()}
+    den_in = lcm(*(x.denominator for x in xs.values()))
     prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
-    accs: tuple[dict, dict] = ({}, {})  # numerators of the rational and the s-part, keyed by (lam, exps)
-    for mono, c in poly.terms.items():
-        lam = mono.lambda_exp
-        for acc, x in zip(accs, (c.a, c.b)):  # one pass per nonzero component
-            if not x:
+    acc: dict[tuple[tuple[int, int], ...], int] = {}
+    for mono_exps, x in xs.items():
+        x = x.numerator * (den_in // x.denominator)
+        for taken, mult in _divisors(mono_exps, prefixes):
+            group = groups.get(taken)
+            if group is None:
                 continue
-            x = x.numerator * (den_in // x.denominator)
-            for taken, mult in _divisors(mono.exps, prefixes):
-                group = groups.get(taken)
-                if group is None:
-                    continue
-                left = dict(mono.exps)
-                for u in taken:
-                    if left[u] == 1:
-                        del left[u]
-                    else:
-                        left[u] -= 1
-                n = x * mult
-                for created, net, numerator in group:
-                    exps = left.copy()
-                    for u, e in created:
-                        exps[u] = exps.get(u, 0) + e
-                    key = (lam + net, tuple(sorted(exps.items())))
-                    acc[key] = acc.get(key, 0) + n * numerator
-    # (-r*s)^n = (-r)^n * s^n = factor * s^(n mod 2), as s^2 = -r
-    factor = Fraction(-r) ** (unit_power + unit_power // 2)
-    rational, irrational = accs
-    scale_a = scale_b = factor.numerator
-    if unit_power % 2:  # (A + B s) * s = -r B + A s
-        rational, irrational = irrational, rational
-        scale_a *= -r
-    den = den_in * den_t * factor.denominator
+            left = dict(mono_exps)
+            for u in taken:
+                if left[u] == 1:
+                    del left[u]
+                else:
+                    left[u] -= 1
+            n = x * mult
+            for created, numerator in group:
+                exps = left.copy()
+                for u, e in created:
+                    exps[u] = exps.get(u, 0) + e
+                key = tuple(sorted(exps.items()))
+                acc[key] = acc.get(key, 0) + n * numerator
+    # s^parity * (-r*s)^unit_power = (-r)^unit_power * s^p with p = parity + unit_power,
+    # and s^p = (-r)^(p // 2) * s^(p mod 2), as s^2 = -r
+    p = parity + unit_power
+    factor = Fraction(-r) ** (unit_power + p // 2)
+    num, den = factor.numerator, den_in * den_t * factor.denominator
+    offset -= unit_power
+    zero = Fraction(0)
     out = {}
-    for key, a in rational.items():
-        b = irrational.pop(key, 0)
-        if a or b:
-            out[TMonomial(*key)] = QScalar(Fraction(a * scale_a, den), Fraction(b * scale_b, den))
-    for key, b in irrational.items():
-        if b:
-            out[TMonomial(*key)] = QScalar(Fraction(0), Fraction(b * scale_b, den))
+    for exps, x in acc.items():
+        if x:
+            x = Fraction(x * num, den)
+            mono = TMonomial(offset - sum(e for _, e in exps), exps)
+            out[mono] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
     return TPolynomial._raw(r, out)
 
 
@@ -377,9 +378,9 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> F
 
 
 @lru_cache(maxsize=None)
-def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
+def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[NormalTerm, ...]:
     """The terms of W(k, j, m) whose annihilators weigh wa in total, without
-    the (-r*s)^j that multiplies all of them; their creators then weigh
+    the (-r*s/lam)^j that multiplies all of them; their creators then weigh
     wa - r*m - j*(r+1)."""
     wc = wa - r * m - j * (r + 1)
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
@@ -391,7 +392,7 @@ def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> OperatorSum:
                     key = (tuple(sorted(cre)), tuple(sorted(ann)))
                     weight = _tuple_weight(r, ann + (0,) * j + tuple(-n for n in cre), orders)
                     acc[key] = acc.get(key, 0) + scale * weight
-    return tuple(NormalTerm(cre, ann, c, -j) for (cre, ann), c in acc.items() if c)
+    return tuple(NormalTerm(cre, ann, c) for (cre, ann), c in acc.items() if c)
 
 
 def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
@@ -402,34 +403,20 @@ def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
         yield from _w_mode_terms(r, k, j, m, wa)
 
 
-def w_mode_terms(spec: WModeSpec, creator_weight_cap: int, annihilator_weight_cap: int) -> OperatorSum:
-    """Finite normal-ordered truncation of W(k, j, m), sorted by (creators,
-    annihilators): W(k, j, m) is (-r*s)^j times these rational terms.
-
-    Keeps every term whose total creator weight and total annihilator weight
-    fit under the respective caps; on inputs whose monomial weights stay
-    under the annihilator cap this truncation is exact.
-    """
-    spec.validate()
-    if creator_weight_cap < 0 or annihilator_weight_cap < 0:
-        raise ValueError("weight caps must be nonnegative")
-    top = min(annihilator_weight_cap, creator_weight_cap - spec.weight_shift)
-    blocks = _mode_blocks(spec.r, spec.k, spec.j, spec.m, top)
-    return tuple(sorted(blocks, key=lambda t: (t.creators, t.annihilators)))
-
-
 def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
     """Apply W(k, j, m) to a polynomial, exactly.
 
     Each monomial of weight w goes to weight w + spec.weight_shift; where
-    that is negative for every monomial, the result is zero.
+    that is negative for every monomial, the result is zero and the kernel
+    is not called.  Otherwise poly must be graded (ContractError if not).
     """
     spec.validate()
     if spec.r != poly.r:
         raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
-    if poly.is_zero:
-        return poly
-    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, poly.max_weight()), poly, spec.j)
+    top = poly.max_weight()
+    if top + spec.weight_shift < 0:
+        return TPolynomial.zero(poly.r)
+    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, top), poly, spec.j)
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -442,7 +429,7 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
 
 
 def _raiser_terms(r: int, l: int, w_in: int, target_degree: int):
-    """The degree-l raiser, without its (-r*s)^(-l), as one stream of
+    """The degree-l raiser, without its (-r*s/lam)^(-l), as one stream of
     normal-ordered terms: the outer creator T_{r*m+k-1} and the rational
     -(k-1)!/(r+1) of c_k folded into every term of W(k, k-1-l, m-k+1) that
     can act on an input of weight w_in."""
@@ -453,13 +440,13 @@ def _raiser_terms(r: int, l: int, w_in: int, target_degree: int):
             outer = r * m + k - 1
             for t in _mode_blocks(r, k, j, m - k + 1, w_in):
                 creators = tuple(sorted(t.creators + (outer,)))
-                yield NormalTerm(creators, t.annihilators, t.coeff * prefactor, t.lambda_shift + k - 1)
+                yield NormalTerm(creators, t.annihilators, t.coeff * prefactor)
 
 
 def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int) -> TPolynomial:
-    """Apply the degree-l raiser to a homogeneous polynomial of degree
-    target_degree - l, producing a homogeneous result of degree
-    target_degree.
+    """Apply the degree-l raiser to a graded, homogeneous polynomial of
+    degree target_degree - l, producing a graded, homogeneous result of
+    degree target_degree.
 
     The outer mode sum is truncated at mode_bound(r, k, target_degree);
     beyond it every contribution vanishes on such input, so the truncation
@@ -469,8 +456,6 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
         raise InvalidSpecError(f"raiser label must lie in [1, r-1={r - 1}], got {l}")
     if poly.r != r:
         raise ContextError(f"raiser over r={r} applied to polynomial over r={poly.r}")
-    if poly.is_zero:
-        return poly
     w_in = (target_degree - l) * (r + 1)
     if w_in < 0 or not poly.is_homogeneous(w_in):
         raise ContractError(

@@ -30,6 +30,7 @@ from rspin import (
     mode_bound,
 )
 from rspin.tpoly import TMonomial, check_index
+from rspin.walgebra import _mode_blocks
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -151,8 +152,9 @@ def apply_beta(u, poly) -> TPolynomial:
 
 def apply_term(term, poly) -> TPolynomial:
     """Apply one NormalTerm to poly: every annihilator differentiates the
-    whole polynomial, then every creator multiplies it (the power of -r*s
-    that the kernel takes is left to the caller)."""
+    whole polynomial and brings lam, then every creator multiplies it and
+    brings lam^-1 (the power of -r*s/lam that the kernel takes is left to
+    the caller: see unit_scaled)."""
     out = poly
     for u in term.annihilators:
         out = derive(out, u)
@@ -162,8 +164,13 @@ def apply_term(term, poly) -> TPolynomial:
     for u in term.creators:
         out = mul_var(out, u)
         factor = factor * u
-    net = term.lambda_shift + len(term.annihilators) - len(term.creators)
-    return shift_lambda(out.scaled(factor), net)
+    return shift_lambda(out.scaled(factor), len(term.annihilators) - len(term.creators))
+
+
+def unit_scaled(poly, n) -> TPolynomial:
+    """poly times (-r*s/lam)^n, the power that apply_operator_sum applies
+    to its sum of rational terms."""
+    return shift_lambda(q_scaled(poly, unit_power(poly.r, n)), -n)
 
 
 def exp_graded(poly, max_degree) -> TauExpansion:
@@ -343,9 +350,17 @@ def ordered_w_terms(r, k, j, m, creator_cap, annihilator_cap):
             tuple(sorted(u for u in osc if u > 0)),
         )
         acc[key] = acc.get(key, 0) + weight
-    terms = [NormalTerm(cre, ann, coeff, -j) for (cre, ann), coeff in acc.items() if coeff]
+    terms = [NormalTerm(cre, ann, coeff) for (cre, ann), coeff in acc.items() if coeff]
     terms.sort(key=lambda t: (t.creators, t.annihilators))
     return tuple(terms)
+
+
+def mode_table(r, k, j, m, cap):
+    """The package's terms of W(k, j, m) whose creators and annihilators
+    each weigh at most cap, sorted like ordered_w_terms: its blocks up to
+    annihilator weight cap, and no further than creator weight cap."""
+    top = min(cap, cap + r * m + j * (r + 1))
+    return tuple(sorted(_mode_blocks(r, k, j, m, top), key=lambda t: (t.creators, t.annihilators)))
 
 
 def ordered_apply_w(r, k, j, m, poly, creator_cap):

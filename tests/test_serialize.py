@@ -18,6 +18,8 @@ from rspin import (
 from rspin.serialize import records_to_csv, records_to_json, reports_to_json
 from rspin.verify import check_w_constraints
 
+from helpers import qs
+
 
 def test_round_trip_identity():
     tau = compute_tau(3, 2)
@@ -164,7 +166,7 @@ def test_reports_json_shape():
 
 def test_serialized_residuals_round_trip_through_poly_format():
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 4)
+    tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})  # s*T4 keeps the grading
     report = check_w_constraints(tau)
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["status"] == "fail"

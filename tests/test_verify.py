@@ -21,6 +21,8 @@ from rspin import walgebra
 from rspin.verify import extract_or_error, w_constraint_residual
 from rspin.walgebra import apply_operator_sum
 
+from helpers import qs
+
 
 def test_w_constraints_pass_r3():
     tau = compute_tau(3, 2)
@@ -34,9 +36,14 @@ def test_w_constraints_pass_r2():
     assert report.status == "pass"
 
 
+def _s_times_var(r, n):
+    """s*T_n, graded like a degree-1 piece: lam^0 on one variable, in Q*s."""
+    return TPolynomial.monomial(r, qs(0, 1), 0, {n: 1})
+
+
 def test_w_constraints_detect_seeded_error():
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 4)
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)
     report = check_w_constraints(tau)
     assert report.status == "fail"
     labels = [label for label, _ in report.residuals]
@@ -117,7 +124,7 @@ def test_selection_report_passes():
 
 def test_correlator_checks_share_one_extraction():
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 1)  # T1 breaks the selection rule
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)  # s*T1 breaks the weight and the selection rule
     extracted = extract_or_error(tau)
     assert isinstance(extracted, Exception)
     for check in (check_string_dilaton, check_gradings, check_selection):
@@ -132,7 +139,7 @@ def test_scaled_translation_equals_lowest_constraint():
     # the translation/scaling operators are the two lowest quadratic
     # constraint modes divided by r, so their residuals must match exactly
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 4)  # seeded error
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
     for m in (-1, 0):
         for degree in range(tau.max_degree + 1):
             base, _ = w_constraint_residual(tau, 2, m, degree)

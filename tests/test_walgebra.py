@@ -17,19 +17,25 @@ from rspin import (
     apply_w_mode,
     compute_tau,
     mode_bound,
-    w_mode_terms,
 )
-from rspin.walgebra import ORACLE_CHECKED_R, _contraction, _generator, _w_mode_terms, apply_operator_sum
+from rspin.walgebra import (
+    ORACLE_CHECKED_R,
+    _contraction,
+    _generator,
+    _mode_blocks,
+    _w_mode_terms,
+    apply_operator_sum,
+)
 
 from helpers import (
     SHEET_CURRENTS,
     apply_beta,
     apply_term,
+    mode_table,
     ordered_apply_raiser,
     ordered_apply_w,
     ordered_w_terms,
     poly_of,
-    q_mul,
     q_scaled,
     qs,
     raiser1_squared_on_one_r3,
@@ -38,7 +44,23 @@ from helpers import (
     tau1_r2,
     tau1_r3,
     unit_power,
+    unit_scaled,
 )
+
+
+def graded_monomial(r, coeff, offset, exps):
+    """coeff * lam^(offset - N) * prod T_n^e_n, N the variable count: a
+    monomial with lam + N = offset."""
+    return TPolynomial.monomial(r, coeff, offset - sum(exps.values()), exps)
+
+
+def gradings(poly):
+    """The (lam + N, s-parity) pairs over the monomials of poly, a mixed
+    coefficient counting as parity None."""
+    return {
+        (m.lambda_exp + sum(e for _, e in m.exps), None if c.a and c.b else int(bool(c.b)))
+        for m, c in poly.terms.items()
+    }
 
 
 def test_apply_beta_creator():
@@ -66,18 +88,18 @@ def test_apply_beta_rejects_integral_modes():
 
 
 def test_normal_term_mixed():
-    term = NormalTerm(creators=(2,), annihilators=(1,), coeff=Fraction(1), lambda_shift=0)
+    term = NormalTerm(creators=(2,), annihilators=(1,), coeff=Fraction(1))
     p = TPolynomial.monomial(3, 1, 0, {1: 1, 4: 1})
     assert apply_term(term, p) == TPolynomial.monomial(3, 2, 0, {2: 1, 4: 1})
 
 
 def test_normal_term_annihilates():
-    term = NormalTerm(creators=(), annihilators=(5,), coeff=Fraction(1), lambda_shift=0)
+    term = NormalTerm(creators=(), annihilators=(5,), coeff=Fraction(1))
     assert apply_term(term, TPolynomial.monomial(3, 1, 0, {2: 4})).is_zero
 
 
 def test_normal_term_pure_creators():
-    term = NormalTerm(creators=(1, 1), annihilators=(), coeff=Fraction(1), lambda_shift=0)
+    term = NormalTerm(creators=(1, 1), annihilators=(), coeff=Fraction(1))
     assert apply_term(term, TPolynomial.one(3)) == TPolynomial.monomial(3, 1, -2, {1: 2})
 
 
@@ -85,73 +107,124 @@ def test_operator_sum_shares_derivatives_exactly():
     # apply_operator_sum differentiates each monomial once per annihilator
     # multiset and shares that among the terms with those annihilators; the
     # result must equal the plain sum of single-term applications, times
-    # the mode's (-r*s)^j
-    p = _homogeneous_poly(4, 15, lam=-6) + TPolynomial.monomial(4, 3, -4, {1: 2, 6: 1, 7: 1})
+    # the mode's (-r*s/lam)^j
+    p = _homogeneous_poly(4, 15, offset=-2) + graded_monomial(4, 3, -2, {1: 2, 6: 1, 7: 1})
     for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
-        terms = w_mode_terms(spec, 20, p.max_weight())
-        plain = q_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), unit_power(4, spec.j))
+        terms = tuple(_mode_blocks(4, spec.k, spec.j, spec.m, p.max_weight()))
+        plain = unit_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), spec.j)
         assert apply_operator_sum(terms, p, spec.j) == plain
         assert not plain.is_zero
 
 
 def test_operator_sum_over_coprime_denominators():
-    # mixed a + b*s inputs over denominators 7, 11, 13 against rational
-    # terms over 17, 19: the common denominators are the full products, and
-    # under an odd power of -r*s both components, the -r of s*s included,
-    # reach the output
+    # rational and s-only inputs over denominators 7, 11, 13 against
+    # rational terms over 17, 19: the common denominators are the full
+    # products, and under an odd power of -r*s the -r of s*s lands on the
+    # output of an s-only input
     r = 5
-    p = poly_of(
-        r,
-        ((Fraction(3, 7), Fraction(-2, 11)), -2, {1: 2, 2: 1}),
-        ((Fraction(-5, 13), Fraction(4, 7)), 0, {1: 1, 3: 1}),
-        ((Fraction(6, 11), Fraction(1, 13)), -2, {2: 2}),
-    )
+    exps = ({1: 2, 2: 1}, {1: 1, 3: 1}, {2: 2})
+    coeffs = (Fraction(3, 7), Fraction(-5, 13), Fraction(6, 11))
     terms = (
-        NormalTerm((2,), (1,), Fraction(5, 17), 0),
-        NormalTerm((1, 3), (1, 1), Fraction(7, 19), -1),
-        NormalTerm((), (2,), Fraction(-1, 17 * 19), 1),
-        NormalTerm((4,), (), Fraction(3, 19), 0),
-        NormalTerm((2, 2), (1,), Fraction(-4, 17), 0),
+        NormalTerm((2,), (1,), Fraction(5, 17)),
+        NormalTerm((1, 3), (1, 1), Fraction(7, 19)),
+        NormalTerm((), (2,), Fraction(-1, 17 * 19)),
+        NormalTerm((4,), (), Fraction(3, 19)),
+        NormalTerm((2, 2), (1,), Fraction(-4, 17)),
     )
-    plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms))
-    for n in (0, 1, -1):
-        out = apply_operator_sum(terms, p, n)
-        assert out == q_scaled(plain, unit_power(r, n))
-        assert any(c.a and c.b for c in out.terms.values())
-        assert max(c.a.denominator for c in out.terms.values()) > 7 * 17
+    for parity in (0, 1):
+        p = TPolynomial.sum_of(
+            r, (graded_monomial(r, qs(0, c) if parity else qs(c), 1, e) for c, e in zip(coeffs, exps))
+        )
+        plain = TPolynomial.sum_of(r, (apply_term(t, p) for t in terms))
+        for n in (0, 1, -1):
+            out = apply_operator_sum(terms, p, n)
+            assert out == unit_scaled(plain, n)
+            assert gradings(out) == {(1 - n, (parity + n) % 2)}
+            assert max((c.b if (parity + n) % 2 else c.a).denominator for c in out.terms.values()) > 7 * 17
 
 
 def test_operator_sum_stores_no_cancelled_coefficient():
     # the first four terms cancel exactly, on a rational and on an s-only
-    # input; the last two meet on T4 from T1 and from T2, where the rational
-    # parts of the mixed inputs cancel and the s-parts add, so each output
-    # has one nonzero component, before and after an odd power of -r*s
+    # input; the last two meet on T4 from T1 and from T2, where their
+    # contributions cancel, so T4 is not stored, before or after an odd
+    # power of -r*s/lam
     r = 3
-    p = poly_of(
-        r,
-        (Fraction(2, 5), 0, {1: 2, 2: 1}),
-        ((0, Fraction(1, 7)), -2, {1: 1, 4: 1}),
-        ((1, 1), 0, {1: 1}),
-        ((-2, 1), 0, {2: 1}),
-    )
-    cancelling = (
-        NormalTerm((2,), (1,), Fraction(1, 3), 0),
-        NormalTerm((2,), (1,), Fraction(-1, 3), 0),
-        NormalTerm((5,), (4,), Fraction(3, 7), 0),
-        NormalTerm((5,), (4,), Fraction(-3, 7), 0),
-    )
-    for n in (0, 1):
-        assert apply_operator_sum(cancelling, p, n).terms == {}
-    half = (
-        NormalTerm((4,), (1,), Fraction(1, 2), 0),
-        NormalTerm((4,), (2,), Fraction(1, 4), 0),
-    )
-    for n in (0, 1):
-        out = apply_operator_sum(cancelling + half, p, n)
-        assert out == q_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in half)), unit_power(r, n))
-        assert out.terms[TMonomial(0, ((4, 1),))] == q_mul(r, unit_power(r, n), qs(0, 3))
-        assert len(out) == 4
-        assert all(bool(c.a) != bool(c.b) for c in out.terms.values())
+    for unit in (qs(1), qs(0, 1)):
+        p = TPolynomial.sum_of(
+            r,
+            (
+                graded_monomial(r, unit * Fraction(2, 5), 1, {1: 2, 2: 1}),
+                graded_monomial(r, unit * Fraction(1, 7), 1, {1: 1, 4: 1}),
+                graded_monomial(r, unit, 1, {1: 1}),
+                graded_monomial(r, unit * -2, 1, {2: 1}),
+            ),
+        )
+        cancelling = (
+            NormalTerm((2,), (1,), Fraction(1, 3)),
+            NormalTerm((2,), (1,), Fraction(-1, 3)),
+            NormalTerm((5,), (4,), Fraction(3, 7)),
+            NormalTerm((5,), (4,), Fraction(-3, 7)),
+        )
+        for n in (0, 1):
+            assert apply_operator_sum(cancelling, p, n).terms == {}
+        half = (
+            NormalTerm((4,), (1,), Fraction(1, 2)),
+            NormalTerm((4,), (2,), Fraction(1, 4)),
+        )
+        for n in (0, 1):
+            out = apply_operator_sum(cancelling + half, p, n)
+            assert out == unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in half)), n)
+            assert ((4, 1),) not in {m.exps for m in out.terms}
+            assert len(out) == 3 and all(out.terms.values())
+
+
+# Polynomials the kernel refuses: each is off the grading in one way
+UNGRADED = {
+    "mixed coefficient": graded_monomial(3, qs(1, 1), 1, {1: 1}),
+    "both parities": graded_monomial(3, qs(1), 1, {1: 1}) + graded_monomial(3, qs(0, 1), 1, {2: 1}),
+    "two offsets": graded_monomial(3, qs(1), 1, {1: 1}) + graded_monomial(3, qs(1), -1, {2: 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(UNGRADED))
+def test_kernel_refuses_ungraded_input(case):
+    p = UNGRADED[case]
+    with pytest.raises(ContractError, match="input is not graded"):
+        apply_operator_sum((NormalTerm((1,), (1,), Fraction(1)),), p, 1)
+    with pytest.raises(ContractError):
+        apply_w_mode(WModeSpec(3, 2, 0, -1), p)
+
+
+def test_kernel_returns_zero_on_empty_input_or_terms():
+    term = NormalTerm((1,), (1,), Fraction(1))
+    assert apply_operator_sum((term,), TPolynomial.zero(3), 1) == TPolynomial.zero(3)
+    assert apply_operator_sum((), TPolynomial.var(3, 1), 1) == TPolynomial.zero(3)
+    assert apply_w_mode(WModeSpec(3, 2, 0, -1), TPolynomial.zero(3)) == TPolynomial.zero(3)
+
+
+def test_modes_move_the_grading():
+    # graded in, graded out: W(k, j, m) moves the offset lam + N by -j and
+    # the s-parity by j, the raiser A_l moves them by +l and l
+    rng = random.Random(31)
+    moved = raised = 0
+    for r in (2, 3, 4, 5):
+        for parity in (0, 1):
+            offset = rng.randint(-3, 3)
+            p = TPolynomial.sum_of(r, (_random_monomial(rng, r, w, offset, parity) for w in (2, 3, 4)))
+            for k in range(2, r + 1):
+                for j in range(k):
+                    for m in range(-(k - 1), 1):
+                        out = apply_w_mode(WModeSpec(r, k, j, m), p)
+                        if out:
+                            assert gradings(out) == {(offset - j, (parity + j) % 2)}, (r, k, j, m)
+                            moved += 1
+            piece = _random_homogeneous(rng, r, 1)
+            (grade,) = gradings(piece)
+            for l in range(1, r):
+                out = apply_raising_operator(r, l, piece, 1 + l)
+                assert gradings(out) == {(grade[0] + l, (grade[1] + l) % 2)}, (r, l)
+                raised += 1
+    assert moved >= 40 and raised == 2 * (1 + 2 + 3 + 4)
 
 
 def test_currents_and_contractions_match_closed_forms():
@@ -165,37 +238,26 @@ def test_currents_and_contractions_match_closed_forms():
 
 
 def test_w_terms_central_only():
-    terms = w_mode_terms(WModeSpec(3, 2, 0, 0), 0, 0)
-    assert terms == (NormalTerm((), (), Fraction(1, 3), 0),)
+    terms = tuple(_mode_blocks(3, 2, 0, 0, 0))
+    assert terms == (NormalTerm((), (), Fraction(1, 3)),)
 
 
 def test_w_terms_creator_pair():
-    terms = w_mode_terms(WModeSpec(3, 2, 0, -1), 8, 8)
-    pair = [t for t in terms if t.creators == (1, 2) and not t.annihilators]
+    terms = _w_mode_terms(3, 2, 0, -1, 0)
+    pair = [t for t in terms if t.creators == (1, 2)]
     assert len(pair) == 1
     assert pair[0].coeff == 1
-    assert pair[0].lambda_shift == 0
 
 
 def test_w_terms_single_term_with_sign():
-    # W(3, 1, -2) is -3*s times the rational terms
-    terms = w_mode_terms(WModeSpec(3, 3, 1, -2), 2, 0)
-    assert terms == (
-        NormalTerm((1, 1), (), Fraction(1, 2), -1),
-    )
+    # W(3, 1, -2) is -3*s/lam times the rational terms
+    assert _w_mode_terms(3, 3, 1, -2, 0) == (NormalTerm((1, 1), (), Fraction(1, 2)),)
 
 
 def test_w_terms_rejects_bad_specs():
-    with pytest.raises(InvalidSpecError):
-        w_mode_terms(WModeSpec(3, 4, 0, 0), 4, 4)
-    with pytest.raises(InvalidSpecError):
-        w_mode_terms(WModeSpec(3, 2, 2, 0), 4, 4)
-    with pytest.raises(InvalidSpecError):
-        w_mode_terms(WModeSpec(3, 2, 0, -2), 4, 4)
-    with pytest.raises(InvalidSpecError):
-        w_mode_terms(WModeSpec(1, 2, 0, 0), 4, 4)
-    with pytest.raises(ValueError):
-        w_mode_terms(WModeSpec(3, 2, 0, 0), -1, 0)
+    for spec in (WModeSpec(3, 4, 0, 0), WModeSpec(3, 2, 2, 0), WModeSpec(3, 2, 0, -2), WModeSpec(1, 2, 0, 0)):
+        with pytest.raises(InvalidSpecError):
+            apply_w_mode(spec, TPolynomial.one(3))
 
 
 def test_apply_w_mode_central():
@@ -244,47 +306,39 @@ def test_weight_shift_of_modes():
             assert out.is_zero
 
 
-def test_caps_select_nested_blocks():
-    # a table under smaller caps is the (8, 8) table filtered by weight:
-    # the per-annihilator-weight blocks add up to the same terms in the
-    # same order whichever caps select them
-    for r in (2, 3, 4):
-        for k in range(2, r + 1):
-            for j in range(k):
-                for m in range(-(k - 1), 4):
-                    spec = WModeSpec(r, k, j, m)
-                    full = w_mode_terms(spec, 8, 8)
-                    for cc in range(9):
-                        for ac in range(9):
-                            kept = tuple(
-                                t for t in full if sum(t.creators) <= cc and sum(t.annihilators) <= ac
-                            )
-                            assert w_mode_terms(spec, cc, ac) == kept, (spec, cc, ac)
-
-
-def _random_monomial(rng, r, weight):
-    """Random monomial of exactly this weight, lam exponent even and <= 0."""
+def _random_monomial(rng, r, weight, offset, parity):
+    """Random monomial of exactly this weight with lam + N = offset, its
+    coefficient in Q (parity 0) or in Q*s (parity 1)."""
     exps = {}
     while weight:
         n = rng.randint(1, weight)
         if n % r:
             exps[n] = exps.get(n, 0) + 1
             weight -= n
-    coeff = qs(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2))
-    return TPolynomial.monomial(r, coeff, -2 * rng.randint(0, 2), exps)
+    return graded_monomial(r, _random_scalar(rng, parity), offset, exps)
+
+
+def _random_scalar(rng, parity):
+    """Nonzero, in Q (parity 0) or in Q*s (parity 1)."""
+    x = rng.choice((-5, -3, -1, 2, 4))
+    return qs(0, x) if parity else qs(x)
 
 
 def test_cap_free_application_matches_ordered_oracle():
     # the oracle needs an explicit creator cap; the output weight bound
-    # max_weight + weight_shift is the one that drops nothing
-    rng = random.Random(23)
+    # max_weight + weight_shift is the one that drops nothing.  The modes
+    # and the inputs come from two streams, so the modes drawn do not hang
+    # on how many draws an input takes (the oracle's cost grows steeply
+    # with -m at r = 5)
+    rng, inputs = random.Random(23), random.Random(24)
     nonzero = mixed = 0
     for case in range(30):
         r = rng.choice((2, 3, 4, 5))
         k = rng.randint(2, r)
         spec = WModeSpec(r, k, rng.randint(0, k - 1), rng.randint(-(k - 1), 1))
         weights = [rng.randint(0, 5)] * 3 if case % 2 == 0 else [rng.randint(0, 5) for _ in range(3)]
-        p = TPolynomial.sum_of(r, (_random_monomial(rng, r, w) for w in weights))
+        offset, parity = inputs.randint(-2, 3), inputs.randrange(2)
+        p = TPolynomial.sum_of(r, (_random_monomial(inputs, r, w, offset, parity) for w in weights))
         mixed += not p.is_zero and not p.is_homogeneous(p.max_weight())
         oracle = ordered_apply_w(r, spec.k, spec.j, spec.m, p, p.max_weight() + spec.weight_shift)
         out = apply_w_mode(spec, p)
@@ -293,22 +347,15 @@ def test_cap_free_application_matches_ordered_oracle():
     assert nonzero >= 15 and mixed >= 5
 
 
-def _random_scalar(rng, r):
-    """Nonzero, and rational-only, s-only or mixed."""
-    kind = rng.randrange(3)
-    a = rng.choice((-5, -3, -1, 2, 4)) if kind != 1 else 0
-    b = rng.choice((-4, -2, 1, 3, 5)) if kind != 0 else 0
-    return qs(a, b)
-
-
 def test_operator_sum_matches_single_terms_on_random_inputs():
     # repeated annihilators such as (1, 1, 2) exercise the falling
     # multiplicity e!/(e-c)!; exponents 0..3 leave monomials that some
-    # annihilators do not divide; the inputs mix rational, s-only and mixed
-    # coefficients, and each case runs under a power of -r*s from -3 to 3
+    # annihilators do not divide; the graded inputs are rational or s-only
+    # over several offsets, and each case runs under a power of -r*s/lam
+    # from -3 to 3
     rng = random.Random(41)
     several_lams = undivided = 0
-    powers = set()
+    powers, parities = set(), set()
     for r in (3, 4, 5):
         variables = [n for n in (1, 2, 3, 5, 7) if n % r][:4]
         for _ in range(12):
@@ -320,17 +367,15 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
                     tuple(sorted(rng.choice(variables) for _ in range(rng.randint(0, 3)))),
                     anns,
                     Fraction(rng.choice((-5, -3, -1, 2, 4)), rng.randint(1, 6)),
-                    rng.randint(-2, 1),
                 )
                 for anns in shapes
                 for _ in range(rng.randint(1, 3))
             )
+            offset, parity = rng.choice((-4, -2, 0, 1, 3)), rng.randrange(2)
             p = TPolynomial.sum_of(
                 r,
                 (
-                    TPolynomial.monomial(
-                        r, _random_scalar(rng, r), rng.choice((-4, -2, 0, 1)), {n: rng.randint(0, 3) for n in variables}
-                    )
+                    graded_monomial(r, _random_scalar(rng, parity), offset, {n: rng.randint(0, 3) for n in variables})
                     for _ in range(rng.randint(3, 8))
                 ),
             )
@@ -338,10 +383,11 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
             undivided += sum(dict(m.exps).get(1, 0) < 2 or 2 not in dict(m.exps) for m in p.terms)
             n = rng.randint(-3, 3)
             powers.add(n)
-            plain = q_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), unit_power(r, n))
+            parities.add(parity)
+            plain = unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), n)
             assert apply_operator_sum(terms, p, n) == plain
             assert not plain.is_zero
-    assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4))
+    assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4)) and parities == {0, 1}
 
 
 def test_mode_tables_are_reused_across_degrees():
@@ -377,8 +423,9 @@ def test_raiser_requires_homogeneous_input():
         apply_raising_operator(3, 3, TPolynomial.one(3), 3)
 
 
-def _homogeneous_poly(r, weight, lam=0):
-    """All-ones polynomial over every weight-`weight` monomial in T_1, T_2."""
+def _homogeneous_poly(r, weight, offset=0):
+    """All-ones polynomial over every weight-`weight` monomial in T_1, T_2,
+    graded with lam + N = offset."""
     if weight == 0:
         return TPolynomial.one(r)
     parts = []
@@ -390,25 +437,28 @@ def _homogeneous_poly(r, weight, lam=0):
             exps[1] = ones
         if twos:
             exps[2] = twos
-        parts.append(TPolynomial.monomial(r, 1, lam, exps))
+        parts.append(graded_monomial(r, 1, offset, exps))
     return TPolynomial.sum_of(r, parts)
 
 
 def test_raiser_raises_degree_by_l():
     for r, l, d in ((3, 1, 1), (3, 2, 1), (2, 1, 2), (4, 3, 0), (5, 2, 1)):
-        p = _homogeneous_poly(r, d * (r + 1), lam=-2 * d)
+        p = _homogeneous_poly(r, d * (r + 1), offset=d)
         out = apply_raising_operator(r, l, p, d + l)
         assert not out.is_zero
         assert out.is_homogeneous((d + l) * (r + 1))
 
 
 def test_operator_linearity():
+    # over Q(s), on graded inputs: a rational p scaled by a of either
+    # parity, and q of a's parity and p's offset
     rng = random.Random(17)
     spec = WModeSpec(3, 2, 0, -1)
     for _ in range(10):
-        a = qs(rng.randint(-4, 4), rng.randint(-4, 4))
-        p = TPolynomial.monomial(3, 1, 0, {1: rng.randint(1, 3)})
-        q = TPolynomial.monomial(3, 1, -2, {2: rng.randint(1, 2)})
+        offset, x, y = rng.randint(-2, 2), rng.choice((-4, -1, 3)), rng.choice((-2, 1, 4))
+        a, b = (qs(x), qs(y)) if rng.randrange(2) else (qs(0, x), qs(0, y))
+        p = graded_monomial(3, 1, offset, {1: rng.randint(1, 3)})
+        q = graded_monomial(3, b, offset, {2: rng.randint(1, 2)})
         lhs = apply_w_mode(spec, q_scaled(p, a) + q)
         rhs = q_scaled(apply_w_mode(spec, p), a) + apply_w_mode(spec, q)
         assert lhs == rhs
@@ -420,14 +470,15 @@ def test_multiset_enumeration_equals_ordered_tuples_small():
         for k in range(2, r + 1):
             for j in range(k):
                 for m in range(-(k - 1), 3):
-                    mine = w_mode_terms(WModeSpec(r, k, j, m), cap, cap)
+                    mine = mode_table(r, k, j, m, cap)
                     oracle = ordered_w_terms(r, k, j, m, cap, cap)
                     assert mine == oracle, (r, k, j, m)
 
 
 # sha256 over every term of W(k, j, m), all k and j, m = -(k-1)..2, under
 # caps (cap, cap): the tables of the pairing-by-pairing, permutation-summing
-# construction these digests were recorded from.
+# construction these digests were recorded from.  A row's last slot is the
+# lam shift -j that the mode's (-r*s/lam)^j carries.
 MODE_TABLE_DIGESTS = {
     (6, 10): "a77e570f95c141cba0931ebe3782f340266dcb3c3d317461959e1fa0fd896e38",
     (7, 10): "17c14bed613926acefe6c5aa744d3706a62fe58502470605caa9995957d72281",
@@ -442,27 +493,32 @@ def test_mode_tables_are_pinned(r, cap):
         for j in range(k):
             for m in range(-(k - 1), 3):
                 unit = unit_power(r, j)
-                for t in w_mode_terms(WModeSpec(r, k, j, m), cap, cap):
+                for t in mode_table(r, k, j, m, cap):
                     c = unit * t.coeff
-                    row = (k, j, m, t.creators, t.annihilators, str(c.a), str(c.b), t.lambda_shift)
+                    row = (k, j, m, t.creators, t.annihilators, str(c.a), str(c.b), -j)
                     digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == MODE_TABLE_DIGESTS[(r, cap)]
 
 
 def _random_homogeneous(rng, r, degree):
-    """One random monomial of weight degree*(r+1) for each of three lam
-    exponents, with random coefficients in Q(s)."""
+    """A graded polynomial of weight W = degree*(r+1) on up to three
+    monomials: T_1^W, one built from the largest indices, and a random one.
+    One random offset lam + N and coefficients all in Q or all in Q*s, so
+    from degree 1 on the first two carry different lam exponents."""
     weight = degree * (r + 1)
-    parts = []
-    for lam in (-2 * degree - 2, 0, 2):
+    offset, parity = degree + rng.choice((-2, 0, 2)), rng.randrange(2)
+    shapes = {((1, weight),) if weight else ()}
+    for greedy in (True, False):
         exps, left = {}, weight
         while left:
-            n = rng.choice([u for u in range(1, left + 1) if u % r])
+            choices = [u for u in range(1, left + 1) if u % r]
+            n = choices[-1] if greedy else rng.choice(choices)
             exps[n] = exps.get(n, 0) + 1
             left -= n
-        coeff = qs(rng.randint(-5, 5), rng.randint(-5, 5))
-        parts.append(TPolynomial.monomial(r, coeff, lam, exps))
-    return TPolynomial.sum_of(r, parts)
+        shapes.add(tuple(sorted(exps.items())))
+    return TPolynomial.sum_of(
+        r, (graded_monomial(r, _random_scalar(rng, parity), offset, dict(e)) for e in sorted(shapes))
+    )
 
 
 def test_raiser_matches_ordered_oracle():
@@ -473,7 +529,7 @@ def test_raiser_matches_ordered_oracle():
         for l in range(1, r):
             for degree in range(min(2, 5 - r) + 1):
                 p = _random_homogeneous(rng, r, degree)
-                assert len({m.lambda_exp for m in p.terms}) > 1
+                assert len({m.lambda_exp for m in p.terms}) > 1 or not degree
                 mine = apply_raising_operator(r, l, p, degree + l)
                 assert mine == ordered_apply_raiser(r, l, p, degree + l), (r, l, degree)
                 assert not mine.is_zero
