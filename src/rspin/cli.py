@@ -22,7 +22,7 @@ from .serialize import (
     serialize_tau,
 )
 from .solver import compute_tau
-from .walgebra import ORACLE_CHECKED_R
+from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms
 from .verify import (
     check_commutators,
     check_exponential_agreement,
@@ -130,19 +130,37 @@ def _warn_unchecked(args) -> None:
         )
 
 
+def _timed(args, label: str, run):
+    """run(), its milliseconds reported on stderr under -v."""
+    start = time.perf_counter()
+    out = run()
+    if args.verbose:
+        print(f"{label}: {(time.perf_counter() - start) * 1000.0:.1f} ms", file=sys.stderr)
+    return out
+
+
+def _note_tables(args) -> None:
+    """Under -v, the hits and misses of the memoised mode-table functions."""
+    for table in (_w_mode_terms, _partitions) if args.verbose else ():
+        info = table.cache_info()
+        print(f"{table.__name__}: {info.hits} hits, {info.misses} misses", file=sys.stderr)
+
+
 def _run_compute(args) -> int:
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args))
-    _write(args, serialize_tau(tau))
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
+    _timed(args, "write", lambda: _write(args, serialize_tau(tau)))
+    _note_tables(args)
     return 0
 
 
 def _run_correlators(args) -> int:
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args))
-    records = extract_correlators(tau)
-    payload = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    _write(args, payload)
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
+    records = _timed(args, "extract", lambda: extract_correlators(tau))
+    writer = records_to_csv if args.format == "csv" else records_to_json
+    _timed(args, "write", lambda: _write(args, writer(records)))
+    _note_tables(args)
     return 0
 
 

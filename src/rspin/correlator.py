@@ -17,9 +17,9 @@ The grading makes the log rational.  A degree-j monomial of tau in N
 variables carries lam^(j-N) and a coefficient in Q * s^j, so each piece is
 read once as integer numerators over one denominator, with s^j and the lam
 exponent implied by the degree and the monomial.  The exponent vector of a
-monomial is packed into one int, a bit field per index wide enough for the
-top weight D*(r+1); no product in the log exceeds that weight, so adding
-two keys multiplies two monomials without a carry between fields.  Each
+monomial is packed into one int (tpoly.exponent_fields), a bit field per
+index wide enough for the top weight D*(r+1); no product in the log exceeds
+that weight, so adding two keys multiplies two monomials without a carry.  Each
 piece must first pass solver.check_piece, which applies the one grading
 rule, solver.off_grade, and raises ContractError off it; a graded monomial
 weighs at most the top weight, so every index has a field and every
@@ -38,7 +38,7 @@ from math import factorial, gcd, lcm
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
 from .solver import TauExpansion, check_piece
-from .tpoly import TMonomial, TPolynomial
+from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
 
 __all__ = [
     "Insertion",
@@ -116,10 +116,7 @@ def _pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Pa
     half, odd = divmod(j, 2)
     ratios = {}
     for mono, coeff in piece.terms.items():
-        key = 0
-        for n, e in mono.exps:
-            key += e << shift[n]
-        ratios[key] = coeff.b if odd else coeff.a
+        ratios[sum(e << shift[n] for n, e in mono.exps)] = coeff.b if odd else coeff.a
     # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
     common = lcm(*(x.denominator for x in ratios.values()))
     sign = -1 if half % 2 else 1
@@ -149,15 +146,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     """
     tau._check_structure()
     r, top = tau.r, tau.max_degree
-    # one bit field per time T_i, wide enough for the exponent W // i
-    weight = top * (r + 1)
-    fields, shift, at = [], {}, 0
-    for i in range(1, weight + 1):
-        if i % r:
-            width = (weight // i).bit_length()
-            fields.append((i, width))
-            shift[i] = at
-            at += width
+    shift, fields = exponent_fields(r, top * (r + 1))
     taus = [_pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
     logs: list[Packed] = [({}, 1)]
     free_energy = []
@@ -180,16 +169,8 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
         logs.append((nums, den))
         rows = []
         for key, num in nums.items():
-            exps, count = [], 0
-            for i, width in fields:
-                if not key:
-                    break
-                e = key & ((1 << width) - 1)
-                if e:
-                    exps.append((i, e))
-                    count += e
-                key >>= width
-            rows.append((n - count, tuple(exps), num))
+            exps = unpack_exponents(key, fields)
+            rows.append((n - sum(e for _, e in exps), exps, num))
         rows.sort()  # weight n*(r+1) throughout: (lam, exps) is canonical
         free_energy.append((n, den * n, rows))
     return free_energy

@@ -66,18 +66,10 @@ def _frac_parse(text, where: str) -> Fraction:
     raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
 
 
-def scalar_to_obj(q: QScalar) -> dict:
-    return {"a": str(q.a), "b": str(q.b)}
-
-
 def scalar_from_obj(obj, where: str) -> QScalar:
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise ParseError('scalar must be an object with fields "a" and "b"', where)
     return QScalar(_frac_parse(obj["a"], where + ".a"), _frac_parse(obj["b"], where + ".b"))
-
-
-def mono_to_obj(mono: TMonomial) -> dict:
-    return {"lambda": mono.lambda_exp, "t": [[n, e] for n, e in mono.exps]}
 
 
 def mono_from_obj(obj, where: str) -> TMonomial:
@@ -107,8 +99,11 @@ def mono_from_obj(obj, where: str) -> TMonomial:
 
 def poly_to_obj(poly: TPolynomial) -> list:
     return [
-        {"monomial": mono_to_obj(mono), "coeff": scalar_to_obj(coeff)}
-        for mono, coeff in poly.canonical_terms()
+        {
+            "monomial": {"lambda": mono.lambda_exp, "t": [[n, e] for n, e in mono.exps]},
+            "coeff": {"a": str(c.a), "b": str(c.b)},
+        }
+        for mono, c in poly.canonical_terms()
     ]
 
 
@@ -137,16 +132,38 @@ def _dump(obj) -> bytes:
     return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
 
 
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON list, or object of "key": value items, laid out as json.dumps(indent=1)
+    does: the items written one level deeper, the closing bracket after pad."""
+    inner = ",\n".join(pad + " " + item for item in items)
+    return f"{brackets[0]}\n{inner}\n{pad}{brackets[1]}" if items else brackets
+
+
+def _poly_json(poly: TPolynomial, pad: str) -> str:
+    """_json_block of poly_to_obj(poly), written directly: ints, and fraction
+    strings of digits, "-" and "/", need no escaping."""
+    i = pad + " "
+    return _json_block(
+        [
+            f'{{\n{i} "monomial": {{\n{i}  "lambda": {mono.lambda_exp},\n{i}  "t": '
+            + _json_block([f"[\n{i}    {n},\n{i}    {e}\n{i}   ]" for n, e in mono.exps], i + "  ")
+            + f'\n{i} }},\n{i} "coeff": {{\n{i}  "a": "{c.a}",\n{i}  "b": "{c.b}"\n{i} }}\n{i}}}'
+            for mono, c in poly.canonical_terms()
+        ],
+        pad,
+    )
+
+
+def _document(fields: dict) -> bytes:
+    """_dump of a JSON object whose values are given already written."""
+    return (_json_block([f'"{key}": {value}' for key, value in fields.items()], "", "{}") + "\n").encode("utf-8")
+
+
 def serialize_tau(tau: TauExpansion) -> bytes:
-    """Canonical byte serialization; a fixpoint of parse-then-serialize."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "r": tau.r,
-        "max_degree": tau.max_degree,
-        "s_legend": "s^2 = -r",
-        "pieces": [poly_to_obj(p) for p in tau.pieces],
-    }
-    return _dump(doc)
+    """Canonical byte serialization; a fixpoint of parse-then-serialize.
+    The bytes are those of _dump on the document of poly_to_obj pieces."""
+    head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
+    return _document({**head, "pieces": _json_block([_poly_json(p, "  ") for p in tau.pieces], " ")})
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
@@ -181,16 +198,16 @@ def parse_tau(data: bytes | str) -> TauExpansion:
 # -- correlators ---------------------------------------------------------
 
 
-def record_to_obj(rec: CorrelatorRecord) -> dict:
-    return {
-        "genus": rec.genus,
-        "insertions": [[ins.m, ins.a] for ins in rec.insertions],
-        "value": str(rec.value),
-    }
-
-
 def records_to_json(records: list[CorrelatorRecord]) -> bytes:
-    return _dump([record_to_obj(rec) for rec in records])
+    """_dump of [{"genus", "insertions": [[m, a], ...], "value"}, ...],
+    written directly as serialize_tau writes its pieces."""
+    items = [
+        f'{{\n  "genus": {rec.genus},\n  "insertions": '
+        + _json_block([f"[\n    {ins.m},\n    {ins.a}\n   ]" for ins in rec.insertions], "  ")
+        + f',\n  "value": "{rec.value}"\n }}'
+        for rec in records
+    ]
+    return (_json_block(items, "") + "\n").encode("utf-8")
 
 
 def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
@@ -274,19 +291,14 @@ class TauCache:
         return piece
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "modes": MODE_CONSTRUCTION,
-            "r": r,
-            "degree": degree,
-            "piece": poly_to_obj(piece),
-        }
+        head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}
+        data = _document({**head, "piece": _poly_json(piece, " ")})
         # Write a temporary file beside the entry, then rename it into place,
         # so an interrupted store leaves the previous entry (or none) intact.
         path = self.path(r, degree)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(_dump(doc))
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

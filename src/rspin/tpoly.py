@@ -76,6 +76,34 @@ ONE_MONOMIAL = TMonomial(0, ())
 _ONE = QScalar(Fraction(1), Fraction(0))
 
 
+def exponent_fields(r: int, weight: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """Bit fields packing a monomial of weight at most `weight` into the int
+    sum e_n << shift[n] (Monagan and Pearce, CASC 2007): T_n gets
+    (weight // n).bit_length() bits, so adding two keys multiplies two
+    monomials, without a carry while the product weighs at most `weight`.
+    Returns shift and the (n, width, mask) fields unpack_exponents reads."""
+    shift, fields, at = {}, [], 0
+    for n in range(1, weight + 1):
+        if n % r:
+            width = (weight // n).bit_length()
+            shift[n] = at
+            fields.append((n, width, (1 << width) - 1))
+            at += width
+    return shift, fields
+
+
+def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
+    """The ascending (index, exponent) pairs of a packed key."""
+    exps = []
+    for n, width, mask in fields:
+        if not key:
+            break
+        if key & mask:
+            exps.append((n, key & mask))
+        key >>= width
+    return tuple(exps)
+
+
 class TPolynomial:
     """Finite linear combination of TMonomials with QScalar coefficients,
     over a fixed r."""

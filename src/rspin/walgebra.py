@@ -64,19 +64,16 @@ moves lam and N together, so a normal-ordered term keeps the offset, and
 W(k, j, m) maps a graded input to a graded output whose offset is j lower
 and whose s-parity flips j times.
 
-Application runs monomial by monomial on integer numerators
-(apply_operator_sum): the kernel reads its input's grading once and
-refuses an ungraded input, so each monomial is known by its exponents and
-each coefficient by one rational.  The terms are grouped by annihilator
-multiset and their factors written as numerators over one common
-denominator, the input coefficients over another.  Each monomial is
-differentiated once per group that divides it (an integer multiplicity and
-the exponents left), and every term of the group adds its creators and an
-int product straight into one accumulator keyed by exponents; the
-output's lam exponents and s-parity follow from the grading, and the power
-of -r*s is applied once per call.  The plain pass-by-pass reference it is
-tested against, one term at a time over the whole polynomial, lives in
-tests/helpers.py.
+Application runs monomial by monomial on integer numerators and packed
+exponent keys (apply_operator_sum): the kernel reads its input's grading
+once and refuses an ungraded input, so a monomial is known by its exponent
+vector, packed into one int (tpoly.exponent_fields), and a coefficient by
+one rational.  The terms are grouped by annihilator multiset; a group that
+divides a monomial is one int to subtract, and each of its creator sets
+one int to add, with an int product into one accumulator.  The output's
+lam exponents and s-parity follow from the grading, and the power of -r*s
+is applied once per call.  The pass-by-pass reference it is tested
+against lives in tests/helpers.py.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one such sum, streamed and
@@ -97,7 +94,7 @@ from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidSpecError
 from .scalar import QScalar
-from .tpoly import TMonomial, TPolynomial
+from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
 # another construction are refused rather than reused.
@@ -148,18 +145,20 @@ def _divisors(
 def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
     """Apply (-r*s/lam)^unit_power times a sum of rational normal-ordered
     terms to a graded polynomial, one monomial at a time, on integer
-    numerators over one denominator per call.
+    numerators over one denominator per call and packed exponent keys.
 
     The input's grading is read once: one offset lam + N and coefficients
     all in Q or all in Q*s, else ContractError.  So each monomial is known
     by its exponents, and its coefficient by one rational X / D_in.  The
     terms, read once from any iterable, are grouped by annihilator
     multiset, each factor coeff * prod(creators) an integer numerator over
-    a denominator D_T shared by all terms.  For each monomial and each
-    group whose annihilators divide it, the derivative multiplicity mult
-    and the remaining exponents are found once; every term of the group
-    then adds X * mult * numerator to one int accumulator keyed by the
-    output exponents.  The output is graded too, its offset unit_power
+    a denominator D_T shared by all terms.  Exponent vectors pack into one
+    int, the fields sized from the input's top weight plus the heaviest
+    creator set, so no output overflows.  For each monomial and each group
+    that _divisors shows divides it, mult is found once and the group's
+    key subtracted (no field borrows); every term of the group then adds
+    X * mult * numerator at that key plus its creator key.  Each output
+    key is unpacked once.  The output is graded too, its offset unit_power
     lower and its s-parity unit_power further on, and the power of -r*s is
     one rational factor on the output denominator D_in * D_T."""
     r = poly.r
@@ -174,36 +173,40 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
         raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(grades, key=str)}")
     groups: dict[tuple[int, ...], list] = {}
     for term in terms:
-        created = tuple(Counter(term.creators).items())
-        groups.setdefault(term.annihilators, []).append((created, term.coeff, prod(term.creators)))
-    if not groups:  # e.g. a raiser whose modes all lower the weight below zero
-        return TPolynomial.zero(r)
-    den_t = lcm(*(c.denominator for group in groups.values() for _, c, _ in group))
-    for group in groups.values():  # in place: (created, numerator over den_t)
-        group[:] = [(created, c.numerator * scale * (den_t // c.denominator)) for created, c, scale in group]
-    xs = {mono.exps: c.b if parity else c.a for mono, c in poly.terms.items()}
-    den_in = lcm(*(x.denominator for x in xs.values()))
+        groups.setdefault(term.annihilators, []).append((term.creators, term.coeff))
+    top = poly.max_weight() + max((sum(cre) for group in groups.values() for cre, _ in group), default=0)
+    shift, fields = exponent_fields(r, top)
+    den_t = lcm(*(c.denominator for group in groups.values() for _, c in group))
+
+    def pack(indices):  # a multiset of indices as one key
+        return sum(1 << shift[u] for u in indices)
+
+    # anns -> (key, [(creator key, numerator over den_t)]); an index without a field divides no input
+    groups = {
+        anns: (
+            pack(anns),
+            [(pack(cre), c.numerator * prod(cre) * (den_t // c.denominator)) for cre, c in group],
+        )
+        for anns, group in groups.items()
+        if all(u in shift for u in anns)
+    }
+    den_in = lcm(*((c.b if parity else c.a).denominator for c in poly.terms.values()))
     prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
-    acc: dict[tuple[tuple[int, int], ...], int] = {}
-    for mono_exps, x in xs.items():
+    acc: dict[int, int] = {}
+    get = acc.get
+    for mono, c in poly.terms.items():
+        x = c.b if parity else c.a
         x = x.numerator * (den_in // x.denominator)
-        for taken, mult in _divisors(mono_exps, prefixes):
-            group = groups.get(taken)
-            if group is None:
+        key = sum(e << shift[n] for n, e in mono.exps)
+        for taken, mult in _divisors(mono.exps, prefixes):
+            hit = groups.get(taken)
+            if hit is None:
                 continue
-            left = dict(mono_exps)
-            for u in taken:
-                if left[u] == 1:
-                    del left[u]
-                else:
-                    left[u] -= 1
-            n = x * mult
-            for created, numerator in group:
-                exps = left.copy()
-                for u, e in created:
-                    exps[u] = exps.get(u, 0) + e
-                key = tuple(sorted(exps.items()))
-                acc[key] = acc.get(key, 0) + n * numerator
+            ann, group = hit
+            left, n = key - ann, x * mult  # taken divides the monomial: no field borrows
+            for cre, numerator in group:
+                out_key = left + cre
+                acc[out_key] = get(out_key, 0) + n * numerator
     # s^parity * (-r*s)^unit_power = (-r)^unit_power * s^p with p = parity + unit_power,
     # and s^p = (-r)^(p // 2) * s^(p mod 2), as s^2 = -r
     p = parity + unit_power
@@ -212,8 +215,9 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
     offset -= unit_power
     zero = Fraction(0)
     out = {}
-    for exps, x in acc.items():
+    for key, x in acc.items():
         if x:
+            exps = unpack_exponents(key, fields)
             x = Fraction(x * num, den)
             mono = TMonomial(offset - sum(e for _, e in exps), exps)
             out[mono] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
@@ -245,23 +249,20 @@ class WModeSpec:
         return -self.r * self.m - self.j * (self.r + 1)
 
 
-def _partitions(total: int, count: int, r: int, max_part: int | None = None):
-    """Multisets of `count` positive integers, none divisible by r, summing
-    to `total`, yielded as non-increasing tuples."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < count:
-        return
-    hi = total - (count - 1)
-    if max_part is not None:
-        hi = min(hi, max_part)
-    for first in range(hi, 0, -1):
-        if first % r == 0:
-            continue
-        for rest in _partitions(total - first, count - 1, r, first):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def _partitions(total: int, count: int, r: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Multisets of `count` positive integers, none divisible by r nor above
+    max_part, summing to `total`: non-increasing tuples, in descending order.
+    The largest part is at least the mean, so the search stops there."""
+    if count == 0 or total < count:
+        return ((),) if total == count == 0 else ()
+    hi = min(total - count + 1, total if max_part is None else max_part)
+    return tuple(
+        (first,) + rest
+        for first in range(hi, -(-total // count) - 1, -1)
+        if first % r
+        for rest in _partitions(total - first, count - 1, r, first)
+    )
 
 
 def _falling(a: Fraction, n: int) -> Fraction:

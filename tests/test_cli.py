@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -158,6 +159,29 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
     assert run("-q") == ""
 
 
+@pytest.mark.parametrize(
+    "argv, labels",
+    [
+        (["compute"], ["solve", "write"]),
+        (["correlators"], ["solve", "extract", "write"]),
+        (["correlators", "--format", "csv"], ["solve", "extract", "write"]),
+    ],
+)
+def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
+    # -v reports the phase milliseconds and the mode-table caches on
+    # stderr; the data on stdout keeps its bytes
+    argv = argv + ["--r", "3", "--degree", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["-v"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == plain.out and plain.err == ""
+    lines = verbose.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions"]
+    assert all(line.endswith(" ms") for line in lines[: len(labels)])
+    assert all(re.fullmatch(r"\w+: \d+ hits, \d+ misses", line) for line in lines[len(labels):])
+
+
 def test_verify_subset_of_checks(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints", "--out", str(out)])
@@ -222,6 +246,28 @@ def test_compute_spin_four_and_five_bytes_are_pinned(tmp_path, r, degree):
     out = tmp_path / "tau.json"
     assert main(["compute", "--r", str(r), "--degree", str(degree), "--out", str(out), "-q"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPIN_FOUR_AND_FIVE_DIGESTS[(r, degree)]
+
+
+# sha256 of the r = 4, degree-6 tau document and of its cache entries,
+# recorded while both were still written through json.dumps; no other test
+# pins the bytes of a cache entry.
+SPIN_FOUR_DEGREE_SIX_DIGEST = "5593b96ce55d14f0d54b3268a550d832c9a67b4d8e192a2a4949391ee29f3bd6"
+SPIN_FOUR_CACHE_DIGESTS = {
+    "r4_deg1.json": "6361ffa60024a7359cf5728f78b39373192b21b5f44bcccd3be8843093535931",
+    "r4_deg2.json": "59f66b71632571ef418e6436844b237695f1989d97996ed9750c9bdefdf861b4",
+    "r4_deg3.json": "58259d0b12c717e3fd75bd7a31691243cd726873298b501c93d159869e80f39f",
+    "r4_deg4.json": "c98ee1a40fbe665ab5eadcf0e513bbd6f0952cdf7bce493a9135f67c6dd39baa",
+    "r4_deg5.json": "01d7bfb5af2f16896fdc31e1593218c476c654c6e90354f5bac9b1c39349e4a4",
+    "r4_deg6.json": "0fa71dd5d67fbb9fb46de055c3153581143e583385988389e9a27c5390f2dec8",
+}
+
+
+def test_compute_and_cache_entry_bytes_are_pinned(tmp_path):
+    cache, cold, warm = tmp_path / "cache", tmp_path / "cold.json", tmp_path / "warm.json"
+    for out in (cold, warm):
+        assert main(["compute", "--r", "4", "--degree", "6", "--cache-dir", str(cache), "--out", str(out), "-q"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SPIN_FOUR_DEGREE_SIX_DIGEST
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in cache.iterdir()} == SPIN_FOUR_CACHE_DIGESTS
 
 
 # sha256 of the commutator reports; the spin-4 raisers reach these through

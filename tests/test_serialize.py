@@ -7,16 +7,21 @@ import pytest
 
 from rspin import (
     CorrelatorRecord,
+    FORMAT_VERSION,
     Insertion,
     ParseError,
+    TauCache,
+    TauExpansion,
+    TMonomial,
     TPolynomial,
     compute_tau,
     extract_correlators,
     parse_tau,
     serialize_tau,
 )
-from rspin.serialize import records_to_csv, records_to_json, reports_to_json
+from rspin.serialize import _dump, poly_to_obj, records_to_csv, records_to_json, reports_to_json
 from rspin.verify import check_w_constraints
+from rspin.walgebra import MODE_CONSTRUCTION
 
 from helpers import qs
 
@@ -34,6 +39,57 @@ def test_serialize_is_a_fixpoint():
     tau = compute_tau(2, 3)
     once = serialize_tau(tau)
     assert serialize_tau(parse_tau(once)) == once
+
+
+def _dumped_tau(tau):
+    """The tau document through json.dumps, the bytes serialize_tau must
+    write."""
+    pieces = [poly_to_obj(p) for p in tau.pieces]
+    return _dump(
+        {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": "s^2 = -r", "pieces": pieces}
+    )
+
+
+@pytest.mark.parametrize("r, degree", [(2, 0), (3, 1), (4, 6), (5, 4)])
+def test_direct_writer_matches_json_dumps(r, degree):
+    tau = compute_tau(r, degree)
+    data = serialize_tau(tau)
+    assert data == _dumped_tau(tau)
+    assert serialize_tau(parse_tau(data)) == data
+
+
+def _hand_built_piece(r):
+    """Monomials the solver never writes: a negative and a two-digit lam
+    exponent, two-digit indices and exponents, and coefficients with both
+    parts, negative numerators and long denominators."""
+    return TPolynomial(
+        r,
+        {
+            TMonomial.make(-12, {1: 10, 11: 2}): qs(Fraction(-7, 123456789), Fraction(5, 3)),
+            TMonomial.make(3, {2: 1}): qs(0, -1),
+            TMonomial.make(0, {}): qs(Fraction(1, 2)),
+            TMonomial.make(-1, {5: 13, 13: 1}): qs(-40, Fraction(-1, 10**30)),
+        },
+    )
+
+
+def test_direct_writer_on_zero_and_hand_built_pieces():
+    # documents parse_tau would refuse still serialize as json.dumps would
+    # write them: a zero piece is an empty list
+    tau = TauExpansion(3, 2, [TPolynomial.one(3), TPolynomial.zero(3), _hand_built_piece(3)])
+    assert serialize_tau(tau) == _dumped_tau(tau)
+    assert b'"pieces": [\n  [\n   {' in serialize_tau(tau) and b",\n  [],\n" in serialize_tau(tau)
+
+
+def test_cache_entries_match_json_dumps(tmp_path):
+    cache = TauCache(tmp_path)
+    pieces = compute_tau(4, 4).pieces + [TPolynomial.zero(4), _hand_built_piece(4)]
+    for degree, piece in enumerate(pieces):
+        cache.store(4, degree, piece)
+        doc = {"format_version": FORMAT_VERSION, "modes": MODE_CONSTRUCTION, "r": 4, "degree": degree}
+        assert cache.path(4, degree).read_bytes() == _dump({**doc, "piece": poly_to_obj(piece)})
+    for degree in range(5):
+        assert cache.load(4, degree) == pieces[degree]
 
 
 def test_document_shape_for_trivial_run():
@@ -143,6 +199,22 @@ def test_records_json_format():
     assert payload == [
         {"genus": 2, "insertions": [[2, 1], [2, 1]], "value": "17/4320"}
     ]
+
+
+@pytest.mark.parametrize("r, degree", [(3, 0), (3, 7), (4, 4)])
+def test_records_writer_matches_json_dumps(r, degree):
+    # and hand-built records the extraction never gives: no insertions,
+    # two-digit levels and labels, negative and long values
+    records = extract_correlators(compute_tau(r, degree)) + [
+        CorrelatorRecord(3, (), Fraction(-1, 10**25)),
+        CorrelatorRecord(0, (Insertion(12, 10), Insertion(12, 10)), Fraction(-7)),
+    ]
+    objs = [
+        {"genus": rec.genus, "insertions": [[ins.m, ins.a] for ins in rec.insertions], "value": str(rec.value)}
+        for rec in records
+    ]
+    assert records_to_json(records) == _dump(objs)
+    assert records_to_json([]) == _dump([])
 
 
 def test_records_csv_format():

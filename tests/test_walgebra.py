@@ -1,6 +1,7 @@
 """Oscillator algebra, W-mode construction, and the degree raisers."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from rspin.walgebra import (
     _contraction,
     _generator,
     _mode_blocks,
+    _partitions,
     _w_mode_terms,
     apply_operator_sum,
 )
@@ -176,6 +178,93 @@ def test_operator_sum_stores_no_cancelled_coefficient():
             assert out == unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in half)), n)
             assert ((4, 1),) not in {m.exps for m in out.terms}
             assert len(out) == 3 and all(out.terms.values())
+
+
+def test_kernel_fields_hold_the_top_weight():
+    # the packed exponent fields are sized per call from the input's top
+    # weight plus the heaviest creator set.  T_1, whose field is the widest,
+    # carries the whole top weight W: alone, under terms without creators,
+    # and raised by up to three creators to the bound W + 3 on weights at
+    # and around the powers of two, where a field gains a bit.  T_100 is
+    # heavier than any call's bound, so it has no field and its annihilator
+    # divides nothing
+    r = 3
+    plain_terms = (
+        NormalTerm((), (), Fraction(1)),
+        NormalTerm((), (1,), Fraction(1, 2)),
+        NormalTerm((), (1, 1, 2), Fraction(-3)),
+        NormalTerm((1,), (1, 100), Fraction(5)),
+    )
+    raising_terms = plain_terms + (
+        NormalTerm((1,), (), Fraction(1)),
+        NormalTerm((1, 1, 1), (), Fraction(2, 5)),
+        NormalTerm((1, 1), (2,), Fraction(-1, 3)),
+        NormalTerm((2,), (1,), Fraction(7)),
+    )
+    for weight in (1, 3, 4, 7, 8, 15, 16, 31, 32, 63):
+        for unit in (qs(1), qs(0, 1)):
+            p = graded_monomial(r, unit, 2, {1: weight})
+            if weight >= 4:
+                p += graded_monomial(r, unit * 3, 2, {1: weight - 4, 2: 2})
+            for terms in (plain_terms, raising_terms):
+                for n in (0, 1):
+                    out = apply_operator_sum(terms, p, n)
+                    assert out == unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), n)
+            top = {m.exps for m in apply_operator_sum(raising_terms, p, 0).terms}
+            assert ((1, weight),) in top and ((1, weight + 3),) in top
+
+
+def test_kernel_matches_single_terms_near_field_bounds():
+    # random graded inputs whose heaviest monomial is a pure power
+    # T_n^(2^k - 1), so T_n's field is full at the input's own weight, under
+    # random terms whose creators repeat the small indices: many outputs
+    # need the field room that the heaviest creator set adds
+    rng = random.Random(53)
+    for r in (2, 3, 4, 5):
+        variables = [n for n in (1, 2, 3, 5) if n % r][:3]
+        for _ in range(8):
+            terms = tuple(
+                NormalTerm(
+                    tuple(sorted(rng.choice(variables) for _ in range(rng.randint(0, 4)))),
+                    tuple(sorted(rng.choice(variables) for _ in range(rng.randint(0, 2)))),
+                    Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)),
+                )
+                for _ in range(6)
+            )
+            offset, parity = rng.choice((-2, 0, 3)), rng.randrange(2)
+            heavy, e = rng.choice(variables), rng.choice((3, 7, 15))
+            shapes = [{heavy: e}] + [{n: rng.randint(0, 3) for n in variables} for _ in range(3)]
+            p = TPolynomial.sum_of(
+                r,
+                (
+                    graded_monomial(r, _random_scalar(rng, parity), offset, exps)
+                    for exps in shapes
+                    if sum(n * c for n, c in exps.items()) <= heavy * e
+                ),
+            )
+            n = rng.randint(-2, 2)
+            plain = unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), n)
+            assert apply_operator_sum(terms, p, n) == plain
+
+
+def test_partitions_match_brute_force():
+    # the pruned, memoised enumeration against every multiset drawn by
+    # combinations_with_replacement from a descending range, which come
+    # non-increasing and in the same descending order; called twice, so
+    # the second answer comes from the cache
+    descending = range(20, 0, -1)
+    for count in range(7):
+        by_total = {}
+        for parts in itertools.combinations_with_replacement(descending, count):
+            if sum(parts) <= 20:
+                by_total.setdefault(sum(parts), []).append(parts)
+        for r in (2, 3, 4, 5):
+            for total in range(21):
+                expected = [parts for parts in by_total.get(total, []) if all(x % r for x in parts)]
+                for max_part in (None, 1, 2, 5, 9):
+                    capped = tuple(p for p in expected if max_part is None or not p or p[0] <= max_part)
+                    assert _partitions(total, count, r, max_part) == capped
+                    assert _partitions(total, count, r, max_part) == capped
 
 
 # Polynomials the kernel refuses: each is off the grading in one way
