@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
-from .solver import TauExpansion, check_piece
+from .solver import Packed, TauExpansion, graded_terms, pack_piece, reduced
 from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
 
 __all__ = [
@@ -104,39 +104,12 @@ def selection_check(r: int, genus: int, insertions) -> bool:
     return lhs == rhs
 
 
-# A packed graded polynomial of degree j: ({key: numerator}, denominator),
-# worth sum num/den * s^j * lam^(j-N) * prod T_n^e_n over its keys.
-Packed = tuple[dict[int, int], int]
-
-
-def _pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
-    """Read tau_j, once check_piece has passed it, as integer numerators
-    over one denominator."""
-    check_piece(r, j, piece)
-    half, odd = divmod(j, 2)
-    ratios = {}
-    for mono, coeff in piece.terms.items():
-        ratios[sum(e << shift[n] for n, e in mono.exps)] = coeff.b if odd else coeff.a
-    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
-    common = lcm(*(x.denominator for x in ratios.values()))
-    sign = -1 if half % 2 else 1
-    nums = {key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}
-    return _reduced(nums, common * r**half)
-
-
-def _reduced(nums: dict[int, int], den: int) -> Packed:
-    """Drop zero numerators and cancel the common factor."""
-    nums = {key: c for key, c in nums.items() if c}
-    div = gcd(den, *nums.values())
-    return {key: c // div for key, c in nums.items()}, den // div
-
-
 def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     """The free energy F_1 .. F_D as (n, den, rows): F_n is the sum of
     num/den * s^n * lam^lam_exp * prod T_i^e_i over its rows
     (lam_exp, ((i, e_i), ...), num), which come in canonical order.
 
-    Requires one piece per degree and the degree-0 piece equal to 1.
+    Runs TauExpansion.validate first: one graded piece per degree, tau_0 = 1.
     Applying the degree operator to tau = exp(F) gives n tau_n =
     sum_{k=1..n} G_k tau_{n-k} with G_k = k F_k, solved here for G_n
     degree by degree: every product is homogeneous of degree n, so it
@@ -144,10 +117,10 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
-    tau._check_structure()
+    tau.validate()
     r, top = tau.r, tau.max_degree
     shift, fields = exponent_fields(r, top * (r + 1))
-    taus = [_pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
+    taus = [pack_piece(j, p, shift) for j, p in enumerate(tau.pieces)]
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):
@@ -165,7 +138,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
                 for key2, c2 in t.items():
                     key2 += key
                     acc[key2] = get(key2, 0) + c * c2
-        nums, den = _reduced(acc, den)
+        nums, den = reduced(acc, den)
         logs.append((nums, den))
         rows = []
         for key, num in nums.items():
@@ -182,14 +155,10 @@ def log_tau(tau: TauExpansion) -> TPolynomial:
     Raises ContractError unless the degree-0 piece equals 1 and every
     piece keeps the grading.
     """
-    r = tau.r
     terms = {}
     for n, den, rows in _free_energy(tau):
-        unit = Fraction(-r) ** (n // 2)  # s^n / s^(n mod 2)
-        for lam, exps, num in rows:
-            x = Fraction(num, den) * unit
-            terms[TMonomial(lam, exps)] = QScalar(Fraction(0), x) if n % 2 else QScalar(x, Fraction(0))
-    return TPolynomial._raw(r, terms)
+        terms.update(graded_terms(tau.r, n, den, ((exps, num) for _, exps, num in rows)))
+    return TPolynomial._raw(tau.r, terms)
 
 
 def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:

@@ -48,12 +48,15 @@ def _is_int(x) -> bool:
 # What str(Fraction) writes.  Fraction() alone also takes exponent and
 # decimal forms, and expanding "1e10000000" takes it seconds.
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_ZERO = Fraction(0)
 
 
 def _frac_parse(text, where: str) -> Fraction:
     """The value of a fraction string as str(Fraction) writes it: reduced,
     the sign on the numerator, no "-0" and no "/1"; any other spelling is
     refused."""
+    if text == "0":  # half the components of a graded piece
+        return _ZERO
     if not isinstance(text, str):
         raise ParseError(f"expected a fraction string, got {type(text).__name__}", where)
     if _FRACTION.fullmatch(text):

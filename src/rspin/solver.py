@@ -2,7 +2,12 @@
 
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
-computed bottom-up, one apply_raising_operator call per raiser.
+computed bottom-up, one kernel call per raiser.  A degree-j monomial in
+N variables carries lam^(j-N) and a coefficient in Q * s^j, so a piece is
+packed: integer numerators over one denominator, keyed by exponent vectors
+in one layout of top weight D*(r+1).  A_l maps x * s^(j-l) to
+x * r^(-2l) * s^j, so each degree is one int accumulator, and a finished
+piece becomes a TPolynomial once.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -13,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Protocol
 
 from .errors import ContractError
-from .tpoly import TPolynomial
-from .walgebra import apply_raising_operator
+from .scalar import QScalar
+from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
+from .walgebra import apply_raising_operator, raise_packed
 
 __all__ = [
     "TauExpansion",
@@ -101,34 +108,74 @@ def check_piece(r: int, j: int, piece: TPolynomial) -> None:
         raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
-def _next_piece(r: int, j: int, pieces: list[TPolynomial]) -> TPolynomial:
-    total = TPolynomial.sum_of(
-        r, (apply_raising_operator(r, l, pieces[j - l], j) for l in range(1, min(r - 1, j) + 1))
-    )
-    return total.scaled(Fraction(1, j))
+Packed = tuple[dict[int, int], int]  # ({key: num}, den): sum num/den * s^j * lam^(j-N) * prod T_n^e_n
+
+
+def pack_piece(j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
+    """Read a graded tau_j (check_piece passes it) over the layout shift."""
+    r, (half, odd) = piece.r, divmod(j, 2)
+    ratios = {sum(e << shift[n] for n, e in mono.exps): c.b if odd else c.a for mono, c in piece.terms.items()}
+    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
+    common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
+    return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
+
+
+def reduced(nums: dict[int, int], den: int) -> Packed:
+    """Drop zero numerators and cancel the common factor."""
+    nums = {key: c for key, c in nums.items() if c}
+    div = gcd(den, *nums.values())
+    return {key: c // div for key, c in nums.items()}, den // div
+
+
+def graded_terms(r: int, j: int, den: int, rows):
+    """The (monomial, coefficient) items of the degree-j piece with rows
+    (exps, num): num/den * s^j * lam^(j-N) * prod T_n^e_n each."""
+    unit, zero = (-r) ** (j // 2), Fraction(0)  # s^j / s^(j mod 2)
+    for exps, num in rows:
+        x = Fraction(num * unit, den)
+        yield TMonomial(j - sum(e for _, e in exps), exps), QScalar(zero, x) if j % 2 else QScalar(x, zero)
 
 
 def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> TauExpansion:
     """Compute the graded pieces up to max_degree by the degree recursion.
 
-    Exact rational/quadratic arithmetic throughout; the output is
-    deterministic (byte-identical canonical serialization) regardless of
-    cache hits.  Each piece is checked once: a computed piece by
-    check_piece before it is stored, a cached one by the store's load.
+    Exact, and deterministic (byte-identical canonical serialization)
+    regardless of cache hits.  Each piece is checked once: a computed piece
+    by check_piece before it is stored, a cached one by the store's load; a
+    cached piece is packed only when a computed degree reads it.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    shift, fields = exponent_fields(r, max_degree * (r + 1))
     pieces = [TPolynomial.one(r)]
+    rows: dict[int, tuple[int, list]] = {}  # degree -> (den, kernel rows (key, exps, num))
+
+    def read(i: int, packed: Packed) -> tuple[int, list]:
+        rows[i] = packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
+        return rows[i]
+
     for j in range(1, max_degree + 1):
         piece = cache.load(r, j) if cache is not None else None
         if piece is None:
-            piece = _next_piece(r, j, pieces)
+            outs = []  # A_l tau_{j-l} as (numerators, den): A_l adds r^(2l) to the denominator
+            for l in range(1, min(r - 1, j) + 1):
+                den, kernel_rows = rows.get(j - l) or read(j - l, pack_piece(j - l, pieces[j - l], shift))
+                acc, den_t = raise_packed(r, l, kernel_rows, j, shift)
+                outs.append((acc, den * den_t * r ** (2 * l)))
+            common, total = lcm(*(den for _, den in outs)), {}
+            for acc, den in outs:
+                scale = common // den
+                for key, c in acc.items():
+                    total[key] = total.get(key, 0) + c * scale
+            den, kernel_rows = read(j, reduced(total, common * j))
+            piece = TPolynomial._raw(r, dict(graded_terms(r, j, den, ((e, num) for _, e, num in kernel_rows))))
             check_piece(r, j, piece)
             if cache is not None:
                 cache.store(r, j, piece)
         pieces.append(piece)
+        rows.pop(j - r + 1, None)  # no later raiser reads it
     tau = TauExpansion(r, max_degree, pieces)
     tau._check_structure()
     return tau
@@ -153,12 +200,8 @@ def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
     for n in range(1, max_degree + 1):
         nxt: dict[int, TPolynomial] = {}
         for d, poly in power.items():
-            if poly.is_zero:
-                continue
-            for l in range(1, r):
+            for l in range(1, min(r, max_degree - d + 1)):
                 target = d + l
-                if target > max_degree:
-                    continue
                 contrib = apply_raising_operator(r, l, poly, target).scaled(Fraction(1, l))
                 nxt[target] = nxt.get(target, zero) + contrib
         power = {d: p.scaled(Fraction(1, n)) for d, p in nxt.items() if not p.is_zero}

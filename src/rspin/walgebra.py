@@ -64,23 +64,23 @@ moves lam and N together, so a normal-ordered term keeps the offset, and
 W(k, j, m) maps a graded input to a graded output whose offset is j lower
 and whose s-parity flips j times.
 
-Application runs monomial by monomial on integer numerators and packed
-exponent keys (apply_operator_sum): the kernel reads its input's grading
-once and refuses an ungraded input, so a monomial is known by its exponent
-vector, packed into one int (tpoly.exponent_fields), and a coefficient by
-one rational.  The terms are grouped by annihilator multiset; a group that
-divides a monomial is one int to subtract, and each of its creator sets
-one int to add, with an int product into one accumulator.  The output's
-lam exponents and s-parity follow from the grading, and the power of -r*s
-is applied once per call.  The pass-by-pass reference it is tested
-against lives in tests/helpers.py.
+The kernel (_operator_loop) is packed in and packed out: an input
+monomial is one int key (tpoly.exponent_fields), its exponents and an
+integer numerator; the terms are grouped by annihilator multiset, and a
+group that divides a monomial is one int to subtract, each creator set
+one int to add, with an int product into one accumulator.  apply_w_mode
+and apply_raising_operator read their input's grading once, pack it and
+build the graded output; the solver passes packed pieces (raise_packed).
+The pass-by-pass reference lives in tests/helpers.py.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
-c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one such sum, streamed and
-never stored: T_{r*m+k-1} is a creator, so adding it to each inner term
-keeps the term normal ordered.  The powers of -r*s/lam of c_k and of the
-inner mode combine to (-r*s/lam)^(-l) for every k, so each term carries
-the rational -(k-1)!/(r+1) only, and A_l moves the offset up by l.
+c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
+is a creator, so adding it to each inner term keeps the term normal
+ordered.  The powers of -r*s/lam of c_k and of the inner mode combine to
+(-r*s/lam)^(-l) for every k, so a term carries the int -(k-1)! and the
+call's denominator the r+1, and A_l moves the offset up by l.  The
+tables are built on integers: a tuple of slots weighs an integer over
+r^(sum(orders) - len(orders)), and a block sums over one denominator.
 """
 
 from __future__ import annotations
@@ -142,25 +142,48 @@ def _divisors(
     return out
 
 
-def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
-    """Apply (-r*s/lam)^unit_power times a sum of rational normal-ordered
-    terms to a graded polynomial, one monomial at a time, on integer
-    numerators over one denominator per call and packed exponent keys.
+def _operator_loop(groups: dict, rows) -> dict[int, int]:
+    """The kernel: for each input row (key, exps, x) and each group
+    {annihilators: (key, [(creator key, numerator)])} that _divisors shows
+    divides it, subtract the group's key (no field borrows) and add
+    x * mult * numerator at each creator key."""
+    prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, exps, x in rows:
+        for taken, mult in _divisors(exps, prefixes):
+            hit = groups.get(taken)
+            if hit is None:
+                continue
+            ann, group = hit
+            left, n = key - ann, x * mult
+            for cre, numerator in group:
+                out_key = left + cre
+                acc[out_key] = get(out_key, 0) + n * numerator
+    return acc
 
-    The input's grading is read once: one offset lam + N and coefficients
-    all in Q or all in Q*s, else ContractError.  So each monomial is known
-    by its exponents, and its coefficient by one rational X / D_in.  The
-    terms, read once from any iterable, are grouped by annihilator
-    multiset, each factor coeff * prod(creators) an integer numerator over
-    a denominator D_T shared by all terms.  Exponent vectors pack into one
-    int, the fields sized from the input's top weight plus the heaviest
-    creator set, so no output overflows.  For each monomial and each group
-    that _divisors shows divides it, mult is found once and the group's
-    key subtracted (no field borrows); every term of the group then adds
-    X * mult * numerator at that key plus its creator key.  Each output
-    key is unpacked once.  The output is graded too, its offset unit_power
-    lower and its s-parity unit_power further on, and the power of -r*s is
-    one rational factor on the output denominator D_in * D_T."""
+
+def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
+    """The kernel's groups for (annihilators, creators, int factor, rational
+    coeff) terms, over the lcm D_T of the coefficient denominators: each
+    numerator is factor * coeff * D_T * prod(creators), as alpha_{-u}
+    multiplies by u."""
+    terms = list(terms)
+    den = lcm(*(c.denominator for *_, c in terms))
+    groups: dict[tuple[int, ...], tuple[int, list]] = {}
+    for anns, cre, factor, c in terms:
+        group = groups.get(anns)
+        if group is None:
+            group = groups[anns] = (sum(1 << shift[u] for u in anns), [])
+        group[1].append((sum(1 << shift[u] for u in cre), factor * prod(cre) * c.numerator * (den // c.denominator)))
+    return groups, den
+
+
+def _apply_graded(poly: TPolynomial, unit_power: int, shift, fields, kernel) -> TPolynomial:
+    """Apply (-r*s/lam)^unit_power times an operator, a kernel from rows to
+    (numerators, D_T), to a graded polynomial: one offset lam + N and
+    coefficients all in Q or all in Q*s, else ContractError, so the rows
+    are integers over one D_in.  The output's offset is unit_power lower."""
     r = poly.r
     if poly.is_zero:
         return poly
@@ -171,42 +194,12 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
     (offset, parity), *others = grades
     if others or parity is None:
         raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(grades, key=str)}")
-    groups: dict[tuple[int, ...], list] = {}
-    for term in terms:
-        groups.setdefault(term.annihilators, []).append((term.creators, term.coeff))
-    top = poly.max_weight() + max((sum(cre) for group in groups.values() for cre, _ in group), default=0)
-    shift, fields = exponent_fields(r, top)
-    den_t = lcm(*(c.denominator for group in groups.values() for _, c in group))
-
-    def pack(indices):  # a multiset of indices as one key
-        return sum(1 << shift[u] for u in indices)
-
-    # anns -> (key, [(creator key, numerator over den_t)]); an index without a field divides no input
-    groups = {
-        anns: (
-            pack(anns),
-            [(pack(cre), c.numerator * prod(cre) * (den_t // c.denominator)) for cre, c in group],
-        )
-        for anns, group in groups.items()
-        if all(u in shift for u in anns)
-    }
-    den_in = lcm(*((c.b if parity else c.a).denominator for c in poly.terms.values()))
-    prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
-    acc: dict[int, int] = {}
-    get = acc.get
-    for mono, c in poly.terms.items():
-        x = c.b if parity else c.a
-        x = x.numerator * (den_in // x.denominator)
-        key = sum(e << shift[n] for n, e in mono.exps)
-        for taken, mult in _divisors(mono.exps, prefixes):
-            hit = groups.get(taken)
-            if hit is None:
-                continue
-            ann, group = hit
-            left, n = key - ann, x * mult  # taken divides the monomial: no field borrows
-            for cre, numerator in group:
-                out_key = left + cre
-                acc[out_key] = get(out_key, 0) + n * numerator
+    xs = {mono: c.b if parity else c.a for mono, c in poly.terms.items()}
+    den_in = lcm(*(x.denominator for x in xs.values()))
+    acc, den_t = kernel([
+        (sum(e << shift[n] for n, e in mono.exps), mono.exps, x.numerator * (den_in // x.denominator))
+        for mono, x in xs.items()
+    ])
     # s^parity * (-r*s)^unit_power = (-r)^unit_power * s^p with p = parity + unit_power,
     # and s^p = (-r)^(p // 2) * s^(p mod 2), as s^2 = -r
     p = parity + unit_power
@@ -222,6 +215,19 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
             mono = TMonomial(offset - sum(e for _, e in exps), exps)
             out[mono] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
     return TPolynomial._raw(r, out)
+
+
+def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
+    """Apply (-r*s/lam)^unit_power times a sum of rational normal-ordered
+    terms, read once from any iterable, to a graded polynomial.  The fields
+    hold the input's top weight plus the heaviest creator set; a term with
+    an annihilator heavier than that has no field and divides no input."""
+    terms = list(terms)
+    shift, fields = exponent_fields(poly.r, poly.max_weight() + max((sum(t.creators) for t in terms), default=0))
+    groups, den = _packed_groups(
+        ((t.annihilators, t.creators, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators)), shift
+    )
+    return _apply_graded(poly, unit_power, shift, fields, lambda rows: (_operator_loop(groups, rows), den))
 
 
 @dataclass(frozen=True)
@@ -344,34 +350,40 @@ def _contracted(r: int, orders: tuple[int, ...]) -> dict[tuple[int, ...], Fracti
 
 
 @lru_cache(maxsize=None)
-def _twisted_current(r: int, k: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """The spin-k current on the twisted module: twisted normally ordered
-    sheet monomials (derivative orders, coefficient), constants included."""
+def _twisted_current(r: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """The spin-k current on the twisted module as one denominator and the
+    twisted normally ordered sheet monomials (derivative orders, integer
+    numerator), constants included, each scaled by the r^(k - len(orders))
+    of W and its sheet sum and by the 1/r^(sum(orders) - len(orders)) of
+    _tuple_weight."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for orders, coeff in _generator(k).items():
         for unpaired, w in _contracted(r, orders).items():
             acc[unpaired] = acc.get(unpaired, 0) + coeff * w
-    return tuple(sorted(((o, c) for o, c in acc.items() if c), reverse=True))
+    terms = sorted(((o, c * Fraction(r**k, r ** sum(o))) for o, c in acc.items() if c), reverse=True)
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, tuple((o, c.numerator * (den // c.denominator)) for o, c in terms)
 
 
 @lru_cache(maxsize=None)
-def _slot_weight(r: int, u: int, order: int) -> Fraction:
+def _slot_weight(r: int, u: int, order: int) -> int:
     """Weight (-u/r - 1)_(order-1) of alpha_u in a slot of this derivative
-    order; u = 0 labels a dilaton constant, which weighs as u = -(r+1)."""
-    return _falling(Fraction(-u, r) - 1 if u else Fraction(1, r), order - 1)
+    order, times r^(order-1); u = 0 labels a dilaton constant, (1/r)_(order-1)."""
+    return prod((1 - r * t) if u == 0 else (-u - r - r * t) for t in range(order - 1))
 
 
-def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> Fraction:
+def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> int:
     """Sum over the distinct orderings of these labels (alpha_u, u < 0 a
-    creator, 0 a constant) of the product of their slot weights.  The
-    orders are non-increasing: each derivative slot takes each distinct
-    label in turn, and the order-1 slots left weigh 1 per ordering."""
+    creator, 0 a constant) of the product of their slot weights, times
+    r^(sum(orders) - len(orders)).  The orders are non-increasing: each
+    derivative slot takes each distinct label in turn, and the order-1
+    slots left weigh 1 per ordering."""
     if not orders or orders[0] == 1:
         count = factorial(len(labels))
         for repeats in Counter(labels).values():
             count //= factorial(repeats)
-        return Fraction(count)
-    total = Fraction(0)
+        return count
+    total = 0
     for u in set(labels):
         idx = labels.index(u)
         total += _slot_weight(r, u, orders[0]) * _tuple_weight(r, labels[:idx] + labels[idx + 1:], orders[1:])
@@ -382,18 +394,18 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> F
 def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[NormalTerm, ...]:
     """The terms of W(k, j, m) whose annihilators weigh wa in total, without
     the (-r*s/lam)^j that multiplies all of them; their creators then weigh
-    wa - r*m - j*(r+1)."""
+    wa - r*m - j*(r+1).  Summed on integers, one Fraction per term."""
     wc = wa - r * m - j * (r + 1)
-    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    for orders, coeff in _twisted_current(r, k):
-        scale = coeff * Fraction(r**k, r ** len(orders))
+    den, current = _twisted_current(r, k)
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for orders, scale in current:
         for p in range(len(orders) - j + 1):  # number of annihilators
             for ann in _partitions(wa, p, r):
                 for cre in _partitions(wc, len(orders) - j - p, r):
                     key = (tuple(sorted(cre)), tuple(sorted(ann)))
                     weight = _tuple_weight(r, ann + (0,) * j + tuple(-n for n in cre), orders)
                     acc[key] = acc.get(key, 0) + scale * weight
-    return tuple(NormalTerm(cre, ann, c) for (cre, ann), c in acc.items() if c)
+    return tuple(NormalTerm(cre, ann, Fraction(c, den)) for (cre, ann), c in acc.items() if c)
 
 
 def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
@@ -407,15 +419,14 @@ def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
 def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
     """Apply W(k, j, m) to a polynomial, exactly.
 
-    Each monomial of weight w goes to weight w + spec.weight_shift; where
-    that is negative for every monomial, the result is zero and the kernel
-    is not called.  Otherwise poly must be graded (ContractError if not).
-    """
+    Each monomial of weight w goes to weight w + spec.weight_shift; on a
+    zero input, or where that is negative for every monomial, the result is
+    zero without a kernel call.  Else poly must be graded (ContractError)."""
     spec.validate()
     if spec.r != poly.r:
         raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
     top = poly.max_weight()
-    if top + spec.weight_shift < 0:
+    if poly.is_zero or top + spec.weight_shift < 0:
         return TPolynomial.zero(poly.r)
     return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, top), poly, spec.j)
 
@@ -429,19 +440,21 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
     return (target_degree * (r + 1) - (k - 1)) // r
 
 
-def _raiser_terms(r: int, l: int, w_in: int, target_degree: int):
-    """The degree-l raiser, without its (-r*s/lam)^(-l), as one stream of
-    normal-ordered terms: the outer creator T_{r*m+k-1} and the rational
-    -(k-1)!/(r+1) of c_k folded into every term of W(k, k-1-l, m-k+1) that
-    can act on an input of weight w_in."""
-    for k in range(l + 1, r + 1):
-        j = k - 1 - l
-        prefactor = Fraction(-factorial(k - 1), r + 1)
-        for m in range(0, mode_bound(r, k, target_degree) + 1):
-            outer = r * m + k - 1
-            for t in _mode_blocks(r, k, j, m - k + 1, w_in):
-                creators = tuple(sorted(t.creators + (outer,)))
-                yield NormalTerm(creators, t.annihilators, t.coeff * prefactor)
+def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]) -> tuple[dict[int, int], int]:
+    """A_l without its (-r*s/lam)^(-l) on the kernel rows of a degree
+    target_degree - l piece, its layout holding weight target_degree*(r+1):
+    one kernel call, returning the numerators and their denominator."""
+    w_in = (target_degree - l) * (r + 1)
+    groups, den = _packed_groups(
+        (
+            (t.annihilators, t.creators + (r * m + k - 1,), -factorial(k - 1), t.coeff)
+            for k in range(l + 1, r + 1)
+            for m in range(mode_bound(r, k, target_degree) + 1)
+            for t in _mode_blocks(r, k, k - 1 - l, m - k + 1, w_in)
+        ),
+        shift,
+    )
+    return _operator_loop(groups, rows), den * (r + 1)
 
 
 def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int) -> TPolynomial:
@@ -451,7 +464,7 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
 
     The outer mode sum is truncated at mode_bound(r, k, target_degree);
     beyond it every contribution vanishes on such input, so the truncation
-    is exact.  The whole raiser is one apply_operator_sum call.
+    is exact.  The whole raiser is one raise_packed call.
     """
     if not 1 <= l <= r - 1:
         raise InvalidSpecError(f"raiser label must lie in [1, r-1={r - 1}], got {l}")
@@ -462,4 +475,5 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
         raise ContractError(
             f"input must be homogeneous of degree {target_degree - l} (weight {w_in})"
         )
-    return apply_operator_sum(_raiser_terms(r, l, w_in, target_degree), poly, -l)
+    shift, fields = exponent_fields(r, target_degree * (r + 1))
+    return _apply_graded(poly, -l, shift, fields, lambda rows: raise_packed(r, l, rows, target_degree, shift))

@@ -27,6 +27,7 @@ from rspin import (
     QScalar,
     TauExpansion,
     TPolynomial,
+    apply_raising_operator,
     mode_bound,
 )
 from rspin.tpoly import TMonomial, check_index
@@ -395,6 +396,19 @@ def ordered_apply_raiser(r, l, poly, target_degree):
             pref = unit_power(r, -(k - 1)) * Fraction(-factorial(k - 1) * n_out, r + 1)
             total = total + shift_lambda(q_scaled(mul_var(inner, n_out), pref), k - 2)
     return total
+
+
+def reference_tau(r, max_degree) -> list[TPolynomial]:
+    """The pieces tau_0 .. tau_D by j tau_j = sum_l A_l tau_{j-l} on
+    TPolynomials: the sum of apply_raising_operator over the raisers,
+    scaled by 1/j, the reference the packed recursion is tested against."""
+    pieces = [TPolynomial.one(r)]
+    for j in range(1, max_degree + 1):
+        total = TPolynomial.sum_of(
+            r, (apply_raising_operator(r, l, pieces[j - l], j) for l in range(1, min(r - 1, j) + 1))
+        )
+        pieces.append(total.scaled(Fraction(1, j)))
+    return pieces
 
 
 # -- power-series oracle for the graded log ---------------------------------

@@ -147,6 +147,8 @@ def test_parse_rejects_malformed_documents():
     # it replaces, or (1e5000, 5001 digits) stays on the grading
     spellings = [(0, "a", text) for text in ("1/1", "2/2", "+1", " 1", "1.0", "1e0")]
     spellings += [(0, "b", "-0"), (0, "b", "0/5"), (1, "b", "1e5000")]
+    # "0" itself is read without the regex; every other spelling of zero is not
+    spellings += [(0, "b", text) for text in ("00", "0/1", "+0", "-00", "0 ")]
     for piece, part, text in spellings:
         doc = json.loads(serialize_tau(compute_tau(3, 1)))
         doc["pieces"][piece][0]["coeff"][part] = text

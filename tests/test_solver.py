@@ -17,9 +17,18 @@ from rspin import (
     serialize_tau,
 )
 from rspin import walgebra
-from rspin.walgebra import MODE_CONSTRUCTION, apply_operator_sum
+from rspin.walgebra import MODE_CONSTRUCTION
 
-from helpers import qs, raiser1_squared_on_one_r3, raiser2_on_one_r3, shift_lambda, tau1_r2, tau1_r3, tau2_r3
+from helpers import (
+    qs,
+    raiser1_squared_on_one_r3,
+    raiser2_on_one_r3,
+    reference_tau,
+    shift_lambda,
+    tau1_r2,
+    tau1_r3,
+    tau2_r3,
+)
 
 
 def test_degree_zero_is_one():
@@ -91,17 +100,48 @@ def test_determinism_across_runs():
 
 
 def test_each_raiser_is_one_kernel_call(monkeypatch):
-    # j * tau_j = sum_l A_l tau_{j-l}: one operator sum per raiser A_l, so
-    # sum_j min(r-1, j) = 1 + 2 + 3 + 3 kernel calls at r = 4, depth 4
-    calls = []
+    # j * tau_j = sum_l A_l tau_{j-l}: one kernel loop per raiser A_l, so
+    # sum_j min(r-1, j) = 1 + 2 + 3 + 3 kernel calls at r = 4, depth 4,
+    # each on the packed rows (key, exps, num) of one piece
+    calls, loop = [], walgebra._operator_loop
 
-    def counting(terms, poly, unit_power):
-        calls.append(poly.max_weight())
-        return apply_operator_sum(terms, poly, unit_power)
+    def counting(groups, rows):
+        calls.append(max(sum(n * e for n, e in exps) for _, exps, _ in rows))
+        return loop(groups, rows)
 
-    monkeypatch.setattr(walgebra, "apply_operator_sum", counting)
+    monkeypatch.setattr(walgebra, "_operator_loop", counting)
     compute_tau(4, 4)
     assert sorted(calls) == [0, 0, 0, 5, 5, 5, 10, 10, 15]
+
+
+@pytest.mark.parametrize("r, depth", [(2, 6), (3, 6), (4, 5), (5, 4), (7, 2)])
+def test_packed_recursion_matches_reference(r, depth):
+    # the solver runs on packed integer pieces in the s^j convention; the
+    # reference sums the raisers' TPolynomials and scales by 1/j
+    assert compute_tau(r, depth).pieces == reference_tau(r, depth)
+
+
+def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
+    # degrees 1-3 come from the cache and are packed when degrees 4-6 read
+    # them; the document and every entry equal those of a cold run
+    from rspin import solver
+
+    cold, half = tmp_path / "cold", tmp_path / "half"
+    expected = serialize_tau(compute_tau(4, 6, cache=TauCache(cold)))
+    compute_tau(4, 3, cache=TauCache(half))
+    assert sorted(p.name for p in half.iterdir()) == [f"r4_deg{j}.json" for j in (1, 2, 3)]
+    packed, pack_piece = [], solver.pack_piece
+
+    def counting(j, piece, shift):
+        packed.append(j)
+        return pack_piece(j, piece, shift)
+
+    monkeypatch.setattr(solver, "pack_piece", counting)
+    assert serialize_tau(compute_tau(4, 6, cache=TauCache(half))) == expected
+    assert sorted(packed) == [1, 2, 3]
+    assert sorted(p.name for p in half.iterdir()) == sorted(p.name for p in cold.iterdir())
+    for entry in cold.iterdir():
+        assert (half / entry.name).read_bytes() == entry.read_bytes()
 
 
 def test_cache_round_trip(tmp_path):
@@ -126,6 +166,8 @@ def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "check_piece", counting)
     monkeypatch.setattr(serialize, "check_piece", counting)
+    # no computed degree reads a cached piece, so none is packed
+    monkeypatch.setattr(solver, "pack_piece", lambda j, piece, shift: pytest.fail(f"piece {j} packed"))
     compute_tau(3, 3, cache=cache)
     assert sorted(checked) == [1, 2, 3]
 
@@ -133,7 +175,9 @@ def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
 def test_bad_piece_never_reaches_the_cache(tmp_path, monkeypatch):
     from rspin import solver
 
-    monkeypatch.setattr(solver, "_next_piece", lambda r, j, pieces: TPolynomial.var(3, 4))
+    # the finished piece, built from the packed one, comes out as a rational T4
+    off_grade = TPolynomial.var(3, 4).terms.items()
+    monkeypatch.setattr(solver, "graded_terms", lambda r, j, den, rows: off_grade)
     with pytest.raises(ContractError, match="outside"):
         compute_tau(3, 1, cache=TauCache(tmp_path))
     assert not list(tmp_path.iterdir())

@@ -22,9 +22,12 @@ from rspin import (
 from rspin.walgebra import (
     ORACLE_CHECKED_R,
     _contraction,
+    _falling,
     _generator,
     _mode_blocks,
     _partitions,
+    _slot_weight,
+    _tuple_weight,
     _w_mode_terms,
     apply_operator_sum,
 )
@@ -42,6 +45,7 @@ from helpers import (
     qs,
     raiser1_squared_on_one_r3,
     raiser2_on_one_r3,
+    reference_tau,
     sheet_contraction,
     tau1_r2,
     tau1_r3,
@@ -212,6 +216,13 @@ def test_kernel_fields_hold_the_top_weight():
                     assert out == unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), n)
             top = {m.exps for m in apply_operator_sum(raising_terms, p, 0).terms}
             assert ((1, weight),) in top and ((1, weight + 3),) in top
+    # the solver packs every piece in one layout of top weight D*(r+1); at
+    # r = 2, tau_D holds T_1^(3D), and at these D the T_1 field of weight
+    # 3D has one bit more than that of 3(D-1)
+    for depth in (2, 3, 6, 11):
+        pieces = compute_tau(2, depth).pieces
+        assert ((1, 3 * depth),) in {m.exps for m in pieces[depth].terms}
+        assert pieces == reference_tau(2, depth)
 
 
 def test_kernel_matches_single_terms_near_field_bounds():
@@ -245,6 +256,32 @@ def test_kernel_matches_single_terms_near_field_bounds():
             n = rng.randint(-2, 2)
             plain = unit_scaled(TPolynomial.sum_of(r, (apply_term(t, p) for t in terms)), n)
             assert apply_operator_sum(terms, p, n) == plain
+
+
+def test_integer_weights_match_falling_products():
+    # a slot weight is an integer over r^(order-1), a tuple weight one over
+    # r^(sum(orders) - len(orders)); both against Fraction products of the
+    # falling factorials, the tuple weight summed over distinct orderings.
+    # Labels: creators (negative), the dilaton constant 0, annihilators
+    rng = random.Random(61)
+    for r in range(2, 8):
+        labels = [u for u in range(-2 * r - 1, 2 * r + 2) if u % r or u == 0]
+        for u in labels:
+            for order in range(1, 6):
+                base = Fraction(-u, r) - 1 if u else Fraction(1, r)
+                assert Fraction(_slot_weight(r, u, order), r ** (order - 1)) == _falling(base, order - 1)
+        for _ in range(40):
+            size = rng.randint(1, 4)
+            tup = tuple(rng.choice(labels[:3] + [0, 0] + labels[-3:]) for _ in range(size))
+            orders = tuple(sorted((rng.randint(1, 5) for _ in range(size)), reverse=True))
+            oracle = Fraction(0)
+            for ordering in set(itertools.permutations(tup)):
+                term = Fraction(1)
+                for u, order in zip(ordering, orders):
+                    term *= _falling(Fraction(-u, r) - 1 if u else Fraction(1, r), order - 1)
+                oracle += term
+            scale = r ** (sum(orders) - len(orders))
+            assert Fraction(_tuple_weight(r, tup, orders), scale) == oracle, (r, tup, orders)
 
 
 def test_partitions_match_brute_force():
