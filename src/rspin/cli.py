@@ -174,9 +174,10 @@ def _run_verify(args) -> int:
     _warn_unchecked(args)
     tau = compute_tau(args.r, args.degree, cache=_cache(args))
     extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None
+    shared = {}  # wconstraints fills it with its constraint pass, and string_dilaton reads it
     runs = {
-        "wconstraints": lambda: check_w_constraints(tau),
-        "string_dilaton": lambda: check_string_dilaton(tau, extracted),
+        "wconstraints": lambda: check_w_constraints(tau, shared),
+        "string_dilaton": lambda: check_string_dilaton(tau, extracted, shared),
         "grading": lambda: check_gradings(tau, extracted),
         "selection": lambda: check_selection(tau, extracted),
     }

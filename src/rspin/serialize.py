@@ -131,10 +131,6 @@ def poly_from_obj(r: int, obj, where: str) -> TPolynomial:
         raise ParseError(str(exc), where) from None
 
 
-def _dump(obj) -> bytes:
-    return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
-
-
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     """A JSON list, or object of "key": value items, laid out as json.dumps(indent=1)
     does: the items written one level deeper, the closing bracket after pad."""
@@ -158,13 +154,15 @@ def _poly_json(poly: TPolynomial, pad: str) -> str:
 
 
 def _document(fields: dict) -> bytes:
-    """_dump of a JSON object whose values are given already written."""
+    """A JSON object whose values are given already written, laid out as
+    json.dumps(indent=1) does, plus a final newline."""
     return (_json_block([f'"{key}": {value}' for key, value in fields.items()], "", "{}") + "\n").encode("utf-8")
 
 
 def serialize_tau(tau: TauExpansion) -> bytes:
     """Canonical byte serialization; a fixpoint of parse-then-serialize.
-    The bytes are those of _dump on the document of poly_to_obj pieces."""
+    The bytes are those of json.dumps(indent=1) on the document of
+    poly_to_obj pieces, plus a newline."""
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
     return _document({**head, "pieces": _json_block([_poly_json(p, "  ") for p in tau.pieces], " ")})
 
@@ -202,8 +200,9 @@ def parse_tau(data: bytes | str) -> TauExpansion:
 
 
 def records_to_json(records: list[CorrelatorRecord]) -> bytes:
-    """_dump of [{"genus", "insertions": [[m, a], ...], "value"}, ...],
-    written directly as serialize_tau writes its pieces."""
+    """json.dumps(indent=1) of [{"genus", "insertions": [[m, a], ...],
+    "value"}, ...] plus a newline, written directly as serialize_tau writes
+    its pieces."""
     items = [
         f'{{\n  "genus": {rec.genus},\n  "insertions": '
         + _json_block([f"[\n    {ins.m},\n    {ins.a}\n   ]" for ins in rec.insertions], "  ")
@@ -226,19 +225,27 @@ def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
 # -- check reports --------------------------------------------------------
 
 
-def report_to_obj(report: CheckReport) -> dict:
-    return {
-        "check_name": report.check_name,
-        "status": report.status,
-        "residuals": [
-            {"label": label, "poly": poly_to_obj(poly)} for label, poly in report.residuals
-        ],
-        "details": report.details,
-    }
-
-
 def reports_to_json(reports: list[CheckReport]) -> bytes:
-    return _dump([report_to_obj(rep) for rep in reports])
+    """json.dumps(indent=1) of [{"check_name", "status", "residuals":
+    [{"label", "poly": poly_to_obj}, ...], "details"}, ...] plus a newline,
+    written directly as serialize_tau writes its pieces; a details value
+    is json.dumps(indent=1) of it, moved to its depth."""
+    dumps = json.dumps
+    items = []
+    for rep in reports:
+        residuals = [
+            _json_block([f'"label": {dumps(label)}', '"poly": ' + _poly_json(poly, "    ")], "   ", "{}")
+            for label, poly in rep.residuals
+        ]
+        details = [f"{dumps(key)}: " + dumps(v, indent=1).replace("\n", "\n   ") for key, v in rep.details.items()]
+        fields = [
+            f'"check_name": {dumps(rep.check_name)}',
+            f'"status": {dumps(rep.status)}',
+            '"residuals": ' + _json_block(residuals, "  "),
+            '"details": ' + _json_block(details, "  ", "{}"),
+        ]
+        items.append(_json_block(fields, " ", "{}"))
+    return (_json_block(items, "") + "\n").encode("utf-8")
 
 
 # -- piece cache -----------------------------------------------------------

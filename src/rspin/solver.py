@@ -127,12 +127,24 @@ def reduced(nums: dict[int, int], den: int) -> Packed:
     return {key: c // div for key, c in nums.items()}, den // div
 
 
+def summed(parts, div: int = 1) -> Packed:
+    """The sum of (numerators, den) parts, divided by div and reduced."""
+    common, total = lcm(*(den for _, den in parts)), {}
+    for nums, den in parts:
+        scale = common // den
+        for key, c in nums.items():
+            total[key] = total.get(key, 0) + c * scale
+    return reduced(total, common * div)
+
+
 def graded_terms(r: int, j: int, den: int, rows):
     """The (monomial, coefficient) items of the degree-j piece with rows
-    (exps, num): num/den * s^j * lam^(j-N) * prod T_n^e_n each."""
-    unit, zero = (-r) ** (j // 2), Fraction(0)  # s^j / s^(j mod 2)
+    (exps, num): num/den * s^j * lam^(j-N) * prod T_n^e_n each.  The offset
+    j may be negative, as for a constraint residual, and stays exact."""
+    unit, zero = Fraction(-r) ** (j // 2), Fraction(0)  # s^j / s^(j mod 2)
+    num_unit, den = unit.numerator, den * unit.denominator
     for exps, num in rows:
-        x = Fraction(num * unit, den)
+        x = Fraction(num * num_unit, den)
         yield TMonomial(j - sum(e for _, e in exps), exps), QScalar(zero, x) if j % 2 else QScalar(x, zero)
 
 
@@ -164,12 +176,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
                 den, kernel_rows = rows.get(j - l) or read(j - l, pack_piece(j - l, pieces[j - l], shift))
                 acc, den_t = raise_packed(r, l, kernel_rows, j, shift)
                 outs.append((acc, den * den_t * r ** (2 * l)))
-            common, total = lcm(*(den for _, den in outs)), {}
-            for acc, den in outs:
-                scale = common // den
-                for key, c in acc.items():
-                    total[key] = total.get(key, 0) + c * scale
-            den, kernel_rows = read(j, reduced(total, common * j))
+            den, kernel_rows = read(j, summed(outs, j))
             piece = TPolynomial._raw(r, dict(graded_terms(r, j, den, ((e, num) for _, e, num in kernel_rows))))
             check_piece(r, j, piece)
             if cache is not None:

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
-from .solver import TauExpansion, compute_tau, compute_tau_exponential, off_grade
-from .tpoly import TPolynomial
-from .walgebra import WModeSpec, apply_raising_operator, apply_w_mode
+from .errors import ContractError
+from .solver import TauExpansion, compute_tau, compute_tau_exponential, graded_terms, off_grade, pack_piece, summed
+from .tpoly import TPolynomial, exponent_fields, unpack_exponents
+from .walgebra import WModeSpec, _mode_blocks, _operator_loop, _packed_groups, apply_raising_operator
 
 __all__ = [
     "CheckReport",
@@ -25,9 +26,11 @@ __all__ = [
     "check_selection",
     "check_string_dilaton",
     "check_w_constraints",
+    "constraint_equations",
     "default_constraint_mode_bound",
     "extract_or_error",
     "w_constraint_residual",
+    "w_constraint_residuals",
 ]
 
 PASS = "pass"
@@ -80,63 +83,139 @@ def default_constraint_mode_bound(r: int, max_degree: int) -> int:
     return (max_degree * (r + 1)) // r
 
 
+Equation = tuple[int, int, int]  # (k, m, degree)
+
+
+def constraint_equations(r: int, max_degree: int) -> list[Equation]:
+    """The per-degree constraint equations check_w_constraints assembles,
+    in report order: every k, every m up to default_constraint_mode_bound,
+    every degree."""
+    bound = default_constraint_mode_bound(r, max_degree)
+    return [(k, m, d) for k in range(2, r + 1) for m in range(-(k - 1), bound + 1) for d in range(max_degree + 1)]
+
+
+def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]):
+    """tau_j packed over shift, after checking that it is graded as tau_j:
+    offset lam + N = j and coefficients in Q*s^(j mod 2) (its weight is not
+    checked, so an inhomogeneous piece is applied as it is)."""
+    piece, odd = tau.pieces[j], j % 2
+    for mono, c in piece.terms.items():
+        if mono.lambda_exp + sum(e for _, e in mono.exps) != j or (c.a if odd else c.b):
+            raise ContractError(
+                f"piece {j} is not graded as tau_{j}: monomial {mono} with coefficient {c}; "
+                f"expected lam + N = {j} and a coefficient in Q*s^{odd}"
+            )
+    return pack_piece(j, piece, shift)
+
+
+def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, tuple[TPolynomial, bool]]:
+    """{(k, m, degree): (residual, engaged)} for the given equations (default
+    constraint_equations), in one kernel call per nonzero piece read.
+
+    Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
+    s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
+    equation is one rational sum.  Piece i is packed once, over one layout
+    that holds its images, and its call carries the blocks, up to its own
+    max_weight, of every mode that reads it, each creator key tagged with
+    its equation's index above the layout's top bit.  An equation is
+    finished once its last piece is done.  engaged is False when every
+    piece it reads is absent or zero.  Raises ContractError on a piece read
+    that is not graded as tau_j (see _pack_graded)."""
+    r, top_degree = tau.r, tau.max_degree
+    equations = constraint_equations(r, top_degree) if equations is None else list(equations)
+    reads = {j: [] for j, piece in enumerate(tau.pieces) if not piece.is_zero}  # -> (equation index, k, l, m)
+    finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
+    for e, (k, m, d) in enumerate(equations):
+        last = max(0, min(d, top_degree))
+        for j in range(max(0, d - k + 1), last + 1):
+            if j in reads:
+                reads[j].append((e, k, j - d + k - 1, m))
+        finish.setdefault(last, []).append(e)
+    engaged = {read[0] for by_piece in reads.values() for read in by_piece}
+    # W(k, l, m) adds weight at most r*(r-1), at l = 0 and m = 1 - k
+    weight = max((tau.pieces[j].max_weight() for j, by_piece in reads.items() if by_piece), default=0) + r * (r - 1)
+    shift, fields = exponent_fields(r, weight)
+    top = sum(width for _, width, _ in fields)
+    mask = (1 << top) - 1
+    parts: dict[int, list] = {}  # equation index -> [(numerators, den)], one per piece read
+    out = {}
+    for j in range(top_degree + 1):
+        if reads.get(j):
+            nums, den = _pack_graded(tau, j, shift)
+            w = tau.pieces[j].max_weight()
+            groups, den_t = _packed_groups(
+                (
+                    (t.annihilators, t.creators, e << top, r ** (2 * l), t.coeff)
+                    for e, k, l, m in reads[j]
+                    if w - r * m - l * (r + 1) >= 0
+                    for t in _mode_blocks(r, k, l, m, w)
+                ),
+                shift,
+            )
+            acc = _operator_loop(groups, [(key, unpack_exponents(key, fields), x) for key, x in nums.items()])
+            split: dict[int, dict[int, int]] = {}  # equation index -> its numerators
+            for key, x in acc.items():
+                if x:
+                    split.setdefault(key >> top, {})[key & mask] = x
+            for e, part in split.items():
+                parts.setdefault(e, []).append((part, den * den_t))
+        for e in finish.get(j, ()):
+            k, m, d = equations[e]
+            nums, den = summed(parts.pop(e, ()))
+            rows = ((unpack_exponents(key, fields), x) for key, x in nums.items())
+            out[(k, m, d)] = TPolynomial._raw(r, dict(graded_terms(r, d - k + 1, den, rows))), e in engaged
+    return out
+
+
 def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tuple[TPolynomial, bool]:
-    """Residual of one per-degree constraint equation.
-
-    Returns (residual, engaged); engaged is False when every contributing
-    piece is absent or zero, i.e. the equation is vacuous at this depth.
-    Raises ContractError if a piece the equation applies a mode to is not
-    graded.
-    """
-    r = tau.r
-    pieces = [
-        (l, tau.pieces[idx])
-        for l, idx in enumerate(range(degree - k + 1, degree + 1))
-        if 0 <= idx <= tau.max_degree and not tau.pieces[idx].is_zero
-    ]
-    total = TPolynomial.sum_of(r, (apply_w_mode(WModeSpec(r, k, l, m), piece) for l, piece in pieces))
-    return total, bool(pieces)
+    """(residual, engaged) of one per-degree constraint equation: its entry
+    of w_constraint_residuals."""
+    WModeSpec(tau.r, k, 0, m).validate()
+    return w_constraint_residuals(tau, [(k, m, degree)])[(k, m, degree)]
 
 
-def check_w_constraints(tau: TauExpansion) -> CheckReport:
+def check_w_constraints(tau: TauExpansion, constraint_pass: dict | None = None) -> CheckReport:
     """Assemble every per-degree constraint equation up to
     default_constraint_mode_bound and record nonzero residuals; vacuous
     equations are counted but cannot fail.  Past the bound each mode sends
-    every piece below weight 0, so no equation there can fail."""
-    r = tau.r
-    bound = default_constraint_mode_bound(r, tau.max_degree)
-    residuals = []
-    checked = vacuous = 0
-    for k in range(2, r + 1):
-        for m in range(-(k - 1), bound + 1):
-            for degree in range(tau.max_degree + 1):
-                residual, engaged = w_constraint_residual(tau, k, m, degree)
-                checked += 1
-                if not engaged:
-                    vacuous += 1
-                if not residual.is_zero:
-                    residuals.append((f"k={k} m={m} degree={degree}", residual))
+    every piece below weight 0, so no equation there can fail.
+    constraint_pass, if given, shares the pass with check_string_dilaton: a
+    dict holding w_constraint_residuals(tau), or an empty one that is
+    filled with it.
+    Raises ContractError if a nonzero piece is not graded as tau_j (offset
+    lam + N = j, coefficients in Q*s^(j mod 2))."""
+    bound = default_constraint_mode_bound(tau.r, tau.max_degree)
+    equations = constraint_equations(tau.r, tau.max_degree)
+    constraint_pass = {} if constraint_pass is None else constraint_pass
+    if not constraint_pass:
+        constraint_pass.update(w_constraint_residuals(tau, equations))
+    failed = []
+    vacuous = 0
+    for k, m, d in equations:
+        residual, engaged = constraint_pass[(k, m, d)]
+        vacuous += not engaged
+        if not residual.is_zero:
+            failed.append((f"k={k} m={m} degree={d}", residual))
     return CheckReport(
         check_name="wconstraints",
-        status=PASS if not residuals else FAIL,
-        residuals=residuals,
-        details={"equations": checked, "vacuous": vacuous, "m_max": bound},
+        status=PASS if not failed else FAIL,
+        residuals=failed,
+        details={"equations": len(equations), "vacuous": vacuous, "m_max": bound},
     )
 
 
-def _string_dilaton_operator_residuals(tau: TauExpansion) -> list[tuple[str, TPolynomial]]:
+def _string_dilaton_operator_residuals(tau: TauExpansion, constraint_pass: dict | None) -> list:
     """Lowest two constraint modes, scaled by 1/r: the translation and
     scaling operators annihilate tau degree by degree."""
-    r = tau.r
-    out = []
-    scale = Fraction(1, r)
-    for m, name in ((-1, "translation"), (0, "scaling")):
-        for degree in range(tau.max_degree + 1):
-            residual, _ = w_constraint_residual(tau, 2, m, degree)
-            residual = residual.scaled(scale)
-            if not residual.is_zero:
-                out.append((f"{name} operator degree={degree}", residual))
-    return out
+    equations = [(2, m, d) for m in (-1, 0) for d in range(tau.max_degree + 1)]
+    if not constraint_pass:
+        constraint_pass = w_constraint_residuals(tau, equations)
+    scale = Fraction(1, tau.r)
+    return [
+        (f"{'translation' if m == -1 else 'scaling'} operator degree={d}", constraint_pass[(2, m, d)][0].scaled(scale))
+        for _, m, d in equations
+        if not constraint_pass[(2, m, d)][0].is_zero
+    ]
 
 
 def _record_table(records: list[CorrelatorRecord]) -> dict[tuple[int, tuple[Insertion, ...]], Fraction]:
@@ -174,69 +253,45 @@ def _correlator_identity_residuals(
     count as zero.  Instances whose reduced correlator is unstable
     (2g - 2 + n <= 0) carry no content and are skipped.
     """
-    r = tau.r
     table = _record_table(records)
-    string_ins = Insertion(0, 0)
-    dilaton_ins = Insertion(1, 0)
+    specials = {"string": Insertion(0, 0), "dilaton": Insertion(1, 0)}
     residuals = []
-    string_instances = dilaton_instances = 0
-
-    def emit(label: str, lhs: Fraction, rhs: Fraction):
-        if lhs != rhs:
-            diff = TPolynomial.const(r, lhs - rhs)
-            residuals.append((label, diff))
-
     seen: set[tuple[str, int, tuple[Insertion, ...]]] = set()
+    counts = dict.fromkeys(specials, 0)
 
-    def string_instance(genus: int, rest: tuple[Insertion, ...]):
-        nonlocal string_instances
-        if 2 * genus - 2 + len(rest) <= 0:
+    def instance(name: str, genus: int, rest: tuple[Insertion, ...]):
+        stable = 2 * genus - 2 + len(rest)
+        if stable <= 0 or (name, genus, rest) in seen:
             return
-        key = ("s", genus, rest)
-        if key in seen:
-            return
-        seen.add(key)
-        string_instances += 1
-        lhs = table.get((genus, _with_insertion(rest, string_ins)), Fraction(0))
-        emit(f"string g={genus} {rest}", lhs, _string_rhs(table, genus, rest))
+        seen.add((name, genus, rest))
+        counts[name] += 1
+        lhs = table.get((genus, _with_insertion(rest, specials[name])), Fraction(0))
+        rhs = _string_rhs(table, genus, rest) if name == "string" else stable * table.get((genus, rest), Fraction(0))
+        if lhs != rhs:
+            residuals.append((f"{name} g={genus} {rest}", TPolynomial.const(tau.r, lhs - rhs)))
 
-    def dilaton_instance(genus: int, rest: tuple[Insertion, ...]):
-        nonlocal dilaton_instances
-        n = len(rest)
-        if 2 * genus - 2 + n <= 0:
-            return
-        key = ("d", genus, rest)
-        if key in seen:
-            return
-        seen.add(key)
-        dilaton_instances += 1
-        lhs = table.get((genus, _with_insertion(rest, dilaton_ins)), Fraction(0))
-        rhs = (2 * genus - 2 + n) * table.get((genus, rest), Fraction(0))
-        emit(f"dilaton g={genus} {rest}", lhs, rhs)
-
-    max_dressed_degree = tau.max_degree
     for rec in records:
-        # Degree of a record equals 2g - 2 + n; dressing adds one.
-        degree = 2 * rec.genus - 2 + len(rec.insertions)
-        if string_ins in rec.insertions:
-            string_instance(rec.genus, _without_one(rec.insertions, string_ins))
-        if dilaton_ins in rec.insertions:
-            dilaton_instance(rec.genus, _without_one(rec.insertions, dilaton_ins))
-        if degree + 1 <= max_dressed_degree:
-            string_instance(rec.genus, rec.insertions)
-            dilaton_instance(rec.genus, rec.insertions)
-    stats = {
-        "records": len(records),
-        "string_instances": string_instances,
-        "dilaton_instances": dilaton_instances,
-    }
+        for name, special in specials.items():
+            if special in rec.insertions:
+                instance(name, rec.genus, _without_one(rec.insertions, special))
+        # a record's degree is 2g - 2 + n, and dressing adds one
+        if 2 * rec.genus - 1 + len(rec.insertions) <= tau.max_degree:
+            for name in specials:
+                instance(name, rec.genus, rec.insertions)
+    stats = {"records": len(records), "string_instances": counts["string"], "dilaton_instances": counts["dilaton"]}
     return residuals, stats
 
 
-def check_string_dilaton(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
+def check_string_dilaton(
+    tau: TauExpansion, extracted: Extracted | None = None, constraint_pass: dict | None = None
+) -> CheckReport:
     """Translation/scaling operator identities plus the combinatorial
-    string and dilaton equations on extracted correlators."""
-    residuals = _string_dilaton_operator_residuals(tau)
+    string and dilaton equations on extracted correlators.  The operator
+    identities are the k = 2, m = -1, 0 equations of
+    w_constraint_residuals(tau), read from constraint_pass when it holds
+    them (as check_w_constraints leaves it), else computed.  Raises
+    ContractError as check_w_constraints does."""
+    residuals = _string_dilaton_operator_residuals(tau, constraint_pass)
     records = _records(tau, extracted, residuals)
     stats = {"records": 0}
     if records is not None:

@@ -70,7 +70,9 @@ integer numerator; the terms are grouped by annihilator multiset, and a
 group that divides a monomial is one int to subtract, each creator set
 one int to add, with an int product into one accumulator.  apply_w_mode
 and apply_raising_operator read their input's grading once, pack it and
-build the graded output; the solver passes packed pieces (raise_packed).
+build the graded output; the solver passes packed pieces (raise_packed),
+and verify passes each packed piece once for all its constraint modes,
+each creator key tagged with its equation above the layout's top bit.
 The pass-by-pass reference lives in tests/helpers.py.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
@@ -164,18 +166,20 @@ def _operator_loop(groups: dict, rows) -> dict[int, int]:
 
 
 def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
-    """The kernel's groups for (annihilators, creators, int factor, rational
-    coeff) terms, over the lcm D_T of the coefficient denominators: each
-    numerator is factor * coeff * D_T * prod(creators), as alpha_{-u}
-    multiplies by u."""
+    """The kernel's groups for (annihilators, creators, tag, int factor,
+    rational coeff) terms, over the lcm D_T of the coefficient denominators:
+    each creator key is the creators' key plus the tag, which a caller sets
+    above the layout's top bit to sort outputs, and each numerator is
+    factor * coeff * D_T * prod(creators), as alpha_{-u} multiplies by u."""
     terms = list(terms)
     den = lcm(*(c.denominator for *_, c in terms))
     groups: dict[tuple[int, ...], tuple[int, list]] = {}
-    for anns, cre, factor, c in terms:
+    for anns, cre, tag, factor, c in terms:
         group = groups.get(anns)
         if group is None:
             group = groups[anns] = (sum(1 << shift[u] for u in anns), [])
-        group[1].append((sum(1 << shift[u] for u in cre), factor * prod(cre) * c.numerator * (den // c.denominator)))
+        numerator = factor * prod(cre) * c.numerator * (den // c.denominator)
+        group[1].append((tag + sum(1 << shift[u] for u in cre), numerator))
     return groups, den
 
 
@@ -225,7 +229,7 @@ def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_powe
     terms = list(terms)
     shift, fields = exponent_fields(poly.r, poly.max_weight() + max((sum(t.creators) for t in terms), default=0))
     groups, den = _packed_groups(
-        ((t.annihilators, t.creators, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators)), shift
+        ((t.annihilators, t.creators, 0, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators)), shift
     )
     return _apply_graded(poly, unit_power, shift, fields, lambda rows: (_operator_loop(groups, rows), den))
 
@@ -447,7 +451,7 @@ def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]
     w_in = (target_degree - l) * (r + 1)
     groups, den = _packed_groups(
         (
-            (t.annihilators, t.creators + (r * m + k - 1,), -factorial(k - 1), t.coeff)
+            (t.annihilators, t.creators + (r * m + k - 1,), 0, -factorial(k - 1), t.coeff)
             for k in range(l + 1, r + 1)
             for m in range(mode_bound(r, k, target_degree) + 1)
             for t in _mode_blocks(r, k, k - 1 - l, m - k + 1, w_in)

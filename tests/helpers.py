@@ -16,6 +16,7 @@ transcribed from independently published tables.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -27,9 +28,12 @@ from rspin import (
     QScalar,
     TauExpansion,
     TPolynomial,
+    WModeSpec,
     apply_raising_operator,
+    apply_w_mode,
     mode_bound,
 )
+from rspin.serialize import poly_to_obj
 from rspin.tpoly import TMonomial, check_index
 from rspin.walgebra import _mode_blocks
 
@@ -411,6 +415,20 @@ def reference_tau(r, max_degree) -> list[TPolynomial]:
     return pieces
 
 
+def reference_w_residual(tau, k, m, degree) -> tuple[TPolynomial, bool]:
+    """(residual, engaged) of the constraint equation (k, m, degree), one
+    apply_w_mode per piece it reads, summed as TPolynomials: the
+    per-equation path that verify.w_constraint_residuals replaces."""
+    r = tau.r
+    pieces = [
+        (l, tau.pieces[idx])
+        for l, idx in enumerate(range(degree - k + 1, degree + 1))
+        if 0 <= idx <= tau.max_degree and not tau.pieces[idx].is_zero
+    ]
+    total = TPolynomial.sum_of(r, (apply_w_mode(WModeSpec(r, k, l, m), piece) for l, piece in pieces))
+    return total, bool(pieces)
+
+
 # -- power-series oracle for the graded log ---------------------------------
 
 
@@ -465,3 +483,23 @@ def genus0_closed_form_r2(levels: tuple[int, ...]) -> Fraction:
     for m in levels:
         denom *= factorial(m)
     return Fraction(factorial(n - 3), denom)
+
+
+# -- reference writers --------------------------------------------------------
+
+
+def _dump(obj) -> bytes:
+    """The canonical JSON bytes every writer in rspin.serialize reproduces:
+    json.dumps(indent=1) plus a final newline."""
+    return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
+
+
+def report_to_obj(report) -> dict:
+    """The JSON object of one check report, as serialize.reports_to_json
+    writes it."""
+    return {
+        "check_name": report.check_name,
+        "status": report.status,
+        "residuals": [{"label": label, "poly": poly_to_obj(poly)} for label, poly in report.residuals],
+        "details": report.details,
+    }

@@ -19,11 +19,19 @@ from rspin import (
     parse_tau,
     serialize_tau,
 )
-from rspin.serialize import _dump, poly_to_obj, records_to_csv, records_to_json, reports_to_json
-from rspin.verify import check_w_constraints
+from rspin.serialize import poly_to_obj, records_to_csv, records_to_json, reports_to_json
+from rspin.verify import (
+    CheckReport,
+    check_commutators,
+    check_exponential_agreement,
+    check_gradings,
+    check_selection,
+    check_string_dilaton,
+    check_w_constraints,
+)
 from rspin.walgebra import MODE_CONSTRUCTION
 
-from helpers import qs
+from helpers import _dump, qs, report_to_obj
 
 
 def test_round_trip_identity():
@@ -245,3 +253,30 @@ def test_serialized_residuals_round_trip_through_poly_format():
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["status"] == "fail"
     assert payload[0]["residuals"][0]["poly"]
+
+
+@pytest.mark.parametrize("r, degree", [(3, 2), (3, 6), (4, 4)])
+def test_reports_writer_matches_json_dumps(r, degree):
+    # passing reports, failing ones (s*T_1 on degree 1 also breaks the
+    # extraction), the two diagnostics, and a hand-built report with
+    # characters to escape and nested details
+    tau, failing = compute_tau(r, degree), compute_tau(r, degree)
+    failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), 0, {1: 1})
+    checks = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
+    reports = [check(t) for t in (tau, failing) for check in checks]
+    reports += [check_commutators(r, degree, tau), check_exponential_agreement(r, degree, tau)]
+    reports.append(
+        CheckReport(
+            'odd "name"\u00e9',
+            "fail",
+            [("label\n\t\\", TPolynomial.one(r))],
+            {"nested": {"a": [1, [2]], "b": {}}, "none": None},
+        )
+    )
+    labels = [label for rep in reports for label, _ in rep.residuals]
+    assert any(label.startswith("extraction: ") for label in labels)
+    assert {rep.status for rep in reports} == {"pass", "fail", "diagnostic"}
+    for rep in reports:
+        assert reports_to_json([rep]) == _dump([report_to_obj(rep)])
+    assert reports_to_json(reports) == _dump([report_to_obj(rep) for rep in reports])
+    assert reports_to_json([]) == _dump([])

@@ -17,11 +17,11 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
-from rspin import walgebra
-from rspin.verify import extract_or_error, w_constraint_residual
-from rspin.walgebra import apply_operator_sum
+from rspin import ContractError, WModeSpec, verify
+from rspin.verify import constraint_equations, extract_or_error, w_constraint_residual, w_constraint_residuals
+from rspin.walgebra import _mode_blocks, _operator_loop
 
-from helpers import qs
+from helpers import qs, reference_w_residual
 
 
 def test_w_constraints_pass_r3():
@@ -52,20 +52,92 @@ def test_w_constraints_detect_seeded_error():
 
 def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     # a mode that sends every monomial of a piece below weight 0 has no
-    # terms to apply; the check counts such equations as engaged but makes
-    # no kernel call for them: 185 of the 328 candidate calls at r=3 D=6
+    # terms to apply; the check counts such equations as engaged but asks
+    # for no blocks of them, and makes one kernel call per nonzero piece
     tau = compute_tau(3, 6)
-    calls = []
+    calls, lowest = [], []
 
-    def counting(terms, poly, unit_power):
-        calls.append(poly.max_weight())
-        return apply_operator_sum(terms, poly, unit_power)
+    def counting(groups, rows):
+        calls.append(len(rows))
+        return _operator_loop(groups, rows)
 
-    monkeypatch.setattr(walgebra, "apply_operator_sum", counting)
+    def recording(r, k, j, m, top):
+        lowest.append(top + WModeSpec(r, k, j, m).weight_shift)
+        return _mode_blocks(r, k, j, m, top)
+
+    monkeypatch.setattr(verify, "_operator_loop", counting)
+    monkeypatch.setattr(verify, "_mode_blocks", recording)
     report = check_w_constraints(tau)
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
-    assert len(calls) == 143
+    assert len(calls) == sum(not piece.is_zero for piece in tau.pieces) == 7
+    assert lowest and min(lowest) >= 0
+
+
+def _tampered(r, D):
+    """tau and tampered copies: graded pieces added to degree 1 (s*T_{r+1},
+    and the inhomogeneous s*T_1) and degree 2 (5/7*T_1*T_{2r+1}), piece 2
+    zeroed, and tau_0 plus the heavier 2/5*lam^-2*T_1^2."""
+    extra = {
+        "tau": None,
+        "s*T_{r+1}": (1, _s_times_var(r, r + 1)),
+        "s*T_1": (1, _s_times_var(r, 1)),
+        "5/7*T_1*T_{2r+1}": (2, TPolynomial.monomial(r, qs(Fraction(5, 7)), 0, {1: 1, 2 * r + 1: 1})),
+        "piece 2 zeroed": (2, None),
+        "tau_0 + 2/5*lam^-2*T_1^2": (0, TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})),
+    }
+    for name, change in extra.items():
+        tau = compute_tau(r, D)
+        if change is not None:
+            j, poly = change
+            tau.pieces[j] = TPolynomial.zero(r) if poly is None else tau.pieces[j] + poly
+        yield name, tau
+
+
+@pytest.mark.parametrize("r, D", [(2, 6), (3, 6), (3, 8), (4, 5), (5, 4), (6, 3)])
+def test_constraint_pass_equals_mode_by_mode_reference(r, D):
+    for name, tau in _tampered(r, D):
+        passed = w_constraint_residuals(tau)
+        equations = constraint_equations(r, D)
+        assert sorted(passed) == sorted(equations), name
+        for k, m, d in equations:
+            assert passed[(k, m, d)] == reference_w_residual(tau, k, m, d), (name, k, m, d)
+        failing = sum(not residual.is_zero for residual, _ in passed.values())
+        assert (failing == 0) == (name == "tau"), name
+
+
+@pytest.mark.parametrize("r, D", [(3, 4), (4, 3)])
+def test_residuals_stay_exact_at_negative_offsets(r, D):
+    # equation (k, m, d) has offset d - k + 1, below 0 for small d; its
+    # s^(d-k+1) takes a negative power of -r
+    tau = compute_tau(r, D)
+    tau.pieces[0] = tau.pieces[0] + TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})
+    passed = w_constraint_residuals(tau)
+    negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and not residual.is_zero]
+    assert {d - k + 1 for k, _, d in negative} >= {-1}
+    for eq in negative:
+        assert passed[eq] == reference_w_residual(tau, *eq)
+    for residual, _ in passed.values():
+        for c in residual.terms.values():
+            assert type(c.a) is Fraction and type(c.b) is Fraction
+
+
+def test_constraint_pass_refuses_pieces_off_the_grading():
+    # a mixed coefficient, a whole piece in the wrong parity, or the wrong
+    # offset lam + N: each raises and names the piece
+    tau = compute_tau(3, 3)
+    bad = {
+        "mixed": tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}),
+        "parity": TPolynomial.monomial(3, qs(1), 0, {4: 1}),
+        "offset": TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}),
+    }
+    for name, piece in bad.items():
+        j = 2 if name == "mixed" else 1
+        tampered = compute_tau(3, 3)
+        tampered.pieces[j] = piece
+        for check in (check_w_constraints, check_string_dilaton):
+            with pytest.raises(ContractError, match=f"piece {j} is not graded as tau_{j}"):
+                check(tampered)
 
 
 def test_string_dilaton_passes():
@@ -153,6 +225,17 @@ def test_scaled_translation_equals_lowest_constraint():
                 assert not matching
             else:
                 assert matching and matching[0] == base.scaled(Fraction(1, 3))
+
+
+def test_string_dilaton_reads_a_shared_constraint_pass():
+    tau = compute_tau(3, 2)
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
+    shared = {}
+    assert check_w_constraints(tau, shared).residuals == check_w_constraints(tau).residuals
+    assert shared == w_constraint_residuals(tau)  # filled by the check
+    alone, reused = check_string_dilaton(tau), check_string_dilaton(tau, None, shared)
+    assert alone.status == reused.status == "fail"
+    assert alone.residuals == reused.residuals
 
 
 def test_commutator_diagnostic_r3():
