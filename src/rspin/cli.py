@@ -197,9 +197,9 @@ def _run_verify(args) -> int:
 
 
 def _run_commutator(args) -> int:
-    tau = compute_tau(args.r, args.degree, cache=_cache(args))
-    commutator = check_commutators(args.r, args.degree, tau=tau)
-    agreement = check_exponential_agreement(args.r, args.degree, tau=tau)
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
+    commutator = _timed(args, "commutator", lambda: check_commutators(args.r, args.degree, tau=tau))
+    agreement = _timed(args, "exponential", lambda: check_exponential_agreement(args.r, args.degree, tau=tau))
     _write(args, reports_to_json([commutator, agreement]))
     if commutator.residuals:
         print(
@@ -221,6 +221,7 @@ def _run_commutator(args) -> int:
             print(f"  {label}", file=sys.stderr)
     else:
         _note(args, "exponential formula agrees with the recursion")
+    _note_tables(args)
     return 0
 
 

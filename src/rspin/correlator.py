@@ -37,8 +37,8 @@ from math import factorial, lcm
 
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
-from .solver import Packed, TauExpansion, graded_terms, pack_piece, reduced
-from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
+from .solver import TauExpansion
+from .tpoly import Packed, TMonomial, TPolynomial, exponent_fields, graded_terms, pack_piece, reduced, unpack_exponents
 
 __all__ = [
     "Insertion",
@@ -157,7 +157,7 @@ def log_tau(tau: TauExpansion) -> TPolynomial:
     """
     terms = {}
     for n, den, rows in _free_energy(tau):
-        terms.update(graded_terms(tau.r, n, den, ((exps, num) for _, exps, num in rows)))
+        terms.update(graded_terms(tau.r, n, n, den, ((exps, num) for _, exps, num in rows)))
     return TPolynomial._raw(tau.r, terms)
 
 

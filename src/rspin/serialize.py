@@ -84,20 +84,11 @@ def mono_from_obj(obj, where: str) -> TMonomial:
     pairs = obj["t"]
     if not isinstance(pairs, list):
         raise ParseError("t must be a list of [index, exponent] pairs", where + ".t")
-    exps = []
-    last_n = 0
     for idx, pair in enumerate(pairs):
-        loc = f"{where}.t[{idx}]"
         if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair)):
-            raise ParseError("entry must be a pair of integers", loc)
-        n, e = pair
-        if n <= last_n:
-            raise ParseError(f"indices must be strictly ascending, got {n} after {last_n}", loc)
-        if e < 1:
-            raise ParseError(f"exponent must be positive, got {e}", loc)
-        last_n = n
-        exps.append((n, e))
-    return TMonomial(lam, tuple(exps))
+            raise ParseError("entry must be a pair of integers", f"{where}.t[{idx}]")
+    # TPolynomial refuses a monomial whose indices do not ascend or whose exponent is < 1
+    return TMonomial(lam, tuple((n, e) for n, e in pairs))
 
 
 def poly_to_obj(poly: TPolynomial) -> list:

@@ -2,12 +2,12 @@
 
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
-computed bottom-up, one kernel call per raiser.  A degree-j monomial in
-N variables carries lam^(j-N) and a coefficient in Q * s^j, so a piece is
-packed: integer numerators over one denominator, keyed by exponent vectors
-in one layout of top weight D*(r+1).  A_l maps x * s^(j-l) to
-x * r^(-2l) * s^j, so each degree is one int accumulator, and a finished
-piece becomes a TPolynomial once.
+computed bottom-up, one kernel call per raiser.  A degree-j piece is
+packed by tpoly's rule with offset and power of s both j, over one layout
+of top weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
+degree is one int accumulator, and a finished piece becomes a TPolynomial
+once.  That map is raise_step, the one raise step of the package: the
+recursion, the exponential formula and verify's commutators all call it.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -17,14 +17,11 @@ raises instead of being recomputed silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Protocol
 
 from .errors import ContractError
-from .scalar import QScalar
-from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
-from .walgebra import apply_raising_operator, raise_packed
+from .tpoly import Packed, TPolynomial, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpacked
+from .walgebra import raise_packed
 
 __all__ = [
     "TauExpansion",
@@ -108,44 +105,13 @@ def check_piece(r: int, j: int, piece: TPolynomial) -> None:
         raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
-Packed = tuple[dict[int, int], int]  # ({key: num}, den): sum num/den * s^j * lam^(j-N) * prod T_n^e_n
-
-
-def pack_piece(j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
-    """Read a graded tau_j (check_piece passes it) over the layout shift."""
-    r, (half, odd) = piece.r, divmod(j, 2)
-    ratios = {sum(e << shift[n] for n, e in mono.exps): c.b if odd else c.a for mono, c in piece.terms.items()}
-    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
-    common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
-    return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
-
-
-def reduced(nums: dict[int, int], den: int) -> Packed:
-    """Drop zero numerators and cancel the common factor."""
-    nums = {key: c for key, c in nums.items() if c}
-    div = gcd(den, *nums.values())
-    return {key: c // div for key, c in nums.items()}, den // div
-
-
-def summed(parts, div: int = 1) -> Packed:
-    """The sum of (numerators, den) parts, divided by div and reduced."""
-    common, total = lcm(*(den for _, den in parts)), {}
-    for nums, den in parts:
-        scale = common // den
-        for key, c in nums.items():
-            total[key] = total.get(key, 0) + c * scale
-    return reduced(total, common * div)
-
-
-def graded_terms(r: int, j: int, den: int, rows):
-    """The (monomial, coefficient) items of the degree-j piece with rows
-    (exps, num): num/den * s^j * lam^(j-N) * prod T_n^e_n each.  The offset
-    j may be negative, as for a constraint residual, and stays exact."""
-    unit, zero = Fraction(-r) ** (j // 2), Fraction(0)  # s^j / s^(j mod 2)
-    num_unit, den = unit.numerator, den * unit.denominator
-    for exps, num in rows:
-        x = Fraction(num * num_unit, den)
-        yield TMonomial(j - sum(e for _, e in exps), exps), QScalar(zero, x) if j % 2 else QScalar(x, zero)
+def raise_step(r: int, l: int, j: int, rows: tuple[int, list], shift: dict[int, int]) -> Packed:
+    """A_l on the (den, kernel rows) of a degree j - l piece: the degree-j
+    piece in the s^j convention, as A_l maps x * s^(j-l) to
+    x * r^(-2l) * s^j."""
+    den, kernel = rows
+    nums, den_t = raise_packed(r, l, kernel, j, shift)
+    return nums, den * den_t * r ** (2 * l)
 
 
 def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> TauExpansion:
@@ -162,22 +128,16 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     shift, fields = exponent_fields(r, max_degree * (r + 1))
     pieces = [TPolynomial.one(r)]
-    rows: dict[int, tuple[int, list]] = {}  # degree -> (den, kernel rows (key, exps, num))
-
-    def read(i: int, packed: Packed) -> tuple[int, list]:
-        rows[i] = packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
-        return rows[i]
-
+    rows: dict[int, tuple[int, list]] = {}  # degree -> kernel_rows of its piece
     for j in range(1, max_degree + 1):
         piece = cache.load(r, j) if cache is not None else None
         if piece is None:
-            outs = []  # A_l tau_{j-l} as (numerators, den): A_l adds r^(2l) to the denominator
-            for l in range(1, min(r - 1, j) + 1):
-                den, kernel_rows = rows.get(j - l) or read(j - l, pack_piece(j - l, pieces[j - l], shift))
-                acc, den_t = raise_packed(r, l, kernel_rows, j, shift)
-                outs.append((acc, den * den_t * r ** (2 * l)))
-            den, kernel_rows = read(j, summed(outs, j))
-            piece = TPolynomial._raw(r, dict(graded_terms(r, j, den, ((e, num) for _, e, num in kernel_rows))))
+            for i in range(max(0, j - r + 1), j):
+                if i not in rows:  # tau_0, or a cached piece
+                    rows[i] = kernel_rows(pack_piece(i, pieces[i], shift), fields)
+            outs = [raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)]
+            den, kernel = rows[j] = kernel_rows(summed(outs, j), fields)
+            piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, ((e, num) for _, e, num in kernel))))
             check_piece(r, j, piece)
             if cache is not None:
                 cache.store(r, j, piece)
@@ -199,22 +159,23 @@ def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
         raise ValueError(f"r must be >= 2, got {r}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    zero = TPolynomial.zero(r)
-    acc: dict[int, TPolynomial] = {0: TPolynomial.one(r)}
-    power: dict[int, TPolynomial] = {0: TPolynomial.one(r)}
+    shift, fields = exponent_fields(r, max_degree * (r + 1))
+    acc: dict[int, list[Packed]] = {0: [({0: 1}, 1)]}
+    power: dict[int, Packed] = {0: ({0: 1}, 1)}
     # power holds B^n/n! . 1 by degree, B = sum_l A_l / l; its lowest degree
     # is n, so n ranges over 1 .. max_degree only.
     for n in range(1, max_degree + 1):
-        nxt: dict[int, TPolynomial] = {}
-        for d, poly in power.items():
-            for l in range(1, min(r, max_degree - d + 1)):
-                target = d + l
-                contrib = apply_raising_operator(r, l, poly, target).scaled(Fraction(1, l))
-                nxt[target] = nxt.get(target, zero) + contrib
-        power = {d: p.scaled(Fraction(1, n)) for d, p in nxt.items() if not p.is_zero}
-        for d, p in power.items():
-            acc[d] = acc.get(d, zero) + p
-    pieces = [acc.get(j, zero) for j in range(max_degree + 1)]
+        nxt: dict[int, list[Packed]] = {}
+        for d, packed in power.items():
+            if d < max_degree:  # the top degree raises no further
+                rows = kernel_rows(packed, fields)
+                for l in range(1, min(r, max_degree - d + 1)):
+                    nums, den = raise_step(r, l, d + l, rows, shift)
+                    nxt.setdefault(d + l, []).append((nums, den * l))
+        power = {d: summed(parts, n) for d, parts in nxt.items()}
+        for d, packed in power.items():
+            acc.setdefault(d, []).append(packed)
+    pieces = [unpacked(r, j, j, summed(acc.get(j, [])), fields) for j in range(max_degree + 1)]
     tau = TauExpansion(r, max_degree, pieces)
     tau.validate()
     return tau

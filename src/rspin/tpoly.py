@@ -9,15 +9,20 @@ grading; the degree-d slice of a polynomial is its weight-d*(r+1) part.
 
 Coefficients are QScalar pairs a + b*s; the polynomial's r says that
 s^2 = -r, and polynomials over different r do not combine.  Zero
-coefficients are never stored, monomial tuples are always sorted, and the
-canonical term order (weight, lam exponent, exponent sequence) makes the
-representation of equal polynomials identical.
+coefficients are never stored, monomial tuples are always sorted (the
+constructor refuses others), and the canonical term order (weight, lam
+exponent, exponent sequence) makes equal polynomials identical.
+
+The one packed rule: a graded polynomial (grades) of offset lam + N = o is
+Packed as the sum of num/den * s^p * lam^(o-N) * prod T_n^e_n over
+{exponent key: num}, for a power p of s of its parity; tau_j has o = p = j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import ContextError, InvalidIndexError
@@ -104,6 +109,46 @@ def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tupl
     return tuple(exps)
 
 
+Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s known to the holder
+
+
+def grades(poly: TPolynomial) -> set[tuple[int, int | None]]:
+    """The (offset lam + N, s-parity) pairs of poly's monomials, parity None
+    for a coefficient in neither Q nor Q*s; graded means one pair, not None."""
+    return {
+        (mono.lambda_exp + sum(e for _, e in mono.exps), None if c.a and c.b else int(bool(c.b)))
+        for mono, c in poly.terms.items()
+    }
+
+
+def pack_piece(p: int, poly: TPolynomial, shift: dict[int, int]) -> Packed:
+    """Read poly, coefficients all in Q*s^(p mod 2), as numerators over one
+    den of s^p, over the layout shift; only that component is read."""
+    r, (half, odd) = poly.r, divmod(p, 2)
+    ratios = {sum(e << shift[n] for n, e in mono.exps): c.b if odd else c.a for mono, c in poly.terms.items()}
+    # coeff = x * s^(p mod 2) = x / (-r)^(p // 2) * s^p
+    common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
+    return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
+
+
+def reduced(nums: dict[int, int], den: int) -> Packed:
+    """Drop zero numerators and cancel the common factor."""
+    nums = {key: c for key, c in nums.items() if c}
+    div = gcd(den, *nums.values())
+    return {key: c // div for key, c in nums.items()}, den // div
+
+
+def summed(parts, div: int = 1) -> Packed:
+    """The sum of (numerators, den) parts, divided by div and reduced; a
+    part with a negative den is subtracted."""
+    common, total = lcm(*(den for _, den in parts)), {}
+    for nums, den in parts:
+        scale = common // den
+        for key, c in nums.items():
+            total[key] = total.get(key, 0) + c * scale
+    return reduced(total, common * div)
+
+
 class TPolynomial:
     """Finite linear combination of TMonomials with QScalar coefficients,
     over a fixed r."""
@@ -115,8 +160,12 @@ class TPolynomial:
             raise ValueError(f"r must be an integer >= 2, got {r!r}")
         clean: dict[TMonomial, QScalar] = {}
         for mono, coeff in (terms or {}).items():
-            for n, _ in mono.exps:
+            last = 0
+            for n, e in mono.exps:
                 check_index(r, n)
+                if n <= last or e < 1:
+                    raise ValueError(f"monomial {mono.exps} is not canonical: indices ascend, exponents are >= 1")
+                last = n
             coeff = _coeff(coeff)
             if coeff:
                 clean[mono] = coeff
@@ -242,3 +291,26 @@ class TPolynomial:
 
     def __repr__(self) -> str:
         return f"TPolynomial(r={self.r}, {self})"
+
+
+def graded_terms(r: int, offset: int, p: int, den: int, rows):
+    """The (monomial, coefficient) items of the polynomial with rows
+    (exps, num): num/den * s^p * lam^(offset-N) * prod T_n^e_n each.  The
+    offset and p may be negative, as for a constraint residual or a raiser
+    output, and stay exact."""
+    unit, zero = Fraction(-r) ** (p // 2), Fraction(0)  # s^p / s^(p mod 2)
+    num_unit, den = unit.numerator, den * unit.denominator
+    for exps, num in rows:
+        x = Fraction(num * num_unit, den)
+        yield TMonomial(offset - sum(e for _, e in exps), exps), QScalar(zero, x) if p % 2 else QScalar(x, zero)
+
+
+def kernel_rows(packed: Packed, fields: list[tuple[int, int, int]]) -> tuple[int, list]:
+    """The den of a Packed and its rows (key, exps, num), as the kernel reads them."""
+    return packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
+
+
+def unpacked(r: int, offset: int, p: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:
+    """The polynomial of a Packed at this offset and power of s."""
+    rows = ((unpack_exponents(key, fields), num) for key, num in packed[0].items() if num)
+    return TPolynomial._raw(r, dict(graded_terms(r, offset, p, packed[1], rows)))

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
-from .errors import ContractError
-from .solver import TauExpansion, compute_tau, compute_tau_exponential, graded_terms, off_grade, pack_piece, summed
-from .tpoly import TPolynomial, exponent_fields, unpack_exponents
-from .walgebra import WModeSpec, _mode_blocks, _operator_loop, _packed_groups, apply_raising_operator
+from .errors import ContextError, ContractError
+from .solver import TauExpansion, compute_tau, compute_tau_exponential, off_grade, raise_step
+from .tpoly import Packed, TPolynomial, exponent_fields, grades, kernel_rows, pack_piece, summed, unpacked
+from .walgebra import WModeSpec, _mode_blocks, _operator_loop, _packed_groups
 
 __all__ = [
     "CheckReport",
@@ -94,18 +94,15 @@ def constraint_equations(r: int, max_degree: int) -> list[Equation]:
     return [(k, m, d) for k in range(2, r + 1) for m in range(-(k - 1), bound + 1) for d in range(max_degree + 1)]
 
 
-def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]):
+def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]) -> Packed:
     """tau_j packed over shift, after checking that it is graded as tau_j:
-    offset lam + N = j and coefficients in Q*s^(j mod 2) (its weight is not
-    checked, so an inhomogeneous piece is applied as it is)."""
-    piece, odd = tau.pieces[j], j % 2
-    for mono, c in piece.terms.items():
-        if mono.lambda_exp + sum(e for _, e in mono.exps) != j or (c.a if odd else c.b):
-            raise ContractError(
-                f"piece {j} is not graded as tau_{j}: monomial {mono} with coefficient {c}; "
-                f"expected lam + N = {j} and a coefficient in Q*s^{odd}"
-            )
-    return pack_piece(j, piece, shift)
+    tpoly.grades finds offset lam + N = j and s-parity j mod 2 (its weight
+    is not checked, so an inhomogeneous piece is applied as it is)."""
+    found = grades(tau.pieces[j])
+    if not found <= {(j, j % 2)}:
+        found = sorted(found, key=str)
+        raise ContractError(f"piece {j} is not graded as tau_{j}: (lam + N, s-parity) is {found}, not ({j}, {j % 2})")
+    return pack_piece(j, tau.pieces[j], shift)
 
 
 def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, tuple[TPolynomial, bool]]:
@@ -141,7 +138,7 @@ def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, 
     out = {}
     for j in range(top_degree + 1):
         if reads.get(j):
-            nums, den = _pack_graded(tau, j, shift)
+            den, rows = kernel_rows(_pack_graded(tau, j, shift), fields)
             w = tau.pieces[j].max_weight()
             groups, den_t = _packed_groups(
                 (
@@ -152,7 +149,7 @@ def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, 
                 ),
                 shift,
             )
-            acc = _operator_loop(groups, [(key, unpack_exponents(key, fields), x) for key, x in nums.items()])
+            acc = _operator_loop(groups, rows)
             split: dict[int, dict[int, int]] = {}  # equation index -> its numerators
             for key, x in acc.items():
                 if x:
@@ -161,9 +158,7 @@ def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, 
                 parts.setdefault(e, []).append((part, den * den_t))
         for e in finish.get(j, ()):
             k, m, d = equations[e]
-            nums, den = summed(parts.pop(e, ()))
-            rows = ((unpack_exponents(key, fields), x) for key, x in nums.items())
-            out[(k, m, d)] = TPolynomial._raw(r, dict(graded_terms(r, d - k + 1, den, rows))), e in engaged
+            out[(k, m, d)] = unpacked(r, d - k + 1, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged
     return out
 
 
@@ -349,28 +344,28 @@ def check_commutators(r: int, degree: int, tau: TauExpansion | None = None) -> C
     Instances are all (i < j, base degree d) with d + i + j <= degree.  If
     the budget admits none (and r > 2), the minimal instances on the
     constant piece are measured instead so the diagnostic always reports
-    something.
+    something.  Both products run on packed pieces through solver.raise_step,
+    from each base read as the constraint pass reads it (ContractError).
     """
-    instances = [
-        (i, j, d)
-        for i in range(1, r)
-        for j in range(i + 1, r)
-        for d in range(0, max(degree - i - j, -1) + 1)
-    ]
+    if tau is not None and tau.r != r:
+        raise ContextError(f"tau over r={tau.r} given to a diagnostic over r={r}")
+    pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r)]
+    instances = [(i, j, d) for i, j in pairs for d in range(degree - i - j + 1)]
     fallback = not instances and r >= 3
     if fallback:
-        instances = [(i, j, 0) for i in range(1, r) for j in range(i + 1, r)]
+        instances = [(i, j, 0) for i, j in pairs]
     max_base = max((d for _, _, d in instances), default=0)
     if tau is None or tau.max_degree < max_base:
         tau = compute_tau(r, max_base)
+    shift, fields = exponent_fields(r, max((d + i + j for i, j, d in instances), default=0) * (r + 1))
     residuals = []
     for i, j, d in instances:
-        base = tau.pieces[d]
-        if base.is_zero:
-            continue
-        ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
-        ji = apply_raising_operator(r, j, apply_raising_operator(r, i, base, d + i), d + i + j)
-        residual = ij - ji
+        if not tau.pieces[d].is_homogeneous(d * (r + 1)):
+            raise ContractError(f"piece {d} is not homogeneous of weight {d * (r + 1)}")
+        base, top = kernel_rows(_pack_graded(tau, d, shift), fields), d + i + j
+        ij = raise_step(r, i, top, kernel_rows(raise_step(r, j, d + j, base, shift), fields), shift)
+        ji = raise_step(r, j, top, kernel_rows(raise_step(r, i, d + i, base, shift), fields), shift)
+        residual = unpacked(r, top, top, summed([ij, (ji[0], -ji[1])]), fields)
         if not residual.is_zero:
             residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
     return CheckReport(
@@ -391,13 +386,18 @@ def check_exponential_agreement(r: int, degree: int, tau: TauExpansion | None = 
 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
+    Compared packed, tau's pieces read as the constraint pass reads them.
     """
+    if tau is not None and tau.r != r:
+        raise ContextError(f"tau over r={tau.r} given to a diagnostic over r={r}")
     if tau is None or tau.max_degree < degree:
         tau = compute_tau(r, degree)
     exp_tau = compute_tau_exponential(r, degree)
+    shift, fields = exponent_fields(r, max(piece.max_weight() for piece in tau.pieces[: degree + 1] + exp_tau.pieces))
     residuals = []
     for j in range(degree + 1):
-        diff = tau.pieces[j] - exp_tau.pieces[j]
+        (ours, den), (theirs, exp_den) = _pack_graded(tau, j, shift), pack_piece(j, exp_tau.pieces[j], shift)
+        diff = unpacked(r, j, j, summed([(ours, den), (theirs, -exp_den)]), fields)
         if not diff.is_zero:
             residuals.append((f"degree {j}", diff))
     return CheckReport(

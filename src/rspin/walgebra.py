@@ -62,18 +62,18 @@ every tau piece is, has one offset lam + N over its monomials (N the
 variable count) and coefficients all in Q or all in Q*s.  An oscillator
 moves lam and N together, so a normal-ordered term keeps the offset, and
 W(k, j, m) maps a graded input to a graded output whose offset is j lower
-and whose s-parity flips j times.
+and whose s-parity flips j times (s^p goes to s^(p + 3j), as -r*s = s^3).
 
 The kernel (_operator_loop) is packed in and packed out: an input
 monomial is one int key (tpoly.exponent_fields), its exponents and an
 integer numerator; the terms are grouped by annihilator multiset, and a
 group that divides a monomial is one int to subtract, each creator set
-one int to add, with an int product into one accumulator.  apply_w_mode
-and apply_raising_operator read their input's grading once, pack it and
-build the graded output; the solver passes packed pieces (raise_packed),
-and verify passes each packed piece once for all its constraint modes,
-each creator key tagged with its equation above the layout's top bit.
-The pass-by-pass reference lives in tests/helpers.py.
+one int to add, with an int product into one accumulator.  Packing is
+tpoly's one rule.  The public API (apply_w_mode and the public raiser at
+the end) packs any graded input and unpacks the output (_apply_graded);
+inside the package every raiser call is solver.raise_step, and
+verify packs each piece once for all its constraint modes, each creator
+key tagged with its equation above the layout's top bit.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
@@ -95,8 +95,7 @@ from math import comb, factorial, lcm, prod
 from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidSpecError
-from .scalar import QScalar
-from .tpoly import TMonomial, TPolynomial, exponent_fields, unpack_exponents
+from .tpoly import TPolynomial, exponent_fields, grades, kernel_rows, pack_piece, unpacked
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
 # another construction are refused rather than reused.
@@ -183,42 +182,19 @@ def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
     return groups, den
 
 
-def _apply_graded(poly: TPolynomial, unit_power: int, shift, fields, kernel) -> TPolynomial:
-    """Apply (-r*s/lam)^unit_power times an operator, a kernel from rows to
-    (numerators, D_T), to a graded polynomial: one offset lam + N and
-    coefficients all in Q or all in Q*s, else ContractError, so the rows
-    are integers over one D_in.  The output's offset is unit_power lower."""
-    r = poly.r
+def _apply_graded(poly: TPolynomial, u: int, shift, fields, kernel) -> TPolynomial:
+    """Apply (-r*s/lam)^u times an operator, a kernel from rows to
+    (numerators, D_T), to a graded polynomial (tpoly.grades, else
+    ContractError): s^parity at offset lam + N goes to s^(parity + 3u) at
+    an offset u lower, as -r*s = s^3."""
     if poly.is_zero:
         return poly
-    grades = {  # (lam + N, s-parity), the parity None for a coefficient in neither Q nor Q*s
-        (mono.lambda_exp + sum(e for _, e in mono.exps), None if c.a and c.b else int(bool(c.b)))
-        for mono, c in poly.terms.items()
-    }
-    (offset, parity), *others = grades
+    (offset, parity), *others = found = grades(poly)
     if others or parity is None:
-        raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(grades, key=str)}")
-    xs = {mono: c.b if parity else c.a for mono, c in poly.terms.items()}
-    den_in = lcm(*(x.denominator for x in xs.values()))
-    acc, den_t = kernel([
-        (sum(e << shift[n] for n, e in mono.exps), mono.exps, x.numerator * (den_in // x.denominator))
-        for mono, x in xs.items()
-    ])
-    # s^parity * (-r*s)^unit_power = (-r)^unit_power * s^p with p = parity + unit_power,
-    # and s^p = (-r)^(p // 2) * s^(p mod 2), as s^2 = -r
-    p = parity + unit_power
-    factor = Fraction(-r) ** (unit_power + p // 2)
-    num, den = factor.numerator, den_in * den_t * factor.denominator
-    offset -= unit_power
-    zero = Fraction(0)
-    out = {}
-    for key, x in acc.items():
-        if x:
-            exps = unpack_exponents(key, fields)
-            x = Fraction(x * num, den)
-            mono = TMonomial(offset - sum(e for _, e in exps), exps)
-            out[mono] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
-    return TPolynomial._raw(r, out)
+        raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(found, key=str)}")
+    den, rows = kernel_rows(pack_piece(parity, poly, shift), fields)
+    acc, den_t = kernel(rows)
+    return unpacked(poly.r, offset - u, parity + 3 * u, (acc, den * den_t), fields)
 
 
 def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
@@ -476,8 +452,6 @@ def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int
         raise ContextError(f"raiser over r={r} applied to polynomial over r={poly.r}")
     w_in = (target_degree - l) * (r + 1)
     if w_in < 0 or not poly.is_homogeneous(w_in):
-        raise ContractError(
-            f"input must be homogeneous of degree {target_degree - l} (weight {w_in})"
-        )
+        raise ContractError(f"input must be homogeneous of degree {target_degree - l} (weight {w_in})")
     shift, fields = exponent_fields(r, target_degree * (r + 1))
     return _apply_graded(poly, -l, shift, fields, lambda rows: raise_packed(r, l, rows, target_degree, shift))

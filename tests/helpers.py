@@ -31,6 +31,7 @@ from rspin import (
     WModeSpec,
     apply_raising_operator,
     apply_w_mode,
+    compute_tau,
     mode_bound,
 )
 from rspin.serialize import poly_to_obj
@@ -413,6 +414,51 @@ def reference_tau(r, max_degree) -> list[TPolynomial]:
         )
         pieces.append(total.scaled(Fraction(1, j)))
     return pieces
+
+
+def reference_commutator(r, degree, tau=None) -> list[tuple[str, TPolynomial]]:
+    """The residuals of check_commutators on TPolynomials: every instance
+    (i < j, d) with d + i + j <= degree, else the minimal ones on tau_0 for
+    r > 2, measured as A_i A_j tau_d - A_j A_i tau_d by nested
+    apply_raising_operator calls, the formulation the packed diagnostic
+    replaces."""
+    instances = [(i, j, d) for i in range(1, r) for j in range(i + 1, r) for d in range(0, max(degree - i - j, -1) + 1)]
+    if not instances and r >= 3:
+        instances = [(i, j, 0) for i in range(1, r) for j in range(i + 1, r)]
+    max_base = max((d for _, _, d in instances), default=0)
+    if tau is None or tau.max_degree < max_base:
+        tau = compute_tau(r, max_base)
+    residuals = []
+    for i, j, d in instances:
+        base = tau.pieces[d]
+        if base.is_zero:
+            continue
+        ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
+        ji = apply_raising_operator(r, j, apply_raising_operator(r, i, base, d + i), d + i + j)
+        residual = ij - ji
+        if not residual.is_zero:
+            residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
+    return residuals
+
+
+def reference_exponential(r, max_degree) -> list[TPolynomial]:
+    """The pieces of exp(sum_l A_l / l) . 1 through max_degree on
+    TPolynomials: B^n/n! . 1 by degree, B = sum_l A_l / l, each raiser one
+    apply_raising_operator call, summed and scaled as TPolynomials, the
+    formulation the packed compute_tau_exponential replaces."""
+    zero = TPolynomial.zero(r)
+    acc = {0: TPolynomial.one(r)}
+    power = {0: TPolynomial.one(r)}
+    for n in range(1, max_degree + 1):
+        nxt = {}
+        for d, poly in power.items():
+            for l in range(1, min(r, max_degree - d + 1)):
+                contrib = apply_raising_operator(r, l, poly, d + l).scaled(Fraction(1, l))
+                nxt[d + l] = nxt.get(d + l, zero) + contrib
+        power = {d: p.scaled(Fraction(1, n)) for d, p in nxt.items() if not p.is_zero}
+        for d, p in power.items():
+            acc[d] = acc.get(d, zero) + p
+    return [acc.get(j, zero) for j in range(max_degree + 1)]
 
 
 def reference_w_residual(tau, k, m, degree) -> tuple[TPolynomial, bool]:

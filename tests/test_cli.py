@@ -165,18 +165,24 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
         (["compute"], ["solve", "write"]),
         (["correlators"], ["solve", "extract", "write"]),
         (["correlators", "--format", "csv"], ["solve", "extract", "write"]),
+        (["commutator"], ["solve", "commutator", "exponential"]),
     ],
 )
 def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     # -v reports the phase milliseconds and the mode-table caches on
-    # stderr; the data on stdout keeps its bytes
+    # stderr; the data on stdout keeps its bytes.  commutator reports its
+    # nonzero residuals on stderr whatever the verbosity, and -v adds the
+    # timings before them and the tables after them
     argv = argv + ["--r", "3", "--degree", "3"]
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert main(argv + ["-v"]) == 0
     verbose = capsys.readouterr()
-    assert verbose.out == plain.out and plain.err == ""
+    assert verbose.out == plain.out and bool(plain.err) == (argv[0] == "commutator")
     lines = verbose.err.splitlines()
+    notes = plain.err.splitlines()
+    assert lines[len(labels): len(lines) - 2] == notes
+    del lines[len(labels): len(lines) - 2]
     assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])
     assert all(re.fullmatch(r"\w+: \d+ hits, \d+ misses", line) for line in lines[len(labels):])
@@ -271,7 +277,7 @@ def test_compute_and_cache_entry_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the commutator reports; the spin-4 raisers reach these through
-# check_commutators and compute_tau_exponential, not through the solver.
+# check_commutators and compute_tau_exponential as well as the recursion.
 COMMUTATOR_DIGESTS = {
     (4, 4): "cc2213c595084db601b07f561081f50664ec12dd0ab32b8f564fe49697855f8c",
 }

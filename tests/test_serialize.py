@@ -126,6 +126,14 @@ def test_parse_rejects_invalid_index():
     assert "pieces[1]" in str(info.value)
 
 
+@pytest.mark.parametrize("t", [[[2, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 0], [2, 1]]], ids=["unsorted", "repeated", "zero"])
+def test_parse_rejects_non_canonical_monomial(t):
+    doc = json.loads(serialize_tau(compute_tau(3, 1)))
+    doc["pieces"][1][0]["monomial"]["t"] = t
+    with pytest.raises(ParseError, match=r"not canonical.*pieces\[1\]"):
+        parse_tau(json.dumps(doc))
+
+
 def test_parse_rejects_inhomogeneous_piece():
     doc = json.loads(serialize_tau(compute_tau(3, 1)))
     doc["pieces"][1].append(

@@ -177,7 +177,7 @@ def test_bad_piece_never_reaches_the_cache(tmp_path, monkeypatch):
 
     # the finished piece, built from the packed one, comes out as a rational T4
     off_grade = TPolynomial.var(3, 4).terms.items()
-    monkeypatch.setattr(solver, "graded_terms", lambda r, j, den, rows: off_grade)
+    monkeypatch.setattr(solver, "graded_terms", lambda r, offset, p, den, rows: off_grade)
     with pytest.raises(ContractError, match="outside"):
         compute_tau(3, 1, cache=TauCache(tmp_path))
     assert not list(tmp_path.iterdir())

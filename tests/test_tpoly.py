@@ -166,3 +166,16 @@ def test_scaling_takes_rationals_only():
         p.scaled(qs(0, 1))
     with pytest.raises(TypeError):
         TPolynomial.monomial(3, 0.5, 0, {1: 1})
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 0), (2, 1)), ((1, -1),), ((1, 1), (2, 0))],
+    ids=["unsorted", "repeated", "zero-first", "negative", "zero-last"],
+)
+def test_constructor_refuses_non_canonical_monomials(exps):
+    # a TMonomial built directly skips make(); an unsorted or repeated index
+    # or an exponent below 1 would make equal values compare unequal
+    with pytest.raises(ValueError, match="not canonical"):
+        TPolynomial(3, {TMonomial(0, exps): 1})
+    assert TPolynomial._raw(3, {TMonomial(0, exps): qs(1)}).terms  # the unchecked fast path stays unchecked

@@ -17,11 +17,11 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
-from rspin import ContractError, WModeSpec, verify
+from rspin import ContextError, ContractError, WModeSpec, compute_tau_exponential, solver, verify, walgebra
 from rspin.verify import constraint_equations, extract_or_error, w_constraint_residual, w_constraint_residuals
 from rspin.walgebra import _mode_blocks, _operator_loop
 
-from helpers import qs, reference_w_residual
+from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
 
 
 def test_w_constraints_pass_r3():
@@ -271,3 +271,87 @@ def test_exponential_agreement_reports():
     assert high.status == "diagnostic"
     assert high.details["agrees"] is False
     assert [label for label, _ in high.residuals] == ["degree 3"]
+
+
+@pytest.mark.parametrize("r, degree", [(3, 5), (4, 4), (5, 3), (4, 2)])
+def test_packed_diagnostics_match_references(r, degree):
+    # (4, 2) is the fallback to the minimal instances on tau_0; the
+    # references run every raiser through apply_raising_operator and add
+    # TPolynomials
+    tau = compute_tau(r, degree)
+    assert check_commutators(r, degree, tau).residuals == reference_commutator(r, degree, tau)
+    expected = reference_exponential(r, degree)
+    assert compute_tau_exponential(r, degree).pieces == expected
+    diffs = [(f"degree {j}", tau.pieces[j] - p) for j, p in enumerate(expected) if tau.pieces[j] != p]
+    assert check_exponential_agreement(r, degree, tau).residuals == diffs
+
+
+def test_diagnostics_refuse_a_tau_over_another_r():
+    tau = compute_tau(4, 3)
+    with pytest.raises(ContextError):
+        check_commutators(3, 3, tau)
+    with pytest.raises(ContextError):
+        check_exponential_agreement(3, 3, tau)
+
+
+@pytest.mark.parametrize(
+    "piece, match",
+    [
+        (TPolynomial.monomial(3, qs(1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong parity
+        (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong offset
+        (TPolynomial.monomial(3, qs(1, 1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # mixed coefficient
+        (TPolynomial.monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # graded, off the weight
+    ],
+)
+def test_diagnostics_refuse_a_base_off_the_grading(piece, match):
+    # the commutators at (3, 4) raise tau_0 and tau_1; the exponential check
+    # compares every piece
+    tau = compute_tau(3, 4)
+    tau.pieces[1] = piece
+    with pytest.raises(ContractError, match=match):
+        check_commutators(3, 4, tau)
+    if "graded" in match:
+        with pytest.raises(ContractError, match=match):
+            check_exponential_agreement(3, 4, tau)
+    else:  # the exponential check compares an inhomogeneous piece as it is
+        assert "degree 1" in [label for label, _ in check_exponential_agreement(3, 4, tau).residuals]
+
+
+def test_diagnostics_run_on_packed_pieces(monkeypatch):
+    # no diagnostic reaches the TPolynomial adapter of the public raiser,
+    # and the exponential makes one kernel call per (power n, degree d,
+    # raiser l), l <= min(r - 1, D - d), on the rows of B^(n-1)/(n-1)! . 1 in
+    # degree d
+    monkeypatch.setattr(walgebra, "_apply_graded", lambda *args: pytest.fail("TPolynomial raiser path reached"))
+    tau = compute_tau(4, 4)
+    check_commutators(4, 4, tau)
+    check_exponential_agreement(4, 4, tau)
+    calls, loop = [], walgebra._operator_loop
+
+    def counting(groups, rows):
+        calls.append(max((sum(n * e for n, e in exps) for _, exps, _ in rows), default=0) // 5)  # degree: weight / (r + 1)
+        return loop(groups, rows)
+
+    monkeypatch.setattr(walgebra, "_operator_loop", counting)
+    compute_tau_exponential(4, 4)
+    # n = 1: d = 0 (3 raisers); n = 2: d = 1, 2, 3 (3, 2, 1); n = 3: d = 2, 3 (2, 1); n = 4: d = 3 (1)
+    assert sorted(calls) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
+
+
+def test_every_raiser_call_goes_through_the_raise_step(monkeypatch):
+    steps, step = [], solver.raise_step
+
+    def counting(r, l, j, rows, shift):
+        steps.append((l, j))
+        return step(r, l, j, rows, shift)
+
+    monkeypatch.setattr(solver, "raise_step", counting)
+    monkeypatch.setattr(verify, "raise_step", counting)
+    tau = compute_tau(3, 4)
+    assert sorted(steps) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]
+    steps.clear()
+    check_commutators(3, 4, tau)  # [A_1, A_2] on tau_d, d = 0, 1: A_1 A_2 and A_2 A_1, two steps each
+    assert sorted(steps) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 3), (2, 4)]
+    steps.clear()
+    compute_tau_exponential(3, 2)  # A_1 and A_2 on 1, then A_1 on the degree-1 power
+    assert sorted(steps) == [(1, 1), (1, 2), (2, 2)]
