@@ -40,6 +40,7 @@ from .verify import (
     check_selection,
     check_string_dilaton,
     check_w_constraints,
+    run_checks,
 )
 from .walgebra import (
     NormalTerm,
@@ -88,6 +89,7 @@ __all__ = [
     "log_tau",
     "mode_bound",
     "parse_tau",
+    "run_checks",
     "selection_check",
     "serialize_tau",
     "variable_index",

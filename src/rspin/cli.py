@@ -23,20 +23,9 @@ from .serialize import (
 )
 from .solver import compute_tau
 from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms
-from .verify import (
-    check_commutators,
-    check_exponential_agreement,
-    check_gradings,
-    check_selection,
-    check_string_dilaton,
-    check_w_constraints,
-    extract_or_error,
-)
+from .verify import CHECKS, check_commutators, check_exponential_agreement, run_checks
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
-
-CHECKS = ("wconstraints", "string_dilaton", "grading", "selection")
-CORRELATOR_CHECKS = {"string_dilaton", "grading", "selection"}
 
 
 def _add_verbosity(parser: argparse.ArgumentParser, default) -> None:
@@ -172,34 +161,25 @@ def _run_verify(args) -> int:
     if not wanted:
         raise RSpinError(f"--checks names no check; valid: {', '.join(CHECKS)}")
     _warn_unchecked(args)
-    tau = compute_tau(args.r, args.degree, cache=_cache(args))
-    extracted = extract_or_error(tau) if CORRELATOR_CHECKS.intersection(wanted) else None
-    shared = {}  # wconstraints fills it with its constraint pass, and string_dilaton reads it
-    runs = {
-        "wconstraints": lambda: check_w_constraints(tau, shared),
-        "string_dilaton": lambda: check_string_dilaton(tau, extracted, shared),
-        "grading": lambda: check_gradings(tau, extracted),
-        "selection": lambda: check_selection(tau, extracted),
-    }
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
     reports, notes = [], []
-    for name in CHECKS:  # canonical order, independent of flag order
-        if name not in wanted:
-            continue
-        start = time.perf_counter()
-        rep = runs[name]()
+    start = time.perf_counter()
+    for rep in run_checks(tau, wanted):  # canonical order, independent of flag order
         ms = (time.perf_counter() - start) * 1000.0
         reports.append(rep)
         notes.append(f"{rep.check_name}: {rep.status}" + (f" ({ms:.1f} ms)" if args.verbose else ""))
+        start = time.perf_counter()
     _write(args, reports_to_json(reports))
     for note in notes:
         _note(args, note)
+    _note_tables(args)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _run_commutator(args) -> int:
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
-    commutator = _timed(args, "commutator", lambda: check_commutators(args.r, args.degree, tau=tau))
-    agreement = _timed(args, "exponential", lambda: check_exponential_agreement(args.r, args.degree, tau=tau))
+    commutator = _timed(args, "commutator", lambda: check_commutators(tau))
+    agreement = _timed(args, "exponential", lambda: check_exponential_agreement(tau))
     _write(args, reports_to_json([commutator, agreement]))
     if commutator.residuals:
         print(

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
@@ -52,9 +53,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Insertion:
-    """One descendant insertion: level m, spin label a."""
+class Insertion(NamedTuple):
+    """One descendant insertion: level m, spin label a.  A tuple, so it
+    hashes, compares and sorts as the pair (m, a)."""
 
     m: int
     a: int

@@ -1,24 +1,28 @@
 """Exact verification of every identity the computed expansion must satisfy.
 
 All pass/fail checks compare polynomials to the exact zero polynomial;
-there are no tolerances anywhere.  The commutator check is diagnostic
-only: commutativity of the degree raisers is conjectural, so a nonzero
-residual there is reported prominently but fails nothing.
+there are no tolerances anywhere.  run_checks runs them and decides what
+they share: one constraint pass and one correlator extraction.  The
+commutator check is diagnostic only: commutativity of the degree raisers
+is conjectural, so a nonzero residual there is reported prominently but
+fails nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
-from .errors import ContextError, ContractError
-from .solver import TauExpansion, compute_tau, compute_tau_exponential, off_grade, raise_step
+from .errors import ContractError, InvalidSpecError
+from .solver import TauExpansion, compute_tau_exponential, off_grade, raise_step
 from .tpoly import Packed, TPolynomial, exponent_fields, grades, kernel_rows, pack_piece, summed, unpacked
-from .walgebra import WModeSpec, _mode_blocks, _operator_loop, _packed_groups
+from .walgebra import _mode_blocks, _operator_loop, _packed_groups
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
     "check_commutators",
     "check_exponential_agreement",
@@ -28,10 +32,12 @@ __all__ = [
     "check_w_constraints",
     "constraint_equations",
     "default_constraint_mode_bound",
-    "extract_or_error",
+    "run_checks",
     "w_constraint_residual",
     "w_constraint_residuals",
 ]
+
+CHECKS = ("wconstraints", "string_dilaton", "grading", "selection")
 
 PASS = "pass"
 FAIL = "fail"
@@ -50,31 +56,8 @@ class CheckReport:
         return self.status != FAIL
 
 
-Extracted = list[CorrelatorRecord] | Exception
-
-
-def extract_or_error(tau: TauExpansion) -> Extracted:
-    """Correlator records of tau, or the exception extraction raised.
-
-    The correlator checks (string_dilaton, grading, selection) take this
-    value as an optional argument so that one extraction serves all three;
-    given none, each extracts for itself.
-    """
-    try:
-        return extract_correlators(tau)
-    except Exception as exc:  # tampered input: each check reports it, none crashes
-        return exc
-
-
-def _records(tau: TauExpansion, extracted: Extracted | None, residuals: list) -> list[CorrelatorRecord] | None:
-    """The extracted records, or None after appending the extraction error
-    to residuals."""
-    if extracted is None:
-        extracted = extract_or_error(tau)
-    if isinstance(extracted, Exception):
-        residuals.append((f"extraction: {extracted}", TPolynomial.one(tau.r)))
-        return None
-    return extracted
+def _gated(name: str, residuals: list, details: dict) -> CheckReport:
+    return CheckReport(name, PASS if not residuals else FAIL, residuals, details)
 
 
 def default_constraint_mode_bound(r: int, max_degree: int) -> int:
@@ -105,9 +88,9 @@ def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]) -> Packed:
     return pack_piece(j, tau.pieces[j], shift)
 
 
-def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, tuple[TPolynomial, bool]]:
-    """{(k, m, degree): (residual, engaged)} for the given equations (default
-    constraint_equations), in one kernel call per nonzero piece read.
+def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[TPolynomial, bool]]:
+    """{(k, m, degree): (residual, engaged)} for the given equations, in one
+    kernel call per nonzero piece read.
 
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
@@ -116,18 +99,20 @@ def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, 
     max_weight, of every mode that reads it, each creator key tagged with
     its equation's index above the layout's top bit.  An equation is
     finished once its last piece is done.  engaged is False when every
-    piece it reads is absent or zero.  Raises ContractError on a piece read
-    that is not graded as tau_j (see _pack_graded)."""
+    piece it reads is absent or zero.  Raises InvalidSpecError on an
+    equation off the computed range (degree outside 0..max_degree, or no
+    mode W(k, 0, m)), and ContractError on a piece read that is not graded
+    as tau_j (see _pack_graded)."""
     r, top_degree = tau.r, tau.max_degree
-    equations = constraint_equations(r, top_degree) if equations is None else list(equations)
     reads = {j: [] for j, piece in enumerate(tau.pieces) if not piece.is_zero}  # -> (equation index, k, l, m)
     finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
     for e, (k, m, d) in enumerate(equations):
-        last = max(0, min(d, top_degree))
-        for j in range(max(0, d - k + 1), last + 1):
+        if not (2 <= k <= r and m >= 1 - k and 0 <= d <= top_degree):
+            raise InvalidSpecError(f"no equation k={k} m={m} degree={d} for r={r} to degree {top_degree}")
+        for j in range(max(0, d - k + 1), d + 1):
             if j in reads:
                 reads[j].append((e, k, j - d + k - 1, m))
-        finish.setdefault(last, []).append(e)
+        finish.setdefault(d, []).append(e)
     engaged = {read[0] for by_piece in reads.values() for read in by_piece}
     # W(k, l, m) adds weight at most r*(r-1), at l = 0 and m = 1 - k
     weight = max((tau.pieces[j].max_weight() for j, by_piece in reads.items() if by_piece), default=0) + r * (r - 1)
@@ -165,56 +150,63 @@ def w_constraint_residuals(tau: TauExpansion, equations=None) -> dict[Equation, 
 def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tuple[TPolynomial, bool]:
     """(residual, engaged) of one per-degree constraint equation: its entry
     of w_constraint_residuals."""
-    WModeSpec(tau.r, k, 0, m).validate()
     return w_constraint_residuals(tau, [(k, m, degree)])[(k, m, degree)]
 
 
-def check_w_constraints(tau: TauExpansion, constraint_pass: dict | None = None) -> CheckReport:
-    """Assemble every per-degree constraint equation up to
-    default_constraint_mode_bound and record nonzero residuals; vacuous
-    equations are counted but cannot fail.  Past the bound each mode sends
-    every piece below weight 0, so no equation there can fail.
-    constraint_pass, if given, shares the pass with check_string_dilaton: a
-    dict holding w_constraint_residuals(tau), or an empty one that is
-    filled with it.
-    Raises ContractError if a nonzero piece is not graded as tau_j (offset
-    lam + N = j, coefficients in Q*s^(j mod 2))."""
-    bound = default_constraint_mode_bound(tau.r, tau.max_degree)
-    equations = constraint_equations(tau.r, tau.max_degree)
-    constraint_pass = {} if constraint_pass is None else constraint_pass
-    if not constraint_pass:
-        constraint_pass.update(w_constraint_residuals(tau, equations))
+def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckReport]:
+    """The reports of the named checks (entries of CHECKS), in CHECKS order.
+
+    The checks share one constraint pass: every constraint_equations when
+    wconstraints is named, else only string_dilaton's k = 2, m = -1, 0
+    equations.  They share one extraction, made just before the first
+    correlator check; an extraction error is a residual of each correlator
+    check.  Raises ContractError if a piece the pass reads is not graded as
+    tau_j (offset lam + N = j, coefficients in Q*s^(j mod 2))."""
+    r, top = tau.r, tau.max_degree
+    if "wconstraints" in names:
+        equations = constraint_equations(r, top)
+    elif "string_dilaton" in names:
+        equations = [(2, m, d) for m in (-1, 0) for d in range(top + 1)]
+    else:
+        equations = []
+    passed = w_constraint_residuals(tau, equations)
+    extraction = None  # once extracted: [] on success, else the error as one residual
+    for name in (name for name in CHECKS if name in names):
+        if name == "wconstraints":
+            yield _w_constraints_report(tau, equations, passed)
+            continue
+        if extraction is None:
+            try:
+                records, extraction = extract_correlators(tau), []
+            except Exception as exc:  # tampered input: each check reports it, none crashes
+                records, extraction = [], [(f"extraction: {exc}", TPolynomial.one(r))]
+        if name == "string_dilaton":
+            yield _string_dilaton_report(tau, passed, records, extraction)
+        elif name == "grading":
+            yield _gated(name, _off_grade_residuals(tau) + extraction, {"records": len(records)})
+        else:
+            yield _gated(name, list(extraction), {"records": len(records)})
+
+
+def check_w_constraints(tau: TauExpansion) -> CheckReport:
+    """The wconstraints report of run_checks: every per-degree constraint
+    equation up to default_constraint_mode_bound, with its nonzero
+    residuals; vacuous equations are counted but cannot fail.  Past the
+    bound each mode sends every piece below weight 0, so no equation there
+    can fail.  Raises ContractError as run_checks does."""
+    return next(run_checks(tau, ("wconstraints",)))
+
+
+def _w_constraints_report(tau: TauExpansion, equations: list[Equation], passed: dict) -> CheckReport:
     failed = []
     vacuous = 0
     for k, m, d in equations:
-        residual, engaged = constraint_pass[(k, m, d)]
+        residual, engaged = passed[(k, m, d)]
         vacuous += not engaged
         if not residual.is_zero:
             failed.append((f"k={k} m={m} degree={d}", residual))
-    return CheckReport(
-        check_name="wconstraints",
-        status=PASS if not failed else FAIL,
-        residuals=failed,
-        details={"equations": len(equations), "vacuous": vacuous, "m_max": bound},
-    )
-
-
-def _string_dilaton_operator_residuals(tau: TauExpansion, constraint_pass: dict | None) -> list:
-    """Lowest two constraint modes, scaled by 1/r: the translation and
-    scaling operators annihilate tau degree by degree."""
-    equations = [(2, m, d) for m in (-1, 0) for d in range(tau.max_degree + 1)]
-    if not constraint_pass:
-        constraint_pass = w_constraint_residuals(tau, equations)
-    scale = Fraction(1, tau.r)
-    return [
-        (f"{'translation' if m == -1 else 'scaling'} operator degree={d}", constraint_pass[(2, m, d)][0].scaled(scale))
-        for _, m, d in equations
-        if not constraint_pass[(2, m, d)][0].is_zero
-    ]
-
-
-def _record_table(records: list[CorrelatorRecord]) -> dict[tuple[int, tuple[Insertion, ...]], Fraction]:
-    return {(rec.genus, rec.insertions): rec.value for rec in records}
+    bound = default_constraint_mode_bound(tau.r, tau.max_degree)
+    return _gated("wconstraints", failed, {"equations": len(equations), "vacuous": vacuous, "m_max": bound})
 
 
 def _with_insertion(insertions: tuple[Insertion, ...], extra: Insertion) -> tuple[Insertion, ...]:
@@ -248,7 +240,7 @@ def _correlator_identity_residuals(
     count as zero.  Instances whose reduced correlator is unstable
     (2g - 2 + n <= 0) carry no content and are skipped.
     """
-    table = _record_table(records)
+    table = {(rec.genus, rec.insertions): rec.value for rec in records}
     specials = {"string": Insertion(0, 0), "dilaton": Insertion(1, 0)}
     residuals = []
     seen: set[tuple[str, int, tuple[Insertion, ...]]] = set()
@@ -277,86 +269,75 @@ def _correlator_identity_residuals(
     return residuals, stats
 
 
-def check_string_dilaton(
-    tau: TauExpansion, extracted: Extracted | None = None, constraint_pass: dict | None = None
-) -> CheckReport:
-    """Translation/scaling operator identities plus the combinatorial
-    string and dilaton equations on extracted correlators.  The operator
-    identities are the k = 2, m = -1, 0 equations of
-    w_constraint_residuals(tau), read from constraint_pass when it holds
-    them (as check_w_constraints leaves it), else computed.  Raises
-    ContractError as check_w_constraints does."""
-    residuals = _string_dilaton_operator_residuals(tau, constraint_pass)
-    records = _records(tau, extracted, residuals)
+def check_string_dilaton(tau: TauExpansion) -> CheckReport:
+    """The string_dilaton report of run_checks: the translation and scaling
+    operator identities, which are the k = 2, m = -1, 0 constraint
+    equations scaled by 1/r, plus the combinatorial string and dilaton
+    equations on the extracted correlators.  Raises ContractError as
+    run_checks does."""
+    return next(run_checks(tau, ("string_dilaton",)))
+
+
+def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extraction: list) -> CheckReport:
+    scale = Fraction(1, tau.r)
+    residuals = [
+        (f"{'translation' if m == -1 else 'scaling'} operator degree={d}", passed[(2, m, d)][0].scaled(scale))
+        for m in (-1, 0)
+        for d in range(tau.max_degree + 1)
+        if not passed[(2, m, d)][0].is_zero
+    ]
+    residuals += extraction
     stats = {"records": 0}
-    if records is not None:
+    if not extraction:
         identity_residuals, stats = _correlator_identity_residuals(tau, records)
-        residuals.extend(identity_residuals)
-    return CheckReport(
-        check_name="string_dilaton",
-        status=PASS if not residuals else FAIL,
-        residuals=residuals,
-        details=stats,
-    )
+        residuals += identity_residuals
+    return _gated("string_dilaton", residuals, stats)
 
 
-def check_gradings(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
-    """The monomials of each piece that solver.off_grade finds, one
-    residual per piece and kind of fault, and a successful extraction,
-    which itself enforces nonnegative genus and the selection rule on
-    every record."""
-    r = tau.r
-    residuals = []
+def check_gradings(tau: TauExpansion) -> CheckReport:
+    """The grading report of run_checks: the monomials of each piece that
+    solver.off_grade finds, one residual per piece and kind of fault, and a
+    successful extraction, which itself enforces nonnegative genus and the
+    selection rule on every record."""
+    return next(run_checks(tau, ("grading",)))
+
+
+def _off_grade_residuals(tau: TauExpansion) -> list:
+    r, residuals = tau.r, []
     for j, piece in enumerate(tau.pieces):
         faults: dict[str, dict] = {}
         for mono, kind, _ in off_grade(r, j, piece):
             faults.setdefault(kind, {})[mono] = piece.terms[mono]
         residuals.extend((f"{kind} degree={j}", TPolynomial._raw(r, terms)) for kind, terms in sorted(faults.items()))
-    records = _records(tau, extracted, residuals)
-    return CheckReport(
-        check_name="grading",
-        status=PASS if not residuals else FAIL,
-        residuals=residuals,
-        details={"records": len(records or ())},
-    )
+    return residuals
 
 
-def check_selection(tau: TauExpansion, extracted: Extracted | None = None) -> CheckReport:
-    """Selection rule and rationality on every extracted correlator.
+def check_selection(tau: TauExpansion) -> CheckReport:
+    """The selection report of run_checks: the selection rule and
+    rationality on every extracted correlator.
 
     extract_correlators enforces both on each record and raises otherwise,
     so this report passes exactly when extraction succeeds.  It is kept as
     a report of its own, with the record count in details, because the
     verify output and the --checks option name it."""
-    residuals = []
-    records = _records(tau, extracted, residuals)
-    return CheckReport(
-        check_name="selection",
-        status=PASS if not residuals else FAIL,
-        residuals=residuals,
-        details={"records": len(records or ())},
-    )
+    return next(run_checks(tau, ("selection",)))
 
 
-def check_commutators(r: int, degree: int, tau: TauExpansion | None = None) -> CheckReport:
-    """Measure [A_i, A_j] on computed pieces; diagnostic, never gating.
+def check_commutators(tau: TauExpansion) -> CheckReport:
+    """Measure [A_i, A_j] on tau's pieces; diagnostic, never gating.
 
-    Instances are all (i < j, base degree d) with d + i + j <= degree.  If
-    the budget admits none (and r > 2), the minimal instances on the
+    Instances are all (i < j, base degree d) with d + i + j <= tau.max_degree.
+    If the budget admits none (and r > 2), the minimal instances on the
     constant piece are measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
     from each base read as the constraint pass reads it (ContractError).
     """
-    if tau is not None and tau.r != r:
-        raise ContextError(f"tau over r={tau.r} given to a diagnostic over r={r}")
+    r, degree = tau.r, tau.max_degree
     pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r)]
     instances = [(i, j, d) for i, j in pairs for d in range(degree - i - j + 1)]
     fallback = not instances and r >= 3
     if fallback:
         instances = [(i, j, 0) for i, j in pairs]
-    max_base = max((d for _, _, d in instances), default=0)
-    if tau is None or tau.max_degree < max_base:
-        tau = compute_tau(r, max_base)
     shift, fields = exponent_fields(r, max((d + i + j for i, j, d in instances), default=0) * (r + 1))
     residuals = []
     for i, j, d in instances:
@@ -381,19 +362,17 @@ def check_commutators(r: int, degree: int, tau: TauExpansion | None = None) -> C
     )
 
 
-def check_exponential_agreement(r: int, degree: int, tau: TauExpansion | None = None) -> CheckReport:
-    """Compare the recursion output against the exponential-formula path.
+def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
+    """Compare tau, the recursion output, against the exponential-formula
+    path to the same depth.
 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
     Compared packed, tau's pieces read as the constraint pass reads them.
     """
-    if tau is not None and tau.r != r:
-        raise ContextError(f"tau over r={tau.r} given to a diagnostic over r={r}")
-    if tau is None or tau.max_degree < degree:
-        tau = compute_tau(r, degree)
+    r, degree = tau.r, tau.max_degree
     exp_tau = compute_tau_exponential(r, degree)
-    shift, fields = exponent_fields(r, max(piece.max_weight() for piece in tau.pieces[: degree + 1] + exp_tau.pieces))
+    shift, fields = exponent_fields(r, max(piece.max_weight() for piece in tau.pieces + exp_tau.pieces))
     residuals = []
     for j in range(degree + 1):
         (ours, den), (theirs, exp_den) = _pack_graded(tau, j, shift), pack_piece(j, exp_tau.pieces[j], shift)

@@ -263,10 +263,10 @@ def test_criterion_8_enumeration_oracle():
 
 
 def test_criterion_9_commutator_and_exponential_diagnostics():
-    r3 = check_commutators(3, 3)
-    r4 = check_commutators(4, 2)
-    exp3 = check_exponential_agreement(3, 3)
-    exp4 = check_exponential_agreement(4, 2)
+    r3 = check_commutators(compute_tau(3, 3))
+    r4 = check_commutators(compute_tau(4, 2))
+    exp3 = check_exponential_agreement(compute_tau(3, 3))
+    exp4 = check_exponential_agreement(compute_tau(4, 2))
     reports = [r3, r4, exp3, exp4]
     computed = all(rep.status == "diagnostic" for rep in reports)
     measured_nonzero = [

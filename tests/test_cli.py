@@ -154,8 +154,9 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
         assert main([flag] + argv if before else argv + [flag]) == 0
         return capsys.readouterr().err
 
-    verbose = run("-v")
-    assert verbose.startswith("selection: pass (") and verbose.endswith(" ms)\n")
+    verbose = run("-v").splitlines()
+    assert verbose[0].startswith("solve: ") and verbose[0].endswith(" ms")
+    assert verbose[1].startswith("selection: pass (") and verbose[1].endswith(" ms)")
     assert run("-q") == ""
 
 
@@ -166,22 +167,28 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
         (["correlators"], ["solve", "extract", "write"]),
         (["correlators", "--format", "csv"], ["solve", "extract", "write"]),
         (["commutator"], ["solve", "commutator", "exponential"]),
+        (["verify"], ["solve"]),
     ],
 )
 def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     # -v reports the phase milliseconds and the mode-table caches on
     # stderr; the data on stdout keeps its bytes.  commutator reports its
-    # nonzero residuals on stderr whatever the verbosity, and -v adds the
-    # timings before them and the tables after them
+    # nonzero residuals and verify its check lines on stderr whatever the
+    # verbosity, and -v adds the timings before them (verify's check lines
+    # gain their own milliseconds) and the tables after them
     argv = argv + ["--r", "3", "--degree", "3"]
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert main(argv + ["-v"]) == 0
     verbose = capsys.readouterr()
-    assert verbose.out == plain.out and bool(plain.err) == (argv[0] == "commutator")
+    assert verbose.out == plain.out and bool(plain.err) == (argv[0] in ("commutator", "verify"))
     lines = verbose.err.splitlines()
     notes = plain.err.splitlines()
-    assert lines[len(labels): len(lines) - 2] == notes
+    checks = lines[len(labels): len(lines) - 2]
+    if argv[0] == "verify":
+        assert notes and all(re.fullmatch(r".+ \(\d+\.\d ms\)", line) for line in checks)
+        checks = [line.rsplit(" (", 1)[0] for line in checks]
+    assert checks == notes
     del lines[len(labels): len(lines) - 2]
     assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])

@@ -159,7 +159,6 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
     from rspin import solver, verify
 
     tau = compute_tau(3, 3, cache=TauCache(tmp_path))
-    records = extract_correlators(tau)
     seen, off_grade = [], solver.off_grade
 
     def counting(r, j, piece):
@@ -170,7 +169,8 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "off_grade", counting)
     readers = {
         "extract_correlators": (lambda: extract_correlators(tau), [0, 1, 2, 3]),
-        "check_gradings": (lambda: check_gradings(tau, records), [0, 1, 2, 3]),
+        # the extraction and the grading check grade each piece once
+        "run_checks": (lambda: list(verify.run_checks(tau, verify.CHECKS)), [0, 0, 1, 1, 2, 2, 3, 3]),
         "parse_tau": (lambda: parse_tau(serialize_tau(tau)), [0, 1, 2, 3]),
         "TauCache.load": (lambda: [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)], [1, 2, 3]),
     }

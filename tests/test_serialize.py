@@ -272,7 +272,7 @@ def test_reports_writer_matches_json_dumps(r, degree):
     failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), 0, {1: 1})
     checks = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
     reports = [check(t) for t in (tau, failing) for check in checks]
-    reports += [check_commutators(r, degree, tau), check_exponential_agreement(r, degree, tau)]
+    reports += [check_commutators(tau), check_exponential_agreement(tau)]
     reports.append(
         CheckReport(
             'odd "name"\u00e9',

@@ -17,8 +17,8 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
-from rspin import ContextError, ContractError, WModeSpec, compute_tau_exponential, solver, verify, walgebra
-from rspin.verify import constraint_equations, extract_or_error, w_constraint_residual, w_constraint_residuals
+from rspin import ContractError, InvalidSpecError, WModeSpec, compute_tau_exponential, run_checks, solver, verify, walgebra
+from rspin.verify import CHECKS, constraint_equations, w_constraint_residual, w_constraint_residuals
 from rspin.walgebra import _mode_blocks, _operator_loop
 
 from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
@@ -96,9 +96,9 @@ def _tampered(r, D):
 
 @pytest.mark.parametrize("r, D", [(2, 6), (3, 6), (3, 8), (4, 5), (5, 4), (6, 3)])
 def test_constraint_pass_equals_mode_by_mode_reference(r, D):
+    equations = constraint_equations(r, D)
     for name, tau in _tampered(r, D):
-        passed = w_constraint_residuals(tau)
-        equations = constraint_equations(r, D)
+        passed = w_constraint_residuals(tau, equations)
         assert sorted(passed) == sorted(equations), name
         for k, m, d in equations:
             assert passed[(k, m, d)] == reference_w_residual(tau, k, m, d), (name, k, m, d)
@@ -112,7 +112,7 @@ def test_residuals_stay_exact_at_negative_offsets(r, D):
     # s^(d-k+1) takes a negative power of -r
     tau = compute_tau(r, D)
     tau.pieces[0] = tau.pieces[0] + TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})
-    passed = w_constraint_residuals(tau)
+    passed = w_constraint_residuals(tau, constraint_equations(r, D))
     negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and not residual.is_zero]
     assert {d - k + 1 for k, _, d in negative} >= {-1}
     for eq in negative:
@@ -194,17 +194,51 @@ def test_selection_report_passes():
     assert report.details["records"] == 7
 
 
-def test_correlator_checks_share_one_extraction():
+def test_run_checks_make_one_pass_and_one_extraction(monkeypatch):
+    # s*T1 on degree 1 breaks the weight and the selection rule, so the one
+    # extraction fails and its error is a residual of each correlator check
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)  # s*T1 breaks the weight and the selection rule
-    extracted = extract_or_error(tau)
-    assert isinstance(extracted, Exception)
-    for check in (check_string_dilaton, check_gradings, check_selection):
-        shared, alone = check(tau, extracted), check(tau)
-        assert shared.status == alone.status == "fail"
-        assert shared.residuals == alone.residuals
-        assert shared.details == alone.details
-        assert f"extraction: {extracted}" in [label for label, _ in shared.residuals]
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)
+    with pytest.raises(ContractError) as error:
+        extract_correlators(tau)
+    passes, extractions = [], []
+    residuals, extract = verify.w_constraint_residuals, verify.extract_correlators
+
+    def counting_pass(tau, equations):
+        passes.append(list(equations))
+        return residuals(tau, equations)
+
+    def counting_extraction(tau):
+        extractions.append(tau.max_degree)
+        return extract(tau)
+
+    monkeypatch.setattr(verify, "w_constraint_residuals", counting_pass)
+    monkeypatch.setattr(verify, "extract_correlators", counting_extraction)
+    reports = list(run_checks(tau, CHECKS[::-1]))
+    assert [rep.check_name for rep in reports] == ["wconstraints", "string_dilaton", "grading", "selection"]
+    assert passes == [constraint_equations(3, 2)] and extractions == [2]
+    for rep in reports[1:]:
+        assert rep.status == "fail"
+        assert f"extraction: {error.value}" in [label for label, _ in rep.residuals]
+    passes.clear()
+    assert list(run_checks(tau, ["string_dilaton"])) == reports[1:2]
+    assert passes == [[(2, m, d) for m in (-1, 0) for d in range(3)]]  # 2(D+1) equations
+    passes.clear()
+    assert list(run_checks(tau, ("grading", "selection"))) == reports[2:] and passes == [[]]
+    assert list(run_checks(tau, ("wconstraints",))) == reports[:1] and extractions == [2, 2, 2]
+    views = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
+    assert [view(tau) for view in views] == reports
+
+
+def test_constraint_pass_refuses_equations_off_the_computed_range():
+    # an equation reading a piece beyond max_degree, a negative degree, or a
+    # (k, m) that labels no W(k, 0, m) is refused, never reported
+    tau = compute_tau(3, 2)
+    for k, m, d in [(2, 0, 3), (2, -1, 3), (3, 0, 3), (2, 0, -1), (2, -2, 1), (1, 0, 1), (4, 0, 1)]:
+        with pytest.raises(InvalidSpecError, match=f"equation k={k} m={m} degree={d} "):
+            w_constraint_residual(tau, k, m, d)
+        with pytest.raises(InvalidSpecError):
+            w_constraint_residuals(tau, [(2, 0, 1), (k, m, d)])
 
 
 def test_scaled_translation_equals_lowest_constraint():
@@ -227,19 +261,8 @@ def test_scaled_translation_equals_lowest_constraint():
                 assert matching and matching[0] == base.scaled(Fraction(1, 3))
 
 
-def test_string_dilaton_reads_a_shared_constraint_pass():
-    tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
-    shared = {}
-    assert check_w_constraints(tau, shared).residuals == check_w_constraints(tau).residuals
-    assert shared == w_constraint_residuals(tau)  # filled by the check
-    alone, reused = check_string_dilaton(tau), check_string_dilaton(tau, None, shared)
-    assert alone.status == reused.status == "fail"
-    assert alone.residuals == reused.residuals
-
-
 def test_commutator_diagnostic_r3():
-    report = check_commutators(3, 3)
+    report = check_commutators(compute_tau(3, 3))
     assert report.status == "diagnostic"
     assert report.details["instances"] == 1
     # the raisers genuinely fail to commute on the constant piece
@@ -250,24 +273,24 @@ def test_commutator_diagnostic_r3():
 
 
 def test_commutator_vacuous_for_r2():
-    report = check_commutators(2, 4)
+    report = check_commutators(compute_tau(2, 4))
     assert report.status == "diagnostic"
     assert report.details["vacuous"] is True
     assert report.residuals == []
 
 
 def test_commutator_fallback_minimal_instances_r4():
-    report = check_commutators(4, 2)
+    report = check_commutators(compute_tau(4, 2))
     assert report.status == "diagnostic"
     assert report.details["fallback_minimal"] is True
     assert report.details["instances"] == 3  # (1,2), (1,3), (2,3) on the constant
 
 
 def test_exponential_agreement_reports():
-    low = check_exponential_agreement(3, 2)
+    low = check_exponential_agreement(compute_tau(3, 2))
     assert low.status == "diagnostic"
     assert low.details["agrees"] is True
-    high = check_exponential_agreement(3, 3)
+    high = check_exponential_agreement(compute_tau(3, 3))
     assert high.status == "diagnostic"
     assert high.details["agrees"] is False
     assert [label for label, _ in high.residuals] == ["degree 3"]
@@ -279,19 +302,11 @@ def test_packed_diagnostics_match_references(r, degree):
     # references run every raiser through apply_raising_operator and add
     # TPolynomials
     tau = compute_tau(r, degree)
-    assert check_commutators(r, degree, tau).residuals == reference_commutator(r, degree, tau)
+    assert check_commutators(tau).residuals == reference_commutator(r, degree, tau)
     expected = reference_exponential(r, degree)
     assert compute_tau_exponential(r, degree).pieces == expected
     diffs = [(f"degree {j}", tau.pieces[j] - p) for j, p in enumerate(expected) if tau.pieces[j] != p]
-    assert check_exponential_agreement(r, degree, tau).residuals == diffs
-
-
-def test_diagnostics_refuse_a_tau_over_another_r():
-    tau = compute_tau(4, 3)
-    with pytest.raises(ContextError):
-        check_commutators(3, 3, tau)
-    with pytest.raises(ContextError):
-        check_exponential_agreement(3, 3, tau)
+    assert check_exponential_agreement(tau).residuals == diffs
 
 
 @pytest.mark.parametrize(
@@ -309,12 +324,12 @@ def test_diagnostics_refuse_a_base_off_the_grading(piece, match):
     tau = compute_tau(3, 4)
     tau.pieces[1] = piece
     with pytest.raises(ContractError, match=match):
-        check_commutators(3, 4, tau)
+        check_commutators(tau)
     if "graded" in match:
         with pytest.raises(ContractError, match=match):
-            check_exponential_agreement(3, 4, tau)
+            check_exponential_agreement(tau)
     else:  # the exponential check compares an inhomogeneous piece as it is
-        assert "degree 1" in [label for label, _ in check_exponential_agreement(3, 4, tau).residuals]
+        assert "degree 1" in [label for label, _ in check_exponential_agreement(tau).residuals]
 
 
 def test_diagnostics_run_on_packed_pieces(monkeypatch):
@@ -324,8 +339,8 @@ def test_diagnostics_run_on_packed_pieces(monkeypatch):
     # degree d
     monkeypatch.setattr(walgebra, "_apply_graded", lambda *args: pytest.fail("TPolynomial raiser path reached"))
     tau = compute_tau(4, 4)
-    check_commutators(4, 4, tau)
-    check_exponential_agreement(4, 4, tau)
+    check_commutators(tau)
+    check_exponential_agreement(tau)
     calls, loop = [], walgebra._operator_loop
 
     def counting(groups, rows):
@@ -350,7 +365,7 @@ def test_every_raiser_call_goes_through_the_raise_step(monkeypatch):
     tau = compute_tau(3, 4)
     assert sorted(steps) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]
     steps.clear()
-    check_commutators(3, 4, tau)  # [A_1, A_2] on tau_d, d = 0, 1: A_1 A_2 and A_2 A_1, two steps each
+    check_commutators(tau)  # [A_1, A_2] on tau_d, d = 0, 1: A_1 A_2 and A_2 A_1, two steps each
     assert sorted(steps) == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 3), (2, 4)]
     steps.clear()
     compute_tau_exponential(3, 2)  # A_1 and A_2 on 1, then A_1 on the degree-1 power
