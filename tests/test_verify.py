@@ -194,13 +194,9 @@ def test_selection_report_passes():
     assert report.details["records"] == 7
 
 
-def test_run_checks_make_one_pass_and_one_extraction(monkeypatch):
-    # s*T1 on degree 1 breaks the weight and the selection rule, so the one
-    # extraction fails and its error is a residual of each correlator check
-    tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)
-    with pytest.raises(ContractError) as error:
-        extract_correlators(tau)
+def _counting(monkeypatch):
+    # records the equations of each constraint pass and the depth of each
+    # extraction that run_checks makes
     passes, extractions = [], []
     residuals, extract = verify.w_constraint_residuals, verify.extract_correlators
 
@@ -214,20 +210,43 @@ def test_run_checks_make_one_pass_and_one_extraction(monkeypatch):
 
     monkeypatch.setattr(verify, "w_constraint_residuals", counting_pass)
     monkeypatch.setattr(verify, "extract_correlators", counting_extraction)
+    return passes, extractions
+
+
+def test_correlator_checks_share_one_extraction(monkeypatch):
+    # s*T1 on degree 1 breaks the weight and the selection rule, so the one
+    # extraction fails and its error is a residual of each correlator check
+    tau = compute_tau(3, 2)
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)
+    with pytest.raises(ContractError) as error:
+        extract_correlators(tau)
+    _, extractions = _counting(monkeypatch)
     reports = list(run_checks(tau, CHECKS[::-1]))
     assert [rep.check_name for rep in reports] == ["wconstraints", "string_dilaton", "grading", "selection"]
-    assert passes == [constraint_equations(3, 2)] and extractions == [2]
+    assert extractions == [2]
     for rep in reports[1:]:
         assert rep.status == "fail"
         assert f"extraction: {error.value}" in [label for label, _ in rep.residuals]
-    passes.clear()
-    assert list(run_checks(tau, ["string_dilaton"])) == reports[1:2]
-    assert passes == [[(2, m, d) for m in (-1, 0) for d in range(3)]]  # 2(D+1) equations
-    passes.clear()
-    assert list(run_checks(tau, ("grading", "selection"))) == reports[2:] and passes == [[]]
-    assert list(run_checks(tau, ("wconstraints",))) == reports[:1] and extractions == [2, 2, 2]
+    assert list(run_checks(tau, ("grading", "selection"))) == reports[2:] and extractions == [2, 2]
+    assert list(run_checks(tau, ("wconstraints",))) == reports[:1] and extractions == [2, 2]
     views = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
     assert [view(tau) for view in views] == reports
+
+
+def test_string_dilaton_reads_a_shared_constraint_pass(monkeypatch):
+    # every equation in one pass when wconstraints is named; string_dilaton
+    # alone makes one pass of its 2(D+1) equations, and its report is the same
+    tau = compute_tau(3, 2)
+    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
+    passes, _ = _counting(monkeypatch)
+    reports = list(run_checks(tau, CHECKS))
+    assert passes == [constraint_equations(3, 2)]
+    passes.clear()
+    alone = list(run_checks(tau, ["string_dilaton"]))
+    assert passes == [[(2, m, d) for m in (-1, 0) for d in range(3)]]
+    assert alone[0].status == "fail" and alone == reports[1:2]
+    passes.clear()
+    assert list(run_checks(tau, ("grading", "selection"))) == reports[2:] and passes == [[]]
 
 
 def test_constraint_pass_refuses_equations_off_the_computed_range():
