@@ -23,7 +23,7 @@ from .serialize import (
 )
 from .solver import compute_tau
 from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms
-from .verify import CHECKS, check_commutators, check_exponential_agreement, run_checks
+from .verify import CHECKS, check_commutators, check_exponential_agreement, check_names, run_checks
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
 
@@ -155,11 +155,7 @@ def _run_correlators(args) -> int:
 
 def _run_verify(args) -> int:
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
-    unknown = [name for name in wanted if name not in CHECKS]
-    if unknown:
-        raise RSpinError(f"unknown checks: {', '.join(unknown)}; valid: {', '.join(CHECKS)}")
-    if not wanted:
-        raise RSpinError(f"--checks names no check; valid: {', '.join(CHECKS)}")
+    check_names(wanted)
     _warn_unchecked(args)
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
     reports, notes = [], []

@@ -20,10 +20,8 @@ exponent implied by the degree and the monomial.  The exponent vector of a
 monomial is packed into one int (tpoly.exponent_fields), a bit field per
 index wide enough for the top weight D*(r+1); no product in the log exceeds
 that weight, so adding two keys multiplies two monomials without a carry.  Each
-piece must first pass solver.check_piece, which applies the one grading
-rule, solver.off_grade, and raises ContractError off it; a graded monomial
-weighs at most the top weight, so every index has a field and every
-exponent fits it.
+piece must first pass solver.check_piece (ContractError), so no monomial
+outweighs the top weight and tpoly.pack_piece has a field for every index.
 Extraction then reads each free-energy monomial as one exact rational
 correlator; an odd lam exponent, a negative genus or a selection-rule
 violation can only come from an upstream bug and raises ExtractionError.
@@ -121,7 +119,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     tau.validate()
     r, top = tau.r, tau.max_degree
     shift, fields = exponent_fields(r, top * (r + 1))
-    taus = [pack_piece(j, p, shift) for j, p in enumerate(tau.pieces)]
+    taus = [pack_piece(j, j, p, shift) for j, p in enumerate(tau.pieces)]
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):

@@ -6,6 +6,9 @@ always produce byte-identical files.  Scalars are written as reduced
 fraction strings with the sign on the numerator, and only that spelling is
 read back; the s-legend field in tau documents records the defining
 relation of the quadratic generator.
+
+A tau document and a cache entry share one reader, and a stored piece is
+read in one pass that checks its JSON and grades it once (check_piece).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "FORMAT_VERSION",
     "TauCache",
     "parse_tau",
-    "poly_from_obj",
     "poly_to_obj",
     "records_to_csv",
     "records_to_json",
@@ -42,7 +44,7 @@ __all__ = [
 
 def _is_int(x) -> bool:
     """A JSON integer: true and false parse to bool, an int subclass."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int
 
 
 # What str(Fraction) writes.  Fraction() alone also takes exponent and
@@ -69,28 +71,6 @@ def _frac_parse(text, where: str) -> Fraction:
     raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
 
 
-def scalar_from_obj(obj, where: str) -> QScalar:
-    if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
-        raise ParseError('scalar must be an object with fields "a" and "b"', where)
-    return QScalar(_frac_parse(obj["a"], where + ".a"), _frac_parse(obj["b"], where + ".b"))
-
-
-def mono_from_obj(obj, where: str) -> TMonomial:
-    if not isinstance(obj, dict) or set(obj) != {"lambda", "t"}:
-        raise ParseError('monomial must be an object with fields "lambda" and "t"', where)
-    lam = obj["lambda"]
-    if not _is_int(lam):
-        raise ParseError("lambda exponent must be an integer", where + ".lambda")
-    pairs = obj["t"]
-    if not isinstance(pairs, list):
-        raise ParseError("t must be a list of [index, exponent] pairs", where + ".t")
-    for idx, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair)):
-            raise ParseError("entry must be a pair of integers", f"{where}.t[{idx}]")
-    # TPolynomial refuses a monomial whose indices do not ascend or whose exponent is < 1
-    return TMonomial(lam, tuple((n, e) for n, e in pairs))
-
-
 def poly_to_obj(poly: TPolynomial) -> list:
     return [
         {
@@ -101,25 +81,54 @@ def poly_to_obj(poly: TPolynomial) -> list:
     ]
 
 
-def poly_from_obj(r: int, obj, where: str) -> TPolynomial:
+def _fields(obj, names: tuple[str, str], where: str) -> tuple:
+    """The two values of a JSON object with exactly these fields."""
+    if not isinstance(obj, dict) or obj.keys() != set(names):
+        raise ParseError(f'expected an object with fields "{names[0]}" and "{names[1]}"', where)
+    return obj[names[0]], obj[names[1]]
+
+
+def _read_piece(r: int, j: int, obj, where: str) -> TPolynomial:
+    """The stored tau_j at where, read in one pass: the JSON shape, the
+    canonical fraction spelling, no monomial twice and no zero coefficient;
+    then check_piece grades it once.  Any fault is a ParseError."""
     if not isinstance(obj, list):
         raise ParseError("polynomial must be a list of terms", where)
     terms = {}
     for idx, item in enumerate(obj):
         loc = f"{where}[{idx}]"
-        if not isinstance(item, dict) or set(item) != {"monomial", "coeff"}:
-            raise ParseError('term must be an object with fields "monomial" and "coeff"', loc)
-        mono = mono_from_obj(item["monomial"], loc + ".monomial")
-        coeff = scalar_from_obj(item["coeff"], loc + ".coeff")
-        if mono in terms:
-            raise ParseError("duplicate monomial", loc)
-        if coeff.is_zero:
-            raise ParseError("stored coefficient must be nonzero", loc)
-        terms[mono] = coeff
+        mono, coeff = _fields(item, ("monomial", "coeff"), loc)
+        lam, pairs = _fields(mono, ("lambda", "t"), loc + ".monomial")
+        if not (_is_int(lam) and isinstance(pairs, list)) or not all(
+            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]) and _is_int(pair[1]) for pair in pairs
+        ):
+            raise ParseError("lambda must be an integer, t a list of [index, exponent] integers", loc + ".monomial")
+        a, b = _fields(coeff, ("a", "b"), loc + ".coeff")
+        key = TMonomial(lam, tuple(map(tuple, pairs)))
+        value = QScalar(_frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b"))
+        if key in terms or value.is_zero:
+            raise ParseError("duplicate monomial" if key in terms else "stored coefficient must be nonzero", loc)
+        terms[key] = value
+    piece = TPolynomial._raw(r, terms)
     try:
-        return TPolynomial(r, terms)
-    except Exception as exc:
+        check_piece(r, j, piece)
+    except ContractError as exc:
         raise ParseError(str(exc), where) from None
+    return piece
+
+
+def _read_document(data: bytes | str) -> dict:
+    """The JSON object of a document or cache entry, of this FORMAT_VERSION."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"document must be a JSON object, not {type(doc).__name__}")
+    version = doc.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    return doc
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -159,18 +168,10 @@ def serialize_tau(tau: TauExpansion) -> bytes:
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
-    """Parse and fully re-validate a tau document."""
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("document must be a JSON object")
-    version = doc.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    r = doc.get("r")
-    max_degree = doc.get("max_degree")
+    """Parse a tau document, every piece read by _read_piece, and check its
+    structure: one piece per degree, tau_0 = 1."""
+    doc = _read_document(data)
+    r, max_degree = doc.get("r"), doc.get("max_degree")
     if not _is_int(r) or r < 2:
         raise ParseError(f"r must be an integer >= 2, got {r!r}", "r")
     if not _is_int(max_degree) or max_degree < 0:
@@ -178,11 +179,10 @@ def parse_tau(data: bytes | str) -> TauExpansion:
     pieces_obj = doc.get("pieces")
     if not isinstance(pieces_obj, list) or len(pieces_obj) != max_degree + 1:
         raise ParseError(f"pieces must be a list of {max_degree + 1} polynomials", "pieces")
-    pieces = [poly_from_obj(r, p, f"pieces[{j}]") for j, p in enumerate(pieces_obj)]
-    tau = TauExpansion(r, max_degree, pieces)
+    tau = TauExpansion(r, max_degree, [_read_piece(r, j, p, f"pieces[{j}]") for j, p in enumerate(pieces_obj)])
     try:
-        tau.validate()
-    except Exception as exc:
+        tau._check_structure()
+    except ContractError as exc:
         raise ParseError(str(exc), "pieces") from None
     return tau
 
@@ -259,37 +259,20 @@ class TauCache:
         return self.directory / f"r{r}_deg{degree}.json"
 
     def load(self, r: int, degree: int) -> TPolynomial | None:
-        """The cached tau_degree, which has passed check_piece, or None if
-        there is no entry."""
+        """The cached tau_degree, read by _read_piece, or None if none."""
         path = self.path(r, degree)
         if not path.exists():
             return None
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CacheError(f"unreadable cache entry {path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise CacheError(f"cache entry {path} is a JSON {type(doc).__name__}, not an object")
-        version = doc.get("format_version")
-        if not _is_int(version) or version != FORMAT_VERSION:
-            raise CacheError(
-                f"cache entry {path} has format_version {version!r}, "
-                f"expected {FORMAT_VERSION}"
-            )
-        if doc.get("modes") != MODE_CONSTRUCTION:
-            raise CacheError(
-                f"cache entry {path} was built by W-mode construction {doc.get('modes')!r}, "
-                f"expected {MODE_CONSTRUCTION!r}"
-            )
-        label = (doc.get("r"), doc.get("degree"))
-        if not all(_is_int(x) for x in label) or label != (r, degree):
-            raise CacheError(f"cache entry {path} labeled (r={doc.get('r')}, degree={doc.get('degree')})")
-        try:
-            piece = poly_from_obj(r, doc.get("piece"), "piece")
-            check_piece(r, degree, piece)
-        except (ParseError, ContractError) as exc:
-            raise CacheError(f"corrupt cache entry {path}: {exc}") from None
-        return piece
+            doc = _read_document(path.read_text(encoding="utf-8"))
+            modes, label = doc.get("modes"), (doc.get("r"), doc.get("degree"))
+            if modes != MODE_CONSTRUCTION:
+                raise CacheError(f"cache entry {path}: W-mode construction {modes!r}, not {MODE_CONSTRUCTION!r}")
+            if not all(_is_int(x) for x in label) or label != (r, degree):
+                raise CacheError(f"cache entry {path} labeled (r={doc.get('r')}, degree={doc.get('degree')})")
+            return _read_piece(r, degree, doc.get("piece"), "piece")
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
+            raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None:
         head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}

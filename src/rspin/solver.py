@@ -134,7 +134,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
         if piece is None:
             for i in range(max(0, j - r + 1), j):
                 if i not in rows:  # tau_0, or a cached piece
-                    rows[i] = kernel_rows(pack_piece(i, pieces[i], shift), fields)
+                    rows[i] = kernel_rows(pack_piece(i, i, pieces[i], shift), fields)
             outs = [raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)]
             den, kernel = rows[j] = kernel_rows(summed(outs, j), fields)
             piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, ((e, num) for _, e, num in kernel))))
@@ -143,9 +143,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
                 cache.store(r, j, piece)
         pieces.append(piece)
         rows.pop(j - r + 1, None)  # no later raiser reads it
-    tau = TauExpansion(r, max_degree, pieces)
-    tau._check_structure()
-    return tau
+    return TauExpansion(r, max_degree, pieces)
 
 
 def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:

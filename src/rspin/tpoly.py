@@ -13,9 +13,9 @@ coefficients are never stored, monomial tuples are always sorted (the
 constructor refuses others), and the canonical term order (weight, lam
 exponent, exponent sequence) makes equal polynomials identical.
 
-The one packed rule: a graded polynomial (grades) of offset lam + N = o is
-Packed as the sum of num/den * s^p * lam^(o-N) * prod T_n^e_n over
-{exponent key: num}, for a power p of s of its parity; tau_j has o = p = j.
+The one packed rule: a graded polynomial of offset lam + N = o, in
+Q*s^(p mod 2), is Packed as the sum of num/den * s^p * lam^(o-N) *
+prod T_n^e_n over {exponent key: num}; tau_j has o = p = j.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import ContextError, InvalidIndexError
+from .errors import ContextError, ContractError, InvalidIndexError
 from .scalar import QScalar
 
 CoeffLike = QScalar | int | Fraction
@@ -112,20 +112,26 @@ def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tupl
 Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s known to the holder
 
 
-def grades(poly: TPolynomial) -> set[tuple[int, int | None]]:
-    """The (offset lam + N, s-parity) pairs of poly's monomials, parity None
-    for a coefficient in neither Q nor Q*s; graded means one pair, not None."""
-    return {
-        (mono.lambda_exp + sum(e for _, e in mono.exps), None if c.a and c.b else int(bool(c.b)))
-        for mono, c in poly.terms.items()
-    }
-
-
-def pack_piece(p: int, poly: TPolynomial, shift: dict[int, int]) -> Packed:
-    """Read poly, coefficients all in Q*s^(p mod 2), as numerators over one
-    den of s^p, over the layout shift; only that component is read."""
+def pack_piece(offset: int, p: int, poly: TPolynomial, shift: dict[int, int]) -> Packed:
+    """Read poly as numerators over one den of s^p, over the layout shift.
+    Raises ContractError on a monomial the packed form cannot hold: one
+    whose lam + N is not offset, whose coefficient has a nonzero part
+    outside Q*s^(p mod 2), with an index that has no field, or whose key
+    another monomial already holds."""
     r, (half, odd) = poly.r, divmod(p, 2)
-    ratios = {sum(e << shift[n] for n, e in mono.exps): c.b if odd else c.a for mono, c in poly.terms.items()}
+    ratios = {}
+    for mono, c in poly.terms.items():
+        key, lam_n = 0, mono.lambda_exp
+        for n, e in mono.exps:
+            if n not in shift:
+                raise ContractError(f"monomial {mono}: T{n} has no field in the layout")
+            key += e << shift[n]
+            lam_n += e
+        if lam_n != offset or (c.a if odd else c.b):
+            raise ContractError(f"monomial {mono}: lam + N = {lam_n}, coefficient {c}; expected {offset}, Q*s^{odd}")
+        if key in ratios:
+            raise ContractError(f"monomial {mono}: its packed key is held by another monomial")
+        ratios[key] = c.b if odd else c.a
     # coeff = x * s^(p mod 2) = x / (-r)^(p // 2) * s^p
     common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
     return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
@@ -251,10 +257,6 @@ class TPolynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_same(self, other: TPolynomial) -> None:
-        if self.r != other.r:
-            raise ContextError(f"cannot combine polynomials over r={self.r} and r={other.r}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPolynomial):
             return NotImplemented
@@ -265,8 +267,7 @@ class TPolynomial:
     def __add__(self, other):
         if not isinstance(other, TPolynomial):
             return NotImplemented
-        self._check_same(other)
-        return TPolynomial.sum_of(self.r, (self, other))
+        return TPolynomial.sum_of(self.r, (self, other))  # ContextError over another r
 
     def __neg__(self) -> TPolynomial:
         return TPolynomial._raw(self.r, {m: -c for m, c in self.terms.items()})
@@ -284,10 +285,7 @@ class TPolynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        chunks = []
-        for mono, coeff in self.canonical_terms():
-            chunks.append(f"({coeff})*{mono}")
-        return " + ".join(chunks)
+        return " + ".join(f"({coeff})*{mono}" for mono, coeff in self.canonical_terms())
 
     def __repr__(self) -> str:
         return f"TPolynomial(r={self.r}, {self})"

@@ -1,11 +1,12 @@
 """Exact verification of every identity the computed expansion must satisfy.
 
-All pass/fail checks compare polynomials to the exact zero polynomial;
-there are no tolerances anywhere.  run_checks runs them and decides what
-they share: one constraint pass and one correlator extraction.  The
-commutator check is diagnostic only: commutativity of the degree raisers
-is conjectural, so a nonzero residual there is reported prominently but
-fails nothing.
+All pass/fail checks compare polynomials to the exact zero polynomial,
+with no tolerances.  run_checks runs the checks check_names admits and
+shares one constraint pass and one extraction among them; each piece read
+is packed as tau_j by tpoly.pack_piece, which refuses one off that
+grading.  The commutator check is diagnostic only: commutativity of the
+degree raisers is conjectural, so a nonzero residual there is reported
+prominently but fails nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import ContractError, InvalidSpecError
 from .solver import TauExpansion, compute_tau_exponential, off_grade, raise_step
-from .tpoly import Packed, TPolynomial, exponent_fields, grades, kernel_rows, pack_piece, summed, unpacked
+from .tpoly import Packed, TPolynomial, exponent_fields, kernel_rows, pack_piece, summed, unpacked
 from .walgebra import _mode_blocks, _operator_loop, _packed_groups
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "check_commutators",
     "check_exponential_agreement",
     "check_gradings",
+    "check_names",
     "check_selection",
     "check_string_dilaton",
     "check_w_constraints",
@@ -78,14 +80,12 @@ def constraint_equations(r: int, max_degree: int) -> list[Equation]:
 
 
 def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]) -> Packed:
-    """tau_j packed over shift, after checking that it is graded as tau_j:
-    tpoly.grades finds offset lam + N = j and s-parity j mod 2 (its weight
-    is not checked, so an inhomogeneous piece is applied as it is)."""
-    found = grades(tau.pieces[j])
-    if not found <= {(j, j % 2)}:
-        found = sorted(found, key=str)
-        raise ContractError(f"piece {j} is not graded as tau_{j}: (lam + N, s-parity) is {found}, not ({j}, {j % 2})")
-    return pack_piece(j, tau.pieces[j], shift)
+    """tau_j packed over shift by pack_piece(j, j, ...), else ContractError
+    naming the piece; an inhomogeneous piece is applied as it is."""
+    try:
+        return pack_piece(j, j, tau.pieces[j], shift)
+    except ContractError as exc:
+        raise ContractError(f"piece {j} is not graded as tau_{j}: {exc}") from None
 
 
 def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[TPolynomial, bool]]:
@@ -153,8 +153,17 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
     return w_constraint_residuals(tau, [(k, m, degree)])[(k, m, degree)]
 
 
+def check_names(names: Collection[str]) -> None:
+    """Refuse (InvalidSpecError) a name outside CHECKS, no name at all, and a
+    bare string, which would be read by substring or by character."""
+    unknown = [f"{names!r} (a string, not a list)"] if isinstance(names, str) else [n for n in names if n not in CHECKS]
+    if unknown or not names:
+        what = f"unknown checks: {', '.join(map(str, unknown))}" if unknown else "the checks list names no check"
+        raise InvalidSpecError(f"{what}; valid: {', '.join(CHECKS)}")
+
+
 def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckReport]:
-    """The reports of the named checks (entries of CHECKS), in CHECKS order.
+    """The reports of the named checks (check_names), in CHECKS order.
 
     The checks share one constraint pass: every constraint_equations when
     wconstraints is named, else only string_dilaton's k = 2, m = -1, 0
@@ -162,6 +171,7 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
     correlator check; an extraction error is a residual of each correlator
     check.  Raises ContractError if a piece the pass reads is not graded as
     tau_j (offset lam + N = j, coefficients in Q*s^(j mod 2))."""
+    check_names(names)
     r, top = tau.r, tau.max_degree
     if "wconstraints" in names:
         equations = constraint_equations(r, top)
@@ -330,7 +340,8 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     If the budget admits none (and r > 2), the minimal instances on the
     constant piece are measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
-    from each base read as the constraint pass reads it (ContractError).
+    from each base checked homogeneous and packed once, as the constraint
+    pass reads it (ContractError).
     """
     r, degree = tau.r, tau.max_degree
     pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r)]
@@ -339,11 +350,13 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     if fallback:
         instances = [(i, j, 0) for i, j in pairs]
     shift, fields = exponent_fields(r, max((d + i + j for i, j, d in instances), default=0) * (r + 1))
-    residuals = []
+    residuals, bases = [], {}  # base degree -> kernel_rows of its piece
     for i, j, d in instances:
-        if not tau.pieces[d].is_homogeneous(d * (r + 1)):
-            raise ContractError(f"piece {d} is not homogeneous of weight {d * (r + 1)}")
-        base, top = kernel_rows(_pack_graded(tau, d, shift), fields), d + i + j
+        if d not in bases:
+            if not tau.pieces[d].is_homogeneous(d * (r + 1)):
+                raise ContractError(f"piece {d} is not homogeneous of weight {d * (r + 1)}")
+            bases[d] = kernel_rows(_pack_graded(tau, d, shift), fields)
+        base, top = bases[d], d + i + j
         ij = raise_step(r, i, top, kernel_rows(raise_step(r, j, d + j, base, shift), fields), shift)
         ji = raise_step(r, j, top, kernel_rows(raise_step(r, i, d + i, base, shift), fields), shift)
         residual = unpacked(r, top, top, summed([ij, (ji[0], -ji[1])]), fields)
@@ -375,7 +388,7 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     shift, fields = exponent_fields(r, max(piece.max_weight() for piece in tau.pieces + exp_tau.pieces))
     residuals = []
     for j in range(degree + 1):
-        (ours, den), (theirs, exp_den) = _pack_graded(tau, j, shift), pack_piece(j, exp_tau.pieces[j], shift)
+        (ours, den), (theirs, exp_den) = _pack_graded(tau, j, shift), pack_piece(j, j, exp_tau.pieces[j], shift)
         diff = unpacked(r, j, j, summed([(ours, den), (theirs, -exp_den)]), fields)
         if not diff.is_zero:
             residuals.append((f"degree {j}", diff))

@@ -95,7 +95,7 @@ from math import comb, factorial, lcm, prod
 from typing import Iterable
 
 from .errors import ContextError, ContractError, InvalidSpecError
-from .tpoly import TPolynomial, exponent_fields, grades, kernel_rows, pack_piece, unpacked
+from .tpoly import TPolynomial, exponent_fields, kernel_rows, pack_piece, unpacked
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
 # another construction are refused rather than reused.
@@ -184,15 +184,17 @@ def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
 
 def _apply_graded(poly: TPolynomial, u: int, shift, fields, kernel) -> TPolynomial:
     """Apply (-r*s/lam)^u times an operator, a kernel from rows to
-    (numerators, D_T), to a graded polynomial (tpoly.grades, else
-    ContractError): s^parity at offset lam + N goes to s^(parity + 3u) at
-    an offset u lower, as -r*s = s^3."""
+    (numerators, D_T), to a graded polynomial, graded as one monomial is
+    (pack_piece refuses the rest): s^parity at offset lam + N goes to
+    s^(parity + 3u) at an offset u lower, as -r*s = s^3."""
     if poly.is_zero:
         return poly
-    (offset, parity), *others = found = grades(poly)
-    if others or parity is None:
-        raise ContractError(f"input is not graded: (lam + N, s-parity) takes the values {sorted(found, key=str)}")
-    den, rows = kernel_rows(pack_piece(parity, poly, shift), fields)
+    mono, c = next(iter(poly.terms.items()))
+    offset, parity = mono.lambda_exp + sum(e for _, e in mono.exps), int(bool(c.b))
+    try:
+        den, rows = kernel_rows(pack_piece(offset, parity, poly, shift), fields)
+    except ContractError as exc:
+        raise ContractError(f"input is not graded: {exc}") from None
     acc, den_t = kernel(rows)
     return unpacked(poly.r, offset - u, parity + 3 * u, (acc, den * den_t), fields)
 

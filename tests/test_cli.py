@@ -65,6 +65,10 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         # Fraction() reads exponents; this one has 5001 digits and passes
         # every other check
         pytest.param(lambda doc: doc["piece"][0]["coeff"].update(b="1e5000"), id="exponent-coeff"),
+        # off the index rule, which the one grading pass of the reader checks
+        pytest.param(lambda doc: doc["piece"][0]["monomial"].update(t=[[4, 1], [1, 1]]), id="unsorted-t"),
+        pytest.param(lambda doc: doc["piece"][0]["monomial"].update(t=[[1, 0], [4, 1]]), id="zero-exponent"),
+        pytest.param(lambda doc: doc.update(format_version=2), id="version-2"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):

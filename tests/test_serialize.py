@@ -130,7 +130,7 @@ def test_parse_rejects_invalid_index():
 def test_parse_rejects_non_canonical_monomial(t):
     doc = json.loads(serialize_tau(compute_tau(3, 1)))
     doc["pieces"][1][0]["monomial"]["t"] = t
-    with pytest.raises(ParseError, match=r"not canonical.*pieces\[1\]"):
+    with pytest.raises(ParseError, match=r"off the grading.*indices ascend.*pieces\[1\]"):
         parse_tau(json.dumps(doc))
 
 
@@ -195,6 +195,11 @@ def test_parse_rejects_malformed_documents():
         edit(doc)
         with pytest.raises(ParseError, match="variables|outside"):
             parse_tau(json.dumps(doc))
+    # graded, but tau_0 is 2: only the structure check refuses it
+    doc = json.loads(serialize_tau(compute_tau(3, 1)))
+    doc["pieces"][0][0]["coeff"]["a"] = "2"
+    with pytest.raises(ParseError, match=r"degree-0 piece must equal 1 \(at pieces\)"):
+        parse_tau(json.dumps(doc))
 
 
 def test_parse_rejects_zero_or_duplicate_terms():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rspin import InvalidIndexError, TMonomial, TPolynomial
+from rspin import ContractError, InvalidIndexError, TMonomial, TPolynomial
+from rspin.tpoly import exponent_fields, pack_piece
 
 from helpers import derive, graded_part, mul_var, poly_mul, poly_of, qs, shift_lambda, tau1_r3
 
@@ -179,3 +180,24 @@ def test_constructor_refuses_non_canonical_monomials(exps):
     with pytest.raises(ValueError, match="not canonical"):
         TPolynomial(3, {TMonomial(0, exps): 1})
     assert TPolynomial._raw(3, {TMonomial(0, exps): qs(1)}).terms  # the unchecked fast path stays unchecked
+
+
+@pytest.mark.parametrize(
+    "terms, why",
+    [
+        ({TMonomial(0, ((1, 1),)): qs(0, 1), TMonomial(-2, ((2, 1),)): qs(0, 1)}, r"lam \+ N = -1"),
+        ({TMonomial(0, ((1, 1),)): qs(1, 1)}, r"coefficient 1 \+ s;"),
+        ({TMonomial(0, ((1, 1),)): qs(1)}, "coefficient 1;"),
+        ({TMonomial(-1, ((1, 1), (3, 1))): qs(0, 1)}, "T3 has no field"),
+        ({TMonomial(-1, ((1, 1), (2, 1))): qs(0, 1), TMonomial(-1, ((2, 1), (1, 1))): qs(0, 2)}, "held by another"),
+        ({TMonomial(0, ((2, 1),)): qs(0, 1), TMonomial(-15, ((1, 16),)): qs(0, 1)}, "held by another"),
+    ],
+    ids=["two-offsets", "mixed", "wrong-parity", "index-divisible-by-r", "unsorted-twin", "field-overflow"],
+)
+def test_pack_piece_refuses_what_the_packed_form_cannot_hold(terms, why):
+    # packed at offset 1 and s^1 over weight 8: the form keeps neither lam + N
+    # nor the rational part, has no field for T3 and 4 bits for T1, and holds
+    # one numerator per key, so T1^16 would land on T2
+    shift, _ = exponent_fields(3, 8)
+    with pytest.raises(ContractError, match=why):
+        pack_piece(1, 1, TPolynomial._raw(3, terms), shift)

@@ -7,6 +7,7 @@ import pytest
 
 from rspin import (
     Insertion,
+    TMonomial,
     TPolynomial,
     check_commutators,
     check_exponential_agreement,
@@ -18,7 +19,7 @@ from rspin import (
     extract_correlators,
 )
 from rspin import ContractError, InvalidSpecError, WModeSpec, compute_tau_exponential, run_checks, solver, verify, walgebra
-from rspin.verify import CHECKS, constraint_equations, w_constraint_residual, w_constraint_residuals
+from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residual, w_constraint_residuals
 from rspin.walgebra import _mode_blocks, _operator_loop
 
 from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
@@ -39,6 +40,13 @@ def test_w_constraints_pass_r2():
 def _s_times_var(r, n):
     """s*T_n, graded like a degree-1 piece: lam^0 on one variable, in Q*s."""
     return TPolynomial.monomial(r, qs(0, 1), 0, {n: 1})
+
+
+def _plus_s_t1_t3(piece):
+    """piece plus s*T1*T3*lam^-1, built unchecked: graded like a degree-1
+    piece at r = 3 (offset 1, in Q*s, weight 4), but T3 is divisible by r,
+    so no packed layout has a field for it."""
+    return TPolynomial._raw(3, {**piece.terms, TMonomial(-1, ((1, 1), (3, 1))): qs(0, 1)})
 
 
 def test_w_constraints_detect_seeded_error():
@@ -123,21 +131,41 @@ def test_residuals_stay_exact_at_negative_offsets(r, D):
 
 
 def test_constraint_pass_refuses_pieces_off_the_grading():
-    # a mixed coefficient, a whole piece in the wrong parity, or the wrong
-    # offset lam + N: each raises and names the piece
+    # a mixed coefficient, a whole piece in the wrong parity, the wrong
+    # offset lam + N, or an index with no packed field: each raises and
+    # names the piece
     tau = compute_tau(3, 3)
     bad = {
         "mixed": tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}),
         "parity": TPolynomial.monomial(3, qs(1), 0, {4: 1}),
         "offset": TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}),
+        "index divisible by r": _plus_s_t1_t3(tau.pieces[1]),
     }
     for name, piece in bad.items():
         j = 2 if name == "mixed" else 1
         tampered = compute_tau(3, 3)
         tampered.pieces[j] = piece
-        for check in (check_w_constraints, check_string_dilaton):
+        for check in (check_w_constraints, check_string_dilaton, lambda tau: list(run_checks(tau, CHECKS))):
             with pytest.raises(ContractError, match=f"piece {j} is not graded as tau_{j}"):
                 check(tampered)
+    # the grading check reads the piece without packing it, and so does the
+    # extraction, whose refusal follows as a residual
+    tampered.pieces[1] = bad["index divisible by r"]
+    (report,) = run_checks(tampered, ("grading",))
+    labels = [label for label, _ in report.residuals]
+    assert report.status == "fail" and labels[0] == "indices degree=1" and labels[1].startswith("extraction: piece 1")
+
+
+@pytest.mark.parametrize("names", [["wconstraint", "grading"], ["grading", "bogus"], [], (), "grading", "selection,grading"])
+def test_run_checks_refuses_names_off_the_list(names):
+    # a misspelled name, no name, or a bare string (read by substring or by
+    # character) would run fewer checks than asked and could read as passing
+    tau = compute_tau(3, 2)
+    with pytest.raises(InvalidSpecError, match="unknown checks|names no check|not the string"):
+        list(run_checks(tau, names))
+    with pytest.raises(InvalidSpecError):
+        check_names(names)
+    assert [rep.check_name for rep in run_checks(tau, ["selection", "grading"])] == ["grading", "selection"]
 
 
 def test_string_dilaton_passes():
@@ -291,6 +319,19 @@ def test_commutator_diagnostic_r3():
     assert residual.is_homogeneous(12)
 
 
+def test_commutators_pack_each_base_once(monkeypatch):
+    # at (5, 5) the 7 instances raise the bases tau_0 (4 of them), tau_1 and tau_2
+    packed, pack_graded = [], verify._pack_graded
+
+    def counting(tau, j, shift):
+        packed.append(j)
+        return pack_graded(tau, j, shift)
+
+    monkeypatch.setattr(verify, "_pack_graded", counting)
+    assert check_commutators(compute_tau(5, 5)).details["instances"] == 7
+    assert sorted(packed) == [0, 1, 2]
+
+
 def test_commutator_vacuous_for_r2():
     report = check_commutators(compute_tau(2, 4))
     assert report.status == "diagnostic"
@@ -335,6 +376,7 @@ def test_packed_diagnostics_match_references(r, degree):
         (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong offset
         (TPolynomial.monomial(3, qs(1, 1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # mixed coefficient
         (TPolynomial.monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # graded, off the weight
+        (_plus_s_t1_t3(compute_tau(3, 1).pieces[1]), "piece 1 is not graded as tau_1"),  # T3 has no field
     ],
 )
 def test_diagnostics_refuse_a_base_off_the_grading(piece, match):
