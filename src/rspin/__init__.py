@@ -42,13 +42,7 @@ from .verify import (
     check_w_constraints,
     run_checks,
 )
-from .walgebra import (
-    NormalTerm,
-    WModeSpec,
-    apply_raising_operator,
-    apply_w_mode,
-    mode_bound,
-)
+from .walgebra import mode_bound
 
 __version__ = "0.1.0"
 
@@ -64,7 +58,6 @@ __all__ = [
     "InvalidIndexError",
     "InvalidInsertionError",
     "InvalidSpecError",
-    "NormalTerm",
     "ParseError",
     "QScalar",
     "RSpinError",
@@ -72,9 +65,6 @@ __all__ = [
     "TPolynomial",
     "TauCache",
     "TauExpansion",
-    "WModeSpec",
-    "apply_raising_operator",
-    "apply_w_mode",
     "check_commutators",
     "check_exponential_agreement",
     "check_gradings",

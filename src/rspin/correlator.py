@@ -29,7 +29,6 @@ violation can only come from an upstream bug and raises ExtractionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
@@ -85,8 +84,7 @@ def conversion_constant(r: int, m: int, a: int) -> QScalar:
     return QScalar(Fraction(0), _conversion_rational(r, m, a))
 
 
-@dataclass(frozen=True)
-class CorrelatorRecord:
+class CorrelatorRecord(NamedTuple):
     """One intersection number: genus, sorted insertion multiset, value."""
 
     genus: int

@@ -6,7 +6,7 @@ class RSpinError(Exception):
 
 
 class ContextError(RSpinError, ValueError):
-    """Polynomials or operators built over different r were combined."""
+    """Polynomials built over different r were combined."""
 
 
 class InvalidIndexError(RSpinError, ValueError):
@@ -14,7 +14,8 @@ class InvalidIndexError(RSpinError, ValueError):
 
 
 class InvalidSpecError(RSpinError, ValueError):
-    """A W-mode label (k, j, m) is outside the admissible range."""
+    """A mode or equation label, or a check name, is outside the admissible
+    range."""
 
 
 class InvalidInsertionError(RSpinError, ValueError):

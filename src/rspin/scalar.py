@@ -15,18 +15,37 @@ Fraction operations on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class QScalar:
     """Immutable a + b*s, built as QScalar(a, b) from reduced Fractions, so
     equal values have identical representations.  The product of two
-    scalars is not defined: it would need r."""
+    scalars is not defined: it would need r.  Not a tuple, so it has no
+    tuple arithmetic or ordering."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QScalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QScalar is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, QScalar):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"QScalar(a={self.a!r}, b={self.b!r})"
 
     @property
     def is_zero(self) -> bool:

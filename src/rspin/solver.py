@@ -16,8 +16,7 @@ raises instead of being recomputed silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import ContractError
 from .tpoly import Packed, TPolynomial, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpacked
@@ -40,13 +39,12 @@ class PieceStore(Protocol):
     def store(self, r: int, degree: int, piece: TPolynomial) -> None: ...
 
 
-@dataclass
-class TauExpansion:
+class TauExpansion(NamedTuple):
     """Graded pieces tau_0 .. tau_D of the partition function for one r."""
 
     r: int
     max_degree: int
-    pieces: list[TPolynomial] = field(default_factory=list)
+    pieces: list[TPolynomial]
 
     def validate(self) -> None:
         """Check the invariants of a well-formed expansion: one piece per
@@ -105,6 +103,16 @@ def check_piece(r: int, j: int, piece: TPolynomial) -> None:
         raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
+def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """The one packed layout of a solve to max_degree, of top weight
+    max_degree*(r+1); refuses (ContractError) r < 2 and max_degree < 0."""
+    if r < 2:
+        raise ContractError(f"r must be >= 2, got {r}")
+    if max_degree < 0:
+        raise ContractError(f"max_degree must be >= 0, got {max_degree}")
+    return exponent_fields(r, max_degree * (r + 1))
+
+
 def raise_step(r: int, l: int, j: int, rows: tuple[int, list], shift: dict[int, int]) -> Packed:
     """A_l on the (den, kernel rows) of a degree j - l piece: the degree-j
     piece in the s^j convention, as A_l maps x * s^(j-l) to
@@ -122,11 +130,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
     by check_piece before it is stored, a cached one by the store's load; a
     cached piece is packed only when a computed degree reads it.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    shift, fields = exponent_fields(r, max_degree * (r + 1))
+    shift, fields = _layout(r, max_degree)
     pieces = [TPolynomial.one(r)]
     rows: dict[int, tuple[int, list]] = {}  # degree -> kernel_rows of its piece
     for j in range(1, max_degree + 1):
@@ -153,11 +157,7 @@ def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
     treats any disagreement as evidence against that conjecture, so this
     path is a diagnostic, never the authority.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    shift, fields = exponent_fields(r, max_degree * (r + 1))
+    shift, fields = _layout(r, max_degree)
     acc: dict[int, list[Packed]] = {0: [({0: 1}, 1)]}
     power: dict[int, Packed] = {0: ({0: 1}, 1)}
     # power holds B^n/n! . 1 by degree, B = sum_l A_l / l; its lowest degree

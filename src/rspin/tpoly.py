@@ -20,10 +20,9 @@ prod T_n^e_n over {exponent key: num}; tau_j has o = p = j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ContextError, ContractError, InvalidIndexError
 from .scalar import QScalar
@@ -47,8 +46,7 @@ def check_index(r: int, n: int) -> None:
         raise InvalidIndexError(f"variable index {n} is divisible by r={r}")
 
 
-@dataclass(frozen=True)
-class TMonomial:
+class TMonomial(NamedTuple):
     """Product lam^lambda_exp * prod T_n^e_n, stored canonically."""
 
     lambda_exp: int
@@ -59,7 +57,7 @@ class TMonomial:
         pairs = dict(exps)
         for n, e in pairs.items():
             if e < 0:
-                raise ValueError(f"negative exponent {e} for T_{n}")
+                raise ContractError(f"negative exponent {e} for T_{n}")
         items = tuple(sorted((n, e) for n, e in pairs.items() if e))
         return TMonomial(lambda_exp, items)
 
@@ -163,14 +161,14 @@ class TPolynomial:
 
     def __init__(self, r: int, terms: Mapping[TMonomial, QScalar] | None = None):
         if not isinstance(r, int) or r < 2:
-            raise ValueError(f"r must be an integer >= 2, got {r!r}")
+            raise ContractError(f"r must be an integer >= 2, got {r!r}")
         clean: dict[TMonomial, QScalar] = {}
         for mono, coeff in (terms or {}).items():
             last = 0
             for n, e in mono.exps:
                 check_index(r, n)
                 if n <= last or e < 1:
-                    raise ValueError(f"monomial {mono.exps} is not canonical: indices ascend, exponents are >= 1")
+                    raise ContractError(f"monomial {mono.exps} is not canonical: indices ascend, exponents are >= 1")
                 last = n
             coeff = _coeff(coeff)
             if coeff:

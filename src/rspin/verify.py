@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import ContractError, InvalidSpecError
@@ -46,12 +46,11 @@ FAIL = "fail"
 DIAGNOSTIC = "diagnostic"
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_name: str
     status: str
-    residuals: list[tuple[str, TPolynomial]] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    residuals: list[tuple[str, TPolynomial]]
+    details: dict
 
     @property
     def passed(self) -> bool:

@@ -56,8 +56,8 @@ input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
 The grading carries s and lam: the tables store the rational terms
-(NormalTerm.coeff is a Fraction), and the one power of -r*s/lam of the
-whole operator is an argument of the kernel.  A graded polynomial, as
+(NormalTerm.coeff is a Fraction), and the caller of the kernel applies
+the one power of -r*s/lam of the whole operator.  A graded polynomial, as
 every tau piece is, has one offset lam + N over its monomials (N the
 variable count) and coefficients all in Q or all in Q*s.  An oscillator
 moves lam and N together, so a normal-ordered term keeps the offset, and
@@ -69,11 +69,10 @@ monomial is one int key (tpoly.exponent_fields), its exponents and an
 integer numerator; the terms are grouped by annihilator multiset, and a
 group that divides a monomial is one int to subtract, each creator set
 one int to add, with an int product into one accumulator.  Packing is
-tpoly's one rule.  The public API (apply_w_mode and the public raiser at
-the end) packs any graded input and unpacks the output (_apply_graded);
-inside the package every raiser call is solver.raise_step, and
-verify packs each piece once for all its constraint modes, each creator
-key tagged with its equation above the layout's top bit.
+tpoly's one rule, and the kernel is the package's one operator path:
+every raiser call is solver.raise_step on raise_packed, and verify packs
+each piece once for all its constraint modes, each creator key tagged
+with its equation above the layout's top bit.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
@@ -88,14 +87,12 @@ r^(sum(orders) - len(orders)), and a block sums over one denominator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Iterable
+from typing import NamedTuple
 
-from .errors import ContextError, ContractError, InvalidSpecError
-from .tpoly import TPolynomial, exponent_fields, kernel_rows, pack_piece, unpacked
+from .errors import InvalidSpecError
 
 # Tag of the mode construction, stored with cached pieces: pieces built by
 # another construction are refused rather than reused.
@@ -108,8 +105,7 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 ORACLE_CHECKED_R = 14
 
 
-@dataclass(frozen=True)
-class NormalTerm:
+class NormalTerm(NamedTuple):
     """One normal-ordered product: annihilators differentiate first, then
     creators multiply, then the coefficient applies.
 
@@ -180,61 +176,6 @@ def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
         numerator = factor * prod(cre) * c.numerator * (den // c.denominator)
         group[1].append((tag + sum(1 << shift[u] for u in cre), numerator))
     return groups, den
-
-
-def _apply_graded(poly: TPolynomial, u: int, shift, fields, kernel) -> TPolynomial:
-    """Apply (-r*s/lam)^u times an operator, a kernel from rows to
-    (numerators, D_T), to a graded polynomial, graded as one monomial is
-    (pack_piece refuses the rest): s^parity at offset lam + N goes to
-    s^(parity + 3u) at an offset u lower, as -r*s = s^3."""
-    if poly.is_zero:
-        return poly
-    mono, c = next(iter(poly.terms.items()))
-    offset, parity = mono.lambda_exp + sum(e for _, e in mono.exps), int(bool(c.b))
-    try:
-        den, rows = kernel_rows(pack_piece(offset, parity, poly, shift), fields)
-    except ContractError as exc:
-        raise ContractError(f"input is not graded: {exc}") from None
-    acc, den_t = kernel(rows)
-    return unpacked(poly.r, offset - u, parity + 3 * u, (acc, den * den_t), fields)
-
-
-def apply_operator_sum(terms: Iterable[NormalTerm], poly: TPolynomial, unit_power: int) -> TPolynomial:
-    """Apply (-r*s/lam)^unit_power times a sum of rational normal-ordered
-    terms, read once from any iterable, to a graded polynomial.  The fields
-    hold the input's top weight plus the heaviest creator set; a term with
-    an annihilator heavier than that has no field and divides no input."""
-    terms = list(terms)
-    shift, fields = exponent_fields(poly.r, poly.max_weight() + max((sum(t.creators) for t in terms), default=0))
-    groups, den = _packed_groups(
-        ((t.annihilators, t.creators, 0, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators)), shift
-    )
-    return _apply_graded(poly, unit_power, shift, fields, lambda rows: (_operator_loop(groups, rows), den))
-
-
-@dataclass(frozen=True)
-class WModeSpec:
-    """Label (k, j, m) of one graded component of a W-constraint mode."""
-
-    r: int
-    k: int
-    j: int
-    m: int
-
-    def validate(self) -> None:
-        if self.r < 2:
-            raise InvalidSpecError(f"r must be >= 2, got {self.r}")
-        if not 2 <= self.k <= self.r:
-            raise InvalidSpecError(f"k must lie in [2, r={self.r}], got {self.k}")
-        if not 0 <= self.j <= self.k - 1:
-            raise InvalidSpecError(f"j must lie in [0, k-1={self.k - 1}], got {self.j}")
-        if self.m < -(self.k - 1):
-            raise InvalidSpecError(f"m must be >= -(k-1)={-(self.k - 1)}, got {self.m}")
-
-    @property
-    def weight_shift(self) -> int:
-        """Exact weight change on any homogeneous input."""
-        return -self.r * self.m - self.j * (self.r + 1)
 
 
 @lru_cache(maxsize=None)
@@ -398,21 +339,6 @@ def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
         yield from _w_mode_terms(r, k, j, m, wa)
 
 
-def apply_w_mode(spec: WModeSpec, poly: TPolynomial) -> TPolynomial:
-    """Apply W(k, j, m) to a polynomial, exactly.
-
-    Each monomial of weight w goes to weight w + spec.weight_shift; on a
-    zero input, or where that is negative for every monomial, the result is
-    zero without a kernel call.  Else poly must be graded (ContractError)."""
-    spec.validate()
-    if spec.r != poly.r:
-        raise ContextError(f"mode over r={spec.r} applied to polynomial over r={poly.r}")
-    top = poly.max_weight()
-    if poly.is_zero or top + spec.weight_shift < 0:
-        return TPolynomial.zero(poly.r)
-    return apply_operator_sum(_mode_blocks(spec.r, spec.k, spec.j, spec.m, top), poly, spec.j)
-
-
 def mode_bound(r: int, k: int, target_degree: int) -> int:
     """Largest outer mode index m that can contribute when raising into the
     given target degree: the created variable T_{r*m + k - 1} must still fit
@@ -437,23 +363,3 @@ def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]
         shift,
     )
     return _operator_loop(groups, rows), den * (r + 1)
-
-
-def apply_raising_operator(r: int, l: int, poly: TPolynomial, target_degree: int) -> TPolynomial:
-    """Apply the degree-l raiser to a graded, homogeneous polynomial of
-    degree target_degree - l, producing a graded, homogeneous result of
-    degree target_degree.
-
-    The outer mode sum is truncated at mode_bound(r, k, target_degree);
-    beyond it every contribution vanishes on such input, so the truncation
-    is exact.  The whole raiser is one raise_packed call.
-    """
-    if not 1 <= l <= r - 1:
-        raise InvalidSpecError(f"raiser label must lie in [1, r-1={r - 1}], got {l}")
-    if poly.r != r:
-        raise ContextError(f"raiser over r={r} applied to polynomial over r={poly.r}")
-    w_in = (target_degree - l) * (r + 1)
-    if w_in < 0 or not poly.is_homogeneous(w_in):
-        raise ContractError(f"input must be homogeneous of degree {target_degree - l} (weight {w_in})")
-    shift, fields = exponent_fields(r, target_degree * (r + 1))
-    return _apply_graded(poly, -l, shift, fields, lambda rows: raise_packed(r, l, rows, target_degree, shift))

@@ -9,7 +9,10 @@ is checked against the plain power series of log(1 + x) and against the
 graded exp; and correlators for any r come from the Gelfand-Dickey
 hierarchy in rkdv.py.  The pass-by-pass references apply one oscillator or
 one normal-ordered term at a time to the whole polynomial, where the
-package runs every operator through one monomial-by-monomial kernel.  Expected
+package runs every operator through one monomial-by-monomial kernel on
+packed pieces.  The polynomial-level adapters on that kernel
+(apply_operator_sum, apply_w_mode, apply_raising_operator) live here, as
+references the package's packed paths are tested against.  Expected
 values frozen in the tests were computed with these oracles or
 transcribed from independently published tables.
 """
@@ -22,21 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from rspin import (
-    ContractError,
-    NormalTerm,
-    QScalar,
-    TauExpansion,
-    TPolynomial,
-    WModeSpec,
-    apply_raising_operator,
-    apply_w_mode,
-    compute_tau,
-    mode_bound,
-)
+from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.serialize import poly_to_obj
-from rspin.tpoly import TMonomial, check_index
-from rspin.walgebra import _mode_blocks
+from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, pack_piece, unpacked
+from rspin.walgebra import NormalTerm, _mode_blocks, _operator_loop, _packed_groups, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -177,6 +169,53 @@ def unit_scaled(poly, n) -> TPolynomial:
     """poly times (-r*s/lam)^n, the power that apply_operator_sum applies
     to its sum of rational terms."""
     return shift_lambda(q_scaled(poly, unit_power(poly.r, n)), -n)
+
+
+# -- the package's kernel on TPolynomials -----------------------------------
+
+
+def _on_kernel(poly, n, weight, kernel) -> TPolynomial:
+    """(-r*s/lam)^n times an operator on a graded poly, packed as its first
+    monomial is graded over a layout of top weight `weight` (pack_piece
+    refuses the rest: ContractError); kernel maps (rows, shift) to
+    (numerators, den).  s^p at offset lam + N goes to s^(p + 3n) at an
+    offset n lower, as -r*s = s^3."""
+    if poly.is_zero:
+        return poly
+    mono, c = next(iter(poly.terms.items()))
+    offset, parity = mono.lambda_exp + sum(e for _, e in mono.exps), int(bool(c.b))
+    shift, fields = exponent_fields(poly.r, weight)
+    den, rows = kernel_rows(pack_piece(offset, parity, poly, shift), fields)
+    nums, den_t = kernel(rows, shift)
+    return unpacked(poly.r, offset - n, parity + 3 * n, (nums, den * den_t), fields)
+
+
+def apply_operator_sum(terms, poly, n) -> TPolynomial:
+    """(-r*s/lam)^n times a sum of NormalTerms on a graded poly, one kernel
+    call.  The layout holds the input's top weight plus the heaviest
+    creator set; a term with an annihilator that has no field there
+    divides no input."""
+    terms = list(terms)
+
+    def kernel(rows, shift):
+        fit = ((t.annihilators, t.creators, 0, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators))
+        groups, den = _packed_groups(fit, shift)
+        return _operator_loop(groups, rows), den
+
+    return _on_kernel(poly, n, poly.max_weight() + max((sum(t.creators) for t in terms), default=0), kernel)
+
+
+def apply_w_mode(r, k, j, m, poly) -> TPolynomial:
+    """W(k, j, m) on a graded poly over this r: its blocks up to the
+    input's top weight, under (-r*s/lam)^j."""
+    return apply_operator_sum(_mode_blocks(r, k, j, m, poly.max_weight()), poly, j)
+
+
+def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
+    """The raiser A_l on a graded poly of degree target_degree - l: one
+    raise_packed call, under (-r*s/lam)^(-l)."""
+    weight = target_degree * (r + 1)
+    return _on_kernel(poly, -l, weight, lambda rows, shift: raise_packed(r, l, rows, target_degree, shift))
 
 
 def exp_graded(poly, max_degree) -> TauExpansion:
@@ -471,7 +510,7 @@ def reference_w_residual(tau, k, m, degree) -> tuple[TPolynomial, bool]:
         for l, idx in enumerate(range(degree - k + 1, degree + 1))
         if 0 <= idx <= tau.max_degree and not tau.pieces[idx].is_zero
     ]
-    total = TPolynomial.sum_of(r, (apply_w_mode(WModeSpec(r, k, l, m), piece) for l, piece in pieces))
+    total = TPolynomial.sum_of(r, (apply_w_mode(r, k, l, m, piece) for l, piece in pieces))
     return total, bool(pieces)
 
 

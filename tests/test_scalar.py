@@ -1,7 +1,6 @@
 """Exact coefficients a + b*s: sums, negation and rational scaling."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -127,5 +126,34 @@ def test_sums_take_scalars_only():
 
 
 def test_a_scalar_is_the_pair_a_b():
-    assert [f.name for f in fields(QScalar)] == ["a", "b"]
+    q = QScalar(Fraction(1, 2), Fraction(-3))
+    assert (q.a, q.b) == (Fraction(1, 2), Fraction(-3))
+    assert repr(q) == "QScalar(a=Fraction(1, 2), b=Fraction(-3, 1))"
     assert QScalar(Fraction(1, 2), Fraction(0)) == qs(Fraction(1, 2))
+
+
+def test_a_scalar_is_immutable():
+    q = qs(1, 2)
+    for name in ("a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, Fraction(5))
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert q == qs(1, 2)
+
+
+def test_equal_scalars_hash_equally():
+    x, y = QScalar(Fraction(2, 4), Fraction(0)), qs(Fraction(1, 2))
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, qs(Fraction(1, 2), 1)}) == 2
+
+
+def test_a_scalar_is_not_a_tuple():
+    # no tuple concatenation, ordering or equality with the bare pair
+    q = qs(1, 2)
+    assert not isinstance(q, tuple)
+    with pytest.raises(TypeError):
+        q + (1, 0)
+    with pytest.raises(TypeError):
+        q < qs(2)
+    assert q != (q.a, q.b)

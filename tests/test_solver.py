@@ -9,8 +9,10 @@ import pytest
 from rspin import (
     CacheError,
     ContractError,
+    RSpinError,
     TauCache,
     TauExpansion,
+    TMonomial,
     TPolynomial,
     compute_tau,
     compute_tau_exponential,
@@ -92,6 +94,30 @@ def test_invalid_arguments():
         compute_tau(1, 2)
     with pytest.raises(ValueError):
         compute_tau(3, -1)
+
+
+REFUSED = {
+    "compute_tau r=1": lambda: compute_tau(1, 2),
+    "compute_tau degree -1": lambda: compute_tau(3, -1),
+    "exponential r=1": lambda: compute_tau_exponential(1, 2),
+    "exponential degree -1": lambda: compute_tau_exponential(3, -1),
+    "polynomial r=1": lambda: TPolynomial(1),
+    "non-canonical monomial": lambda: TPolynomial(3, {TMonomial(0, ((2, 1), (1, 1))): 1}),
+    "negative exponent": lambda: TMonomial.make(0, {1: -1}),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refusals_are_package_errors(case):
+    with pytest.raises(RSpinError):
+        REFUSED[case]()
+
+
+def test_expansion_builds_positionally():
+    tau = compute_tau(4, 4)
+    low = TauExpansion(4, 3, tau.pieces[:4])
+    low.validate()
+    assert (low.r, low.max_degree, low.pieces) == (4, 3, compute_tau(4, 3).pieces)
 
 
 def test_determinism_across_runs():

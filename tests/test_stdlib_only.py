@@ -1,7 +1,9 @@
 """The engine imports nothing outside the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "rspin"
@@ -24,3 +26,12 @@ def test_engine_imports_only_the_standard_library():
                 if top != "__future__" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # both cost every process start time and memory; the value types are
+    # NamedTuples and plain classes
+    probe = "import sys, rspin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,20 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from rspin import (
-    ContractError,
-    InvalidSpecError,
-    NormalTerm,
-    TMonomial,
-    TPolynomial,
-    WModeSpec,
-    apply_raising_operator,
-    apply_w_mode,
-    compute_tau,
-    mode_bound,
-)
+from rspin import ContractError, InvalidSpecError, TMonomial, TPolynomial, compute_tau, mode_bound
+from rspin.verify import w_constraint_residual
 from rspin.walgebra import (
     ORACLE_CHECKED_R,
+    NormalTerm,
     _contraction,
     _falling,
     _generator,
@@ -29,13 +20,15 @@ from rspin.walgebra import (
     _slot_weight,
     _tuple_weight,
     _w_mode_terms,
-    apply_operator_sum,
 )
 
 from helpers import (
     SHEET_CURRENTS,
     apply_beta,
+    apply_operator_sum,
+    apply_raising_operator,
     apply_term,
+    apply_w_mode,
     mode_table,
     ordered_apply_raiser,
     ordered_apply_w,
@@ -115,10 +108,10 @@ def test_operator_sum_shares_derivatives_exactly():
     # result must equal the plain sum of single-term applications, times
     # the mode's (-r*s/lam)^j
     p = _homogeneous_poly(4, 15, offset=-2) + graded_monomial(4, 3, -2, {1: 2, 6: 1, 7: 1})
-    for spec in (WModeSpec(4, 4, 0, -1), WModeSpec(4, 4, 1, 0), WModeSpec(4, 3, 0, 1)):
-        terms = tuple(_mode_blocks(4, spec.k, spec.j, spec.m, p.max_weight()))
-        plain = unit_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), spec.j)
-        assert apply_operator_sum(terms, p, spec.j) == plain
+    for k, j, m in ((4, 0, -1), (4, 1, 0), (3, 0, 1)):
+        terms = tuple(_mode_blocks(4, k, j, m, p.max_weight()))
+        plain = unit_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), j)
+        assert apply_operator_sum(terms, p, j) == plain
         assert not plain.is_zero
 
 
@@ -315,17 +308,17 @@ UNGRADED = {
 @pytest.mark.parametrize("case", list(UNGRADED))
 def test_kernel_refuses_ungraded_input(case):
     p = UNGRADED[case]
-    with pytest.raises(ContractError, match="input is not graded"):
+    with pytest.raises(ContractError, match="expected 1, Q"):
         apply_operator_sum((NormalTerm((1,), (1,), Fraction(1)),), p, 1)
     with pytest.raises(ContractError):
-        apply_w_mode(WModeSpec(3, 2, 0, -1), p)
+        apply_w_mode(3, 2, 0, -1, p)
 
 
 def test_kernel_returns_zero_on_empty_input_or_terms():
     term = NormalTerm((1,), (1,), Fraction(1))
     assert apply_operator_sum((term,), TPolynomial.zero(3), 1) == TPolynomial.zero(3)
     assert apply_operator_sum((), TPolynomial.var(3, 1), 1) == TPolynomial.zero(3)
-    assert apply_w_mode(WModeSpec(3, 2, 0, -1), TPolynomial.zero(3)) == TPolynomial.zero(3)
+    assert apply_w_mode(3, 2, 0, -1, TPolynomial.zero(3)) == TPolynomial.zero(3)
 
 
 def test_modes_move_the_grading():
@@ -340,7 +333,7 @@ def test_modes_move_the_grading():
             for k in range(2, r + 1):
                 for j in range(k):
                     for m in range(-(k - 1), 1):
-                        out = apply_w_mode(WModeSpec(r, k, j, m), p)
+                        out = apply_w_mode(r, k, j, m, p)
                         if out:
                             assert gradings(out) == {(offset - j, (parity + j) % 2)}, (r, k, j, m)
                             moved += 1
@@ -381,18 +374,25 @@ def test_w_terms_single_term_with_sign():
 
 
 def test_w_terms_rejects_bad_specs():
-    for spec in (WModeSpec(3, 4, 0, 0), WModeSpec(3, 2, 2, 0), WModeSpec(3, 2, 0, -2), WModeSpec(1, 2, 0, 0)):
+    # the package's entries that take a mode label: a constraint equation
+    # (k, m) and the outer bound of a raiser (k); j is derived inside, so
+    # no outside entry takes it
+    tau = compute_tau(3, 1)
+    for k, m in ((4, 0), (1, 0), (2, -2), (3, -3)):
         with pytest.raises(InvalidSpecError):
-            apply_w_mode(spec, TPolynomial.one(3))
+            w_constraint_residual(tau, k, m, 1)
+    for k in (1, 4):
+        with pytest.raises(InvalidSpecError):
+            mode_bound(3, k, 1)
 
 
 def test_apply_w_mode_central():
-    out = apply_w_mode(WModeSpec(3, 2, 0, 0), TPolynomial.one(3))
+    out = apply_w_mode(3, 2, 0, 0, TPolynomial.one(3))
     assert out == TPolynomial.const(3, Fraction(1, 3))
 
 
 def test_apply_w_mode_cubic_on_one():
-    out = apply_w_mode(WModeSpec(3, 3, 0, -2), TPolynomial.one(3))
+    out = apply_w_mode(3, 3, 0, -2, TPolynomial.one(3))
     expected = poly_of(
         3,
         (Fraction(4, 3), -3, {2: 3}),
@@ -402,7 +402,7 @@ def test_apply_w_mode_cubic_on_one():
 
 
 def test_apply_w_mode_top_derivative():
-    out = apply_w_mode(WModeSpec(3, 2, 1, -1), TPolynomial.var(3, 1))
+    out = apply_w_mode(3, 2, 1, -1, TPolynomial.var(3, 1))
     assert out == TPolynomial.const(3, qs(0, -3))
 
 
@@ -413,7 +413,6 @@ def test_weight_shift_of_modes():
         k = rng.randint(2, r)
         j = rng.randint(0, k - 1)
         m = rng.randint(-(k - 1), 2)
-        spec = WModeSpec(r, k, j, m)
         exps = {}
         budget = rng.randint(0, 6)
         while budget:
@@ -425,8 +424,8 @@ def test_weight_shift_of_modes():
             budget -= n
         p = TPolynomial.monomial(r, 1, 0, exps)
         w_in = p.max_weight()
-        w_out = w_in + spec.weight_shift
-        out = apply_w_mode(spec, p)
+        w_out = w_in - r * m - j * (r + 1)
+        out = apply_w_mode(r, k, j, m, p)
         assert out.is_homogeneous(w_out) or out.is_zero
         if w_out < 0:
             assert out.is_zero
@@ -452,7 +451,7 @@ def _random_scalar(rng, parity):
 
 def test_cap_free_application_matches_ordered_oracle():
     # the oracle needs an explicit creator cap; the output weight bound
-    # max_weight + weight_shift is the one that drops nothing.  The modes
+    # max_weight - r*m - j*(r+1) is the one that drops nothing.  The modes
     # and the inputs come from two streams, so the modes drawn do not hang
     # on how many draws an input takes (the oracle's cost grows steeply
     # with -m at r = 5)
@@ -461,14 +460,14 @@ def test_cap_free_application_matches_ordered_oracle():
     for case in range(30):
         r = rng.choice((2, 3, 4, 5))
         k = rng.randint(2, r)
-        spec = WModeSpec(r, k, rng.randint(0, k - 1), rng.randint(-(k - 1), 1))
+        j, m = rng.randint(0, k - 1), rng.randint(-(k - 1), 1)
         weights = [rng.randint(0, 5)] * 3 if case % 2 == 0 else [rng.randint(0, 5) for _ in range(3)]
         offset, parity = inputs.randint(-2, 3), inputs.randrange(2)
         p = TPolynomial.sum_of(r, (_random_monomial(inputs, r, w, offset, parity) for w in weights))
         mixed += not p.is_zero and not p.is_homogeneous(p.max_weight())
-        oracle = ordered_apply_w(r, spec.k, spec.j, spec.m, p, p.max_weight() + spec.weight_shift)
-        out = apply_w_mode(spec, p)
-        assert out == oracle, (spec, p)
+        oracle = ordered_apply_w(r, k, j, m, p, p.max_weight() - r * m - j * (r + 1))
+        out = apply_w_mode(r, k, j, m, p)
+        assert out == oracle, (r, k, j, m, p)
         nonzero += not out.is_zero
     assert nonzero >= 15 and mixed >= 5
 
@@ -541,14 +540,6 @@ def test_raiser_r2_fixture():
     assert apply_raising_operator(2, 1, TPolynomial.one(2), 1) == tau1_r2()
 
 
-def test_raiser_requires_homogeneous_input():
-    mixed = TPolynomial.one(3) + TPolynomial.var(3, 1)
-    with pytest.raises(ContractError):
-        apply_raising_operator(3, 1, mixed, 1)
-    with pytest.raises(InvalidSpecError):
-        apply_raising_operator(3, 3, TPolynomial.one(3), 3)
-
-
 def _homogeneous_poly(r, weight, offset=0):
     """All-ones polynomial over every weight-`weight` monomial in T_1, T_2,
     graded with lam + N = offset."""
@@ -579,14 +570,13 @@ def test_operator_linearity():
     # over Q(s), on graded inputs: a rational p scaled by a of either
     # parity, and q of a's parity and p's offset
     rng = random.Random(17)
-    spec = WModeSpec(3, 2, 0, -1)
     for _ in range(10):
         offset, x, y = rng.randint(-2, 2), rng.choice((-4, -1, 3)), rng.choice((-2, 1, 4))
         a, b = (qs(x), qs(y)) if rng.randrange(2) else (qs(0, x), qs(0, y))
         p = graded_monomial(3, 1, offset, {1: rng.randint(1, 3)})
         q = graded_monomial(3, b, offset, {2: rng.randint(1, 2)})
-        lhs = apply_w_mode(spec, q_scaled(p, a) + q)
-        rhs = q_scaled(apply_w_mode(spec, p), a) + apply_w_mode(spec, q)
+        lhs = apply_w_mode(3, 2, 0, -1, q_scaled(p, a) + q)
+        rhs = q_scaled(apply_w_mode(3, 2, 0, -1, p), a) + apply_w_mode(3, 2, 0, -1, q)
         assert lhs == rhs
 
 
@@ -677,5 +667,5 @@ def test_modes_beyond_bound_annihilate():
             for extra in (1, 2):
                 m = mode_bound(r, k, target) + extra
                 j = k - 1 - l
-                out = apply_w_mode(WModeSpec(r, k, j, m - k + 1), p)
+                out = apply_w_mode(r, k, j, m - k + 1, p)
                 assert out.is_zero
