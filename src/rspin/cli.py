@@ -21,8 +21,8 @@ from .serialize import (
     reports_to_json,
     serialize_tau,
 )
-from .solver import compute_tau
-from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms
+from .solver import _layout, compute_tau
+from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms, raisers_over
 from .verify import CHECKS, check_commutators, check_exponential_agreement, check_names, run_checks
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
@@ -129,10 +129,18 @@ def _timed(args, label: str, run):
 
 
 def _note_tables(args) -> None:
-    """Under -v, the hits and misses of the memoised mode-table functions."""
-    for table in (_w_mode_terms, _partitions) if args.verbose else ():
+    """Under -v, the hits and misses of the memoised mode-table functions,
+    and the term count of each raiser built over the solve's layout, after
+    merging and before it."""
+    if not args.verbose:
+        return
+    for table in (_w_mode_terms, _partitions):
         info = table.cache_info()
         print(f"{table.__name__}: {info.hits} hits, {info.misses} misses", file=sys.stderr)
+    shift, _ = _layout(args.r, args.degree)
+    for op in raisers_over(args.r, shift):
+        terms = sum(len(cres) for _, cres, _ in op.op[0].values())
+        print(f"A_{op.l}: {terms} terms, {op.read} before merging", file=sys.stderr)
 
 
 def _run_compute(args) -> int:

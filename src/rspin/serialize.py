@@ -19,6 +19,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd
 
 from .correlator import CorrelatorRecord
 from .errors import CacheError, ContractError, ParseError
@@ -47,9 +48,11 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
-# What str(Fraction) writes.  Fraction() alone also takes exponent and
-# decimal forms, and expanding "1e10000000" takes it seconds.
-_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# What str(Fraction) writes of a nonzero value: digit strings without a
+# leading zero, the sign on the numerator.  The value is built from the two
+# ints, so no exponent or decimal form (Fraction() would expand "1e10000000"
+# for seconds) is ever read.
+_FRACTION = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 _ZERO = Fraction(0)
 
 
@@ -61,13 +64,15 @@ def _frac_parse(text, where: str) -> Fraction:
         return _ZERO
     if not isinstance(text, str):
         raise ParseError(f"expected a fraction string, got {type(text).__name__}", where)
-    if _FRACTION.fullmatch(text):
+    match = _FRACTION.fullmatch(text)
+    if match and match[2] != "1":
         try:
-            value = Fraction(text)
-            if str(value) == text:
-                return value
-        except (ValueError, ZeroDivisionError):  # a zero denominator, or over 4300 digits
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # over 4300 digits
             pass
+        else:
+            if gcd(num, den) == 1:
+                return Fraction(num, den)
     raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
 
 

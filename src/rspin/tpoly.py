@@ -21,6 +21,7 @@ prod T_n^e_n over {exponent key: num}; tau_j has o = p = j.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -79,12 +80,15 @@ ONE_MONOMIAL = TMonomial(0, ())
 _ONE = QScalar(Fraction(1), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def exponent_fields(r: int, weight: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
     """Bit fields packing a monomial of weight at most `weight` into the int
     sum e_n << shift[n] (Monagan and Pearce, CASC 2007): T_n gets
     (weight // n).bit_length() bits, so adding two keys multiplies two
     monomials, without a carry while the product weighs at most `weight`.
-    Returns shift and the (n, width, mask) fields unpack_exponents reads."""
+    Returns shift and the (n, width, mask) fields unpack_exponents reads.
+    Memoised, so each layout is one object per process, and the raisers
+    built over it (walgebra.raise_packed) are shared: do not mutate."""
     shift, fields, at = {}, [], 0
     for n in range(1, weight + 1):
         if n % r:
@@ -177,6 +181,9 @@ class TPolynomial:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
+        raise AttributeError("TPolynomial is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("TPolynomial is immutable")
 
     @classmethod

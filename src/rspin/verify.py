@@ -14,13 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection, Iterator
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import ContractError, InvalidSpecError
 from .solver import TauExpansion, compute_tau_exponential, off_grade, raise_step
 from .tpoly import Packed, TPolynomial, exponent_fields, kernel_rows, pack_piece, summed, unpacked
-from .walgebra import _mode_blocks, _operator_loop, _packed_groups
+from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current
 
 __all__ = [
     "CHECKS",
@@ -118,28 +119,31 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     shift, fields = exponent_fields(r, weight)
     top = sum(width for _, width, _ in fields)
     mask = (1 << top) - 1
+    dens = {k: _twisted_current(r, k)[0] for k in range(2, r + 1)}
+    den_w = lcm(*dens.values())  # the blocks of every k over one denominator
+    scale = {k: den_w // den for k, den in dens.items()}
     parts: dict[int, list] = {}  # equation index -> [(numerators, den)], one per piece read
     out = {}
     for j in range(top_degree + 1):
         if reads.get(j):
             den, rows = kernel_rows(_pack_graded(tau, j, shift), fields)
             w = tau.pieces[j].max_weight()
-            groups, den_t = _packed_groups(
+            op = _packed_groups(
                 (
-                    (t.annihilators, t.creators, e << top, r ** (2 * l), t.coeff)
+                    (ann, cre, e << top, r ** (2 * l) * scale[k] * x)
                     for e, k, l, m in reads[j]
                     if w - r * m - l * (r + 1) >= 0
-                    for t in _mode_blocks(r, k, l, m, w)
+                    for cre, ann, x in _mode_blocks(r, k, l, m, w)
                 ),
                 shift,
             )
-            acc = _operator_loop(groups, rows)
+            acc = _operator_loop(op, rows)
             split: dict[int, dict[int, int]] = {}  # equation index -> its numerators
             for key, x in acc.items():
                 if x:
                     split.setdefault(key >> top, {})[key & mask] = x
             for e, part in split.items():
-                parts.setdefault(e, []).append((part, den * den_t))
+                parts.setdefault(e, []).append((part, den * den_w))
         for e in finish.get(j, ()):
             k, m, d = equations[e]
             out[(k, m, d)] = unpacked(r, d - k + 1, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged

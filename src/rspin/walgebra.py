@@ -5,7 +5,8 @@ Conventions.  For a positive variable index u (u % r != 0) the oscillator
 alpha_u with mode index u/r acts as lam * d/dT_u, and alpha_{-u} acts as
 lam^{-1} * u * T_u.  Products are kept normal ordered: annihilators
 (derivatives) act before creators (multiplications), so a finite list of
-NormalTerm values represents an operator exactly.
+(creators, annihilators, coefficient) terms represents an operator
+exactly.
 
 The modes.  W(k, m), 2 <= k <= r, is the mode m of the spin-k current of
 the free-fermion W-algebra W(gl_r) (W_{1+inf} at c = r; Frenkel, Kac,
@@ -55,9 +56,11 @@ annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
-The grading carries s and lam: the tables store the rational terms
-(NormalTerm.coeff is a Fraction), and the caller of the kernel applies
-the one power of -r*s/lam of the whole operator.  A graded polynomial, as
+The grading carries s and lam: a block of W(k, j, m) is a tuple of
+(creators, annihilators, numerator) rows over the one denominator of the
+spin-k current (_twisted_current), its index tuples non-increasing, the
+very tuples _partitions caches, and the caller of the kernel applies the
+one power of -r*s/lam of the whole operator.  A graded polynomial, as
 every tau piece is, has one offset lam + N over its monomials (N the
 variable count) and coefficients all in Q or all in Q*s.  An oscillator
 moves lam and N together, so a normal-ordered term keeps the offset, and
@@ -66,22 +69,28 @@ and whose s-parity flips j times (s^p goes to s^(p + 3j), as -r*s = s^3).
 
 The kernel (_operator_loop) is packed in and packed out: an input
 monomial is one int key (tpoly.exponent_fields), its exponents and an
-integer numerator; the terms are grouped by annihilator multiset, and a
-group that divides a monomial is one int to subtract, each creator set
-one int to add, with an int product into one accumulator.  Packing is
-tpoly's one rule, and the kernel is the package's one operator path:
-every raiser call is solver.raise_step on raise_packed, and verify packs
-each piece once for all its constraint modes, each creator key tagged
-with its equation above the layout's top bit.
+integer numerator.  An operator is (groups, prefixes): its terms over
+one denominator, grouped by annihilator multiset as {annihilators: (key,
+creator keys, numerators)}, and every prefix of those multisets.  A group
+that divides a monomial is one int to subtract, each creator key one int
+to add, with an int product into one accumulator.  Packing is tpoly's one
+rule, and the kernel is the package's one operator path: every raiser
+call is solver.raise_step on raise_packed, and verify packs each piece
+once for all its constraint modes, each creator key tagged with its
+equation above the layout's top bit.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
 is a creator, so adding it to each inner term keeps the term normal
 ordered.  The powers of -r*s/lam of c_k and of the inner mode combine to
 (-r*s/lam)^(-l) for every k, so a term carries the int -(k-1)! and the
-call's denominator the r+1, and A_l moves the offset up by l.  The
-tables are built on integers: a tuple of slots weighs an integer over
-r^(sum(orders) - len(orders)), and a block sums over one denominator.
+operator's denominator the r+1, and A_l moves the offset up by l.  A
+term whose annihilators weigh wa has creators weighing wa + l*(r+1).
+Each A_l is built once per layout, merged (_Raiser): terms of any k and m
+with the same annihilators and creators add into one integer over
+(r+1) * lcm_k den(r, k), and a call on a heavier input than any before
+adds just the blocks it newly reaches.  The tables are built on integers:
+a tuple of slots weighs an integer over r^(sum(orders) - len(orders)).
 """
 
 from __future__ import annotations
@@ -90,7 +99,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import NamedTuple
 
 from .errors import InvalidSpecError
 
@@ -104,30 +112,19 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 # through degree 2; r = 2, 3 also match the published tables.
 ORACLE_CHECKED_R = 14
 
-
-class NormalTerm(NamedTuple):
-    """One normal-ordered product: annihilators differentiate first, then
-    creators multiply, then the coefficient applies.
-
-    creators and annihilators hold positive variable indices (sorted).  An
-    annihilator brings lam and a creator lam^-1, so a term keeps the
-    lam + N offset of every monomial it meets.
-    """
-
-    creators: tuple[int, ...]
-    annihilators: tuple[int, ...]
-    coeff: Fraction
+Row = tuple[tuple[int, ...], tuple[int, ...], int]  # (creators, annihilators, numerator)
 
 
 def _divisors(
     exps: tuple[tuple[int, int], ...], prefixes: set[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Sub-multisets of the monomial with these exponents whose ascending
-    index tuples lie in prefixes, each with its derivative multiplicity
-    prod e!/(e-c)! over the variables taken c times.  A tuple outside
-    prefixes starts no annihilator multiset, so nothing is built on it."""
+    """Sub-multisets of the monomial with these (ascending) exponents whose
+    non-increasing index tuples lie in prefixes, each with its derivative
+    multiplicity prod e!/(e-c)! over the variables taken c times.  A tuple
+    outside prefixes starts no annihilator multiset, so nothing is built
+    on it."""
     out = [((), 1)]
-    for n, e in exps:
+    for n, e in reversed(exps):
         for i in range(len(out)):
             taken, mult = out[i]
             for c in range(1, e + 1):
@@ -139,12 +136,12 @@ def _divisors(
     return out
 
 
-def _operator_loop(groups: dict, rows) -> dict[int, int]:
-    """The kernel: for each input row (key, exps, x) and each group
-    {annihilators: (key, [(creator key, numerator)])} that _divisors shows
-    divides it, subtract the group's key (no field borrows) and add
-    x * mult * numerator at each creator key."""
-    prefixes = {anns[:i] for anns in groups for i in range(len(anns) + 1)}
+def _operator_loop(op: tuple[dict, set], rows) -> dict[int, int]:
+    """The kernel: for each input row (key, exps, x) and each group of the
+    operator (groups, prefixes) that _divisors shows divides it, subtract
+    the group's key (no field borrows) and add x * mult * numerator at each
+    of its creator keys."""
+    groups, prefixes = op
     acc: dict[int, int] = {}
     get = acc.get
     for key, exps, x in rows:
@@ -152,30 +149,38 @@ def _operator_loop(groups: dict, rows) -> dict[int, int]:
             hit = groups.get(taken)
             if hit is None:
                 continue
-            ann, group = hit
+            ann, cres, nums = hit
             left, n = key - ann, x * mult
-            for cre, numerator in group:
+            for cre, numerator in zip(cres, nums):
                 out_key = left + cre
                 acc[out_key] = get(out_key, 0) + n * numerator
     return acc
 
 
-def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, int]:
-    """The kernel's groups for (annihilators, creators, tag, int factor,
-    rational coeff) terms, over the lcm D_T of the coefficient denominators:
-    each creator key is the creators' key plus the tag, which a caller sets
-    above the layout's top bit to sort outputs, and each numerator is
-    factor * coeff * D_T * prod(creators), as alpha_{-u} multiplies by u."""
-    terms = list(terms)
-    den = lcm(*(c.denominator for *_, c in terms))
-    groups: dict[tuple[int, ...], tuple[int, list]] = {}
-    for anns, cre, tag, factor, c in terms:
+def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, set]:
+    """The kernel's operator for (annihilators, creators, tag, numerator)
+    terms over one denominator, the annihilators non-increasing as
+    _divisors takes them: each creator key is the creators' key plus
+    the tag, and each numerator is multiplied by prod(creators), as
+    alpha_{-u} multiplies by u.  Terms with the same annihilators and
+    creator key add into one numerator, and zeros are dropped."""
+    groups: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
+    creators: dict[tuple[int, ...], tuple[int, int]] = {}  # -> (key, product), shared by many terms
+    for anns, cre, tag, numerator in terms:
         group = groups.get(anns)
         if group is None:
-            group = groups[anns] = (sum(1 << shift[u] for u in anns), [])
-        numerator = factor * prod(cre) * c.numerator * (den // c.denominator)
-        group[1].append((tag + sum(1 << shift[u] for u in cre), numerator))
-    return groups, den
+            group = groups[anns] = (sum(1 << shift[u] for u in anns), {})
+        known = creators.get(cre)
+        if known is None:
+            known = creators[cre] = (sum(1 << shift[u] for u in cre), prod(cre))
+        key = tag + known[0]
+        group[1][key] = group[1].get(key, 0) + numerator * known[1]
+    out = {}
+    for anns, (ann_key, group) in groups.items():
+        kept = {c: x for c, x in group.items() if x}
+        if kept:
+            out[anns] = (ann_key, tuple(kept), tuple(kept.values()))
+    return out, {anns[:i] for anns in out for i in range(len(anns) + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -297,42 +302,46 @@ def _slot_weight(r: int, u: int, order: int) -> int:
 
 def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> int:
     """Sum over the distinct orderings of these labels (alpha_u, u < 0 a
-    creator, 0 a constant) of the product of their slot weights, times
-    r^(sum(orders) - len(orders)).  The orders are non-increasing: each
-    derivative slot takes each distinct label in turn, and the order-1
-    slots left weigh 1 per ordering."""
+    creator, 0 a constant), in any order, of the product of their slot
+    weights, times r^(sum(orders) - len(orders)).  The orders are
+    non-increasing: sorted, equal labels are runs, each derivative slot
+    takes each distinct label in turn, and the order-1 slots left weigh 1
+    per ordering, a multinomial count of the runs."""
+    labels = sorted(labels)
     if not orders or orders[0] == 1:
-        count = factorial(len(labels))
-        for repeats in Counter(labels).values():
-            count //= factorial(repeats)
+        count, run = factorial(len(labels)), 1
+        for i in range(1, len(labels)):
+            run = run + 1 if labels[i] == labels[i - 1] else 1
+            count //= run
         return count
     total = 0
-    for u in set(labels):
-        idx = labels.index(u)
-        total += _slot_weight(r, u, orders[0]) * _tuple_weight(r, labels[:idx] + labels[idx + 1:], orders[1:])
+    for i, u in enumerate(labels):
+        if not i or u != labels[i - 1]:
+            total += _slot_weight(r, u, orders[0]) * _tuple_weight(r, labels[:i] + labels[i + 1:], orders[1:])
     return total
 
 
 @lru_cache(maxsize=None)
-def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[NormalTerm, ...]:
+def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[Row, ...]:
     """The terms of W(k, j, m) whose annihilators weigh wa in total, without
-    the (-r*s/lam)^j that multiplies all of them; their creators then weigh
-    wa - r*m - j*(r+1).  Summed on integers, one Fraction per term."""
+    the (-r*s/lam)^j that multiplies all of them, as (creators,
+    annihilators, numerator) rows over the denominator of
+    _twisted_current(r, k), each index tuple non-increasing and shared with
+    the _partitions cache; their creators then weigh wa - r*m - j*(r+1)."""
     wc = wa - r * m - j * (r + 1)
-    den, current = _twisted_current(r, k)
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for orders, scale in current:
+    for orders, scale in _twisted_current(r, k)[1]:
         for p in range(len(orders) - j + 1):  # number of annihilators
-            for ann in _partitions(wa, p, r):
-                for cre in _partitions(wc, len(orders) - j - p, r):
-                    key = (tuple(sorted(cre)), tuple(sorted(ann)))
-                    weight = _tuple_weight(r, ann + (0,) * j + tuple(-n for n in cre), orders)
-                    acc[key] = acc.get(key, 0) + scale * weight
-    return tuple(NormalTerm(cre, ann, Fraction(c, den)) for (cre, ann), c in acc.items() if c)
+            anns = _partitions(wa, p, r)
+            for cre in _partitions(wc, len(orders) - j - p, r) if anns else ():
+                labels = (0,) * j + tuple(-n for n in cre)
+                for ann in anns:
+                    acc[cre, ann] = acc.get((cre, ann), 0) + scale * _tuple_weight(r, ann + labels, orders)
+    return tuple((cre, ann, c) for (cre, ann), c in acc.items() if c)
 
 
 def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
-    """The terms of W(k, j, m) whose annihilators weigh at most top: on
+    """The rows of W(k, j, m) whose annihilators weigh at most top: on
     inputs of weight at most top, every other term acts as zero."""
     net = r * m + j * (r + 1)
     for wa in range(max(net, 0), top + 1):
@@ -348,18 +357,59 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
     return (target_degree * (r + 1) - (k - 1)) // r
 
 
+class _Raiser:
+    """A_l over one layout, without its (-r*s/lam)^(-l): the kernel operator
+    of its terms whose annihilators weigh at most top, over den; read
+    counts the block rows added into it."""
+
+    def __init__(self, r: int, l: int, shift: dict[int, int]):
+        self.r, self.l, self.shift, self.top, self.read = r, l, shift, -1, 0
+        self.den = (r + 1) * lcm(*(_twisted_current(r, k)[0] for k in range(l + 1, r + 1)))
+        self.op: tuple[dict, set] = ({}, set())
+
+    def grow(self, top: int) -> None:
+        """Add the blocks whose annihilators weigh more than self.top and at
+        most top; the layout must hold creators of weight top + l*(r+1)."""
+        if top > self.top:
+            groups, prefixes = _packed_groups(self._terms(top), self.shift)
+            self.op[0].update(groups)  # of new annihilator weights, so no group is held yet
+            self.op[1].update(prefixes)
+            self.top = top
+
+    def _terms(self, top: int):
+        """The (annihilators, creators, tag, numerator) terms over den that
+        grow adds, the outer creator T_{r*m+k-1} a tag and a factor."""
+        r, l = self.r, self.l
+        for k in range(l + 1, r + 1):
+            j = k - 1 - l
+            factor = -factorial(k - 1) * (self.den // (r + 1) // _twisted_current(r, k)[0])
+            for m in range((top + l * (r + 1) - k + 1) // r + 1):  # T_{r*m+k-1} fits the output
+                n, inner = r * m + k - 1, m - k + 1
+                tag, scale = 1 << self.shift[n], factor * n
+                for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):
+                    block = _w_mode_terms(r, k, j, inner, wa)
+                    self.read += len(block)
+                    for cre, ann, x in block:
+                        yield ann, cre, tag, scale * x
+
+
+_RAISERS: dict[tuple[int, int, int], _Raiser] = {}  # (r, l, id(shift)) -> A_l, which keeps shift alive
+
+
+def raisers_over(r: int, shift: dict[int, int]) -> list[_Raiser]:
+    """The raisers built over this layout, by l."""
+    return [op for l in range(1, r) if (op := _RAISERS.get((r, l, id(shift)))) is not None]
+
+
 def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]) -> tuple[dict[int, int], int]:
     """A_l without its (-r*s/lam)^(-l) on the kernel rows of a degree
     target_degree - l piece, its layout holding weight target_degree*(r+1):
-    one kernel call, returning the numerators and their denominator."""
-    w_in = (target_degree - l) * (r + 1)
-    groups, den = _packed_groups(
-        (
-            (t.annihilators, t.creators + (r * m + k - 1,), 0, -factorial(k - 1), t.coeff)
-            for k in range(l + 1, r + 1)
-            for m in range(mode_bound(r, k, target_degree) + 1)
-            for t in _mode_blocks(r, k, k - 1 - l, m - k + 1, w_in)
-        ),
-        shift,
-    )
-    return _operator_loop(groups, rows), den * (r + 1)
+    one kernel call on the layout's A_l, grown first to the input's weight,
+    returning the numerators and their denominator.  A lighter call reuses
+    it as it is: a term whose annihilators outweigh the input divides none
+    of it."""
+    op = _RAISERS.get((r, l, id(shift)))
+    if op is None:
+        op = _RAISERS[(r, l, id(shift))] = _Raiser(r, l, shift)
+    op.grow((target_degree - l) * (r + 1))
+    return _operator_loop(op.op, rows), op.den

@@ -12,7 +12,9 @@ one normal-ordered term at a time to the whole polynomial, where the
 package runs every operator through one monomial-by-monomial kernel on
 packed pieces.  The polynomial-level adapters on that kernel
 (apply_operator_sum, apply_w_mode, apply_raising_operator) live here, as
-references the package's packed paths are tested against.  Expected
+references the package's packed paths are tested against, with the
+NormalTerm view of the package's integer mode tables (mode_terms,
+mode_table).  Expected
 values frozen in the tests were computed with these oracles or
 transcribed from independently published tables.
 """
@@ -23,12 +25,13 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from typing import NamedTuple
 
 from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.serialize import poly_to_obj
 from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, pack_piece, unpacked
-from rspin.walgebra import NormalTerm, _mode_blocks, _operator_loop, _packed_groups, raise_packed
+from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -72,6 +75,25 @@ def unit_power(r, n) -> QScalar:
 
 
 # -- pass-by-pass references ------------------------------------------------
+
+
+class NormalTerm(NamedTuple):
+    """One normal-ordered product: annihilators differentiate first, then
+    creators multiply, then the rational coefficient applies.  creators and
+    annihilators hold positive variable indices (sorted); an annihilator
+    brings lam and a creator lam^-1."""
+
+    creators: tuple[int, ...]
+    annihilators: tuple[int, ...]
+    coeff: Fraction
+
+
+def mode_terms(r, k, j, m, top) -> tuple[NormalTerm, ...]:
+    """The package's blocks of W(k, j, m) up to annihilator weight top, each
+    integer row over its current's denominator, its non-increasing index
+    tuples sorted, read as a NormalTerm."""
+    den = _twisted_current(r, k)[0]
+    return tuple(NormalTerm(cre[::-1], ann[::-1], Fraction(x, den)) for cre, ann, x in _mode_blocks(r, k, j, m, top))
 
 
 def poly_mul(p, q, weight_cap=None) -> TPolynomial:
@@ -198,9 +220,13 @@ def apply_operator_sum(terms, poly, n) -> TPolynomial:
     terms = list(terms)
 
     def kernel(rows, shift):
-        fit = ((t.annihilators, t.creators, 0, 1, t.coeff) for t in terms if all(u in shift for u in t.annihilators))
-        groups, den = _packed_groups(fit, shift)
-        return _operator_loop(groups, rows), den
+        fit = [t for t in terms if all(u in shift for u in t.annihilators)]
+        den = lcm(*(t.coeff.denominator for t in fit))
+        op = _packed_groups(  # the kernel reads annihilators non-increasing
+            ((t.annihilators[::-1], t.creators, 0, t.coeff.numerator * (den // t.coeff.denominator)) for t in fit),
+            shift,
+        )
+        return _operator_loop(op, rows), den
 
     return _on_kernel(poly, n, poly.max_weight() + max((sum(t.creators) for t in terms), default=0), kernel)
 
@@ -208,7 +234,7 @@ def apply_operator_sum(terms, poly, n) -> TPolynomial:
 def apply_w_mode(r, k, j, m, poly) -> TPolynomial:
     """W(k, j, m) on a graded poly over this r: its blocks up to the
     input's top weight, under (-r*s/lam)^j."""
-    return apply_operator_sum(_mode_blocks(r, k, j, m, poly.max_weight()), poly, j)
+    return apply_operator_sum(mode_terms(r, k, j, m, poly.max_weight()), poly, j)
 
 
 def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
@@ -405,7 +431,7 @@ def mode_table(r, k, j, m, cap):
     each weigh at most cap, sorted like ordered_w_terms: its blocks up to
     annihilator weight cap, and no further than creator weight cap."""
     top = min(cap, cap + r * m + j * (r + 1))
-    return tuple(sorted(_mode_blocks(r, k, j, m, top), key=lambda t: (t.creators, t.annihilators)))
+    return tuple(sorted(mode_terms(r, k, j, m, top), key=lambda t: (t.creators, t.annihilators)))
 
 
 def ordered_apply_w(r, k, j, m, poly, creator_cap):

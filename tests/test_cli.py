@@ -175,11 +175,12 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
     ],
 )
 def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
-    # -v reports the phase milliseconds and the mode-table caches on
-    # stderr; the data on stdout keeps its bytes.  commutator reports its
-    # nonzero residuals and verify its check lines on stderr whatever the
-    # verbosity, and -v adds the timings before them (verify's check lines
-    # gain their own milliseconds) and the tables after them
+    # -v reports the phase milliseconds, the mode-table caches and the
+    # raisers A_1, A_2 of the solve on stderr; the data on stdout keeps its
+    # bytes.  commutator reports its nonzero residuals and verify its check
+    # lines on stderr whatever the verbosity, and -v adds the timings before
+    # them (verify's check lines gain their own milliseconds) and the tables
+    # after them
     argv = argv + ["--r", "3", "--degree", "3"]
     assert main(argv) == 0
     plain = capsys.readouterr()
@@ -188,15 +189,16 @@ def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     assert verbose.out == plain.out and bool(plain.err) == (argv[0] in ("commutator", "verify"))
     lines = verbose.err.splitlines()
     notes = plain.err.splitlines()
-    checks = lines[len(labels): len(lines) - 2]
+    checks = lines[len(labels): len(lines) - 4]
     if argv[0] == "verify":
         assert notes and all(re.fullmatch(r".+ \(\d+\.\d ms\)", line) for line in checks)
         checks = [line.rsplit(" (", 1)[0] for line in checks]
     assert checks == notes
-    del lines[len(labels): len(lines) - 2]
-    assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions"]
+    del lines[len(labels): len(lines) - 4]
+    assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions", "A_1", "A_2"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])
-    assert all(re.fullmatch(r"\w+: \d+ hits, \d+ misses", line) for line in lines[len(labels):])
+    assert all(re.fullmatch(r"\w+: \d+ hits, \d+ misses", line) for line in lines[len(labels): -2])
+    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ before merging", line) for line in lines[-2:])
 
 
 def test_verify_subset_of_checks(tmp_path):

@@ -153,6 +153,18 @@ def test_zero_coefficients_never_stored():
     assert q.is_zero and len(q) == 0
 
 
+def test_a_polynomial_is_immutable():
+    # neither set nor deleted: a polynomial emptied of its terms would
+    # break every later sum with an AttributeError
+    p = TPolynomial.one(3)
+    for name in ("r", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, {})
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p + p == TPolynomial.const(3, 2)
+
+
 def test_shift_lambda():
     p = tau1_r3()
     assert shift_lambda(shift_lambda(p, 2), -2) == p

@@ -8,28 +8,31 @@ from fractions import Fraction
 import pytest
 
 from rspin import ContractError, InvalidSpecError, TMonomial, TPolynomial, compute_tau, mode_bound
+from rspin import check_commutators, compute_tau_exponential, walgebra
+from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
 from rspin.verify import w_constraint_residual
 from rspin.walgebra import (
     ORACLE_CHECKED_R,
-    NormalTerm,
     _contraction,
     _falling,
     _generator,
-    _mode_blocks,
     _partitions,
     _slot_weight,
     _tuple_weight,
     _w_mode_terms,
+    raise_packed,
 )
 
 from helpers import (
     SHEET_CURRENTS,
+    NormalTerm,
     apply_beta,
     apply_operator_sum,
     apply_raising_operator,
     apply_term,
     apply_w_mode,
     mode_table,
+    mode_terms,
     ordered_apply_raiser,
     ordered_apply_w,
     ordered_w_terms,
@@ -109,7 +112,7 @@ def test_operator_sum_shares_derivatives_exactly():
     # the mode's (-r*s/lam)^j
     p = _homogeneous_poly(4, 15, offset=-2) + graded_monomial(4, 3, -2, {1: 2, 6: 1, 7: 1})
     for k, j, m in ((4, 0, -1), (4, 1, 0), (3, 0, 1)):
-        terms = tuple(_mode_blocks(4, k, j, m, p.max_weight()))
+        terms = mode_terms(4, k, j, m, p.max_weight())
         plain = unit_scaled(TPolynomial.sum_of(4, (apply_term(t, p) for t in terms)), j)
         assert apply_operator_sum(terms, p, j) == plain
         assert not plain.is_zero
@@ -357,12 +360,12 @@ def test_currents_and_contractions_match_closed_forms():
 
 
 def test_w_terms_central_only():
-    terms = tuple(_mode_blocks(3, 2, 0, 0, 0))
+    terms = mode_terms(3, 2, 0, 0, 0)
     assert terms == (NormalTerm((), (), Fraction(1, 3)),)
 
 
 def test_w_terms_creator_pair():
-    terms = _w_mode_terms(3, 2, 0, -1, 0)
+    terms = mode_terms(3, 2, 0, -1, 0)
     pair = [t for t in terms if t.creators == (1, 2)]
     assert len(pair) == 1
     assert pair[0].coeff == 1
@@ -370,7 +373,7 @@ def test_w_terms_creator_pair():
 
 def test_w_terms_single_term_with_sign():
     # W(3, 1, -2) is -3*s/lam times the rational terms
-    assert _w_mode_terms(3, 3, 1, -2, 0) == (NormalTerm((1, 1), (), Fraction(1, 2)),)
+    assert mode_terms(3, 3, 1, -2, 0) == (NormalTerm((1, 1), (), Fraction(1, 2)),)
 
 
 def test_w_terms_rejects_bad_specs():
@@ -515,14 +518,50 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
     assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4)) and parities == {0, 1}
 
 
-def test_mode_tables_are_reused_across_degrees():
-    # one block per annihilator weight serves every input weight at or
-    # above it, so a recursion run finds most blocks already built
+def test_mode_tables_are_reused_across_degrees(monkeypatch):
+    # each raiser grows by the blocks a heavier degree newly reaches, so a
+    # recursion run requests no block twice, and a second solve over the
+    # same layout reuses its raisers as they are and builds nothing
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
     _w_mode_terms.cache_clear()
     compute_tau(4, 5)
     info = _w_mode_terms.cache_info()
-    assert info.hits > 0
-    assert info.misses == info.currsize
+    assert info.hits == 0
+    assert info.misses == info.currsize > 0
+    compute_tau(4, 5)
+    assert _w_mode_terms.cache_info() == info
+
+
+def test_diagnostics_reuse_the_solve_raisers(monkeypatch):
+    # the exponential and the commutators raise over the solve's layout
+    # (one memoised object), so they request no block of their own
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
+    tau = compute_tau(4, 6)
+    info = _w_mode_terms.cache_info()
+    compute_tau_exponential(4, 6)
+    check_commutators(tau)
+    assert _w_mode_terms.cache_info() == info
+
+
+def test_raiser_grows_and_shrinks_exactly(monkeypatch):
+    # one raiser per (r, l, layout), called at rising and then falling
+    # target degrees: a heavier call adds blocks, a lighter one reuses the
+    # operator with its heavier terms, and each output equals that of a
+    # raiser built fresh to the call's own degree
+    r, top = 4, 6
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
+    pieces = compute_tau(r, top).pieces
+    shift, fields = exponent_fields(r, top * (r + 1))
+    for l in range(1, r):
+        rows = {d: kernel_rows(pack_piece(d - l, d - l, pieces[d - l], shift), fields)[1] for d in range(l, top + 1)}
+        walgebra._RAISERS.clear()
+        for d in [*range(l, top + 1), *range(top, l - 1, -1)]:
+            fresh = walgebra._Raiser(r, l, shift)
+            fresh.grow((d - l) * (r + 1))
+            expected = reduced(walgebra._operator_loop(fresh.op, rows[d]), fresh.den)
+            assert reduced(*raise_packed(r, l, rows[d], d, shift)) == expected, (l, d)
+        (op,) = walgebra.raisers_over(r, shift)
+        assert (op.l, op.top) == (l, (top - l) * (r + 1))
 
 
 def test_raiser_matches_degree_one_fixture():
