@@ -19,9 +19,10 @@ read once as integer numerators over one denominator, with s^j and the lam
 exponent implied by the degree and the monomial.  The exponent vector of a
 monomial is packed into one int (tpoly.exponent_fields), a bit field per
 index wide enough for the top weight D*(r+1); no product in the log exceeds
-that weight, so adding two keys multiplies two monomials without a carry.  Each
-piece must first pass solver.check_piece (ContractError), so no monomial
-outweighs the top weight and tpoly.pack_piece has a field for every index.
+that weight, so adding two keys multiplies two monomials without a carry.
+tpoly.pack_piece grades each piece by the package's one rule
+(check_piece, ContractError) before it packs it, so no monomial outweighs
+the top weight and every index has a field.
 Extraction then reads each free-energy monomial as one exact rational
 correlator; an odd lam exponent, a negative genus or a selection-rule
 violation can only come from an upstream bug and raises ExtractionError.
@@ -106,7 +107,8 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     num/den * s^n * lam^lam_exp * prod T_i^e_i over its rows
     (lam_exp, ((i, e_i), ...), num), which come in canonical order.
 
-    Runs TauExpansion.validate first: one graded piece per degree, tau_0 = 1.
+    Checks one piece per degree and tau_0 = 1, and packs each piece by
+    tpoly.pack_piece, which grades it first (ContractError).
     Applying the degree operator to tau = exp(F) gives n tau_n =
     sum_{k=1..n} G_k tau_{n-k} with G_k = k F_k, solved here for G_n
     degree by degree: every product is homogeneous of degree n, so it
@@ -114,10 +116,10 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
-    tau.validate()
+    tau._check_structure()
     r, top = tau.r, tau.max_degree
     shift, fields = exponent_fields(r, top * (r + 1))
-    taus = [pack_piece(j, j, p, shift) for j, p in enumerate(tau.pieces)]
+    taus = [pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):

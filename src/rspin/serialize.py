@@ -8,7 +8,8 @@ read back; the s-legend field in tau documents records the defining
 relation of the quadratic generator.
 
 A tau document and a cache entry share one reader, and a stored piece is
-read in one pass that checks its JSON and grades it once (check_piece).
+read in one pass that checks its JSON and grades it once by the package's
+one rule (tpoly.check_piece).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from math import gcd
 from .correlator import CorrelatorRecord
 from .errors import CacheError, ContractError, ParseError
 from .scalar import QScalar
-from .solver import TauExpansion, check_piece
-from .tpoly import TMonomial, TPolynomial
+from .solver import TauExpansion
+from .tpoly import TMonomial, TPolynomial, check_piece
 from .verify import CheckReport
 from .walgebra import MODE_CONSTRUCTION
 

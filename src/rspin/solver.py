@@ -3,11 +3,12 @@
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
 computed bottom-up, one kernel call per raiser.  A degree-j piece is
-packed by tpoly's rule with offset and power of s both j, over one layout
-of top weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
-degree is one int accumulator, and a finished piece becomes a TPolynomial
-once.  That map is raise_step, the one raise step of the package: the
-recursion, the exponential formula and verify's commutators all call it.
+graded and packed by tpoly.pack_piece, with offset and power of s both j,
+over one layout of top weight D*(r+1).  A_l maps x * s^(j-l) to
+x * r^(-2l) * s^j, so each degree is one int accumulator, and a finished
+piece becomes a TPolynomial once.  That map is raise_step, the one raise
+step of the package: the recursion, the exponential formula and verify's
+commutators all call it.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Protocol
 
 from .errors import ContractError
-from .tpoly import Packed, TPolynomial, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpacked
+from .tpoly import Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpacked
 from .walgebra import raise_packed
 
 __all__ = [
@@ -32,8 +33,8 @@ __all__ = [
 class PieceStore(Protocol):
     def load(self, r: int, degree: int) -> TPolynomial | None:
         """The stored tau_degree, or None if there is none.  A returned
-        piece has passed check_piece(r, degree, piece); compute_tau does
-        not check it again."""
+        piece has passed check_piece(r, degree, piece); compute_tau grades
+        it again only when a computed degree packs it."""
         ...
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None: ...
@@ -48,7 +49,8 @@ class TauExpansion(NamedTuple):
 
     def validate(self) -> None:
         """Check the invariants of a well-formed expansion: one piece per
-        degree, tau_0 = 1, and check_piece on every tau_j."""
+        degree, tau_0 = 1, and tpoly.check_piece, the one grading, on every
+        tau_j (ContractError)."""
         self._check_structure()
         for j, piece in enumerate(self.pieces):
             check_piece(self.r, j, piece)
@@ -63,44 +65,6 @@ class TauExpansion(NamedTuple):
             )
         if self.pieces[0] != TPolynomial.one(self.r):
             raise ContractError("degree-0 piece must equal 1")
-
-
-def off_grade(r: int, j: int, piece: TPolynomial):
-    """Yield (monomial, kind, why) for each monomial of piece that tau_j
-    over this r cannot carry, under the first rule it breaks: ascending
-    positive indices not divisible by r with exponents >= 1 ("indices"),
-    weight j*(r+1) ("inhomogeneous"), a lam exponent j - N, even and
-    >= -2j, on N variables ("lam exponents"), and a coefficient in
-    Q*s^(j mod 2) ("coefficients").  This is the whole grading: every
-    reader of a piece applies it through this function."""
-    weight, odd = j * (r + 1), j % 2
-    for mono, coeff in piece.terms.items():
-        total = count = last = 0
-        for n, e in mono.exps:
-            if n <= last or not n % r or e < 1:
-                yield mono, "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
-                break
-            total += n * e
-            count += e
-            last = n
-        else:
-            lam = mono.lambda_exp
-            if total != weight:
-                yield mono, "inhomogeneous", f"weight {total}, expected {weight}"
-            elif lam != j - count or lam % 2 or lam < -2 * j:
-                yield mono, "lam exponents", (
-                    f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
-                )
-            elif coeff.a if odd else coeff.b:
-                yield mono, "coefficients", f"coefficient {coeff} outside Q*s^{odd}"
-
-
-def check_piece(r: int, j: int, piece: TPolynomial) -> None:
-    """Check that piece is over this r and that no monomial is off_grade."""
-    if piece.r != r:
-        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
-    for mono, _, why in off_grade(r, j, piece):
-        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
 def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
@@ -126,9 +90,9 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
     """Compute the graded pieces up to max_degree by the degree recursion.
 
     Exact, and deterministic (byte-identical canonical serialization)
-    regardless of cache hits.  Each piece is checked once: a computed piece
-    by check_piece before it is stored, a cached one by the store's load; a
-    cached piece is packed only when a computed degree reads it.
+    regardless of cache hits.  A computed piece is checked by check_piece
+    before it is stored, a cached one by the store's load; a cached piece
+    is packed, and so graded again, only when a computed degree reads it.
     """
     shift, fields = _layout(r, max_degree)
     pieces = [TPolynomial.one(r)]
@@ -138,7 +102,7 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
         if piece is None:
             for i in range(max(0, j - r + 1), j):
                 if i not in rows:  # tau_0, or a cached piece
-                    rows[i] = kernel_rows(pack_piece(i, i, pieces[i], shift), fields)
+                    rows[i] = kernel_rows(pack_piece(r, i, pieces[i], shift), fields)
             outs = [raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)]
             den, kernel = rows[j] = kernel_rows(summed(outs, j), fields)
             piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, ((e, num) for _, e, num in kernel))))

@@ -13,9 +13,10 @@ coefficients are never stored, monomial tuples are always sorted (the
 constructor refuses others), and the canonical term order (weight, lam
 exponent, exponent sequence) makes equal polynomials identical.
 
-The one packed rule: a graded polynomial of offset lam + N = o, in
-Q*s^(p mod 2), is Packed as the sum of num/den * s^p * lam^(o-N) *
-prod T_n^e_n over {exponent key: num}; tau_j has o = p = j.
+The package's one grading (off_grade): tau_j has weight j*(r+1), lam
+exponent j - N on N variables and coefficients in Q*s^(j mod 2).  Once
+check_piece grades it, pack_piece reads tau_j as Packed, the sum of
+num/den * s^j * lam^(j-N) * prod T_n^e_n over {exponent key: num}.
 """
 
 from __future__ import annotations
@@ -114,27 +115,59 @@ def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tupl
 Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s known to the holder
 
 
-def pack_piece(offset: int, p: int, poly: TPolynomial, shift: dict[int, int]) -> Packed:
-    """Read poly as numerators over one den of s^p, over the layout shift.
-    Raises ContractError on a monomial the packed form cannot hold: one
-    whose lam + N is not offset, whose coefficient has a nonzero part
-    outside Q*s^(p mod 2), with an index that has no field, or whose key
-    another monomial already holds."""
-    r, (half, odd) = poly.r, divmod(p, 2)
-    ratios = {}
-    for mono, c in poly.terms.items():
-        key, lam_n = 0, mono.lambda_exp
+def off_grade(r: int, j: int, piece: TPolynomial):
+    """Yield (monomial, kind, why) for each monomial of piece that tau_j
+    over this r cannot carry, under the first rule it breaks: ascending
+    positive indices not divisible by r with exponents >= 1 ("indices"),
+    weight j*(r+1) ("inhomogeneous"), a lam exponent j - N, even and
+    >= -2j, on N variables ("lam exponents"), and a coefficient in
+    Q*s^(j mod 2) ("coefficients").  This is the package's one grading:
+    every reader of a piece applies it through this function."""
+    weight, odd = j * (r + 1), j % 2
+    for mono, coeff in piece.terms.items():
+        total = count = last = 0
         for n, e in mono.exps:
-            if n not in shift:
-                raise ContractError(f"monomial {mono}: T{n} has no field in the layout")
+            if n <= last or not n % r or e < 1:
+                yield mono, "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
+                break
+            total += n * e
+            count += e
+            last = n
+        else:
+            lam = mono.lambda_exp
+            if total != weight:
+                yield mono, "inhomogeneous", f"weight {total}, expected {weight}"
+            elif lam != j - count or lam % 2 or lam < -2 * j:
+                yield mono, "lam exponents", (
+                    f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
+                )
+            elif coeff.a if odd else coeff.b:
+                yield mono, "coefficients", f"coefficient {coeff} outside Q*s^{odd}"
+
+
+def check_piece(r: int, j: int, piece: TPolynomial) -> None:
+    """Refuse (ContractError) a piece over another r or with a monomial off_grade."""
+    if piece.r != r:
+        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+    for mono, _, why in off_grade(r, j, piece):
+        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
+
+
+def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
+    """tau_j as numerators over one den of s^j, over the layout shift, once
+    check_piece(r, j, piece) has graded it (ContractError).  The layout
+    must hold weight j*(r+1), as every solve's and check's does: a graded
+    monomial then has a field for each index and a key of its own, and
+    its offset lam + N and power of s are those of tau_j."""
+    check_piece(r, j, piece)
+    half, odd = divmod(j, 2)
+    ratios = {}
+    for mono, c in piece.terms.items():
+        key = 0
+        for n, e in mono.exps:
             key += e << shift[n]
-            lam_n += e
-        if lam_n != offset or (c.a if odd else c.b):
-            raise ContractError(f"monomial {mono}: lam + N = {lam_n}, coefficient {c}; expected {offset}, Q*s^{odd}")
-        if key in ratios:
-            raise ContractError(f"monomial {mono}: its packed key is held by another monomial")
         ratios[key] = c.b if odd else c.a
-    # coeff = x * s^(p mod 2) = x / (-r)^(p // 2) * s^p
+    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
     common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
     return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
 

@@ -2,11 +2,12 @@
 
 All pass/fail checks compare polynomials to the exact zero polynomial,
 with no tolerances.  run_checks runs the checks check_names admits and
-shares one constraint pass and one extraction among them; each piece read
-is packed as tau_j by tpoly.pack_piece, which refuses one off that
-grading.  The commutator check is diagnostic only: commutativity of the
-degree raisers is conjectural, so a nonzero residual there is reported
-prominently but fails nothing.
+shares one constraint pass and one extraction among them.  Every piece
+read, here as in the solver and the extraction, is graded as tau_j by
+tpoly.check_piece (through tpoly.pack_piece), so each reader refuses a
+piece off the grading with the same ContractError.  The commutator check
+is diagnostic only: commutativity of the degree raisers is conjectural,
+so a nonzero residual there is reported prominently but fails nothing.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
-from .errors import ContractError, InvalidSpecError
-from .solver import TauExpansion, compute_tau_exponential, off_grade, raise_step
-from .tpoly import Packed, TPolynomial, exponent_fields, kernel_rows, pack_piece, summed, unpacked
+from .errors import InvalidSpecError
+from .solver import TauExpansion, compute_tau_exponential, raise_step
+from .tpoly import TPolynomial, exponent_fields, kernel_rows, off_grade, pack_piece, summed, unpacked
 from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current
 
 __all__ = [
@@ -79,15 +80,6 @@ def constraint_equations(r: int, max_degree: int) -> list[Equation]:
     return [(k, m, d) for k in range(2, r + 1) for m in range(-(k - 1), bound + 1) for d in range(max_degree + 1)]
 
 
-def _pack_graded(tau: TauExpansion, j: int, shift: dict[int, int]) -> Packed:
-    """tau_j packed over shift by pack_piece(j, j, ...), else ContractError
-    naming the piece; an inhomogeneous piece is applied as it is."""
-    try:
-        return pack_piece(j, j, tau.pieces[j], shift)
-    except ContractError as exc:
-        raise ContractError(f"piece {j} is not graded as tau_{j}: {exc}") from None
-
-
 def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[TPolynomial, bool]]:
     """{(k, m, degree): (residual, engaged)} for the given equations, in one
     kernel call per nonzero piece read.
@@ -95,14 +87,14 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
     equation is one rational sum.  Piece i is packed once, over one layout
-    that holds its images, and its call carries the blocks, up to its own
-    max_weight, of every mode that reads it, each creator key tagged with
-    its equation's index above the layout's top bit.  An equation is
+    that holds its images, and its call carries the blocks, up to its
+    weight i*(r+1), of every mode that reads it, each creator key tagged
+    with its equation's index above the layout's top bit.  An equation is
     finished once its last piece is done.  engaged is False when every
     piece it reads is absent or zero.  Raises InvalidSpecError on an
     equation off the computed range (degree outside 0..max_degree, or no
-    mode W(k, 0, m)), and ContractError on a piece read that is not graded
-    as tau_j (see _pack_graded)."""
+    mode W(k, 0, m)), and ContractError on a nonzero piece read that
+    tpoly.check_piece refuses."""
     r, top_degree = tau.r, tau.max_degree
     reads = {j: [] for j, piece in enumerate(tau.pieces) if not piece.is_zero}  # -> (equation index, k, l, m)
     finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
@@ -114,8 +106,8 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
                 reads[j].append((e, k, j - d + k - 1, m))
         finish.setdefault(d, []).append(e)
     engaged = {read[0] for by_piece in reads.values() for read in by_piece}
-    # W(k, l, m) adds weight at most r*(r-1), at l = 0 and m = 1 - k
-    weight = max((tau.pieces[j].max_weight() for j, by_piece in reads.items() if by_piece), default=0) + r * (r - 1)
+    # a packed tau_j weighs j*(r+1); W(k, l, m) adds at most r*(r-1), at l = 0 and m = 1 - k
+    weight = max((j for j, by_piece in reads.items() if by_piece), default=0) * (r + 1) + r * (r - 1)
     shift, fields = exponent_fields(r, weight)
     top = sum(width for _, width, _ in fields)
     mask = (1 << top) - 1
@@ -126,8 +118,8 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     out = {}
     for j in range(top_degree + 1):
         if reads.get(j):
-            den, rows = kernel_rows(_pack_graded(tau, j, shift), fields)
-            w = tau.pieces[j].max_weight()
+            den, rows = kernel_rows(pack_piece(r, j, tau.pieces[j], shift), fields)
+            w = j * (r + 1)
             op = _packed_groups(
                 (
                     (ann, cre, e << top, r ** (2 * l) * scale[k] * x)
@@ -157,9 +149,14 @@ def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tup
 
 
 def check_names(names: Collection[str]) -> None:
-    """Refuse (InvalidSpecError) a name outside CHECKS, no name at all, and a
-    bare string, which would be read by substring or by character."""
-    unknown = [f"{names!r} (a string, not a list)"] if isinstance(names, str) else [n for n in names if n not in CHECKS]
+    """Refuse (InvalidSpecError) a name outside CHECKS, no name at all, a
+    bare string, which would be read by substring or by character, and
+    anything that is not a Collection, such as a generator, which the
+    first read would use up."""
+    if isinstance(names, str) or not isinstance(names, Collection):
+        unknown = [f"{names!r} (a {type(names).__name__}, not a list)"]
+    else:
+        unknown = [n for n in names if n not in CHECKS]
     if unknown or not names:
         what = f"unknown checks: {', '.join(map(str, unknown))}" if unknown else "the checks list names no check"
         raise InvalidSpecError(f"{what}; valid: {', '.join(CHECKS)}")
@@ -172,8 +169,8 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
     wconstraints is named, else only string_dilaton's k = 2, m = -1, 0
     equations.  They share one extraction, made just before the first
     correlator check; an extraction error is a residual of each correlator
-    check.  Raises ContractError if a piece the pass reads is not graded as
-    tau_j (offset lam + N = j, coefficients in Q*s^(j mod 2))."""
+    check.  Raises ContractError if tpoly.check_piece refuses a piece the
+    pass reads."""
     check_names(names)
     r, top = tau.r, tau.max_degree
     if "wconstraints" in names:
@@ -309,7 +306,7 @@ def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extra
 
 def check_gradings(tau: TauExpansion) -> CheckReport:
     """The grading report of run_checks: the monomials of each piece that
-    solver.off_grade finds, one residual per piece and kind of fault, and a
+    tpoly.off_grade finds, one residual per piece and kind of fault, and a
     successful extraction, which itself enforces nonnegative genus and the
     selection rule on every record."""
     return next(run_checks(tau, ("grading",)))
@@ -343,8 +340,8 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     If the budget admits none (and r > 2), the minimal instances on the
     constant piece are measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
-    from each base checked homogeneous and packed once, as the constraint
-    pass reads it (ContractError).
+    from each base graded and packed once by tpoly.pack_piece, as the
+    constraint pass reads it (ContractError).
     """
     r, degree = tau.r, tau.max_degree
     pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r)]
@@ -356,9 +353,7 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     residuals, bases = [], {}  # base degree -> kernel_rows of its piece
     for i, j, d in instances:
         if d not in bases:
-            if not tau.pieces[d].is_homogeneous(d * (r + 1)):
-                raise ContractError(f"piece {d} is not homogeneous of weight {d * (r + 1)}")
-            bases[d] = kernel_rows(_pack_graded(tau, d, shift), fields)
+            bases[d] = kernel_rows(pack_piece(r, d, tau.pieces[d], shift), fields)
         base, top = bases[d], d + i + j
         ij = raise_step(r, i, top, kernel_rows(raise_step(r, j, d + j, base, shift), fields), shift)
         ji = raise_step(r, j, top, kernel_rows(raise_step(r, i, d + i, base, shift), fields), shift)
@@ -384,15 +379,16 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
-    Compared packed, tau's pieces read as the constraint pass reads them.
+    Compared packed over the solve's layout, each piece of both graded by
+    tpoly.pack_piece as the constraint pass reads it (ContractError).
     """
     r, degree = tau.r, tau.max_degree
     exp_tau = compute_tau_exponential(r, degree)
-    shift, fields = exponent_fields(r, max(piece.max_weight() for piece in tau.pieces + exp_tau.pieces))
+    shift, fields = exponent_fields(r, degree * (r + 1))
     residuals = []
     for j in range(degree + 1):
-        (ours, den), (theirs, exp_den) = _pack_graded(tau, j, shift), pack_piece(j, j, exp_tau.pieces[j], shift)
-        diff = unpacked(r, j, j, summed([(ours, den), (theirs, -exp_den)]), fields)
+        ours, (theirs, exp_den) = (pack_piece(r, j, t.pieces[j], shift) for t in (tau, exp_tau))
+        diff = unpacked(r, j, j, summed([ours, (theirs, -exp_den)]), fields)
         if not diff.is_zero:
             residuals.append((f"degree {j}", diff))
     return CheckReport(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.serialize import poly_to_obj
-from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, pack_piece, unpacked
+from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpacked
 from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
@@ -196,10 +196,35 @@ def unit_scaled(poly, n) -> TPolynomial:
 # -- the package's kernel on TPolynomials -----------------------------------
 
 
+def _pack(offset, p, poly, shift):
+    """poly as numerators over one den of s^p, over the layout shift: the
+    packed form at any offset lam + N and power of s, where the package's
+    pack_piece reads only tau_j.  Raises ContractError on a monomial the
+    form cannot hold: one whose lam + N is not offset, whose coefficient
+    has a nonzero part outside Q*s^(p mod 2), with an index that has no
+    field, or whose key another monomial already holds."""
+    r, (half, odd) = poly.r, divmod(p, 2)
+    ratios = {}
+    for mono, c in poly.terms.items():
+        key, lam_n = 0, mono.lambda_exp
+        for n, e in mono.exps:
+            if n not in shift:
+                raise ContractError(f"monomial {mono}: T{n} has no field in the layout")
+            key += e << shift[n]
+            lam_n += e
+        if lam_n != offset or (c.a if odd else c.b):
+            raise ContractError(f"monomial {mono}: lam + N = {lam_n}, coefficient {c}; expected {offset}, Q*s^{odd}")
+        if key in ratios:
+            raise ContractError(f"monomial {mono}: its packed key is held by another monomial")
+        ratios[key] = c.b if odd else c.a
+    common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
+    return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
+
+
 def _on_kernel(poly, n, weight, kernel) -> TPolynomial:
     """(-r*s/lam)^n times an operator on a graded poly, packed as its first
-    monomial is graded over a layout of top weight `weight` (pack_piece
-    refuses the rest: ContractError); kernel maps (rows, shift) to
+    monomial is graded over a layout of top weight `weight` (_pack refuses
+    the rest: ContractError); kernel maps (rows, shift) to
     (numerators, den).  s^p at offset lam + N goes to s^(p + 3n) at an
     offset n lower, as -r*s = s^3."""
     if poly.is_zero:
@@ -207,7 +232,7 @@ def _on_kernel(poly, n, weight, kernel) -> TPolynomial:
     mono, c = next(iter(poly.terms.items()))
     offset, parity = mono.lambda_exp + sum(e for _, e in mono.exps), int(bool(c.b))
     shift, fields = exponent_fields(poly.r, weight)
-    den, rows = kernel_rows(pack_piece(offset, parity, poly, shift), fields)
+    den, rows = kernel_rows(_pack(offset, parity, poly, shift), fields)
     nums, den_t = kernel(rows, shift)
     return unpacked(poly.r, offset - n, parity + 3 * n, (nums, den * den_t), fields)
 

@@ -16,6 +16,8 @@ from rspin import (
     TauExpansion,
     TMonomial,
     TPolynomial,
+    check_commutators,
+    check_exponential_agreement,
     check_gradings,
     compute_tau,
     conversion_constant,
@@ -23,6 +25,7 @@ from rspin import (
     insertion_for_index,
     log_tau,
     parse_tau,
+    run_checks,
     selection_check,
     serialize_tau,
     variable_index,
@@ -113,7 +116,7 @@ def test_log_of_a_graded_tau_reaching_the_top_weight():
 
 
 # Additions to one piece of compute_tau(3, 2), each off the grading under
-# the kind of fault that solver.off_grade names for it
+# the kind of fault that tpoly.off_grade names for it
 ROOT3 = qs(0, 1)
 OFF_GRADE = {
     "rational-in-degree-1": (1, TPolynomial.var(3, 4), "coefficients"),
@@ -139,9 +142,34 @@ def _off_grade_tau(case):
     return tau, j, mono, kind
 
 
+def run_wconstraints(tau):
+    return list(run_checks(tau, ["wconstraints"]))
+
+
+def commutators_on_bases_0_to_2(tau):
+    """check_commutators on compute_tau(3, 5) with tau's pieces put in:
+    at (3, 2) only the fallback on tau_0 runs, at (3, 5) pieces 0 to 2 are
+    each the base of [A_1, A_2]."""
+    deeper = compute_tau(3, 5)
+    deeper.pieces[: len(tau.pieces)] = tau.pieces
+    return check_commutators(deeper)
+
+
 @pytest.mark.parametrize("case", list(OFF_GRADE))
-@pytest.mark.parametrize("read", (TauExpansion.validate, log_tau, extract_correlators))
+@pytest.mark.parametrize(
+    "read",
+    (
+        TauExpansion.validate,
+        log_tau,
+        extract_correlators,
+        run_wconstraints,
+        check_exponential_agreement,
+        commutators_on_bases_0_to_2,
+    ),
+)
 def test_off_grade_input_is_refused(case, read):
+    # every reader of a piece grades it by the one rule, tpoly.check_piece,
+    # and refuses it with the same message
     tau, j, mono, _ = _off_grade_tau(case)
     with pytest.raises(ContractError, match=re.escape(f"piece {j} has monomial {mono} off the grading")):
         read(tau)
@@ -156,28 +184,36 @@ def test_off_grade_input_fails_the_grading_check(case):
 
 
 def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
-    from rspin import solver, verify
+    from rspin import tpoly, verify
 
     tau = compute_tau(3, 3, cache=TauCache(tmp_path))
-    seen, off_grade = [], solver.off_grade
+    seen, off_grade = [], tpoly.off_grade
 
     def counting(r, j, piece):
-        seen.append(j)
+        seen.append((j, piece))
         return off_grade(r, j, piece)
 
-    monkeypatch.setattr(solver, "off_grade", counting)
+    # tpoly.check_piece and the grading report are its only callers
+    monkeypatch.setattr(tpoly, "off_grade", counting)
     monkeypatch.setattr(verify, "off_grade", counting)
     readers = {
         "extract_correlators": (lambda: extract_correlators(tau), [0, 1, 2, 3]),
-        # the extraction and the grading check grade each piece once
-        "run_checks": (lambda: list(verify.run_checks(tau, verify.CHECKS)), [0, 0, 1, 1, 2, 2, 3, 3]),
+        # the constraint pass, the extraction and the grading report
+        "run_checks": (lambda: list(verify.run_checks(tau, verify.CHECKS)), [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
+        "constraint pass": (lambda: verify.w_constraint_residuals(tau, verify.constraint_equations(3, 3)), [0, 1, 2, 3]),
+        # [A_1, A_2] on tau_0 is the one instance at (3, 3)
+        "check_commutators": (lambda: check_commutators(tau), [0]),
+        "check_exponential_agreement": (lambda: check_exponential_agreement(tau), [0, 1, 2, 3]),
         "parse_tau": (lambda: parse_tau(serialize_tau(tau)), [0, 1, 2, 3]),
         "TauCache.load": (lambda: [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)], [1, 2, 3]),
     }
     for name, (read, degrees) in readers.items():
         seen.clear()
         read()
-        assert sorted(seen) == degrees, name
+        # a reader of tau is held to tau's own pieces: the exponential
+        # check also grades the pieces it computes
+        of_tau = name not in ("parse_tau", "TauCache.load")
+        assert sorted(j for j, piece in seen if not of_tau or piece is tau.pieces[j]) == degrees, name
 
 
 # sha256 of records_to_json(extract_correlators(compute_tau(r, D))), as

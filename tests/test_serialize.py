@@ -270,11 +270,12 @@ def test_serialized_residuals_round_trip_through_poly_format():
 
 @pytest.mark.parametrize("r, degree", [(3, 2), (3, 6), (4, 4)])
 def test_reports_writer_matches_json_dumps(r, degree):
-    # passing reports, failing ones (s*T_1 on degree 1 also breaks the
-    # extraction), the two diagnostics, and a hand-built report with
-    # characters to escape and nested details
+    # passing reports, failing ones (the graded s*lam^-2*T_1^2*T_{r-1} on
+    # degree 1 also breaks the extraction: its square leaves genus -1 in the
+    # log), the two diagnostics, and a hand-built report with characters to
+    # escape and nested details
     tau, failing = compute_tau(r, degree), compute_tau(r, degree)
-    failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), 0, {1: 1})
+    failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1})
     checks = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
     reports = [check(t) for t in (tau, failing) for check in checks]
     reports += [check_commutators(tau), check_exponential_agreement(tau)]

@@ -158,9 +158,9 @@ def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in half.iterdir()) == [f"r4_deg{j}.json" for j in (1, 2, 3)]
     packed, pack_piece = [], solver.pack_piece
 
-    def counting(offset, p, piece, shift):
-        packed.append(offset)
-        return pack_piece(offset, p, piece, shift)
+    def counting(r, j, piece, shift):
+        packed.append(j)
+        return pack_piece(r, j, piece, shift)
 
     monkeypatch.setattr(solver, "pack_piece", counting)
     assert serialize_tau(compute_tau(4, 6, cache=TauCache(half))) == expected
@@ -193,7 +193,7 @@ def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "check_piece", counting)
     monkeypatch.setattr(serialize, "check_piece", counting)
     # no computed degree reads a cached piece, so none is packed
-    monkeypatch.setattr(solver, "pack_piece", lambda offset, p, piece, shift: pytest.fail(f"piece {offset} packed"))
+    monkeypatch.setattr(solver, "pack_piece", lambda r, j, piece, shift: pytest.fail(f"piece {j} packed"))
     compute_tau(3, 3, cache=cache)
     assert sorted(checked) == [1, 2, 3]
 

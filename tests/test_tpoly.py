@@ -197,19 +197,22 @@ def test_constructor_refuses_non_canonical_monomials(exps):
 @pytest.mark.parametrize(
     "terms, why",
     [
-        ({TMonomial(0, ((1, 1),)): qs(0, 1), TMonomial(-2, ((2, 1),)): qs(0, 1)}, r"lam \+ N = -1"),
-        ({TMonomial(0, ((1, 1),)): qs(1, 1)}, r"coefficient 1 \+ s;"),
-        ({TMonomial(0, ((1, 1),)): qs(1)}, "coefficient 1;"),
-        ({TMonomial(-1, ((1, 1), (3, 1))): qs(0, 1)}, "T3 has no field"),
-        ({TMonomial(-1, ((1, 1), (2, 1))): qs(0, 1), TMonomial(-1, ((2, 1), (1, 1))): qs(0, 2)}, "held by another"),
-        ({TMonomial(0, ((2, 1),)): qs(0, 1), TMonomial(-15, ((1, 16),)): qs(0, 1)}, "held by another"),
+        ({TMonomial(0, ((4, 1),)): qs(0, 1), TMonomial(0, ((1, 2), (2, 1))): qs(0, 1)}, "lam exponent 0 on 3 variables"),
+        ({TMonomial(0, ((4, 1),)): qs(1, 1)}, r"coefficient 1 \+ s outside"),
+        ({TMonomial(0, ((4, 1),)): qs(1)}, "coefficient 1 outside"),
+        ({TMonomial(-1, ((1, 1), (3, 1))): qs(0, 1)}, r"T3\^1: indices ascend"),
+        ({TMonomial(-2, ((1, 2), (2, 1))): qs(0, 1), TMonomial(-2, ((2, 1), (1, 2))): qs(0, 2)}, r"T1\^2: indices ascend"),
+        ({TMonomial(0, ((4, 1),)): qs(0, 1), TMonomial(-31, ((1, 32),)): qs(0, 1)}, "weight 32, expected 4"),
     ],
     ids=["two-offsets", "mixed", "wrong-parity", "index-divisible-by-r", "unsorted-twin", "field-overflow"],
 )
 def test_pack_piece_refuses_what_the_packed_form_cannot_hold(terms, why):
-    # packed at offset 1 and s^1 over weight 8: the form keeps neither lam + N
-    # nor the rational part, has no field for T3 and 4 bits for T1, and holds
-    # one numerator per key, so T1^16 would land on T2
-    shift, _ = exponent_fields(3, 8)
-    with pytest.raises(ContractError, match=why):
-        pack_piece(1, 1, TPolynomial._raw(3, terms), shift)
+    # tau_1 at r = 3 over a layout of weight 4, each next to the graded s*T4:
+    # the form keeps neither lam + N nor the rational part, has no field
+    # for T3 and 3 bits for T1, and holds one numerator per key, so an
+    # unsorted twin would share a key and T1^32 would land on T4; the
+    # grading refuses each before packing
+    shift, _ = exponent_fields(3, 4)
+    assert pack_piece(3, 1, TPolynomial._raw(3, {TMonomial(0, ((4, 1),)): qs(0, 1)}), shift) == ({1 << shift[4]: 1}, 1)
+    with pytest.raises(ContractError, match=f"piece 1 has monomial .* off the grading: {why}"):
+        pack_piece(3, 1, TPolynomial._raw(3, terms), shift)

@@ -1,11 +1,13 @@
 """Exact verification checks: constraints, string/dilaton, grading,
 commutator and exponential diagnostics."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from rspin import (
+    ExtractionError,
     Insertion,
     TMonomial,
     TPolynomial,
@@ -19,6 +21,7 @@ from rspin import (
     extract_correlators,
 )
 from rspin import ContractError, InvalidSpecError, compute_tau_exponential, run_checks, solver, verify, walgebra
+from rspin.tpoly import off_grade
 from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residual, w_constraint_residuals
 from rspin.walgebra import _mode_blocks, _operator_loop
 
@@ -82,10 +85,14 @@ def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     assert lowest and min(lowest) >= 0
 
 
+# the tamperings of _tampered off the grading -> the piece they change
+OFF_THE_GRADING = {"s*T_1": 1, "tau_0 + 2/5*lam^-2*T_1^2": 0}
+
+
 def _tampered(r, D):
-    """tau and tampered copies: graded pieces added to degree 1 (s*T_{r+1},
-    and the inhomogeneous s*T_1) and degree 2 (5/7*T_1*T_{2r+1}), piece 2
-    zeroed, and tau_0 plus the heavier 2/5*lam^-2*T_1^2."""
+    """tau and tampered copies: graded pieces added to degree 1 (s*T_{r+1})
+    and degree 2 (5/7*T_1*T_{2r+1}), piece 2 zeroed, and the inhomogeneous
+    s*T_1 on degree 1 and 2/5*lam^-2*T_1^2 on degree 0 (OFF_THE_GRADING)."""
     extra = {
         "tau": None,
         "s*T_{r+1}": (1, _s_times_var(r, r + 1)),
@@ -106,6 +113,11 @@ def _tampered(r, D):
 def test_constraint_pass_equals_mode_by_mode_reference(r, D):
     equations = constraint_equations(r, D)
     for name, tau in _tampered(r, D):
+        if name in OFF_THE_GRADING:
+            j = OFF_THE_GRADING[name]
+            with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: weight"):
+                w_constraint_residuals(tau, equations)
+            continue
         passed = w_constraint_residuals(tau, equations)
         assert sorted(passed) == sorted(equations), name
         for k, m, d in equations:
@@ -117,12 +129,13 @@ def test_constraint_pass_equals_mode_by_mode_reference(r, D):
 @pytest.mark.parametrize("r, D", [(3, 4), (4, 3)])
 def test_residuals_stay_exact_at_negative_offsets(r, D):
     # equation (k, m, d) has offset d - k + 1, below 0 for small d; its
-    # s^(d-k+1) takes a negative power of -r
+    # s^(d-k+1) takes a negative power of -r.  tau_0 = 2/5 keeps the
+    # grading and breaks the equations down to offset 2 - r
     tau = compute_tau(r, D)
-    tau.pieces[0] = tau.pieces[0] + TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})
+    tau.pieces[0] = TPolynomial.const(r, Fraction(2, 5))
     passed = w_constraint_residuals(tau, constraint_equations(r, D))
     negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and not residual.is_zero]
-    assert {d - k + 1 for k, _, d in negative} >= {-1}
+    assert {d - k + 1 for k, _, d in negative} == set(range(2 - r, 0))
     for eq in negative:
         assert passed[eq] == reference_w_residual(tau, *eq)
     for residual, _ in passed.values():
@@ -132,34 +145,49 @@ def test_residuals_stay_exact_at_negative_offsets(r, D):
 
 def test_constraint_pass_refuses_pieces_off_the_grading():
     # a mixed coefficient, a whole piece in the wrong parity, the wrong
-    # offset lam + N, or an index with no packed field: each raises and
-    # names the piece
+    # offset lam + N, an index divisible by r, or the wrong weight: each
+    # raises with the message of tpoly.check_piece, naming the piece and
+    # the first monomial off the grading
     tau = compute_tau(3, 3)
     bad = {
-        "mixed": tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}),
-        "parity": TPolynomial.monomial(3, qs(1), 0, {4: 1}),
-        "offset": TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}),
-        "index divisible by r": _plus_s_t1_t3(tau.pieces[1]),
+        "mixed": (tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}), r"coefficient -7/81 \+ s outside"),
+        "parity": (TPolynomial.monomial(3, qs(1), 0, {4: 1}), "coefficient 1 outside"),
+        "offset": (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "lam exponent -2 on 1 variables"),
+        "index divisible by r": (_plus_s_t1_t3(tau.pieces[1]), r"T3\^1: indices ascend"),
+        "weight": (tau.pieces[1] + _s_times_var(3, 1), "weight 1, expected 4"),
     }
-    for name, piece in bad.items():
+    for name, (piece, why) in bad.items():
         j = 2 if name == "mixed" else 1
         tampered = compute_tau(3, 3)
         tampered.pieces[j] = piece
         for check in (check_w_constraints, check_string_dilaton, lambda tau: list(run_checks(tau, CHECKS))):
-            with pytest.raises(ContractError, match=f"piece {j} is not graded as tau_{j}"):
+            with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: {why}"):
                 check(tampered)
-    # the grading check reads the piece without packing it, and so does the
-    # extraction, whose refusal follows as a residual
-    tampered.pieces[1] = bad["index divisible by r"]
+    # the grading check reports the piece instead of refusing it, and the
+    # extraction's refusal follows as a residual
+    tampered.pieces[1] = bad["index divisible by r"][0]
     (report,) = run_checks(tampered, ("grading",))
     labels = [label for label, _ in report.residuals]
     assert report.status == "fail" and labels[0] == "indices degree=1" and labels[1].startswith("extraction: piece 1")
 
 
-@pytest.mark.parametrize("names", [["wconstraint", "grading"], ["grading", "bogus"], [], (), "grading", "selection,grading"])
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["wconstraint", "grading"],
+        ["grading", "bogus"],
+        [],
+        (),
+        "grading",
+        "selection,grading",
+        (name for name in ["wconstraints", "grading"]),
+    ],
+)
 def test_run_checks_refuses_names_off_the_list(names):
-    # a misspelled name, no name, or a bare string (read by substring or by
-    # character) would run fewer checks than asked and could read as passing
+    # a misspelled name, no name, a bare string (read by substring or by
+    # character), or a generator (used up by the first read, so that no
+    # check would run) would run fewer checks than asked and could read as
+    # passing
     tau = compute_tau(3, 2)
     with pytest.raises(InvalidSpecError, match="unknown checks|names no check|not the string"):
         list(run_checks(tau, names))
@@ -242,11 +270,13 @@ def _counting(monkeypatch):
 
 
 def test_correlator_checks_share_one_extraction(monkeypatch):
-    # s*T1 on degree 1 breaks the weight and the selection rule, so the one
-    # extraction fails and its error is a residual of each correlator check
+    # s*lam^-2*T1^2*T2 on degree 1 keeps the grading, so the constraint pass
+    # reads it, but its square leaves a genus -1 monomial in the log that
+    # tau_2 does not cancel: the one extraction fails and its error is a
+    # residual of each correlator check
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 1)
-    with pytest.raises(ContractError) as error:
+    tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1})
+    with pytest.raises(ExtractionError, match="negative genus") as error:
         extract_correlators(tau)
     _, extractions = _counting(monkeypatch)
     reports = list(run_checks(tau, CHECKS[::-1]))
@@ -321,13 +351,13 @@ def test_commutator_diagnostic_r3():
 
 def test_commutators_pack_each_base_once(monkeypatch):
     # at (5, 5) the 7 instances raise the bases tau_0 (4 of them), tau_1 and tau_2
-    packed, pack_graded = [], verify._pack_graded
+    packed, pack_piece = [], verify.pack_piece
 
-    def counting(tau, j, shift):
+    def counting(r, j, piece, shift):
         packed.append(j)
-        return pack_graded(tau, j, shift)
+        return pack_piece(r, j, piece, shift)
 
-    monkeypatch.setattr(verify, "_pack_graded", counting)
+    monkeypatch.setattr(verify, "pack_piece", counting)
     assert check_commutators(compute_tau(5, 5)).details["instances"] == 7
     assert sorted(packed) == [0, 1, 2]
 
@@ -370,27 +400,27 @@ def test_packed_diagnostics_match_references(r, degree):
 
 
 @pytest.mark.parametrize(
-    "piece, match",
+    "piece, fault",
     [
         (TPolynomial.monomial(3, qs(1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong parity
         (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong offset
         (TPolynomial.monomial(3, qs(1, 1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # mixed coefficient
-        (TPolynomial.monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # graded, off the weight
-        (_plus_s_t1_t3(compute_tau(3, 1).pieces[1]), "piece 1 is not graded as tau_1"),  # T3 has no field
+        (TPolynomial.monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # off the weight
+        (_plus_s_t1_t3(compute_tau(3, 1).pieces[1]), "piece 1 is not graded as tau_1"),  # T3 is divisible by r
     ],
 )
-def test_diagnostics_refuse_a_base_off_the_grading(piece, match):
+def test_diagnostics_refuse_a_base_off_the_grading(piece, fault):
     # the commutators at (3, 4) raise tau_0 and tau_1; the exponential check
-    # compares every piece
+    # compares every piece.  Whatever the fault, the inhomogeneous piece
+    # included, both refuse the piece with tpoly.check_piece's message,
+    # naming its first monomial off the grading
+    assert piece.is_homogeneous(4) == (fault != "piece 1 is not homogeneous")
     tau = compute_tau(3, 4)
     tau.pieces[1] = piece
-    with pytest.raises(ContractError, match=match):
-        check_commutators(tau)
-    if "graded" in match:
-        with pytest.raises(ContractError, match=match):
-            check_exponential_agreement(tau)
-    else:  # the exponential check compares an inhomogeneous piece as it is
-        assert "degree 1" in [label for label, _ in check_exponential_agreement(tau).residuals]
+    mono = next(off_grade(3, 1, piece))[0]
+    for diagnostic in (check_commutators, check_exponential_agreement):
+        with pytest.raises(ContractError, match=re.escape(f"piece 1 has monomial {mono} off the grading")):
+            diagnostic(tau)
 
 
 def test_diagnostics_run_on_packed_pieces(monkeypatch):

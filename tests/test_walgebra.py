@@ -553,7 +553,7 @@ def test_raiser_grows_and_shrinks_exactly(monkeypatch):
     pieces = compute_tau(r, top).pieces
     shift, fields = exponent_fields(r, top * (r + 1))
     for l in range(1, r):
-        rows = {d: kernel_rows(pack_piece(d - l, d - l, pieces[d - l], shift), fields)[1] for d in range(l, top + 1)}
+        rows = {d: kernel_rows(pack_piece(r, d - l, pieces[d - l], shift), fields)[1] for d in range(l, top + 1)}
         walgebra._RAISERS.clear()
         for d in [*range(l, top + 1), *range(top, l - 1, -1)]:
             fresh = walgebra._Raiser(r, l, shift)
