@@ -13,7 +13,6 @@ from .correlator import (
     conversion_constant,
     extract_correlators,
     insertion_for_index,
-    log_tau,
     selection_check,
     variable_index,
 )
@@ -36,10 +35,6 @@ from .verify import (
     CheckReport,
     check_commutators,
     check_exponential_agreement,
-    check_gradings,
-    check_selection,
-    check_string_dilaton,
-    check_w_constraints,
     run_checks,
 )
 from .walgebra import mode_bound
@@ -67,16 +62,11 @@ __all__ = [
     "TauExpansion",
     "check_commutators",
     "check_exponential_agreement",
-    "check_gradings",
-    "check_selection",
-    "check_string_dilaton",
-    "check_w_constraints",
     "compute_tau",
     "compute_tau_exponential",
     "conversion_constant",
     "extract_correlators",
     "insertion_for_index",
-    "log_tau",
     "mode_bound",
     "parse_tau",
     "run_checks",

@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import Packed, TMonomial, TPolynomial, exponent_fields, graded_terms, pack_piece, reduced, unpack_exponents
+from .tpoly import Packed, TMonomial, exponent_fields, pack_piece, reduced, unpack_exponents
 
 __all__ = [
     "Insertion",
@@ -45,7 +45,6 @@ __all__ = [
     "conversion_constant",
     "extract_correlators",
     "insertion_for_index",
-    "log_tau",
     "selection_check",
     "variable_index",
 ]
@@ -146,18 +145,6 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
         rows.sort()  # weight n*(r+1) throughout: (lam, exps) is canonical
         free_energy.append((n, den * n, rows))
     return free_energy
-
-
-def log_tau(tau: TauExpansion) -> TPolynomial:
-    """Graded log of the expansion: the free energy pieces F_1 .. F_D.
-
-    Raises ContractError unless the degree-0 piece equals 1 and every
-    piece keeps the grading.
-    """
-    terms = {}
-    for n, den, rows in _free_energy(tau):
-        terms.update(graded_terms(tau.r, n, n, den, ((exps, num) for _, exps, num in rows)))
-    return TPolynomial._raw(tau.r, terms)
 
 
 def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:

@@ -8,7 +8,8 @@ over one layout of top weight D*(r+1).  A_l maps x * s^(j-l) to
 x * r^(-2l) * s^j, so each degree is one int accumulator, and a finished
 piece becomes a TPolynomial once.  That map is raise_step, the one raise
 step of the package: the recursion, the exponential formula and verify's
-commutators all call it.
+commutators all call it.  The exponential formula is summed packed over
+the same layout (exponential_pieces), and verify compares it packed.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -114,8 +115,9 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
     return TauExpansion(r, max_degree, pieces)
 
 
-def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
-    """Graded truncation of exp(sum_l A_l / l) applied to 1.
+def exponential_pieces(r: int, max_degree: int) -> list[Packed]:
+    """The graded truncation of exp(sum_l A_l / l) applied to 1, packed:
+    degree j as numerators over one den of s^j, over _layout(r, max_degree).
 
     Agrees with compute_tau exactly when the raisers commute; the solver
     treats any disagreement as evidence against that conjecture, so this
@@ -137,7 +139,13 @@ def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
         power = {d: summed(parts, n) for d, parts in nxt.items()}
         for d, packed in power.items():
             acc.setdefault(d, []).append(packed)
-    pieces = [unpacked(r, j, j, summed(acc.get(j, [])), fields) for j in range(max_degree + 1)]
+    return [summed(acc.get(j, [])) for j in range(max_degree + 1)]
+
+
+def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
+    """exponential_pieces unpacked into a validated TauExpansion."""
+    _, fields = _layout(r, max_degree)
+    pieces = [unpacked(r, j, j, packed, fields) for j, packed in enumerate(exponential_pieces(r, max_degree))]
     tau = TauExpansion(r, max_degree, pieces)
     tau.validate()
     return tau

@@ -1,13 +1,15 @@
 """Exact verification of every identity the computed expansion must satisfy.
 
 All pass/fail checks compare polynomials to the exact zero polynomial,
-with no tolerances.  run_checks runs the checks check_names admits and
-shares one constraint pass and one extraction among them.  Every piece
-read, here as in the solver and the extraction, is graded as tau_j by
-tpoly.check_piece (through tpoly.pack_piece), so each reader refuses a
-piece off the grading with the same ContractError.  The commutator check
-is diagnostic only: commutativity of the degree raisers is conjectural,
-so a nonzero residual there is reported prominently but fails nothing.
+with no tolerances.  run_checks is the one way into them: it runs the
+checks check_names admits and shares one constraint pass and one
+extraction among them.  Every piece read, here as in the solver and the
+extraction, is graded as tau_j by tpoly.check_piece and packed by
+tpoly.pack_piece over the solve's one layout, of top weight D*(r+1), so
+each reader refuses a piece off the grading with the same ContractError.
+The commutator and exponential checks are diagnostic only: commutativity
+of the degree raisers is conjectural, so a nonzero residual there is
+reported prominently but fails nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
-from .solver import TauExpansion, compute_tau_exponential, raise_step
+from .solver import TauExpansion, exponential_pieces, raise_step
 from .tpoly import TPolynomial, exponent_fields, kernel_rows, off_grade, pack_piece, summed, unpacked
 from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current
 
@@ -29,18 +31,15 @@ __all__ = [
     "CheckReport",
     "check_commutators",
     "check_exponential_agreement",
-    "check_gradings",
     "check_names",
-    "check_selection",
-    "check_string_dilaton",
-    "check_w_constraints",
     "constraint_equations",
     "default_constraint_mode_bound",
     "run_checks",
-    "w_constraint_residual",
     "w_constraint_residuals",
 ]
 
+# selection passes exactly when extraction does; it is a report of its own
+# because the verify output and the --checks option name it
 CHECKS = ("wconstraints", "string_dilaton", "grading", "selection")
 
 PASS = "pass"
@@ -73,8 +72,8 @@ Equation = tuple[int, int, int]  # (k, m, degree)
 
 
 def constraint_equations(r: int, max_degree: int) -> list[Equation]:
-    """The per-degree constraint equations check_w_constraints assembles,
-    in report order: every k, every m up to default_constraint_mode_bound,
+    """The per-degree constraint equations of the wconstraints check, in
+    report order: every k, every m up to default_constraint_mode_bound,
     every degree."""
     bound = default_constraint_mode_bound(r, max_degree)
     return [(k, m, d) for k in range(2, r + 1) for m in range(-(k - 1), bound + 1) for d in range(max_degree + 1)]
@@ -86,11 +85,11 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
 
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
-    equation is one rational sum.  Piece i is packed once, over one layout
-    that holds its images, and its call carries the blocks, up to its
-    weight i*(r+1), of every mode that reads it, each creator key tagged
-    with its equation's index above the layout's top bit.  An equation is
-    finished once its last piece is done.  engaged is False when every
+    equation is one rational sum.  Piece i is packed once, over the solve's
+    layout of top weight D*(r+1), and its call carries the blocks, up to
+    its weight i*(r+1), of every mode that reads it, each creator key
+    tagged with its equation's index above the layout's top bit.  An
+    equation is finished once its last piece is done.  engaged is False when every
     piece it reads is absent or zero.  Raises InvalidSpecError on an
     equation off the computed range (degree outside 0..max_degree, or no
     mode W(k, 0, m)), and ContractError on a nonzero piece read that
@@ -106,9 +105,9 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
                 reads[j].append((e, k, j - d + k - 1, m))
         finish.setdefault(d, []).append(e)
     engaged = {read[0] for by_piece in reads.values() for read in by_piece}
-    # a packed tau_j weighs j*(r+1); W(k, l, m) adds at most r*(r-1), at l = 0 and m = 1 - k
-    weight = max((j for j, by_piece in reads.items() if by_piece), default=0) * (r + 1) + r * (r - 1)
-    shift, fields = exponent_fields(r, weight)
+    # equation (k, m, d) weighs (d-k+1)(r+1) - r*m <= d(r+1) - (k-1), as m >= 1 - k,
+    # and d <= D: the solve's layout holds every creator, annihilator and output
+    shift, fields = exponent_fields(r, top_degree * (r + 1))
     top = sum(width for _, width, _ in fields)
     mask = (1 << top) - 1
     dens = {k: _twisted_current(r, k)[0] for k in range(2, r + 1)}
@@ -142,12 +141,6 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     return out
 
 
-def w_constraint_residual(tau: TauExpansion, k: int, m: int, degree: int) -> tuple[TPolynomial, bool]:
-    """(residual, engaged) of one per-degree constraint equation: its entry
-    of w_constraint_residuals."""
-    return w_constraint_residuals(tau, [(k, m, degree)])[(k, m, degree)]
-
-
 def check_names(names: Collection[str]) -> None:
     """Refuse (InvalidSpecError) a name outside CHECKS, no name at all, a
     bare string, which would be read by substring or by character, and
@@ -163,7 +156,14 @@ def check_names(names: Collection[str]) -> None:
 
 
 def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckReport]:
-    """The reports of the named checks (check_names), in CHECKS order.
+    """The reports of the named checks (check_names), in CHECKS order:
+    wconstraints, the constraint_equations (past
+    default_constraint_mode_bound each mode sends every piece below weight
+    0, so no equation there can fail); string_dilaton, the k = 2, m = -1, 0 equations scaled by
+    1/r as the translation and scaling operators, and the string and
+    dilaton equations on the correlators; grading, the monomials of each
+    piece that tpoly.off_grade finds; selection, the selection rule and
+    rationality that extraction enforces on each record.
 
     The checks share one constraint pass: every constraint_equations when
     wconstraints is named, else only string_dilaton's k = 2, m = -1, 0
@@ -196,15 +196,6 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
             yield _gated(name, _off_grade_residuals(tau) + extraction, {"records": len(records)})
         else:
             yield _gated(name, list(extraction), {"records": len(records)})
-
-
-def check_w_constraints(tau: TauExpansion) -> CheckReport:
-    """The wconstraints report of run_checks: every per-degree constraint
-    equation up to default_constraint_mode_bound, with its nonzero
-    residuals; vacuous equations are counted but cannot fail.  Past the
-    bound each mode sends every piece below weight 0, so no equation there
-    can fail.  Raises ContractError as run_checks does."""
-    return next(run_checks(tau, ("wconstraints",)))
 
 
 def _w_constraints_report(tau: TauExpansion, equations: list[Equation], passed: dict) -> CheckReport:
@@ -279,15 +270,6 @@ def _correlator_identity_residuals(
     return residuals, stats
 
 
-def check_string_dilaton(tau: TauExpansion) -> CheckReport:
-    """The string_dilaton report of run_checks: the translation and scaling
-    operator identities, which are the k = 2, m = -1, 0 constraint
-    equations scaled by 1/r, plus the combinatorial string and dilaton
-    equations on the extracted correlators.  Raises ContractError as
-    run_checks does."""
-    return next(run_checks(tau, ("string_dilaton",)))
-
-
 def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extraction: list) -> CheckReport:
     scale = Fraction(1, tau.r)
     residuals = [
@@ -304,14 +286,6 @@ def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extra
     return _gated("string_dilaton", residuals, stats)
 
 
-def check_gradings(tau: TauExpansion) -> CheckReport:
-    """The grading report of run_checks: the monomials of each piece that
-    tpoly.off_grade finds, one residual per piece and kind of fault, and a
-    successful extraction, which itself enforces nonnegative genus and the
-    selection rule on every record."""
-    return next(run_checks(tau, ("grading",)))
-
-
 def _off_grade_residuals(tau: TauExpansion) -> list:
     r, residuals = tau.r, []
     for j, piece in enumerate(tau.pieces):
@@ -320,17 +294,6 @@ def _off_grade_residuals(tau: TauExpansion) -> list:
             faults.setdefault(kind, {})[mono] = piece.terms[mono]
         residuals.extend((f"{kind} degree={j}", TPolynomial._raw(r, terms)) for kind, terms in sorted(faults.items()))
     return residuals
-
-
-def check_selection(tau: TauExpansion) -> CheckReport:
-    """The selection report of run_checks: the selection rule and
-    rationality on every extracted correlator.
-
-    extract_correlators enforces both on each record and raises otherwise,
-    so this report passes exactly when extraction succeeds.  It is kept as
-    a report of its own, with the record count in details, because the
-    verify output and the --checks option name it."""
-    return next(run_checks(tau, ("selection",)))
 
 
 def check_commutators(tau: TauExpansion) -> CheckReport:
@@ -379,15 +342,15 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
-    Compared packed over the solve's layout, each piece of both graded by
-    tpoly.pack_piece as the constraint pass reads it (ContractError).
+    Each piece of tau is graded and packed by tpoly.pack_piece over the
+    solve's layout, as the constraint pass reads it (ContractError), and
+    compared there with solver.exponential_pieces' packed sums.
     """
     r, degree = tau.r, tau.max_degree
-    exp_tau = compute_tau_exponential(r, degree)
     shift, fields = exponent_fields(r, degree * (r + 1))
     residuals = []
-    for j in range(degree + 1):
-        ours, (theirs, exp_den) = (pack_piece(r, j, t.pieces[j], shift) for t in (tau, exp_tau))
+    for j, (theirs, exp_den) in enumerate(exponential_pieces(r, degree)):
+        ours = pack_piece(r, j, tau.pieces[j], shift)
         diff = unpacked(r, j, j, summed([ours, (theirs, -exp_den)]), fields)
         if not diff.is_zero:
             residuals.append((f"degree {j}", diff))

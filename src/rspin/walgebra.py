@@ -369,7 +369,8 @@ class _Raiser:
 
     def grow(self, top: int) -> None:
         """Add the blocks whose annihilators weigh more than self.top and at
-        most top; the layout must hold creators of weight top + l*(r+1)."""
+        most top, which is (target - l)*(r+1) for the target degree of a
+        raise; the layout must hold weight target*(r+1)."""
         if top > self.top:
             groups, prefixes = _packed_groups(self._terms(top), self.shift)
             self.op[0].update(groups)  # of new annihilator weights, so no group is held yet
@@ -380,10 +381,11 @@ class _Raiser:
         """The (annihilators, creators, tag, numerator) terms over den that
         grow adds, the outer creator T_{r*m+k-1} a tag and a factor."""
         r, l = self.r, self.l
+        target = top // (r + 1) + l
         for k in range(l + 1, r + 1):
             j = k - 1 - l
             factor = -factorial(k - 1) * (self.den // (r + 1) // _twisted_current(r, k)[0])
-            for m in range((top + l * (r + 1) - k + 1) // r + 1):  # T_{r*m+k-1} fits the output
+            for m in range(mode_bound(r, k, target) + 1):
                 n, inner = r * m + k - 1, m - k + 1
                 tag, scale = 1 << self.shift[n], factor * n
                 for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):

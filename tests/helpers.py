@@ -14,7 +14,8 @@ packed pieces.  The polynomial-level adapters on that kernel
 (apply_operator_sum, apply_w_mode, apply_raising_operator) live here, as
 references the package's packed paths are tested against, with the
 NormalTerm view of the package's integer mode tables (mode_terms,
-mode_table).  Expected
+mode_table), and so does log_tau, the polynomial view of the free energy
+that extraction reads packed.  Expected
 values frozen in the tests were computed with these oracles or
 transcribed from independently published tables.
 """
@@ -29,8 +30,9 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
+from rspin.correlator import _free_energy
 from rspin.serialize import poly_to_obj
-from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpacked
+from rspin.tpoly import TMonomial, check_index, exponent_fields, graded_terms, kernel_rows, reduced, unpacked
 from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
@@ -269,10 +271,19 @@ def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
     return _on_kernel(poly, -l, weight, lambda rows, shift: raise_packed(r, l, rows, target_degree, shift))
 
 
+def log_tau(tau) -> TPolynomial:
+    """The package's graded log, the free energy F_1 .. F_D that extraction
+    reads, as one polynomial (ContractError as _free_energy raises it)."""
+    terms = {}
+    for n, den, rows in _free_energy(tau):
+        terms.update(graded_terms(tau.r, n, n, den, ((exps, num) for _, exps, num in rows)))
+    return TPolynomial._raw(tau.r, terms)
+
+
 def exp_graded(poly, max_degree) -> TauExpansion:
     """Graded exp of a polynomial with no degree-0 part, truncated at
     max_degree, by n tau_n = sum_{k=1..n} k F_k tau_{n-k}: the inverse of
-    the package's log_tau."""
+    log_tau."""
     r = poly.r
     if not graded_part(poly, 0).is_zero:
         raise ContractError("exp requires a vanishing degree-0 part")

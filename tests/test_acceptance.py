@@ -20,13 +20,10 @@ from rspin import (
     Insertion,
     check_commutators,
     check_exponential_agreement,
-    check_gradings,
-    check_selection,
-    check_string_dilaton,
-    check_w_constraints,
     compute_tau,
     compute_tau_exponential,
     extract_correlators,
+    run_checks,
     selection_check,
     serialize_tau,
 )
@@ -61,7 +58,7 @@ def constraint_runs():
     for r, depth in ((2, 5), (3, 3), (4, 2), (5, 2)):
         start = time.perf_counter()
         tau = compute_tau(r, depth)
-        report = check_w_constraints(tau)
+        (report,) = run_checks(tau, ["wconstraints"])
         runs[(r, depth)] = (tau, report, time.perf_counter() - start)
     return runs
 
@@ -224,8 +221,7 @@ def test_criterion_5_w_constraints_r4_r5(constraint_runs):
 def test_criterion_6_property_suites(constraint_runs):
     failures = []
     for (r, depth), (tau, _, _) in constraint_runs.items():
-        for check in (check_string_dilaton, check_gradings, check_selection):
-            report = check(tau)
+        for report in run_checks(tau, ["string_dilaton", "grading", "selection"]):
             if report.status != "pass":
                 failures.append((r, depth, report.check_name))
         for rec in extract_correlators(tau):

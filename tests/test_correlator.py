@@ -18,12 +18,10 @@ from rspin import (
     TPolynomial,
     check_commutators,
     check_exponential_agreement,
-    check_gradings,
     compute_tau,
     conversion_constant,
     extract_correlators,
     insertion_for_index,
-    log_tau,
     parse_tau,
     run_checks,
     selection_check,
@@ -32,7 +30,7 @@ from rspin import (
 )
 from rspin.serialize import records_to_json
 
-from helpers import exp_graded, free_energy2_r3, graded_part, power_series_log, qs, tau1_r3
+from helpers import exp_graded, free_energy2_r3, graded_part, log_tau, power_series_log, qs, tau1_r3
 
 
 def test_conversion_constants():
@@ -178,7 +176,7 @@ def test_off_grade_input_is_refused(case, read):
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 def test_off_grade_input_fails_the_grading_check(case):
     tau, j, mono, kind = _off_grade_tau(case)
-    report = check_gradings(tau)
+    (report,) = run_checks(tau, ["grading"])
     assert report.status == "fail"
     assert [label for label, poly in report.residuals if mono in poly.terms] == [f"{kind} degree={j}"]
 
@@ -203,6 +201,7 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
         "constraint pass": (lambda: verify.w_constraint_residuals(tau, verify.constraint_equations(3, 3)), [0, 1, 2, 3]),
         # [A_1, A_2] on tau_0 is the one instance at (3, 3)
         "check_commutators": (lambda: check_commutators(tau), [0]),
+        # tau's pieces only: the exponential's own are summed packed, never graded
         "check_exponential_agreement": (lambda: check_exponential_agreement(tau), [0, 1, 2, 3]),
         "parse_tau": (lambda: parse_tau(serialize_tau(tau)), [0, 1, 2, 3]),
         "TauCache.load": (lambda: [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)], [1, 2, 3]),
@@ -210,10 +209,9 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
     for name, (read, degrees) in readers.items():
         seen.clear()
         read()
-        # a reader of tau is held to tau's own pieces: the exponential
-        # check also grades the pieces it computes
-        of_tau = name not in ("parse_tau", "TauCache.load")
-        assert sorted(j for j, piece in seen if not of_tau or piece is tau.pieces[j]) == degrees, name
+        assert sorted(j for j, _ in seen) == degrees, name
+        if name not in ("parse_tau", "TauCache.load"):  # those read copies of tau's pieces
+            assert all(piece is tau.pieces[j] for j, piece in seen), name
 
 
 # sha256 of records_to_json(extract_correlators(compute_tau(r, D))), as
@@ -246,7 +244,7 @@ def test_extraction_builds_no_scalar(monkeypatch):
     monkeypatch.setattr(QScalar, "__init__", counting_init)
     extract_correlators(tau)
     assert not built
-    log_tau(tau)  # the one reader that builds QScalar coefficients
+    log_tau(tau)  # the test view, which builds QScalar coefficients
     assert built
 
 

@@ -20,15 +20,7 @@ from rspin import (
     serialize_tau,
 )
 from rspin.serialize import poly_to_obj, records_to_csv, records_to_json, reports_to_json
-from rspin.verify import (
-    CheckReport,
-    check_commutators,
-    check_exponential_agreement,
-    check_gradings,
-    check_selection,
-    check_string_dilaton,
-    check_w_constraints,
-)
+from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
 from rspin.walgebra import MODE_CONSTRUCTION
 
 from helpers import _dump, qs, report_to_obj
@@ -250,7 +242,7 @@ def test_records_csv_format():
 
 
 def test_reports_json_shape():
-    report = check_w_constraints(compute_tau(3, 1))
+    (report,) = run_checks(compute_tau(3, 1), ["wconstraints"])
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["check_name"] == "wconstraints"
     assert payload[0]["status"] == "pass"
@@ -262,7 +254,7 @@ def test_reports_json_shape():
 def test_serialized_residuals_round_trip_through_poly_format():
     tau = compute_tau(3, 2)
     tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})  # s*T4 keeps the grading
-    report = check_w_constraints(tau)
+    (report,) = run_checks(tau, ["wconstraints"])
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["status"] == "fail"
     assert payload[0]["residuals"][0]["poly"]
@@ -276,8 +268,7 @@ def test_reports_writer_matches_json_dumps(r, degree):
     # escape and nested details
     tau, failing = compute_tau(r, degree), compute_tau(r, degree)
     failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1})
-    checks = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
-    reports = [check(t) for t in (tau, failing) for check in checks]
+    reports = [report for t in (tau, failing) for report in run_checks(t, CHECKS)]
     reports += [check_commutators(tau), check_exponential_agreement(tau)]
     reports.append(
         CheckReport(

@@ -13,16 +13,12 @@ from rspin import (
     TPolynomial,
     check_commutators,
     check_exponential_agreement,
-    check_gradings,
-    check_selection,
-    check_string_dilaton,
-    check_w_constraints,
     compute_tau,
     extract_correlators,
 )
-from rspin import ContractError, InvalidSpecError, compute_tau_exponential, run_checks, solver, verify, walgebra
+from rspin import ContractError, InvalidSpecError, compute_tau_exponential, correlator, run_checks, solver, tpoly, verify, walgebra
 from rspin.tpoly import off_grade
-from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residual, w_constraint_residuals
+from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residuals
 from rspin.walgebra import _mode_blocks, _operator_loop
 
 from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
@@ -30,13 +26,13 @@ from helpers import qs, reference_commutator, reference_exponential, reference_w
 
 def test_w_constraints_pass_r3():
     tau = compute_tau(3, 2)
-    report = check_w_constraints(tau)
+    (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.residuals == []
 
 
 def test_w_constraints_pass_r2():
-    report = check_w_constraints(compute_tau(2, 3))
+    (report,) = run_checks(compute_tau(2, 3), ["wconstraints"])
     assert report.status == "pass"
 
 
@@ -55,7 +51,7 @@ def _plus_s_t1_t3(piece):
 def test_w_constraints_detect_seeded_error():
     tau = compute_tau(3, 2)
     tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)
-    report = check_w_constraints(tau)
+    (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "fail"
     labels = [label for label, _ in report.residuals]
     assert "k=2 m=0 degree=1" in labels
@@ -78,7 +74,7 @@ def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
 
     monkeypatch.setattr(verify, "_operator_loop", counting)
     monkeypatch.setattr(verify, "_mode_blocks", recording)
-    report = check_w_constraints(tau)
+    (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
     assert len(calls) == sum(not piece.is_zero for piece in tau.pieces) == 7
@@ -160,9 +156,9 @@ def test_constraint_pass_refuses_pieces_off_the_grading():
         j = 2 if name == "mixed" else 1
         tampered = compute_tau(3, 3)
         tampered.pieces[j] = piece
-        for check in (check_w_constraints, check_string_dilaton, lambda tau: list(run_checks(tau, CHECKS))):
+        for names in (["wconstraints"], ["string_dilaton"], CHECKS):
             with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: {why}"):
-                check(tampered)
+                list(run_checks(tampered, names))
     # the grading check reports the piece instead of refusing it, and the
     # extraction's refusal follows as a residual
     tampered.pieces[1] = bad["index divisible by r"][0]
@@ -197,7 +193,7 @@ def test_run_checks_refuses_names_off_the_list(names):
 
 
 def test_string_dilaton_passes():
-    report = check_string_dilaton(compute_tau(3, 2))
+    (report,) = run_checks(compute_tau(3, 2), ["string_dilaton"])
     assert report.status == "pass"
     assert report.details["string_instances"] > 0
     assert report.details["dilaton_instances"] > 0
@@ -218,20 +214,20 @@ def test_string_and_dilaton_instances_from_tables():
 def test_string_dilaton_detects_seeded_error():
     tau = compute_tau(3, 2)
     tau.pieces[2] = tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1})
-    report = check_string_dilaton(tau)
+    (report,) = run_checks(tau, ["string_dilaton"])
     assert report.status == "fail"
 
 
 def test_gradings_pass():
     for r, D in ((3, 3), (2, 4)):
-        report = check_gradings(compute_tau(r, D))
+        (report,) = run_checks(compute_tau(r, D), ["grading"])
         assert report.status == "pass"
 
 
 def test_gradings_detect_inhomogeneous_piece():
     tau = compute_tau(3, 2)
     tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 1)  # weight 1 inside degree 1
-    report = check_gradings(tau)
+    (report,) = run_checks(tau, ["grading"])
     assert report.status == "fail"
     assert any("inhomogeneous" in label for label, _ in report.residuals)
 
@@ -239,13 +235,13 @@ def test_gradings_detect_inhomogeneous_piece():
 def test_gradings_detect_bad_lambda():
     tau = compute_tau(3, 1)
     tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, 1, -4, {4: 1})
-    report = check_gradings(tau)
+    (report,) = run_checks(tau, ["grading"])
     assert report.status == "fail"
     assert any("lam exponents" in label for label, _ in report.residuals)
 
 
 def test_selection_report_passes():
-    report = check_selection(compute_tau(3, 2))
+    (report,) = run_checks(compute_tau(3, 2), ["selection"])
     assert report.status == "pass"
     assert report.details["records"] == 7
 
@@ -287,8 +283,6 @@ def test_correlator_checks_share_one_extraction(monkeypatch):
         assert f"extraction: {error.value}" in [label for label, _ in rep.residuals]
     assert list(run_checks(tau, ("grading", "selection"))) == reports[2:] and extractions == [2, 2]
     assert list(run_checks(tau, ("wconstraints",))) == reports[:1] and extractions == [2, 2]
-    views = (check_w_constraints, check_string_dilaton, check_gradings, check_selection)
-    assert [view(tau) for view in views] == reports
 
 
 def test_string_dilaton_reads_a_shared_constraint_pass(monkeypatch):
@@ -313,7 +307,7 @@ def test_constraint_pass_refuses_equations_off_the_computed_range():
     tau = compute_tau(3, 2)
     for k, m, d in [(2, 0, 3), (2, -1, 3), (3, 0, 3), (2, 0, -1), (2, -2, 1), (1, 0, 1), (4, 0, 1)]:
         with pytest.raises(InvalidSpecError, match=f"equation k={k} m={m} degree={d} "):
-            w_constraint_residual(tau, k, m, d)
+            w_constraint_residuals(tau, [(k, m, d)])
         with pytest.raises(InvalidSpecError):
             w_constraint_residuals(tau, [(2, 0, 1), (k, m, d)])
 
@@ -323,10 +317,10 @@ def test_scaled_translation_equals_lowest_constraint():
     # constraint modes divided by r, so their residuals must match exactly
     tau = compute_tau(3, 2)
     tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
+    (report,) = run_checks(tau, ["string_dilaton"])
     for m in (-1, 0):
         for degree in range(tau.max_degree + 1):
-            base, _ = w_constraint_residual(tau, 2, m, degree)
-            report = check_string_dilaton(tau)
+            base, _ = w_constraint_residuals(tau, [(2, m, degree)])[(2, m, degree)]
             name = "translation" if m == -1 else "scaling"
             matching = [
                 poly for label, poly in report.residuals
@@ -336,6 +330,25 @@ def test_scaled_translation_equals_lowest_constraint():
                 assert not matching
             else:
                 assert matching and matching[0] == base.scaled(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("r, D", [(3, 6), (5, 4)])
+def test_one_layout_per_run(monkeypatch, r, D):
+    # the checks and both diagnostics pack every piece they read over the
+    # solve's layout, of top weight D*(r+1)
+    tau = compute_tau(r, D)
+    weights, fields = [], tpoly.exponent_fields
+
+    def recording(r, weight):
+        weights.append(weight)
+        return fields(r, weight)
+
+    for module in (tpoly, solver, verify, correlator):
+        monkeypatch.setattr(module, "exponent_fields", recording)
+    list(run_checks(tau, CHECKS))
+    check_commutators(tau)
+    check_exponential_agreement(tau)
+    assert weights and set(weights) == {D * (r + 1)}
 
 
 def test_commutator_diagnostic_r3():

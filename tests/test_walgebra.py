@@ -10,7 +10,7 @@ import pytest
 from rspin import ContractError, InvalidSpecError, TMonomial, TPolynomial, compute_tau, mode_bound
 from rspin import check_commutators, compute_tau_exponential, walgebra
 from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
-from rspin.verify import w_constraint_residual
+from rspin.verify import w_constraint_residuals
 from rspin.walgebra import (
     ORACLE_CHECKED_R,
     _contraction,
@@ -383,7 +383,7 @@ def test_w_terms_rejects_bad_specs():
     tau = compute_tau(3, 1)
     for k, m in ((4, 0), (1, 0), (2, -2), (3, -3)):
         with pytest.raises(InvalidSpecError):
-            w_constraint_residual(tau, k, m, 1)
+            w_constraint_residuals(tau, [(k, m, 1)])
     for k in (1, 4):
         with pytest.raises(InvalidSpecError):
             mode_bound(3, k, 1)
