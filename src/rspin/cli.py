@@ -22,7 +22,7 @@ from .serialize import (
     serialize_tau,
 )
 from .solver import _layout, compute_tau
-from .walgebra import ORACLE_CHECKED_R, _partitions, _w_mode_terms, raisers_over
+from .walgebra import ORACLE_CHECKED_DEPTH, _partitions, raisers_over
 from .verify import CHECKS, check_commutators, check_exponential_agreement, check_names, run_checks
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
@@ -108,13 +108,13 @@ def _cache(args) -> TauCache | None:
 
 
 def _warn_unchecked(args) -> None:
-    """Warn, whatever the verbosity, when r lies beyond the range whose
-    genus >= 1 values were checked against the r-KdV oracle."""
-    if args.r > ORACLE_CHECKED_R:
+    """Warn, whatever the verbosity, when the degree passes the depth to which
+    genus >= 1 values for this r (r > 3) were checked against the r-KdV oracle."""
+    depth = ORACLE_CHECKED_DEPTH.get(args.r, 0) if args.r > 3 else args.degree
+    if args.degree > depth:
         print(
-            f"WARNING: genus >= 1 values for r={args.r} are unverified: the spin >= 4 "
-            f"W-modes are checked against the independent r-KdV oracle only for "
-            f"r <= {ORACLE_CHECKED_R}",
+            f"WARNING: genus >= 1 values for r={args.r} are unverified at degree {args.degree}: the spin >= 4 "
+            f"W-modes are checked against the independent r-KdV oracle for r={args.r} only through degree {depth}",
             file=sys.stderr,
         )
 
@@ -129,24 +129,24 @@ def _timed(args, label: str, run):
 
 
 def _note_tables(args) -> None:
-    """Under -v, the hits and misses of the memoised mode-table functions,
-    and the term count of each raiser built over the solve's layout, after
-    merging and before it."""
+    """Under -v, the hits and misses of the memoised partitions, and for
+    each raiser built over the solve's layout its term count after merging
+    and the rows and mode blocks it enumerated before."""
     if not args.verbose:
         return
-    for table in (_w_mode_terms, _partitions):
-        info = table.cache_info()
-        print(f"{table.__name__}: {info.hits} hits, {info.misses} misses", file=sys.stderr)
+    info = _partitions.cache_info()
+    print(f"_partitions: {info.hits} hits, {info.misses} misses", file=sys.stderr)
     shift, _ = _layout(args.r, args.degree)
     for op in raisers_over(args.r, shift):
         terms = sum(len(cres) for _, cres, _ in op.op[0].values())
-        print(f"A_{op.l}: {terms} terms, {op.read} before merging", file=sys.stderr)
+        print(f"A_{op.l}: {terms} terms, {op.read} rows of {op.blocks} blocks before merging", file=sys.stderr)
 
 
 def _run_compute(args) -> int:
     _warn_unchecked(args)
-    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
-    _timed(args, "write", lambda: _write(args, serialize_tau(tau)))
+    cache = _cache(args)
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=cache))
+    _timed(args, "write", lambda: _write(args, serialize_tau(tau, cache)))
     _note_tables(args)
     return 0
 

@@ -9,7 +9,8 @@ relation of the quadratic generator.
 
 A tau document and a cache entry share one reader, and a stored piece is
 read in one pass that checks its JSON and grades it once by the package's
-one rule (tpoly.check_piece).
+one rule (tpoly.check_piece).  A piece is written at depth 0 and moved to
+its depth, once per run: serialize_tau reuses the text the cache wrote.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .correlator import CorrelatorRecord
@@ -137,40 +140,49 @@ def _read_document(data: bytes | str) -> dict:
     return doc
 
 
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+def _json_block(items, pad: str, brackets: str = "[]") -> str:
     """A JSON list, or object of "key": value items, laid out as json.dumps(indent=1)
-    does: the items written one level deeper, the closing bracket after pad."""
-    inner = ",\n".join(pad + " " + item for item in items)
-    return f"{brackets[0]}\n{inner}\n{pad}{brackets[1]}" if items else brackets
+    does: the items one level deeper, the closing bracket after pad; one join."""
+    parts = [f"{brackets[0]}\n{pad} ", *chain.from_iterable((item, f",\n{pad} ") for item in items)]
+    parts[-1] = f"\n{pad}{brackets[1]}"
+    return "".join(parts) if len(parts) > 1 else brackets
+
+
+@lru_cache(maxsize=None)
+def _term_template(count: int) -> str:
+    """The % template of a term at depth 0: lambda, count (index, exponent), a, b."""
+    t = _json_block(["[\n     %d,\n     %d\n    ]"] * count, "   ")
+    return '{\n  "monomial": {\n   "lambda": %d,\n   "t": ' + t + '\n  },\n  "coeff": {\n   "a": "%s",\n   "b": "%s"\n  }\n }'
 
 
 def _poly_json(poly: TPolynomial, pad: str) -> str:
-    """_json_block of poly_to_obj(poly), written directly: ints, and fraction
-    strings of digits, "-" and "/", need no escaping."""
-    i = pad + " "
-    return _json_block(
-        [
-            f'{{\n{i} "monomial": {{\n{i}  "lambda": {mono.lambda_exp},\n{i}  "t": '
-            + _json_block([f"[\n{i}    {n},\n{i}    {e}\n{i}   ]" for n, e in mono.exps], i + "  ")
-            + f'\n{i} }},\n{i} "coeff": {{\n{i}  "a": "{c.a}",\n{i}  "b": "{c.b}"\n{i} }}\n{i}}}'
-            for mono, c in poly.canonical_terms()
-        ],
-        pad,
-    )
+    """_json_block of poly_to_obj(poly), from _term_template at depth 0 moved to
+    pad: ints and fraction strings need no escaping and hold no newline."""
+    terms = poly.canonical_terms()
+    items = (_term_template(len(m.exps)) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b) for m, c in terms)
+    return _json_block(items, "").replace("\n", "\n" + pad)
 
 
-def _document(fields: dict) -> bytes:
-    """A JSON object whose values are given already written, laid out as
-    json.dumps(indent=1) does, plus a final newline."""
-    return (_json_block([f'"{key}": {value}' for key, value in fields.items()], "", "{}") + "\n").encode("utf-8")
+def _document(head: dict, key: str, value: str) -> bytes:
+    """json.dumps(indent=1) of the object of head's fields and then key, values
+    given already written, plus a final newline; value is copied once."""
+    fields = [f' "{name}": {text},\n' for name, text in head.items()]
+    return "".join(["{\n", *fields, f' "{key}": ', value, "\n}\n"]).encode("utf-8")
 
 
-def serialize_tau(tau: TauExpansion) -> bytes:
+def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
     """Canonical byte serialization; a fixpoint of parse-then-serialize.
     The bytes are those of json.dumps(indent=1) on the document of
-    poly_to_obj pieces, plus a newline."""
+    poly_to_obj pieces, plus a newline.  A piece that is the one cache stored
+    last for its degree takes its text out of cache.kept: rendered once."""
+    kept = cache.kept if cache is not None else {}
+
+    def text(j: int, piece: TPolynomial) -> str:
+        stored = kept.pop((tau.r, j), None)
+        return stored[1].replace("\n", "\n ") if stored and stored[0] is piece else _poly_json(piece, "  ")
+
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
-    return _document({**head, "pieces": _json_block([_poly_json(p, "  ") for p in tau.pieces], " ")})
+    return _document(head, "pieces", _json_block((text(j, p) for j, p in enumerate(tau.pieces)), " "))
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
@@ -253,13 +265,15 @@ class TauCache:
     (r, degree).  Each entry records the W-mode construction that built it
     (walgebra.MODE_CONSTRUCTION).  Corrupt or version-mismatched entries,
     and entries of another or no recorded construction, raise CacheError;
-    they are never silently recomputed or reused."""
+    they are never silently recomputed or reused.  Stored pieces and their
+    texts wait in kept for serialize_tau."""
 
     def __init__(self, directory):
         from pathlib import Path
 
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.kept: dict = {}  # (r, degree) -> (piece, text)
 
     def path(self, r: int, degree: int):
         return self.directory / f"r{r}_deg{degree}.json"
@@ -281,8 +295,10 @@ class TauCache:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None:
+        text = _poly_json(piece, " ")
+        self.kept[(r, degree)] = (piece, text)
         head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}
-        data = _document({**head, "piece": _poly_json(piece, " ")})
+        data = _document(head, "piece", text)
         # Write a temporary file beside the entry, then rename it into place,
         # so an interrupted store leaves the previous entry (or none) intact.
         path = self.path(r, degree)

@@ -300,18 +300,17 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     """Measure [A_i, A_j] on tau's pieces; diagnostic, never gating.
 
     Instances are all (i < j, base degree d) with d + i + j <= tau.max_degree.
-    If the budget admits none (and r > 2), the minimal instances on the
-    constant piece are measured instead so the diagnostic always reports
+    If the budget admits none (and r > 2), [A_1, A_2] on the constant piece,
+    the cheapest instance, is measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
     from each base graded and packed once by tpoly.pack_piece, as the
     constraint pass reads it (ContractError).
     """
     r, degree = tau.r, tau.max_degree
-    pairs = [(i, j) for i in range(1, r) for j in range(i + 1, r)]
-    instances = [(i, j, d) for i, j in pairs for d in range(degree - i - j + 1)]
+    instances = [(i, j, d) for i in range(1, r) for j in range(i + 1, r) for d in range(degree - i - j + 1)]
     fallback = not instances and r >= 3
     if fallback:
-        instances = [(i, j, 0) for i, j in pairs]
+        instances = [(1, 2, 0)]
     shift, fields = exponent_fields(r, max((d + i + j for i, j, d in instances), default=0) * (r + 1))
     residuals, bases = [], {}  # base degree -> kernel_rows of its piece
     for i, j, d in instances:

@@ -86,11 +86,11 @@ ordered.  The powers of -r*s/lam of c_k and of the inner mode combine to
 (-r*s/lam)^(-l) for every k, so a term carries the int -(k-1)! and the
 operator's denominator the r+1, and A_l moves the offset up by l.  A
 term whose annihilators weigh wa has creators weighing wa + l*(r+1).
-Each A_l is built once per layout, merged (_Raiser): terms of any k and m
-with the same annihilators and creators add into one integer over
-(r+1) * lcm_k den(r, k), and a call on a heavier input than any before
-adds just the blocks it newly reaches.  The tables are built on integers:
-a tuple of slots weighs an integer over r^(sum(orders) - len(orders)).
+Each A_l is built once per layout, in one pass (_Raiser): _packed_groups
+adds the unmerged _w_mode_rows of any k and m with equal annihilators and
+creators into one integer over (r+1) * lcm_k den(r, k), and a heavier call
+adds just the blocks it newly reaches.  A tuple of slots weighs an integer
+over r^(sum(orders) - len(orders)), or a multinomial count if all are order 1.
 """
 
 from __future__ import annotations
@@ -106,11 +106,10 @@ from .errors import InvalidSpecError
 # another construction are refused rather than reused.
 MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 
-# Largest r whose correlators from these modes have been compared with an
-# independent Gelfand-Dickey (r-KdV) computation, exactly and at every genus
-# in range: r = 4, 5, 6, 7, 8 through degree 4, 3, 3, 3, 3 and r = 9 .. 14
-# through degree 2; r = 2, 3 also match the published tables.
-ORACLE_CHECKED_R = 14
+# Deepest degree, by r, to which correlators from these modes match an
+# independent Gelfand-Dickey (r-KdV) computation exactly at every genus (at
+# (6, 4) two genus-2 values do not); r = 2, 3 match the published tables.
+ORACLE_CHECKED_DEPTH = {4: 4, 5: 4, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
 
 Row = tuple[tuple[int, ...], tuple[int, ...], int]  # (creators, annihilators, numerator)
 
@@ -300,20 +299,27 @@ def _slot_weight(r: int, u: int, order: int) -> int:
     return prod((1 - r * t) if u == 0 else (-u - r - r * t) for t in range(order - 1))
 
 
+def _runs(labels: tuple[int, ...]) -> int:
+    """Product of the factorials of the counts of equal labels."""
+    return prod(factorial(labels.count(u)) for u in set(labels))
+
+
+@lru_cache(maxsize=None)
+def _partition_runs(w: int, p: int, r: int) -> tuple[int, ...]:
+    """_runs of each tuple of _partitions(w, p, r), in its order."""
+    return tuple(map(_runs, _partitions(w, p, r)))
+
+
 def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> int:
     """Sum over the distinct orderings of these labels (alpha_u, u < 0 a
     creator, 0 a constant), in any order, of the product of their slot
     weights, times r^(sum(orders) - len(orders)).  The orders are
     non-increasing: sorted, equal labels are runs, each derivative slot
     takes each distinct label in turn, and the order-1 slots left weigh 1
-    per ordering, a multinomial count of the runs."""
-    labels = sorted(labels)
+    per ordering, a multinomial count of the runs (_runs)."""
     if not orders or orders[0] == 1:
-        count, run = factorial(len(labels)), 1
-        for i in range(1, len(labels)):
-            run = run + 1 if labels[i] == labels[i - 1] else 1
-            count //= run
-        return count
+        return factorial(len(labels)) // _runs(labels)
+    labels = tuple(sorted(labels))
     total = 0
     for i, u in enumerate(labels):
         if not i or u != labels[i - 1]:
@@ -321,22 +327,31 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> i
     return total
 
 
+def _w_mode_rows(r: int, k: int, j: int, m: int, wa: int):
+    """W(k, j, m) without its (-r*s/lam)^j, annihilators weighing wa, as unmerged
+    (creators, annihilators, numerator) rows over the den of _twisted_current(r, k),
+    tuples from _partitions; creators weigh wa - r*m - j*(r+1).  Order-1 slots only
+    weigh len(orders)! / (j! R(annihilators) R(creators)), R by _partition_runs."""
+    wc = wa - r * m - j * (r + 1)
+    for orders, scale in _twisted_current(r, k)[1]:
+        plain = not orders or orders[0] == 1
+        for p in range(len(orders) - j + 1):  # number of annihilators
+            anns, q = _partitions(wa, p, r), len(orders) - j - p
+            for cre, runs in zip(_partitions(wc, q, r), _partition_runs(wc, q, r)) if anns else ():
+                if plain:
+                    count = factorial(len(orders)) // factorial(j) // runs
+                    yield from ((cre, ann, scale * (count // n)) for ann, n in zip(anns, _partition_runs(wa, p, r)))
+                else:
+                    labels = (0,) * j + tuple(-n for n in cre)
+                    yield from ((cre, ann, scale * _tuple_weight(r, ann + labels, orders)) for ann in anns)
+
+
 @lru_cache(maxsize=None)
 def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[Row, ...]:
-    """The terms of W(k, j, m) whose annihilators weigh wa in total, without
-    the (-r*s/lam)^j that multiplies all of them, as (creators,
-    annihilators, numerator) rows over the denominator of
-    _twisted_current(r, k), each index tuple non-increasing and shared with
-    the _partitions cache; their creators then weigh wa - r*m - j*(r+1)."""
-    wc = wa - r * m - j * (r + 1)
+    """_w_mode_rows merged: rows of equal creators and annihilators added, zeros dropped."""
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for orders, scale in _twisted_current(r, k)[1]:
-        for p in range(len(orders) - j + 1):  # number of annihilators
-            anns = _partitions(wa, p, r)
-            for cre in _partitions(wc, len(orders) - j - p, r) if anns else ():
-                labels = (0,) * j + tuple(-n for n in cre)
-                for ann in anns:
-                    acc[cre, ann] = acc.get((cre, ann), 0) + scale * _tuple_weight(r, ann + labels, orders)
+    for cre, ann, x in _w_mode_rows(r, k, j, m, wa):
+        acc[cre, ann] = acc.get((cre, ann), 0) + x
     return tuple((cre, ann, c) for (cre, ann), c in acc.items() if c)
 
 
@@ -359,11 +374,11 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
 
 class _Raiser:
     """A_l over one layout, without its (-r*s/lam)^(-l): the kernel operator
-    of its terms whose annihilators weigh at most top, over den; read
-    counts the block rows added into it."""
+    of its terms whose annihilators weigh at most top, over den; blocks
+    counts the _w_mode_rows blocks it read, each once, and read their rows."""
 
     def __init__(self, r: int, l: int, shift: dict[int, int]):
-        self.r, self.l, self.shift, self.top, self.read = r, l, shift, -1, 0
+        self.r, self.l, self.shift, self.top, self.read, self.blocks = r, l, shift, -1, 0, 0
         self.den = (r + 1) * lcm(*(_twisted_current(r, k)[0] for k in range(l + 1, r + 1)))
         self.op: tuple[dict, set] = ({}, set())
 
@@ -389,9 +404,9 @@ class _Raiser:
                 n, inner = r * m + k - 1, m - k + 1
                 tag, scale = 1 << self.shift[n], factor * n
                 for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):
-                    block = _w_mode_terms(r, k, j, inner, wa)
-                    self.read += len(block)
-                    for cre, ann, x in block:
+                    self.blocks += 1
+                    for cre, ann, x in _w_mode_rows(r, k, j, inner, wa):
+                        self.read += 1
                         yield ann, cre, tag, scale * x
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: all four commands, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -7,7 +8,8 @@ import re
 import pytest
 
 from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
-from rspin.cli import main
+from rspin.cli import _warn_unchecked, main
+from rspin.walgebra import ORACLE_CHECKED_DEPTH
 
 from helpers import qs, tau1_r3
 
@@ -175,8 +177,9 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
     ],
 )
 def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
-    # -v reports the phase milliseconds, the mode-table caches and the
-    # raisers A_1, A_2 of the solve on stderr; the data on stdout keeps its
+    # -v reports the phase milliseconds, the partitions cache and the
+    # raisers A_1, A_2 of the solve, with the mode blocks they enumerated,
+    # on stderr; the data on stdout keeps its
     # bytes.  commutator reports its nonzero residuals and verify its check
     # lines on stderr whatever the verbosity, and -v adds the timings before
     # them (verify's check lines gain their own milliseconds) and the tables
@@ -189,16 +192,16 @@ def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     assert verbose.out == plain.out and bool(plain.err) == (argv[0] in ("commutator", "verify"))
     lines = verbose.err.splitlines()
     notes = plain.err.splitlines()
-    checks = lines[len(labels): len(lines) - 4]
+    checks = lines[len(labels): len(lines) - 3]
     if argv[0] == "verify":
         assert notes and all(re.fullmatch(r".+ \(\d+\.\d ms\)", line) for line in checks)
         checks = [line.rsplit(" (", 1)[0] for line in checks]
     assert checks == notes
-    del lines[len(labels): len(lines) - 4]
-    assert [line.split(":")[0] for line in lines] == labels + ["_w_mode_terms", "_partitions", "A_1", "A_2"]
+    del lines[len(labels): len(lines) - 3]
+    assert [line.split(":")[0] for line in lines] == labels + ["_partitions", "A_1", "A_2"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])
-    assert all(re.fullmatch(r"\w+: \d+ hits, \d+ misses", line) for line in lines[len(labels): -2])
-    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ before merging", line) for line in lines[-2:])
+    assert re.fullmatch(r"_partitions: \d+ hits, \d+ misses", lines[-3])
+    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ rows of \d+ blocks before merging", line) for line in lines[-2:])
 
 
 def test_verify_subset_of_checks(tmp_path):
@@ -314,6 +317,18 @@ def test_unchecked_r_warns_without_changing_data(tmp_path, capsys, command):
     checked = tmp_path / "b.out"
     assert main([command, "--r", "14", "--degree", "1", "--out", str(checked), "-q"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("r", [2, 3, *ORACLE_CHECKED_DEPTH, 15, 20])
+def test_warning_follows_the_oracle_depth_of_each_r(capsys, r):
+    # warned on stderr past the depth the r-KdV oracle covers for this r,
+    # at every degree for r >= 15, never for r = 2, 3 (the published
+    # tables); at (6, 4) two genus-2 values disagree with the oracle
+    checked = ORACLE_CHECKED_DEPTH.get(r, 0 if r > 3 else 10)
+    for degree in (checked, checked + 1):
+        _warn_unchecked(argparse.Namespace(r=r, degree=degree))
+        warned = f"WARNING: genus >= 1 values for r={r} are unverified at degree {degree}"
+        assert (warned in capsys.readouterr().err) == (degree > checked and r > 3)
 
 
 def test_cache_without_mode_tag_exits_2(tmp_path, capsys):

@@ -92,6 +92,29 @@ def test_cache_entries_match_json_dumps(tmp_path):
         assert cache.load(4, degree) == pieces[degree]
 
 
+def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
+    # the cache entry's text of a computed piece is reused in the document,
+    # so each piece is rendered once; warm, the loaded pieces are rendered
+    # for the document alone, and every byte is json.dumps' in both runs
+    from rspin import serialize
+    from rspin.cli import main
+
+    rendered, render = [], serialize._poly_json
+
+    def counting(poly, pad):
+        rendered.append(id(poly))
+        return render(poly, pad)
+
+    monkeypatch.setattr(serialize, "_poly_json", counting)
+    expected = _dumped_tau(compute_tau(4, 5))
+    for run in ("cold", "warm"):
+        rendered.clear()
+        out = tmp_path / f"{run}.json"
+        assert main(["compute", "--r", "4", "--degree", "5", "--cache-dir", str(tmp_path / "c"), "--out", str(out)]) == 0
+        assert len(rendered) == len(set(rendered)) == 6
+        assert out.read_bytes() == expected
+
+
 def test_document_shape_for_trivial_run():
     doc = json.loads(serialize_tau(compute_tau(3, 0)))
     assert doc["format_version"] == 1

@@ -386,7 +386,12 @@ def test_commutator_fallback_minimal_instances_r4():
     report = check_commutators(compute_tau(4, 2))
     assert report.status == "diagnostic"
     assert report.details["fallback_minimal"] is True
-    assert report.details["instances"] == 3  # (1,2), (1,3), (2,3) on the constant
+    assert report.details["instances"] == 1  # [A_1, A_2] on the constant only
+    # the fallback stays one instance at large r, where every pair on the
+    # constant raised tau_0 to degree 2r-3 (r = 7 ran past 100 s)
+    report = check_commutators(compute_tau(7, 2))
+    assert report.details["instances"] == 1
+    assert [label for label, _ in report.residuals] == ["[A_1, A_2] on degree 0"]
 
 
 def test_exponential_agreement_reports():
@@ -399,11 +404,11 @@ def test_exponential_agreement_reports():
     assert [label for label, _ in high.residuals] == ["degree 3"]
 
 
-@pytest.mark.parametrize("r, degree", [(3, 5), (4, 4), (5, 3), (4, 2)])
+@pytest.mark.parametrize("r, degree", [(3, 5), (4, 4), (5, 3), (4, 2), (4, 5)])
 def test_packed_diagnostics_match_references(r, degree):
-    # (4, 2) is the fallback to the minimal instances on tau_0; the
-    # references run every raiser through apply_raising_operator and add
-    # TPolynomials
+    # (4, 2) is the fallback to [A_1, A_2] on tau_0, and (4, 5) reaches
+    # [A_2, A_3]; the references run every raiser through
+    # apply_raising_operator and add TPolynomials
     tau = compute_tau(r, degree)
     assert check_commutators(tau).residuals == reference_commutator(r, degree, tau)
     expected = reference_exponential(r, degree)

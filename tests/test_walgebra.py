@@ -10,15 +10,16 @@ import pytest
 from rspin import ContractError, InvalidSpecError, TMonomial, TPolynomial, compute_tau, mode_bound
 from rspin import check_commutators, compute_tau_exponential, walgebra
 from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
-from rspin.verify import w_constraint_residuals
+from rspin.verify import constraint_equations, w_constraint_residuals
 from rspin.walgebra import (
-    ORACLE_CHECKED_R,
+    ORACLE_CHECKED_DEPTH,
     _contraction,
     _falling,
     _generator,
     _partitions,
     _slot_weight,
     _tuple_weight,
+    _twisted_current,
     _w_mode_terms,
     raise_packed,
 )
@@ -354,7 +355,7 @@ def test_currents_and_contractions_match_closed_forms():
     # oracle's hand-reduced table and closed forms must agree with them
     for k, current in SHEET_CURRENTS.items():
         assert _generator(k) == current
-    for r in range(2, ORACLE_CHECKED_R + 2):
+    for r in range(2, max(ORACLE_CHECKED_DEPTH) + 2):
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             assert _contraction(r, i, j) == sheet_contraction(r, i, j)
 
@@ -518,29 +519,72 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
     assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4)) and parities == {0, 1}
 
 
+def _recording_rows(monkeypatch):
+    """Patch walgebra._w_mode_rows to record each (r, k, j, m, wa) block
+    enumerated, and return the list of them."""
+    seen, rows = [], walgebra._w_mode_rows
+
+    def recording(*block):
+        seen.append(block)
+        return rows(*block)
+
+    monkeypatch.setattr(walgebra, "_w_mode_rows", recording)
+    return seen
+
+
 def test_mode_tables_are_reused_across_degrees(monkeypatch):
     # each raiser grows by the blocks a heavier degree newly reaches, so a
-    # recursion run requests no block twice, and a second solve over the
-    # same layout reuses its raisers as they are and builds nothing
+    # recursion run enumerates no block twice, and a second solve over the
+    # same layout reuses its raisers as they are and enumerates nothing
     monkeypatch.setattr(walgebra, "_RAISERS", {})
-    _w_mode_terms.cache_clear()
+    seen = _recording_rows(monkeypatch)
     compute_tau(4, 5)
-    info = _w_mode_terms.cache_info()
-    assert info.hits == 0
-    assert info.misses == info.currsize > 0
+    assert seen and len(set(seen)) == len(seen)
+    count = len(seen)
     compute_tau(4, 5)
-    assert _w_mode_terms.cache_info() == info
+    assert len(seen) == count
 
 
 def test_diagnostics_reuse_the_solve_raisers(monkeypatch):
     # the exponential and the commutators raise over the solve's layout
-    # (one memoised object), so they request no block of their own
+    # (one memoised object), so they enumerate no block of their own
     monkeypatch.setattr(walgebra, "_RAISERS", {})
+    seen = _recording_rows(monkeypatch)
     tau = compute_tau(4, 6)
-    info = _w_mode_terms.cache_info()
+    count = len(seen)
     compute_tau_exponential(4, 6)
     check_commutators(tau)
-    assert _w_mode_terms.cache_info() == info
+    assert count and len(seen) == count
+
+
+def _tuple_weight_block(r, k, j, m, wa):
+    """The merged rows of W(k, j, m) at annihilator weight wa with every
+    orders weighed by _tuple_weight, order-1 slots included."""
+    acc = {}
+    for orders, scale in _twisted_current(r, k)[1]:
+        for p in range(len(orders) - j + 1):
+            for cre in _partitions(wa - r * m - j * (r + 1), len(orders) - j - p, r):
+                labels = (0,) * j + tuple(-n for n in cre)
+                for ann in _partitions(wa, p, r):
+                    acc[cre, ann] = acc.get((cre, ann), 0) + scale * _tuple_weight(r, ann + labels, orders)
+    return {key: x for key, x in acc.items() if x}
+
+
+@pytest.mark.parametrize("r, degree", [(2, 6), (3, 5), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3)])
+def test_multinomial_blocks_equal_tuple_weight_sums(monkeypatch, r, degree):
+    # every block a solve and a full constraint pass enumerate: order-1
+    # slots weighed by the multinomial count, merged, equal the sums of
+    # _tuple_weight over the distinct orderings
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
+    _w_mode_terms.cache_clear()
+    seen = _recording_rows(monkeypatch)
+    tau = compute_tau(r, degree)
+    w_constraint_residuals(tau, constraint_equations(r, degree))
+    _w_mode_terms.cache_clear()
+    assert len(set(seen)) > 20
+    for block in set(seen):
+        mine = {(cre, ann): x for cre, ann, x in _w_mode_terms(*block)}
+        assert mine == _tuple_weight_block(*block), block
 
 
 def test_raiser_grows_and_shrinks_exactly(monkeypatch):
