@@ -14,13 +14,7 @@ import time
 
 from .errors import RSpinError
 from .correlator import extract_correlators
-from .serialize import (
-    TauCache,
-    records_to_csv,
-    records_to_json,
-    reports_to_json,
-    serialize_tau,
-)
+from .serialize import TauCache, records_csv_chunks, records_json_chunks, reports_to_json, tau_chunks
 from .solver import _layout, compute_tau
 from .walgebra import ORACLE_CHECKED_DEPTH, _partitions, raisers_over
 from .verify import CHECKS, check_commutators, check_exponential_agreement, check_names, run_checks
@@ -31,7 +25,7 @@ CACHE_ENV = "RSPIN_CACHE_DIR"
 def _add_verbosity(parser: argparse.ArgumentParser, default) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("-q", "--quiet", action="store_true", default=default, help="suppress progress output")
-    group.add_argument("-v", "--verbose", action="store_true", default=default, help="report timings on stderr")
+    group.add_argument("-v", "--verbose", action="store_true", default=default, help="report timings and peak RSS on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,12 +84,13 @@ def _validate(args) -> None:
         raise RSpinError(f"--degree must be >= 0, got {args.degree}")
 
 
-def _write(args, data: bytes) -> None:
+def _write(args, chunks) -> None:
+    """Write a document's str chunks to --out (UTF-8) or stdout as they come."""
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.writelines(chunks)
 
 
 def _note(args, message: str) -> None:
@@ -146,7 +141,7 @@ def _run_compute(args) -> int:
     _warn_unchecked(args)
     cache = _cache(args)
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=cache))
-    _timed(args, "write", lambda: _write(args, serialize_tau(tau, cache)))
+    _timed(args, "write", lambda: _write(args, tau_chunks(tau, cache)))
     _note_tables(args)
     return 0
 
@@ -155,7 +150,7 @@ def _run_correlators(args) -> int:
     _warn_unchecked(args)
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
     records = _timed(args, "extract", lambda: extract_correlators(tau))
-    writer = records_to_csv if args.format == "csv" else records_to_json
+    writer = records_csv_chunks if args.format == "csv" else records_json_chunks
     _timed(args, "write", lambda: _write(args, writer(records)))
     _note_tables(args)
     return 0
@@ -173,7 +168,7 @@ def _run_verify(args) -> int:
         reports.append(rep)
         notes.append(f"{rep.check_name}: {rep.status}" + (f" ({ms:.1f} ms)" if args.verbose else ""))
         start = time.perf_counter()
-    _write(args, reports_to_json(reports))
+    _write(args, [reports_to_json(reports).decode("utf-8")])
     for note in notes:
         _note(args, note)
     _note_tables(args)
@@ -184,7 +179,7 @@ def _run_commutator(args) -> int:
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
     commutator = _timed(args, "commutator", lambda: check_commutators(tau))
     agreement = _timed(args, "exponential", lambda: check_exponential_agreement(tau))
-    _write(args, reports_to_json([commutator, agreement]))
+    _write(args, [reports_to_json([commutator, agreement]).decode("utf-8")])
     if commutator.residuals:
         print(
             "WARNING: nonzero commutator residual detected; the degree raisers "
@@ -214,10 +209,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return args.run(args)
+        code = args.run(args)
     except (RSpinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.verbose:
+        import resource  # only here: -v alone pays its import
+
+        # ru_maxrss counts KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        print(f"peak RSS: {peak:.1f} MB", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

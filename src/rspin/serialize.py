@@ -9,8 +9,17 @@ relation of the quadratic generator.
 
 A tau document and a cache entry share one reader, and a stored piece is
 read in one pass that checks its JSON and grades it once by the package's
-one rule (tpoly.check_piece).  A piece is written at depth 0 and moved to
-its depth, once per run: serialize_tau reuses the text the cache wrote.
+one rule (tpoly.check_piece), dropping each term's parsed JSON as it goes.
+
+Each document has one writer, a generator of str chunks: tau_chunks,
+records_json_chunks and records_csv_chunks.  A chunk is whole terms or
+records, joined until it reaches _CHUNK (64 Ki) characters, so a caller
+that writes each chunk as it comes never holds the document whole.
+serialize_tau, records_to_json and records_to_csv are those chunks joined
+and encoded, so both ways give the same bytes.  A term is rendered from a
+template already moved to its depth, once per run: a cache entry is
+written in such chunks, and tau_chunks moves the very chunks the cache
+kept one level deeper.
 """
 
 from __future__ import annotations
@@ -22,14 +31,14 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from math import gcd
 
 from .correlator import CorrelatorRecord
 from .errors import CacheError, ContractError, ParseError
 from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import TMonomial, TPolynomial, check_piece
+from .tpoly import TMonomial, TPolynomial, check_piece, shared_pair
 from .verify import CheckReport
 from .walgebra import MODE_CONSTRUCTION
 
@@ -40,10 +49,13 @@ __all__ = [
     "TauCache",
     "parse_tau",
     "poly_to_obj",
+    "records_csv_chunks",
+    "records_json_chunks",
     "records_to_csv",
     "records_to_json",
     "reports_to_json",
     "serialize_tau",
+    "tau_chunks",
 ]
 
 
@@ -100,11 +112,14 @@ def _fields(obj, names: tuple[str, str], where: str) -> tuple:
 def _read_piece(r: int, j: int, obj, where: str) -> TPolynomial:
     """The stored tau_j at where, read in one pass: the JSON shape, the
     canonical fraction spelling, no monomial twice and no zero coefficient;
-    then check_piece grades it once.  Any fault is a ParseError."""
+    then check_piece grades it once.  Each item of obj is set to None once
+    its term is read, and each exponent pair is the shared_pair.  Any fault
+    is a ParseError."""
     if not isinstance(obj, list):
         raise ParseError("polynomial must be a list of terms", where)
     terms = {}
     for idx, item in enumerate(obj):
+        obj[idx] = None  # item is the last reference to the term's JSON
         loc = f"{where}[{idx}]"
         mono, coeff = _fields(item, ("monomial", "coeff"), loc)
         lam, pairs = _fields(mono, ("lambda", "t"), loc + ".monomial")
@@ -113,7 +128,7 @@ def _read_piece(r: int, j: int, obj, where: str) -> TPolynomial:
         ):
             raise ParseError("lambda must be an integer, t a list of [index, exponent] integers", loc + ".monomial")
         a, b = _fields(coeff, ("a", "b"), loc + ".coeff")
-        key = TMonomial(lam, tuple(map(tuple, pairs)))
+        key = TMonomial(lam, tuple(map(shared_pair, map(tuple, pairs))))
         value = QScalar(_frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b"))
         if key in terms or value.is_zero:
             raise ParseError("duplicate monomial" if key in terms else "stored coefficient must be nonzero", loc)
@@ -140,49 +155,87 @@ def _read_document(data: bytes | str) -> dict:
     return doc
 
 
-def _json_block(items, pad: str, brackets: str = "[]") -> str:
+_CHUNK = 1 << 16  # characters a writer's chunk reaches before it is yielded
+
+
+def _batched(chunks):
+    """The chunks joined into chunks of at least _CHUNK characters, the last
+    one maybe shorter."""
+    batch, length = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        length += len(chunk)
+        if length >= _CHUNK:
+            yield "".join(batch)
+            batch, length = [], 0
+    if batch:
+        yield "".join(batch)
+
+
+def _block_chunks(items, pad: str, brackets: str = "[]"):
     """A JSON list, or object of "key": value items, laid out as json.dumps(indent=1)
-    does: the items one level deeper, the closing bracket after pad; one join."""
-    parts = [f"{brackets[0]}\n{pad} ", *chain.from_iterable((item, f",\n{pad} ") for item in items)]
-    parts[-1] = f"\n{pad}{brackets[1]}"
-    return "".join(parts) if len(parts) > 1 else brackets
+    does: the items one level deeper, the closing bracket after pad.  Each item is
+    an iterable of str chunks, yielded in turn between the separators."""
+    lead, sep = f"{brackets[0]}\n{pad} ", f",\n{pad} "
+    for item in items:
+        yield lead
+        yield from item
+        lead = sep
+    yield f"\n{pad}{brackets[1]}" if lead is sep else brackets
+
+
+def _json_block(items, pad: str, brackets: str = "[]") -> str:
+    """_block_chunks of items each already written as one str, joined."""
+    return "".join(_block_chunks(zip(items), pad, brackets))
 
 
 @lru_cache(maxsize=None)
-def _term_template(count: int) -> str:
-    """The % template of a term at depth 0: lambda, count (index, exponent), a, b."""
+def _term_template(count: int, pad: str) -> str:
+    """The % template of a term moved to pad: lambda, count (index, exponent), a, b."""
     t = _json_block(["[\n     %d,\n     %d\n    ]"] * count, "   ")
-    return '{\n  "monomial": {\n   "lambda": %d,\n   "t": ' + t + '\n  },\n  "coeff": {\n   "a": "%s",\n   "b": "%s"\n  }\n }'
+    term = '{\n  "monomial": {\n   "lambda": %d,\n   "t": ' + t + '\n  },\n  "coeff": {\n   "a": "%s",\n   "b": "%s"\n  }\n }'
+    return term.replace("\n", "\n" + pad)
 
 
-def _poly_json(poly: TPolynomial, pad: str) -> str:
-    """_json_block of poly_to_obj(poly), from _term_template at depth 0 moved to
-    pad: ints and fraction strings need no escaping and hold no newline."""
+def _poly_json(poly: TPolynomial, pad: str):
+    """_block_chunks of poly_to_obj(poly) at pad, one chunk per term, each from its
+    _term_template: ints and fraction strings need no escaping and hold no newline."""
     terms = poly.canonical_terms()
-    items = (_term_template(len(m.exps)) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b) for m, c in terms)
-    return _json_block(items, "").replace("\n", "\n" + pad)
+    return _block_chunks(
+        ((_term_template(len(m.exps), pad) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b),) for m, c in terms),
+        pad,
+    )
 
 
-def _document(head: dict, key: str, value: str) -> bytes:
-    """json.dumps(indent=1) of the object of head's fields and then key, values
-    given already written, plus a final newline; value is copied once."""
-    fields = [f' "{name}": {text},\n' for name, text in head.items()]
-    return "".join(["{\n", *fields, f' "{key}": ', value, "\n}\n"]).encode("utf-8")
+def _document_chunks(head: dict, key: str, value):
+    """json.dumps(indent=1) of the object of head's fields and then key, plus a
+    final newline: head's values given already written, then value's chunks."""
+    yield "".join(["{\n", *(f' "{name}": {text},\n' for name, text in head.items()), f' "{key}": '])
+    yield from value
+    yield "\n}\n"
+
+
+def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
+    """The canonical tau document as str chunks: json.dumps(indent=1) on the
+    document of poly_to_obj pieces, plus a newline.  A piece that is the one
+    cache stored last for its degree takes its text out of cache.kept:
+    rendered once."""
+    kept = cache.kept if cache is not None else {}
+
+    def piece_chunks(j: int, piece: TPolynomial):
+        stored = kept.pop((tau.r, j), None)
+        if stored and stored[0] is piece:
+            return (part.replace("\n", "\n ") for part in stored[1])
+        return _poly_json(piece, "  ")
+
+    head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
+    pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.pieces)), " ")
+    return _batched(_document_chunks(head, "pieces", pieces))
 
 
 def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
-    """Canonical byte serialization; a fixpoint of parse-then-serialize.
-    The bytes are those of json.dumps(indent=1) on the document of
-    poly_to_obj pieces, plus a newline.  A piece that is the one cache stored
-    last for its degree takes its text out of cache.kept: rendered once."""
-    kept = cache.kept if cache is not None else {}
-
-    def text(j: int, piece: TPolynomial) -> str:
-        stored = kept.pop((tau.r, j), None)
-        return stored[1].replace("\n", "\n ") if stored and stored[0] is piece else _poly_json(piece, "  ")
-
-    head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
-    return _document(head, "pieces", _json_block((text(j, p) for j, p in enumerate(tau.pieces)), " "))
+    """tau_chunks joined: the canonical bytes, a fixpoint of parse-then-serialize."""
+    return "".join(tau_chunks(tau, cache)).encode("utf-8")
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
@@ -208,27 +261,42 @@ def parse_tau(data: bytes | str) -> TauExpansion:
 # -- correlators ---------------------------------------------------------
 
 
-def records_to_json(records: list[CorrelatorRecord]) -> bytes:
+def _record_json(rec: CorrelatorRecord) -> str:
+    """One record of records_json_chunks, at depth 0."""
+    insertions = _json_block([f"[\n    {ins.m},\n    {ins.a}\n   ]" for ins in rec.insertions], "  ")
+    return f'{{\n  "genus": {rec.genus},\n  "insertions": {insertions},\n  "value": "{rec.value}"\n }}'
+
+
+def records_json_chunks(records: list[CorrelatorRecord]):
     """json.dumps(indent=1) of [{"genus", "insertions": [[m, a], ...],
-    "value"}, ...] plus a newline, written directly as serialize_tau writes
-    its pieces."""
-    items = [
-        f'{{\n  "genus": {rec.genus},\n  "insertions": '
-        + _json_block([f"[\n    {ins.m},\n    {ins.a}\n   ]" for ins in rec.insertions], "  ")
-        + f',\n  "value": "{rec.value}"\n }}'
-        for rec in records
-    ]
-    return (_json_block(items, "") + "\n").encode("utf-8")
+    "value"}, ...] plus a newline, as str chunks, written directly as
+    tau_chunks writes its pieces."""
+    return _batched(chain(_block_chunks(zip(map(_record_json, records)), ""), ("\n",)))
 
 
-def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
+def records_to_json(records: list[CorrelatorRecord]) -> bytes:
+    """records_json_chunks joined."""
+    return "".join(records_json_chunks(records)).encode("utf-8")
+
+
+def records_csv_chunks(records: list[CorrelatorRecord]):
+    """The CSV table genus,insertions,value, one row per record with its
+    insertions as m:a joined by ";", as str chunks of whole rows."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["genus", "insertions", "value"])
     for rec in records:
-        joined = ";".join(f"{ins.m}:{ins.a}" for ins in rec.insertions)
-        writer.writerow([rec.genus, joined, str(rec.value)])
-    return buf.getvalue().encode("utf-8")
+        writer.writerow([rec.genus, ";".join(f"{ins.m}:{ins.a}" for ins in rec.insertions), str(rec.value)])
+        if buf.tell() >= _CHUNK:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
+
+
+def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
+    """records_csv_chunks joined."""
+    return "".join(records_csv_chunks(records)).encode("utf-8")
 
 
 # -- check reports --------------------------------------------------------
@@ -243,7 +311,7 @@ def reports_to_json(reports: list[CheckReport]) -> bytes:
     items = []
     for rep in reports:
         residuals = [
-            _json_block([f'"label": {dumps(label)}', '"poly": ' + _poly_json(poly, "    ")], "   ", "{}")
+            _json_block([f'"label": {dumps(label)}', '"poly": ' + "".join(_poly_json(poly, "    "))], "   ", "{}")
             for label, poly in rep.residuals
         ]
         details = [f"{dumps(key)}: " + dumps(v, indent=1).replace("\n", "\n   ") for key, v in rep.details.items()]
@@ -266,14 +334,14 @@ class TauCache:
     (walgebra.MODE_CONSTRUCTION).  Corrupt or version-mismatched entries,
     and entries of another or no recorded construction, raise CacheError;
     they are never silently recomputed or reused.  Stored pieces and their
-    texts wait in kept for serialize_tau."""
+    texts, as the chunks written, wait in kept for tau_chunks."""
 
     def __init__(self, directory):
         from pathlib import Path
 
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.kept: dict = {}  # (r, degree) -> (piece, text)
+        self.kept: dict = {}  # (r, degree) -> (piece, chunks of its text)
 
     def path(self, r: int, degree: int):
         return self.directory / f"r{r}_deg{degree}.json"
@@ -295,16 +363,16 @@ class TauCache:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None:
-        text = _poly_json(piece, " ")
-        self.kept[(r, degree)] = (piece, text)
+        chunks = list(_batched(_poly_json(piece, " ")))
+        self.kept[(r, degree)] = (piece, chunks)
         head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}
-        data = _document(head, "piece", text)
         # Write a temporary file beside the entry, then rename it into place,
         # so an interrupted store leaves the previous entry (or none) intact.
         path = self.path(r, degree)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_bytes(data)
+            with tmp.open("w", encoding="utf-8", newline="") as handle:
+                handle.writelines(_document_chunks(head, "piece", chunks))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

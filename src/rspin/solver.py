@@ -21,7 +21,10 @@ from __future__ import annotations
 from typing import NamedTuple, Protocol
 
 from .errors import ContractError
-from .tpoly import Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpacked
+from .tpoly import (
+    Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpack_exponents,
+    unpacked,
+)
 from .walgebra import raise_packed
 
 __all__ = [
@@ -104,9 +107,15 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
             for i in range(max(0, j - r + 1), j):
                 if i not in rows:  # tau_0, or a cached piece
                     rows[i] = kernel_rows(pack_piece(r, i, pieces[i], shift), fields)
-            outs = [raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)]
-            den, kernel = rows[j] = kernel_rows(summed(outs, j), fields)
-            piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, ((e, num) for _, e, num in kernel))))
+            packed = summed([raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)], j)
+            rows.pop(j - r + 1, None)  # raised for the last time
+            if j == max_degree:  # no raiser reads the top degree's rows
+                den, items = packed[1], ((unpack_exponents(key, fields), num) for key, num in packed[0].items())
+            else:
+                den, kernel = rows[j] = kernel_rows(packed, fields)
+                items = ((e, num) for _, e, num in kernel)
+            piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, items)))
+            del packed, items  # not alive through the next degree's raise
             check_piece(r, j, piece)
             if cache is not None:
                 cache.store(r, j, piece)

@@ -100,14 +100,25 @@ def exponent_fields(r: int, weight: int) -> tuple[dict[int, int], list[tuple[int
     return shift, fields
 
 
+# One tuple per distinct (index, exponent) for the whole process: a piece of
+# tau holds a few hundred distinct pairs among hundreds of thousands of uses.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def shared_pair(pair: tuple[int, int]) -> tuple[int, int]:
+    """The process's one tuple equal to this (index, exponent) pair."""
+    return _PAIRS.setdefault(pair, pair)
+
+
 def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
-    """The ascending (index, exponent) pairs of a packed key."""
-    exps = []
+    """The ascending (index, exponent) pairs of a packed key, each the shared_pair."""
+    exps, pairs = [], _PAIRS
     for n, width, mask in fields:
         if not key:
             break
         if key & mask:
-            exps.append((n, key & mask))
+            pair = n, key & mask
+            exps.append(pairs.setdefault(pair, pair))
         key >>= width
     return tuple(exps)
 

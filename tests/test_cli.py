@@ -22,6 +22,33 @@ def test_compute_writes_canonical_file(tmp_path):
     assert out.read_bytes() == serialize_tau(compute_tau(3, 2))
 
 
+@pytest.mark.parametrize("r, degree", [(2, 8), (3, 6), (4, 5), (5, 4), (6, 3)])
+def test_streamed_output_equals_the_bytes_api(tmp_path, capsys, r, degree):
+    # the CLI writes compute's and correlators' documents chunk by chunk as
+    # they are rendered; to --out or stdout, cold or warm, the bytes are
+    # those serialize_tau, records_to_json and records_to_csv return whole
+    from rspin.serialize import records_to_csv, records_to_json
+
+    tau = compute_tau(r, degree)
+    records = extract_correlators(tau)
+    args = ["--r", str(r), "--degree", str(degree)]
+
+    def run(argv, dest):
+        if dest == "stdout":
+            assert main(argv) == 0
+            return capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / dest
+        assert main(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for dest in ("out", "stdout"):
+        cache = ["--cache-dir", str(tmp_path / f"cache-{dest}")]
+        assert run(["compute", *args, *cache], dest) == serialize_tau(tau)  # cold: every piece computed
+        assert run(["compute", *args, *cache], dest) == serialize_tau(tau)  # warm: every piece loaded
+        assert run(["correlators", *args], dest) == records_to_json(records)
+        assert run(["correlators", *args, "--format", "csv"], dest) == records_to_csv(records)
+
+
 def test_compute_to_stdout(capsys):
     assert main(["compute", "--r", "3", "--degree", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -179,7 +206,7 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
 def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     # -v reports the phase milliseconds, the partitions cache and the
     # raisers A_1, A_2 of the solve, with the mode blocks they enumerated,
-    # on stderr; the data on stdout keeps its
+    # and last the process's peak RSS, on stderr; the data on stdout keeps its
     # bytes.  commutator reports its nonzero residuals and verify its check
     # lines on stderr whatever the verbosity, and -v adds the timings before
     # them (verify's check lines gain their own milliseconds) and the tables
@@ -192,16 +219,17 @@ def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     assert verbose.out == plain.out and bool(plain.err) == (argv[0] in ("commutator", "verify"))
     lines = verbose.err.splitlines()
     notes = plain.err.splitlines()
-    checks = lines[len(labels): len(lines) - 3]
+    checks = lines[len(labels): len(lines) - 4]
     if argv[0] == "verify":
         assert notes and all(re.fullmatch(r".+ \(\d+\.\d ms\)", line) for line in checks)
         checks = [line.rsplit(" (", 1)[0] for line in checks]
     assert checks == notes
-    del lines[len(labels): len(lines) - 3]
-    assert [line.split(":")[0] for line in lines] == labels + ["_partitions", "A_1", "A_2"]
+    del lines[len(labels): len(lines) - 4]
+    assert [line.split(":")[0] for line in lines] == labels + ["_partitions", "A_1", "A_2", "peak RSS"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])
-    assert re.fullmatch(r"_partitions: \d+ hits, \d+ misses", lines[-3])
-    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ rows of \d+ blocks before merging", line) for line in lines[-2:])
+    assert re.fullmatch(r"_partitions: \d+ hits, \d+ misses", lines[-4])
+    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ rows of \d+ blocks before merging", line) for line in lines[-3:-1])
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[-1])
 
 
 def test_verify_subset_of_checks(tmp_path):

@@ -1,5 +1,6 @@
 """Canonical serialization, parsing with validation, and export formats."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -113,6 +114,47 @@ def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
         assert main(["compute", "--r", "4", "--degree", "5", "--cache-dir", str(tmp_path / "c"), "--out", str(out)]) == 0
         assert len(rendered) == len(set(rendered)) == 6
         assert out.read_bytes() == expected
+
+
+def test_exponent_pairs_are_shared_and_parsed_json_is_dropped(tmp_path):
+    # a computed, a parsed and a cache-loaded piece hold one tuple per
+    # distinct (index, exponent) pair, and reading a piece lets go of each
+    # term's parsed JSON as soon as the term is read
+    from rspin.serialize import _read_piece
+
+    cache = TauCache(tmp_path)
+    computed = compute_tau(4, 5, cache=cache)
+    loaded = compute_tau(4, 5, cache=cache)
+    assert all(a is not b for a, b in zip(computed.pieces[1:], loaded.pieces[1:]))
+    parsed = parse_tau(serialize_tau(computed))
+    pairs = [pair for tau in (computed, loaded, parsed) for p in tau.pieces for mono in p.terms for pair in mono.exps]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs) // 10
+    obj = poly_to_obj(computed.pieces[5])
+    assert _read_piece(4, 5, obj, "piece") == computed.pieces[5]
+    assert obj == [None] * len(computed.pieces[5])
+
+
+def test_writing_a_tau_document_never_holds_it_whole(tmp_path):
+    # the CLI writes the chunks of tau_chunks as they come: writing the
+    # (3, 10) document, about 1.6 MB, peaks below half its length.  A
+    # whole-document join alone reaches the length, and so nearly does one
+    # chunk per piece, the top piece being half the document
+    import tracemalloc
+    from rspin.cli import _write
+    from rspin.serialize import tau_chunks
+
+    tau = compute_tau(3, 10)
+    length = len(serialize_tau(tau))
+    out = tmp_path / "tau.json"
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _write(argparse.Namespace(out=str(out)), tau_chunks(tau))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == length
+    assert peak < length / 2
 
 
 def test_document_shape_for_trivial_run():

@@ -1,7 +1,6 @@
 """Graded recursion solver: fixtures, determinism, cache, exponential path."""
 
 import json
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ from rspin import (
     compute_tau_exponential,
     serialize_tau,
 )
-from rspin import walgebra
+from rspin import serialize, walgebra
 from rspin.walgebra import MODE_CONSTRUCTION
 
 from helpers import (
@@ -262,12 +261,14 @@ def test_failed_store_keeps_previous_entry(tmp_path, monkeypatch):
     before = sorted(p.name for p in tmp_path.iterdir())
     entry = cache.path(3, 1).read_bytes()
 
-    def torn_write(path, data):
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
+    def torn_write(head, key, value, written=serialize._document_chunks):
+        # the entry's head and the start of its piece reach the file, then the disk fills
+        chunks = written(head, key, value)
+        yield next(chunks)
+        yield next(chunks)
         raise OSError("disk full")
 
-    monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+    monkeypatch.setattr(serialize, "_document_chunks", torn_write)
     with pytest.raises(OSError, match="disk full"):
         cache.store(3, 1, piece.scaled(2))
     monkeypatch.undo()

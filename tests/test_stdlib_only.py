@@ -30,8 +30,9 @@ def test_engine_imports_only_the_standard_library():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # both cost every process start time and memory; the value types are
-    # NamedTuples and plain classes
-    probe = "import sys, rspin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # NamedTuples and plain classes.  resource is imported only under -v,
+    # to report the peak RSS
+    probe = "import sys, rspin.cli; print(sorted({'dataclasses', 'inspect', 'resource'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
