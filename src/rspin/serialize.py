@@ -7,9 +7,13 @@ fraction strings with the sign on the numerator, and only that spelling is
 read back; the s-legend field in tau documents records the defining
 relation of the quadratic generator.
 
-A tau document and a cache entry share one reader, and a stored piece is
-read in one pass that checks its JSON and grades it once by the package's
-one rule (tpoly.check_piece), dropping each term's parsed JSON as it goes.
+A tau document and a cache entry share one reader, which decodes the text
+one value at a time (JSONDecoder.raw_decode): the header fields, then each
+term of the piece list, checked before the next is decoded; each piece is
+then graded once by the package's one rule (tpoly.check_piece).  So the
+header comes first, the piece list ("piece" or "pieces") is the last field,
+no field appears twice, and only whitespace follows the object, as both
+writers write them.
 
 Each document has one writer, a generator of str chunks: tau_chunks,
 records_json_chunks and records_csv_chunks.  A chunk is whole terms or
@@ -31,7 +35,7 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import chain, count, starmap
 from math import gcd
 
 from .correlator import CorrelatorRecord
@@ -104,31 +108,116 @@ def poly_to_obj(poly: TPolynomial) -> list:
 
 def _fields(obj, names: tuple[str, str], where: str) -> tuple:
     """The two values of a JSON object with exactly these fields."""
-    if not isinstance(obj, dict) or obj.keys() != set(names):
-        raise ParseError(f'expected an object with fields "{names[0]}" and "{names[1]}"', where)
-    return obj[names[0]], obj[names[1]]
+    try:
+        if len(obj) == 2:
+            return obj[names[0]], obj[names[1]]
+    except (TypeError, KeyError):  # not an object, or other fields
+        pass
+    raise ParseError(f'expected an object with fields "{names[0]}" and "{names[1]}"', where)
 
 
-def _read_piece(r: int, j: int, obj, where: str) -> TPolynomial:
-    """The stored tau_j at where, read in one pass: the JSON shape, the
-    canonical fraction spelling, no monomial twice and no zero coefficient;
-    then check_piece grades it once.  Each item of obj is set to None once
-    its term is read, and each exponent pair is the shared_pair.  Any fault
-    is a ParseError."""
-    if not isinstance(obj, list):
+_decode = json.JSONDecoder().raw_decode
+_space = json.decoder.WHITESPACE.match
+
+
+class _Reader:
+    """A JSON text decoded one value at a time, each past its whitespace."""
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, _space(text).end()
+
+    def fail(self, msg: str):
+        raise ParseError(f"invalid JSON: {json.JSONDecodeError(msg, self.text, self.pos)}")
+
+    def take(self, char: str) -> bool:
+        """Whether char comes next; if it does, the reader moves past it."""
+        found = self.text.startswith(char, self.pos)
+        if found:
+            self.pos = _space(self.text, self.pos + 1).end()
+        return found
+
+    def value(self):
+        try:
+            value, end = _decode(self.text, self.pos)
+        except (ValueError, RecursionError) as exc:  # also over-long integers
+            raise ParseError(f"invalid JSON: {exc}") from None
+        self.pos = _space(self.text, end).end()
+        return value
+
+    def items(self, close: str = "]"):
+        """Past an opening bracket: 0, 1, ... before each item, which the
+        caller reads, until close."""
+        if not self.take(close):
+            for idx in count():
+                yield idx
+                if not self.take(","):
+                    if not self.take(close):
+                        self.fail("Expecting ',' delimiter")
+                    return
+
+    def end(self, key: str = "") -> None:
+        """Past the value of key, which must be the last field, or past the
+        whole object: nothing but whitespace is left."""
+        if key and not self.take("}"):
+            if self.take(","):
+                raise ParseError(f'"{key}" must be the last field', key)
+            self.fail("Expecting ',' delimiter")
+        if self.pos != len(self.text):
+            self.fail("Extra data")
+
+
+def _open(data: bytes | str, key: str) -> tuple[_Reader, dict]:
+    """A reader at the value of key in a document's JSON object, and the
+    fields before it, which must hold this FORMAT_VERSION and no field twice.
+    Without key, the reader is at the end of the text."""
+    try:
+        reader = _Reader(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not reader.take("{"):
+        doc = reader.value()
+        reader.end()
+        raise ParseError(f"document must be a JSON object, not {type(doc).__name__}")
+    head = {}
+    for _ in reader.items("}"):
+        if not reader.text.startswith('"', reader.pos):
+            reader.fail("Expecting property name enclosed in double quotes")
+        name = reader.value()
+        if not reader.take(":"):
+            reader.fail("Expecting ':' delimiter")
+        if name == key:
+            break
+        if name in head:
+            raise ParseError(f'field "{name}" appears twice', name)
+        head[name] = reader.value()
+    else:
+        reader.end()
+    version = head.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    return reader, head
+
+
+def _read_piece(r: int, j: int, reader: _Reader, where: str) -> TPolynomial:
+    """The stored tau_j that comes next in reader, read one term at a time:
+    the JSON shape, the canonical fraction spelling, no monomial twice and
+    no zero coefficient; then check_piece grades it once.  Each exponent
+    pair is the shared_pair.  Any fault is a ParseError."""
+    if not reader.take("["):
         raise ParseError("polynomial must be a list of terms", where)
     terms = {}
-    for idx, item in enumerate(obj):
-        obj[idx] = None  # item is the last reference to the term's JSON
+    for idx in reader.items():
         loc = f"{where}[{idx}]"
-        mono, coeff = _fields(item, ("monomial", "coeff"), loc)
+        mono, coeff = _fields(reader.value(), ("monomial", "coeff"), loc)
         lam, pairs = _fields(mono, ("lambda", "t"), loc + ".monomial")
-        if not (_is_int(lam) and isinstance(pairs, list)) or not all(
-            isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]) and _is_int(pair[1]) for pair in pairs
+        if not (_is_int(lam) and type(pairs) is list) or not all(
+            [type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int for pair in pairs]
         ):
             raise ParseError("lambda must be an integer, t a list of [index, exponent] integers", loc + ".monomial")
         a, b = _fields(coeff, ("a", "b"), loc + ".coeff")
-        key = TMonomial(lam, tuple(map(shared_pair, map(tuple, pairs))))
+        key = TMonomial(lam, tuple([shared_pair(tuple(pair)) for pair in pairs]))
         value = QScalar(_frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b"))
         if key in terms or value.is_zero:
             raise ParseError("duplicate monomial" if key in terms else "stored coefficient must be nonzero", loc)
@@ -139,20 +228,6 @@ def _read_piece(r: int, j: int, obj, where: str) -> TPolynomial:
     except ContractError as exc:
         raise ParseError(str(exc), where) from None
     return piece
-
-
-def _read_document(data: bytes | str) -> dict:
-    """The JSON object of a document or cache entry, of this FORMAT_VERSION."""
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"document must be a JSON object, not {type(doc).__name__}")
-    version = doc.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    return doc
 
 
 _CHUNK = 1 << 16  # characters a writer's chunk reaches before it is yielded
@@ -239,18 +314,26 @@ def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
-    """Parse a tau document, every piece read by _read_piece, and check its
-    structure: one piece per degree, tau_0 = 1."""
-    doc = _read_document(data)
-    r, max_degree = doc.get("r"), doc.get("max_degree")
+    """Parse a tau document, every piece read by _read_piece as it comes, and
+    check its structure: one piece per degree, tau_0 = 1."""
+    reader, head = _open(data, "pieces")
+    r, max_degree = head.get("r"), head.get("max_degree")
     if not _is_int(r) or r < 2:
         raise ParseError(f"r must be an integer >= 2, got {r!r}", "r")
     if not _is_int(max_degree) or max_degree < 0:
         raise ParseError(f"max_degree must be a nonnegative integer, got {max_degree!r}", "max_degree")
-    pieces_obj = doc.get("pieces")
-    if not isinstance(pieces_obj, list) or len(pieces_obj) != max_degree + 1:
-        raise ParseError(f"pieces must be a list of {max_degree + 1} polynomials", "pieces")
-    tau = TauExpansion(r, max_degree, [_read_piece(r, j, p, f"pieces[{j}]") for j, p in enumerate(pieces_obj)])
+    wrong = ParseError(f"pieces must be a list of {max_degree + 1} polynomials", "pieces")
+    if not reader.take("["):
+        raise wrong
+    pieces = []
+    for j in reader.items():
+        if j > max_degree:  # refused before the extra piece is read
+            raise wrong
+        pieces.append(_read_piece(r, j, reader, f"pieces[{j}]"))
+    if len(pieces) <= max_degree:
+        raise wrong
+    reader.end("pieces")
+    tau = TauExpansion(r, max_degree, pieces)
     try:
         tau._check_structure()
     except ContractError as exc:
@@ -347,18 +430,21 @@ class TauCache:
         return self.directory / f"r{r}_deg{degree}.json"
 
     def load(self, r: int, degree: int) -> TPolynomial | None:
-        """The cached tau_degree, read by _read_piece, or None if none."""
+        """The cached tau_degree, read by _read_piece, or None if there is no
+        entry: the file is opened once, and an entry gone by then is a miss."""
         path = self.path(r, degree)
-        if not path.exists():
-            return None
         try:
-            doc = _read_document(path.read_text(encoding="utf-8"))
-            modes, label = doc.get("modes"), (doc.get("r"), doc.get("degree"))
+            reader, head = _open(path.read_text(encoding="utf-8"), "piece")
+            modes, label = head.get("modes"), (head.get("r"), head.get("degree"))
             if modes != MODE_CONSTRUCTION:
                 raise CacheError(f"cache entry {path}: W-mode construction {modes!r}, not {MODE_CONSTRUCTION!r}")
             if not all(_is_int(x) for x in label) or label != (r, degree):
-                raise CacheError(f"cache entry {path} labeled (r={doc.get('r')}, degree={doc.get('degree')})")
-            return _read_piece(r, degree, doc.get("piece"), "piece")
+                raise CacheError(f"cache entry {path} labeled (r={label[0]}, degree={label[1]})")
+            piece = _read_piece(r, degree, reader, "piece")
+            reader.end("piece")
+            return piece
+        except FileNotFoundError:
+            return None
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rspin import (
+    CacheError,
     CorrelatorRecord,
     FORMAT_VERSION,
     Insertion,
@@ -116,12 +117,9 @@ def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
         assert out.read_bytes() == expected
 
 
-def test_exponent_pairs_are_shared_and_parsed_json_is_dropped(tmp_path):
+def test_exponent_pairs_are_shared(tmp_path):
     # a computed, a parsed and a cache-loaded piece hold one tuple per
-    # distinct (index, exponent) pair, and reading a piece lets go of each
-    # term's parsed JSON as soon as the term is read
-    from rspin.serialize import _read_piece
-
+    # distinct (index, exponent) pair
     cache = TauCache(tmp_path)
     computed = compute_tau(4, 5, cache=cache)
     loaded = compute_tau(4, 5, cache=cache)
@@ -129,9 +127,6 @@ def test_exponent_pairs_are_shared_and_parsed_json_is_dropped(tmp_path):
     parsed = parse_tau(serialize_tau(computed))
     pairs = [pair for tau in (computed, loaded, parsed) for p in tau.pieces for mono in p.terms for pair in mono.exps]
     assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs) // 10
-    obj = poly_to_obj(computed.pieces[5])
-    assert _read_piece(4, 5, obj, "piece") == computed.pieces[5]
-    assert obj == [None] * len(computed.pieces[5])
 
 
 def test_writing_a_tau_document_never_holds_it_whole(tmp_path):
@@ -155,6 +150,154 @@ def test_writing_a_tau_document_never_holds_it_whole(tmp_path):
         tracemalloc.stop()
     assert out.stat().st_size == length
     assert peak < length / 2
+
+
+def _stored(kind, tmp_path):
+    """A stored (3, 2) object, the name of its piece list, a reader of its
+    text and what the reader must give: a tau document read by parse_tau,
+    or the degree-2 cache entry read by TauCache.load."""
+    tau = compute_tau(3, 2)
+    if kind == "document":
+        return json.loads(serialize_tau(tau)), "pieces", parse_tau, tau.pieces
+    cache = TauCache(tmp_path)
+    cache.store(3, 2, tau.pieces[2])
+    path = cache.path(3, 2)
+
+    def load(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        return cache.load(3, 2)
+
+    return json.loads(path.read_text(encoding="utf-8")), "piece", load, tau.pieces[2]
+
+
+@pytest.mark.parametrize("kind", ["document", "entry"])
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda doc: json.dumps(doc),
+        lambda doc: json.dumps(doc, separators=(",", ":")),
+        lambda doc: json.dumps(doc, indent="\t"),
+        lambda doc: json.dumps(doc, indent=1).replace("\n", "\r\n") + "\r\n",
+        lambda doc: "\n \t" + json.dumps(doc, indent=" \t") + "\t\n",
+    ],
+    ids=["one-line", "compact", "tabs", "crlf", "padded"],
+)
+def test_reader_takes_any_json_whitespace(kind, layout, tmp_path):
+    doc, _, read, expected = _stored(kind, tmp_path)
+    value = read(layout(doc))
+    assert (value.pieces if kind == "document" else value) == expected
+
+
+def _refused(read, text, message):
+    with pytest.raises((ParseError, CacheError)) as info:
+        read(text)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["document", "entry"])
+def test_reader_refuses_data_after_the_object(kind, tmp_path):
+    doc, _, read, _ = _stored(kind, tmp_path)
+    text = json.dumps(doc, indent=1)
+    for extra in ("x", "{}", "\n}", "\n0", "\n\u00a0"):
+        _refused(read, text + extra, "invalid JSON: Extra data")
+
+
+@pytest.mark.parametrize("kind", ["document", "entry"])
+def test_reader_refuses_a_repeated_field(kind, tmp_path):
+    doc, key, read, _ = _stored(kind, tmp_path)
+    text = json.dumps(doc)
+    # a header field, the second time before the piece list
+    _refused(read, text.replace('"r": 3', '"r": 3, "r": 3', 1), 'field "r" appears twice (at r)')
+    # a second piece list, after the first
+    pieces = json.dumps(doc[key])
+    _refused(read, text[:-1] + f', "{key}": {pieces}}}', f'"{key}" must be the last field (at {key})')
+
+
+@pytest.mark.parametrize("kind", ["document", "entry"])
+def test_reader_reads_the_header_before_the_piece_list(kind, tmp_path):
+    doc, key, read, _ = _stored(kind, tmp_path)
+    pieces, head = doc.pop(key), doc
+    # first, the header unread: its fields after the list are not read
+    _refused(read, json.dumps({key: pieces, **head}), "unsupported format_version None, expected 1")
+    # after the format version, before the rest of the header
+    version, rest = {"format_version": 1}, {k: v for k, v in head.items() if k != "format_version"}
+    missing = "r must be an integer >= 2, got None (at r)" if kind == "document" else "W-mode construction None"
+    _refused(read, json.dumps({**version, key: pieces, **rest}), missing)
+    # a field after the list, even one the header does not know
+    _refused(read, json.dumps({**head, key: pieces, "note": 1}), f'"{key}" must be the last field (at {key})')
+
+
+def test_reader_refuses_extra_pieces_before_reading_them(monkeypatch):
+    # a document of max_degree 1 with three pieces: the third is refused
+    # unread, so the syntax error in it is never reached
+    from rspin import serialize
+
+    doc = json.loads(serialize_tau(compute_tau(3, 2)))
+    doc["max_degree"] = 1
+    doc["pieces"][2] = "EXTRA"
+    text = json.dumps(doc, indent=1).replace('"EXTRA"', "[{broken")
+    read, calls = serialize._read_piece, []
+    monkeypatch.setattr(serialize, "_read_piece", lambda *args: calls.append(args[1]) or read(*args))
+    with pytest.raises(ParseError, match=r"^pieces must be a list of 2 polynomials \(at pieces\)$"):
+        parse_tau(text)
+    assert calls == [0, 1]
+    # and too few, or none at all
+    for pieces in (doc["pieces"][:1], [], {}, None):
+        with pytest.raises(ParseError, match=r"^pieces must be a list of 2 polynomials \(at pieces\)$"):
+            parse_tau(json.dumps({**doc, "pieces": pieces}))
+    del doc["pieces"]
+    with pytest.raises(ParseError, match=r"^pieces must be a list of 2 polynomials \(at pieces\)$"):
+        parse_tau(json.dumps(doc))
+
+
+def test_an_entry_gone_before_it_is_opened_is_a_miss(tmp_path, monkeypatch):
+    # the entry is removed as load opens it, as by a concurrent clean-up:
+    # load opens each entry once and takes its absence for a miss, so
+    # compute computes the piece again and stores it
+    import pathlib
+
+    cache = TauCache(tmp_path)
+    expected = compute_tau(3, 3, cache=cache)
+    gone, opened, real_open = cache.path(3, 2), [], pathlib.Path.open
+
+    def removing_open(path, mode="r", *args, **kwargs):
+        if path == gone and "r" in mode:
+            opened.append(path)
+            path.unlink(missing_ok=True)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", removing_open)
+    assert cache.load(3, 2) is None
+    assert opened == [gone] and not gone.exists()
+    stored, store = [], cache.store
+    monkeypatch.setattr(cache, "store", lambda r, j, piece: stored.append(j) or store(r, j, piece))
+    assert compute_tau(3, 3, cache=cache).pieces == expected.pieces
+    assert stored == [2] and gone.exists()
+
+
+def _load_peak(read):
+    """The tracemalloc peak of read(), in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_stored_piece_never_holds_it_parsed_whole(tmp_path):
+    # the reader decodes one term at a time: loading the (4, 6) degree-6
+    # entry, about 226 KB and 904 terms, peaks below 3x its byte size, the
+    # text and the finished piece included; a whole json.loads, about 1 KB
+    # per term, peaks above 5x.  Parsing the (4, 6) document likewise
+    cache = TauCache(tmp_path)
+    data = serialize_tau(compute_tau(4, 6, cache=cache))
+    size = cache.path(4, 6).stat().st_size
+    assert _load_peak(lambda: TauCache(tmp_path).load(4, 6)) < 3 * size
+    assert _load_peak(lambda: parse_tau(data)) < 3 * len(data)
 
 
 def test_document_shape_for_trivial_run():
