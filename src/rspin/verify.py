@@ -17,14 +17,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection, Iterator
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
 from .solver import TauExpansion, exponential_pieces, raise_step
 from .tpoly import TPolynomial, exponent_fields, kernel_rows, off_grade, pack_piece, summed, unpacked
-from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current
+from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents
 
 __all__ = [
     "CHECKS",
@@ -110,9 +109,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     shift, fields = exponent_fields(r, top_degree * (r + 1))
     top = sum(width for _, width, _ in fields)
     mask = (1 << top) - 1
-    dens = {k: _twisted_current(r, k)[0] for k in range(2, r + 1)}
-    den_w = lcm(*dens.values())  # the blocks of every k over one denominator
-    scale = {k: den_w // den for k, den in dens.items()}
+    mode_den = _twisted_currents(r)[0]  # of the rows of every block
     parts: dict[int, list] = {}  # equation index -> [(numerators, den)], one per piece read
     out = {}
     for j in range(top_degree + 1):
@@ -121,10 +118,10 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
             w = j * (r + 1)
             op = _packed_groups(
                 (
-                    (ann, cre, e << top, r ** (2 * l) * scale[k] * x)
+                    (ann, cre, e << top, r ** (2 * l) * x)
                     for e, k, l, m in reads[j]
-                    if w - r * m - l * (r + 1) >= 0
-                    for cre, ann, x in _mode_blocks(r, k, l, m, w)
+                    for block in _mode_blocks(r, k, l, m, -1, w)
+                    for cre, ann, x in block
                 ),
                 shift,
             )
@@ -134,7 +131,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
                 if x:
                     split.setdefault(key >> top, {})[key & mask] = x
             for e, part in split.items():
-                parts.setdefault(e, []).append((part, den * den_w))
+                parts.setdefault(e, []).append((part, den * mode_den))
         for e in finish.get(j, ()):
             k, m, d = equations[e]
             out[(k, m, d)] = unpacked(r, d - k + 1, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged

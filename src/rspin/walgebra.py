@@ -56,16 +56,17 @@ annihilator block heavier than a monomial kills it, so the terms up to the
 input's own maximal weight apply W(k, j, m) exactly, and no caller needs to
 say how far to truncate.
 
-The grading carries s and lam: a block of W(k, j, m) is a tuple of
-(creators, annihilators, numerator) rows over the one denominator of the
-spin-k current (_twisted_current), its index tuples non-increasing, the
-very tuples _partitions caches, and the caller of the kernel applies the
-one power of -r*s/lam of the whole operator.  A graded polynomial, as
-every tau piece is, has one offset lam + N over its monomials (N the
-variable count) and coefficients all in Q or all in Q*s.  An oscillator
-moves lam and N together, so a normal-ordered term keeps the offset, and
-W(k, j, m) maps a graded input to a graded output whose offset is j lower
-and whose s-parity flips j times (s^p goes to s^(p + 3j), as -r*s = s^3).
+The grading carries s and lam: a block of W(k, j, m) is its (creators,
+annihilators, numerator) rows of one annihilator weight, over the one
+denominator of all the currents of r (_twisted_currents), its index
+tuples non-increasing, the very tuples _partitions caches, and the caller
+of the kernel applies the one power of -r*s/lam of the whole operator.  A
+graded polynomial, as every tau piece is, has one offset lam + N over its
+monomials (N the variable count) and coefficients all in Q or all in Q*s.
+An oscillator moves lam and N together, so a normal-ordered term keeps the
+offset, and W(k, j, m) maps a graded input to a graded output whose offset
+is j lower and whose s-parity flips j times (s^p goes to s^(p + 3j), as
+-r*s = s^3).
 
 The kernel (_operator_loop) is packed in and packed out: an input
 monomial is one int key (tpoly.exponent_fields), its exponents and an
@@ -77,7 +78,9 @@ to add, with an int product into one accumulator.  Packing is tpoly's one
 rule, and the kernel is the package's one operator path: every raiser
 call is solver.raise_step on raise_packed, and verify packs each piece
 once for all its constraint modes, each creator key tagged with its
-equation above the layout's top bit.
+equation above the layout's top bit.  Both read the blocks of a mode the
+same way, unmerged, through _mode_blocks, which owns the range of
+annihilator weights a caller needs.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
@@ -88,9 +91,10 @@ operator's denominator the r+1, and A_l moves the offset up by l.  A
 term whose annihilators weigh wa has creators weighing wa + l*(r+1).
 Each A_l is built once per layout, in one pass (_Raiser): _packed_groups
 adds the unmerged _w_mode_rows of any k and m with equal annihilators and
-creators into one integer over (r+1) * lcm_k den(r, k), and a heavier call
-adds just the blocks it newly reaches.  A tuple of slots weighs an integer
-over r^(sum(orders) - len(orders)), or a multinomial count if all are order 1.
+creators into one integer over (r+1) times the currents' denominator, and
+a heavier call adds just the blocks it newly reaches.  A tuple of slots
+weighs an integer over r^(sum(orders) - len(orders)), or a multinomial
+count if all are order 1.
 """
 
 from __future__ import annotations
@@ -109,9 +113,7 @@ MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 # Deepest degree, by r, to which correlators from these modes match an
 # independent Gelfand-Dickey (r-KdV) computation exactly at every genus (at
 # (6, 4) two genus-2 values do not); r = 2, 3 match the published tables.
-ORACLE_CHECKED_DEPTH = {4: 4, 5: 4, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
-
-Row = tuple[tuple[int, ...], tuple[int, ...], int]  # (creators, annihilators, numerator)
+ORACLE_CHECKED_DEPTH = {4: 5, 5: 5, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
 
 
 def _divisors(
@@ -277,19 +279,21 @@ def _contracted(r: int, orders: tuple[int, ...]) -> dict[tuple[int, ...], Fracti
 
 
 @lru_cache(maxsize=None)
-def _twisted_current(r: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """The spin-k current on the twisted module as one denominator and the
-    twisted normally ordered sheet monomials (derivative orders, integer
-    numerator), constants included, each scaled by the r^(k - len(orders))
-    of W and its sheet sum and by the 1/r^(sum(orders) - len(orders)) of
-    _tuple_weight."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for orders, coeff in _generator(k).items():
-        for unpaired, w in _contracted(r, orders).items():
-            acc[unpaired] = acc.get(unpaired, 0) + coeff * w
-    terms = sorted(((o, c * Fraction(r**k, r ** sum(o))) for o, c in acc.items() if c), reverse=True)
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, tuple((o, c.numerator * (den // c.denominator)) for o, c in terms)
+def _twisted_currents(r: int) -> tuple[int, dict[int, tuple[tuple[tuple[int, ...], int], ...]]]:
+    """The spin-k currents of r, k = 2..r, on the twisted module over one
+    denominator: it and, by k, the twisted normally ordered sheet monomials
+    (derivative orders, integer numerator), constants included, each scaled
+    by the r^(k - len(orders)) of W and its sheet sum and by the
+    1/r^(sum(orders) - len(orders)) of _tuple_weight."""
+    currents = {}
+    for k in range(2, r + 1):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for orders, coeff in _generator(k).items():
+            for unpaired, w in _contracted(r, orders).items():
+                acc[unpaired] = acc.get(unpaired, 0) + coeff * w
+        currents[k] = sorted(((o, c * Fraction(r**k, r ** sum(o))) for o, c in acc.items() if c), reverse=True)
+    den = lcm(*(c.denominator for terms in currents.values() for _, c in terms))
+    return den, {k: tuple((o, c.numerator * (den // c.denominator)) for o, c in terms) for k, terms in currents.items()}
 
 
 @lru_cache(maxsize=None)
@@ -329,11 +333,11 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> i
 
 def _w_mode_rows(r: int, k: int, j: int, m: int, wa: int):
     """W(k, j, m) without its (-r*s/lam)^j, annihilators weighing wa, as unmerged
-    (creators, annihilators, numerator) rows over the den of _twisted_current(r, k),
+    (creators, annihilators, numerator) rows over the den of _twisted_currents(r),
     tuples from _partitions; creators weigh wa - r*m - j*(r+1).  Order-1 slots only
     weigh len(orders)! / (j! R(annihilators) R(creators)), R by _partition_runs."""
     wc = wa - r * m - j * (r + 1)
-    for orders, scale in _twisted_current(r, k)[1]:
+    for orders, scale in _twisted_currents(r)[1][k]:
         plain = not orders or orders[0] == 1
         for p in range(len(orders) - j + 1):  # number of annihilators
             anns, q = _partitions(wa, p, r), len(orders) - j - p
@@ -346,21 +350,13 @@ def _w_mode_rows(r: int, k: int, j: int, m: int, wa: int):
                     yield from ((cre, ann, scale * _tuple_weight(r, ann + labels, orders)) for ann in anns)
 
 
-@lru_cache(maxsize=None)
-def _w_mode_terms(r: int, k: int, j: int, m: int, wa: int) -> tuple[Row, ...]:
-    """_w_mode_rows merged: rows of equal creators and annihilators added, zeros dropped."""
-    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for cre, ann, x in _w_mode_rows(r, k, j, m, wa):
-        acc[cre, ann] = acc.get((cre, ann), 0) + x
-    return tuple((cre, ann, c) for (cre, ann), c in acc.items() if c)
-
-
-def _mode_blocks(r: int, k: int, j: int, m: int, top: int):
-    """The rows of W(k, j, m) whose annihilators weigh at most top: on
-    inputs of weight at most top, every other term acts as zero."""
-    net = r * m + j * (r + 1)
-    for wa in range(max(net, 0), top + 1):
-        yield from _w_mode_terms(r, k, j, m, wa)
+def _mode_blocks(r: int, k: int, j: int, m: int, low: int, top: int):
+    """The blocks of W(k, j, m) whose annihilators weigh more than low and at
+    most top, one _w_mode_rows generator per weight: a lighter block than
+    r*m + j*(r+1) has no creators, and a heavier one than top acts as zero
+    on inputs of weight at most top."""
+    for wa in range(max(r * m + j * (r + 1), low + 1), top + 1):
+        yield _w_mode_rows(r, k, j, m, wa)
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -379,7 +375,7 @@ class _Raiser:
 
     def __init__(self, r: int, l: int, shift: dict[int, int]):
         self.r, self.l, self.shift, self.top, self.read, self.blocks = r, l, shift, -1, 0, 0
-        self.den = (r + 1) * lcm(*(_twisted_current(r, k)[0] for k in range(l + 1, r + 1)))
+        self.den = (r + 1) * _twisted_currents(r)[0]
         self.op: tuple[dict, set] = ({}, set())
 
     def grow(self, top: int) -> None:
@@ -398,14 +394,13 @@ class _Raiser:
         r, l = self.r, self.l
         target = top // (r + 1) + l
         for k in range(l + 1, r + 1):
-            j = k - 1 - l
-            factor = -factorial(k - 1) * (self.den // (r + 1) // _twisted_current(r, k)[0])
+            j, factor = k - 1 - l, -factorial(k - 1)
             for m in range(mode_bound(r, k, target) + 1):
-                n, inner = r * m + k - 1, m - k + 1
+                n = r * m + k - 1
                 tag, scale = 1 << self.shift[n], factor * n
-                for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):
+                for block in _mode_blocks(r, k, j, m - k + 1, self.top, top):
                     self.blocks += 1
-                    for cre, ann, x in _w_mode_rows(r, k, j, inner, wa):
+                    for cre, ann, x in block:
                         self.read += 1
                         yield ann, cre, tag, scale * x
 

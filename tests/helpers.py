@@ -13,11 +13,11 @@ package runs every operator through one monomial-by-monomial kernel on
 packed pieces.  The polynomial-level adapters on that kernel
 (apply_operator_sum, apply_w_mode, apply_raising_operator) live here, as
 references the package's packed paths are tested against, with the
-NormalTerm view of the package's integer mode tables (mode_terms,
-mode_table), and so does log_tau, the polynomial view of the free energy
-that extraction reads packed.  Expected
-values frozen in the tests were computed with these oracles or
-transcribed from independently published tables.
+merged NormalTerm view of the package's integer mode tables (merged,
+mode_terms, mode_table), and so does log_tau, the polynomial view of the
+free energy that extraction reads packed.  Expected values frozen in the
+tests were computed with these oracles or transcribed from independently
+published tables.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau
 from rspin.correlator import _free_energy
 from rspin.serialize import poly_to_obj
 from rspin.tpoly import TMonomial, check_index, exponent_fields, graded_terms, kernel_rows, reduced, unpacked
-from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_current, raise_packed
+from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -90,12 +90,26 @@ class NormalTerm(NamedTuple):
     coeff: Fraction
 
 
+def merged(rows) -> dict:
+    """(creators, annihilators, numerator) rows of the package's mode
+    tables merged: {(creators, annihilators): numerator}, rows of equal
+    creators and annihilators added, zeros dropped."""
+    acc = {}
+    for cre, ann, x in rows:
+        acc[cre, ann] = acc.get((cre, ann), 0) + x
+    return {key: x for key, x in acc.items() if x}
+
+
 def mode_terms(r, k, j, m, top) -> tuple[NormalTerm, ...]:
     """The package's blocks of W(k, j, m) up to annihilator weight top, each
-    integer row over its current's denominator, its non-increasing index
-    tuples sorted, read as a NormalTerm."""
-    den = _twisted_current(r, k)[0]
-    return tuple(NormalTerm(cre[::-1], ann[::-1], Fraction(x, den)) for cre, ann, x in _mode_blocks(r, k, j, m, top))
+    merged, its integer rows over the currents' denominator and its
+    non-increasing index tuples sorted, read as NormalTerms."""
+    den = _twisted_currents(r)[0]
+    return tuple(
+        NormalTerm(cre[::-1], ann[::-1], Fraction(x, den))
+        for block in _mode_blocks(r, k, j, m, -1, top)
+        for (cre, ann), x in merged(block).items()
+    )
 
 
 def poly_mul(p, q, weight_cap=None) -> TPolynomial:

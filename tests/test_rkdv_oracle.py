@@ -1,8 +1,8 @@
 """Correlators against the independent Gelfand-Dickey (r-KdV) oracle.
 
 The oracle first reproduces the published r = 2 and r = 3 values, which
-pins its normalization; then every genus-0 and genus-1 correlator (and the
-few genus-2 ones in range) that the W-constraint recursion produces for
+pins its normalization; then every correlator (genus 0 to 3 in range)
+that the W-constraint recursion produces for
 r = 4 .. 14 must equal the oracle's value exactly, to the depths
 walgebra.ORACLE_CHECKED_DEPTH names.  At (6, 4) two genus-2 values do
 not, which a strict xfail pins.
@@ -48,7 +48,7 @@ def test_oracle_agrees_with_verified_tables(r, depth):
 
 @pytest.mark.parametrize(
     "r, depth",
-    [(4, 4), (5, 3), (5, 4), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2), (14, 2)],
+    [(4, 4), (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2), (14, 2)],
 )
 def test_spin_four_and_up_correlators_match_oracle(r, depth):
     records, bad = _mismatches(r, depth)

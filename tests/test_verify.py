@@ -19,7 +19,7 @@ from rspin import (
 from rspin import ContractError, InvalidSpecError, compute_tau_exponential, correlator, run_checks, solver, tpoly, verify, walgebra
 from rspin.tpoly import off_grade
 from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residuals
-from rspin.walgebra import _mode_blocks, _operator_loop
+from rspin.walgebra import _operator_loop
 
 from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
 
@@ -59,26 +59,32 @@ def test_w_constraints_detect_seeded_error():
 
 def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     # a mode that sends every monomial of a piece below weight 0 has no
-    # terms to apply; the check counts such equations as engaged but asks
-    # for no blocks of them, and makes one kernel call per nonzero piece
+    # terms to apply; the check counts such equations as engaged but reads
+    # no block of them, and makes one kernel call per nonzero piece.  Each
+    # block a piece reads has creators of weight at least 0 and
+    # annihilators no heavier than the piece, and none is read twice
     tau = compute_tau(3, 6)
-    calls, lowest = [], []
+    calls, blocks, rows = [], [], walgebra._w_mode_rows
 
-    def counting(groups, rows):
-        calls.append(len(rows))
-        return _operator_loop(groups, rows)
+    def counting(groups, kernel_rows):
+        calls.append(len(blocks))  # the operator is built before its call
+        return _operator_loop(groups, kernel_rows)
 
-    def recording(r, k, j, m, top):
-        lowest.append(top - r * m - j * (r + 1))
-        return _mode_blocks(r, k, j, m, top)
+    def recording(*block):
+        blocks.append(block)
+        return rows(*block)
 
     monkeypatch.setattr(verify, "_operator_loop", counting)
-    monkeypatch.setattr(verify, "_mode_blocks", recording)
+    monkeypatch.setattr(walgebra, "_w_mode_rows", recording)
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
     assert len(calls) == sum(not piece.is_zero for piece in tau.pieces) == 7
-    assert lowest and min(lowest) >= 0
+    for j, (start, end) in enumerate(zip([0, *calls], calls)):
+        read = blocks[start:end]
+        assert read and len(set(read)) == len(read), j
+        for r, k, l, m, wa in read:
+            assert wa - r * m - l * (r + 1) >= 0 and wa <= j * (r + 1), (j, k, l, m, wa)
 
 
 # the tamperings of _tampered off the grading -> the piece they change
@@ -105,7 +111,7 @@ def _tampered(r, D):
         yield name, tau
 
 
-@pytest.mark.parametrize("r, D", [(2, 6), (3, 6), (3, 8), (4, 5), (5, 4), (6, 3)])
+@pytest.mark.parametrize("r, D", [(2, 6), (3, 6), (3, 8), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3)])
 def test_constraint_pass_equals_mode_by_mode_reference(r, D):
     equations = constraint_equations(r, D)
     for name, tau in _tampered(r, D):

@@ -19,8 +19,7 @@ from rspin.walgebra import (
     _partitions,
     _slot_weight,
     _tuple_weight,
-    _twisted_current,
-    _w_mode_terms,
+    _twisted_currents,
     raise_packed,
 )
 
@@ -32,6 +31,7 @@ from helpers import (
     apply_raising_operator,
     apply_term,
     apply_w_mode,
+    merged,
     mode_table,
     mode_terms,
     ordered_apply_raiser,
@@ -561,7 +561,7 @@ def _tuple_weight_block(r, k, j, m, wa):
     """The merged rows of W(k, j, m) at annihilator weight wa with every
     orders weighed by _tuple_weight, order-1 slots included."""
     acc = {}
-    for orders, scale in _twisted_current(r, k)[1]:
+    for orders, scale in _twisted_currents(r)[1][k]:
         for p in range(len(orders) - j + 1):
             for cre in _partitions(wa - r * m - j * (r + 1), len(orders) - j - p, r):
                 labels = (0,) * j + tuple(-n for n in cre)
@@ -576,14 +576,12 @@ def test_multinomial_blocks_equal_tuple_weight_sums(monkeypatch, r, degree):
     # slots weighed by the multinomial count, merged, equal the sums of
     # _tuple_weight over the distinct orderings
     monkeypatch.setattr(walgebra, "_RAISERS", {})
-    _w_mode_terms.cache_clear()
     seen = _recording_rows(monkeypatch)
     tau = compute_tau(r, degree)
     w_constraint_residuals(tau, constraint_equations(r, degree))
-    _w_mode_terms.cache_clear()
     assert len(set(seen)) > 20
     for block in set(seen):
-        mine = {(cre, ann): x for cre, ann, x in _w_mode_terms(*block)}
+        mine = merged(walgebra._w_mode_rows(*block))
         assert mine == _tuple_weight_block(*block), block
 
 
