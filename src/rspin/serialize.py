@@ -28,8 +28,6 @@ kept one level deeper.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import re
@@ -37,16 +35,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, starmap
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .correlator import CorrelatorRecord
 from .errors import CacheError, ContractError, ParseError
 from .scalar import QScalar
 from .solver import TauExpansion
 from .tpoly import TMonomial, TPolynomial, check_piece, shared_pair
-from .verify import CheckReport
-from .walgebra import MODE_CONSTRUCTION
+
+if TYPE_CHECKING:
+    from .correlator import CorrelatorRecord
+    from .verify import CheckReport
 
 FORMAT_VERSION = 1
+
+# Tag of the mode construction (walgebra), stored with cached pieces:
+# pieces built by another construction are refused rather than reused.
+MODE_CONSTRUCTION = "twisted-w-gl-r/1"
 
 __all__ = [
     "FORMAT_VERSION",
@@ -365,6 +369,9 @@ def records_to_json(records: list[CorrelatorRecord]) -> bytes:
 def records_csv_chunks(records: list[CorrelatorRecord]):
     """The CSV table genus,insertions,value, one row per record with its
     insertions as m:a joined by ";", as str chunks of whole rows."""
+    import csv
+    import io
+
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["genus", "insertions", "value"])
@@ -414,7 +421,7 @@ def reports_to_json(reports: list[CheckReport]) -> bytes:
 class TauCache:
     """Directory-backed store of finished pieces, one JSON file per
     (r, degree).  Each entry records the W-mode construction that built it
-    (walgebra.MODE_CONSTRUCTION).  Corrupt or version-mismatched entries,
+    (MODE_CONSTRUCTION).  Corrupt or version-mismatched entries,
     and entries of another or no recorded construction, raise CacheError;
     they are never silently recomputed or reused.  Stored pieces and their
     texts, as the chunks written, wait in kept for tau_chunks."""

@@ -25,7 +25,6 @@ from .tpoly import (
     Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpack_exponents,
     unpacked,
 )
-from .walgebra import raise_packed
 
 __all__ = [
     "TauExpansion",
@@ -84,7 +83,10 @@ def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, in
 def raise_step(r: int, l: int, j: int, rows: tuple[int, list], shift: dict[int, int]) -> Packed:
     """A_l on the (den, kernel rows) of a degree j - l piece: the degree-j
     piece in the s^j convention, as A_l maps x * s^(j-l) to
-    x * r^(-2l) * s^j."""
+    x * r^(-2l) * s^j.  walgebra is imported here, so a solve served
+    wholly from the cache never loads it."""
+    from .walgebra import raise_packed
+
     den, kernel = rows
     nums, den_t = raise_packed(r, l, kernel, j, shift)
     return nums, den * den_t * r ** (2 * l)

@@ -106,15 +106,6 @@ from math import comb, factorial, lcm, prod
 
 from .errors import InvalidSpecError
 
-# Tag of the mode construction, stored with cached pieces: pieces built by
-# another construction are refused rather than reused.
-MODE_CONSTRUCTION = "twisted-w-gl-r/1"
-
-# Deepest degree, by r, to which correlators from these modes match an
-# independent Gelfand-Dickey (r-KdV) computation exactly at every genus (at
-# (6, 4) two genus-2 values do not); r = 2, 3 match the published tables.
-ORACLE_CHECKED_DEPTH = {4: 5, 5: 5, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
-
 
 def _divisors(
     exps: tuple[tuple[int, int], ...], prefixes: set[tuple[int, ...]]
@@ -209,7 +200,9 @@ def _falling(a: Fraction, n: int) -> Fraction:
 
 def _generator(k: int) -> dict[tuple[int, ...], Fraction]:
     """Spin-k current of one sheet modulo total derivatives, as
-    {derivative orders (non-increasing): coefficient}."""
+    {derivative orders (non-increasing): coefficient}.  A change to the
+    modes bumps serialize.MODE_CONSTRUCTION and re-measures
+    cli.ORACLE_CHECKED_DEPTH."""
     todo: dict[tuple[int, ...], Fraction] = {}
     for count in range(1, k + 1):
         for orders in _partitions(k, count, k + 1):  # no part is a multiple of k+1

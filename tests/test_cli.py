@@ -9,7 +9,7 @@ import pytest
 
 from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import _warn_unchecked, main
-from rspin.walgebra import ORACLE_CHECKED_DEPTH
+from rspin.cli import ORACLE_CHECKED_DEPTH
 
 from helpers import qs, tau1_r3
 
@@ -238,6 +238,20 @@ def test_verify_subset_of_checks(tmp_path):
     assert code == 0
     reports = json.loads(out.read_text())
     assert [rep["check_name"] for rep in reports] == ["wconstraints"]
+
+
+def test_verify_runs_every_check_by_default(tmp_path, capsys):
+    # no --checks means all four, in canonical order whatever order a list names them
+    default, listed = tmp_path / "default.json", tmp_path / "listed.json"
+    assert main(["verify", "--r", "3", "--degree", "2", "--out", str(default)]) == 0
+    checks = "selection,grading,string_dilaton,wconstraints"
+    assert main(["verify", "--r", "3", "--degree", "2", "--checks", checks, "--out", str(listed)]) == 0
+    assert default.read_bytes() == listed.read_bytes()
+    # the help names the checks without importing verify at parse time
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"{{{','.join(verify.CHECKS)}}} (default: all)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_unknown_check_exits_2(capsys):

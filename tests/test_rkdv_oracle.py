@@ -4,7 +4,7 @@ The oracle first reproduces the published r = 2 and r = 3 values, which
 pins its normalization; then every correlator (genus 0 to 3 in range)
 that the W-constraint recursion produces for
 r = 4 .. 14 must equal the oracle's value exactly, to the depths
-walgebra.ORACLE_CHECKED_DEPTH names.  At (6, 4) two genus-2 values do
+cli.ORACLE_CHECKED_DEPTH names.  At (6, 4) two genus-2 values do
 not, which a strict xfail pins.
 """
 

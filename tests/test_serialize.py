@@ -23,7 +23,7 @@ from rspin import (
 )
 from rspin.serialize import poly_to_obj, records_to_csv, records_to_json, reports_to_json
 from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
-from rspin.walgebra import MODE_CONSTRUCTION
+from rspin.serialize import MODE_CONSTRUCTION
 
 from helpers import _dump, qs, report_to_obj
 

@@ -18,7 +18,7 @@ from rspin import (
     serialize_tau,
 )
 from rspin import serialize, walgebra
-from rspin.walgebra import MODE_CONSTRUCTION
+from rspin.serialize import MODE_CONSTRUCTION
 
 from helpers import (
     qs,

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "rspin"
 
 
@@ -36,3 +38,42 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _loaded_after(argv: list[str]) -> set[str]:
+    """The modules of interest that main(argv) leaves in sys.modules of a
+    fresh interpreter."""
+    probe = (
+        "import contextlib, io, sys; from rspin.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+        "print(code, *sorted({'rspin.verify', 'rspin.walgebra', 'csv'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    env.pop("RSPIN_CACHE_DIR", None)  # a warm default cache would skip the raise
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    code, *loaded = out.stdout.split()
+    assert code == "0"
+    return set(loaded)
+
+
+def test_compute_loads_walgebra_only_to_raise(tmp_path):
+    # a warm solve is served from the cache and needs neither the W-algebra
+    # nor the checks; without a bytecode cache each spawn compiles only
+    # what it loads
+    argv = ["compute", "--r", "3", "--degree", "3", "--cache-dir", str(tmp_path / "cache")]
+    assert _loaded_after(argv) == {"rspin.walgebra"}  # cold: every piece raised
+    assert _loaded_after(argv) == set()  # warm: every piece cached
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["correlators", "--format", "json"], {"rspin.walgebra"}),
+        (["correlators", "--format", "csv"], {"rspin.walgebra", "csv"}),
+        (["verify"], {"rspin.verify", "rspin.walgebra"}),
+        (["commutator"], {"rspin.verify", "rspin.walgebra"}),
+    ],
+    ids=["correlators-json", "correlators-csv", "verify", "commutator"],
+)
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    assert _loaded_after([*argv, "--r", "3", "--degree", "2"]) == loaded

@@ -9,10 +9,10 @@ import pytest
 
 from rspin import ContractError, InvalidSpecError, TMonomial, TPolynomial, compute_tau, mode_bound
 from rspin import check_commutators, compute_tau_exponential, walgebra
+from rspin.cli import ORACLE_CHECKED_DEPTH
 from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
 from rspin.verify import constraint_equations, w_constraint_residuals
 from rspin.walgebra import (
-    ORACLE_CHECKED_DEPTH,
     _contraction,
     _falling,
     _generator,
