@@ -191,26 +191,16 @@ def _run_commutator(args) -> int:
     commutator = _timed(args, "commutator", lambda: check_commutators(tau))
     agreement = _timed(args, "exponential", lambda: check_exponential_agreement(tau))
     _write(args, [reports_to_json([commutator, agreement]).decode("utf-8")])
-    if commutator.residuals:
-        print(
-            "WARNING: nonzero commutator residual detected; the degree raisers "
-            "do not commute at this depth:",
-            file=sys.stderr,
-        )
-        for label, _ in commutator.residuals:
-            print(f"  {label}", file=sys.stderr)
-    else:
-        _note(args, "commutator residuals: all zero")
-    if agreement.residuals:
-        print(
-            "WARNING: exponential-formula output differs from the recursion "
-            "(expected when the raisers do not commute); the recursion is authoritative:",
-            file=sys.stderr,
-        )
-        for label, _ in agreement.residuals:
-            print(f"  {label}", file=sys.stderr)
-    else:
-        _note(args, "exponential formula agrees with the recursion")
+    for report, warning, note in (
+        (commutator, "nonzero commutator residual detected; the degree raisers do not commute at this depth",
+         "commutator residuals: all zero"),
+        (agreement, "exponential-formula output differs from the recursion (expected when the raisers do not "
+         "commute); the recursion is authoritative", "exponential formula agrees with the recursion"),
+    ):
+        if report.residuals:
+            print(f"WARNING: {warning}:", *(f"  {label}" for label, _ in report.residuals), sep="\n", file=sys.stderr)
+        else:
+            _note(args, note)
     _note_tables(args)
     return 0
 

@@ -16,13 +16,12 @@ and divided by the multiplicities e_n!.
 The grading makes the log rational.  A degree-j monomial of tau in N
 variables carries lam^(j-N) and a coefficient in Q * s^j, so each piece is
 read once as integer numerators over one denominator, with s^j and the lam
-exponent implied by the degree and the monomial.  The exponent vector of a
-monomial is packed into one int (tpoly.exponent_fields), a bit field per
+exponent implied by the degree and the monomial: the TauExpansion's packed
+pieces, over the solve's layout (tpoly.exponent_fields), a bit field per
 index wide enough for the top weight D*(r+1); no product in the log exceeds
 that weight, so adding two keys multiplies two monomials without a carry.
-tpoly.pack_piece grades each piece by the package's one rule
-(check_piece, ContractError) before it packs it, so no monomial outweighs
-the top weight and every index has a field.
+Each piece was graded once by the package's one rule (tpoly.check_piece,
+ContractError), so no monomial outweighs the top weight.
 Extraction then reads each free-energy monomial as one exact rational
 correlator; an odd lam exponent, a negative genus or a selection-rule
 violation can only come from an upstream bug and raises ExtractionError.
@@ -37,7 +36,7 @@ from typing import NamedTuple
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import Packed, TMonomial, exponent_fields, pack_piece, reduced, unpack_exponents
+from .tpoly import Packed, TMonomial, exponent_fields, reduced, unpack_exponents
 
 __all__ = [
     "Insertion",
@@ -106,8 +105,8 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     num/den * s^n * lam^lam_exp * prod T_i^e_i over its rows
     (lam_exp, ((i, e_i), ...), num), which come in canonical order.
 
-    Checks one piece per degree and tau_0 = 1, and packs each piece by
-    tpoly.pack_piece, which grades it first (ContractError).
+    Reads the pieces as TauExpansion.validate packs them, each graded once
+    (ContractError).
     Applying the degree operator to tau = exp(F) gives n tau_n =
     sum_{k=1..n} G_k tau_{n-k} with G_k = k F_k, solved here for G_n
     degree by degree: every product is homogeneous of degree n, so it
@@ -115,10 +114,8 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
-    tau._check_structure()
-    r, top = tau.r, tau.max_degree
-    shift, fields = exponent_fields(r, top * (r + 1))
-    taus = [pack_piece(r, j, p, shift) for j, p in enumerate(tau.pieces)]
+    taus, r, top = tau.validate(), tau.r, tau.max_degree
+    _, fields = exponent_fields(r, top * (r + 1))
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):

@@ -77,22 +77,8 @@ class QScalar:
         return not self.is_zero
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.a:
-            parts.append(str(self.a))
-        if self.b:
-            if self.b == 1:
-                term = "s"
-            elif self.b == -1:
-                term = "-s"
-            else:
-                term = f"{self.b}*s"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts)
+        a, b = self.a, self.b
+        term = "" if not b else "s" if b == 1 else "-s" if b == -1 else f"{b}*s"
+        if not a:
+            return term or "0"
+        return f"{a} - {term[1:]}" if term[:1] == "-" else f"{a} + {term}" if term else str(a)

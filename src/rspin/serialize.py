@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from .errors import CacheError, ContractError, ParseError
 from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import TMonomial, TPolynomial, check_piece, shared_pair
+from .tpoly import TMonomial, TPolynomial, check_piece, exponent_fields, graded_terms, shared_pair, unpack_exponents
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
@@ -56,7 +56,6 @@ __all__ = [
     "FORMAT_VERSION",
     "TauCache",
     "parse_tau",
-    "poly_to_obj",
     "records_csv_chunks",
     "records_json_chunks",
     "records_to_csv",
@@ -98,16 +97,6 @@ def _frac_parse(text, where: str) -> Fraction:
             if gcd(num, den) == 1:
                 return Fraction(num, den)
     raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
-
-
-def poly_to_obj(poly: TPolynomial) -> list:
-    return [
-        {
-            "monomial": {"lambda": mono.lambda_exp, "t": [[n, e] for n, e in mono.exps]},
-            "coeff": {"a": str(c.a), "b": str(c.b)},
-        }
-        for mono, c in poly.canonical_terms()
-    ]
 
 
 def _fields(obj, names: tuple[str, str], where: str) -> tuple:
@@ -276,10 +265,11 @@ def _term_template(count: int, pad: str) -> str:
     return term.replace("\n", "\n" + pad)
 
 
-def _poly_json(poly: TPolynomial, pad: str):
-    """_block_chunks of poly_to_obj(poly) at pad, one chunk per term, each from its
-    _term_template: ints and fraction strings need no escaping and hold no newline."""
-    terms = poly.canonical_terms()
+def _poly_json(poly, pad: str):
+    """_block_chunks of poly's terms {"monomial": {"lambda", "t": [[n, e], ...]}, "coeff": {"a",
+    "b"}} at pad, one chunk per term from its _term_template: no value needs escaping.  poly is a
+    TPolynomial, or the (monomial, coefficient) items of one in canonical order."""
+    terms = poly.canonical_terms() if isinstance(poly, TPolynomial) else poly
     return _block_chunks(
         ((_term_template(len(m.exps), pad) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b),) for m, c in terms),
         pad,
@@ -296,19 +286,24 @@ def _document_chunks(head: dict, key: str, value):
 
 def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
     """The canonical tau document as str chunks: json.dumps(indent=1) on the
-    document of poly_to_obj pieces, plus a newline.  A piece that is the one
-    cache stored last for its degree takes its text out of cache.kept:
-    rendered once."""
+    document of _poly_json pieces, plus a newline.  A piece that is the one
+    cache stored last for its degree takes its text out of cache.kept: rendered
+    once.  A piece that tau holds packed builds no TPolynomial."""
     kept = cache.kept if cache is not None else {}
+    _, fields = exponent_fields(tau.r, tau.max_degree * (tau.r + 1))
 
-    def piece_chunks(j: int, piece: TPolynomial):
+    def piece_chunks(j: int, piece):
         stored = kept.pop((tau.r, j), None)
         if stored and stored[0] is piece:
             return (part.replace("\n", "\n ") for part in stored[1])
+        if type(piece) is tuple:  # sorted by (lam, exps), canonical at one weight; each term made as written
+            rows = ((unpack_exponents(key, fields), num) for key, num in piece[0].items())
+            rows = sorted((j - sum(e for _, e in exps), exps, num) for exps, num in rows)
+            piece = graded_terms(tau.r, j, j, piece[1], ((exps, num) for _, exps, num in rows))
         return _poly_json(piece, "  ")
 
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
-    pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.pieces)), " ")
+    pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.held)), " ")
     return _batched(_document_chunks(head, "pieces", pieces))
 
 
@@ -318,8 +313,8 @@ def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
-    """Parse a tau document, every piece read by _read_piece as it comes, and
-    check its structure: one piece per degree, tau_0 = 1."""
+    """Parse a tau document, every piece read, and graded, by _read_piece as
+    it comes, and check its structure: one piece per degree, tau_0 = 1."""
     reader, head = _open(data, "pieces")
     r, max_degree = head.get("r"), head.get("max_degree")
     if not _is_int(r) or r < 2:
@@ -337,12 +332,9 @@ def parse_tau(data: bytes | str) -> TauExpansion:
     if len(pieces) <= max_degree:
         raise wrong
     reader.end("pieces")
-    tau = TauExpansion(r, max_degree, pieces)
-    try:
-        tau._check_structure()
-    except ContractError as exc:
-        raise ParseError(str(exc), "pieces") from None
-    return tau
+    if pieces[0] != TPolynomial.one(r):
+        raise ParseError("degree-0 piece must equal 1", "pieces")
+    return TauExpansion(r, max_degree, pieces, graded=True)
 
 
 # -- correlators ---------------------------------------------------------
@@ -394,7 +386,7 @@ def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
 
 def reports_to_json(reports: list[CheckReport]) -> bytes:
     """json.dumps(indent=1) of [{"check_name", "status", "residuals":
-    [{"label", "poly": poly_to_obj}, ...], "details"}, ...] plus a newline,
+    [{"label", "poly": _poly_json}, ...], "details"}, ...] plus a newline,
     written directly as serialize_tau writes its pieces; a details value
     is json.dumps(indent=1) of it, moved to its depth."""
     dumps = json.dumps

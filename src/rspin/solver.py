@@ -2,14 +2,14 @@
 
 The degree-j piece satisfies j * tau_j = sum_l A_l tau_{j-l} over the
 degree raisers l = 1 .. r-1, starting from tau_0 = 1, so the pieces are
-computed bottom-up, one kernel call per raiser.  A degree-j piece is
-graded and packed by tpoly.pack_piece, with offset and power of s both j,
-over one layout of top weight D*(r+1).  A_l maps x * s^(j-l) to
-x * r^(-2l) * s^j, so each degree is one int accumulator, and a finished
-piece becomes a TPolynomial once.  That map is raise_step, the one raise
-step of the package: the recursion, the exponential formula and verify's
-commutators all call it.  The exponential formula is summed packed over
-the same layout (exponential_pieces), and verify compares it packed.
+computed bottom-up, one kernel call per raiser, each piece packed
+(tpoly.Packed) with offset and power of s both j, over one layout of top
+weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
+degree is one int accumulator.  A finished piece stays packed, graded
+once as it is made; it becomes a TPolynomial only to be written: for the
+cache, or when TauExpansion.pieces is read.  raise_step is the one raise
+step of the package: the recursion and verify's commutators and
+exponential formula (exponential_pieces) all call it.
 
 An optional cache stores finished pieces keyed by (r, degree); cache
 entries are validated on load and a corrupt or version-mismatched entry
@@ -18,12 +18,12 @@ raises instead of being recomputed silently.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 from .errors import ContractError
 from .tpoly import (
-    Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, pack_piece, summed, unpack_exponents,
-    unpacked,
+    Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, off_grade, pack_piece, summed,
+    unpack_exponents, unpacked,
 )
 
 __all__ = [
@@ -36,38 +36,79 @@ __all__ = [
 class PieceStore(Protocol):
     def load(self, r: int, degree: int) -> TPolynomial | None:
         """The stored tau_degree, or None if there is none.  A returned
-        piece has passed check_piece(r, degree, piece); compute_tau grades
-        it again only when a computed degree packs it."""
+        piece has passed check_piece(r, degree, piece): compute_tau grades
+        it no more, and packs it only when a computed degree reads it."""
         ...
 
     def store(self, r: int, degree: int, piece: TPolynomial) -> None: ...
 
 
-class TauExpansion(NamedTuple):
-    """Graded pieces tau_0 .. tau_D of the partition function for one r."""
+class TauExpansion:
+    """Graded pieces tau_0 .. tau_D of the partition function for one r,
+    each held as it came: the Packed a solve made, or a TPolynomial.  Each
+    is graded once: a Packed as it was made, a TPolynomial by its reader if
+    graded, else on first use.  packed(j) packs a TPolynomial once over
+    _layout(r, D).  pieces, built on first read by tpoly.unpacked, rules
+    from then on: a piece put into it is graded and packed afresh."""
 
-    r: int
-    max_degree: int
-    pieces: list[TPolynomial]
+    __slots__ = ("r", "max_degree", "_held", "_known")
 
-    def validate(self) -> None:
-        """Check the invariants of a well-formed expansion: one piece per
-        degree, tau_0 = 1, and tpoly.check_piece, the one grading, on every
-        tau_j (ContractError)."""
-        self._check_structure()
-        for j, piece in enumerate(self.pieces):
-            check_piece(self.r, j, piece)
+    def __init__(self, r: int, max_degree: int, pieces: list, graded: bool = False):
+        self.r, self.max_degree, self._known = r, max_degree, {}
+        self._held = [] if graded else pieces  # by degree: Packed, or TPolynomial
+        for piece in pieces if graded else ():
+            self._add(piece)
 
-    def _check_structure(self) -> None:
-        """One piece per degree, and tau_0 = 1."""
+    def _add(self, piece) -> None:
+        """Append the next piece, graded already."""
+        if type(piece) is not tuple:
+            self._known[len(self._held)] = [piece, [], None]  # the piece, its faults, its Packed
+        self._held.append(piece)
+
+    @property
+    def pieces(self) -> list[TPolynomial]:
+        held = self._held
+        for j, piece in enumerate(held):
+            if type(piece) is tuple:
+                held[j] = unpacked(self.r, j, j, piece, _layout(self.r, self.max_degree)[1])
+                self._known[j] = [held[j], [], piece]
+        return held
+
+    @property
+    def held(self) -> tuple:
+        """The pieces as held, each a Packed or a TPolynomial; no view is built."""
+        return tuple(self._held)
+
+    def faults(self, j: int) -> list:
+        """off_grade(r, j, piece j), listed once per piece."""
+        piece = self._held[j]
+        if type(piece) is tuple:
+            return []
+        known = self._known.get(j)
+        if known is None or known[0] is not piece:
+            known = self._known[j] = [piece, list(off_grade(self.r, j, piece)), None]
+        return known[1]
+
+    def packed(self, j: int) -> Packed:
+        """Piece j packed, refused off the grading (check_piece, ContractError)."""
+        piece = self._held[j]
+        if type(piece) is tuple:
+            return piece
+        faults, known = self.faults(j), self._known[j]
+        if known[2] is None:
+            known[2] = pack_piece(self.r, j, piece, _layout(self.r, self.max_degree)[0], faults)
+        return known[2]
+
+    def validate(self) -> list[Packed]:
+        """Check one piece per degree, tau_0 = 1, and tpoly.check_piece, the one
+        grading, on every tau_j (ContractError); the pieces, packed."""
         if self.max_degree < 0:
             raise ContractError("max_degree must be nonnegative")
-        if len(self.pieces) != self.max_degree + 1:
-            raise ContractError(
-                f"expected {self.max_degree + 1} pieces, found {len(self.pieces)}"
-            )
-        if self.pieces[0] != TPolynomial.one(self.r):
+        if len(self._held) != self.max_degree + 1:
+            raise ContractError(f"expected {self.max_degree + 1} pieces, found {len(self._held)}")
+        if self.packed(0) != ({0: 1}, 1):
             raise ContractError("degree-0 piece must equal 1")
+        return [self.packed(j) for j in range(len(self._held))]
 
 
 def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
@@ -96,67 +137,45 @@ def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> Tau
     """Compute the graded pieces up to max_degree by the degree recursion.
 
     Exact, and deterministic (byte-identical canonical serialization)
-    regardless of cache hits.  A computed piece is checked by check_piece
-    before it is stored, a cached one by the store's load; a cached piece
-    is packed, and so graded again, only when a computed degree reads it.
+    regardless of cache hits.  A computed piece is graded by check_piece as
+    it is made, and stays packed unless a cache stores it, unpacked; a
+    cached one, graded by the store's load, is packed only when a computed
+    degree reads it.
     """
     shift, fields = _layout(r, max_degree)
-    pieces = [TPolynomial.one(r)]
+    tau = TauExpansion(r, max_degree, [({0: 1}, 1)], graded=True)
     rows: dict[int, tuple[int, list]] = {}  # degree -> kernel_rows of its piece
     for j in range(1, max_degree + 1):
         piece = cache.load(r, j) if cache is not None else None
         if piece is None:
             for i in range(max(0, j - r + 1), j):
                 if i not in rows:  # tau_0, or a cached piece
-                    rows[i] = kernel_rows(pack_piece(r, i, pieces[i], shift), fields)
-            packed = summed([raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)], j)
+                    rows[i] = kernel_rows(tau.packed(i), fields)
+            piece = summed([raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)], j)
             rows.pop(j - r + 1, None)  # raised for the last time
-            if j == max_degree:  # no raiser reads the top degree's rows
-                den, items = packed[1], ((unpack_exponents(key, fields), num) for key, num in packed[0].items())
+            if j < max_degree:  # no raiser reads the top degree's rows
+                rows[j] = kernel_rows(piece, fields)
+                items = ((e, num) for _, e, num in rows[j][1])
             else:
-                den, kernel = rows[j] = kernel_rows(packed, fields)
-                items = ((e, num) for _, e, num in kernel)
-            piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, den, items)))
-            del packed, items  # not alive through the next degree's raise
-            check_piece(r, j, piece)
-            if cache is not None:
+                items = ((unpack_exponents(key, fields), num) for key, num in piece[0].items())
+            if cache is None:
+                check_piece(r, j, (e for e, _ in items))
+            else:  # the store writes text: the piece is unpacked once, and that is graded
+                piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, piece[1], items)))
+                check_piece(r, j, piece)
                 cache.store(r, j, piece)
-        pieces.append(piece)
+            del items  # not alive through the next degree's raise
+        tau._add(piece)
         rows.pop(j - r + 1, None)  # no later raiser reads it
-    return TauExpansion(r, max_degree, pieces)
-
-
-def exponential_pieces(r: int, max_degree: int) -> list[Packed]:
-    """The graded truncation of exp(sum_l A_l / l) applied to 1, packed:
-    degree j as numerators over one den of s^j, over _layout(r, max_degree).
-
-    Agrees with compute_tau exactly when the raisers commute; the solver
-    treats any disagreement as evidence against that conjecture, so this
-    path is a diagnostic, never the authority.
-    """
-    shift, fields = _layout(r, max_degree)
-    acc: dict[int, list[Packed]] = {0: [({0: 1}, 1)]}
-    power: dict[int, Packed] = {0: ({0: 1}, 1)}
-    # power holds B^n/n! . 1 by degree, B = sum_l A_l / l; its lowest degree
-    # is n, so n ranges over 1 .. max_degree only.
-    for n in range(1, max_degree + 1):
-        nxt: dict[int, list[Packed]] = {}
-        for d, packed in power.items():
-            if d < max_degree:  # the top degree raises no further
-                rows = kernel_rows(packed, fields)
-                for l in range(1, min(r, max_degree - d + 1)):
-                    nums, den = raise_step(r, l, d + l, rows, shift)
-                    nxt.setdefault(d + l, []).append((nums, den * l))
-        power = {d: summed(parts, n) for d, parts in nxt.items()}
-        for d, packed in power.items():
-            acc.setdefault(d, []).append(packed)
-    return [summed(acc.get(j, [])) for j in range(max_degree + 1)]
+    return tau
 
 
 def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
-    """exponential_pieces unpacked into a validated TauExpansion."""
+    """verify.exponential_pieces unpacked into a validated TauExpansion."""
+    from .verify import exponential_pieces  # the diagnostic, beside the check that reads it
+
     _, fields = _layout(r, max_degree)
-    pieces = [unpacked(r, j, j, packed, fields) for j, packed in enumerate(exponential_pieces(r, max_degree))]
-    tau = TauExpansion(r, max_degree, pieces)
+    pieces = exponential_pieces(r, max_degree)
+    tau = TauExpansion(r, max_degree, [unpacked(r, j, j, packed, fields) for j, packed in enumerate(pieces)])
     tau.validate()
     return tau

@@ -14,9 +14,9 @@ constructor refuses others), and the canonical term order (weight, lam
 exponent, exponent sequence) makes equal polynomials identical.
 
 The package's one grading (off_grade): tau_j has weight j*(r+1), lam
-exponent j - N on N variables and coefficients in Q*s^(j mod 2).  Once
-check_piece grades it, pack_piece reads tau_j as Packed, the sum of
-num/den * s^j * lam^(j-N) * prod T_n^e_n over {exponent key: num}.
+exponent j - N on N variables and coefficients in Q*s^(j mod 2).  A
+graded tau_j is Packed, the sum of num/den * s^j * lam^(j-N) * prod
+T_n^e_n over {exponent key: num}.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class TMonomial(NamedTuple):
 
 
 ONE_MONOMIAL = TMonomial(0, ())
-_ONE = QScalar(Fraction(1), Fraction(0))
+_ONE, _S = QScalar(Fraction(1), Fraction(0)), QScalar(Fraction(0), Fraction(1))
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +126,26 @@ def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tupl
 Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s known to the holder
 
 
-def off_grade(r: int, j: int, piece: TPolynomial):
-    """Yield (monomial, kind, why) for each monomial of piece that tau_j
-    over this r cannot carry, under the first rule it breaks: ascending
-    positive indices not divisible by r with exponents >= 1 ("indices"),
-    weight j*(r+1) ("inhomogeneous"), a lam exponent j - N, even and
-    >= -2j, on N variables ("lam exponents"), and a coefficient in
-    Q*s^(j mod 2) ("coefficients").  This is the package's one grading:
-    every reader of a piece applies it through this function."""
+def off_grade(r: int, j: int, piece):
+    """Yield (monomial, kind, why) for each monomial of piece that tau_j over
+    this r cannot carry, under the first rule it breaks: ascending positive
+    indices not divisible by r with exponents >= 1 ("indices"), weight j*(r+1)
+    ("inhomogeneous"), a lam exponent j - N, even and >= -2j, on N variables
+    ("lam exponents"), and a coefficient in Q*s^(j mod 2) ("coefficients").
+    piece is a TPolynomial, or the exponent tuples of a packed tau_j, each the
+    monomial lam^(j-N) * s^j.  This is the package's one grading: every reader
+    of a piece applies it here."""
     weight, odd = j * (r + 1), j % 2
+    if not isinstance(piece, TPolynomial):  # only the weight and lam rules can fail: keep what fails them
+        off = {}
+        for exps in piece:
+            total = count = 0
+            for n, e in exps:
+                total += n * e
+                count += e
+            if total != weight or (j - count) % 2 or count > 3 * j:
+                off[TMonomial(j - count, exps)] = _S if odd else _ONE
+        piece = TPolynomial._raw(r, off)
     for mono, coeff in piece.terms.items():
         total = count = last = 0
         for n, e in mono.exps:
@@ -156,21 +167,21 @@ def off_grade(r: int, j: int, piece: TPolynomial):
                 yield mono, "coefficients", f"coefficient {coeff} outside Q*s^{odd}"
 
 
-def check_piece(r: int, j: int, piece: TPolynomial) -> None:
-    """Refuse (ContractError) a piece over another r or with a monomial off_grade."""
-    if piece.r != r:
+def check_piece(r: int, j: int, piece, faults=None) -> None:
+    """Refuse (ContractError) a TPolynomial over another r, or a piece with
+    a monomial off_grade; faults, when given, are its off_grade already."""
+    if isinstance(piece, TPolynomial) and piece.r != r:
         raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
-    for mono, _, why in off_grade(r, j, piece):
+    for mono, _, why in off_grade(r, j, piece) if faults is None else faults:
         raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
 
 
-def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
+def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int], faults=None) -> Packed:
     """tau_j as numerators over one den of s^j, over the layout shift, once
-    check_piece(r, j, piece) has graded it (ContractError).  The layout
-    must hold weight j*(r+1), as every solve's and check's does: a graded
-    monomial then has a field for each index and a key of its own, and
-    its offset lam + N and power of s are those of tau_j."""
-    check_piece(r, j, piece)
+    check_piece(r, j, piece, faults) passes (ContractError).  The layout holds
+    weight j*(r+1), as every solve's and check's does: a graded monomial then
+    has a field for each index, a key of its own, and tau_j's lam + N and s^j."""
+    check_piece(r, j, piece, faults)
     half, odd = divmod(j, 2)
     ratios = {}
     for mono, c in piece.terms.items():

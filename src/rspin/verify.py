@@ -3,10 +3,10 @@
 All pass/fail checks compare polynomials to the exact zero polynomial,
 with no tolerances.  run_checks is the one way into them: it runs the
 checks check_names admits and shares one constraint pass and one
-extraction among them.  Every piece read, here as in the solver and the
-extraction, is graded as tau_j by tpoly.check_piece and packed by
-tpoly.pack_piece over the solve's one layout, of top weight D*(r+1), so
-each reader refuses a piece off the grading with the same ContractError.
+extraction among them.  Every piece is read, here as in the extraction,
+as TauExpansion.packed holds it, over the solve's one layout of top
+weight D*(r+1): graded once, as tau_j by tpoly.check_piece, so each
+reader refuses a piece off the grading with the same ContractError.
 The commutator and exponential checks are diagnostic only: commutativity
 of the degree raisers is conjectural, so a nonzero residual there is
 reported prominently but fails nothing.
@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
-from .solver import TauExpansion, exponential_pieces, raise_step
-from .tpoly import TPolynomial, exponent_fields, kernel_rows, off_grade, pack_piece, summed, unpacked
+from .solver import TauExpansion, _layout, raise_step
+from .tpoly import Packed, TPolynomial, exponent_fields, kernel_rows, summed, unpacked
 from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents
 
 __all__ = [
@@ -84,25 +84,25 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
 
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
-    equation is one rational sum.  Piece i is packed once, over the solve's
-    layout of top weight D*(r+1), and its call carries the blocks, up to
-    its weight i*(r+1), of every mode that reads it, each creator key
-    tagged with its equation's index above the layout's top bit.  An
-    equation is finished once its last piece is done.  engaged is False when every
-    piece it reads is absent or zero.  Raises InvalidSpecError on an
+    equation is one rational sum.  Piece i is read as tau.packed(i), over
+    the solve's layout of top weight D*(r+1), and its call carries the
+    blocks, up to its weight i*(r+1), of every mode that reads it, each
+    creator key tagged with its equation's index above the layout's top
+    bit.  An equation is finished once its last piece is done.  engaged is
+    False when every piece it reads is zero.  Raises InvalidSpecError on an
     equation off the computed range (degree outside 0..max_degree, or no
-    mode W(k, 0, m)), and ContractError on a nonzero piece read that
-    tpoly.check_piece refuses."""
+    mode W(k, 0, m)), and ContractError on a piece read that is off the
+    grading (tpoly.check_piece)."""
     r, top_degree = tau.r, tau.max_degree
-    reads = {j: [] for j, piece in enumerate(tau.pieces) if not piece.is_zero}  # -> (equation index, k, l, m)
+    reads: dict[int, list] = {}  # piece -> (equation index, k, l, m)
     finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
     for e, (k, m, d) in enumerate(equations):
         if not (2 <= k <= r and m >= 1 - k and 0 <= d <= top_degree):
             raise InvalidSpecError(f"no equation k={k} m={m} degree={d} for r={r} to degree {top_degree}")
         for j in range(max(0, d - k + 1), d + 1):
-            if j in reads:
-                reads[j].append((e, k, j - d + k - 1, m))
+            reads.setdefault(j, []).append((e, k, j - d + k - 1, m))
         finish.setdefault(d, []).append(e)
+    reads = {j: by_piece for j, by_piece in sorted(reads.items()) if tau.packed(j)[0]}  # the nonzero pieces
     engaged = {read[0] for by_piece in reads.values() for read in by_piece}
     # equation (k, m, d) weighs (d-k+1)(r+1) - r*m <= d(r+1) - (k-1), as m >= 1 - k,
     # and d <= D: the solve's layout holds every creator, annihilator and output
@@ -114,7 +114,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     out = {}
     for j in range(top_degree + 1):
         if reads.get(j):
-            den, rows = kernel_rows(pack_piece(r, j, tau.pieces[j], shift), fields)
+            den, rows = kernel_rows(tau.packed(j), fields)
             w = j * (r + 1)
             op = _packed_groups(
                 (
@@ -167,7 +167,7 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
     equations.  They share one extraction, made just before the first
     correlator check; an extraction error is a residual of each correlator
     check.  Raises ContractError if tpoly.check_piece refuses a piece the
-    pass reads."""
+    pass reads.  Each piece is graded once for them all (TauExpansion.faults)."""
     check_names(names)
     r, top = tau.r, tau.max_degree
     if "wconstraints" in names:
@@ -285,9 +285,9 @@ def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extra
 
 def _off_grade_residuals(tau: TauExpansion) -> list:
     r, residuals = tau.r, []
-    for j, piece in enumerate(tau.pieces):
+    for j, piece in enumerate(tau.held):
         faults: dict[str, dict] = {}
-        for mono, kind, _ in off_grade(r, j, piece):
+        for mono, kind, _ in tau.faults(j):  # none on a piece held packed: a TPolynomial found them
             faults.setdefault(kind, {})[mono] = piece.terms[mono]
         residuals.extend((f"{kind} degree={j}", TPolynomial._raw(r, terms)) for kind, terms in sorted(faults.items()))
     return residuals
@@ -300,8 +300,9 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     If the budget admits none (and r > 2), [A_1, A_2] on the constant piece,
     the cheapest instance, is measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
-    from each base graded and packed once by tpoly.pack_piece, as the
-    constraint pass reads it (ContractError).
+    from each base read as tau.packed holds it, as the constraint pass reads
+    it (ContractError).  The layout is the solve's, but of weight 3*(r+1)
+    in the fallback, whose one base, tau_0, has no variable.
     """
     r, degree = tau.r, tau.max_degree
     instances = [(i, j, d) for i in range(1, r) for j in range(i + 1, r) for d in range(degree - i - j + 1)]
@@ -312,7 +313,7 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     residuals, bases = [], {}  # base degree -> kernel_rows of its piece
     for i, j, d in instances:
         if d not in bases:
-            bases[d] = kernel_rows(pack_piece(r, d, tau.pieces[d], shift), fields)
+            bases[d] = kernel_rows(tau.packed(d), fields)
         base, top = bases[d], d + i + j
         ij = raise_step(r, i, top, kernel_rows(raise_step(r, j, d + j, base, shift), fields), shift)
         ji = raise_step(r, j, top, kernel_rows(raise_step(r, i, d + i, base, shift), fields), shift)
@@ -332,22 +333,48 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     )
 
 
+def exponential_pieces(r: int, max_degree: int) -> list[Packed]:
+    """The graded truncation of exp(sum_l A_l / l) applied to 1, packed:
+    degree j as numerators over one den of s^j, over solver._layout(r, max_degree).
+
+    Agrees with compute_tau exactly when the raisers commute; any
+    disagreement is evidence against that conjecture, so this path is a
+    diagnostic, never the authority.
+    """
+    shift, fields = _layout(r, max_degree)
+    acc: dict[int, list[Packed]] = {0: [({0: 1}, 1)]}
+    power: dict[int, Packed] = {0: ({0: 1}, 1)}
+    # power holds B^n/n! . 1 by degree, B = sum_l A_l / l; its lowest degree
+    # is n, so n ranges over 1 .. max_degree only.
+    for n in range(1, max_degree + 1):
+        nxt: dict[int, list[Packed]] = {}
+        for d, packed in power.items():
+            if d < max_degree:  # the top degree raises no further
+                rows = kernel_rows(packed, fields)
+                for l in range(1, min(r, max_degree - d + 1)):
+                    nums, den = raise_step(r, l, d + l, rows, shift)
+                    nxt.setdefault(d + l, []).append((nums, den * l))
+        power = {d: summed(parts, n) for d, parts in nxt.items()}
+        for d, packed in power.items():
+            acc.setdefault(d, []).append(packed)
+    return [summed(acc.get(j, [])) for j in range(max_degree + 1)]
+
+
 def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     """Compare tau, the recursion output, against the exponential-formula
     path to the same depth.
 
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
-    Each piece of tau is graded and packed by tpoly.pack_piece over the
-    solve's layout, as the constraint pass reads it (ContractError), and
-    compared there with solver.exponential_pieces' packed sums.
+    Each piece of tau is read as tau.packed holds it, over the solve's
+    layout, as the constraint pass reads it (ContractError), and compared
+    there with exponential_pieces' packed sums.
     """
     r, degree = tau.r, tau.max_degree
-    shift, fields = exponent_fields(r, degree * (r + 1))
+    _, fields = exponent_fields(r, degree * (r + 1))
     residuals = []
     for j, (theirs, exp_den) in enumerate(exponential_pieces(r, degree)):
-        ours = pack_piece(r, j, tau.pieces[j], shift)
-        diff = unpacked(r, j, j, summed([ours, (theirs, -exp_den)]), fields)
+        diff = unpacked(r, j, j, summed([tau.packed(j), (theirs, -exp_den)]), fields)
         if not diff.is_zero:
             residuals.append((f"degree {j}", diff))
     return CheckReport(

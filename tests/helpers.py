@@ -31,11 +31,21 @@ from typing import NamedTuple
 
 from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.correlator import _free_energy
-from rspin.serialize import poly_to_obj
 from rspin.tpoly import TMonomial, check_index, exponent_fields, graded_terms, kernel_rows, reduced, unpacked
 from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
+
+
+def poly_to_obj(poly: TPolynomial) -> list:
+    """The JSON value serialize writes for a polynomial, as plain objects."""
+    return [
+        {
+            "monomial": {"lambda": mono.lambda_exp, "t": [[n, e] for n, e in mono.exps]},
+            "coeff": {"a": str(c.a), "b": str(c.b)},
+        }
+        for mono, c in poly.canonical_terms()
+    ]
 
 
 def qs(a, b=0) -> QScalar:

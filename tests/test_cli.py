@@ -173,6 +173,70 @@ def test_verify_extracts_correlators_once(tmp_path, monkeypatch):
     assert calls == [2]
 
 
+def test_correlators_read_the_packed_pieces(tmp_path, monkeypatch):
+    # without a cache, correlators extracts from the pieces as the solve
+    # packed them: no piece is packed from a TPolynomial or unpacked to one
+    from rspin import solver, tpoly
+
+    calls = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return run
+
+    for owner in (solver, tpoly):
+        for name in ("pack_piece", "unpacked", "graded_terms"):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    out = tmp_path / "c.json"
+    assert main(["-q", "correlators", "--r", "3", "--degree", "7", "--out", str(out)]) == 0
+    assert calls == []
+    # the bytes the benchmark's tables-r3 workload pins
+    digest = "573f19c99888039f65a776522425d2ad673dec5b2be5945c063349fddffde902"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
+    # every piece comes from the cache: none is packed or unpacked, and the
+    # document is written from the very polynomials the reader returned
+    from rspin import serialize, solver, tpoly
+
+    cache = tmp_path / "cache"
+    assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache)]) == 0
+    loaded, load, written, write = [], serialize.TauCache.load, [], serialize._poly_json
+
+    def loading(self, r, degree):
+        loaded.append(load(self, r, degree))
+        return loaded[-1]
+
+    def writing(poly, pad):
+        written.append(poly)
+        return write(poly, pad)
+
+    calls = []
+
+    def counted(name, fn):
+        def run(r, j, *args):
+            calls.append((name, j))
+            return fn(r, j, *args)
+
+        return run
+
+    for owner in (solver, tpoly, serialize):
+        for name in ("pack_piece", "unpacked", "graded_terms"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setattr(serialize.TauCache, "load", loading)
+    monkeypatch.setattr(serialize, "_poly_json", writing)
+    out = tmp_path / "tau.json"
+    assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert calls == [("graded_terms", 0)]  # tau_0, the packed constant, rendered from its one term
+    assert len(loaded) == 5 and all(a is b for a, b in zip(loaded, written[1:]))
+    assert out.read_bytes() == serialize_tau(compute_tau(4, 5))
+
+
 def test_verify_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--r", "3", "--degree", "2", "--out", str(a)]) == 0

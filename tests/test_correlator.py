@@ -182,7 +182,7 @@ def test_off_grade_input_fails_the_grading_check(case):
 
 
 def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
-    from rspin import tpoly, verify
+    from rspin import solver, tpoly, verify
 
     tau = compute_tau(3, 3, cache=TauCache(tmp_path))
     seen, off_grade = [], tpoly.off_grade
@@ -191,27 +191,33 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
         seen.append((j, piece))
         return off_grade(r, j, piece)
 
-    # tpoly.check_piece and the grading report are its only callers
+    # tpoly.check_piece and TauExpansion.faults are its only callers
     monkeypatch.setattr(tpoly, "off_grade", counting)
-    monkeypatch.setattr(verify, "off_grade", counting)
+    monkeypatch.setattr(solver, "off_grade", counting)
     readers = {
-        "extract_correlators": (lambda: extract_correlators(tau), [0, 1, 2, 3]),
-        # the constraint pass, the extraction and the grading report
-        "run_checks": (lambda: list(verify.run_checks(tau, verify.CHECKS)), [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
-        "constraint pass": (lambda: verify.w_constraint_residuals(tau, verify.constraint_equations(3, 3)), [0, 1, 2, 3]),
-        # [A_1, A_2] on tau_0 is the one instance at (3, 3)
-        "check_commutators": (lambda: check_commutators(tau), [0]),
-        # tau's pieces only: the exponential's own are summed packed, never graded
-        "check_exponential_agreement": (lambda: check_exponential_agreement(tau), [0, 1, 2, 3]),
-        "parse_tau": (lambda: parse_tau(serialize_tau(tau)), [0, 1, 2, 3]),
-        "TauCache.load": (lambda: [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)], [1, 2, 3]),
+        "extract_correlators": lambda: extract_correlators(tau),
+        "run_checks": lambda: list(verify.run_checks(tau, verify.CHECKS)),
+        "constraint pass": lambda: verify.w_constraint_residuals(tau, verify.constraint_equations(3, 3)),
+        "check_commutators": lambda: check_commutators(tau),
+        "check_exponential_agreement": lambda: check_exponential_agreement(tau),
+        "validate": tau.validate,
     }
-    for name, (read, degrees) in readers.items():
-        seen.clear()
+    # compute_tau graded every piece as it made it: no reader grades one again
+    for name, read in readers.items():
         read()
-        assert sorted(j for j, _ in seen) == degrees, name
-        if name not in ("parse_tau", "TauCache.load"):  # those read copies of tau's pieces
-            assert all(piece is tau.pieces[j] for j, piece in seen), name
+        assert seen == [], name
+    # a piece put into tau is graded once, by the first reader that needs it
+    tau.pieces[2] = tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1})
+    for name, read in readers.items():
+        read()
+        assert [(j, piece is tau.pieces[2]) for j, piece in seen] == [(2, True)], name
+    # the readers of stored text grade what they read, once each
+    seen.clear()
+    parse_tau(serialize_tau(tau))
+    assert sorted(j for j, _ in seen) == [0, 1, 2, 3]
+    seen.clear()
+    [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)]
+    assert sorted(j for j, _ in seen) == [1, 2, 3]
 
 
 # sha256 of records_to_json(extract_correlators(compute_tau(r, D))), as

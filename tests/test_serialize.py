@@ -21,11 +21,11 @@ from rspin import (
     parse_tau,
     serialize_tau,
 )
-from rspin.serialize import poly_to_obj, records_to_csv, records_to_json, reports_to_json
+from rspin.serialize import records_to_csv, records_to_json, reports_to_json
 from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
 from rspin.serialize import MODE_CONSTRUCTION
 
-from helpers import _dump, qs, report_to_obj
+from helpers import _dump, poly_to_obj, qs, report_to_obj
 
 
 def test_round_trip_identity():

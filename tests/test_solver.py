@@ -157,9 +157,9 @@ def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in half.iterdir()) == [f"r4_deg{j}.json" for j in (1, 2, 3)]
     packed, pack_piece = [], solver.pack_piece
 
-    def counting(r, j, piece, shift):
+    def counting(r, j, piece, shift, faults=None):
         packed.append(j)
-        return pack_piece(r, j, piece, shift)
+        return pack_piece(r, j, piece, shift, faults)
 
     monkeypatch.setattr(solver, "pack_piece", counting)
     assert serialize_tau(compute_tau(4, 6, cache=TauCache(half))) == expected
@@ -206,6 +206,74 @@ def test_bad_piece_never_reaches_the_cache(tmp_path, monkeypatch):
     with pytest.raises(ContractError, match="outside"):
         compute_tau(3, 1, cache=TauCache(tmp_path))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, why",
+    [
+        ({1: 1}, "weight 1, expected 4"),  # T1 in degree 1
+        ({2: 2}, "lam exponent -1 on 2 variables"),  # T2^2 keeps the weight, but lam = 1 - 2 is odd
+    ],
+)
+def test_a_computed_piece_off_the_grading_is_refused(monkeypatch, key, why):
+    # a computed piece stays packed: its lam exponent j - N and power of s
+    # are the form's, and check_piece grades its weight and lam rules as it
+    # is made
+    from rspin import solver
+
+    shift, _ = solver._layout(3, 1)
+    monkeypatch.setattr(solver, "raise_step", lambda *args: ({sum(e << shift[n] for n, e in key.items()): 1}, 1))
+    with pytest.raises(ContractError, match=f"piece 1 has monomial .* off the grading: {why}"):
+        compute_tau(3, 1)
+
+
+def _off_grade_calls(monkeypatch) -> list:
+    from rspin import solver, tpoly
+
+    calls, off_grade = [], tpoly.off_grade
+
+    def counting(r, j, piece):
+        calls.append(j)
+        return off_grade(r, j, piece)
+
+    monkeypatch.setattr(tpoly, "off_grade", counting)
+    monkeypatch.setattr(solver, "off_grade", counting)
+    return calls
+
+
+def test_each_piece_is_graded_once(tmp_path, monkeypatch):
+    from rspin import verify
+
+    compute_tau(4, 3, cache=TauCache(tmp_path))
+    calls = _off_grade_calls(monkeypatch)
+    # degrees 1-3 graded by the cache's load, 4-6 as they are made; the
+    # cached ones are packed for degrees 4-6 without a second grading
+    compute_tau(4, 6, cache=TauCache(tmp_path))
+    assert calls == [1, 2, 3, 4, 5, 6]
+    calls.clear()
+    tau = compute_tau(3, 6)
+    assert calls == [1, 2, 3, 4, 5, 6]  # tau_0 is the packed constant
+    calls.clear()
+    assert all(report.passed for report in verify.run_checks(tau, verify.CHECKS))
+    assert calls == []
+
+
+def test_computed_pieces_stay_packed():
+    # about 70 B per term packed, against about 300 B as TPolynomials: the
+    # expansion is measured as the traced memory that deleting it frees
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tau = compute_tau(3, 10)
+        terms = sum(len(tau.packed(j)[0]) for j in range(11))
+        held = tracemalloc.get_traced_memory()[0]
+        del tau
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert terms == 5572
+    assert held < 150 * terms
 
 
 def test_cache_is_shared_across_depths(tmp_path):

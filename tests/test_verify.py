@@ -9,6 +9,7 @@ import pytest
 from rspin import (
     ExtractionError,
     Insertion,
+    TauExpansion,
     TMonomial,
     TPolynomial,
     check_commutators,
@@ -369,15 +370,17 @@ def test_commutator_diagnostic_r3():
 
 
 def test_commutators_pack_each_base_once(monkeypatch):
-    # at (5, 5) the 7 instances raise the bases tau_0 (4 of them), tau_1 and tau_2
-    packed, pack_piece = [], verify.pack_piece
+    # at (5, 5) the 7 instances raise the bases tau_0 (4 of them), tau_1 and
+    # tau_2; handed over as TPolynomials, each base is packed once
+    packed, pack_piece = [], solver.pack_piece
 
-    def counting(r, j, piece, shift):
+    def counting(r, j, piece, shift, faults=None):
         packed.append(j)
-        return pack_piece(r, j, piece, shift)
+        return pack_piece(r, j, piece, shift, faults)
 
-    monkeypatch.setattr(verify, "pack_piece", counting)
-    assert check_commutators(compute_tau(5, 5)).details["instances"] == 7
+    monkeypatch.setattr(solver, "pack_piece", counting)
+    tau = TauExpansion(5, 5, compute_tau(5, 5).pieces)
+    assert check_commutators(tau).details["instances"] == 7
     assert sorted(packed) == [0, 1, 2]
 
 
