@@ -10,7 +10,8 @@ relation of the quadratic generator.
 A tau document and a cache entry share one reader, which decodes the text
 one value at a time (JSONDecoder.raw_decode): the header fields, then each
 term of the piece list, checked before the next is decoded; each piece is
-then graded once by the package's one rule (tpoly.check_piece).  So the
+then graded once by the package's one rule (tpoly.check_piece) and packed
+over the layout of the solve that reads it (solver._layout).  So the
 header comes first, the piece list ("piece" or "pieces") is the last field,
 no field appears twice, and only whitespace follows the object, as both
 writers write them.
@@ -21,9 +22,10 @@ records, joined until it reaches _CHUNK (64 Ki) characters, so a caller
 that writes each chunk as it comes never holds the document whole.
 serialize_tau, records_to_json and records_to_csv are those chunks joined
 and encoded, so both ways give the same bytes.  A term is rendered from a
-template already moved to its depth, once per run: a cache entry is
-written in such chunks, and tau_chunks moves the very chunks the cache
-kept one level deeper.
+template already moved to its depth: a packed piece by _packed_json, on
+integers, and a TPolynomial (a residual, or a piece a caller supplied) by
+_poly_json.  A cache entry is written in such chunks, and tau_chunks moves
+the very chunks the cache kept one level deeper.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import CacheError, ContractError, ParseError
-from .scalar import QScalar
-from .solver import TauExpansion
-from .tpoly import TMonomial, TPolynomial, check_piece, exponent_fields, graded_terms, shared_pair, unpack_exponents
+from .solver import TauExpansion, _layout
+from .tpoly import Packed, TPolynomial, check_piece, pack_terms, shared_pair, unpack_exponents
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
@@ -193,11 +194,12 @@ def _open(data: bytes | str, key: str) -> tuple[_Reader, dict]:
     return reader, head
 
 
-def _read_piece(r: int, j: int, reader: _Reader, where: str) -> TPolynomial:
+def _read_piece(r: int, j: int, reader: _Reader, where: str, shift: dict[int, int]) -> Packed:
     """The stored tau_j that comes next in reader, read one term at a time:
     the JSON shape, the canonical fraction spelling, no monomial twice and
-    no zero coefficient; then check_piece grades it once.  Each exponent
-    pair is the shared_pair.  Any fault is a ParseError."""
+    no zero coefficient; then check_piece grades its terms, and only then
+    are they packed over the layout shift (a term with no field is off the
+    grading).  Any fault is a ParseError."""
     if not reader.take("["):
         raise ParseError("polynomial must be a list of terms", where)
     terms = {}
@@ -210,17 +212,17 @@ def _read_piece(r: int, j: int, reader: _Reader, where: str) -> TPolynomial:
         ):
             raise ParseError("lambda must be an integer, t a list of [index, exponent] integers", loc + ".monomial")
         a, b = _fields(coeff, ("a", "b"), loc + ".coeff")
-        key = TMonomial(lam, tuple([shared_pair(tuple(pair)) for pair in pairs]))
-        value = QScalar(_frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b"))
-        if key in terms or value.is_zero:
+        a, b = _frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b")
+        key = lam, tuple([shared_pair(tuple(pair)) for pair in pairs])
+        if key in terms or not (a or b):
             raise ParseError("duplicate monomial" if key in terms else "stored coefficient must be nonzero", loc)
-        terms[key] = value
-    piece = TPolynomial._raw(r, terms)
+        terms[key] = a, b
     try:
-        check_piece(r, j, piece)
+        check_piece(r, j, ((lam, exps, a, b) for (lam, exps), (a, b) in terms.items()))
     except ContractError as exc:
         raise ParseError(str(exc), where) from None
-    return piece
+    drained, odd = (terms.popitem() for _ in range(len(terms))), j % 2  # each term freed as it is packed
+    return pack_terms(r, j, ((exps, b if odd else a) for (_, exps), (a, b) in drained), shift)
 
 
 _CHUNK = 1 << 16  # characters a writer's chunk reaches before it is yielded
@@ -265,15 +267,32 @@ def _term_template(count: int, pad: str) -> str:
     return term.replace("\n", "\n" + pad)
 
 
-def _poly_json(poly, pad: str):
+def _poly_json(poly: TPolynomial, pad: str):
     """_block_chunks of poly's terms {"monomial": {"lambda", "t": [[n, e], ...]}, "coeff": {"a",
-    "b"}} at pad, one chunk per term from its _term_template: no value needs escaping.  poly is a
-    TPolynomial, or the (monomial, coefficient) items of one in canonical order."""
-    terms = poly.canonical_terms() if isinstance(poly, TPolynomial) else poly
+    "b"}} at pad, in canonical order, one chunk per term from its _term_template: no value needs
+    escaping."""
     return _block_chunks(
-        ((_term_template(len(m.exps), pad) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b),) for m, c in terms),
+        ((_term_template(len(m.exps), pad) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b),)
+         for m, c in poly.canonical_terms()),
         pad,
     )
+
+
+def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
+    """_poly_json of the packed tau_j: its terms sorted by (lam, exps),
+    canonical at one weight, each numerator times (-r)^(j // 2) reduced over
+    the den by one gcd and written straight into _term_template."""
+    (nums, den), unit, odd = piece, (-r) ** (j // 2), j % 2
+    rows = ((unpack_exponents(key, fields), num) for key, num in nums.items())
+    rows = sorted((j - sum(e for _, e in exps), exps, num) for exps, num in rows)
+
+    def term(lam, exps, num):
+        num *= unit
+        div = gcd(num, den)
+        x = f"{num // div}" if div == den else f"{num // div}/{den // div}"
+        return (_term_template(len(exps), pad) % (lam, *chain.from_iterable(exps), *(("0", x) if odd else (x, "0"))),)
+
+    return _block_chunks(starmap(term, rows), pad)
 
 
 def _document_chunks(head: dict, key: str, value):
@@ -286,21 +305,17 @@ def _document_chunks(head: dict, key: str, value):
 
 def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
     """The canonical tau document as str chunks: json.dumps(indent=1) on the
-    document of _poly_json pieces, plus a newline.  A piece that is the one
-    cache stored last for its degree takes its text out of cache.kept: rendered
-    once.  A piece that tau holds packed builds no TPolynomial."""
+    document of its pieces, plus a newline.  A piece that is the one cache
+    stored last for its degree takes its text out of cache.kept: rendered
+    once, as every other is, by _packed_json or _poly_json."""
     kept = cache.kept if cache is not None else {}
-    _, fields = exponent_fields(tau.r, tau.max_degree * (tau.r + 1))
+    _, fields = _layout(tau.r, tau.max_degree)
 
     def piece_chunks(j: int, piece):
         stored = kept.pop((tau.r, j), None)
         if stored and stored[0] is piece:
             return (part.replace("\n", "\n ") for part in stored[1])
-        if type(piece) is tuple:  # sorted by (lam, exps), canonical at one weight; each term made as written
-            rows = ((unpack_exponents(key, fields), num) for key, num in piece[0].items())
-            rows = sorted((j - sum(e for _, e in exps), exps, num) for exps, num in rows)
-            piece = graded_terms(tau.r, j, j, piece[1], ((exps, num) for _, exps, num in rows))
-        return _poly_json(piece, "  ")
+        return _packed_json(tau.r, j, piece, fields, "  ") if type(piece) is tuple else _poly_json(piece, "  ")
 
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
     pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.held)), " ")
@@ -313,8 +328,9 @@ def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
-    """Parse a tau document, every piece read, and graded, by _read_piece as
-    it comes, and check its structure: one piece per degree, tau_0 = 1."""
+    """Parse a tau document, every piece read, graded and packed over
+    solver._layout(r, max_degree) by _read_piece as it comes, and check its
+    structure: one piece per degree, tau_0 = 1."""
     reader, head = _open(data, "pieces")
     r, max_degree = head.get("r"), head.get("max_degree")
     if not _is_int(r) or r < 2:
@@ -324,17 +340,17 @@ def parse_tau(data: bytes | str) -> TauExpansion:
     wrong = ParseError(f"pieces must be a list of {max_degree + 1} polynomials", "pieces")
     if not reader.take("["):
         raise wrong
-    pieces = []
+    pieces, shift = [], _layout(r, max_degree)[0]
     for j in reader.items():
         if j > max_degree:  # refused before the extra piece is read
             raise wrong
-        pieces.append(_read_piece(r, j, reader, f"pieces[{j}]"))
+        pieces.append(_read_piece(r, j, reader, f"pieces[{j}]", shift))
     if len(pieces) <= max_degree:
         raise wrong
     reader.end("pieces")
-    if pieces[0] != TPolynomial.one(r):
+    if pieces[0] != ({0: 1}, 1):
         raise ParseError("degree-0 piece must equal 1", "pieces")
-    return TauExpansion(r, max_degree, pieces, graded=True)
+    return TauExpansion(r, max_degree, pieces)
 
 
 # -- correlators ---------------------------------------------------------
@@ -428,9 +444,11 @@ class TauCache:
     def path(self, r: int, degree: int):
         return self.directory / f"r{r}_deg{degree}.json"
 
-    def load(self, r: int, degree: int) -> TPolynomial | None:
-        """The cached tau_degree, read by _read_piece, or None if there is no
-        entry: the file is opened once, and an entry gone by then is a miss."""
+    def load(self, r: int, degree: int, layout) -> Packed | None:
+        """The cached tau_degree, read by _read_piece and packed over layout
+        (solver._layout of the solve that reads it), or None if there is no
+        entry: the file is opened once, and an entry gone by then is a miss.
+        A returned piece has passed the grading: compute_tau grades it no more."""
         path = self.path(r, degree)
         try:
             reader, head = _open(path.read_text(encoding="utf-8"), "piece")
@@ -439,7 +457,7 @@ class TauCache:
                 raise CacheError(f"cache entry {path}: W-mode construction {modes!r}, not {MODE_CONSTRUCTION!r}")
             if not all(_is_int(x) for x in label) or label != (r, degree):
                 raise CacheError(f"cache entry {path} labeled (r={label[0]}, degree={label[1]})")
-            piece = _read_piece(r, degree, reader, "piece")
+            piece = _read_piece(r, degree, reader, "piece", layout[0])
             reader.end("piece")
             return piece
         except FileNotFoundError:
@@ -447,8 +465,8 @@ class TauCache:
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
-    def store(self, r: int, degree: int, piece: TPolynomial) -> None:
-        chunks = list(_batched(_poly_json(piece, " ")))
+    def store(self, r: int, degree: int, piece: Packed, layout) -> None:
+        chunks = list(_batched(_packed_json(r, degree, piece, layout[1], " ")))
         self.kept[(r, degree)] = (piece, chunks)
         head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}
         # Write a temporary file beside the entry, then rename it into place,

@@ -6,25 +6,29 @@ computed bottom-up, one kernel call per raiser, each piece packed
 (tpoly.Packed) with offset and power of s both j, over one layout of top
 weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
 degree is one int accumulator.  A finished piece stays packed, graded
-once as it is made; it becomes a TPolynomial only to be written: for the
-cache, or when TauExpansion.pieces is read.  raise_step is the one raise
-step of the package: the recursion and verify's commutators and
-exponential formula (exponential_pieces) all call it.
+once as it is made; it becomes a TPolynomial only when
+TauExpansion.pieces is read.  raise_step is the one raise step of the
+package: the recursion and verify's commutators and exponential formula
+(exponential_pieces) all call it.
 
-An optional cache stores finished pieces keyed by (r, degree); cache
-entries are validated on load and a corrupt or version-mismatched entry
+An optional cache (serialize.TauCache) stores finished pieces packed,
+keyed by (r, degree), and loads them packed over the solve's layout;
+entries are graded on load and a corrupt or version-mismatched entry
 raises instead of being recomputed silently.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 from .errors import ContractError
 from .tpoly import (
-    Packed, TPolynomial, check_piece, exponent_fields, graded_terms, kernel_rows, off_grade, pack_piece, summed,
+    Packed, TPolynomial, check_piece, exponent_fields, kernel_rows, off_grade, pack_piece, packed_rows, summed,
     unpack_exponents, unpacked,
 )
+
+if TYPE_CHECKING:
+    from .serialize import TauCache
 
 __all__ = [
     "TauExpansion",
@@ -33,55 +37,31 @@ __all__ = [
 ]
 
 
-class PieceStore(Protocol):
-    def load(self, r: int, degree: int) -> TPolynomial | None:
-        """The stored tau_degree, or None if there is none.  A returned
-        piece has passed check_piece(r, degree, piece): compute_tau grades
-        it no more, and packs it only when a computed degree reads it."""
-        ...
-
-    def store(self, r: int, degree: int, piece: TPolynomial) -> None: ...
-
-
 class TauExpansion:
-    """Graded pieces tau_0 .. tau_D of the partition function for one r,
-    each held as it came: the Packed a solve made, or a TPolynomial.  Each
-    is graded once: a Packed as it was made, a TPolynomial by its reader if
-    graded, else on first use.  packed(j) packs a TPolynomial once over
-    _layout(r, D).  pieces, built on first read by tpoly.unpacked, rules
-    from then on: a piece put into it is graded and packed afresh."""
+    """Graded pieces tau_0 .. tau_D of the partition function for one r.
+    held lists each piece by degree: a Packed over _layout(r, D), graded
+    where the package made it (a solve, a reader), or a TPolynomial a caller
+    handed over, graded once on first use and packed once by packed(j).
+    pieces, built on first read by tpoly.unpacked, rules from then on: a
+    piece put into it is graded and packed afresh."""
 
-    __slots__ = ("r", "max_degree", "_held", "_known")
+    __slots__ = ("r", "max_degree", "held", "_known")
 
-    def __init__(self, r: int, max_degree: int, pieces: list, graded: bool = False):
-        self.r, self.max_degree, self._known = r, max_degree, {}
-        self._held = [] if graded else pieces  # by degree: Packed, or TPolynomial
-        for piece in pieces if graded else ():
-            self._add(piece)
-
-    def _add(self, piece) -> None:
-        """Append the next piece, graded already."""
-        if type(piece) is not tuple:
-            self._known[len(self._held)] = [piece, [], None]  # the piece, its faults, its Packed
-        self._held.append(piece)
+    def __init__(self, r: int, max_degree: int, pieces: list):
+        self.r, self.max_degree, self.held, self._known = r, max_degree, pieces, {}
 
     @property
     def pieces(self) -> list[TPolynomial]:
-        held = self._held
+        held = self.held
         for j, piece in enumerate(held):
             if type(piece) is tuple:
                 held[j] = unpacked(self.r, j, j, piece, _layout(self.r, self.max_degree)[1])
                 self._known[j] = [held[j], [], piece]
         return held
 
-    @property
-    def held(self) -> tuple:
-        """The pieces as held, each a Packed or a TPolynomial; no view is built."""
-        return tuple(self._held)
-
     def faults(self, j: int) -> list:
         """off_grade(r, j, piece j), listed once per piece."""
-        piece = self._held[j]
+        piece = self.held[j]
         if type(piece) is tuple:
             return []
         known = self._known.get(j)
@@ -91,7 +71,7 @@ class TauExpansion:
 
     def packed(self, j: int) -> Packed:
         """Piece j packed, refused off the grading (check_piece, ContractError)."""
-        piece = self._held[j]
+        piece = self.held[j]
         if type(piece) is tuple:
             return piece
         faults, known = self.faults(j), self._known[j]
@@ -104,11 +84,11 @@ class TauExpansion:
         grading, on every tau_j (ContractError); the pieces, packed."""
         if self.max_degree < 0:
             raise ContractError("max_degree must be nonnegative")
-        if len(self._held) != self.max_degree + 1:
-            raise ContractError(f"expected {self.max_degree + 1} pieces, found {len(self._held)}")
+        if len(self.held) != self.max_degree + 1:
+            raise ContractError(f"expected {self.max_degree + 1} pieces, found {len(self.held)}")
         if self.packed(0) != ({0: 1}, 1):
             raise ContractError("degree-0 piece must equal 1")
-        return [self.packed(j) for j in range(len(self._held))]
+        return [self.packed(j) for j in range(len(self.held))]
 
 
 def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
@@ -133,49 +113,44 @@ def raise_step(r: int, l: int, j: int, rows: tuple[int, list], shift: dict[int, 
     return nums, den * den_t * r ** (2 * l)
 
 
-def compute_tau(r: int, max_degree: int, cache: PieceStore | None = None) -> TauExpansion:
+def compute_tau(r: int, max_degree: int, cache: TauCache | None = None) -> TauExpansion:
     """Compute the graded pieces up to max_degree by the degree recursion.
 
     Exact, and deterministic (byte-identical canonical serialization)
-    regardless of cache hits.  A computed piece is graded by check_piece as
-    it is made, and stays packed unless a cache stores it, unpacked; a
-    cached one, graded by the store's load, is packed only when a computed
-    degree reads it.
-    """
-    shift, fields = _layout(r, max_degree)
-    tau = TauExpansion(r, max_degree, [({0: 1}, 1)], graded=True)
+    regardless of cache hits.  Every piece is packed over _layout(r, D): a
+    computed one is graded by check_piece as it is made, and stored as it is;
+    a cached one comes from cache.load graded."""
+    layout = shift, fields = _layout(r, max_degree)
+    pieces: list[Packed] = [({0: 1}, 1)]
     rows: dict[int, tuple[int, list]] = {}  # degree -> kernel_rows of its piece
     for j in range(1, max_degree + 1):
-        piece = cache.load(r, j) if cache is not None else None
+        piece = cache.load(r, j, layout) if cache is not None else None
         if piece is None:
             for i in range(max(0, j - r + 1), j):
                 if i not in rows:  # tau_0, or a cached piece
-                    rows[i] = kernel_rows(tau.packed(i), fields)
+                    rows[i] = kernel_rows(pieces[i], fields)
             piece = summed([raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)], j)
             rows.pop(j - r + 1, None)  # raised for the last time
             if j < max_degree:  # no raiser reads the top degree's rows
                 rows[j] = kernel_rows(piece, fields)
-                items = ((e, num) for _, e, num in rows[j][1])
-            else:
-                items = ((unpack_exponents(key, fields), num) for key, num in piece[0].items())
-            if cache is None:
-                check_piece(r, j, (e for e, _ in items))
-            else:  # the store writes text: the piece is unpacked once, and that is graded
-                piece = TPolynomial._raw(r, dict(graded_terms(r, j, j, piece[1], items)))
-                check_piece(r, j, piece)
-                cache.store(r, j, piece)
-            del items  # not alive through the next degree's raise
-        tau._add(piece)
+            exps = (e for _, e, _ in rows[j][1]) if j < max_degree else (unpack_exponents(k, fields) for k in piece[0])
+            check_piece(r, j, packed_rows(exps))
+            if cache is not None:
+                cache.store(r, j, piece, layout)
+        pieces.append(piece)
         rows.pop(j - r + 1, None)  # no later raiser reads it
-    return tau
+    return TauExpansion(r, max_degree, pieces)
 
 
 def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
-    """verify.exponential_pieces unpacked into a validated TauExpansion."""
+    """verify.exponential_pieces as a validated TauExpansion, each piece
+    graded by check_piece as compute_tau grades its own."""
     from .verify import exponential_pieces  # the diagnostic, beside the check that reads it
 
     _, fields = _layout(r, max_degree)
     pieces = exponential_pieces(r, max_degree)
-    tau = TauExpansion(r, max_degree, [unpacked(r, j, j, packed, fields) for j, packed in enumerate(pieces)])
+    for j, (nums, _) in enumerate(pieces):
+        check_piece(r, j, packed_rows(unpack_exponents(key, fields) for key in nums))
+    tau = TauExpansion(r, max_degree, pieces)
     tau.validate()
     return tau

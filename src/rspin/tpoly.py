@@ -13,10 +13,12 @@ coefficients are never stored, monomial tuples are always sorted (the
 constructor refuses others), and the canonical term order (weight, lam
 exponent, exponent sequence) makes equal polynomials identical.
 
-The package's one grading (off_grade): tau_j has weight j*(r+1), lam
-exponent j - N on N variables and coefficients in Q*s^(j mod 2).  A
-graded tau_j is Packed, the sum of num/den * s^j * lam^(j-N) * prod
-T_n^e_n over {exponent key: num}.
+The package's one grading (off_grade), one rule per term: tau_j has
+weight j*(r+1), lam exponent j - N on N variables and coefficients in
+Q*s^(j mod 2).  A graded tau_j is Packed, the sum of num/den * s^j *
+lam^(j-N) * prod T_n^e_n over {exponent key: num}: every piece the package
+reads, makes or stores.  A TPolynomial is what a caller hands over, the
+TauExpansion.pieces view, or a residual.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class TMonomial(NamedTuple):
 
 
 ONE_MONOMIAL = TMonomial(0, ())
-_ONE, _S = QScalar(Fraction(1), Fraction(0)), QScalar(Fraction(0), Fraction(1))
+_ONE = QScalar(Fraction(1), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -127,49 +129,47 @@ Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s 
 
 
 def off_grade(r: int, j: int, piece):
-    """Yield (monomial, kind, why) for each monomial of piece that tau_j over
+    """Yield (monomial, kind, why) for each term of piece that tau_j over
     this r cannot carry, under the first rule it breaks: ascending positive
     indices not divisible by r with exponents >= 1 ("indices"), weight j*(r+1)
     ("inhomogeneous"), a lam exponent j - N, even and >= -2j, on N variables
-    ("lam exponents"), and a coefficient in Q*s^(j mod 2) ("coefficients").
-    piece is a TPolynomial, or the exponent tuples of a packed tau_j, each the
-    monomial lam^(j-N) * s^j.  This is the package's one grading: every reader
-    of a piece applies it here."""
+    ("lam exponents"), and a coefficient a + b*s in Q*s^(j mod 2)
+    ("coefficients").  piece is a TPolynomial or rows (lam, exps, a, b): a
+    reader's, or packed_rows.  This is the package's one grading."""
     weight, odd = j * (r + 1), j % 2
-    if not isinstance(piece, TPolynomial):  # only the weight and lam rules can fail: keep what fails them
-        off = {}
-        for exps in piece:
-            total = count = 0
-            for n, e in exps:
-                total += n * e
-                count += e
-            if total != weight or (j - count) % 2 or count > 3 * j:
-                off[TMonomial(j - count, exps)] = _S if odd else _ONE
-        piece = TPolynomial._raw(r, off)
-    for mono, coeff in piece.terms.items():
+    if isinstance(piece, TPolynomial):
+        piece = ((m.lambda_exp, m.exps, c.a, c.b) for m, c in piece.terms.items())
+    for lam, exps, a, b in piece:
         total = count = last = 0
-        for n, e in mono.exps:
+        for n, e in exps:
             if n <= last or not n % r or e < 1:
-                yield mono, "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
+                kind, why = "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
                 break
             total += n * e
             count += e
             last = n
         else:
-            lam = mono.lambda_exp
+            lam = j - count if lam is None else lam
             if total != weight:
-                yield mono, "inhomogeneous", f"weight {total}, expected {weight}"
+                kind, why = "inhomogeneous", f"weight {total}, expected {weight}"
             elif lam != j - count or lam % 2 or lam < -2 * j:
-                yield mono, "lam exponents", (
-                    f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
-                )
-            elif coeff.a if odd else coeff.b:
-                yield mono, "coefficients", f"coefficient {coeff} outside Q*s^{odd}"
+                expected = f"expected {j - count}, even and >= {-2 * j}"
+                kind, why = "lam exponents", f"lam exponent {lam} on {count} variables, {expected}"
+            elif a if odd else b:
+                kind, why = "coefficients", f"coefficient {QScalar(a, b)} outside Q*s^{odd}"
+            else:
+                continue
+        yield TMonomial(lam, exps), kind, why
+
+
+def packed_rows(exps):
+    """The off_grade rows of a packed piece's unpack_exponents: lam None is j - N."""
+    return ((None, pairs, 0, 0) for pairs in exps)
 
 
 def check_piece(r: int, j: int, piece, faults=None) -> None:
     """Refuse (ContractError) a TPolynomial over another r, or a piece with
-    a monomial off_grade; faults, when given, are its off_grade already."""
+    a term off_grade; faults, when given, are its off_grade already."""
     if isinstance(piece, TPolynomial) and piece.r != r:
         raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
     for mono, _, why in off_grade(r, j, piece) if faults is None else faults:
@@ -177,28 +177,36 @@ def check_piece(r: int, j: int, piece, faults=None) -> None:
 
 
 def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int], faults=None) -> Packed:
-    """tau_j as numerators over one den of s^j, over the layout shift, once
-    check_piece(r, j, piece, faults) passes (ContractError).  The layout holds
-    weight j*(r+1), as every solve's and check's does: a graded monomial then
-    has a field for each index, a key of its own, and tau_j's lam + N and s^j."""
+    """pack_terms of piece once check_piece(r, j, piece, faults) passes
+    (ContractError)."""
     check_piece(r, j, piece, faults)
-    half, odd = divmod(j, 2)
+    odd = j % 2
+    return pack_terms(r, j, ((m.exps, c.b if odd else c.a) for m, c in piece.terms.items()), shift)
+
+
+def pack_terms(r: int, j: int, terms, shift: dict[int, int]) -> Packed:
+    """tau_j as numerators over one den of s^j, over the layout shift, from
+    its graded terms (exps, x), each x * s^(j mod 2) * lam^(j-N) * prod
+    T_n^e_n.  The layout holds weight j*(r+1), as every solve's and check's
+    does: a graded monomial then has a field for each index and a key of its own."""
     ratios = {}
-    for mono, c in piece.terms.items():
+    for exps, x in terms:
         key = 0
-        for n, e in mono.exps:
+        for n, e in exps:
             key += e << shift[n]
-        ratios[key] = c.b if odd else c.a
-    # coeff = x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
+        ratios[key] = x
+    # x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
+    half = j // 2
     common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
-    return reduced({key: sign * x.numerator * (common // x.denominator) for key, x in ratios.items()}, common * r**half)
+    for key, x in ratios.items():  # in place: no second dict of the piece
+        ratios[key] = sign * x.numerator * (common // x.denominator)
+    return reduced(ratios, common * r**half)
 
 
 def reduced(nums: dict[int, int], den: int) -> Packed:
     """Drop zero numerators and cancel the common factor."""
-    nums = {key: c for key, c in nums.items() if c}
     div = gcd(den, *nums.values())
-    return {key: c // div for key, c in nums.items()}, den // div
+    return {key: c // div for key, c in nums.items() if c}, den // div
 
 
 def summed(parts, div: int = 1) -> Packed:
@@ -351,24 +359,19 @@ class TPolynomial:
         return f"TPolynomial(r={self.r}, {self})"
 
 
-def graded_terms(r: int, offset: int, p: int, den: int, rows):
-    """The (monomial, coefficient) items of the polynomial with rows
-    (exps, num): num/den * s^p * lam^(offset-N) * prod T_n^e_n each.  The
-    offset and p may be negative, as for a constraint residual or a raiser
-    output, and stay exact."""
-    unit, zero = Fraction(-r) ** (p // 2), Fraction(0)  # s^p / s^(p mod 2)
-    num_unit, den = unit.numerator, den * unit.denominator
-    for exps, num in rows:
-        x = Fraction(num * num_unit, den)
-        yield TMonomial(offset - sum(e for _, e in exps), exps), QScalar(zero, x) if p % 2 else QScalar(x, zero)
-
-
 def kernel_rows(packed: Packed, fields: list[tuple[int, int, int]]) -> tuple[int, list]:
     """The den of a Packed and its rows (key, exps, num), as the kernel reads them."""
     return packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
 
 
 def unpacked(r: int, offset: int, p: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:
-    """The polynomial of a Packed at this offset and power of s."""
-    rows = ((unpack_exponents(key, fields), num) for key, num in packed[0].items() if num)
-    return TPolynomial._raw(r, dict(graded_terms(r, offset, p, packed[1], rows)))
+    """The polynomial of a Packed at this offset and power of s: num/den *
+    s^p * lam^(offset-N) * prod T_n^e_n per key.  The offset and p may be
+    negative, as for a constraint residual or a raiser output, and stay exact."""
+    unit, zero, terms = Fraction(-r) ** (p // 2), Fraction(0), {}  # s^p / s^(p mod 2)
+    num_unit, den = unit.numerator, packed[1] * unit.denominator
+    for key, num in packed[0].items():
+        if num:
+            exps, x = unpack_exponents(key, fields), Fraction(num * num_unit, den)
+            terms[TMonomial(offset - sum(e for _, e in exps), exps)] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
+    return TPolynomial._raw(r, terms)

@@ -20,10 +20,13 @@ build W(k, m):
 
 1. Generator.  Bosonizing psi*_a d^(k-1) psi_a / (k-1)! on one sheet gives
    [eps^k] exp(sum_i eps^i X^(i) / i!), a polynomial in the derivatives
-   X^(i) = d^(i-1) X'.  Total derivatives only add lower modes that
-   annihilate on their own, so they are integrated away down to the normal
-   form in which the highest derivative occurs at least twice:
+   X^(i) = d^(i-1) X'.  Total derivatives are integrated away down to the
+   normal form in which the highest derivative occurs at least twice:
    X'^2/2, X'^3/6, (X'^4 - X''^2)/24, (X'^5 - 5 X' X''^2)/120, ...
+   A dropped dY only adds lower modes that annihilate on their own when Y
+   is built from W-currents ((dY)_m = -(m+k-1) Y_m), which holds through
+   k = 5.  At k = 6 the reduction drops d^2(X''^2)/1440, and X''^2 is no
+   W-current: the modes are wrong from r = 6, degree 4 on.
 2. Twisted normal ordering.  An untwisted normally ordered product equals
    the twisted normally ordered one plus every partial pairing of its
    factors, a pair of factors X^(i), X^(j) of one sheet replaced by the

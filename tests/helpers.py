@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.correlator import _free_energy
-from rspin.tpoly import TMonomial, check_index, exponent_fields, graded_terms, kernel_rows, reduced, unpacked
+from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpacked
 from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents, raise_packed
 
 # -- polynomial builders ----------------------------------------------------
@@ -298,9 +298,12 @@ def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
 def log_tau(tau) -> TPolynomial:
     """The package's graded log, the free energy F_1 .. F_D that extraction
     reads, as one polynomial (ContractError as _free_energy raises it)."""
-    terms = {}
+    terms, zero = {}, Fraction(0)
     for n, den, rows in _free_energy(tau):
-        terms.update(graded_terms(tau.r, n, n, den, ((exps, num) for _, exps, num in rows)))
+        unit = Fraction(-tau.r) ** (n // 2)  # s^n / s^(n mod 2)
+        for lam, exps, num in rows:
+            x = Fraction(num, den) * unit
+            terms[TMonomial(lam, exps)] = QScalar(zero, x) if n % 2 else QScalar(x, zero)
     return TPolynomial._raw(tau.r, terms)
 
 

@@ -31,6 +31,10 @@ def test_check_tau_reads_anchors_from_a_parsed_document(tmp_path):
     table = {(rec.genus, tuple((i.m, i.a) for i in rec.insertions)): rec.value for rec in extract_correlators(low)}
     assert {key: table.get(key) for key in R4_ANCHORS} == R4_ANCHORS
     assert [len(p.terms) for p in tau.pieces] == [1, 3, 11, 41, 129, 355, 904]
+    # check_tau.tau_properties reads both Fraction parts of every coefficient
+    for piece in tau.pieces:
+        for coeff in piece.terms.values():
+            assert type(coeff.a) is Fraction and type(coeff.b) is Fraction
 
 
 def test_tracer_reads_terms_and_fraction_parts_of_computed_pieces():

@@ -10,6 +10,8 @@ import pytest
 from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import _warn_unchecked, main
 from rspin.cli import ORACLE_CHECKED_DEPTH
+from rspin.solver import _layout
+from rspin.tpoly import pack_piece
 
 from helpers import qs, tau1_r3
 
@@ -173,47 +175,10 @@ def test_verify_extracts_correlators_once(tmp_path, monkeypatch):
     assert calls == [2]
 
 
-def test_correlators_read_the_packed_pieces(tmp_path, monkeypatch):
-    # without a cache, correlators extracts from the pieces as the solve
-    # packed them: no piece is packed from a TPolynomial or unpacked to one
-    from rspin import solver, tpoly
-
-    calls = []
-
-    def counted(name, fn):
-        def run(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return run
-
-    for owner in (solver, tpoly):
-        for name in ("pack_piece", "unpacked", "graded_terms"):
-            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    out = tmp_path / "c.json"
-    assert main(["-q", "correlators", "--r", "3", "--degree", "7", "--out", str(out)]) == 0
-    assert calls == []
-    # the bytes the benchmark's tables-r3 workload pins
-    digest = "573f19c99888039f65a776522425d2ad673dec5b2be5945c063349fddffde902"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
-    # every piece comes from the cache: none is packed or unpacked, and the
-    # document is written from the very polynomials the reader returned
+def _polynomial_calls(monkeypatch) -> list:
+    """The (name, degree) of each call of pack_piece, unpacked or graded_terms
+    from then on, wherever the package binds them."""
     from rspin import serialize, solver, tpoly
-
-    cache = tmp_path / "cache"
-    assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache)]) == 0
-    loaded, load, written, write = [], serialize.TauCache.load, [], serialize._poly_json
-
-    def loading(self, r, degree):
-        loaded.append(load(self, r, degree))
-        return loaded[-1]
-
-    def writing(poly, pad):
-        written.append(poly)
-        return write(poly, pad)
 
     calls = []
 
@@ -228,11 +193,60 @@ def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
         for name in ("pack_piece", "unpacked", "graded_terms"):
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+def test_correlators_read_the_packed_pieces(tmp_path, monkeypatch):
+    # with or without a cache, cold or warm, compute and correlators run on
+    # the pieces as the solve or the cache reader packed them: no piece is
+    # packed from a TPolynomial or unpacked to one, and the cached runs write
+    # the bytes of the run without a cache
+    calls = _polynomial_calls(monkeypatch)
+    for command in ("correlators", "compute"):
+        plain = tmp_path / f"{command}.json"
+        assert main(["-q", command, "--r", "3", "--degree", "7", "--out", str(plain)]) == 0
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{command}-{run}.json"
+            cache = str(tmp_path / f"cache-{command}")
+            assert main(["-q", command, "--r", "3", "--degree", "7", "--cache-dir", cache, "--out", str(out)]) == 0
+            assert out.read_bytes() == plain.read_bytes(), (command, run)
+    assert calls == []
+    # the bytes the benchmark's tables-r3 workload pins
+    digest = "573f19c99888039f65a776522425d2ad673dec5b2be5945c063349fddffde902"
+    assert hashlib.sha256((tmp_path / "correlators.json").read_bytes()).hexdigest() == digest
+
+
+def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
+    # every piece comes from the cache packed: the reader grades each once,
+    # nothing grades it again, and the document is rendered from the very
+    # Packed objects the reader returned
+    from rspin import serialize, solver, tpoly
+
+    cache = tmp_path / "cache"
+    assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache)]) == 0
+    loaded, load, written, write = [], serialize.TauCache.load, [], serialize._packed_json
+    graded, off_grade = [], tpoly.off_grade
+
+    def loading(self, r, degree, layout):
+        loaded.append(load(self, r, degree, layout))
+        return loaded[-1]
+
+    def writing(r, j, piece, fields, pad):
+        written.append(piece)
+        return write(r, j, piece, fields, pad)
+
+    def grading(r, j, piece):
+        graded.append(j)
+        return off_grade(r, j, piece)
+
+    calls = _polynomial_calls(monkeypatch)
     monkeypatch.setattr(serialize.TauCache, "load", loading)
-    monkeypatch.setattr(serialize, "_poly_json", writing)
+    monkeypatch.setattr(serialize, "_packed_json", writing)
+    monkeypatch.setattr(tpoly, "off_grade", grading)
+    monkeypatch.setattr(solver, "off_grade", grading)
     out = tmp_path / "tau.json"
     assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
-    assert calls == [("graded_terms", 0)]  # tau_0, the packed constant, rendered from its one term
+    assert calls == [] and graded == [1, 2, 3, 4, 5]
     assert len(loaded) == 5 and all(a is b for a, b in zip(loaded, written[1:]))
     assert out.read_bytes() == serialize_tau(compute_tau(4, 5))
 
@@ -341,8 +355,9 @@ def test_verify_failure_exits_1(tmp_path):
     # a cached degree-1 piece with an extra s*T4 that keeps the weight and
     # the grading passes the cache's own checks, so verify runs on it and
     # the constraints fail
-    cache = TauCache(tmp_path / "cache")
-    cache.store(3, 1, compute_tau(3, 1).pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1}))
+    cache, layout = TauCache(tmp_path / "cache"), _layout(3, 2)
+    piece = compute_tau(3, 1).pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})
+    cache.store(3, 1, pack_piece(3, 1, piece, layout[0]), layout)
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints",

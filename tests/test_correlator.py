@@ -216,7 +216,7 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
     parse_tau(serialize_tau(tau))
     assert sorted(j for j, _ in seen) == [0, 1, 2, 3]
     seen.clear()
-    [TauCache(tmp_path).load(3, j) for j in (1, 2, 3)]
+    [TauCache(tmp_path).load(3, j, solver._layout(3, 3)) for j in (1, 2, 3)]
     assert sorted(j for j, _ in seen) == [1, 2, 3]
 
 

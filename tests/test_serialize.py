@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from rspin import (
 from rspin.serialize import records_to_csv, records_to_json, reports_to_json
 from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
 from rspin.serialize import MODE_CONSTRUCTION
+from rspin.solver import _layout
 
 from helpers import _dump, poly_to_obj, qs, report_to_obj
 
@@ -84,14 +86,15 @@ def test_direct_writer_on_zero_and_hand_built_pieces():
 
 
 def test_cache_entries_match_json_dumps(tmp_path):
-    cache = TauCache(tmp_path)
-    pieces = compute_tau(4, 4).pieces + [TPolynomial.zero(4), _hand_built_piece(4)]
-    for degree, piece in enumerate(pieces):
-        cache.store(4, degree, piece)
+    cache, layout = TauCache(tmp_path), _layout(4, 4)
+    tau = compute_tau(4, 4)
+    packed = [tau.packed(degree) for degree in range(5)]
+    for degree, piece in enumerate(packed):
+        cache.store(4, degree, piece, layout)
         doc = {"format_version": FORMAT_VERSION, "modes": MODE_CONSTRUCTION, "r": 4, "degree": degree}
-        assert cache.path(4, degree).read_bytes() == _dump({**doc, "piece": poly_to_obj(piece)})
+        assert cache.path(4, degree).read_bytes() == _dump({**doc, "piece": poly_to_obj(tau.pieces[degree])})
     for degree in range(5):
-        assert cache.load(4, degree) == pieces[degree]
+        assert cache.load(4, degree, layout) == packed[degree]
 
 
 def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
@@ -101,13 +104,13 @@ def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
     from rspin import serialize
     from rspin.cli import main
 
-    rendered, render = [], serialize._poly_json
+    rendered, render = [], serialize._packed_json
 
-    def counting(poly, pad):
-        rendered.append(id(poly))
-        return render(poly, pad)
+    def counting(r, j, piece, fields, pad):
+        rendered.append(id(piece))
+        return render(r, j, piece, fields, pad)
 
-    monkeypatch.setattr(serialize, "_poly_json", counting)
+    monkeypatch.setattr(serialize, "_packed_json", counting)
     expected = _dumped_tau(compute_tau(4, 5))
     for run in ("cold", "warm"):
         rendered.clear()
@@ -156,18 +159,18 @@ def _stored(kind, tmp_path):
     """A stored (3, 2) object, the name of its piece list, a reader of its
     text and what the reader must give: a tau document read by parse_tau,
     or the degree-2 cache entry read by TauCache.load."""
-    tau = compute_tau(3, 2)
+    tau, layout = compute_tau(3, 2), _layout(3, 2)
     if kind == "document":
         return json.loads(serialize_tau(tau)), "pieces", parse_tau, tau.pieces
     cache = TauCache(tmp_path)
-    cache.store(3, 2, tau.pieces[2])
+    cache.store(3, 2, tau.packed(2), layout)
     path = cache.path(3, 2)
 
     def load(text):
         path.write_text(text, encoding="utf-8", newline="")
-        return cache.load(3, 2)
+        return cache.load(3, 2, layout)
 
-    return json.loads(path.read_text(encoding="utf-8")), "piece", load, tau.pieces[2]
+    return json.loads(path.read_text(encoding="utf-8")), "piece", load, tau.packed(2)
 
 
 @pytest.mark.parametrize("kind", ["document", "entry"])
@@ -267,10 +270,10 @@ def test_an_entry_gone_before_it_is_opened_is_a_miss(tmp_path, monkeypatch):
         return real_open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(pathlib.Path, "open", removing_open)
-    assert cache.load(3, 2) is None
+    assert cache.load(3, 2, _layout(3, 3)) is None
     assert opened == [gone] and not gone.exists()
     stored, store = [], cache.store
-    monkeypatch.setattr(cache, "store", lambda r, j, piece: stored.append(j) or store(r, j, piece))
+    monkeypatch.setattr(cache, "store", lambda r, j, piece, layout: stored.append(j) or store(r, j, piece, layout))
     assert compute_tau(3, 3, cache=cache).pieces == expected.pieces
     assert stored == [2] and gone.exists()
 
@@ -296,7 +299,7 @@ def test_reading_a_stored_piece_never_holds_it_parsed_whole(tmp_path):
     cache = TauCache(tmp_path)
     data = serialize_tau(compute_tau(4, 6, cache=cache))
     size = cache.path(4, 6).stat().st_size
-    assert _load_peak(lambda: TauCache(tmp_path).load(4, 6)) < 3 * size
+    assert _load_peak(lambda: TauCache(tmp_path).load(4, 6, _layout(4, 6))) < 3 * size
     assert _load_peak(lambda: parse_tau(data)) < 3 * len(data)
 
 
@@ -321,9 +324,24 @@ def test_parse_rejects_version_mismatch():
 def test_parse_rejects_invalid_index():
     doc = json.loads(serialize_tau(compute_tau(3, 1)))
     doc["pieces"][1][0]["monomial"]["t"] = [[3, 4]]  # index divisible by r
-    with pytest.raises(ParseError) as info:
+    message = (
+        "piece 1 has monomial T3^4*lam^-2 off the grading: "
+        "T3^4: indices ascend, are positive, not divisible by 3; exponents >= 1 (at pieces[1])"
+    )
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_tau(json.dumps(doc))
-    assert "pieces[1]" in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["document", "entry"])
+def test_reader_refuses_an_index_with_no_field(kind, tmp_path):
+    # s*T1*T3/lam is graded as a degree-1 term but for its index: T3 has no
+    # field in the layout, and the grading refuses the term before it is packed
+    doc, key, read, _ = _stored(kind, tmp_path)
+    piece = doc[key][1] if kind == "document" else doc[key]
+    piece.append({"monomial": {"lambda": -1, "t": [[1, 1], [3, 1]]}, "coeff": {"a": "0", "b": "1"}})
+    with pytest.raises((ParseError, CacheError)) as info:
+        read(json.dumps(doc))
+    assert "off the grading" in str(info.value) and "indices ascend" in str(info.value)
 
 
 @pytest.mark.parametrize("t", [[[2, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 0], [2, 1]]], ids=["unsorted", "repeated", "zero"])

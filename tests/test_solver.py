@@ -17,7 +17,7 @@ from rspin import (
     compute_tau_exponential,
     serialize_tau,
 )
-from rspin import serialize, walgebra
+from rspin import serialize, solver, walgebra
 from rspin.serialize import MODE_CONSTRUCTION
 
 from helpers import (
@@ -147,8 +147,9 @@ def test_packed_recursion_matches_reference(r, depth):
 
 
 def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
-    # degrees 1-3 come from the cache and are packed when degrees 4-6 read
-    # them; the document and every entry equal those of a cold run
+    # degrees 1-3 come from the cache, packed by its reader, and degrees
+    # 4-6 raise them as read; the document and every entry equal those of a
+    # cold run
     from rspin import solver
 
     cold, half = tmp_path / "cold", tmp_path / "half"
@@ -163,7 +164,7 @@ def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "pack_piece", counting)
     assert serialize_tau(compute_tau(4, 6, cache=TauCache(half))) == expected
-    assert sorted(packed) == [1, 2, 3]
+    assert packed == []  # the cache's reader packs what it reads
     assert sorted(p.name for p in half.iterdir()) == sorted(p.name for p in cold.iterdir())
     for entry in cold.iterdir():
         assert (half / entry.name).read_bytes() == entry.read_bytes()
@@ -200,10 +201,10 @@ def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
 def test_bad_piece_never_reaches_the_cache(tmp_path, monkeypatch):
     from rspin import solver
 
-    # the finished piece, built from the packed one, comes out as a rational T4
-    off_grade = TPolynomial.var(3, 4).terms.items()
-    monkeypatch.setattr(solver, "graded_terms", lambda r, offset, p, den, rows: off_grade)
-    with pytest.raises(ContractError, match="outside"):
+    # the computed degree-1 piece comes out as T1, off the weight
+    shift, _ = solver._layout(3, 1)
+    monkeypatch.setattr(solver, "raise_step", lambda *args: ({1 << shift[1]: 1}, 1))
+    with pytest.raises(ContractError, match="weight 1, expected 4"):
         compute_tau(3, 1, cache=TauCache(tmp_path))
     assert not list(tmp_path.iterdir())
 
@@ -324,8 +325,8 @@ def test_cache_of_another_mode_construction_raises(tmp_path, modes):
 def test_failed_store_keeps_previous_entry(tmp_path, monkeypatch):
     # the entry is written to a temporary file and renamed into place, so a
     # write that dies halfway leaves the old entry and no partial file
-    cache = TauCache(tmp_path)
-    piece = compute_tau(3, 1, cache=cache).pieces[1]
+    cache, layout = TauCache(tmp_path), solver._layout(3, 1)
+    piece = compute_tau(3, 1, cache=cache).packed(1)
     before = sorted(p.name for p in tmp_path.iterdir())
     entry = cache.path(3, 1).read_bytes()
 
@@ -338,11 +339,11 @@ def test_failed_store_keeps_previous_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_document_chunks", torn_write)
     with pytest.raises(OSError, match="disk full"):
-        cache.store(3, 1, piece.scaled(2))
+        cache.store(3, 1, ({key: 2 * num for key, num in piece[0].items()}, piece[1]), layout)
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert cache.path(3, 1).read_bytes() == entry
-    assert TauCache(tmp_path).load(3, 1) == piece
+    assert TauCache(tmp_path).load(3, 1, layout) == piece
 
 
 def test_mislabeled_cache_raises(tmp_path):
