@@ -20,8 +20,8 @@ exponent implied by the degree and the monomial: the TauExpansion's packed
 pieces, over the solve's layout (tpoly.exponent_fields), a bit field per
 index wide enough for the top weight D*(r+1); no product in the log exceeds
 that weight, so adding two keys multiplies two monomials without a carry.
-Each piece was graded once by the package's one rule (tpoly.check_piece,
-ContractError), so no monomial outweighs the top weight.
+Each piece was graded once by the package's one rule (tpoly.check_piece)
+before the expansion held it, so no monomial outweighs the top weight.
 Extraction then reads each free-energy monomial as one exact rational
 correlator; an odd lam exponent, a negative genus or a selection-rule
 violation can only come from an upstream bug and raises ExtractionError.
@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .errors import ExtractionError, InvalidInsertionError
 from .scalar import QScalar
 from .solver import TauExpansion
-from .tpoly import Packed, TMonomial, exponent_fields, reduced, unpack_exponents
+from .tpoly import Packed, TMonomial, canonical_rows, exponent_fields, reduced
 
 __all__ = [
     "Insertion",
@@ -103,10 +103,9 @@ def selection_check(r: int, genus: int, insertions) -> bool:
 def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     """The free energy F_1 .. F_D as (n, den, rows): F_n is the sum of
     num/den * s^n * lam^lam_exp * prod T_i^e_i over its rows
-    (lam_exp, ((i, e_i), ...), num), which come in canonical order.
+    (lam_exp, ((i, e_i), ...), num), in canonical order (tpoly.canonical_rows).
 
-    Reads the pieces as TauExpansion.validate packs them, each graded once
-    (ContractError).
+    Reads the pieces as TauExpansion.held holds them, graded and packed.
     Applying the degree operator to tau = exp(F) gives n tau_n =
     sum_{k=1..n} G_k tau_{n-k} with G_k = k F_k, solved here for G_n
     degree by degree: every product is homogeneous of degree n, so it
@@ -114,7 +113,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
-    taus, r, top = tau.validate(), tau.r, tau.max_degree
+    taus, r, top = tau.held, tau.r, tau.max_degree
     _, fields = exponent_fields(r, top * (r + 1))
     logs: list[Packed] = [({}, 1)]
     free_energy = []
@@ -135,12 +134,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
                     acc[key2] = get(key2, 0) + c * c2
         nums, den = reduced(acc, den)
         logs.append((nums, den))
-        rows = []
-        for key, num in nums.items():
-            exps = unpack_exponents(key, fields)
-            rows.append((n - sum(e for _, e in exps), exps, num))
-        rows.sort()  # weight n*(r+1) throughout: (lam, exps) is canonical
-        free_energy.append((n, den * n, rows))
+        free_energy.append((n, den * n, canonical_rows(n, nums, fields)))
     return free_energy
 
 

@@ -22,10 +22,10 @@ records, joined until it reaches _CHUNK (64 Ki) characters, so a caller
 that writes each chunk as it comes never holds the document whole.
 serialize_tau, records_to_json and records_to_csv are those chunks joined
 and encoded, so both ways give the same bytes.  A term is rendered from a
-template already moved to its depth: a packed piece by _packed_json, on
-integers, and a TPolynomial (a residual, or a piece a caller supplied) by
-_poly_json.  A cache entry is written in such chunks, and tau_chunks moves
-the very chunks the cache kept one level deeper.
+template already moved to its depth: a packed piece (every piece a
+TauExpansion holds) by _packed_json, on integers, and a residual
+TPolynomial by _poly_json.  A cache entry is written in such chunks, and
+tau_chunks moves the very chunks the cache kept one level deeper.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CacheError, ContractError, ParseError
 from .solver import TauExpansion, _layout
-from .tpoly import Packed, TPolynomial, check_piece, pack_terms, shared_pair, unpack_exponents
+from .tpoly import Packed, TPolynomial, canonical_rows, check_piece, pack_terms, shared_pair
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
@@ -268,7 +268,7 @@ def _term_template(count: int, pad: str) -> str:
 
 
 def _poly_json(poly: TPolynomial, pad: str):
-    """_block_chunks of poly's terms {"monomial": {"lambda", "t": [[n, e], ...]}, "coeff": {"a",
+    """_block_chunks of a residual's terms {"monomial": {"lambda", "t": [[n, e], ...]}, "coeff": {"a",
     "b"}} at pad, in canonical order, one chunk per term from its _term_template: no value needs
     escaping."""
     return _block_chunks(
@@ -279,12 +279,10 @@ def _poly_json(poly: TPolynomial, pad: str):
 
 
 def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
-    """_poly_json of the packed tau_j: its terms sorted by (lam, exps),
-    canonical at one weight, each numerator times (-r)^(j // 2) reduced over
-    the den by one gcd and written straight into _term_template."""
+    """_poly_json of the packed tau_j: its tpoly.canonical_rows, each
+    numerator times (-r)^(j // 2) reduced over the den by one gcd and
+    written straight into _term_template."""
     (nums, den), unit, odd = piece, (-r) ** (j // 2), j % 2
-    rows = ((unpack_exponents(key, fields), num) for key, num in nums.items())
-    rows = sorted((j - sum(e for _, e in exps), exps, num) for exps, num in rows)
 
     def term(lam, exps, num):
         num *= unit
@@ -292,7 +290,7 @@ def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
         x = f"{num // div}" if div == den else f"{num // div}/{den // div}"
         return (_term_template(len(exps), pad) % (lam, *chain.from_iterable(exps), *(("0", x) if odd else (x, "0"))),)
 
-    return _block_chunks(starmap(term, rows), pad)
+    return _block_chunks(starmap(term, canonical_rows(j, nums, fields)), pad)
 
 
 def _document_chunks(head: dict, key: str, value):
@@ -307,7 +305,7 @@ def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
     """The canonical tau document as str chunks: json.dumps(indent=1) on the
     document of its pieces, plus a newline.  A piece that is the one cache
     stored last for its degree takes its text out of cache.kept: rendered
-    once, as every other is, by _packed_json or _poly_json."""
+    once, as every other is, by _packed_json."""
     kept = cache.kept if cache is not None else {}
     _, fields = _layout(tau.r, tau.max_degree)
 
@@ -315,7 +313,7 @@ def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
         stored = kept.pop((tau.r, j), None)
         if stored and stored[0] is piece:
             return (part.replace("\n", "\n ") for part in stored[1])
-        return _packed_json(tau.r, j, piece, fields, "  ") if type(piece) is tuple else _poly_json(piece, "  ")
+        return _packed_json(tau.r, j, piece, fields, "  ")
 
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
     pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.held)), " ")
@@ -330,13 +328,20 @@ def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
 def parse_tau(data: bytes | str) -> TauExpansion:
     """Parse a tau document, every piece read, graded and packed over
     solver._layout(r, max_degree) by _read_piece as it comes, and check its
-    structure: one piece per degree, tau_0 = 1."""
+    structure: one piece per degree, tau_0 = 1.  A header whose top weight
+    max_degree*(r+1) exceeds the document's length is refused before the
+    layout is built."""
     reader, head = _open(data, "pieces")
     r, max_degree = head.get("r"), head.get("max_degree")
     if not _is_int(r) or r < 2:
         raise ParseError(f"r must be an integer >= 2, got {r!r}", "r")
     if not _is_int(max_degree) or max_degree < 0:
         raise ParseError(f"max_degree must be a nonnegative integer, got {max_degree!r}", "max_degree")
+    # the layout costs O(weight); a written document has >= 146 characters per unit of weight
+    weight, length = max_degree * (r + 1), len(reader.text)
+    if weight > length:
+        field = "r" if r + 1 > length else "max_degree"
+        raise ParseError(f"top weight max_degree*(r+1) = {weight} exceeds the document's {length} characters", field)
     wrong = ParseError(f"pieces must be a list of {max_degree + 1} polynomials", "pieces")
     if not reader.take("["):
         raise wrong

@@ -6,10 +6,11 @@ computed bottom-up, one kernel call per raiser, each piece packed
 (tpoly.Packed) with offset and power of s both j, over one layout of top
 weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
 degree is one int accumulator.  A finished piece stays packed, graded
-once as it is made; it becomes a TPolynomial only when
-TauExpansion.pieces is read.  raise_step is the one raise step of the
-package: the recursion and verify's commutators and exponential formula
-(exponential_pieces) all call it.
+once as it is made.  A TauExpansion holds packed pieces only: a caller's
+TPolynomial is graded and packed once when the expansion is built, and
+the pieces view builds polynomials afresh on each read.  raise_step is
+the one raise step of the package: the recursion and verify's
+commutators and exponential formula (exponential_pieces) all call it.
 
 An optional cache (serialize.TauCache) stores finished pieces packed,
 keyed by (r, degree), and loads them packed over the solve's layout;
@@ -23,8 +24,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ContractError
 from .tpoly import (
-    Packed, TPolynomial, check_piece, exponent_fields, kernel_rows, off_grade, pack_piece, packed_rows, summed,
-    unpack_exponents, unpacked,
+    Packed, TPolynomial, check_piece, exponent_fields, kernel_rows, pack_piece, packed_rows, summed, unpack_exponents,
+    unpacked,
 )
 
 if TYPE_CHECKING:
@@ -39,56 +40,36 @@ __all__ = [
 
 class TauExpansion:
     """Graded pieces tau_0 .. tau_D of the partition function for one r.
-    held lists each piece by degree: a Packed over _layout(r, D), graded
-    where the package made it (a solve, a reader), or a TPolynomial a caller
-    handed over, graded once on first use and packed once by packed(j).
-    pieces, built on first read by tpoly.unpacked, rules from then on: a
-    piece put into it is graded and packed afresh."""
 
-    __slots__ = ("r", "max_degree", "held", "_known")
+    Construction is the one gate: it refuses (ContractError) r < 2, D < 0, a
+    piece count other than D + 1 and tau_0 != 1, and it grades and packs
+    each TPolynomial piece once (tpoly.pack_piece), over _layout(r, D); a
+    Packed piece is taken as it is, graded where the package made it.  held
+    is the expansion's own list of Packed pieces, by degree, and never
+    changes; pieces is a tuple of their polynomials, built on each read."""
 
-    def __init__(self, r: int, max_degree: int, pieces: list):
-        self.r, self.max_degree, self.held, self._known = r, max_degree, pieces, {}
+    __slots__ = ("r", "max_degree", "held")
+
+    def __init__(self, r: int, max_degree: int, pieces):
+        shift = _layout(r, max_degree)[0]
+        held = list(pieces)
+        if len(held) != max_degree + 1:
+            raise ContractError(f"expected {max_degree + 1} pieces, found {len(held)}")
+        for j, piece in enumerate(held):
+            if type(piece) is not tuple:
+                held[j] = pack_piece(r, j, piece, shift)
+        if held[0] != ({0: 1}, 1):
+            raise ContractError("degree-0 piece must equal 1")
+        self.r, self.max_degree, self.held = r, max_degree, held
 
     @property
-    def pieces(self) -> list[TPolynomial]:
-        held = self.held
-        for j, piece in enumerate(held):
-            if type(piece) is tuple:
-                held[j] = unpacked(self.r, j, j, piece, _layout(self.r, self.max_degree)[1])
-                self._known[j] = [held[j], [], piece]
-        return held
-
-    def faults(self, j: int) -> list:
-        """off_grade(r, j, piece j), listed once per piece."""
-        piece = self.held[j]
-        if type(piece) is tuple:
-            return []
-        known = self._known.get(j)
-        if known is None or known[0] is not piece:
-            known = self._known[j] = [piece, list(off_grade(self.r, j, piece)), None]
-        return known[1]
+    def pieces(self) -> tuple[TPolynomial, ...]:
+        fields = _layout(self.r, self.max_degree)[1]
+        return tuple(unpacked(self.r, j, j, piece, fields) for j, piece in enumerate(self.held))
 
     def packed(self, j: int) -> Packed:
-        """Piece j packed, refused off the grading (check_piece, ContractError)."""
-        piece = self.held[j]
-        if type(piece) is tuple:
-            return piece
-        faults, known = self.faults(j), self._known[j]
-        if known[2] is None:
-            known[2] = pack_piece(self.r, j, piece, _layout(self.r, self.max_degree)[0], faults)
-        return known[2]
-
-    def validate(self) -> list[Packed]:
-        """Check one piece per degree, tau_0 = 1, and tpoly.check_piece, the one
-        grading, on every tau_j (ContractError); the pieces, packed."""
-        if self.max_degree < 0:
-            raise ContractError("max_degree must be nonnegative")
-        if len(self.held) != self.max_degree + 1:
-            raise ContractError(f"expected {self.max_degree + 1} pieces, found {len(self.held)}")
-        if self.packed(0) != ({0: 1}, 1):
-            raise ContractError("degree-0 piece must equal 1")
-        return [self.packed(j) for j in range(len(self.held))]
+        """Piece j, packed."""
+        return self.held[j]
 
 
 def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
@@ -143,14 +124,12 @@ def compute_tau(r: int, max_degree: int, cache: TauCache | None = None) -> TauEx
 
 
 def compute_tau_exponential(r: int, max_degree: int) -> TauExpansion:
-    """verify.exponential_pieces as a validated TauExpansion, each piece
-    graded by check_piece as compute_tau grades its own."""
+    """verify.exponential_pieces as a TauExpansion, each piece graded by
+    check_piece as compute_tau grades its own."""
     from .verify import exponential_pieces  # the diagnostic, beside the check that reads it
 
     _, fields = _layout(r, max_degree)
     pieces = exponential_pieces(r, max_degree)
     for j, (nums, _) in enumerate(pieces):
         check_piece(r, j, packed_rows(unpack_exponents(key, fields) for key in nums))
-    tau = TauExpansion(r, max_degree, pieces)
-    tau.validate()
-    return tau
+    return TauExpansion(r, max_degree, pieces)

@@ -13,11 +13,12 @@ coefficients are never stored, monomial tuples are always sorted (the
 constructor refuses others), and the canonical term order (weight, lam
 exponent, exponent sequence) makes equal polynomials identical.
 
-The package's one grading (off_grade), one rule per term: tau_j has
+The package's one grading (check_piece), one rule per term: tau_j has
 weight j*(r+1), lam exponent j - N on N variables and coefficients in
 Q*s^(j mod 2).  A graded tau_j is Packed, the sum of num/den * s^j *
 lam^(j-N) * prod T_n^e_n over {exponent key: num}: every piece the package
-reads, makes or stores.  A TPolynomial is what a caller hands over, the
+reads, makes, stores or holds.  A TPolynomial is what a caller hands to
+TauExpansion (graded and packed there, once, by pack_piece), the
 TauExpansion.pieces view, or a residual.
 """
 
@@ -128,22 +129,29 @@ def unpack_exponents(key: int, fields: list[tuple[int, int, int]]) -> tuple[tupl
 Packed = tuple[dict[int, int], int]  # ({key: num}, den), offset and power of s known to the holder
 
 
-def off_grade(r: int, j: int, piece):
-    """Yield (monomial, kind, why) for each term of piece that tau_j over
-    this r cannot carry, under the first rule it breaks: ascending positive
-    indices not divisible by r with exponents >= 1 ("indices"), weight j*(r+1)
-    ("inhomogeneous"), a lam exponent j - N, even and >= -2j, on N variables
-    ("lam exponents"), and a coefficient a + b*s in Q*s^(j mod 2)
-    ("coefficients").  piece is a TPolynomial or rows (lam, exps, a, b): a
-    reader's, or packed_rows.  This is the package's one grading."""
-    weight, odd = j * (r + 1), j % 2
+def packed_rows(exps):
+    """The check_piece rows of a packed piece's unpack_exponents: lam None is j - N."""
+    return ((None, pairs, 0, 0) for pairs in exps)
+
+
+def check_piece(r: int, j: int, piece) -> None:
+    """Refuse (ContractError) a TPolynomial over another r, or a piece with a
+    term that tau_j over this r cannot carry, named with the first rule it
+    breaks: ascending positive indices not divisible by r with exponents
+    >= 1, weight j*(r+1), a lam exponent j - N, even and >= -2j, on N
+    variables, and a coefficient a + b*s in Q*s^(j mod 2).  piece is a
+    TPolynomial or rows (lam, exps, a, b): a reader's, or packed_rows.
+    This is the package's one grading."""
     if isinstance(piece, TPolynomial):
+        if piece.r != r:
+            raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
         piece = ((m.lambda_exp, m.exps, c.a, c.b) for m, c in piece.terms.items())
+    weight, odd = j * (r + 1), j % 2
     for lam, exps, a, b in piece:
         total = count = last = 0
         for n, e in exps:
             if n <= last or not n % r or e < 1:
-                kind, why = "indices", f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
+                why = f"T{n}^{e}: indices ascend, are positive, not divisible by {r}; exponents >= 1"
                 break
             total += n * e
             count += e
@@ -151,35 +159,19 @@ def off_grade(r: int, j: int, piece):
         else:
             lam = j - count if lam is None else lam
             if total != weight:
-                kind, why = "inhomogeneous", f"weight {total}, expected {weight}"
+                why = f"weight {total}, expected {weight}"
             elif lam != j - count or lam % 2 or lam < -2 * j:
-                expected = f"expected {j - count}, even and >= {-2 * j}"
-                kind, why = "lam exponents", f"lam exponent {lam} on {count} variables, {expected}"
+                why = f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
             elif a if odd else b:
-                kind, why = "coefficients", f"coefficient {QScalar(a, b)} outside Q*s^{odd}"
+                why = f"coefficient {QScalar(a, b)} outside Q*s^{odd}"
             else:
                 continue
-        yield TMonomial(lam, exps), kind, why
+        raise ContractError(f"piece {j} has monomial {TMonomial(lam, exps)} off the grading: {why}")
 
 
-def packed_rows(exps):
-    """The off_grade rows of a packed piece's unpack_exponents: lam None is j - N."""
-    return ((None, pairs, 0, 0) for pairs in exps)
-
-
-def check_piece(r: int, j: int, piece, faults=None) -> None:
-    """Refuse (ContractError) a TPolynomial over another r, or a piece with
-    a term off_grade; faults, when given, are its off_grade already."""
-    if isinstance(piece, TPolynomial) and piece.r != r:
-        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
-    for mono, _, why in off_grade(r, j, piece) if faults is None else faults:
-        raise ContractError(f"piece {j} has monomial {mono} off the grading: {why}")
-
-
-def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int], faults=None) -> Packed:
-    """pack_terms of piece once check_piece(r, j, piece, faults) passes
-    (ContractError)."""
-    check_piece(r, j, piece, faults)
+def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
+    """pack_terms of piece once check_piece(r, j, piece) passes (ContractError)."""
+    check_piece(r, j, piece)
     odd = j % 2
     return pack_terms(r, j, ((m.exps, c.b if odd else c.a) for m, c in piece.terms.items()), shift)
 
@@ -362,6 +354,14 @@ class TPolynomial:
 def kernel_rows(packed: Packed, fields: list[tuple[int, int, int]]) -> tuple[int, list]:
     """The den of a Packed and its rows (key, exps, num), as the kernel reads them."""
     return packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
+
+
+def canonical_rows(offset: int, nums: dict[int, int], fields: list[tuple[int, int, int]]) -> list:
+    """The rows (lam, exps, num) of a packed piece's numerators at this offset,
+    lam = offset - N on N variables, in canonical order: a packed piece has
+    one weight, so (lam, exps) sorts it."""
+    rows = ((unpack_exponents(key, fields), num) for key, num in nums.items())
+    return sorted((offset - sum(e for _, e in exps), exps, num) for exps, num in rows)
 
 
 def unpacked(r: int, offset: int, p: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:

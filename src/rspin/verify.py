@@ -5,8 +5,8 @@ with no tolerances.  run_checks is the one way into them: it runs the
 checks check_names admits and shares one constraint pass and one
 extraction among them.  Every piece is read, here as in the extraction,
 as TauExpansion.packed holds it, over the solve's one layout of top
-weight D*(r+1): graded once, as tau_j by tpoly.check_piece, so each
-reader refuses a piece off the grading with the same ContractError.
+weight D*(r+1): graded once, as tau_j by tpoly.check_piece, where the
+expansion was built, so no check meets a piece off the grading.
 The commutator and exponential checks are diagnostic only: commutativity
 of the degree raisers is conjectural, so a nonzero residual there is
 reported prominently but fails nothing.
@@ -37,8 +37,9 @@ __all__ = [
     "w_constraint_residuals",
 ]
 
-# selection passes exactly when extraction does; it is a report of its own
-# because the verify output and the --checks option name it
+# grading and selection pass exactly when extraction does (a TauExpansion
+# holds graded pieces only); each is a report of its own because the verify
+# output and the --checks option name it
 CHECKS = ("wconstraints", "string_dilaton", "grading", "selection")
 
 PASS = "pass"
@@ -91,8 +92,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     bit.  An equation is finished once its last piece is done.  engaged is
     False when every piece it reads is zero.  Raises InvalidSpecError on an
     equation off the computed range (degree outside 0..max_degree, or no
-    mode W(k, 0, m)), and ContractError on a piece read that is off the
-    grading (tpoly.check_piece)."""
+    mode W(k, 0, m))."""
     r, top_degree = tau.r, tau.max_degree
     reads: dict[int, list] = {}  # piece -> (equation index, k, l, m)
     finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
@@ -156,18 +156,18 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
     """The reports of the named checks (check_names), in CHECKS order:
     wconstraints, the constraint_equations (past
     default_constraint_mode_bound each mode sends every piece below weight
-    0, so no equation there can fail); string_dilaton, the k = 2, m = -1, 0 equations scaled by
-    1/r as the translation and scaling operators, and the string and
-    dilaton equations on the correlators; grading, the monomials of each
-    piece that tpoly.off_grade finds; selection, the selection rule and
-    rationality that extraction enforces on each record.
+    0, so no equation there can fail); string_dilaton, the k = 2, m = -1,
+    0 equations scaled by 1/r as the translation and scaling operators, and
+    the string and dilaton equations on the correlators; grading and
+    selection, the extraction, which reads every piece as graded when tau
+    was built and enforces the selection rule and rationality on each
+    record.
 
     The checks share one constraint pass: every constraint_equations when
     wconstraints is named, else only string_dilaton's k = 2, m = -1, 0
     equations.  They share one extraction, made just before the first
     correlator check; an extraction error is a residual of each correlator
-    check.  Raises ContractError if tpoly.check_piece refuses a piece the
-    pass reads.  Each piece is graded once for them all (TauExpansion.faults)."""
+    check."""
     check_names(names)
     r, top = tau.r, tau.max_degree
     if "wconstraints" in names:
@@ -189,8 +189,6 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
                 records, extraction = [], [(f"extraction: {exc}", TPolynomial.one(r))]
         if name == "string_dilaton":
             yield _string_dilaton_report(tau, passed, records, extraction)
-        elif name == "grading":
-            yield _gated(name, _off_grade_residuals(tau) + extraction, {"records": len(records)})
         else:
             yield _gated(name, list(extraction), {"records": len(records)})
 
@@ -283,16 +281,6 @@ def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extra
     return _gated("string_dilaton", residuals, stats)
 
 
-def _off_grade_residuals(tau: TauExpansion) -> list:
-    r, residuals = tau.r, []
-    for j, piece in enumerate(tau.held):
-        faults: dict[str, dict] = {}
-        for mono, kind, _ in tau.faults(j):  # none on a piece held packed: a TPolynomial found them
-            faults.setdefault(kind, {})[mono] = piece.terms[mono]
-        residuals.extend((f"{kind} degree={j}", TPolynomial._raw(r, terms)) for kind, terms in sorted(faults.items()))
-    return residuals
-
-
 def check_commutators(tau: TauExpansion) -> CheckReport:
     """Measure [A_i, A_j] on tau's pieces; diagnostic, never gating.
 
@@ -301,7 +289,7 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     the cheapest instance, is measured instead so the diagnostic always reports
     something.  Both products run on packed pieces through solver.raise_step,
     from each base read as tau.packed holds it, as the constraint pass reads
-    it (ContractError).  The layout is the solve's, but of weight 3*(r+1)
+    it.  The layout is the solve's, but of weight 3*(r+1)
     in the fallback, whose one base, tau_0, has no variable.
     """
     r, degree = tau.r, tau.max_degree
@@ -367,7 +355,7 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
     Each piece of tau is read as tau.packed holds it, over the solve's
-    layout, as the constraint pass reads it (ContractError), and compared
+    layout, as the constraint pass reads it, and compared
     there with exponential_pieces' packed sums.
     """
     r, degree = tau.r, tau.max_degree

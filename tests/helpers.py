@@ -297,7 +297,7 @@ def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
 
 def log_tau(tau) -> TPolynomial:
     """The package's graded log, the free energy F_1 .. F_D that extraction
-    reads, as one polynomial (ContractError as _free_energy raises it)."""
+    reads, as one polynomial."""
     terms, zero = {}, Fraction(0)
     for n, den, rows in _free_energy(tau):
         unit = Fraction(-tau.r) ** (n // 2)  # s^n / s^(n mod 2)
@@ -320,6 +320,13 @@ def exp_graded(poly, max_degree) -> TauExpansion:
         total = TPolynomial.sum_of(r, (poly_mul(g[k], pieces[n - k]) for k in range(1, n + 1)))
         pieces.append(total.scaled(Fraction(1, n)))
     return TauExpansion(r, max_degree, pieces)
+
+
+def with_piece(tau, j, piece) -> TauExpansion:
+    """tau with piece j replaced: a new expansion, in which only the new
+    piece is graded (a TPolynomial is packed, ContractError off the
+    grading) and the others are tau's packed pieces as they are."""
+    return TauExpansion(tau.r, tau.max_degree, [*tau.held[:j], piece, *tau.held[j + 1 :]])
 
 
 # -- frozen fixtures (degree <= 2 displays are internally consistent) -------
@@ -556,9 +563,9 @@ def reference_commutator(r, degree, tau=None) -> list[tuple[str, TPolynomial]]:
     max_base = max((d for _, _, d in instances), default=0)
     if tau is None or tau.max_degree < max_base:
         tau = compute_tau(r, max_base)
-    residuals = []
+    residuals, pieces = [], tau.pieces
     for i, j, d in instances:
-        base = tau.pieces[d]
+        base = pieces[d]
         if base.is_zero:
             continue
         ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
@@ -589,18 +596,19 @@ def reference_exponential(r, max_degree) -> list[TPolynomial]:
     return [acc.get(j, zero) for j in range(max_degree + 1)]
 
 
-def reference_w_residual(tau, k, m, degree) -> tuple[TPolynomial, bool]:
-    """(residual, engaged) of the constraint equation (k, m, degree), one
-    apply_w_mode per piece it reads, summed as TPolynomials: the
-    per-equation path that verify.w_constraint_residuals replaces."""
-    r = tau.r
-    pieces = [
-        (l, tau.pieces[idx])
+def reference_w_residual(pieces, k, m, degree) -> tuple[TPolynomial, bool]:
+    """(residual, engaged) of the constraint equation (k, m, degree) on the
+    polynomials tau.pieces, one apply_w_mode per piece it reads, summed as
+    TPolynomials: the per-equation path that verify.w_constraint_residuals
+    replaces."""
+    r = pieces[0].r
+    read = [
+        (l, pieces[idx])
         for l, idx in enumerate(range(degree - k + 1, degree + 1))
-        if 0 <= idx <= tau.max_degree and not tau.pieces[idx].is_zero
+        if 0 <= idx < len(pieces) and not pieces[idx].is_zero
     ]
-    total = TPolynomial.sum_of(r, (apply_w_mode(r, k, l, m, piece) for l, piece in pieces))
-    return total, bool(pieces)
+    total = TPolynomial.sum_of(r, (apply_w_mode(r, k, l, m, piece) for l, piece in read))
+    return total, bool(read)
 
 
 # -- power-series oracle for the graded log ---------------------------------

@@ -225,7 +225,7 @@ def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache)]) == 0
     loaded, load, written, write = [], serialize.TauCache.load, [], serialize._packed_json
-    graded, off_grade = [], tpoly.off_grade
+    graded, check_piece = [], tpoly.check_piece
 
     def loading(self, r, degree, layout):
         loaded.append(load(self, r, degree, layout))
@@ -237,13 +237,13 @@ def test_warm_compute_writes_the_loaded_pieces_as_read(tmp_path, monkeypatch):
 
     def grading(r, j, piece):
         graded.append(j)
-        return off_grade(r, j, piece)
+        return check_piece(r, j, piece)
 
     calls = _polynomial_calls(monkeypatch)
     monkeypatch.setattr(serialize.TauCache, "load", loading)
     monkeypatch.setattr(serialize, "_packed_json", writing)
-    monkeypatch.setattr(tpoly, "off_grade", grading)
-    monkeypatch.setattr(solver, "off_grade", grading)
+    for module in (tpoly, solver, serialize):  # pack_piece's, the solve's and the reader's
+        monkeypatch.setattr(module, "check_piece", grading)
     out = tmp_path / "tau.json"
     assert main(["-q", "compute", "--r", "4", "--degree", "5", "--cache-dir", str(cache), "--out", str(out)]) == 0
     assert calls == [] and graded == [1, 2, 3, 4, 5]

@@ -30,7 +30,7 @@ from rspin import (
 )
 from rspin.serialize import records_to_json
 
-from helpers import exp_graded, free_energy2_r3, graded_part, log_tau, power_series_log, qs, tau1_r3
+from helpers import exp_graded, free_energy2_r3, graded_part, log_tau, power_series_log, qs, tau1_r3, with_piece
 
 
 def test_conversion_constants():
@@ -71,9 +71,9 @@ def test_log_at_degree_two_matches_fixture():
 
 
 def test_log_requires_unit_constant_term():
-    bad = TauExpansion(3, 1, [TPolynomial.const(3, 2), tau1_r3()])
-    with pytest.raises(ContractError):
-        log_tau(bad)
+    # no expansion that log_tau could read holds tau_0 != 1
+    with pytest.raises(ContractError, match="^degree-0 piece must equal 1$"):
+        TauExpansion(3, 1, [TPolynomial.const(3, 2), tau1_r3()])
 
 
 @pytest.mark.parametrize("r, D", ((2, 6), (3, 5), (4, 4), (5, 4), (7, 3)))
@@ -105,16 +105,15 @@ def test_log_of_a_graded_tau_reaching_the_top_weight():
         terms[TMonomial.make(0, {3: j})] = Fraction(-1, j + 2)
         unit = qs(0, 1) if j % 2 else qs(1)
         pieces.append(TPolynomial(r, {m: unit * c for m, c in terms.items()}))
-    tau = TauExpansion(r, D, pieces)
-    tau.validate()
+    tau = TauExpansion(r, D, pieces)  # graded as it is built
     free_energy = log_tau(tau)
     tops = {m.exps for m in free_energy.terms}
     assert ((1, D * (r + 1)),) in tops and ((3, D),) in tops
     assert free_energy == power_series_log(tau)
 
 
-# Additions to one piece of compute_tau(3, 2), each off the grading under
-# the kind of fault that tpoly.off_grade names for it
+# Additions to one piece of compute_tau(3, 2), each off the grading, with
+# the kind of rule of tpoly.check_piece that it breaks first
 ROOT3 = qs(0, 1)
 OFF_GRADE = {
     "rational-in-degree-1": (1, TPolynomial.var(3, 4), "coefficients"),
@@ -132,12 +131,28 @@ OFF_GRADE = {
 }
 
 
+# The why that tpoly.check_piece gives for each kind of rule
+WHY = {
+    "indices": r"T\d+\^\d+: indices ascend, are positive, not divisible by 3; exponents >= 1$",
+    "inhomogeneous": r"weight \d+, expected [48]$",
+    "lam exponents": r"lam exponent -?\d+ on \d+ variables, expected -?\d+, even and >= -[24]$",
+    "coefficients": r"coefficient .* outside Q\*s\^[01]$",
+}
+
+
 def _off_grade_tau(case):
+    """compute_tau(3, 2), piece j, that piece plus the case's addition, the
+    added monomial and the kind of its fault."""
     j, extra, kind = OFF_GRADE[case]
     tau = compute_tau(3, 2)
-    tau.pieces[j] = tau.pieces[j] + extra
     (mono,) = extra.terms
-    return tau, j, mono, kind
+    return tau, j, tau.pieces[j] + extra, mono, kind
+
+
+def validate(tau):
+    """What TauExpansion.validate checked, now done by construction: the
+    expansion built again from its polynomials, its packed pieces."""
+    return TauExpansion(tau.r, tau.max_degree, tau.pieces).held
 
 
 def run_wconstraints(tau):
@@ -149,15 +164,15 @@ def commutators_on_bases_0_to_2(tau):
     at (3, 2) only the fallback on tau_0 runs, at (3, 5) pieces 0 to 2 are
     each the base of [A_1, A_2]."""
     deeper = compute_tau(3, 5)
-    deeper.pieces[: len(tau.pieces)] = tau.pieces
-    return check_commutators(deeper)
+    low = len(tau.held)
+    return check_commutators(TauExpansion(3, 5, [*tau.pieces, *deeper.held[low:]]))
 
 
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 @pytest.mark.parametrize(
     "read",
     (
-        TauExpansion.validate,
+        validate,
         log_tau,
         extract_correlators,
         run_wconstraints,
@@ -166,51 +181,61 @@ def commutators_on_bases_0_to_2(tau):
     ),
 )
 def test_off_grade_input_is_refused(case, read):
-    # every reader of a piece grades it by the one rule, tpoly.check_piece,
-    # and refuses it with the same message
-    tau, j, mono, _ = _off_grade_tau(case)
+    # an off-grade polynomial reaches no reader: building an expansion with
+    # it refuses it with the one grading's message (tpoly.check_piece), and
+    # the pieces view, a tuple built on each read, takes no piece put into
+    # it; the reader's expansion and what it reads there stay as they were
+    tau, j, piece, mono, _ = _off_grade_tau(case)
+    before = read(tau)
     with pytest.raises(ContractError, match=re.escape(f"piece {j} has monomial {mono} off the grading")):
-        read(tau)
+        with_piece(tau, j, piece)
+    with pytest.raises(TypeError):
+        tau.pieces[j] = piece
+    assert read(tau) == before
 
 
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 def test_off_grade_input_fails_the_grading_check(case):
-    tau, j, mono, kind = _off_grade_tau(case)
-    (report,) = run_checks(tau, ["grading"])
-    assert report.status == "fail"
-    assert [label for label, poly in report.residuals if mono in poly.terms] == [f"{kind} degree={j}"]
+    # the grading is checked where the expansion is built, and its message
+    # names the rule the added monomial breaks
+    tau, j, piece, mono, kind = _off_grade_tau(case)
+    message = f"^piece {j} has monomial {re.escape(str(mono))} off the grading: {WHY[kind]}"
+    with pytest.raises(ContractError, match=message):
+        with_piece(tau, j, piece)
 
 
 def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
-    from rspin import solver, tpoly, verify
+    from rspin import serialize, solver, tpoly, verify
 
     tau = compute_tau(3, 3, cache=TauCache(tmp_path))
-    seen, off_grade = [], tpoly.off_grade
+    seen, check_piece = [], tpoly.check_piece
 
     def counting(r, j, piece):
         seen.append((j, piece))
-        return off_grade(r, j, piece)
+        return check_piece(r, j, piece)
 
-    # tpoly.check_piece and TauExpansion.faults are its only callers
-    monkeypatch.setattr(tpoly, "off_grade", counting)
-    monkeypatch.setattr(solver, "off_grade", counting)
+    # pack_piece's, the solve's and the stored-text reader's calls
+    for module in (tpoly, solver, serialize):
+        monkeypatch.setattr(module, "check_piece", counting)
     readers = {
         "extract_correlators": lambda: extract_correlators(tau),
         "run_checks": lambda: list(verify.run_checks(tau, verify.CHECKS)),
         "constraint pass": lambda: verify.w_constraint_residuals(tau, verify.constraint_equations(3, 3)),
         "check_commutators": lambda: check_commutators(tau),
         "check_exponential_agreement": lambda: check_exponential_agreement(tau),
-        "validate": tau.validate,
+        "pieces": lambda: tau.pieces,
     }
     # compute_tau graded every piece as it made it: no reader grades one again
     for name, read in readers.items():
         read()
         assert seen == [], name
-    # a piece put into tau is graded once, by the first reader that needs it
-    tau.pieces[2] = tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1})
+    # a caller's piece is graded once, where the expansion is built
+    piece = tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1})
+    tau = with_piece(tau, 2, piece)
+    assert [(j, graded is piece) for j, graded in seen] == [(2, True)]
     for name, read in readers.items():
         read()
-        assert [(j, piece is tau.pieces[2]) for j, piece in seen] == [(2, True)], name
+        assert len(seen) == 1, name
     # the readers of stored text grade what they read, once each
     seen.clear()
     parse_tau(serialize_tau(tau))

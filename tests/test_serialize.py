@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponenti
 from rspin.serialize import MODE_CONSTRUCTION
 from rspin.solver import _layout
 
-from helpers import _dump, poly_to_obj, qs, report_to_obj
+from helpers import _dump, poly_to_obj, qs, report_to_obj, with_piece
 
 
 def test_round_trip_identity():
@@ -77,12 +78,29 @@ def _hand_built_piece(r):
     )
 
 
+def _graded_hand_built_piece():
+    """A tau_5 at r = 3 that the solver never writes, graded: a negative
+    lam exponent, two-digit indices and exponents, negative numerators and
+    long denominators."""
+    return TPolynomial(
+        3,
+        {
+            TMonomial.make(-6, {1: 10, 10: 1}): qs(0, Fraction(-7, 123456789)),
+            TMonomial.make(4, {20: 1}): qs(0, Fraction(5, 3)),
+            TMonomial.make(2, {5: 2, 10: 1}): qs(0, Fraction(-1, 10**30)),
+        },
+    )
+
+
 def test_direct_writer_on_zero_and_hand_built_pieces():
-    # documents parse_tau would refuse still serialize as json.dumps would
-    # write them: a zero piece is an empty list
-    tau = TauExpansion(3, 2, [TPolynomial.one(3), TPolynomial.zero(3), _hand_built_piece(3)])
+    # pieces the solver never writes serialize as json.dumps would write
+    # them: a zero piece is an empty list.  The hand-built piece with both
+    # coefficient parts, which no expansion holds, renders as a residual
+    tau = TauExpansion(3, 5, [TPolynomial.one(3), *[TPolynomial.zero(3)] * 4, _graded_hand_built_piece()])
     assert serialize_tau(tau) == _dumped_tau(tau)
     assert b'"pieces": [\n  [\n   {' in serialize_tau(tau) and b",\n  [],\n" in serialize_tau(tau)
+    report = CheckReport("hand-built", "fail", [("hand-built", _hand_built_piece(3))], {})
+    assert reports_to_json([report]) == _dump([report_to_obj(report)])
 
 
 def test_cache_entries_match_json_dumps(tmp_path):
@@ -321,6 +339,24 @@ def test_parse_rejects_version_mismatch():
         parse_tau(json.dumps(doc))
 
 
+@pytest.mark.parametrize("r, max_degree, field", [(3, 10**9, "max_degree"), (10**9, 1, "r")])
+def test_parse_refuses_a_header_heavier_than_the_document(r, max_degree, field, monkeypatch):
+    # the layout of a solve to max_degree costs O(max_degree*(r+1)) time and
+    # memory, and every document the package writes is longer than that top
+    # weight: a header that passes it is refused before the layout is built
+    from rspin import serialize
+
+    doc = json.loads(serialize_tau(compute_tau(3, 1)))
+    doc.update(r=r, max_degree=max_degree)
+    text = json.dumps(doc)
+    message = f"top weight max_degree*(r+1) = {max_degree * (r + 1)} exceeds the document's {len(text)} characters"
+    monkeypatch.setattr(serialize, "_layout", lambda *args: pytest.fail(f"layout {args} built"))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^{re.escape(message)} \\(at {field}\\)$"):
+        parse_tau(text)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_parse_rejects_invalid_index():
     doc = json.loads(serialize_tau(compute_tau(3, 1)))
     doc["pieces"][1][0]["monomial"]["t"] = [[3, 4]]  # index divisible by r
@@ -479,7 +515,7 @@ def test_reports_json_shape():
 
 def test_serialized_residuals_round_trip_through_poly_format():
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})  # s*T4 keeps the grading
+    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1}))  # s*T4 keeps the grading
     (report,) = run_checks(tau, ["wconstraints"])
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["status"] == "fail"
@@ -492,8 +528,8 @@ def test_reports_writer_matches_json_dumps(r, degree):
     # degree 1 also breaks the extraction: its square leaves genus -1 in the
     # log), the two diagnostics, and a hand-built report with characters to
     # escape and nested details
-    tau, failing = compute_tau(r, degree), compute_tau(r, degree)
-    failing.pieces[1] = failing.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1})
+    tau = compute_tau(r, degree)
+    failing = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1}))
     reports = [report for t in (tau, failing) for report in run_checks(t, CHECKS)]
     reports += [check_commutators(tau), check_exponential_agreement(tau)]
     reports.append(

@@ -29,13 +29,14 @@ from helpers import (
     tau1_r2,
     tau1_r3,
     tau2_r3,
+    with_piece,
 )
 
 
 def test_degree_zero_is_one():
     for r in (2, 3, 4, 5):
         tau = compute_tau(r, 0)
-        assert tau.pieces == [TPolynomial.one(r)]
+        assert tau.pieces == (TPolynomial.one(r),)
 
 
 def test_r3_degree_one_fixture():
@@ -65,27 +66,44 @@ def test_pieces_are_euler_eigenvectors():
 
 
 def test_validate_accepts_good_and_rejects_bad():
+    # validation is construction: a TauExpansion built from the polynomials
+    # holds the solve's packed pieces, and each refusal has its exact message
     tau = compute_tau(3, 2)
-    tau.validate()
-    bad = TauExpansion(3, 2, [tau.pieces[0], tau.pieces[1] + TPolynomial.one(3), tau.pieces[2]])
-    with pytest.raises(Exception):
-        bad.validate()
-    odd = TauExpansion(3, 1, [TPolynomial.one(3), shift_lambda(tau.pieces[1], 1)])
-    with pytest.raises(Exception):
-        odd.validate()
-    # the grading: lam exponent j - (number of variables), coefficients in
-    # Q*s^(j mod 2); each edit keeps the weight and the lam parity and bound
+    assert TauExpansion(3, 2, tau.pieces).held == tau.held
+    pieces = tau.pieces
+    refused = (
+        (lambda: TauExpansion(1, 0, [TPolynomial.one(3)]), "r must be >= 2, got 1"),
+        (lambda: TauExpansion(3, -1, []), "max_degree must be >= 0, got -1"),
+        (lambda: TauExpansion(3, 2, pieces[:2]), "expected 3 pieces, found 2"),
+        (lambda: TauExpansion(3, 2, [TPolynomial.const(3, 2), *pieces[1:]]), "degree-0 piece must equal 1"),
+        (lambda: TauExpansion(3, 2, [TPolynomial.one(4), *pieces[1:]]), "piece 0 built over r=4, expected 3"),
+        (lambda: TauExpansion(3, 2, [*pieces[:2], TPolynomial.one(2)]), "piece 2 built over r=2, expected 3"),
+    )
+    for build, message in refused:
+        with pytest.raises(ContractError) as info:
+            build()
+        assert str(info.value) == message
+    # the grading, one case per rule: the indices, the weight, the lam
+    # exponent j - (number of variables), even and >= -2j, and coefficients
+    # in Q*s^(j mod 2); the last four edits keep the weight
     graded = (
-        (1, shift_lambda(tau.pieces[1], 2), "variables"),
-        (1, tau.pieces[1] + TPolynomial.var(3, 4), "outside"),
-        (2, tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 2}), "outside"),
-        (2, TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1, 4: 1}), "outside"),
+        (1, TPolynomial._raw(3, {TMonomial(-1, ((1, 1), (3, 1))): qs(0, 1)}),
+         "T1*T3*lam^-1 off the grading: T3^1: indices ascend, are positive, not divisible by 3; exponents >= 1"),
+        (1, pieces[1] + TPolynomial.one(3), "1 off the grading: weight 0, expected 4"),
+        (1, shift_lambda(pieces[1], 1),
+         "T1^2*T2*lam^-1 off the grading: lam exponent -1 on 3 variables, expected -2, even and >= -2"),
+        (1, shift_lambda(pieces[1], 2),
+         "T1^2*T2 off the grading: lam exponent 0 on 3 variables, expected -2, even and >= -2"),
+        (1, pieces[1] + TPolynomial.var(3, 4), "T4 off the grading: coefficient 1 - 1/27*s outside Q*s^1"),
+        (2, pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 2}),
+         "T4^2 off the grading: coefficient -13/486 + s outside Q*s^0"),
+        (2, TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1, 4: 1}),
+         "T1^2*T2*T4*lam^-2 off the grading: coefficient s outside Q*s^0"),
     )
     for j, piece, message in graded:
-        pieces = list(tau.pieces)
-        pieces[j] = piece
-        with pytest.raises(ContractError, match=message):
-            TauExpansion(3, 2, pieces).validate()
+        with pytest.raises(ContractError) as info:
+            with_piece(tau, j, piece)
+        assert str(info.value) == f"piece {j} has monomial {message}"
 
 
 def test_invalid_arguments():
@@ -115,7 +133,6 @@ def test_refusals_are_package_errors(case):
 def test_expansion_builds_positionally():
     tau = compute_tau(4, 4)
     low = TauExpansion(4, 3, tau.pieces[:4])
-    low.validate()
     assert (low.r, low.max_degree, low.pieces) == (4, 3, compute_tau(4, 3).pieces)
 
 
@@ -143,7 +160,7 @@ def test_each_raiser_is_one_kernel_call(monkeypatch):
 def test_packed_recursion_matches_reference(r, depth):
     # the solver runs on packed integer pieces in the s^j convention; the
     # reference sums the raisers' TPolynomials and scales by 1/j
-    assert compute_tau(r, depth).pieces == reference_tau(r, depth)
+    assert compute_tau(r, depth).pieces == tuple(reference_tau(r, depth))
 
 
 def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
@@ -158,9 +175,9 @@ def test_half_filled_cache_matches_a_cold_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in half.iterdir()) == [f"r4_deg{j}.json" for j in (1, 2, 3)]
     packed, pack_piece = [], solver.pack_piece
 
-    def counting(r, j, piece, shift, faults=None):
+    def counting(r, j, piece, shift):
         packed.append(j)
-        return pack_piece(r, j, piece, shift, faults)
+        return pack_piece(r, j, piece, shift)
 
     monkeypatch.setattr(solver, "pack_piece", counting)
     assert serialize_tau(compute_tau(4, 6, cache=TauCache(half))) == expected
@@ -228,17 +245,17 @@ def test_a_computed_piece_off_the_grading_is_refused(monkeypatch, key, why):
         compute_tau(3, 1)
 
 
-def _off_grade_calls(monkeypatch) -> list:
-    from rspin import solver, tpoly
+def _grading_calls(monkeypatch) -> list:
+    from rspin import serialize, solver, tpoly
 
-    calls, off_grade = [], tpoly.off_grade
+    calls, check_piece = [], tpoly.check_piece
 
     def counting(r, j, piece):
         calls.append(j)
-        return off_grade(r, j, piece)
+        return check_piece(r, j, piece)
 
-    monkeypatch.setattr(tpoly, "off_grade", counting)
-    monkeypatch.setattr(solver, "off_grade", counting)
+    for module in (tpoly, solver, serialize):  # pack_piece's, the solve's and the reader's
+        monkeypatch.setattr(module, "check_piece", counting)
     return calls
 
 
@@ -246,7 +263,7 @@ def test_each_piece_is_graded_once(tmp_path, monkeypatch):
     from rspin import verify
 
     compute_tau(4, 3, cache=TauCache(tmp_path))
-    calls = _off_grade_calls(monkeypatch)
+    calls = _grading_calls(monkeypatch)
     # degrees 1-3 graded by the cache's load, 4-6 as they are made; the
     # cached ones are packed for degrees 4-6 without a second grading
     compute_tau(4, 6, cache=TauCache(tmp_path))
@@ -367,7 +384,7 @@ def test_exponential_path_r3_low_degrees():
     rec = compute_tau(3, 2)
     exp = compute_tau_exponential(3, 2)
     assert exp.pieces == rec.pieces
-    assert compute_tau_exponential(3, 0).pieces == [TPolynomial.one(3)]
+    assert compute_tau_exponential(3, 0).pieces == (TPolynomial.one(3),)
 
 
 def test_exponential_path_divergence_is_visible_not_fatal():

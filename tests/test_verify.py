@@ -18,11 +18,10 @@ from rspin import (
     extract_correlators,
 )
 from rspin import ContractError, InvalidSpecError, compute_tau_exponential, correlator, run_checks, solver, tpoly, verify, walgebra
-from rspin.tpoly import off_grade
 from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residuals
 from rspin.walgebra import _operator_loop
 
-from helpers import qs, reference_commutator, reference_exponential, reference_w_residual
+from helpers import qs, reference_commutator, reference_exponential, reference_w_residual, with_piece
 
 
 def test_w_constraints_pass_r3():
@@ -51,7 +50,7 @@ def _plus_s_t1_t3(piece):
 
 def test_w_constraints_detect_seeded_error():
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)
+    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "fail"
     labels = [label for label, _ in report.residuals]
@@ -93,9 +92,10 @@ OFF_THE_GRADING = {"s*T_1": 1, "tau_0 + 2/5*lam^-2*T_1^2": 0}
 
 
 def _tampered(r, D):
-    """tau and tampered copies: graded pieces added to degree 1 (s*T_{r+1})
-    and degree 2 (5/7*T_1*T_{2r+1}), piece 2 zeroed, and the inhomogeneous
-    s*T_1 on degree 1 and 2/5*lam^-2*T_1^2 on degree 0 (OFF_THE_GRADING)."""
+    """Builders of tau and tampered copies: graded pieces added to degree 1
+    (s*T_{r+1}) and degree 2 (5/7*T_1*T_{2r+1}), piece 2 zeroed, and the
+    inhomogeneous s*T_1 on degree 1 and 2/5*lam^-2*T_1^2 on degree 0
+    (OFF_THE_GRADING), which construction refuses."""
     extra = {
         "tau": None,
         "s*T_{r+1}": (1, _s_times_var(r, r + 1)),
@@ -104,27 +104,30 @@ def _tampered(r, D):
         "piece 2 zeroed": (2, None),
         "tau_0 + 2/5*lam^-2*T_1^2": (0, TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})),
     }
+    tau = compute_tau(r, D)
     for name, change in extra.items():
-        tau = compute_tau(r, D)
-        if change is not None:
+        if change is None:
+            yield name, lambda: tau
+        else:
             j, poly = change
-            tau.pieces[j] = TPolynomial.zero(r) if poly is None else tau.pieces[j] + poly
-        yield name, tau
+            piece = TPolynomial.zero(r) if poly is None else tau.pieces[j] + poly
+            yield name, lambda j=j, piece=piece: with_piece(tau, j, piece)
 
 
 @pytest.mark.parametrize("r, D", [(2, 6), (3, 6), (3, 8), (4, 5), (5, 4), (6, 3), (7, 3), (8, 3)])
 def test_constraint_pass_equals_mode_by_mode_reference(r, D):
     equations = constraint_equations(r, D)
-    for name, tau in _tampered(r, D):
+    for name, build in _tampered(r, D):
         if name in OFF_THE_GRADING:
             j = OFF_THE_GRADING[name]
             with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: weight"):
-                w_constraint_residuals(tau, equations)
+                build()
             continue
-        passed = w_constraint_residuals(tau, equations)
+        tau = build()
+        passed, pieces = w_constraint_residuals(tau, equations), tau.pieces
         assert sorted(passed) == sorted(equations), name
         for k, m, d in equations:
-            assert passed[(k, m, d)] == reference_w_residual(tau, k, m, d), (name, k, m, d)
+            assert passed[(k, m, d)] == reference_w_residual(pieces, k, m, d), (name, k, m, d)
         failing = sum(not residual.is_zero for residual, _ in passed.values())
         assert (failing == 0) == (name == "tau"), name
 
@@ -132,15 +135,16 @@ def test_constraint_pass_equals_mode_by_mode_reference(r, D):
 @pytest.mark.parametrize("r, D", [(3, 4), (4, 3)])
 def test_residuals_stay_exact_at_negative_offsets(r, D):
     # equation (k, m, d) has offset d - k + 1, below 0 for small d; its
-    # s^(d-k+1) takes a negative power of -r.  tau_0 = 2/5 keeps the
-    # grading and breaks the equations down to offset 2 - r
+    # s^(d-k+1) takes a negative power of -r.  s*lam^-2*T_1^2*T_{r-1} on
+    # tau_1 keeps the grading and breaks the equations that read tau_1, down
+    # to offset 2 - r (k = r, d = 1)
     tau = compute_tau(r, D)
-    tau.pieces[0] = TPolynomial.const(r, Fraction(2, 5))
+    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1}))
     passed = w_constraint_residuals(tau, constraint_equations(r, D))
     negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and not residual.is_zero]
     assert {d - k + 1 for k, _, d in negative} == set(range(2 - r, 0))
     for eq in negative:
-        assert passed[eq] == reference_w_residual(tau, *eq)
+        assert passed[eq] == reference_w_residual(tau.pieces, *eq)
     for residual, _ in passed.values():
         for c in residual.terms.values():
             assert type(c.a) is Fraction and type(c.b) is Fraction
@@ -148,9 +152,10 @@ def test_residuals_stay_exact_at_negative_offsets(r, D):
 
 def test_constraint_pass_refuses_pieces_off_the_grading():
     # a mixed coefficient, a whole piece in the wrong parity, the wrong
-    # offset lam + N, an index divisible by r, or the wrong weight: each
-    # raises with the message of tpoly.check_piece, naming the piece and
-    # the first monomial off the grading
+    # offset lam + N, an index divisible by r, or the wrong weight: no
+    # constraint pass can read such a piece, as building the expansion
+    # refuses it with the message of tpoly.check_piece, naming the piece
+    # and the first monomial off the grading
     tau = compute_tau(3, 3)
     bad = {
         "mixed": (tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}), r"coefficient -7/81 \+ s outside"),
@@ -161,17 +166,8 @@ def test_constraint_pass_refuses_pieces_off_the_grading():
     }
     for name, (piece, why) in bad.items():
         j = 2 if name == "mixed" else 1
-        tampered = compute_tau(3, 3)
-        tampered.pieces[j] = piece
-        for names in (["wconstraints"], ["string_dilaton"], CHECKS):
-            with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: {why}"):
-                list(run_checks(tampered, names))
-    # the grading check reports the piece instead of refusing it, and the
-    # extraction's refusal follows as a residual
-    tampered.pieces[1] = bad["index divisible by r"][0]
-    (report,) = run_checks(tampered, ("grading",))
-    labels = [label for label, _ in report.residuals]
-    assert report.status == "fail" and labels[0] == "indices degree=1" and labels[1].startswith("extraction: piece 1")
+        with pytest.raises(ContractError, match=f"piece {j} has monomial .* off the grading: {why}"):
+            with_piece(tau, j, piece)
 
 
 @pytest.mark.parametrize(
@@ -220,7 +216,7 @@ def test_string_and_dilaton_instances_from_tables():
 
 def test_string_dilaton_detects_seeded_error():
     tau = compute_tau(3, 2)
-    tau.pieces[2] = tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1})
+    tau = with_piece(tau, 2, tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1}))
     (report,) = run_checks(tau, ["string_dilaton"])
     assert report.status == "fail"
 
@@ -232,19 +228,17 @@ def test_gradings_pass():
 
 
 def test_gradings_detect_inhomogeneous_piece():
+    # the grading is checked where the expansion is built
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.var(3, 1)  # weight 1 inside degree 1
-    (report,) = run_checks(tau, ["grading"])
-    assert report.status == "fail"
-    assert any("inhomogeneous" in label for label, _ in report.residuals)
+    with pytest.raises(ContractError, match=r"^piece 1 has monomial T1 off the grading: weight 1, expected 4$"):
+        with_piece(tau, 1, tau.pieces[1] + TPolynomial.var(3, 1))  # weight 1 inside degree 1
 
 
 def test_gradings_detect_bad_lambda():
     tau = compute_tau(3, 1)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, 1, -4, {4: 1})
-    (report,) = run_checks(tau, ["grading"])
-    assert report.status == "fail"
-    assert any("lam exponents" in label for label, _ in report.residuals)
+    why = "lam exponent -4 on 1 variables, expected 0, even and >= -2"
+    with pytest.raises(ContractError, match=rf"^piece 1 has monomial T4\*lam\^-4 off the grading: {why}$"):
+        with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, 1, -4, {4: 1}))
 
 
 def test_selection_report_passes():
@@ -278,7 +272,7 @@ def test_correlator_checks_share_one_extraction(monkeypatch):
     # tau_2 does not cancel: the one extraction fails and its error is a
     # residual of each correlator check
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1})
+    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1}))
     with pytest.raises(ExtractionError, match="negative genus") as error:
         extract_correlators(tau)
     _, extractions = _counting(monkeypatch)
@@ -296,7 +290,7 @@ def test_string_dilaton_reads_a_shared_constraint_pass(monkeypatch):
     # every equation in one pass when wconstraints is named; string_dilaton
     # alone makes one pass of its 2(D+1) equations, and its report is the same
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
+    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))  # seeded error
     passes, _ = _counting(monkeypatch)
     reports = list(run_checks(tau, CHECKS))
     assert passes == [constraint_equations(3, 2)]
@@ -323,7 +317,7 @@ def test_scaled_translation_equals_lowest_constraint():
     # the translation/scaling operators are the two lowest quadratic
     # constraint modes divided by r, so their residuals must match exactly
     tau = compute_tau(3, 2)
-    tau.pieces[1] = tau.pieces[1] + _s_times_var(3, 4)  # seeded error
+    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))  # seeded error
     (report,) = run_checks(tau, ["string_dilaton"])
     for m in (-1, 0):
         for degree in range(tau.max_degree + 1):
@@ -371,17 +365,19 @@ def test_commutator_diagnostic_r3():
 
 def test_commutators_pack_each_base_once(monkeypatch):
     # at (5, 5) the 7 instances raise the bases tau_0 (4 of them), tau_1 and
-    # tau_2; handed over as TPolynomials, each base is packed once
+    # tau_2; handed over as TPolynomials, each piece is packed once, where
+    # the expansion is built, and the diagnostic packs none again
     packed, pack_piece = [], solver.pack_piece
 
-    def counting(r, j, piece, shift, faults=None):
+    def counting(r, j, piece, shift):
         packed.append(j)
-        return pack_piece(r, j, piece, shift, faults)
+        return pack_piece(r, j, piece, shift)
 
     monkeypatch.setattr(solver, "pack_piece", counting)
     tau = TauExpansion(5, 5, compute_tau(5, 5).pieces)
+    assert packed == [0, 1, 2, 3, 4, 5]
     assert check_commutators(tau).details["instances"] == 7
-    assert sorted(packed) == [0, 1, 2]
+    assert packed == [0, 1, 2, 3, 4, 5]
 
 
 def test_commutator_vacuous_for_r2():
@@ -421,7 +417,7 @@ def test_packed_diagnostics_match_references(r, degree):
     tau = compute_tau(r, degree)
     assert check_commutators(tau).residuals == reference_commutator(r, degree, tau)
     expected = reference_exponential(r, degree)
-    assert compute_tau_exponential(r, degree).pieces == expected
+    assert compute_tau_exponential(r, degree).pieces == tuple(expected)
     diffs = [(f"degree {j}", tau.pieces[j] - p) for j, p in enumerate(expected) if tau.pieces[j] != p]
     assert check_exponential_agreement(tau).residuals == diffs
 
@@ -439,15 +435,15 @@ def test_packed_diagnostics_match_references(r, degree):
 def test_diagnostics_refuse_a_base_off_the_grading(piece, fault):
     # the commutators at (3, 4) raise tau_0 and tau_1; the exponential check
     # compares every piece.  Whatever the fault, the inhomogeneous piece
-    # included, both refuse the piece with tpoly.check_piece's message,
-    # naming its first monomial off the grading
+    # included, neither can read such a base: building the expansion refuses
+    # it with tpoly.check_piece's message, naming its one term that is not
+    # the graded tau_1's
     assert piece.is_homogeneous(4) == (fault != "piece 1 is not homogeneous")
     tau = compute_tau(3, 4)
-    tau.pieces[1] = piece
-    mono = next(off_grade(3, 1, piece))[0]
-    for diagnostic in (check_commutators, check_exponential_agreement):
-        with pytest.raises(ContractError, match=re.escape(f"piece 1 has monomial {mono} off the grading")):
-            diagnostic(tau)
+    graded = tau.pieces[1].terms
+    (mono,) = [m for m, c in piece.terms.items() if graded.get(m) != c]
+    with pytest.raises(ContractError, match=re.escape(f"piece 1 has monomial {mono} off the grading")):
+        with_piece(tau, 1, piece)
 
 
 def test_diagnostics_run_on_packed_pieces(monkeypatch):

@@ -219,7 +219,7 @@ def test_kernel_fields_hold_the_top_weight():
     for depth in (2, 3, 6, 11):
         pieces = compute_tau(2, depth).pieces
         assert ((1, 3 * depth),) in {m.exps for m in pieces[depth].terms}
-        assert pieces == reference_tau(2, depth)
+        assert pieces == tuple(reference_tau(2, depth))
 
 
 def test_kernel_matches_single_terms_near_field_bounds():
