@@ -146,9 +146,8 @@ def _note_tables(args) -> None:
 
 def _run_compute(args) -> int:
     _warn_unchecked(args)
-    cache = _cache(args)
-    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=cache))
-    _timed(args, "write", lambda: _write(args, tau_chunks(tau, cache)))
+    tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
+    _timed(args, "write", lambda: _write(args, tau_chunks(tau)))
     _note_tables(args)
     return 0
 

@@ -7,11 +7,18 @@ fraction strings with the sign on the numerator, and only that spelling is
 read back; the s-legend field in tau documents records the defining
 relation of the quadratic generator.
 
+A cache entry (TauCache) is not a tau document: it holds the piece as the
+solve packs it (tpoly.Packed), at its own ENTRY_VERSION.  After the header
+comes "den", the piece's one denominator, and then "piece", one term
+[num, n1, e1, n2, e2, ...] per line in canonical order, each term
+num/den * s^j * lam^(j-N) * prod T_n^e_n: integers only, no fraction text.
+
 A tau document and a cache entry share one reader, which decodes the text
 one value at a time (JSONDecoder.raw_decode): the header fields, then each
-term of the piece list, checked before the next is decoded; each piece is
-then graded once by the package's one rule (tpoly.check_piece) and packed
-over the layout of the solve that reads it (solver._layout).  So the
+term of the piece list, checked as it is decoded, by _read_piece for a
+document and by _read_entry for an entry; each piece is graded once by the
+package's one rule (tpoly.check_piece), and packed over the layout of the
+solve that reads it (solver._layout) only as it passes.  So the
 header comes first, the piece list ("piece" or "pieces") is the last field,
 no field appears twice, and only whitespace follows the object, as both
 writers write them.
@@ -24,8 +31,9 @@ serialize_tau, records_to_json and records_to_csv are those chunks joined
 and encoded, so both ways give the same bytes.  A term is rendered from a
 template already moved to its depth: a packed piece (every piece a
 TauExpansion holds) by _packed_json, on integers, and a residual
-TPolynomial by _poly_json.  A cache entry is written in such chunks, and
-tau_chunks moves the very chunks the cache kept one level deeper.
+TPolynomial by _poly_json.  A cache entry is written in such chunks too,
+each term from its _entry_template; the tau document renders every piece
+itself, once, whether the solve computed it or loaded it.
 """
 
 from __future__ import annotations
@@ -35,19 +43,20 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count, starmap
+from itertools import chain, count, islice, starmap
 from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import CacheError, ContractError, ParseError
 from .solver import TauExpansion, _layout
-from .tpoly import Packed, TPolynomial, canonical_rows, check_piece, pack_terms, shared_pair
+from .tpoly import Packed, TPolynomial, canonical_rows, check_piece, pack_terms, packed_key, packed_rows, shared_pair
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
     from .verify import CheckReport
 
 FORMAT_VERSION = 1
+ENTRY_VERSION = 2  # of a cache entry, which holds integers only
 
 # Tag of the mode construction (walgebra), stored with cached pieces:
 # pieces built by another construction are refused rather than reused.
@@ -162,10 +171,11 @@ class _Reader:
             self.fail("Extra data")
 
 
-def _open(data: bytes | str, key: str) -> tuple[_Reader, dict]:
+def _open(data: bytes | str, key: str, expected: int = FORMAT_VERSION) -> tuple[_Reader, dict]:
     """A reader at the value of key in a document's JSON object, and the
-    fields before it, which must hold this FORMAT_VERSION and no field twice.
-    Without key, the reader is at the end of the text."""
+    fields before it, which must hold the expected format_version (a tau
+    document's, or ENTRY_VERSION) and no field twice.  Without key, the
+    reader is at the end of the text."""
     try:
         reader = _Reader(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
@@ -189,8 +199,8 @@ def _open(data: bytes | str, key: str) -> tuple[_Reader, dict]:
     else:
         reader.end()
     version = head.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    if not _is_int(version) or version != expected:
+        raise ParseError(f"unsupported format_version {version!r}, expected {expected}")
     return reader, head
 
 
@@ -225,7 +235,49 @@ def _read_piece(r: int, j: int, reader: _Reader, where: str, shift: dict[int, in
     return pack_terms(r, j, ((exps, b if odd else a) for (_, exps), (a, b) in drained), shift)
 
 
+_INT = {int}
+
+
+def _read_entry(r: int, j: int, den, reader: _Reader, shift: dict[int, int]) -> Packed:
+    """The tau_j of a cache entry over den, its terms next in reader, read
+    one at a time: den a positive integer, each term an odd-length list of
+    integers [num, n1, e1, ...] with num nonzero.  check_piece grades each
+    term as it is read, and only a graded term is packed over the layout
+    shift, where a monomial given twice meets its own key.  Last, den must be
+    reduced against the numerators.  Any fault is a ParseError."""
+    if not _is_int(den) or den < 1:
+        raise ParseError(f"den must be a positive integer, got {den!r}", "den")
+    if not reader.take("["):
+        raise ParseError("piece must be a list of terms", "piece")
+    nums = {}
+
+    def monomials():
+        # check_piece grades each row before it asks for the next: so a term
+        # is packed, on that next request, only once it has been graded
+        for idx in reader.items():
+            term = reader.value()
+            if type(term) is not list or not len(term) % 2 or set(map(type, term)) != _INT:
+                raise ParseError("a term must be a list [num, n1, e1, n2, e2, ...] of integers", f"piece[{idx}]")
+            if not term[0]:
+                raise ParseError("numerator must be nonzero", f"piece[{idx}]")
+            exps = tuple([shared_pair(pair) for pair in zip(term[1::2], term[2::2])])
+            yield exps
+            key = packed_key(exps, shift)
+            if key in nums:
+                raise ParseError("duplicate monomial", f"piece[{idx}]")
+            nums[key] = term[0]
+
+    try:
+        check_piece(r, j, packed_rows(monomials()))
+    except ContractError as exc:
+        raise ParseError(str(exc), "piece") from None
+    if gcd(den, *nums.values()) != 1:
+        raise ParseError(f"den {den} shares a factor with every numerator: not reduced", "den")
+    return nums, den
+
+
 _CHUNK = 1 << 16  # characters a writer's chunk reaches before it is yielded
+_LINES = 64  # terms _joined joins into one chunk
 
 
 def _batched(chunks):
@@ -252,6 +304,14 @@ def _block_chunks(items, pad: str, brackets: str = "[]"):
         yield from item
         lead = sep
     yield f"\n{pad}{brackets[1]}" if lead is sep else brackets
+
+
+def _joined(lines, pad: str):
+    """Items for _block_chunks(..., pad) from an iterator of nonempty lines:
+    the lines joined _LINES at a time with the block's separator, so that a
+    long block does not pass through the chunk writers line by line."""
+    sep = f",\n{pad} "
+    return zip(iter(lambda: sep.join(islice(lines, _LINES)), ""))
 
 
 def _json_block(items, pad: str, brackets: str = "[]") -> str:
@@ -281,16 +341,22 @@ def _poly_json(poly: TPolynomial, pad: str):
 def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
     """_poly_json of the packed tau_j: its tpoly.canonical_rows, each
     numerator times (-r)^(j // 2) reduced over the den by one gcd and
-    written straight into _term_template."""
+    written straight into _term_template, the terms _joined."""
     (nums, den), unit, odd = piece, (-r) ** (j // 2), j % 2
 
     def term(lam, exps, num):
         num *= unit
         div = gcd(num, den)
         x = f"{num // div}" if div == den else f"{num // div}/{den // div}"
-        return (_term_template(len(exps), pad) % (lam, *chain.from_iterable(exps), *(("0", x) if odd else (x, "0"))),)
+        return _term_template(len(exps), pad) % (lam, *chain.from_iterable(exps), *(("0", x) if odd else (x, "0")))
 
-    return _block_chunks(starmap(term, canonical_rows(j, nums, fields)), pad)
+    return _block_chunks(_joined(starmap(term, canonical_rows(j, nums, fields)), pad), pad)
+
+
+@lru_cache(maxsize=None)
+def _entry_template(count: int) -> str:
+    """The % template of a cache entry's term on count variables: num, then count (index, exponent)."""
+    return "[" + ", ".join(["%d"] * (2 * count + 1)) + "]"
 
 
 def _document_chunks(head: dict, key: str, value):
@@ -301,28 +367,19 @@ def _document_chunks(head: dict, key: str, value):
     yield "\n}\n"
 
 
-def tau_chunks(tau: TauExpansion, cache: TauCache | None = None):
+def tau_chunks(tau: TauExpansion):
     """The canonical tau document as str chunks: json.dumps(indent=1) on the
-    document of its pieces, plus a newline.  A piece that is the one cache
-    stored last for its degree takes its text out of cache.kept: rendered
-    once, as every other is, by _packed_json."""
-    kept = cache.kept if cache is not None else {}
+    document of its pieces, plus a newline, each piece rendered once by
+    _packed_json."""
     _, fields = _layout(tau.r, tau.max_degree)
-
-    def piece_chunks(j: int, piece):
-        stored = kept.pop((tau.r, j), None)
-        if stored and stored[0] is piece:
-            return (part.replace("\n", "\n ") for part in stored[1])
-        return _packed_json(tau.r, j, piece, fields, "  ")
-
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
-    pieces = _block_chunks(starmap(piece_chunks, enumerate(tau.held)), " ")
+    pieces = _block_chunks((_packed_json(tau.r, j, piece, fields, "  ") for j, piece in enumerate(tau.held)), " ")
     return _batched(_document_chunks(head, "pieces", pieces))
 
 
-def serialize_tau(tau: TauExpansion, cache: TauCache | None = None) -> bytes:
+def serialize_tau(tau: TauExpansion) -> bytes:
     """tau_chunks joined: the canonical bytes, a fixpoint of parse-then-serialize."""
-    return "".join(tau_chunks(tau, cache)).encode("utf-8")
+    return "".join(tau_chunks(tau)).encode("utf-8")
 
 
 def parse_tau(data: bytes | str) -> TauExpansion:
@@ -433,36 +490,37 @@ def reports_to_json(reports: list[CheckReport]) -> bytes:
 
 class TauCache:
     """Directory-backed store of finished pieces, one JSON file per
-    (r, degree).  Each entry records the W-mode construction that built it
-    (MODE_CONSTRUCTION).  Corrupt or version-mismatched entries,
-    and entries of another or no recorded construction, raise CacheError;
-    they are never silently recomputed or reused.  Stored pieces and their
-    texts, as the chunks written, wait in kept for tau_chunks."""
+    (r, degree), each the packed piece (see the module docstring) with
+    the W-mode construction that built it (MODE_CONSTRUCTION).  An entry's
+    bytes are a function of the piece alone, whatever solve stored it.
+    Corrupt or version-mismatched entries, and entries of another or no
+    recorded construction, raise CacheError; they are never silently
+    recomputed or reused.  An entry whose values were altered but that
+    keeps the grading is read as it stands."""
 
     def __init__(self, directory):
         from pathlib import Path
 
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.kept: dict = {}  # (r, degree) -> (piece, chunks of its text)
 
     def path(self, r: int, degree: int):
         return self.directory / f"r{r}_deg{degree}.json"
 
     def load(self, r: int, degree: int, layout) -> Packed | None:
-        """The cached tau_degree, read by _read_piece and packed over layout
+        """The cached tau_degree, read by _read_entry and packed over layout
         (solver._layout of the solve that reads it), or None if there is no
         entry: the file is opened once, and an entry gone by then is a miss.
         A returned piece has passed the grading: compute_tau grades it no more."""
         path = self.path(r, degree)
         try:
-            reader, head = _open(path.read_text(encoding="utf-8"), "piece")
+            reader, head = _open(path.read_text(encoding="utf-8"), "piece", ENTRY_VERSION)
             modes, label = head.get("modes"), (head.get("r"), head.get("degree"))
             if modes != MODE_CONSTRUCTION:
                 raise CacheError(f"cache entry {path}: W-mode construction {modes!r}, not {MODE_CONSTRUCTION!r}")
             if not all(_is_int(x) for x in label) or label != (r, degree):
                 raise CacheError(f"cache entry {path} labeled (r={label[0]}, degree={label[1]})")
-            piece = _read_piece(r, degree, reader, "piece", layout[0])
+            piece = _read_entry(r, degree, head.get("den"), reader, layout[0])
             reader.end("piece")
             return piece
         except FileNotFoundError:
@@ -470,17 +528,23 @@ class TauCache:
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
-    def store(self, r: int, degree: int, piece: Packed, layout) -> None:
-        chunks = list(_batched(_packed_json(r, degree, piece, layout[1], " ")))
-        self.kept[(r, degree)] = (piece, chunks)
-        head = {"format_version": FORMAT_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree}
+    def store(self, r: int, degree: int, rows: tuple[int, list]) -> None:
+        """Write tau_degree from its (den, [(key, exps, num), ...]), as
+        tpoly.kernel_rows unpacks it: den, then each term from its
+        _entry_template, in canonical order."""
+        den, kernel = rows
+        terms = sorted([(degree - sum(e for _, e in exps), exps, num) for _, exps, num in kernel])
+        lines = (_entry_template(len(exps)) % (num, *chain.from_iterable(exps)) for _, exps, num in terms)
+        head = {
+            "format_version": ENTRY_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree, "den": den,
+        }
         # Write a temporary file beside the entry, then rename it into place,
         # so an interrupted store leaves the previous entry (or none) intact.
         path = self.path(r, degree)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("w", encoding="utf-8", newline="") as handle:
-                handle.writelines(_document_chunks(head, "piece", chunks))
+                handle.writelines(_document_chunks(head, "piece", _block_chunks(_joined(lines, " "), " ")))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

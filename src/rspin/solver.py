@@ -12,8 +12,9 @@ the pieces view builds polynomials afresh on each read.  raise_step is
 the one raise step of the package: the recursion and verify's
 commutators and exponential formula (exponential_pieces) all call it.
 
-An optional cache (serialize.TauCache) stores finished pieces packed,
-keyed by (r, degree), and loads them packed over the solve's layout;
+An optional cache (serialize.TauCache) stores finished pieces from the
+rows the solve unpacks anyway, keyed by (r, degree), and loads them
+packed over the solve's layout;
 entries are graded on load and a corrupt or version-mismatched entry
 raises instead of being recomputed silently.
 """
@@ -99,8 +100,9 @@ def compute_tau(r: int, max_degree: int, cache: TauCache | None = None) -> TauEx
 
     Exact, and deterministic (byte-identical canonical serialization)
     regardless of cache hits.  Every piece is packed over _layout(r, D): a
-    computed one is graded by check_piece as it is made, and stored as it is;
-    a cached one comes from cache.load graded."""
+    computed one is graded by check_piece as it is made, and stored from its
+    kernel_rows, which the grading and the next raises read too; a cached one
+    comes from cache.load graded."""
     layout = shift, fields = _layout(r, max_degree)
     pieces: list[Packed] = [({0: 1}, 1)]
     rows: dict[int, tuple[int, list]] = {}  # degree -> kernel_rows of its piece
@@ -112,12 +114,14 @@ def compute_tau(r: int, max_degree: int, cache: TauCache | None = None) -> TauEx
                     rows[i] = kernel_rows(pieces[i], fields)
             piece = summed([raise_step(r, l, j, rows[j - l], shift) for l in range(1, min(r - 1, j) + 1)], j)
             rows.pop(j - r + 1, None)  # raised for the last time
-            if j < max_degree:  # no raiser reads the top degree's rows
+            if j < max_degree or cache is not None:  # the next raises read the rows, and so does the cache
                 rows[j] = kernel_rows(piece, fields)
-            exps = (e for _, e, _ in rows[j][1]) if j < max_degree else (unpack_exponents(k, fields) for k in piece[0])
+                exps = (e for _, e, _ in rows[j][1])
+            else:
+                exps = (unpack_exponents(k, fields) for k in piece[0])
             check_piece(r, j, packed_rows(exps))
             if cache is not None:
-                cache.store(r, j, piece, layout)
+                cache.store(r, j, rows[j])
         pieces.append(piece)
         rows.pop(j - r + 1, None)  # no later raiser reads it
     return TauExpansion(r, max_degree, pieces)

@@ -181,18 +181,22 @@ def pack_terms(r: int, j: int, terms, shift: dict[int, int]) -> Packed:
     its graded terms (exps, x), each x * s^(j mod 2) * lam^(j-N) * prod
     T_n^e_n.  The layout holds weight j*(r+1), as every solve's and check's
     does: a graded monomial then has a field for each index and a key of its own."""
-    ratios = {}
-    for exps, x in terms:
-        key = 0
-        for n, e in exps:
-            key += e << shift[n]
-        ratios[key] = x
+    ratios = {packed_key(exps, shift): x for exps, x in terms}
     # x * s^(j mod 2) = x / (-r)^(j // 2) * s^j
     half = j // 2
     common, sign = lcm(*(x.denominator for x in ratios.values())), (-1) ** half
     for key, x in ratios.items():  # in place: no second dict of the piece
         ratios[key] = sign * x.numerator * (common // x.denominator)
     return reduced(ratios, common * r**half)
+
+
+def packed_key(exps, shift: dict[int, int]) -> int:
+    """The key of a graded monomial's (index, exponent) pairs over the
+    layout shift, which has a field for each index."""
+    key = 0
+    for n, e in exps:
+        key += e << shift[n]
+    return key
 
 
 def reduced(nums: dict[int, int], den: int) -> Packed:
@@ -359,9 +363,23 @@ def kernel_rows(packed: Packed, fields: list[tuple[int, int, int]]) -> tuple[int
 def canonical_rows(offset: int, nums: dict[int, int], fields: list[tuple[int, int, int]]) -> list:
     """The rows (lam, exps, num) of a packed piece's numerators at this offset,
     lam = offset - N on N variables, in canonical order: a packed piece has
-    one weight, so (lam, exps) sorts it."""
-    rows = ((unpack_exponents(key, fields), num) for key, num in nums.items())
-    return sorted((offset - sum(e for _, e in exps), exps, num) for exps, num in rows)
+    one weight, so (lam, exps) sorts it.  Each key is decoded as
+    unpack_exponents decodes it, its variables counted in the same loop."""
+    rows, pairs = [], _PAIRS
+    for key, num in nums.items():
+        exps, count = [], 0
+        for n, width, mask in fields:
+            if not key:
+                break
+            e = key & mask
+            if e:
+                pair = n, e
+                exps.append(pairs.setdefault(pair, pair))
+                count += e
+            key >>= width
+        rows.append((offset - count, tuple(exps), num))
+    rows.sort()
+    return rows
 
 
 def unpacked(r: int, offset: int, p: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:

@@ -26,6 +26,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, lcm
 from typing import NamedTuple
 
@@ -674,6 +675,24 @@ def _dump(obj) -> bytes:
     """The canonical JSON bytes every writer in rspin.serialize reproduces:
     json.dumps(indent=1) plus a final newline."""
     return (json.dumps(obj, indent=1) + "\n").encode("utf-8")
+
+
+def entry_obj(poly: TPolynomial, degree: int) -> dict:
+    """The "den" and "piece" a cache entry holds for poly, a graded tau_degree:
+    den the least common denominator of its values over s^degree, and one
+    [num, n1, e1, ...] per term, in canonical order."""
+    unit = Fraction(-poly.r) ** (degree // 2)  # x * s^(degree mod 2) = x / unit * s^degree
+    values = [(mono, (c.b if degree % 2 else c.a) / unit) for mono, c in poly.canonical_terms()]
+    den = lcm(*(x.denominator for _, x in values))
+    return {"den": den, "piece": [[int(x * den), *chain.from_iterable(mono.exps)] for mono, x in values]}
+
+
+def _entry_dump(doc: dict) -> bytes:
+    """json.dumps(indent=1) of a cache entry plus a final newline, but each
+    term of its piece on one line, as json.dumps writes a list."""
+    head = json.dumps({key: value for key, value in doc.items() if key != "piece"}, indent=1)
+    terms = ",\n  ".join(json.dumps(term) for term in doc["piece"])
+    return (head[:-2] + ',\n "piece": ' + (f"[\n  {terms}\n ]" if terms else "[]") + "\n}\n").encode("utf-8")
 
 
 def report_to_obj(report) -> dict:

@@ -70,9 +70,8 @@ def test_check_tau_script_passes_on_a_computed_document(tmp_path):
 
 def test_reading_the_pieces_changes_nothing_a_traced_run_writes(tmp_path, monkeypatch):
     # the tracer reads tau.pieces after each traced solve: that read leaves
-    # the held Packed pieces as they were, so the document still takes each
-    # stored piece's text from cache.kept, as an untraced run does, and
-    # renders only tau_0, which the cache never stores
+    # the held Packed pieces as they were, so the document renders each held
+    # piece once, packed, as an untraced run does
     from rspin import serialize
 
     cache = TauCache(tmp_path)
@@ -83,13 +82,13 @@ def test_reading_the_pieces_changes_nothing_a_traced_run_writes(tmp_path, monkey
     rendered, render = [], serialize._packed_json
 
     def packed_json(r, j, piece, fields, pad):
-        rendered.append(j)
+        rendered.append((j, piece is held[j]))
         return render(r, j, piece, fields, pad)
 
     monkeypatch.setattr(serialize, "_packed_json", packed_json)
     monkeypatch.setattr(serialize, "_poly_json", lambda *args: pytest.fail("a piece rendered as a polynomial"))
-    data = serialize_tau(tau, cache)
-    assert rendered == [0] and cache.kept == {}
+    data = serialize_tau(tau)
+    assert rendered == [(j, True) for j in range(7)]
     monkeypatch.undo()
     assert data == serialize_tau(compute_tau(4, 6))
 

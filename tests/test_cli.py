@@ -11,7 +11,7 @@ from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse
 from rspin.cli import _warn_unchecked, main
 from rspin.cli import ORACLE_CHECKED_DEPTH
 from rspin.solver import _layout
-from rspin.tpoly import pack_piece
+from rspin.tpoly import kernel_rows, pack_piece
 
 from helpers import qs, tau1_r3
 
@@ -65,12 +65,30 @@ def test_compute_is_byte_deterministic(tmp_path):
 
 
 def test_cache_changes_timing_not_bytes(tmp_path):
-    cache = tmp_path / "cache"
-    cold = tmp_path / "cold.json"
-    warm = tmp_path / "warm.json"
-    main(["compute", "--r", "3", "--degree", "2", "--out", str(cold), "--cache-dir", str(cache)])
-    main(["compute", "--r", "3", "--degree", "2", "--out", str(warm), "--cache-dir", str(cache)])
-    assert cold.read_bytes() == warm.read_bytes()
+    # cold, warm and half filled, the document is the one written without a
+    # cache; and an entry's bytes are its piece's, whatever solve stored it
+    def compute(r, degree, name, cache=None):
+        out = tmp_path / f"{name}-{r}-{degree}.json"
+        extra = ["--cache-dir", str(tmp_path / cache)] if cache else []
+        assert main(["-q", "compute", "--r", str(r), "--degree", str(degree), "--out", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    for r, degree in [(3, 2), (2, 8), (3, 8), (4, 6), (5, 4), (6, 4)]:
+        plain = compute(r, degree, "plain")
+        compute(r, degree // 2, "fill", f"half-{r}")
+        for run in ("cold", "warm"):
+            assert compute(r, degree, run, f"full-{r}") == plain, (r, degree, run)
+        assert compute(r, degree, "half", f"half-{r}") == plain, (r, degree, "half")
+    compute(3, 5, "deep", "deep")
+    entry = "r3_deg2.json"
+    assert (tmp_path / "deep" / entry).read_bytes() == (tmp_path / "full-3" / entry).read_bytes()
+
+
+def _verbose_entry(doc):
+    """doc turned into the entry written before entries held integers: no den,
+    and the piece as a tau document holds it, at format_version 1."""
+    del doc["den"]
+    doc.update(format_version=1, piece=json.loads(serialize_tau(compute_tau(3, 1)))["pieces"][1])
 
 
 @pytest.mark.parametrize(
@@ -85,21 +103,34 @@ def test_cache_changes_timing_not_bytes(tmp_path):
         pytest.param(b"[" * 100_000, id="nested"),
         # past Python's 4300-digit limit on converting strings to int
         pytest.param(b"[" + b"7" * 5000 + b"]", id="long-int"),
-        # JSON true equals 1 in Python, so each of these matches the entry it
-        # replaces unless booleans are refused as integers
+        # JSON true equals 1 in Python, so the degree and index edits match
+        # the entry they replace unless booleans are refused as integers
         pytest.param(lambda doc: doc.update(format_version=True), id="bool-version"),
         pytest.param(lambda doc: doc.update(degree=True), id="bool-degree"),
-        pytest.param(lambda doc: doc["piece"][0]["monomial"]["t"][0].__setitem__(0, True), id="bool-index"),
-        # homogeneous and of even lam, but off the grading
-        pytest.param(lambda doc: doc["piece"][0]["monomial"].update({"lambda": 0}), id="lam-off-grade"),
-        pytest.param(lambda doc: doc["piece"][0]["coeff"].update(a="1"), id="coeff-off-grade"),
-        # Fraction() reads exponents; this one has 5001 digits and passes
-        # every other check
-        pytest.param(lambda doc: doc["piece"][0]["coeff"].update(b="1e5000"), id="exponent-coeff"),
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(1, True), id="bool-index"),
+        pytest.param(lambda doc: doc.update(den=True), id="bool-den"),
+        # T1^3*T2 in degree 1: the term's weight is off the grading
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(2, 3), id="lam-off-grade"),
+        # a zero numerator, which no stored piece holds
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(0, 0), id="coeff-off-grade"),
+        # the numerator as a float, and as a string, each of the value it replaces
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(0, float(doc["piece"][0][0])), id="exponent-coeff"),
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(0, str(doc["piece"][0][0])), id="string-num"),
         # off the index rule, which the one grading pass of the reader checks
-        pytest.param(lambda doc: doc["piece"][0]["monomial"].update(t=[[4, 1], [1, 1]]), id="unsorted-t"),
-        pytest.param(lambda doc: doc["piece"][0]["monomial"].update(t=[[1, 0], [4, 1]]), id="zero-exponent"),
-        pytest.param(lambda doc: doc.update(format_version=2), id="version-2"),
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(slice(1, None), [2, 1, 1, 2]), id="unsorted-t"),
+        pytest.param(lambda doc: doc["piece"][0].__setitem__(slice(1, None), [1, 0, 4, 1]), id="zero-exponent"),
+        # the same value over -den, and a den of 0
+        pytest.param(lambda doc: [doc.update(den=-doc["den"])] + [t.__setitem__(0, -t[0]) for t in doc["piece"]],
+                     id="negative-den"),
+        pytest.param(lambda doc: doc.update(den=0), id="zero-den"),
+        pytest.param(lambda doc: doc["piece"][0].append(1), id="even-length"),
+        pytest.param(lambda doc: doc["piece"].append(list(doc["piece"][0])), id="duplicate"),
+        # the same value over 3*den: not reduced
+        pytest.param(lambda doc: [doc.update(den=3 * doc["den"])] + [t.__setitem__(0, 3 * t[0]) for t in doc["piece"]],
+                     id="not-reduced"),
+        pytest.param(lambda doc: doc.update(format_version=3), id="version-3"),
+        # an entry as written before entries held integers: a tau document's piece
+        pytest.param(lambda doc: _verbose_entry(doc), id="verbose-version-1"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
@@ -108,7 +139,7 @@ def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
     path = cache / "r3_deg1.json"
     if callable(entry):
         doc = json.loads(path.read_text())
-        assert doc["piece"][0]["monomial"]["t"][0][0] == 1
+        assert doc["piece"][0][:3] == [-3, 1, 2] and doc["den"] == 27  # -3/27 * s * lam^-2 * T1^2 * T2
         entry(doc)
         entry = json.dumps(doc).encode()
     path.write_bytes(entry)
@@ -357,7 +388,7 @@ def test_verify_failure_exits_1(tmp_path):
     # the constraints fail
     cache, layout = TauCache(tmp_path / "cache"), _layout(3, 2)
     piece = compute_tau(3, 1).pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})
-    cache.store(3, 1, pack_piece(3, 1, piece, layout[0]), layout)
+    cache.store(3, 1, kernel_rows(pack_piece(3, 1, piece, layout[0]), layout[1]))
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints",
@@ -391,17 +422,18 @@ def test_compute_spin_four_and_five_bytes_are_pinned(tmp_path, r, degree):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPIN_FOUR_AND_FIVE_DIGESTS[(r, degree)]
 
 
-# sha256 of the r = 4, degree-6 tau document and of its cache entries,
-# recorded while both were still written through json.dumps; no other test
-# pins the bytes of a cache entry.
+# sha256 of the r = 4, degree-6 tau document, recorded while it was still
+# written through json.dumps, and of its cache entries, recorded when
+# entries came to hold integers (ENTRY_VERSION 2); no other test pins the
+# bytes of a cache entry.
 SPIN_FOUR_DEGREE_SIX_DIGEST = "5593b96ce55d14f0d54b3268a550d832c9a67b4d8e192a2a4949391ee29f3bd6"
 SPIN_FOUR_CACHE_DIGESTS = {
-    "r4_deg1.json": "6361ffa60024a7359cf5728f78b39373192b21b5f44bcccd3be8843093535931",
-    "r4_deg2.json": "59f66b71632571ef418e6436844b237695f1989d97996ed9750c9bdefdf861b4",
-    "r4_deg3.json": "58259d0b12c717e3fd75bd7a31691243cd726873298b501c93d159869e80f39f",
-    "r4_deg4.json": "c98ee1a40fbe665ab5eadcf0e513bbd6f0952cdf7bce493a9135f67c6dd39baa",
-    "r4_deg5.json": "01d7bfb5af2f16896fdc31e1593218c476c654c6e90354f5bac9b1c39349e4a4",
-    "r4_deg6.json": "0fa71dd5d67fbb9fb46de055c3153581143e583385988389e9a27c5390f2dec8",
+    "r4_deg1.json": "4c5655136fc03d2c595f8bccd5b71c930b38d4be5affc724791efc2d3c134db5",
+    "r4_deg2.json": "64d371c73edb549824c53b5d434fd00a98b2bf4543180645b63a4ada0f29b92d",
+    "r4_deg3.json": "5949667565fc926a4cd613181dfd0191e8d1b24de00b946e5ba84ae50196895f",
+    "r4_deg4.json": "71dcd5f9a16b5a05c7e39a8a0739ec25d98523d7b7bce933a01ffc73a4ca8c31",
+    "r4_deg5.json": "41df31fd38d185492a879811e7b7eb82674dda19c07105d4f67ffc8dececdd2d",
+    "r4_deg6.json": "013cc6ea6353cc2d248f039241bb48fb918337b544d21dcf59f9d52f5ac28a3f",
 }
 
 

@@ -25,10 +25,11 @@ from rspin import (
 )
 from rspin.serialize import records_to_csv, records_to_json, reports_to_json
 from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
-from rspin.serialize import MODE_CONSTRUCTION
+from rspin.serialize import ENTRY_VERSION, MODE_CONSTRUCTION
 from rspin.solver import _layout
+from rspin.tpoly import kernel_rows
 
-from helpers import _dump, poly_to_obj, qs, report_to_obj, with_piece
+from helpers import _dump, _entry_dump, entry_obj, poly_to_obj, qs, report_to_obj, with_piece
 
 
 def test_round_trip_identity():
@@ -104,21 +105,26 @@ def test_direct_writer_on_zero_and_hand_built_pieces():
 
 
 def test_cache_entries_match_json_dumps(tmp_path):
+    # each entry is json.dumps(indent=1) of its header and den, with each
+    # term [num, n1, e1, ...] on one line, as json.dumps writes a list; the
+    # terms and den are worked out here from the piece's polynomial
     cache, layout = TauCache(tmp_path), _layout(4, 4)
     tau = compute_tau(4, 4)
     packed = [tau.packed(degree) for degree in range(5)]
     for degree, piece in enumerate(packed):
-        cache.store(4, degree, piece, layout)
-        doc = {"format_version": FORMAT_VERSION, "modes": MODE_CONSTRUCTION, "r": 4, "degree": degree}
-        assert cache.path(4, degree).read_bytes() == _dump({**doc, "piece": poly_to_obj(tau.pieces[degree])})
+        cache.store(4, degree, kernel_rows(piece, layout[1]))
+        doc = {"format_version": ENTRY_VERSION, "modes": MODE_CONSTRUCTION, "r": 4, "degree": degree}
+        text = cache.path(4, degree).read_bytes()
+        assert text == _entry_dump({**doc, **entry_obj(tau.pieces[degree], degree)})
+        assert json.loads(text)["den"] == piece[1]
     for degree in range(5):
         assert cache.load(4, degree, layout) == packed[degree]
 
 
 def test_cold_compute_renders_each_piece_once(tmp_path, monkeypatch):
-    # the cache entry's text of a computed piece is reused in the document,
-    # so each piece is rendered once; warm, the loaded pieces are rendered
-    # for the document alone, and every byte is json.dumps' in both runs
+    # a cache entry is written from integers, never through the document's
+    # renderer, so cold or warm the document renders each piece once, and
+    # every byte is json.dumps' in both runs
     from rspin import serialize
     from rspin.cli import main
 
@@ -181,7 +187,7 @@ def _stored(kind, tmp_path):
     if kind == "document":
         return json.loads(serialize_tau(tau)), "pieces", parse_tau, tau.pieces
     cache = TauCache(tmp_path)
-    cache.store(3, 2, tau.packed(2), layout)
+    cache.store(3, 2, kernel_rows(tau.packed(2), layout[1]))
     path = cache.path(3, 2)
 
     def load(text):
@@ -239,9 +245,10 @@ def test_reader_reads_the_header_before_the_piece_list(kind, tmp_path):
     doc, key, read, _ = _stored(kind, tmp_path)
     pieces, head = doc.pop(key), doc
     # first, the header unread: its fields after the list are not read
-    _refused(read, json.dumps({key: pieces, **head}), "unsupported format_version None, expected 1")
+    expected = FORMAT_VERSION if kind == "document" else ENTRY_VERSION
+    _refused(read, json.dumps({key: pieces, **head}), f"unsupported format_version None, expected {expected}")
     # after the format version, before the rest of the header
-    version, rest = {"format_version": 1}, {k: v for k, v in head.items() if k != "format_version"}
+    version, rest = {"format_version": expected}, {k: v for k, v in head.items() if k != "format_version"}
     missing = "r must be an integer >= 2, got None (at r)" if kind == "document" else "W-mode construction None"
     _refused(read, json.dumps({**version, key: pieces, **rest}), missing)
     # a field after the list, even one the header does not know
@@ -291,7 +298,7 @@ def test_an_entry_gone_before_it_is_opened_is_a_miss(tmp_path, monkeypatch):
     assert cache.load(3, 2, _layout(3, 3)) is None
     assert opened == [gone] and not gone.exists()
     stored, store = [], cache.store
-    monkeypatch.setattr(cache, "store", lambda r, j, piece, layout: stored.append(j) or store(r, j, piece, layout))
+    monkeypatch.setattr(cache, "store", lambda r, j, rows: stored.append(j) or store(r, j, rows))
     assert compute_tau(3, 3, cache=cache).pieces == expected.pieces
     assert stored == [2] and gone.exists()
 
@@ -311,13 +318,14 @@ def _load_peak(read):
 
 def test_reading_a_stored_piece_never_holds_it_parsed_whole(tmp_path):
     # the reader decodes one term at a time: loading the (4, 6) degree-6
-    # entry, about 226 KB and 904 terms, peaks below 3x its byte size, the
-    # text and the finished piece included; a whole json.loads, about 1 KB
-    # per term, peaks above 5x.  Parsing the (4, 6) document likewise
+    # entry, about 40 KB and 904 terms, peaks near 3.8x its byte size, the
+    # text and the finished piece included; the same reader on its piece
+    # list decoded whole peaks near 7.7x.  Parsing the (4, 6) document, about
+    # 1 KB per term held whole, likewise stays below 3x its length
     cache = TauCache(tmp_path)
     data = serialize_tau(compute_tau(4, 6, cache=cache))
     size = cache.path(4, 6).stat().st_size
-    assert _load_peak(lambda: TauCache(tmp_path).load(4, 6, _layout(4, 6))) < 3 * size
+    assert _load_peak(lambda: TauCache(tmp_path).load(4, 6, _layout(4, 6))) < 4.5 * size
     assert _load_peak(lambda: parse_tau(data)) < 3 * len(data)
 
 
@@ -373,8 +381,10 @@ def test_reader_refuses_an_index_with_no_field(kind, tmp_path):
     # s*T1*T3/lam is graded as a degree-1 term but for its index: T3 has no
     # field in the layout, and the grading refuses the term before it is packed
     doc, key, read, _ = _stored(kind, tmp_path)
-    piece = doc[key][1] if kind == "document" else doc[key]
-    piece.append({"monomial": {"lambda": -1, "t": [[1, 1], [3, 1]]}, "coeff": {"a": "0", "b": "1"}})
+    if kind == "document":
+        doc[key][1].append({"monomial": {"lambda": -1, "t": [[1, 1], [3, 1]]}, "coeff": {"a": "0", "b": "1"}})
+    else:
+        doc[key].append([1, 1, 1, 3, 1])
     with pytest.raises((ParseError, CacheError)) as info:
         read(json.dumps(doc))
     assert "off the grading" in str(info.value) and "indices ascend" in str(info.value)

@@ -19,6 +19,7 @@ from rspin import (
 )
 from rspin import serialize, solver, walgebra
 from rspin.serialize import MODE_CONSTRUCTION
+from rspin.tpoly import kernel_rows
 
 from helpers import (
     qs,
@@ -356,7 +357,7 @@ def test_failed_store_keeps_previous_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_document_chunks", torn_write)
     with pytest.raises(OSError, match="disk full"):
-        cache.store(3, 1, ({key: 2 * num for key, num in piece[0].items()}, piece[1]), layout)
+        cache.store(3, 1, kernel_rows(({key: 2 * num for key, num in piece[0].items()}, piece[1]), layout[1]))
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert cache.path(3, 1).read_bytes() == entry
