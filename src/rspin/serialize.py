@@ -28,10 +28,11 @@ records_json_chunks and records_csv_chunks.  A chunk is whole terms or
 records, joined until it reaches _CHUNK (64 Ki) characters, so a caller
 that writes each chunk as it comes never holds the document whole.
 serialize_tau, records_to_json and records_to_csv are those chunks joined
-and encoded, so both ways give the same bytes.  A term is rendered from a
-template already moved to its depth: a packed piece (every piece a
-TauExpansion holds) by _packed_json, on integers, and a residual
-TPolynomial by _poly_json.  A cache entry is written in such chunks too,
+and encoded, so both ways give the same bytes.  Every polynomial the
+package writes is packed, and _packed_json renders it, on integers, each
+term from a template already moved to its depth: a piece a TauExpansion
+holds, and a verify.Residual in a check report, whose offset and power of
+s may be negative.  A cache entry is written in such chunks too,
 each term from its _entry_template; the tau document renders every piece
 itself, once, whether the solve computed it or loaded it.
 """
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CacheError, ContractError, ParseError
 from .solver import TauExpansion, _layout
-from .tpoly import Packed, TPolynomial, canonical_rows, check_piece, pack_terms, packed_key, packed_rows, shared_pair
+from .tpoly import Packed, canonical_rows, check_piece, pack_terms, packed_key, packed_rows, shared_pair
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
@@ -327,22 +328,16 @@ def _term_template(count: int, pad: str) -> str:
     return term.replace("\n", "\n" + pad)
 
 
-def _poly_json(poly: TPolynomial, pad: str):
-    """_block_chunks of a residual's terms {"monomial": {"lambda", "t": [[n, e], ...]}, "coeff": {"a",
-    "b"}} at pad, in canonical order, one chunk per term from its _term_template: no value needs
-    escaping."""
-    return _block_chunks(
-        ((_term_template(len(m.exps), pad) % (m.lambda_exp, *chain.from_iterable(m.exps), c.a, c.b),)
-         for m, c in poly.canonical_terms()),
-        pad,
-    )
-
-
 def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
-    """_poly_json of the packed tau_j: its tpoly.canonical_rows, each
-    numerator times (-r)^(j // 2) reduced over the den by one gcd and
-    written straight into _term_template, the terms _joined."""
-    (nums, den), unit, odd = piece, (-r) ** (j // 2), j % 2
+    """_block_chunks of the terms {"monomial": {"lambda", "t": [[n, e], ...]},
+    "coeff": {"a", "b"}} of a packed piece at offset and power of s j, pad
+    deep: its tpoly.canonical_rows, one weight and so canonical order, the
+    coefficient num/den * s^j = num/den * (-r)^(j // 2) * s^(j mod 2).  That
+    unit is a Fraction for j < 0: its numerator scales each num, its
+    denominator the den, and each term is reduced by one gcd and written
+    straight into _term_template (no value needs escaping), the terms _joined."""
+    (nums, den), unit, odd = piece, Fraction(-r) ** (j // 2), j % 2
+    unit, den = unit.numerator, den * unit.denominator
 
     def term(lam, exps, num):
         num *= unit
@@ -464,15 +459,16 @@ def records_to_csv(records: list[CorrelatorRecord]) -> bytes:
 
 def reports_to_json(reports: list[CheckReport]) -> bytes:
     """json.dumps(indent=1) of [{"check_name", "status", "residuals":
-    [{"label", "poly": _poly_json}, ...], "details"}, ...] plus a newline,
-    written directly as serialize_tau writes its pieces; a details value
-    is json.dumps(indent=1) of it, moved to its depth."""
+    [{"label", "poly"}, ...], "details"}, ...] plus a newline, written
+    directly as serialize_tau writes its pieces, each residual by
+    _packed_json, whose first arguments a verify.Residual holds in order;
+    a details value is json.dumps(indent=1) of it, moved to its depth."""
     dumps = json.dumps
     items = []
     for rep in reports:
         residuals = [
-            _json_block([f'"label": {dumps(label)}', '"poly": ' + "".join(_poly_json(poly, "    "))], "   ", "{}")
-            for label, poly in rep.residuals
+            _json_block([f'"label": {dumps(label)}', '"poly": ' + "".join(_packed_json(*res, "    "))], "   ", "{}")
+            for label, res in rep.residuals
         ]
         details = [f"{dumps(key)}: " + dumps(v, indent=1).replace("\n", "\n   ") for key, v in rep.details.items()]
         fields = [

@@ -8,7 +8,8 @@ weight D*(r+1).  A_l maps x * s^(j-l) to x * r^(-2l) * s^j, so each
 degree is one int accumulator.  A finished piece stays packed, graded
 once as it is made.  A TauExpansion holds packed pieces only: a caller's
 TPolynomial is graded and packed once when the expansion is built, and
-the pieces view builds polynomials afresh on each read.  raise_step is
+the pieces view builds polynomials afresh on each read, the only
+polynomials the package builds (tpoly.unpacked).  raise_step is
 the one raise step of the package: the recursion and verify's
 commutators and exponential formula (exponential_pieces) all call it.
 
@@ -66,7 +67,7 @@ class TauExpansion:
     @property
     def pieces(self) -> tuple[TPolynomial, ...]:
         fields = _layout(self.r, self.max_degree)[1]
-        return tuple(unpacked(self.r, j, j, piece, fields) for j, piece in enumerate(self.held))
+        return tuple(unpacked(self.r, j, piece, fields) for j, piece in enumerate(self.held))
 
     def packed(self, j: int) -> Packed:
         """Piece j, packed."""

@@ -7,19 +7,20 @@ divisible by r never occur: the reduced hierarchy carries no such times, and
 constructors reject them.  The integer weight sum(n * e_n) drives the
 grading; the degree-d slice of a polynomial is its weight-d*(r+1) part.
 
-Coefficients are QScalar pairs a + b*s; the polynomial's r says that
-s^2 = -r, and polynomials over different r do not combine.  Zero
-coefficients are never stored, monomial tuples are always sorted (the
-constructor refuses others), and the canonical term order (weight, lam
-exponent, exponent sequence) makes equal polynomials identical.
-
 The package's one grading (check_piece), one rule per term: tau_j has
 weight j*(r+1), lam exponent j - N on N variables and coefficients in
 Q*s^(j mod 2).  A graded tau_j is Packed, the sum of num/den * s^j *
 lam^(j-N) * prod T_n^e_n over {exponent key: num}: every piece the package
-reads, makes, stores or holds.  A TPolynomial is what a caller hands to
-TauExpansion (graded and packed there, once, by pack_piece), the
-TauExpansion.pieces view, or a residual.
+reads, makes, stores or holds, and every residual of verify (at any offset
+and power of s, both equal, both maybe negative).
+
+A TPolynomial is only a view, with no arithmetic: what a caller hands to
+TauExpansion (graded and packed there, once, by pack_piece) and the
+TauExpansion.pieces view (unpacked).  Its coefficients are QScalar pairs
+a + b*s with s^2 = -r; zero coefficients are never stored, monomial tuples
+are always sorted (the constructor refuses others), and the canonical term
+order (weight, lam exponent, exponent sequence) makes equal polynomials
+identical.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .errors import ContextError, ContractError, InvalidIndexError
+from .errors import ContractError, InvalidIndexError
 from .scalar import QScalar
 
 CoeffLike = QScalar | int | Fraction
@@ -57,15 +58,6 @@ class TMonomial(NamedTuple):
     lambda_exp: int
     exps: tuple[tuple[int, int], ...]
 
-    @staticmethod
-    def make(lambda_exp: int = 0, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> TMonomial:
-        pairs = dict(exps)
-        for n, e in pairs.items():
-            if e < 0:
-                raise ContractError(f"negative exponent {e} for T_{n}")
-        items = tuple(sorted((n, e) for n, e in pairs.items() if e))
-        return TMonomial(lambda_exp, items)
-
     @property
     def weight(self) -> int:
         return sum(n * e for n, e in self.exps)
@@ -78,10 +70,6 @@ class TMonomial(NamedTuple):
         if self.lambda_exp:
             parts.append(f"lam^{self.lambda_exp}")
         return "*".join(parts) if parts else "1"
-
-
-ONE_MONOMIAL = TMonomial(0, ())
-_ONE = QScalar(Fraction(1), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -134,20 +122,15 @@ def packed_rows(exps):
     return ((None, pairs, 0, 0) for pairs in exps)
 
 
-def check_piece(r: int, j: int, piece) -> None:
-    """Refuse (ContractError) a TPolynomial over another r, or a piece with a
-    term that tau_j over this r cannot carry, named with the first rule it
-    breaks: ascending positive indices not divisible by r with exponents
-    >= 1, weight j*(r+1), a lam exponent j - N, even and >= -2j, on N
-    variables, and a coefficient a + b*s in Q*s^(j mod 2).  piece is a
-    TPolynomial or rows (lam, exps, a, b): a reader's, or packed_rows.
-    This is the package's one grading."""
-    if isinstance(piece, TPolynomial):
-        if piece.r != r:
-            raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
-        piece = ((m.lambda_exp, m.exps, c.a, c.b) for m, c in piece.terms.items())
+def check_piece(r: int, j: int, rows) -> None:
+    """Refuse (ContractError) a piece with a term that tau_j over this r
+    cannot carry, named with the first rule it breaks: ascending positive
+    indices not divisible by r with exponents >= 1, weight j*(r+1), a lam
+    exponent j - N, even and >= -2j, on N variables, and a coefficient
+    a + b*s in Q*s^(j mod 2).  rows are (lam, exps, a, b): a reader's,
+    pack_piece's, or packed_rows.  This is the package's one grading."""
     weight, odd = j * (r + 1), j % 2
-    for lam, exps, a, b in piece:
+    for lam, exps, a, b in rows:
         total = count = last = 0
         for n, e in exps:
             if n <= last or not n % r or e < 1:
@@ -170,8 +153,11 @@ def check_piece(r: int, j: int, piece) -> None:
 
 
 def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
-    """pack_terms of piece once check_piece(r, j, piece) passes (ContractError)."""
-    check_piece(r, j, piece)
+    """pack_terms of a caller's polynomial tau_j once it is over r and
+    check_piece grades its terms (ContractError)."""
+    if piece.r != r:
+        raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
+    check_piece(r, j, ((m.lambda_exp, m.exps, c.a, c.b) for m, c in piece.terms.items()))
     odd = j % 2
     return pack_terms(r, j, ((m.exps, c.b if odd else c.a) for m, c in piece.terms.items()), shift)
 
@@ -218,7 +204,7 @@ def summed(parts, div: int = 1) -> Packed:
 
 class TPolynomial:
     """Finite linear combination of TMonomials with QScalar coefficients,
-    over a fixed r."""
+    over a fixed r: a view, compared and printed, never computed with."""
 
     __slots__ = ("r", "terms")
 
@@ -253,73 +239,11 @@ class TPolynomial:
         object.__setattr__(poly, "terms", terms)
         return poly
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, r: int) -> TPolynomial:
-        return cls._raw(r, {})
-
-    @classmethod
-    def one(cls, r: int) -> TPolynomial:
-        return cls._raw(r, {ONE_MONOMIAL: _ONE})
-
-    @classmethod
-    def const(cls, r: int, c: CoeffLike) -> TPolynomial:
-        return cls(r, {ONE_MONOMIAL: c})
-
-    @classmethod
-    def var(cls, r: int, n: int) -> TPolynomial:
-        check_index(r, n)
-        return cls._raw(r, {TMonomial(0, ((n, 1),)): _ONE})
-
-    @classmethod
-    def monomial(
-        cls,
-        r: int,
-        coeff: CoeffLike,
-        lambda_exp: int = 0,
-        exps: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-    ) -> TPolynomial:
-        return cls(r, {TMonomial.make(lambda_exp, exps): coeff})
-
-    @classmethod
-    def sum_of(cls, r: int, polys: Iterable[TPolynomial]) -> TPolynomial:
-        acc: dict[TMonomial, QScalar] = {}
-        for p in polys:
-            if p.r != r:
-                raise ContextError(f"summand over r={p.r} in sum over r={r}")
-            for mono, coeff in p.terms.items():
-                prev = acc.get(mono)
-                new = coeff if prev is None else prev + coeff
-                if new:
-                    acc[mono] = new
-                elif prev is not None:
-                    del acc[mono]
-        return cls._raw(r, acc)
-
-    # -- predicates and views -------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a reader of TauExpansion.pieces tests a piece for zero
         return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def canonical_terms(self) -> list[tuple[TMonomial, QScalar]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def max_weight(self) -> int:
-        """Largest monomial weight, 0 for the zero polynomial."""
-        return max((m.weight for m in self.terms), default=0)
-
-    def is_homogeneous(self, weight: int) -> bool:
-        return all(m.weight == weight for m in self.terms)
-
-    # -- arithmetic ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPolynomial):
@@ -328,26 +252,8 @@ class TPolynomial:
 
     __hash__ = None
 
-    def __add__(self, other):
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        return TPolynomial.sum_of(self.r, (self, other))  # ContextError over another r
-
-    def __neg__(self) -> TPolynomial:
-        return TPolynomial._raw(self.r, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, c: int | Fraction) -> TPolynomial:
-        if not c:
-            return TPolynomial.zero(self.r)
-        return TPolynomial._raw(self.r, {m: coeff * c for m, coeff in self.terms.items()})
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return "0"
         return " + ".join(f"({coeff})*{mono}" for mono, coeff in self.canonical_terms())
 
@@ -382,14 +288,12 @@ def canonical_rows(offset: int, nums: dict[int, int], fields: list[tuple[int, in
     return rows
 
 
-def unpacked(r: int, offset: int, p: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:
-    """The polynomial of a Packed at this offset and power of s: num/den *
-    s^p * lam^(offset-N) * prod T_n^e_n per key.  The offset and p may be
-    negative, as for a constraint residual or a raiser output, and stay exact."""
-    unit, zero, terms = Fraction(-r) ** (p // 2), Fraction(0), {}  # s^p / s^(p mod 2)
-    num_unit, den = unit.numerator, packed[1] * unit.denominator
+def unpacked(r: int, j: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:
+    """The polynomial of the packed tau_j: num/den * s^j * lam^(j-N) * prod
+    T_n^e_n per key.  Only the TauExpansion.pieces view builds one."""
+    unit, zero, terms = (-r) ** (j // 2), Fraction(0), {}  # s^j / s^(j mod 2)
     for key, num in packed[0].items():
         if num:
-            exps, x = unpack_exponents(key, fields), Fraction(num * num_unit, den)
-            terms[TMonomial(offset - sum(e for _, e in exps), exps)] = QScalar(zero, x) if p % 2 else QScalar(x, zero)
+            exps, x = unpack_exponents(key, fields), Fraction(num * unit, packed[1])
+            terms[TMonomial(j - sum(e for _, e in exps), exps)] = QScalar(zero, x) if j % 2 else QScalar(x, zero)
     return TPolynomial._raw(r, terms)

@@ -1,12 +1,15 @@
 """Exact verification of every identity the computed expansion must satisfy.
 
-All pass/fail checks compare polynomials to the exact zero polynomial,
-with no tolerances.  run_checks is the one way into them: it runs the
-checks check_names admits and shares one constraint pass and one
-extraction among them.  Every piece is read, here as in the extraction,
-as TauExpansion.packed holds it, over the solve's one layout of top
-weight D*(r+1): graded once, as tau_j by tpoly.check_piece, where the
-expansion was built, so no check meets a piece off the grading.
+All pass/fail checks compare a Residual to exact zero, with no
+tolerances.  A Residual is held packed, as a piece of tau is: integer
+numerators over one denominator at one offset lam + N and one power of s
+(both its degree, maybe negative), over the layout it was summed on, and
+serialize renders it as it renders tau.  run_checks is the one way into
+the checks: it runs those check_names admits and shares one constraint
+pass and one extraction among them.  Every piece is read, here as in the
+extraction, as TauExpansion.packed holds it, over the solve's one layout
+of top weight D*(r+1): graded once, as tau_j by tpoly.check_piece, where
+the expansion was built, so no check meets a piece off the grading.
 The commutator and exponential checks are diagnostic only: commutativity
 of the degree raisers is conjectural, so a nonzero residual there is
 reported prominently but fails nothing.
@@ -22,12 +25,13 @@ from typing import NamedTuple
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
 from .solver import TauExpansion, _layout, raise_step
-from .tpoly import Packed, TPolynomial, exponent_fields, kernel_rows, summed, unpacked
+from .tpoly import Packed, exponent_fields, kernel_rows, summed
 from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents
 
 __all__ = [
     "CHECKS",
     "CheckReport",
+    "Residual",
     "check_commutators",
     "check_exponential_agreement",
     "check_names",
@@ -47,10 +51,25 @@ FAIL = "fail"
 DIAGNOSTIC = "diagnostic"
 
 
+class Residual(NamedTuple):
+    """num/den * s^degree * lam^(degree-N) * prod T_n^e_n per key of
+    piece's {key: num} over its den, the keys over fields; zero when piece
+    has no key.  A rational x is ({0: x.numerator}, x.denominator) at degree 0."""
+
+    r: int
+    degree: int
+    piece: Packed
+    fields: list[tuple[int, int, int]]
+
+
+def _constant(r: int, x: Fraction) -> Residual:
+    return Residual(r, 0, ({0: x.numerator}, x.denominator), [])
+
+
 class CheckReport(NamedTuple):
     check_name: str
     status: str
-    residuals: list[tuple[str, TPolynomial]]
+    residuals: list[tuple[str, Residual]]
     details: dict
 
     @property
@@ -79,13 +98,14 @@ def constraint_equations(r: int, max_degree: int) -> list[Equation]:
     return [(k, m, d) for k in range(2, r + 1) for m in range(-(k - 1), bound + 1) for d in range(max_degree + 1)]
 
 
-def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[TPolynomial, bool]]:
+def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[Residual, bool]]:
     """{(k, m, degree): (residual, engaged)} for the given equations, in one
     kernel call per nonzero piece read.
 
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
-    equation is one rational sum.  Piece i is read as tau.packed(i), over
+    equation is one rational sum, a Residual at degree d-k+1 over the
+    solve's layout.  Piece i is read as tau.packed(i), over
     the solve's layout of top weight D*(r+1), and its call carries the
     blocks, up to its weight i*(r+1), of every mode that reads it, each
     creator key tagged with its equation's index above the layout's top
@@ -134,7 +154,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
                 parts.setdefault(e, []).append((part, den * mode_den))
         for e in finish.get(j, ()):
             k, m, d = equations[e]
-            out[(k, m, d)] = unpacked(r, d - k + 1, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged
+            out[(k, m, d)] = Residual(r, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged
     return out
 
 
@@ -186,7 +206,7 @@ def run_checks(tau: TauExpansion, names: Collection[str]) -> Iterator[CheckRepor
             try:
                 records, extraction = extract_correlators(tau), []
             except Exception as exc:  # tampered input: each check reports it, none crashes
-                records, extraction = [], [(f"extraction: {exc}", TPolynomial.one(r))]
+                records, extraction = [], [(f"extraction: {exc}", _constant(r, Fraction(1)))]
         if name == "string_dilaton":
             yield _string_dilaton_report(tau, passed, records, extraction)
         else:
@@ -199,7 +219,7 @@ def _w_constraints_report(tau: TauExpansion, equations: list[Equation], passed: 
     for k, m, d in equations:
         residual, engaged = passed[(k, m, d)]
         vacuous += not engaged
-        if not residual.is_zero:
+        if residual.piece[0]:
             failed.append((f"k={k} m={m} degree={d}", residual))
     bound = default_constraint_mode_bound(tau.r, tau.max_degree)
     return _gated("wconstraints", failed, {"equations": len(equations), "vacuous": vacuous, "m_max": bound})
@@ -227,7 +247,7 @@ def _string_rhs(table, genus: int, rest: tuple[Insertion, ...]) -> Fraction:
 
 def _correlator_identity_residuals(
     tau: TauExpansion, records: list[CorrelatorRecord]
-) -> tuple[list[tuple[str, TPolynomial]], dict]:
+) -> tuple[list[tuple[str, Residual]], dict]:
     """Combinatorial string/dilaton identities on the extracted table.
 
     Works both ways: every record containing the special insertion is
@@ -251,7 +271,7 @@ def _correlator_identity_residuals(
         lhs = table.get((genus, _with_insertion(rest, specials[name])), Fraction(0))
         rhs = _string_rhs(table, genus, rest) if name == "string" else stable * table.get((genus, rest), Fraction(0))
         if lhs != rhs:
-            residuals.append((f"{name} g={genus} {rest}", TPolynomial.const(tau.r, lhs - rhs)))
+            residuals.append((f"{name} g={genus} {rest}", _constant(tau.r, lhs - rhs)))
 
     for rec in records:
         for name, special in specials.items():
@@ -266,13 +286,14 @@ def _correlator_identity_residuals(
 
 
 def _string_dilaton_report(tau: TauExpansion, passed: dict, records: list, extraction: list) -> CheckReport:
-    scale = Fraction(1, tau.r)
-    residuals = [
-        (f"{'translation' if m == -1 else 'scaling'} operator degree={d}", passed[(2, m, d)][0].scaled(scale))
-        for m in (-1, 0)
-        for d in range(tau.max_degree + 1)
-        if not passed[(2, m, d)][0].is_zero
-    ]
+    residuals = []
+    for m in (-1, 0):  # the k = 2 equation over r
+        for d in range(tau.max_degree + 1):
+            res = passed[(2, m, d)][0]
+            nums, den = res.piece
+            if nums:
+                label = f"{'translation' if m == -1 else 'scaling'} operator degree={d}"
+                residuals.append((label, res._replace(piece=(nums, den * tau.r))))
     residuals += extraction
     stats = {"records": 0}
     if not extraction:
@@ -305,9 +326,9 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
         base, top = bases[d], d + i + j
         ij = raise_step(r, i, top, kernel_rows(raise_step(r, j, d + j, base, shift), fields), shift)
         ji = raise_step(r, j, top, kernel_rows(raise_step(r, i, d + i, base, shift), fields), shift)
-        residual = unpacked(r, top, top, summed([ij, (ji[0], -ji[1])]), fields)
-        if not residual.is_zero:
-            residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
+        residual = summed([ij, (ji[0], -ji[1])])
+        if residual[0]:
+            residuals.append((f"[A_{i}, A_{j}] on degree {d}", Residual(r, top, residual, fields)))
     return CheckReport(
         check_name="commutator",
         status=DIAGNOSTIC,
@@ -362,9 +383,9 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     _, fields = exponent_fields(r, degree * (r + 1))
     residuals = []
     for j, (theirs, exp_den) in enumerate(exponential_pieces(r, degree)):
-        diff = unpacked(r, j, j, summed([tau.packed(j), (theirs, -exp_den)]), fields)
-        if not diff.is_zero:
-            residuals.append((f"degree {j}", diff))
+        diff = summed([tau.packed(j), (theirs, -exp_den)])
+        if diff[0]:
+            residuals.append((f"degree {j}", Residual(r, j, diff, fields)))
     return CheckReport(
         check_name="exponential_agreement",
         status=DIAGNOSTIC,

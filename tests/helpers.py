@@ -15,9 +15,13 @@ packed pieces.  The polynomial-level adapters on that kernel
 references the package's packed paths are tested against, with the
 merged NormalTerm view of the package's integer mode tables (merged,
 mode_terms, mode_table), and so does log_tau, the polynomial view of the
-free energy that extraction reads packed.  Expected values frozen in the
-tests were computed with these oracles or transcribed from independently
-published tables.
+free energy that extraction reads packed.  The package's TPolynomial and
+QScalar are views with no arithmetic: the polynomial and scalar arithmetic
+every reference runs on lives here (zero ... sum_of, add, sub, neg,
+scaled, q_add ... q_scale), and so does decoded, which reads a packed
+verify.Residual back as a polynomial without the package's own decoder.
+Expected values frozen in the tests were computed with these oracles or
+transcribed from independently published tables.
 """
 
 from __future__ import annotations
@@ -30,10 +34,153 @@ from itertools import chain
 from math import factorial, lcm
 from typing import NamedTuple
 
-from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
+from rspin import ContextError, ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.correlator import _free_energy
-from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpacked
+from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced
 from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents, raise_packed
+
+# -- reference arithmetic on the views ---------------------------------------
+
+
+def q_add(x, y) -> QScalar:
+    """x + y in Q(s); a sum takes scalars only (TypeError)."""
+    if not (isinstance(x, QScalar) and isinstance(y, QScalar)):
+        raise TypeError(f"cannot add {type(x).__name__} and {type(y).__name__}")
+    return QScalar(x.a + y.a, x.b + y.b)
+
+
+def q_neg(x) -> QScalar:
+    if not isinstance(x, QScalar):
+        raise TypeError(f"cannot negate {type(x).__name__} as a QScalar")
+    return QScalar(-x.a, -x.b)
+
+
+def q_sub(x, y) -> QScalar:
+    return q_add(x, q_neg(y))
+
+
+def q_scale(x, c) -> QScalar:
+    """x times a rational c; a product of two scalars would need r (TypeError)."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cannot scale a QScalar by {type(c).__name__}")
+    return QScalar(x.a * c, x.b * c)
+
+
+ONE_MONOMIAL = TMonomial(0, ())
+_ONE = QScalar(Fraction(1), Fraction(0))
+
+
+def make_monomial(lambda_exp=0, exps=()) -> TMonomial:
+    """The canonical TMonomial of a {n: e} mapping or (n, e) pairs: indices
+    sorted, zero exponents dropped, a negative one refused (ContractError)."""
+    pairs = dict(exps)
+    for n, e in pairs.items():
+        if e < 0:
+            raise ContractError(f"negative exponent {e} for T_{n}")
+    return TMonomial(lambda_exp, tuple(sorted((n, e) for n, e in pairs.items() if e)))
+
+
+def zero(r) -> TPolynomial:
+    return TPolynomial(r)
+
+
+def one(r) -> TPolynomial:
+    return TPolynomial._raw(r, {ONE_MONOMIAL: _ONE})
+
+
+def const(r, c) -> TPolynomial:
+    return TPolynomial(r, {ONE_MONOMIAL: c})
+
+
+def var(r, n) -> TPolynomial:
+    check_index(r, n)
+    return TPolynomial._raw(r, {TMonomial(0, ((n, 1),)): _ONE})
+
+
+def monomial(r, coeff, lambda_exp=0, exps=()) -> TPolynomial:
+    """coeff * lam^lambda_exp * prod T_n^e_n; coeff a QScalar, int or Fraction."""
+    return TPolynomial(r, {make_monomial(lambda_exp, exps): coeff})
+
+
+def sum_of(r, polys) -> TPolynomial:
+    """The sum of polynomials over r (ContextError on another r), zero
+    coefficients dropped."""
+    acc = {}
+    for p in polys:
+        if p.r != r:
+            raise ContextError(f"summand over r={p.r} in sum over r={r}")
+        for mono, coeff in p.terms.items():
+            new = q_add(acc[mono], coeff) if mono in acc else coeff
+            if new:
+                acc[mono] = new
+            else:
+                acc.pop(mono, None)
+    return TPolynomial._raw(r, acc)
+
+
+def add(p, q) -> TPolynomial:
+    return sum_of(p.r, (p, q))
+
+
+def neg(p) -> TPolynomial:
+    return TPolynomial._raw(p.r, {m: q_neg(c) for m, c in p.terms.items()})
+
+
+def sub(p, q) -> TPolynomial:
+    return add(p, neg(q))
+
+
+def scaled(p, c) -> TPolynomial:
+    """p times a rational c (TypeError on a QScalar)."""
+    terms = {m: q_scale(coeff, c) for m, coeff in p.terms.items()}
+    return TPolynomial._raw(p.r, terms if c else {})
+
+
+def is_zero(p) -> bool:
+    return not p.terms
+
+
+def max_weight(p) -> int:
+    """Largest monomial weight, 0 for the zero polynomial."""
+    return max((m.weight for m in p.terms), default=0)
+
+
+def is_homogeneous(p, weight) -> bool:
+    return all(m.weight == weight for m in p.terms)
+
+
+def poly_at(r, offset, p, packed, fields) -> TPolynomial:
+    """The polynomial of packed (numerators, den) at this offset lam + N and
+    power p of s, either maybe negative: num/den * s^p * lam^(offset-N) *
+    prod T_n^e_n per key, each key's exponents read field by field.
+    Written apart from tpoly.unpacked, so that a comparison through it
+    never reads the decoder under test."""
+    nums, den = packed
+    half, odd = divmod(p, 2)  # s^p = (-r)^half * s^odd
+    terms = {}
+    for key, num in nums.items():
+        exps = []
+        for n, width, _ in fields:
+            key, e = divmod(key, 1 << width)
+            if e:
+                exps.append((n, e))
+        assert not key, "a key with bits past the layout"
+        x = Fraction(num, den) * Fraction(-r) ** half
+        mono = TMonomial(offset - sum(e for _, e in exps), tuple(exps))
+        terms[mono] = QScalar(Fraction(0), x) if odd else QScalar(x, Fraction(0))
+    return TPolynomial(r, terms)
+
+
+def decoded(residual) -> TPolynomial:
+    """A verify.Residual (r, degree, piece, fields) as its polynomial."""
+    r, degree, piece, fields = residual
+    return poly_at(r, degree, degree, piece, fields)
+
+
+def decoded_residuals(report) -> list:
+    """A check report's (label, polynomial) residuals."""
+    return [(label, decoded(residual)) for label, residual in report.residuals]
+
 
 # -- polynomial builders ----------------------------------------------------
 
@@ -56,13 +203,13 @@ def qs(a, b=0) -> QScalar:
 def poly_of(r, *terms) -> TPolynomial:
     """Build a polynomial from (coeff, lambda_exp, {n: e}) triples; coeff is
     a rational or an (a, b) pair."""
-    total = TPolynomial.zero(r)
+    total = zero(r)
     for coeff, lam, exps in terms:
         if isinstance(coeff, tuple):
             c = qs(*coeff)
         else:
             c = qs(coeff)
-        total = total + TPolynomial.monomial(r, c, lam, exps)
+        total = add(total, monomial(r, c, lam, exps))
     return total
 
 
@@ -139,7 +286,7 @@ def poly_mul(p, q, weight_cap=None) -> TPolynomial:
                 exps[n] = exps.get(n, 0) + e
             mono = TMonomial(m1.lambda_exp + m2.lambda_exp, tuple(sorted(exps.items())))
             c = q_mul(p.r, c1, c2)
-            acc[mono] = acc[mono] + c if mono in acc else c
+            acc[mono] = q_add(acc[mono], c) if mono in acc else c
     return TPolynomial(p.r, acc)
 
 
@@ -168,7 +315,7 @@ def derive(poly, n) -> TPolynomial:
         if e > 1:
             exps[n] = e - 1
         # distinct monomials keep distinct derivatives, so nothing collects
-        terms[TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))] = coeff * e
+        terms[TMonomial(mono.lambda_exp, tuple(sorted(exps.items())))] = q_scale(coeff, e)
     return TPolynomial._raw(poly.r, terms)
 
 
@@ -194,7 +341,7 @@ def apply_beta(u, poly) -> TPolynomial:
         raise ValueError(f"mode index {u}/{poly.r} is integral or zero")
     if u > 0:
         return shift_lambda(derive(poly, u), 1)
-    return shift_lambda(mul_var(poly, -u).scaled(-u), -1)
+    return shift_lambda(scaled(mul_var(poly, -u), -u), -1)
 
 
 def apply_term(term, poly) -> TPolynomial:
@@ -205,13 +352,13 @@ def apply_term(term, poly) -> TPolynomial:
     out = poly
     for u in term.annihilators:
         out = derive(out, u)
-    if out.is_zero:
+    if is_zero(out):
         return out
     factor = term.coeff
     for u in term.creators:
         out = mul_var(out, u)
         factor = factor * u
-    return shift_lambda(out.scaled(factor), len(term.annihilators) - len(term.creators))
+    return shift_lambda(scaled(out, factor), len(term.annihilators) - len(term.creators))
 
 
 def unit_scaled(poly, n) -> TPolynomial:
@@ -254,14 +401,14 @@ def _on_kernel(poly, n, weight, kernel) -> TPolynomial:
     the rest: ContractError); kernel maps (rows, shift) to
     (numerators, den).  s^p at offset lam + N goes to s^(p + 3n) at an
     offset n lower, as -r*s = s^3."""
-    if poly.is_zero:
+    if is_zero(poly):
         return poly
     mono, c = next(iter(poly.terms.items()))
     offset, parity = mono.lambda_exp + sum(e for _, e in mono.exps), int(bool(c.b))
     shift, fields = exponent_fields(poly.r, weight)
     den, rows = kernel_rows(_pack(offset, parity, poly, shift), fields)
     nums, den_t = kernel(rows, shift)
-    return unpacked(poly.r, offset - n, parity + 3 * n, (nums, den * den_t), fields)
+    return poly_at(poly.r, offset - n, parity + 3 * n, (nums, den * den_t), fields)
 
 
 def apply_operator_sum(terms, poly, n) -> TPolynomial:
@@ -280,13 +427,13 @@ def apply_operator_sum(terms, poly, n) -> TPolynomial:
         )
         return _operator_loop(op, rows), den
 
-    return _on_kernel(poly, n, poly.max_weight() + max((sum(t.creators) for t in terms), default=0), kernel)
+    return _on_kernel(poly, n, max_weight(poly) + max((sum(t.creators) for t in terms), default=0), kernel)
 
 
 def apply_w_mode(r, k, j, m, poly) -> TPolynomial:
     """W(k, j, m) on a graded poly over this r: its blocks up to the
     input's top weight, under (-r*s/lam)^j."""
-    return apply_operator_sum(mode_terms(r, k, j, m, poly.max_weight()), poly, j)
+    return apply_operator_sum(mode_terms(r, k, j, m, max_weight(poly)), poly, j)
 
 
 def apply_raising_operator(r, l, poly, target_degree) -> TPolynomial:
@@ -313,13 +460,13 @@ def exp_graded(poly, max_degree) -> TauExpansion:
     max_degree, by n tau_n = sum_{k=1..n} k F_k tau_{n-k}: the inverse of
     log_tau."""
     r = poly.r
-    if not graded_part(poly, 0).is_zero:
+    if not is_zero(graded_part(poly, 0)):
         raise ContractError("exp requires a vanishing degree-0 part")
-    g = [graded_part(poly, k).scaled(k) for k in range(max_degree + 1)]
-    pieces = [TPolynomial.one(r)]
+    g = [scaled(graded_part(poly, k), k) for k in range(max_degree + 1)]
+    pieces = [one(r)]
     for n in range(1, max_degree + 1):
-        total = TPolynomial.sum_of(r, (poly_mul(g[k], pieces[n - k]) for k in range(1, n + 1)))
-        pieces.append(total.scaled(Fraction(1, n)))
+        total = sum_of(r, (poly_mul(g[k], pieces[n - k]) for k in range(1, n + 1)))
+        pieces.append(scaled(total, Fraction(1, n)))
     return TauExpansion(r, max_degree, pieces)
 
 
@@ -508,22 +655,22 @@ def mode_table(r, k, j, m, cap):
 def ordered_apply_w(r, k, j, m, poly, creator_cap):
     """Apply W(k, j, m) by walking ordered tuples one oscillator at a time."""
     unit = unit_power(r, j)
-    total = TPolynomial.zero(r)
-    for osc, weight in _ordered_tuples(r, k, j, m, creator_cap, poly.max_weight()):
+    total = zero(r)
+    for osc, weight in _ordered_tuples(r, k, j, m, creator_cap, max_weight(poly)):
         out = poly
         for u in sorted(osc, reverse=True):  # normal order: annihilators first
             out = apply_beta(u, out)
-            if out.is_zero:
+            if is_zero(out):
                 break
-        total = total + shift_lambda(q_scaled(out, unit * weight), -j)
+        total = add(total, shift_lambda(q_scaled(out, q_scale(unit, weight)), -j))
     return total
 
 
 def ordered_apply_raiser(r, l, poly, target_degree):
     """Degree raiser rebuilt on the ordered-tuple oracle."""
     w_in = (target_degree - l) * (r + 1)
-    assert poly.is_homogeneous(w_in)
-    total = TPolynomial.zero(r)
+    assert is_homogeneous(poly, w_in)
+    total = zero(r)
     for k in range(l + 1, r + 1):
         for m in range(0, mode_bound(r, k, target_degree) + 1):
             j = k - 1 - l
@@ -531,11 +678,11 @@ def ordered_apply_raiser(r, l, poly, target_degree):
             if w_mid < 0:
                 continue
             inner = ordered_apply_w(r, k, j, m - k + 1, poly, w_mid)
-            if inner.is_zero:
+            if is_zero(inner):
                 continue
             n_out = r * m + k - 1
-            pref = unit_power(r, -(k - 1)) * Fraction(-factorial(k - 1) * n_out, r + 1)
-            total = total + shift_lambda(q_scaled(mul_var(inner, n_out), pref), k - 2)
+            pref = q_scale(unit_power(r, -(k - 1)), Fraction(-factorial(k - 1) * n_out, r + 1))
+            total = add(total, shift_lambda(q_scaled(mul_var(inner, n_out), pref), k - 2))
     return total
 
 
@@ -543,12 +690,10 @@ def reference_tau(r, max_degree) -> list[TPolynomial]:
     """The pieces tau_0 .. tau_D by j tau_j = sum_l A_l tau_{j-l} on
     TPolynomials: the sum of apply_raising_operator over the raisers,
     scaled by 1/j, the reference the packed recursion is tested against."""
-    pieces = [TPolynomial.one(r)]
+    pieces = [one(r)]
     for j in range(1, max_degree + 1):
-        total = TPolynomial.sum_of(
-            r, (apply_raising_operator(r, l, pieces[j - l], j) for l in range(1, min(r - 1, j) + 1))
-        )
-        pieces.append(total.scaled(Fraction(1, j)))
+        total = sum_of(r, (apply_raising_operator(r, l, pieces[j - l], j) for l in range(1, min(r - 1, j) + 1)))
+        pieces.append(scaled(total, Fraction(1, j)))
     return pieces
 
 
@@ -567,12 +712,12 @@ def reference_commutator(r, degree, tau=None) -> list[tuple[str, TPolynomial]]:
     residuals, pieces = [], tau.pieces
     for i, j, d in instances:
         base = pieces[d]
-        if base.is_zero:
+        if is_zero(base):
             continue
         ij = apply_raising_operator(r, i, apply_raising_operator(r, j, base, d + j), d + i + j)
         ji = apply_raising_operator(r, j, apply_raising_operator(r, i, base, d + i), d + i + j)
-        residual = ij - ji
-        if not residual.is_zero:
+        residual = sub(ij, ji)
+        if not is_zero(residual):
             residuals.append((f"[A_{i}, A_{j}] on degree {d}", residual))
     return residuals
 
@@ -582,19 +727,19 @@ def reference_exponential(r, max_degree) -> list[TPolynomial]:
     TPolynomials: B^n/n! . 1 by degree, B = sum_l A_l / l, each raiser one
     apply_raising_operator call, summed and scaled as TPolynomials, the
     formulation the packed compute_tau_exponential replaces."""
-    zero = TPolynomial.zero(r)
-    acc = {0: TPolynomial.one(r)}
-    power = {0: TPolynomial.one(r)}
+    nothing = zero(r)
+    acc = {0: one(r)}
+    power = {0: one(r)}
     for n in range(1, max_degree + 1):
         nxt = {}
         for d, poly in power.items():
             for l in range(1, min(r, max_degree - d + 1)):
-                contrib = apply_raising_operator(r, l, poly, d + l).scaled(Fraction(1, l))
-                nxt[d + l] = nxt.get(d + l, zero) + contrib
-        power = {d: p.scaled(Fraction(1, n)) for d, p in nxt.items() if not p.is_zero}
+                contrib = scaled(apply_raising_operator(r, l, poly, d + l), Fraction(1, l))
+                nxt[d + l] = add(nxt.get(d + l, nothing), contrib)
+        power = {d: scaled(p, Fraction(1, n)) for d, p in nxt.items() if not is_zero(p)}
         for d, p in power.items():
-            acc[d] = acc.get(d, zero) + p
-    return [acc.get(j, zero) for j in range(max_degree + 1)]
+            acc[d] = add(acc.get(d, nothing), p)
+    return [acc.get(j, nothing) for j in range(max_degree + 1)]
 
 
 def reference_w_residual(pieces, k, m, degree) -> tuple[TPolynomial, bool]:
@@ -606,9 +751,9 @@ def reference_w_residual(pieces, k, m, degree) -> tuple[TPolynomial, bool]:
     read = [
         (l, pieces[idx])
         for l, idx in enumerate(range(degree - k + 1, degree + 1))
-        if 0 <= idx < len(pieces) and not pieces[idx].is_zero
+        if 0 <= idx < len(pieces) and not is_zero(pieces[idx])
     ]
-    total = TPolynomial.sum_of(r, (apply_w_mode(r, k, l, m, piece) for l, piece in read))
+    total = sum_of(r, (apply_w_mode(r, k, l, m, piece) for l, piece in read))
     return total, bool(read)
 
 
@@ -621,12 +766,12 @@ def power_series_log(tau) -> TPolynomial:
     leaves out the pairs above it."""
     r, D = tau.r, tau.max_degree
     cap = D * (r + 1)
-    x = TPolynomial.sum_of(r, tau.pieces[1:])
-    result = TPolynomial.zero(r)
-    power = TPolynomial.one(r)
+    x = sum_of(r, tau.pieces[1:])
+    result = zero(r)
+    power = one(r)
     for k in range(1, D + 1):
         power = poly_mul(power, x, cap)
-        result = result + power.scaled(Fraction((-1) ** (k + 1), k))
+        result = add(result, scaled(power, Fraction((-1) ** (k + 1), k)))
     return result
 
 
@@ -701,6 +846,6 @@ def report_to_obj(report) -> dict:
     return {
         "check_name": report.check_name,
         "status": report.status,
-        "residuals": [{"label": label, "poly": poly_to_obj(poly)} for label, poly in report.residuals],
+        "residuals": [{"label": label, "poly": poly_to_obj(poly)} for label, poly in decoded_residuals(report)],
         "details": report.details,
     }

@@ -2,10 +2,14 @@
 the in-memory pieces cannot break the benchmark's gate unseen.
 
 bench/check_tau.py parses a `compute --r 4 --degree 6` document, rebuilds
-its pieces 0..3 as a TauExpansion and extracts three anchors from them, and
-one test here runs the script itself; bench/tracing.py counts the terms of a
-computed expansion, reads each coefficient's two Fractions, and patches
-names on rspin.cli and TPolynomial."""
+its pieces 0..3 as a TauExpansion from the TPolynomial view and extracts
+three anchors from them, and one test here runs the script itself;
+bench/tracing.py counts the terms of a computed expansion, reads each
+coefficient's two Fractions, and patches names on rspin.cli and
+TPolynomial.  The view keeps canonical_terms; the polynomial arithmetic
+the tracer also patches (sum_of, scaled, +, - and the rest) left the
+package, and the tracer records a name it cannot find under "missing"
+instead of failing."""
 
 import json
 import os
@@ -86,7 +90,6 @@ def test_reading_the_pieces_changes_nothing_a_traced_run_writes(tmp_path, monkey
         return render(r, j, piece, fields, pad)
 
     monkeypatch.setattr(serialize, "_packed_json", packed_json)
-    monkeypatch.setattr(serialize, "_poly_json", lambda *args: pytest.fail("a piece rendered as a polynomial"))
     data = serialize_tau(tau)
     assert rendered == [(j, True) for j in range(7)]
     monkeypatch.undo()
@@ -98,9 +101,6 @@ def test_traced_names_stay_bound():
     assert rspin.cli.extract_correlators is rspin.correlator.extract_correlators
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["sum_of", "scaled", "canonical_terms", "is_homogeneous", "max_weight", "__add__", "__sub__", "__neg__"],
-)
+@pytest.mark.parametrize("name", ["canonical_terms"])
 def test_traced_polynomial_methods_exist(name):
     assert name in vars(TPolynomial)

@@ -7,13 +7,13 @@ import re
 
 import pytest
 
-from rspin import TauCache, TPolynomial, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
+from rspin import TauCache, compute_tau, extract_correlators, parse_tau, serialize_tau, verify
 from rspin.cli import _warn_unchecked, main
 from rspin.cli import ORACLE_CHECKED_DEPTH
 from rspin.solver import _layout
 from rspin.tpoly import kernel_rows, pack_piece
 
-from helpers import qs, tau1_r3
+from helpers import add, monomial, qs, tau1_r3
 
 
 def test_compute_writes_canonical_file(tmp_path):
@@ -207,9 +207,9 @@ def test_verify_extracts_correlators_once(tmp_path, monkeypatch):
 
 
 def _polynomial_calls(monkeypatch) -> list:
-    """The (name, degree) of each call of pack_piece, unpacked or graded_terms
-    from then on, wherever the package binds them."""
-    from rspin import serialize, solver, tpoly
+    """The (name, degree) of each call of pack_piece or unpacked from then
+    on, wherever the package binds them."""
+    from rspin import serialize, solver, tpoly, verify
 
     calls = []
 
@@ -220,8 +220,8 @@ def _polynomial_calls(monkeypatch) -> list:
 
         return run
 
-    for owner in (solver, tpoly, serialize):
-        for name in ("pack_piece", "unpacked", "graded_terms"):
+    for owner in (solver, tpoly, serialize, verify):
+        for name in ("pack_piece", "unpacked"):
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     return calls
@@ -382,22 +382,38 @@ def test_verify_without_checks_exits_2(tmp_path, capsys, checks):
 BAD_CACHE_REPORT_DIGEST = "1f2af823801eec797f611a87a50d7531812dafa40ed91f0c69d3c79e66cc1b64"
 
 
-def test_verify_failure_exits_1(tmp_path):
-    # a cached degree-1 piece with an extra s*T4 that keeps the weight and
-    # the grading passes the cache's own checks, so verify runs on it and
-    # the constraints fail
+def _bad_cache(tmp_path) -> str:
+    """A cache directory whose degree-1 piece at r = 3 has an extra s*T4: it
+    keeps the weight and the grading, so it passes the cache's own checks."""
     cache, layout = TauCache(tmp_path / "cache"), _layout(3, 2)
-    piece = compute_tau(3, 1).pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1})
+    piece = add(compute_tau(3, 1).pieces[1], monomial(3, qs(0, 1), 0, {4: 1}))
     cache.store(3, 1, kernel_rows(pack_piece(3, 1, piece, layout[0]), layout[1]))
+    return str(cache.directory)
+
+
+def test_verify_failure_exits_1(tmp_path):
+    # verify runs on the tampered cached piece and the constraints fail
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--r", "3", "--degree", "2", "--checks", "wconstraints",
-         "--cache-dir", str(cache.directory), "--out", str(out)]
+         "--cache-dir", _bad_cache(tmp_path), "--out", str(out)]
     )
     assert code == 1
     reports = json.loads(out.read_text())
     assert reports[0]["status"] == "fail"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BAD_CACHE_REPORT_DIGEST
+
+
+def test_reports_build_no_polynomial(tmp_path, monkeypatch):
+    # a failing verify and the commutator diagnostic hold and render every
+    # residual packed: no piece is packed from a polynomial or unpacked to one
+    cache = _bad_cache(tmp_path)
+    calls = _polynomial_calls(monkeypatch)
+    argv = ["-q", "verify", "--r", "3", "--degree", "2", "--checks", "wconstraints", "--cache-dir", cache]
+    assert main(argv + ["--out", str(tmp_path / "verify.json")]) == 1
+    assert main(["-q", "commutator", "--r", "3", "--degree", "6", "--out", str(tmp_path / "commutator.json")]) == 0
+    assert json.loads((tmp_path / "commutator.json").read_text())[0]["residuals"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("r, degree", [(4, 4), (5, 3)])

@@ -1,6 +1,7 @@
 """Canonical serialization, parsing with validation, and export formats."""
 
 import argparse
+import hashlib
 import json
 import re
 import time
@@ -16,7 +17,6 @@ from rspin import (
     ParseError,
     TauCache,
     TauExpansion,
-    TMonomial,
     TPolynomial,
     compute_tau,
     extract_correlators,
@@ -24,12 +24,14 @@ from rspin import (
     serialize_tau,
 )
 from rspin.serialize import records_to_csv, records_to_json, reports_to_json
-from rspin.verify import CHECKS, CheckReport, check_commutators, check_exponential_agreement, run_checks
+from rspin.verify import CHECKS, CheckReport, Residual, check_commutators, check_exponential_agreement, run_checks
 from rspin.serialize import ENTRY_VERSION, MODE_CONSTRUCTION
 from rspin.solver import _layout
-from rspin.tpoly import kernel_rows
+from rspin.tpoly import exponent_fields, kernel_rows, packed_key
 
-from helpers import _dump, _entry_dump, entry_obj, poly_to_obj, qs, report_to_obj, with_piece
+from helpers import (
+    _dump, _entry_dump, add, entry_obj, make_monomial, monomial, one, poly_to_obj, qs, report_to_obj, with_piece, zero,
+)
 
 
 def test_round_trip_identity():
@@ -64,19 +66,15 @@ def test_direct_writer_matches_json_dumps(r, degree):
     assert serialize_tau(parse_tau(data)) == data
 
 
-def _hand_built_piece(r):
-    """Monomials the solver never writes: a negative and a two-digit lam
-    exponent, two-digit indices and exponents, and coefficients with both
-    parts, negative numerators and long denominators."""
-    return TPolynomial(
-        r,
-        {
-            TMonomial.make(-12, {1: 10, 11: 2}): qs(Fraction(-7, 123456789), Fraction(5, 3)),
-            TMonomial.make(3, {2: 1}): qs(0, -1),
-            TMonomial.make(0, {}): qs(Fraction(1, 2)),
-            TMonomial.make(-1, {5: 13, 13: 1}): qs(-40, Fraction(-1, 10**30)),
-        },
-    )
+def _hand_built_residual():
+    """A residual at r = 3 the checks never give: degree -3, so an odd power
+    of s and a unit (-3)^-2, one weight 32 on up to 12 variables, so
+    two-digit negative lam exponents, two-digit indices and exponents,
+    negative numerators and a long denominator."""
+    shift, fields = exponent_fields(3, 32)
+    exps = [((1, 10), (11, 2)), ((2, 16),), ((5, 2), (11, 2)), ((32, 1),), ((1, 6), (13, 2))]
+    nums = [-7, 123456789 * 10**30, 5, -40, 1]
+    return Residual(3, -3, ({packed_key(e, shift): x for e, x in zip(exps, nums)}, 3 * 123456789 * 10**30), fields)
 
 
 def _graded_hand_built_piece():
@@ -86,22 +84,23 @@ def _graded_hand_built_piece():
     return TPolynomial(
         3,
         {
-            TMonomial.make(-6, {1: 10, 10: 1}): qs(0, Fraction(-7, 123456789)),
-            TMonomial.make(4, {20: 1}): qs(0, Fraction(5, 3)),
-            TMonomial.make(2, {5: 2, 10: 1}): qs(0, Fraction(-1, 10**30)),
+            make_monomial(-6, {1: 10, 10: 1}): qs(0, Fraction(-7, 123456789)),
+            make_monomial(4, {20: 1}): qs(0, Fraction(5, 3)),
+            make_monomial(2, {5: 2, 10: 1}): qs(0, Fraction(-1, 10**30)),
         },
     )
 
 
 def test_direct_writer_on_zero_and_hand_built_pieces():
     # pieces the solver never writes serialize as json.dumps would write
-    # them: a zero piece is an empty list.  The hand-built piece with both
-    # coefficient parts, which no expansion holds, renders as a residual
-    tau = TauExpansion(3, 5, [TPolynomial.one(3), *[TPolynomial.zero(3)] * 4, _graded_hand_built_piece()])
+    # them: a zero piece is an empty list.  So does a hand-built residual
+    # at a negative degree, through the same renderer
+    tau = TauExpansion(3, 5, [one(3), *[zero(3)] * 4, _graded_hand_built_piece()])
     assert serialize_tau(tau) == _dumped_tau(tau)
     assert b'"pieces": [\n  [\n   {' in serialize_tau(tau) and b",\n  [],\n" in serialize_tau(tau)
-    report = CheckReport("hand-built", "fail", [("hand-built", _hand_built_piece(3))], {})
+    report = CheckReport("hand-built", "fail", [("hand-built", _hand_built_residual())], {})
     assert reports_to_json([report]) == _dump([report_to_obj(report)])
+    assert b'"lambda": -15,' in reports_to_json([report]) and b'"a": "0"' in reports_to_json([report])
 
 
 def test_cache_entries_match_json_dumps(tmp_path):
@@ -525,7 +524,7 @@ def test_reports_json_shape():
 
 def test_serialized_residuals_round_trip_through_poly_format():
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), 0, {4: 1}))  # s*T4 keeps the grading
+    tau = with_piece(tau, 1, add(tau.pieces[1], monomial(3, qs(0, 1), 0, {4: 1})))  # s*T4 keeps the grading
     (report,) = run_checks(tau, ["wconstraints"])
     payload = json.loads(reports_to_json([report]))
     assert payload[0]["status"] == "fail"
@@ -539,14 +538,14 @@ def test_reports_writer_matches_json_dumps(r, degree):
     # log), the two diagnostics, and a hand-built report with characters to
     # escape and nested details
     tau = compute_tau(r, degree)
-    failing = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1}))
+    failing = with_piece(tau, 1, add(tau.pieces[1], monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1})))
     reports = [report for t in (tau, failing) for report in run_checks(t, CHECKS)]
     reports += [check_commutators(tau), check_exponential_agreement(tau)]
     reports.append(
         CheckReport(
             'odd "name"\u00e9',
             "fail",
-            [("label\n\t\\", TPolynomial.one(r))],
+            [("label\n\t\\", Residual(r, 0, ({0: 1}, 1), []))],
             {"nested": {"a": [1, [2]], "b": {}}, "none": None},
         )
     )
@@ -557,3 +556,41 @@ def test_reports_writer_matches_json_dumps(r, degree):
         assert reports_to_json([rep]) == _dump([report_to_obj(rep)])
     assert reports_to_json(reports) == _dump([report_to_obj(rep) for rep in reports])
     assert reports_to_json([]) == _dump([])
+
+
+# sha256 of reports_to_json(run_checks(t, CHECKS)) on the tampered expansions
+# of test_report_bytes_are_pinned, taken when each residual was rendered from
+# a TPolynomial
+TAMPERED_REPORT_DIGESTS = {
+    (3, 4): "c4699f73acddb385a6f7d04fd94d38f0d911a1cfca5bde8c0a2e1405a078ae99",
+    (4, 3): "65f93125cfdcd9040d13f7b4245bdc4d4e76ad8f5fd83b044451da0213cc0d06",
+}
+
+
+@pytest.mark.parametrize("r, degree", sorted(TAMPERED_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(r, degree):
+    # at (3, 4), s*lam^-2*T_1^2*T_2 on degree 1 breaks constraint equations
+    # down to offset d - k + 1 = -1, the translation and scaling operators
+    # and the extraction; at (4, 3), 5/7*T_1*T_9 on degree 2 breaks the
+    # string and dilaton equations on the extracted records.  Between them
+    # the reports carry every kind of residual
+    tau = compute_tau(r, degree)
+    if r == 3:
+        tau = with_piece(tau, 1, add(tau.pieces[1], monomial(3, qs(0, 1), -2, {1: 2, 2: 1})))
+    else:
+        tau = with_piece(tau, 2, add(tau.pieces[2], monomial(4, qs(Fraction(5, 7)), 0, {1: 1, 9: 1})))
+    reports = list(run_checks(tau, CHECKS))
+    labels = [label for rep in reports for label, _ in rep.residuals]
+    offsets = [int(d) - int(k) + 1 for k, d in (re.fullmatch(r"k=(\d+) m=-?\d+ degree=(\d+)", x).groups() for x in labels if x[:2] == "k=")]
+    kinds = {
+        "negative offset": min(offsets) < 0,
+        "translation or scaling": any(x.startswith(("translation operator", "scaling operator")) for x in labels),
+        "record identity": any(x.startswith(("string g=", "dilaton g=")) for x in labels),
+        "extraction": any(x.startswith("extraction: ") for x in labels),
+    }
+    assert kinds == {
+        "negative offset": r == 3, "translation or scaling": True, "record identity": r == 4, "extraction": r == 3,
+    }
+    data = reports_to_json(reports)
+    assert data == _dump([report_to_obj(rep) for rep in reports])
+    assert hashlib.sha256(data).hexdigest() == TAMPERED_REPORT_DIGESTS[(r, degree)]

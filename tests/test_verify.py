@@ -18,10 +18,14 @@ from rspin import (
     extract_correlators,
 )
 from rspin import ContractError, InvalidSpecError, compute_tau_exponential, correlator, run_checks, solver, tpoly, verify, walgebra
+from rspin.serialize import reports_to_json
 from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residuals
 from rspin.walgebra import _operator_loop
 
-from helpers import qs, reference_commutator, reference_exponential, reference_w_residual, with_piece
+from helpers import (
+    _dump, add, decoded, decoded_residuals, is_homogeneous, is_zero, monomial, qs, reference_commutator,
+    reference_exponential, reference_w_residual, report_to_obj, scaled, sub, var, with_piece, zero,
+)
 
 
 def test_w_constraints_pass_r3():
@@ -38,7 +42,7 @@ def test_w_constraints_pass_r2():
 
 def _s_times_var(r, n):
     """s*T_n, graded like a degree-1 piece: lam^0 on one variable, in Q*s."""
-    return TPolynomial.monomial(r, qs(0, 1), 0, {n: 1})
+    return monomial(r, qs(0, 1), 0, {n: 1})
 
 
 def _plus_s_t1_t3(piece):
@@ -50,7 +54,7 @@ def _plus_s_t1_t3(piece):
 
 def test_w_constraints_detect_seeded_error():
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))
+    tau = with_piece(tau, 1, add(tau.pieces[1], _s_times_var(3, 4)))
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "fail"
     labels = [label for label, _ in report.residuals]
@@ -79,7 +83,7 @@ def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
-    assert len(calls) == sum(not piece.is_zero for piece in tau.pieces) == 7
+    assert len(calls) == sum(not is_zero(piece) for piece in tau.pieces) == 7
     for j, (start, end) in enumerate(zip([0, *calls], calls)):
         read = blocks[start:end]
         assert read and len(set(read)) == len(read), j
@@ -100,9 +104,9 @@ def _tampered(r, D):
         "tau": None,
         "s*T_{r+1}": (1, _s_times_var(r, r + 1)),
         "s*T_1": (1, _s_times_var(r, 1)),
-        "5/7*T_1*T_{2r+1}": (2, TPolynomial.monomial(r, qs(Fraction(5, 7)), 0, {1: 1, 2 * r + 1: 1})),
+        "5/7*T_1*T_{2r+1}": (2, monomial(r, qs(Fraction(5, 7)), 0, {1: 1, 2 * r + 1: 1})),
         "piece 2 zeroed": (2, None),
-        "tau_0 + 2/5*lam^-2*T_1^2": (0, TPolynomial.monomial(r, qs(Fraction(2, 5)), -2, {1: 2})),
+        "tau_0 + 2/5*lam^-2*T_1^2": (0, monomial(r, qs(Fraction(2, 5)), -2, {1: 2})),
     }
     tau = compute_tau(r, D)
     for name, change in extra.items():
@@ -110,7 +114,7 @@ def _tampered(r, D):
             yield name, lambda: tau
         else:
             j, poly = change
-            piece = TPolynomial.zero(r) if poly is None else tau.pieces[j] + poly
+            piece = zero(r) if poly is None else add(tau.pieces[j], poly)
             yield name, lambda j=j, piece=piece: with_piece(tau, j, piece)
 
 
@@ -127,8 +131,9 @@ def test_constraint_pass_equals_mode_by_mode_reference(r, D):
         passed, pieces = w_constraint_residuals(tau, equations), tau.pieces
         assert sorted(passed) == sorted(equations), name
         for k, m, d in equations:
-            assert passed[(k, m, d)] == reference_w_residual(pieces, k, m, d), (name, k, m, d)
-        failing = sum(not residual.is_zero for residual, _ in passed.values())
+            residual, engaged = passed[(k, m, d)]
+            assert (decoded(residual), engaged) == reference_w_residual(pieces, k, m, d), (name, k, m, d)
+        failing = sum(not is_zero(decoded(residual)) for residual, _ in passed.values())
         assert (failing == 0) == (name == "tau"), name
 
 
@@ -139,15 +144,20 @@ def test_residuals_stay_exact_at_negative_offsets(r, D):
     # tau_1 keeps the grading and breaks the equations that read tau_1, down
     # to offset 2 - r (k = r, d = 1)
     tau = compute_tau(r, D)
-    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1}))
+    tau = with_piece(tau, 1, add(tau.pieces[1], monomial(r, qs(0, 1), -2, {1: 2, r - 1: 1})))
+    # and the packed residual is integers, rendered exactly as its polynomial
     passed = w_constraint_residuals(tau, constraint_equations(r, D))
-    negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and not residual.is_zero]
+    negative = [(k, m, d) for (k, m, d), (residual, _) in passed.items() if d - k + 1 < 0 and residual.piece[0]]
     assert {d - k + 1 for k, _, d in negative} == set(range(2 - r, 0))
     for eq in negative:
-        assert passed[eq] == reference_w_residual(tau.pieces, *eq)
+        residual, engaged = passed[eq]
+        assert residual.degree == eq[2] - eq[0] + 1
+        assert (decoded(residual), engaged) == reference_w_residual(tau.pieces, *eq)
     for residual, _ in passed.values():
-        for c in residual.terms.values():
-            assert type(c.a) is Fraction and type(c.b) is Fraction
+        nums, den = residual.piece
+        assert type(den) is int and den > 0 and all(type(x) is int for x in nums.values())
+    report = verify.CheckReport("negative offsets", "fail", [(str(eq), passed[eq][0]) for eq in negative], {})
+    assert reports_to_json([report]) == _dump([report_to_obj(report)])
 
 
 def test_constraint_pass_refuses_pieces_off_the_grading():
@@ -158,11 +168,11 @@ def test_constraint_pass_refuses_pieces_off_the_grading():
     # and the first monomial off the grading
     tau = compute_tau(3, 3)
     bad = {
-        "mixed": (tau.pieces[2] + TPolynomial.monomial(3, qs(0, 1), 0, {1: 1, 7: 1}), r"coefficient -7/81 \+ s outside"),
-        "parity": (TPolynomial.monomial(3, qs(1), 0, {4: 1}), "coefficient 1 outside"),
-        "offset": (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "lam exponent -2 on 1 variables"),
+        "mixed": (add(tau.pieces[2], monomial(3, qs(0, 1), 0, {1: 1, 7: 1})), r"coefficient -7/81 \+ s outside"),
+        "parity": (monomial(3, qs(1), 0, {4: 1}), "coefficient 1 outside"),
+        "offset": (monomial(3, qs(0, 1), -2, {4: 1}), "lam exponent -2 on 1 variables"),
         "index divisible by r": (_plus_s_t1_t3(tau.pieces[1]), r"T3\^1: indices ascend"),
-        "weight": (tau.pieces[1] + _s_times_var(3, 1), "weight 1, expected 4"),
+        "weight": (add(tau.pieces[1], _s_times_var(3, 1)), "weight 1, expected 4"),
     }
     for name, (piece, why) in bad.items():
         j = 2 if name == "mixed" else 1
@@ -216,7 +226,7 @@ def test_string_and_dilaton_instances_from_tables():
 
 def test_string_dilaton_detects_seeded_error():
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 2, tau.pieces[2] + TPolynomial.monomial(3, 1, 0, {1: 1, 7: 1}))
+    tau = with_piece(tau, 2, add(tau.pieces[2], monomial(3, 1, 0, {1: 1, 7: 1})))
     (report,) = run_checks(tau, ["string_dilaton"])
     assert report.status == "fail"
 
@@ -231,14 +241,14 @@ def test_gradings_detect_inhomogeneous_piece():
     # the grading is checked where the expansion is built
     tau = compute_tau(3, 2)
     with pytest.raises(ContractError, match=r"^piece 1 has monomial T1 off the grading: weight 1, expected 4$"):
-        with_piece(tau, 1, tau.pieces[1] + TPolynomial.var(3, 1))  # weight 1 inside degree 1
+        with_piece(tau, 1, add(tau.pieces[1], var(3, 1)))  # weight 1 inside degree 1
 
 
 def test_gradings_detect_bad_lambda():
     tau = compute_tau(3, 1)
     why = "lam exponent -4 on 1 variables, expected 0, even and >= -2"
     with pytest.raises(ContractError, match=rf"^piece 1 has monomial T4\*lam\^-4 off the grading: {why}$"):
-        with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, 1, -4, {4: 1}))
+        with_piece(tau, 1, add(tau.pieces[1], monomial(3, 1, -4, {4: 1})))
 
 
 def test_selection_report_passes():
@@ -272,7 +282,7 @@ def test_correlator_checks_share_one_extraction(monkeypatch):
     # tau_2 does not cancel: the one extraction fails and its error is a
     # residual of each correlator check
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 1, tau.pieces[1] + TPolynomial.monomial(3, qs(0, 1), -2, {1: 2, 2: 1}))
+    tau = with_piece(tau, 1, add(tau.pieces[1], monomial(3, qs(0, 1), -2, {1: 2, 2: 1})))
     with pytest.raises(ExtractionError, match="negative genus") as error:
         extract_correlators(tau)
     _, extractions = _counting(monkeypatch)
@@ -290,7 +300,7 @@ def test_string_dilaton_reads_a_shared_constraint_pass(monkeypatch):
     # every equation in one pass when wconstraints is named; string_dilaton
     # alone makes one pass of its 2(D+1) equations, and its report is the same
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))  # seeded error
+    tau = with_piece(tau, 1, add(tau.pieces[1], _s_times_var(3, 4)))  # seeded error
     passes, _ = _counting(monkeypatch)
     reports = list(run_checks(tau, CHECKS))
     assert passes == [constraint_equations(3, 2)]
@@ -317,20 +327,21 @@ def test_scaled_translation_equals_lowest_constraint():
     # the translation/scaling operators are the two lowest quadratic
     # constraint modes divided by r, so their residuals must match exactly
     tau = compute_tau(3, 2)
-    tau = with_piece(tau, 1, tau.pieces[1] + _s_times_var(3, 4))  # seeded error
+    tau = with_piece(tau, 1, add(tau.pieces[1], _s_times_var(3, 4)))  # seeded error
     (report,) = run_checks(tau, ["string_dilaton"])
     for m in (-1, 0):
         for degree in range(tau.max_degree + 1):
             base, _ = w_constraint_residuals(tau, [(2, m, degree)])[(2, m, degree)]
+            base = decoded(base)
             name = "translation" if m == -1 else "scaling"
             matching = [
-                poly for label, poly in report.residuals
+                poly for label, poly in decoded_residuals(report)
                 if label == f"{name} operator degree={degree}"
             ]
-            if base.is_zero:
+            if is_zero(base):
                 assert not matching
             else:
-                assert matching and matching[0] == base.scaled(Fraction(1, 3))
+                assert matching and matching[0] == scaled(base, Fraction(1, 3))
 
 
 @pytest.mark.parametrize("r, D", [(3, 6), (5, 4)])
@@ -360,7 +371,7 @@ def test_commutator_diagnostic_r3():
     assert len(report.residuals) == 1
     label, residual = report.residuals[0]
     assert label == "[A_1, A_2] on degree 0"
-    assert residual.is_homogeneous(12)
+    assert residual.degree == 3 and is_homogeneous(decoded(residual), 12)
 
 
 def test_commutators_pack_each_base_once(monkeypatch):
@@ -415,20 +426,20 @@ def test_packed_diagnostics_match_references(r, degree):
     # [A_2, A_3]; the references run every raiser through
     # apply_raising_operator and add TPolynomials
     tau = compute_tau(r, degree)
-    assert check_commutators(tau).residuals == reference_commutator(r, degree, tau)
+    assert decoded_residuals(check_commutators(tau)) == reference_commutator(r, degree, tau)
     expected = reference_exponential(r, degree)
     assert compute_tau_exponential(r, degree).pieces == tuple(expected)
-    diffs = [(f"degree {j}", tau.pieces[j] - p) for j, p in enumerate(expected) if tau.pieces[j] != p]
-    assert check_exponential_agreement(tau).residuals == diffs
+    diffs = [(f"degree {j}", sub(tau.pieces[j], p)) for j, p in enumerate(expected) if tau.pieces[j] != p]
+    assert decoded_residuals(check_exponential_agreement(tau)) == diffs
 
 
 @pytest.mark.parametrize(
     "piece, fault",
     [
-        (TPolynomial.monomial(3, qs(1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong parity
-        (TPolynomial.monomial(3, qs(0, 1), -2, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong offset
-        (TPolynomial.monomial(3, qs(1, 1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # mixed coefficient
-        (TPolynomial.monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # off the weight
+        (monomial(3, qs(1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong parity
+        (monomial(3, qs(0, 1), -2, {4: 1}), "piece 1 is not graded as tau_1"),  # wrong offset
+        (monomial(3, qs(1, 1), 0, {4: 1}), "piece 1 is not graded as tau_1"),  # mixed coefficient
+        (monomial(3, qs(0, 1), 0, {1: 1}), "piece 1 is not homogeneous"),  # off the weight
         (_plus_s_t1_t3(compute_tau(3, 1).pieces[1]), "piece 1 is not graded as tau_1"),  # T3 is divisible by r
     ],
 )
@@ -438,7 +449,7 @@ def test_diagnostics_refuse_a_base_off_the_grading(piece, fault):
     # included, neither can read such a base: building the expansion refuses
     # it with tpoly.check_piece's message, naming its one term that is not
     # the graded tau_1's
-    assert piece.is_homogeneous(4) == (fault != "piece 1 is not homogeneous")
+    assert is_homogeneous(piece, 4) == (fault != "piece 1 is not homogeneous")
     tau = compute_tau(3, 4)
     graded = tau.pieces[1].terms
     (mono,) = [m for m, c in piece.terms.items() if graded.get(m) != c]
