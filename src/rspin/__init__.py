@@ -22,10 +22,10 @@ _HOMES = {  # exported name -> its home module
         "selection_check variable_index",
         "errors": "CacheError ContextError ContractError ExtractionError InvalidIndexError InvalidInsertionError "
         "InvalidSpecError ParseError RSpinError",
-        "scalar": "QScalar",
+        "scalar": "QScalar TPolynomial",
         "serialize": "FORMAT_VERSION TauCache parse_tau serialize_tau",
         "solver": "TauExpansion compute_tau compute_tau_exponential",
-        "tpoly": "TMonomial TPolynomial",
+        "tpoly": "TMonomial",
         "verify": "CheckReport check_commutators check_exponential_agreement run_checks",
         "walgebra": "mode_bound",
     }.items()

@@ -12,11 +12,10 @@ import os
 import sys
 import time
 
+# what every command runs: serialize loads solver and tpoly, not scalar or
+# fractions; correlator is loaded on first use (__getattr__)
 from .errors import RSpinError
-# serialize first: without a bytecode cache its compile, the package's
-# largest, adds least to a short run's peak RSS while little is loaded
 from .serialize import TauCache, records_csv_chunks, records_json_chunks, reports_to_json, tau_chunks
-from .correlator import extract_correlators
 from .solver import _layout, compute_tau
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
@@ -26,6 +25,15 @@ CACHE_ENV = "RSPIN_CACHE_DIR"
 # genus (at (6, 4) two genus-2 values do not); r = 2, 3 match the
 # published tables.
 ORACLE_CHECKED_DEPTH = {4: 5, 5: 5, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
+
+
+def __getattr__(name: str):
+    if name != "extract_correlators":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .correlator import extract_correlators
+
+    globals()[name] = extract_correlators  # later lookups skip this hook
+    return extract_correlators
 
 
 def _add_verbosity(parser: argparse.ArgumentParser, default) -> None:
@@ -155,7 +163,7 @@ def _run_compute(args) -> int:
 def _run_correlators(args) -> int:
     _warn_unchecked(args)
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
-    records = _timed(args, "extract", lambda: extract_correlators(tau))
+    records = _timed(args, "extract", lambda: sys.modules[__name__].extract_correlators(tau))
     writer = records_csv_chunks if args.format == "csv" else records_json_chunks
     _timed(args, "write", lambda: _write(args, writer(records)))
     _note_tables(args)

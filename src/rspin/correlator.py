@@ -34,7 +34,6 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from .errors import ExtractionError, InvalidInsertionError
-from .scalar import QScalar
 from .solver import TauExpansion
 from .tpoly import Packed, TMonomial, canonical_rows, exponent_fields, reduced
 
@@ -78,8 +77,10 @@ def _conversion_rational(r: int, m: int, a: int) -> Fraction:
     return -q if m % 2 else q
 
 
-def conversion_constant(r: int, m: int, a: int) -> QScalar:
-    """Constant c with t_{m,a} = c * T_{r*m + a + 1}."""
+def conversion_constant(r: int, m: int, a: int):
+    """The QScalar c with t_{m,a} = c * T_{r*m + a + 1}."""
+    from .scalar import QScalar  # the value type, loaded only by this caller
+
     return QScalar(Fraction(0), _conversion_rational(r, m, a))
 
 

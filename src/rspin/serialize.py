@@ -4,8 +4,8 @@ Every document is JSON with a fixed key order and canonically ordered
 terms, so serialization is a pure function of the value: two equal values
 always produce byte-identical files.  Scalars are written as reduced
 fraction strings with the sign on the numerator, and only that spelling is
-read back; the s-legend field in tau documents records the defining
-relation of the quadratic generator.
+read back; a tau document's s_legend records the defining relation of the
+quadratic generator (S_LEGEND), and parse_tau refuses any other header.
 
 A cache entry (TauCache) is not a tau document: it holds the piece as the
 solve packs it (tpoly.Packed), at its own ENTRY_VERSION.  After the header
@@ -15,13 +15,13 @@ num/den * s^j * lam^(j-N) * prod T_n^e_n: integers only, no fraction text.
 
 A tau document and a cache entry share one reader, which decodes the text
 one value at a time (JSONDecoder.raw_decode): the header fields, then each
-term of the piece list, checked as it is decoded, by _read_piece for a
-document and by _read_entry for an entry; each piece is graded once by the
-package's one rule (tpoly.check_piece), and packed over the layout of the
-solve that reads it (solver._layout) only as it passes.  So the
-header comes first, the piece list ("piece" or "pieces") is the last field,
-no field appears twice, and only whitespace follows the object, as both
-writers write them.
+term of the piece list, checked as it is decoded, by scalar._read_piece
+(fraction text) for a document and by _read_entry for an entry; each piece
+is graded once by the package's one rule (tpoly.check_piece), and packed
+over the layout of the solve that reads it (solver._layout) only as it
+passes.  So the header comes first, the piece list ("piece" or "pieces")
+is the last field, no field appears twice, and only whitespace follows the
+object, as both writers write them.
 
 Each document has one writer, a generator of str chunks: tau_chunks,
 records_json_chunks and records_csv_chunks.  A chunk is whole terms or
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, islice, starmap
 from math import gcd
@@ -50,13 +48,14 @@ from typing import TYPE_CHECKING
 
 from .errors import CacheError, ContractError, ParseError
 from .solver import TauExpansion, _layout
-from .tpoly import Packed, canonical_rows, check_piece, pack_terms, packed_key, packed_rows, shared_pair
+from .tpoly import Packed, canonical_rows, check_piece, packed_key, packed_rows, shared_pair
 
 if TYPE_CHECKING:
     from .correlator import CorrelatorRecord
     from .verify import CheckReport
 
 FORMAT_VERSION = 1
+S_LEGEND = "s^2 = -r"  # a tau document's record of the defining relation
 ENTRY_VERSION = 2  # of a cache entry, which holds integers only
 
 # Tag of the mode construction (walgebra), stored with cached pieces:
@@ -80,44 +79,6 @@ __all__ = [
 def _is_int(x) -> bool:
     """A JSON integer: true and false parse to bool, an int subclass."""
     return type(x) is int
-
-
-# What str(Fraction) writes of a nonzero value: digit strings without a
-# leading zero, the sign on the numerator.  The value is built from the two
-# ints, so no exponent or decimal form (Fraction() would expand "1e10000000"
-# for seconds) is ever read.
-_FRACTION = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
-_ZERO = Fraction(0)
-
-
-def _frac_parse(text, where: str) -> Fraction:
-    """The value of a fraction string as str(Fraction) writes it: reduced,
-    the sign on the numerator, no "-0" and no "/1"; any other spelling is
-    refused."""
-    if text == "0":  # half the components of a graded piece
-        return _ZERO
-    if not isinstance(text, str):
-        raise ParseError(f"expected a fraction string, got {type(text).__name__}", where)
-    match = _FRACTION.fullmatch(text)
-    if match and match[2] != "1":
-        try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError:  # over 4300 digits
-            pass
-        else:
-            if gcd(num, den) == 1:
-                return Fraction(num, den)
-    raise ParseError(f"bad fraction {text!r}: not a reduced p or p/q", where)
-
-
-def _fields(obj, names: tuple[str, str], where: str) -> tuple:
-    """The two values of a JSON object with exactly these fields."""
-    try:
-        if len(obj) == 2:
-            return obj[names[0]], obj[names[1]]
-    except (TypeError, KeyError):  # not an object, or other fields
-        pass
-    raise ParseError(f'expected an object with fields "{names[0]}" and "{names[1]}"', where)
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -203,37 +164,6 @@ def _open(data: bytes | str, key: str, expected: int = FORMAT_VERSION) -> tuple[
     if not _is_int(version) or version != expected:
         raise ParseError(f"unsupported format_version {version!r}, expected {expected}")
     return reader, head
-
-
-def _read_piece(r: int, j: int, reader: _Reader, where: str, shift: dict[int, int]) -> Packed:
-    """The stored tau_j that comes next in reader, read one term at a time:
-    the JSON shape, the canonical fraction spelling, no monomial twice and
-    no zero coefficient; then check_piece grades its terms, and only then
-    are they packed over the layout shift (a term with no field is off the
-    grading).  Any fault is a ParseError."""
-    if not reader.take("["):
-        raise ParseError("polynomial must be a list of terms", where)
-    terms = {}
-    for idx in reader.items():
-        loc = f"{where}[{idx}]"
-        mono, coeff = _fields(reader.value(), ("monomial", "coeff"), loc)
-        lam, pairs = _fields(mono, ("lambda", "t"), loc + ".monomial")
-        if not (_is_int(lam) and type(pairs) is list) or not all(
-            [type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int for pair in pairs]
-        ):
-            raise ParseError("lambda must be an integer, t a list of [index, exponent] integers", loc + ".monomial")
-        a, b = _fields(coeff, ("a", "b"), loc + ".coeff")
-        a, b = _frac_parse(a, loc + ".coeff.a"), _frac_parse(b, loc + ".coeff.b")
-        key = lam, tuple([shared_pair(tuple(pair)) for pair in pairs])
-        if key in terms or not (a or b):
-            raise ParseError("duplicate monomial" if key in terms else "stored coefficient must be nonzero", loc)
-        terms[key] = a, b
-    try:
-        check_piece(r, j, ((lam, exps, a, b) for (lam, exps), (a, b) in terms.items()))
-    except ContractError as exc:
-        raise ParseError(str(exc), where) from None
-    drained, odd = (terms.popitem() for _ in range(len(terms))), j % 2  # each term freed as it is packed
-    return pack_terms(r, j, ((exps, b if odd else a) for (_, exps), (a, b) in drained), shift)
 
 
 _INT = {int}
@@ -332,12 +262,12 @@ def _packed_json(r: int, j: int, piece: Packed, fields, pad: str):
     """_block_chunks of the terms {"monomial": {"lambda", "t": [[n, e], ...]},
     "coeff": {"a", "b"}} of a packed piece at offset and power of s j, pad
     deep: its tpoly.canonical_rows, one weight and so canonical order, the
-    coefficient num/den * s^j = num/den * (-r)^(j // 2) * s^(j mod 2).  That
-    unit is a Fraction for j < 0: its numerator scales each num, its
-    denominator the den, and each term is reduced by one gcd and written
-    straight into _term_template (no value needs escaping), the terms _joined."""
-    (nums, den), unit, odd = piece, Fraction(-r) ** (j // 2), j % 2
-    unit, den = unit.numerator, den * unit.denominator
+    coefficient num/den * s^j = num/den * (-r)^(j // 2) * s^(j mod 2), that
+    unit in integers (for j < 0 its sign on each num, r^-(j // 2) on the den);
+    each term is reduced by one gcd and written straight into _term_template
+    (no value needs escaping), the terms _joined."""
+    (nums, den), half, odd = piece, j // 2, j % 2
+    unit, den = ((-r) ** half, den) if half >= 0 else ((-1) ** -half, den * r**-half)
 
     def term(lam, exps, num):
         num *= unit
@@ -367,7 +297,7 @@ def tau_chunks(tau: TauExpansion):
     document of its pieces, plus a newline, each piece rendered once by
     _packed_json."""
     _, fields = _layout(tau.r, tau.max_degree)
-    head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": '"s^2 = -r"'}
+    head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": f'"{S_LEGEND}"'}
     pieces = _block_chunks((_packed_json(tau.r, j, piece, fields, "  ") for j, piece in enumerate(tau.held)), " ")
     return _batched(_document_chunks(head, "pieces", pieces))
 
@@ -379,16 +309,23 @@ def serialize_tau(tau: TauExpansion) -> bytes:
 
 def parse_tau(data: bytes | str) -> TauExpansion:
     """Parse a tau document, every piece read, graded and packed over
-    solver._layout(r, max_degree) by _read_piece as it comes, and check its
-    structure: one piece per degree, tau_0 = 1.  A header whose top weight
-    max_degree*(r+1) exceeds the document's length is refused before the
-    layout is built."""
+    solver._layout(r, max_degree) by scalar._read_piece as it comes, and check
+    its structure: tau_chunks's header fields only, one piece per degree, tau_0
+    = 1.  A header whose top weight max_degree*(r+1) exceeds the document's
+    length is refused before the layout is built."""
+    from .scalar import _read_piece  # the fraction-text reader: compute never loads it
+
     reader, head = _open(data, "pieces")
     r, max_degree = head.get("r"), head.get("max_degree")
     if not _is_int(r) or r < 2:
         raise ParseError(f"r must be an integer >= 2, got {r!r}", "r")
     if not _is_int(max_degree) or max_degree < 0:
         raise ParseError(f"max_degree must be a nonnegative integer, got {max_degree!r}", "max_degree")
+    for name in head:  # in document order, so the first unknown field is named
+        if name not in ("format_version", "r", "max_degree", "s_legend"):
+            raise ParseError(f'unknown field "{name}"', name)
+    if head.get("s_legend") != S_LEGEND:
+        raise ParseError(f's_legend must be "{S_LEGEND}", got {head.get("s_legend")!r}', "s_legend")
     # the layout costs O(weight); a written document has >= 146 characters per unit of weight
     weight, length = max_degree * (r + 1), len(reader.text)
     if weight > length:

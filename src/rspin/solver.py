@@ -9,7 +9,7 @@ degree is one int accumulator.  A finished piece stays packed, graded
 once as it is made.  A TauExpansion holds packed pieces only: a caller's
 TPolynomial is graded and packed once when the expansion is built, and
 the pieces view builds polynomials afresh on each read, the only
-polynomials the package builds (tpoly.unpacked).  raise_step is
+polynomials the package builds (scalar.unpacked).  raise_step is
 the one raise step of the package: the recursion and verify's
 commutators and exponential formula (exponential_pieces) all call it.
 
@@ -25,12 +25,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ContractError
-from .tpoly import (
-    Packed, TPolynomial, check_piece, exponent_fields, kernel_rows, pack_piece, packed_rows, summed, unpack_exponents,
-    unpacked,
-)
+from .tpoly import Packed, check_piece, exponent_fields, kernel_rows, pack_piece, packed_rows, summed, unpack_exponents
 
 if TYPE_CHECKING:
+    from .scalar import TPolynomial
     from .serialize import TauCache
 
 __all__ = [
@@ -46,7 +44,8 @@ class TauExpansion:
     Construction is the one gate: it refuses (ContractError) r < 2, D < 0, a
     piece count other than D + 1 and tau_0 != 1, and it grades and packs
     each TPolynomial piece once (tpoly.pack_piece), over _layout(r, D); a
-    Packed piece is taken as it is, graded where the package made it.  held
+    tuple piece must be shaped as a Packed (_check_packed), and is taken as
+    graded where the package made it; any other piece is refused.  held
     is the expansion's own list of Packed pieces, by degree, and never
     changes; pieces is a tuple of their polynomials, built on each read."""
 
@@ -58,7 +57,13 @@ class TauExpansion:
         if len(held) != max_degree + 1:
             raise ContractError(f"expected {max_degree + 1} pieces, found {len(held)}")
         for j, piece in enumerate(held):
-            if type(piece) is not tuple:
+            if type(piece) is tuple:
+                _check_packed(j, piece)
+            else:
+                from .scalar import TPolynomial  # only a caller's polynomial loads the view
+
+                if not isinstance(piece, TPolynomial):
+                    raise ContractError(f"piece {j} is a {type(piece).__name__}, not a TPolynomial or a packed tuple")
                 held[j] = pack_piece(r, j, piece, shift)
         if held[0] != ({0: 1}, 1):
             raise ContractError("degree-0 piece must equal 1")
@@ -66,12 +71,30 @@ class TauExpansion:
 
     @property
     def pieces(self) -> tuple[TPolynomial, ...]:
+        from .scalar import unpacked  # the view's module, loaded only by its readers
+
         fields = _layout(self.r, self.max_degree)[1]
         return tuple(unpacked(self.r, j, piece, fields) for j, piece in enumerate(self.held))
 
     def packed(self, j: int) -> Packed:
         """Piece j, packed."""
         return self.held[j]
+
+
+def _check_packed(j: int, piece: tuple) -> None:
+    """Refuse (ContractError) a tuple not ({int key >= 0: nonzero int}, int den >= 1); no key is decoded."""
+    nums, den = piece if len(piece) == 2 else (None, None)
+    if type(nums) is not dict:
+        why = "not a ({key: num}, den) pair"
+    elif type(den) is not int or den < 1:
+        why = f"den {den!r} is not an integer >= 1"
+    elif not set(map(type, nums)) <= {int} or min(nums, default=0) < 0:
+        why = f"key {next(k for k in nums if type(k) is not int or k < 0)!r} is not an integer >= 0"
+    elif not set(map(type, nums.values())) <= {int} or 0 in nums.values():
+        why = f"numerator {next(c for c in nums.values() if type(c) is not int or not c)!r} is not a nonzero integer"
+    else:
+        return
+    raise ContractError(f"packed piece {j} is malformed: {why}")
 
 
 def _layout(r: int, max_degree: int) -> tuple[dict[int, int], list[tuple[int, int, int]]]:

@@ -1,5 +1,5 @@
-"""Sparse polynomials in the time variables T_n with a Laurent slot for the
-genus parameter.
+"""Monomials in the time variables T_n with a Laurent slot for the genus
+parameter, and the packed pieces every integer path of the package runs on.
 
 A monomial stores an integer exponent of the genus parameter ("lam") plus a
 sorted tuple of (index, exponent) pairs for the T variables.  Indices
@@ -14,34 +14,18 @@ lam^(j-N) * prod T_n^e_n over {exponent key: num}: every piece the package
 reads, makes, stores or holds, and every residual of verify (at any offset
 and power of s, both equal, both maybe negative).
 
-A TPolynomial is only a view, with no arithmetic: what a caller hands to
-TauExpansion (graded and packed there, once, by pack_piece) and the
-TauExpansion.pieces view (unpacked).  Its coefficients are QScalar pairs
-a + b*s with s^2 = -r; zero coefficients are never stored, monomial tuples
-are always sorted (the constructor refuses others), and the canonical term
-order (weight, lam exponent, exponent sequence) makes equal polynomials
-identical.
+The TPolynomial view and its QScalar coefficients live in scalar, which
+pack_piece never imports (it reads .r and .terms) and check_piece imports
+only to word a refusal: a packed run loads neither scalar nor fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import ContractError, InvalidIndexError
-from .scalar import QScalar
-
-CoeffLike = QScalar | int | Fraction
-
-
-def _coeff(c: CoeffLike) -> QScalar:
-    if isinstance(c, QScalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QScalar(Fraction(c), Fraction(0))
-    raise TypeError(f"expected QScalar, int or Fraction, got {type(c).__name__}")
 
 
 def check_index(r: int, n: int) -> None:
@@ -146,14 +130,16 @@ def check_piece(r: int, j: int, rows) -> None:
             elif lam != j - count or lam % 2 or lam < -2 * j:
                 why = f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
             elif a if odd else b:
+                from .scalar import QScalar  # only to word the refusal
+
                 why = f"coefficient {QScalar(a, b)} outside Q*s^{odd}"
             else:
                 continue
         raise ContractError(f"piece {j} has monomial {TMonomial(lam, exps)} off the grading: {why}")
 
 
-def pack_piece(r: int, j: int, piece: TPolynomial, shift: dict[int, int]) -> Packed:
-    """pack_terms of a caller's polynomial tau_j once it is over r and
+def pack_piece(r: int, j: int, piece, shift: dict[int, int]) -> Packed:
+    """pack_terms of a caller's scalar.TPolynomial tau_j once it is over r and
     check_piece grades its terms (ContractError)."""
     if piece.r != r:
         raise ContractError(f"piece {j} built over r={piece.r}, expected {r}")
@@ -202,65 +188,6 @@ def summed(parts, div: int = 1) -> Packed:
     return reduced(total, common * div)
 
 
-class TPolynomial:
-    """Finite linear combination of TMonomials with QScalar coefficients,
-    over a fixed r: a view, compared and printed, never computed with."""
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r: int, terms: Mapping[TMonomial, QScalar] | None = None):
-        if not isinstance(r, int) or r < 2:
-            raise ContractError(f"r must be an integer >= 2, got {r!r}")
-        clean: dict[TMonomial, QScalar] = {}
-        for mono, coeff in (terms or {}).items():
-            last = 0
-            for n, e in mono.exps:
-                check_index(r, n)
-                if n <= last or e < 1:
-                    raise ContractError(f"monomial {mono.exps} is not canonical: indices ascend, exponents are >= 1")
-                last = n
-            coeff = _coeff(coeff)
-            if coeff:
-                clean[mono] = coeff
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TPolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TPolynomial is immutable")
-
-    @classmethod
-    def _raw(cls, r: int, terms: dict[TMonomial, QScalar]) -> TPolynomial:
-        # Internal fast path: caller guarantees canonical, validated terms.
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "r", r)
-        object.__setattr__(poly, "terms", terms)
-        return poly
-
-    def __bool__(self) -> bool:  # a reader of TauExpansion.pieces tests a piece for zero
-        return bool(self.terms)
-
-    def canonical_terms(self) -> list[tuple[TMonomial, QScalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        return self.r == other.r and self.terms == other.terms
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({coeff})*{mono}" for mono, coeff in self.canonical_terms())
-
-    def __repr__(self) -> str:
-        return f"TPolynomial(r={self.r}, {self})"
-
-
 def kernel_rows(packed: Packed, fields: list[tuple[int, int, int]]) -> tuple[int, list]:
     """The den of a Packed and its rows (key, exps, num), as the kernel reads them."""
     return packed[1], [(key, unpack_exponents(key, fields), num) for key, num in packed[0].items()]
@@ -286,14 +213,3 @@ def canonical_rows(offset: int, nums: dict[int, int], fields: list[tuple[int, in
         rows.append((offset - count, tuple(exps), num))
     rows.sort()
     return rows
-
-
-def unpacked(r: int, j: int, packed: Packed, fields: list[tuple[int, int, int]]) -> TPolynomial:
-    """The polynomial of the packed tau_j: num/den * s^j * lam^(j-N) * prod
-    T_n^e_n per key.  Only the TauExpansion.pieces view builds one."""
-    unit, zero, terms = (-r) ** (j // 2), Fraction(0), {}  # s^j / s^(j mod 2)
-    for key, num in packed[0].items():
-        if num:
-            exps, x = unpack_exponents(key, fields), Fraction(num * unit, packed[1])
-            terms[TMonomial(j - sum(e for _, e in exps), exps)] = QScalar(zero, x) if j % 2 else QScalar(x, zero)
-    return TPolynomial._raw(r, terms)

@@ -153,7 +153,7 @@ def poly_at(r, offset, p, packed, fields) -> TPolynomial:
     """The polynomial of packed (numerators, den) at this offset lam + N and
     power p of s, either maybe negative: num/den * s^p * lam^(offset-N) *
     prod T_n^e_n per key, each key's exponents read field by field.
-    Written apart from tpoly.unpacked, so that a comparison through it
+    Written apart from scalar.unpacked, so that a comparison through it
     never reads the decoder under test."""
     nums, den = packed
     half, odd = divmod(p, 2)  # s^p = (-r)^half * s^odd

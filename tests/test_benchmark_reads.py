@@ -5,11 +5,14 @@ bench/check_tau.py parses a `compute --r 4 --degree 6` document, rebuilds
 its pieces 0..3 as a TauExpansion from the TPolynomial view and extracts
 three anchors from them, and one test here runs the script itself;
 bench/tracing.py counts the terms of a computed expansion, reads each
-coefficient's two Fractions, and patches names on rspin.cli and
-TPolynomial.  The view keeps canonical_terms; the polynomial arithmetic
-the tracer also patches (sum_of, scaled, +, - and the rest) left the
-package, and the tracer records a name it cannot find under "missing"
-instead of failing."""
+coefficient's two Fractions, and patches names on rspin.cli and the
+package's modules, among them the TPolynomial it looks for on rspin.tpoly.
+The view now lives in rspin.scalar and keeps canonical_terms, so the tracer
+finds no TPolynomial there; it records a name it cannot find under
+"missing" instead of failing, as it does for the polynomial arithmetic
+(sum_of, scaled, +, - and the rest) that left the package.  rspin.cli binds
+extract_correlators on first use, so the tracer's lookup of it loads the
+correlator and the wrapper it sets is the one the correlators command calls."""
 
 import json
 import os

@@ -209,7 +209,7 @@ def test_verify_extracts_correlators_once(tmp_path, monkeypatch):
 def _polynomial_calls(monkeypatch) -> list:
     """The (name, degree) of each call of pack_piece or unpacked from then
     on, wherever the package binds them."""
-    from rspin import serialize, solver, tpoly, verify
+    from rspin import scalar, serialize, solver, tpoly, verify
 
     calls = []
 
@@ -220,7 +220,7 @@ def _polynomial_calls(monkeypatch) -> list:
 
         return run
 
-    for owner in (solver, tpoly, serialize, verify):
+    for owner in (solver, tpoly, serialize, verify, scalar):  # pieces imports unpacked from scalar as it runs
         for name in ("pack_piece", "unpacked"):
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))

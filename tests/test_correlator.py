@@ -208,7 +208,7 @@ def test_off_grade_input_fails_the_grading_check(case):
 
 
 def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
-    from rspin import serialize, solver, tpoly, verify
+    from rspin import scalar, serialize, solver, tpoly, verify
 
     tau = compute_tau(3, 3, cache=TauCache(tmp_path))
     seen, check_piece = [], tpoly.check_piece
@@ -218,8 +218,8 @@ def test_every_reader_grades_each_piece_once(tmp_path, monkeypatch):
         seen.append((j, rows))
         return check_piece(r, j, rows)
 
-    # pack_piece's, the solve's and the stored-text reader's calls
-    for module in (tpoly, solver, serialize):
+    # pack_piece's, the solve's, the cache reader's and the document reader's calls
+    for module in (tpoly, solver, serialize, scalar):
         monkeypatch.setattr(module, "check_piece", counting)
     readers = {
         "extract_correlators": lambda: extract_correlators(tau),

@@ -257,14 +257,14 @@ def test_reader_reads_the_header_before_the_piece_list(kind, tmp_path):
 def test_reader_refuses_extra_pieces_before_reading_them(monkeypatch):
     # a document of max_degree 1 with three pieces: the third is refused
     # unread, so the syntax error in it is never reached
-    from rspin import serialize
+    from rspin import scalar
 
     doc = json.loads(serialize_tau(compute_tau(3, 2)))
     doc["max_degree"] = 1
     doc["pieces"][2] = "EXTRA"
     text = json.dumps(doc, indent=1).replace('"EXTRA"', "[{broken")
-    read, calls = serialize._read_piece, []
-    monkeypatch.setattr(serialize, "_read_piece", lambda *args: calls.append(args[1]) or read(*args))
+    read, calls = scalar._read_piece, []
+    monkeypatch.setattr(scalar, "_read_piece", lambda *args: calls.append(args[1]) or read(*args))
     with pytest.raises(ParseError, match=r"^pieces must be a list of 2 polynomials \(at pieces\)$"):
         parse_tau(text)
     assert calls == [0, 1]
@@ -344,6 +344,33 @@ def test_parse_rejects_version_mismatch():
     doc["format_version"] = 2
     with pytest.raises(ParseError):
         parse_tau(json.dumps(doc))
+
+
+def test_parse_refuses_a_header_it_does_not_write():
+    # the header is the one tau_chunks writes, whose s_legend records the
+    # relation s^2 = -r: any other legend, a missing one, and any field the
+    # writer does not know are refused, each named, while every document the
+    # package writes reads back to the same bytes
+    for r, degree in ((2, 3), (3, 1), (4, 4), (6, 2)):
+        text = serialize_tau(compute_tau(r, degree))
+        assert serialize_tau(parse_tau(text)) == text
+    doc = json.loads(text)
+    head, pieces = {k: v for k, v in doc.items() if k != "pieces"}, {"pieces": doc["pieces"]}
+    legend = 's_legend must be "s^2 = -r", got {!r} (at s_legend)'
+    refused = (
+        ({**head, "s_legend": "s^2 = r", **pieces}, legend.format("s^2 = r")),
+        ({**head, "s_legend": " s^2 = -r", **pieces}, legend.format(" s^2 = -r")),
+        ({**head, "s_legend": 17, **pieces}, legend.format(17)),
+        ({**head, "s_legend": None, **pieces}, legend.format(None)),
+        ({k: v for k, v in doc.items() if k != "s_legend"}, legend.format(None)),
+        ({**head, "note": "x", **pieces}, 'unknown field "note" (at note)'),
+        ({"comment": 1, **head, "note": "x", **pieces}, 'unknown field "comment" (at comment)'),
+        ({**head, "s_legend": "s^2 = r", "note": "x", **pieces}, 'unknown field "note" (at note)'),
+    )
+    for edited, message in refused:
+        with pytest.raises(ParseError) as info:
+            parse_tau(json.dumps(edited, indent=1))
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("r, max_degree, field", [(3, 10**9, "max_degree"), (10**9, 1, "r")])

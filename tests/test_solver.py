@@ -116,6 +116,42 @@ def test_validate_accepts_good_and_rejects_bad():
         assert str(info.value) == f"piece {j} has monomial {message}"
 
 
+def test_malformed_packed_pieces_are_refused():
+    # a caller's piece is a TPolynomial or a packed ({key >= 0: nonzero int},
+    # den >= 1), checked by the types of its values alone: anything else is
+    # refused, one message per fault, where it once escaped as an
+    # AttributeError (a list) or was held as it came (the rest)
+    held = compute_tau(3, 2).held
+    nums = held[2][0]
+    malformed = "packed piece 2 is malformed: "
+    refused = (
+        ([1, 2], "piece 2 is a list, not a TPolynomial or a packed tuple"),
+        (None, "piece 2 is a NoneType, not a TPolynomial or a packed tuple"),
+        ((nums,), malformed + "not a ({key: num}, den) pair"),
+        ((list(nums.items()), 1), malformed + "not a ({key: num}, den) pair"),
+        ((nums, 0), malformed + "den 0 is not an integer >= 1"),
+        ((nums, -3), malformed + "den -3 is not an integer >= 1"),
+        ((nums, 2.0), malformed + "den 2.0 is not an integer >= 1"),
+        ((nums, True), malformed + "den True is not an integer >= 1"),
+        (({**nums, -1: 1}, 1), malformed + "key -1 is not an integer >= 0"),
+        (({**nums, 1.0: 1}, 1), malformed + "key 1.0 is not an integer >= 0"),
+        (({**nums, 5: 1.5}, 1), malformed + "numerator 1.5 is not a nonzero integer"),
+        (({**nums, 5: Fraction(1, 2)}, 1), malformed + "numerator Fraction(1, 2) is not a nonzero integer"),
+        (({**nums, 5: 0}, 1), malformed + "numerator 0 is not a nonzero integer"),
+        (({**nums, 5: True}, 1), malformed + "numerator True is not a nonzero integer"),
+    )
+    for piece, message in refused:
+        with pytest.raises(ContractError) as info:
+            TauExpansion(3, 2, [*held[:2], piece])
+        assert str(info.value) == message
+    # the package's own pieces, a zero piece and a piece whose den is not
+    # reduced all have the shape
+    assert TauExpansion(3, 2, held).held == held
+    assert TauExpansion(3, 2, [*held[:2], ({}, 1)]).held[2] == ({}, 1)
+    doubled = {key: 2 * c for key, c in nums.items()}
+    assert TauExpansion(3, 2, [*held[:2], (doubled, 2 * held[2][1])]).held[2] == (doubled, 2 * held[2][1])
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         compute_tau(1, 2)

@@ -40,13 +40,20 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.stdout.strip() == "[]"
 
 
+# the modules a command may load or skip: the ones only some commands run,
+# and the fraction-valued forms (scalar) with the standard library's
+# fractions, which imports decimal
+WATCHED = "{'rspin.verify', 'rspin.walgebra', 'rspin.correlator', 'rspin.scalar', 'csv', 'fractions', 'decimal'}"
+RATIONALS = {"fractions", "decimal"}
+
+
 def _loaded_after(argv: list[str]) -> set[str]:
     """The modules of interest that main(argv) leaves in sys.modules of a
     fresh interpreter."""
     probe = (
         "import contextlib, io, sys; from rspin.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
-        "print(code, *sorted({'rspin.verify', 'rspin.walgebra', 'csv'} & set(sys.modules)))"
+        f"print(code, *sorted({WATCHED} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     env.pop("RSPIN_CACHE_DIR", None)  # a warm default cache would skip the raise
@@ -58,22 +65,56 @@ def _loaded_after(argv: list[str]) -> set[str]:
 
 def test_compute_loads_walgebra_only_to_raise(tmp_path):
     # a warm solve is served from the cache and needs neither the W-algebra
-    # nor the checks; without a bytecode cache each spawn compiles only
-    # what it loads
+    # nor the checks, and it reads and writes packed integers: no fraction
+    # is built, so neither scalar nor fractions is loaded; without a
+    # bytecode cache each spawn compiles only what it loads.  A cold solve
+    # builds the W-modes, whose coefficients are rational
     argv = ["compute", "--r", "3", "--degree", "3", "--cache-dir", str(tmp_path / "cache")]
-    assert _loaded_after(argv) == {"rspin.walgebra"}  # cold: every piece raised
+    assert _loaded_after(argv) == {"rspin.walgebra", *RATIONALS}  # cold: every piece raised
     assert _loaded_after(argv) == set()  # warm: every piece cached
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["correlators", "--format", "json"], {"rspin.walgebra"}),
-        (["correlators", "--format", "csv"], {"rspin.walgebra", "csv"}),
-        (["verify"], {"rspin.verify", "rspin.walgebra"}),
-        (["commutator"], {"rspin.verify", "rspin.walgebra"}),
+        (["correlators", "--format", "json"], {"rspin.correlator", "rspin.walgebra", *RATIONALS}),
+        (["correlators", "--format", "csv"], {"rspin.correlator", "rspin.walgebra", "csv", *RATIONALS}),
+        (["verify"], {"rspin.correlator", "rspin.verify", "rspin.walgebra", *RATIONALS}),
+        (["commutator"], {"rspin.correlator", "rspin.verify", "rspin.walgebra", *RATIONALS}),
     ],
     ids=["correlators-json", "correlators-csv", "verify", "commutator"],
 )
 def test_each_command_loads_only_what_it_runs(argv, loaded):
     assert _loaded_after([*argv, "--r", "3", "--degree", "2"]) == loaded
+
+
+def _probe(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_neither_correlator_nor_fractions():
+    # the start-up every command pays: the extraction and the fraction-valued
+    # forms are loaded by the commands that run them, the extraction on first
+    # use of the name the CLI binds
+    assert _probe(f"import sys, rspin.cli; print(*sorted({WATCHED} & set(sys.modules)))").split() == []
+    probe = (
+        "import sys, rspin.cli\n"
+        "bound = rspin.cli.extract_correlators\n"
+        "print(bound is sys.modules['rspin.correlator'].extract_correlators)"
+    )
+    assert _probe(probe).split() == ["True"]
+
+
+def test_the_polynomial_view_and_the_document_reader_load_scalar():
+    # a solve and its document load no scalar; reading the pieces view or
+    # parsing a document does
+    solve = (
+        "import sys\n"
+        "from rspin.serialize import parse_tau, serialize_tau\n"
+        "from rspin.solver import compute_tau\n"
+        "tau = compute_tau(3, 2); data = serialize_tau(tau)\n"
+        "print('rspin.scalar' in sys.modules)\n"
+    )
+    for read in ("tau.pieces", "parse_tau(data)"):
+        assert _probe(f"{solve}{read}\nprint('rspin.scalar' in sys.modules)").split() == ["False", "True"], read
