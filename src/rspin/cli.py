@@ -138,8 +138,8 @@ def _timed(args, label: str, run):
 
 def _note_tables(args) -> None:
     """Under -v, the hits and misses of the memoised partitions, and for
-    each raiser built over the solve's layout its term count after merging
-    and the rows and mode blocks it enumerated before."""
+    each raiser built over the solve's layout its term count after merging,
+    the rows and mode blocks it enumerated before, and its build time."""
     if not args.verbose:
         return
     from .walgebra import _partitions, raisers_over  # only here: a warm solve loads no walgebra
@@ -149,7 +149,11 @@ def _note_tables(args) -> None:
     shift, _ = _layout(args.r, args.degree)
     for op in raisers_over(args.r, shift):
         terms = sum(len(cres) for _, cres, _ in op.op[0].values())
-        print(f"A_{op.l}: {terms} terms, {op.read} rows of {op.blocks} blocks before merging", file=sys.stderr)
+        print(
+            f"A_{op.l}: {terms} terms, {op.read} rows of {op.blocks} blocks before merging, "
+            f"built in {op.seconds * 1000.0:.1f} ms",
+            file=sys.stderr,
+        )
 
 
 def _run_compute(args) -> int:

@@ -426,8 +426,9 @@ class TauCache:
     (r, degree), each the packed piece (see the module docstring) with
     the W-mode construction that built it (MODE_CONSTRUCTION).  An entry's
     bytes are a function of the piece alone, whatever solve stored it.
-    Corrupt or version-mismatched entries, and entries of another or no
-    recorded construction, raise CacheError; they are never silently
+    Corrupt or version-mismatched entries, entries with a header field
+    store does not write, and entries of another or no recorded
+    construction, raise CacheError; they are never silently
     recomputed or reused.  An entry whose values were altered but that
     keeps the grading is read as it stands."""
 
@@ -448,6 +449,9 @@ class TauCache:
         path = self.path(r, degree)
         try:
             reader, head = _open(path.read_text(encoding="utf-8"), "piece", ENTRY_VERSION)
+            for name in head:  # in document order, so the first unknown field is named
+                if name not in ("format_version", "modes", "r", "degree", "den"):
+                    raise CacheError(f'cache entry {path}: unknown field "{name}"')
             modes, label = head.get("modes"), (head.get("r"), head.get("degree"))
             if modes != MODE_CONSTRUCTION:
                 raise CacheError(f"cache entry {path}: W-mode construction {modes!r}, not {MODE_CONSTRUCTION!r}")

@@ -17,7 +17,7 @@ reported prominently but fails nothing.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Collection, Iterator
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,7 +26,7 @@ from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
 from .solver import TauExpansion, _layout, raise_step
 from .tpoly import Packed, exponent_fields, kernel_rows, summed
-from .walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents
+from .walgebra import _add_block, _kernel_operator, _operator_loop, _twisted_currents
 
 __all__ = [
     "CHECKS",
@@ -107,9 +107,9 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     equation is one rational sum, a Residual at degree d-k+1 over the
     solve's layout.  Piece i is read as tau.packed(i), over
     the solve's layout of top weight D*(r+1), and its call carries the
-    blocks, up to its weight i*(r+1), of every mode that reads it, each
-    creator key tagged with its equation's index above the layout's top
-    bit.  An equation is finished once its last piece is done.  engaged is
+    blocks (walgebra._add_block), up to its weight i*(r+1), of every mode
+    that reads it, each scaled by r^(2l) and each creator key tagged with
+    its equation's index above the layout's top bit.  An equation is finished once its last piece is done.  engaged is
     False when every piece it reads is zero.  Raises InvalidSpecError on an
     equation off the computed range (degree outside 0..max_degree, or no
     mode W(k, 0, m))."""
@@ -135,17 +135,11 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     for j in range(top_degree + 1):
         if reads.get(j):
             den, rows = kernel_rows(tau.packed(j), fields)
-            w = j * (r + 1)
-            op = _packed_groups(
-                (
-                    (ann, cre, e << top, r ** (2 * l) * x)
-                    for e, k, l, m in reads[j]
-                    for block in _mode_blocks(r, k, l, m, -1, w)
-                    for cre, ann, x in block
-                ),
-                shift,
-            )
-            acc = _operator_loop(op, rows)
+            blocks: dict = defaultdict(dict)
+            for e, k, l, m in reads[j]:  # W(k, l, m)'s blocks with creators, up to the piece's weight
+                for wa in range(max(r * m + l * (r + 1), 0), j * (r + 1) + 1):
+                    _add_block(r, k, l, m, wa, blocks, shift, e << top, r ** (2 * l))
+            acc = _operator_loop(_kernel_operator(blocks, shift), rows)
             split: dict[int, dict[int, int]] = {}  # equation index -> its numerators
             for key, x in acc.items():
                 if x:

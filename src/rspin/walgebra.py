@@ -81,9 +81,12 @@ to add, with an int product into one accumulator.  Packing is tpoly's one
 rule, and the kernel is the package's one operator path: every raiser
 call is solver.raise_step on raise_packed, and verify packs each piece
 once for all its constraint modes, each creator key tagged with its
-equation above the layout's top bit.  Both read the blocks of a mode the
-same way, unmerged, through _mode_blocks, which owns the range of
-annihilator weights a caller needs.
+equation above the layout's top bit.  Both build an operator through two
+functions only: _add_block adds one block of a mode straight into
+{annihilators: {creator key: numerator}}, under the caller's creator tag
+and scale, and _kernel_operator turns that into (groups, prefixes).  A
+block lighter than r*m + j*(r+1) has no creators, and one heavier than
+an input acts on it as zero, so a caller adds the weights in between.
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
@@ -92,17 +95,20 @@ ordered.  The powers of -r*s/lam of c_k and of the inner mode combine to
 (-r*s/lam)^(-l) for every k, so a term carries the int -(k-1)! and the
 operator's denominator the r+1, and A_l moves the offset up by l.  A
 term whose annihilators weigh wa has creators weighing wa + l*(r+1).
-Each A_l is built once per layout, in one pass (_Raiser): _packed_groups
-adds the unmerged _w_mode_rows of any k and m with equal annihilators and
-creators into one integer over (r+1) times the currents' denominator, and
-a heavier call adds just the blocks it newly reaches.  A tuple of slots
-weighs an integer over r^(sum(orders) - len(orders)), or a multinomial
-count if all are order 1.
+Each A_l is built once per layout (_Raiser), its blocks tagged with
+T_{r*m+k-1} and scaled by -(k-1)! (r*m+k-1), so that rows of any k and m
+with equal annihilators and creators add into one integer over (r+1)
+times the currents' denominator; a heavier call adds just the blocks it
+newly reaches.  A process holds one layout's raisers: a raise over
+another drops them.  A tuple of slots weighs an integer over
+r^(sum(orders) - len(orders)), or a multinomial count, from the run
+counts _partitions carries, if all are order 1.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -152,45 +158,35 @@ def _operator_loop(op: tuple[dict, set], rows) -> dict[int, int]:
     return acc
 
 
-def _packed_groups(terms, shift: dict[int, int]) -> tuple[dict, set]:
-    """The kernel's operator for (annihilators, creators, tag, numerator)
-    terms over one denominator, the annihilators non-increasing as
-    _divisors takes them: each creator key is the creators' key plus
-    the tag, and each numerator is multiplied by prod(creators), as
-    alpha_{-u} multiplies by u.  Terms with the same annihilators and
-    creator key add into one numerator, and zeros are dropped."""
-    groups: dict[tuple[int, ...], tuple[int, dict[int, int]]] = {}
-    creators: dict[tuple[int, ...], tuple[int, int]] = {}  # -> (key, product), shared by many terms
-    for anns, cre, tag, numerator in terms:
-        group = groups.get(anns)
-        if group is None:
-            group = groups[anns] = (sum(1 << shift[u] for u in anns), {})
-        known = creators.get(cre)
-        if known is None:
-            known = creators[cre] = (sum(1 << shift[u] for u in cre), prod(cre))
-        key = tag + known[0]
-        group[1][key] = group[1].get(key, 0) + numerator * known[1]
-    out = {}
-    for anns, (ann_key, group) in groups.items():
-        kept = {c: x for c, x in group.items() if x}
+def _kernel_operator(acc: dict, shift: dict[int, int]) -> tuple[dict, set]:
+    """The kernel's operator (groups, prefixes) of _add_block's {annihilators:
+    {creator key: numerator}}, the annihilators non-increasing as _divisors
+    takes them: zeros dropped, each group with its annihilators' key."""
+    groups = {}
+    for anns, row in acc.items():
+        kept = {key: x for key, x in row.items() if x}
         if kept:
-            out[anns] = (ann_key, tuple(kept), tuple(kept.values()))
-    return out, {anns[:i] for anns in out for i in range(len(anns) + 1)}
+            groups[anns] = (sum(1 << shift[u] for u in anns), tuple(kept), tuple(kept.values()))
+    return groups, {anns[:i] for anns in groups for i in range(len(anns) + 1)}
 
 
 @lru_cache(maxsize=None)
-def _partitions(total: int, count: int, r: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+def _partitions(
+    total: int, count: int, r: int, max_part: int | None = None
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Multisets of `count` positive integers, none divisible by r nor above
-    max_part, summing to `total`: non-increasing tuples, in descending order.
-    The largest part is at least the mean, so the search stops there."""
+    max_part, summing to `total`, in descending order, each as (parts, runs,
+    product): its non-increasing tuple, the product of the factorials of the
+    counts of equal parts, and the product of the parts.  The largest part
+    is at least the mean, so the search stops there."""
     if count == 0 or total < count:
-        return ((),) if total == count == 0 else ()
+        return (((), 1, 1),) if total == count == 0 else ()
     hi = min(total - count + 1, total if max_part is None else max_part)
     return tuple(
-        (first,) + rest
+        ((first,) + rest, runs * (rest.count(first) + 1), first * size)
         for first in range(hi, -(-total // count) - 1, -1)
         if first % r
-        for rest in _partitions(total - first, count - 1, r, first)
+        for rest, runs, size in _partitions(total - first, count - 1, r, first)
     )
 
 
@@ -208,7 +204,7 @@ def _generator(k: int) -> dict[tuple[int, ...], Fraction]:
     cli.ORACLE_CHECKED_DEPTH."""
     todo: dict[tuple[int, ...], Fraction] = {}
     for count in range(1, k + 1):
-        for orders in _partitions(k, count, k + 1):  # no part is a multiple of k+1
+        for orders, _, _ in _partitions(k, count, k + 1):  # no part is a multiple of k+1
             coeff = Fraction(1)
             for i, e in Counter(orders).items():
                 coeff /= factorial(i) ** e * factorial(e)
@@ -299,26 +295,15 @@ def _slot_weight(r: int, u: int, order: int) -> int:
     return prod((1 - r * t) if u == 0 else (-u - r - r * t) for t in range(order - 1))
 
 
-def _runs(labels: tuple[int, ...]) -> int:
-    """Product of the factorials of the counts of equal labels."""
-    return prod(factorial(labels.count(u)) for u in set(labels))
-
-
-@lru_cache(maxsize=None)
-def _partition_runs(w: int, p: int, r: int) -> tuple[int, ...]:
-    """_runs of each tuple of _partitions(w, p, r), in its order."""
-    return tuple(map(_runs, _partitions(w, p, r)))
-
-
 def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> int:
     """Sum over the distinct orderings of these labels (alpha_u, u < 0 a
     creator, 0 a constant), in any order, of the product of their slot
     weights, times r^(sum(orders) - len(orders)).  The orders are
     non-increasing: sorted, equal labels are runs, each derivative slot
     takes each distinct label in turn, and the order-1 slots left weigh 1
-    per ordering, a multinomial count of the runs (_runs)."""
+    per ordering, a multinomial count of the runs."""
     if not orders or orders[0] == 1:
-        return factorial(len(labels)) // _runs(labels)
+        return factorial(len(labels)) // prod(factorial(labels.count(u)) for u in set(labels))
     labels = tuple(sorted(labels))
     total = 0
     for i, u in enumerate(labels):
@@ -327,32 +312,30 @@ def _tuple_weight(r: int, labels: tuple[int, ...], orders: tuple[int, ...]) -> i
     return total
 
 
-def _w_mode_rows(r: int, k: int, j: int, m: int, wa: int):
-    """W(k, j, m) without its (-r*s/lam)^j, annihilators weighing wa, as unmerged
-    (creators, annihilators, numerator) rows over the den of _twisted_currents(r),
-    tuples from _partitions; creators weigh wa - r*m - j*(r+1).  Order-1 slots only
-    weigh len(orders)! / (j! R(annihilators) R(creators)), R by _partition_runs."""
-    wc = wa - r * m - j * (r + 1)
-    for orders, scale in _twisted_currents(r)[1][k]:
-        plain = not orders or orders[0] == 1
+def _add_block(r: int, k: int, j: int, m: int, wa: int, acc: dict, shift: dict[int, int], tag: int, scale: int) -> int:
+    """Add scale times the block of W(k, j, m), without its (-r*s/lam)^j, whose
+    annihilators weigh wa into acc, a defaultdict(dict) of {annihilators:
+    {creator key: numerator}} over the den of _twisted_currents(r), and
+    return the rows read, one per annihilator and creator tuple of each
+    current term.  The creators weigh wa - r*m - j*(r+1), so a lighter
+    block has none; their key plus tag is the creator key, and their
+    product a factor, as alpha_{-u} multiplies by u.  Order-1 slots only
+    weigh len(orders)! / (j! R(annihilators) R(creators)), R the run
+    counts of _partitions; other orders weigh _tuple_weight."""
+    wc, read = wa - r * m - j * (r + 1), 0
+    for orders, coeff in _twisted_currents(r)[1][k]:
+        plain, count = not orders or orders[0] == 1, factorial(len(orders)) // factorial(j)
         for p in range(len(orders) - j + 1):  # number of annihilators
-            anns, q = _partitions(wa, p, r), len(orders) - j - p
-            for cre, runs in zip(_partitions(wc, q, r), _partition_runs(wc, q, r)) if anns else ():
-                if plain:
-                    count = factorial(len(orders)) // factorial(j) // runs
-                    yield from ((cre, ann, scale * (count // n)) for ann, n in zip(anns, _partition_runs(wa, p, r)))
-                else:
-                    labels = (0,) * j + tuple(-n for n in cre)
-                    yield from ((cre, ann, scale * _tuple_weight(r, ann + labels, orders)) for ann in anns)
-
-
-def _mode_blocks(r: int, k: int, j: int, m: int, low: int, top: int):
-    """The blocks of W(k, j, m) whose annihilators weigh more than low and at
-    most top, one _w_mode_rows generator per weight: a lighter block than
-    r*m + j*(r+1) has no creators, and a heavier one than top acts as zero
-    on inputs of weight at most top."""
-    for wa in range(max(r * m + j * (r + 1), low + 1), top + 1):
-        yield _w_mode_rows(r, k, j, m, wa)
+            anns = _partitions(wa, p, r)
+            for cre, runs, size in _partitions(wc, len(orders) - j - p, r) if anns else ():
+                key, x = tag + sum(1 << shift[u] for u in cre), scale * coeff * size
+                read += len(anns)
+                labels = (0,) * j + tuple(-u for u in cre)
+                for ann, n, _ in anns:
+                    weight = count // runs // n if plain else _tuple_weight(r, ann + labels, orders)
+                    row = acc[ann]
+                    row[key] = row.get(key, 0) + x * weight
+    return read
 
 
 def mode_bound(r: int, k: int, target_degree: int) -> int:
@@ -367,41 +350,40 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
 class _Raiser:
     """A_l over one layout, without its (-r*s/lam)^(-l): the kernel operator
     of its terms whose annihilators weigh at most top, over den; blocks
-    counts the _w_mode_rows blocks it read, each once, and read their rows."""
+    counts the mode blocks it added, each once, read their rows, and
+    seconds the time its growth took."""
 
     def __init__(self, r: int, l: int, shift: dict[int, int]):
-        self.r, self.l, self.shift, self.top, self.read, self.blocks = r, l, shift, -1, 0, 0
+        self.r, self.l, self.shift, self.top, self.read, self.blocks, self.seconds = r, l, shift, -1, 0, 0, 0.0
         self.den = (r + 1) * _twisted_currents(r)[0]
         self.op: tuple[dict, set] = ({}, set())
 
     def grow(self, top: int) -> None:
         """Add the blocks whose annihilators weigh more than self.top and at
         most top, which is (target - l)*(r+1) for the target degree of a
-        raise; the layout must hold weight target*(r+1)."""
-        if top > self.top:
-            groups, prefixes = _packed_groups(self._terms(top), self.shift)
-            self.op[0].update(groups)  # of new annihilator weights, so no group is held yet
-            self.op[1].update(prefixes)
-            self.top = top
-
-    def _terms(self, top: int):
-        """The (annihilators, creators, tag, numerator) terms over den that
-        grow adds, the outer creator T_{r*m+k-1} a tag and a factor."""
-        r, l = self.r, self.l
-        target = top // (r + 1) + l
+        raise; the layout must hold weight target*(r+1).  Each block of
+        W(k, k-1-l, m-k+1) is tagged with its outer creator T_{r*m+k-1} and
+        scaled by -(k-1)! times its index."""
+        if top <= self.top:
+            return
+        start = time.perf_counter()
+        r, l, shift = self.r, self.l, self.shift
+        acc: dict = defaultdict(dict)
         for k in range(l + 1, r + 1):
             j, factor = k - 1 - l, -factorial(k - 1)
-            for m in range(mode_bound(r, k, target) + 1):
-                n = r * m + k - 1
-                tag, scale = 1 << self.shift[n], factor * n
-                for block in _mode_blocks(r, k, j, m - k + 1, self.top, top):
+            for m in range(mode_bound(r, k, top // (r + 1) + l) + 1):
+                n, inner = r * m + k - 1, m - k + 1
+                for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):
+                    self.read += _add_block(r, k, j, inner, wa, acc, shift, 1 << shift[n], factor * n)
                     self.blocks += 1
-                    for cre, ann, x in block:
-                        self.read += 1
-                        yield ann, cre, tag, scale * x
+        groups, prefixes = _kernel_operator(acc, shift)
+        self.op[0].update(groups)  # of new annihilator weights, so no group is held yet
+        self.op[1].update(prefixes)
+        self.top = top
+        self.seconds += time.perf_counter() - start
 
 
-_RAISERS: dict[tuple[int, int, int], _Raiser] = {}  # (r, l, id(shift)) -> A_l, which keeps shift alive
+_RAISERS: dict[tuple[int, int, int], _Raiser] = {}  # (r, l, id(shift)) -> A_l of one layout, which keeps shift alive
 
 
 def raisers_over(r: int, shift: dict[int, int]) -> list[_Raiser]:
@@ -415,9 +397,12 @@ def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]
     one kernel call on the layout's A_l, grown first to the input's weight,
     returning the numerators and their denominator.  A lighter call reuses
     it as it is: a term whose annihilators outweigh the input divides none
-    of it."""
-    op = _RAISERS.get((r, l, id(shift)))
+    of it.  A call over another layout first drops the raisers held."""
+    key = (r, l, id(shift))
+    op = _RAISERS.get(key)
     if op is None:
-        op = _RAISERS[(r, l, id(shift))] = _Raiser(r, l, shift)
+        if any(held[::2] != key[::2] for held in _RAISERS):
+            _RAISERS.clear()
+        op = _RAISERS[key] = _Raiser(r, l, shift)
     op.grow((target_degree - l) * (r + 1))
     return _operator_loop(op.op, rows), op.den

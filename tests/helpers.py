@@ -13,7 +13,7 @@ package runs every operator through one monomial-by-monomial kernel on
 packed pieces.  The polynomial-level adapters on that kernel
 (apply_operator_sum, apply_w_mode, apply_raising_operator) live here, as
 references the package's packed paths are tested against, with the
-merged NormalTerm view of the package's integer mode tables (merged,
+merged NormalTerm view of the package's integer mode tables (mode_block,
 mode_terms, mode_table), and so does log_tau, the polynomial view of the
 free energy that extraction reads packed.  The package's TPolynomial and
 QScalar are views with no arithmetic: the polynomial and scalar arithmetic
@@ -27,17 +27,17 @@ transcribed from independently published tables.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from rspin import ContextError, ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.correlator import _free_energy
-from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced
-from rspin.walgebra import _mode_blocks, _operator_loop, _packed_groups, _twisted_currents, raise_packed
+from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpack_exponents
+from rspin.walgebra import _add_block, _kernel_operator, _operator_loop, _twisted_currents, raise_packed
 
 # -- reference arithmetic on the views ---------------------------------------
 
@@ -248,14 +248,22 @@ class NormalTerm(NamedTuple):
     coeff: Fraction
 
 
-def merged(rows) -> dict:
-    """(creators, annihilators, numerator) rows of the package's mode
-    tables merged: {(creators, annihilators): numerator}, rows of equal
-    creators and annihilators added, zeros dropped."""
-    acc = {}
-    for cre, ann, x in rows:
-        acc[cre, ann] = acc.get((cre, ann), 0) + x
-    return {key: x for key, x in acc.items() if x}
+def mode_block(r, k, j, m, wa) -> dict:
+    """The package's block of W(k, j, m) at annihilator weight wa, as
+    _add_block merges it: {(creators, annihilators): numerator} over the
+    currents' denominator, index tuples non-increasing, each creator key
+    decoded by unpack_exponents and its numerator freed of the creators'
+    product, zeros dropped."""
+    shift, fields = exponent_fields(r, max(wa - r * m - j * (r + 1), 0))
+    acc = defaultdict(dict)
+    _add_block(r, k, j, m, wa, acc, shift, 0, 1)
+    out = {}
+    for ann, row in acc.items():
+        for key, x in row.items():
+            cre = tuple(n for n, e in reversed(unpack_exponents(key, fields)) for _ in range(e))
+            if x:
+                out[cre, ann] = x // prod(cre)
+    return out
 
 
 def mode_terms(r, k, j, m, top) -> tuple[NormalTerm, ...]:
@@ -265,8 +273,8 @@ def mode_terms(r, k, j, m, top) -> tuple[NormalTerm, ...]:
     den = _twisted_currents(r)[0]
     return tuple(
         NormalTerm(cre[::-1], ann[::-1], Fraction(x, den))
-        for block in _mode_blocks(r, k, j, m, -1, top)
-        for (cre, ann), x in merged(block).items()
+        for wa in range(max(r * m + j * (r + 1), 0), top + 1)
+        for (cre, ann), x in mode_block(r, k, j, m, wa).items()
     )
 
 
@@ -421,11 +429,11 @@ def apply_operator_sum(terms, poly, n) -> TPolynomial:
     def kernel(rows, shift):
         fit = [t for t in terms if all(u in shift for u in t.annihilators)]
         den = lcm(*(t.coeff.denominator for t in fit))
-        op = _packed_groups(  # the kernel reads annihilators non-increasing
-            ((t.annihilators[::-1], t.creators, 0, t.coeff.numerator * (den // t.coeff.denominator)) for t in fit),
-            shift,
-        )
-        return _operator_loop(op, rows), den
+        acc = defaultdict(dict)
+        for t in fit:  # the kernel reads annihilators non-increasing
+            row, key = acc[t.annihilators[::-1]], sum(1 << shift[u] for u in t.creators)
+            row[key] = row.get(key, 0) + t.coeff.numerator * (den // t.coeff.denominator) * prod(t.creators)
+        return _operator_loop(_kernel_operator(acc, shift), rows), den
 
     return _on_kernel(poly, n, max_weight(poly) + max((sum(t.creators) for t in terms), default=0), kernel)
 

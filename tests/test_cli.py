@@ -91,6 +91,16 @@ def _verbose_entry(doc):
     doc.update(format_version=1, piece=json.loads(serialize_tau(compute_tau(3, 1)))["pieces"][1])
 
 
+def _noted(doc):
+    """doc with an unknown header field after its r: "r": 3, "note": 1."""
+    fields = list(doc.items())
+    doc.clear()
+    for name, value in fields:
+        doc[name] = value
+        if name == "r":
+            doc["note"] = 1
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -131,6 +141,8 @@ def _verbose_entry(doc):
         pytest.param(lambda doc: doc.update(format_version=3), id="version-3"),
         # an entry as written before entries held integers: a tau document's piece
         pytest.param(lambda doc: _verbose_entry(doc), id="verbose-version-1"),
+        # a header field no entry holds
+        pytest.param(_noted, id="unknown-field"),
     ],
 )
 def test_corrupt_cache_exits_2(tmp_path, capsys, entry):
@@ -303,6 +315,35 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
 
 
 @pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (
+            ["compute", "--r", "4", "--degree", "6"],
+            [
+                "A_1: 182 terms, 278 rows of 351 blocks",
+                "A_2: 684 terms, 1060 rows of 210 blocks",
+                "A_3: 1394 terms, 1872 rows of 88 blocks",
+            ],
+        ),
+        (
+            ["correlators", "--r", "3", "--degree", "7"],
+            ["A_1: 122 terms, 187 rows of 275 blocks", "A_2: 298 terms, 387 rows of 126 blocks"],
+        ),
+    ],
+)
+def test_verbose_raiser_lines_are_pinned(tmp_path, capsys, monkeypatch, argv, pinned):
+    # each raiser's merged terms and the rows and mode blocks it read, from
+    # raisers built fresh for this solve, then its build time
+    from rspin import walgebra
+
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
+    assert main(argv + ["-v", "--out", str(tmp_path / "out")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("A_")]
+    assert [line.split(" before merging")[0] for line in lines] == pinned
+    assert all(re.fullmatch(r".+ before merging, built in \d+\.\d ms", line) for line in lines)
+
+
+@pytest.mark.parametrize(
     "argv, labels",
     [
         (["compute"], ["solve", "write"]),
@@ -337,7 +378,10 @@ def test_verbose_timings_go_to_stderr_only(capsys, argv, labels):
     assert [line.split(":")[0] for line in lines] == labels + ["_partitions", "A_1", "A_2", "peak RSS"]
     assert all(line.endswith(" ms") for line in lines[: len(labels)])
     assert re.fullmatch(r"_partitions: \d+ hits, \d+ misses", lines[-4])
-    assert all(re.fullmatch(r"A_\d: \d+ terms, \d+ rows of \d+ blocks before merging", line) for line in lines[-3:-1])
+    assert all(
+        re.fullmatch(r"A_\d: \d+ terms, \d+ rows of \d+ blocks before merging, built in \d+\.\d ms", line)
+        for line in lines[-3:-1]
+    )
     assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[-1])
 
 

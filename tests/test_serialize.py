@@ -220,6 +220,14 @@ def _refused(read, text, message):
     assert message in str(info.value)
 
 
+def test_cache_entry_names_an_unknown_header_field(tmp_path):
+    # a header field store never writes is refused by name, as parse_tau
+    # refuses one in a tau document
+    doc, key, read, _ = _stored("entry", tmp_path)
+    head = {name: value for name, value in doc.items() if name != key}
+    _refused(read, json.dumps({**head, "note": 1, key: doc[key]}), 'unknown field "note"')
+
+
 @pytest.mark.parametrize("kind", ["document", "entry"])
 def test_reader_refuses_data_after_the_object(kind, tmp_path):
     doc, _, read, _ = _stored(kind, tmp_path)

@@ -68,18 +68,18 @@ def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     # block a piece reads has creators of weight at least 0 and
     # annihilators no heavier than the piece, and none is read twice
     tau = compute_tau(3, 6)
-    calls, blocks, rows = [], [], walgebra._w_mode_rows
+    calls, blocks, add_block = [], [], walgebra._add_block
 
     def counting(groups, kernel_rows):
         calls.append(len(blocks))  # the operator is built before its call
         return _operator_loop(groups, kernel_rows)
 
-    def recording(*block):
-        blocks.append(block)
-        return rows(*block)
+    def recording(*args):
+        blocks.append(args[:5])
+        return add_block(*args)
 
     monkeypatch.setattr(verify, "_operator_loop", counting)
-    monkeypatch.setattr(walgebra, "_w_mode_rows", recording)
+    monkeypatch.setattr(verify, "_add_block", recording)
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}

@@ -3,13 +3,16 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from rspin import ContractError, InvalidSpecError, compute_tau, mode_bound
-from rspin import check_commutators, compute_tau_exponential, walgebra
+from rspin import check_commutators, compute_tau_exponential, verify, walgebra
 from rspin.cli import ORACLE_CHECKED_DEPTH
+from rspin.solver import _layout
 from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
 from rspin.verify import constraint_equations, w_constraint_residuals
 from rspin.walgebra import (
@@ -36,7 +39,7 @@ from helpers import (
     is_homogeneous,
     is_zero,
     max_weight,
-    merged,
+    mode_block,
     mode_table,
     mode_terms,
     monomial,
@@ -308,8 +311,12 @@ def test_partitions_match_brute_force():
                 expected = [parts for parts in by_total.get(total, []) if all(x % r for x in parts)]
                 for max_part in (None, 1, 2, 5, 9):
                     capped = tuple(p for p in expected if max_part is None or not p or p[0] <= max_part)
-                    assert _partitions(total, count, r, max_part) == capped
-                    assert _partitions(total, count, r, max_part) == capped
+                    assert tuple(p for p, _, _ in _partitions(total, count, r, max_part)) == capped
+                    assert tuple(p for p, _, _ in _partitions(total, count, r, max_part)) == capped
+                    # each entry carries its run-count product and its part product
+                    for parts, runs, size in _partitions(total, count, r, max_part):
+                        assert runs == prod(factorial(n) for n in Counter(parts).values())
+                        assert size == prod(parts)
 
 
 # Polynomials the kernel refuses: each is off the grading in one way
@@ -530,16 +537,17 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
     assert several_lams >= 30 and undivided >= 30 and powers == set(range(-3, 4)) and parities == {0, 1}
 
 
-def _recording_rows(monkeypatch):
-    """Patch walgebra._w_mode_rows to record each (r, k, j, m, wa) block
-    enumerated, and return the list of them."""
-    seen, rows = [], walgebra._w_mode_rows
+def _recording_blocks(monkeypatch):
+    """Patch walgebra._add_block, and verify's name for it, to record each
+    (r, k, j, m, wa) block added, and return the list of them."""
+    seen, add_block = [], walgebra._add_block
 
-    def recording(*block):
-        seen.append(block)
-        return rows(*block)
+    def recording(*args):
+        seen.append(args[:5])
+        return add_block(*args)
 
-    monkeypatch.setattr(walgebra, "_w_mode_rows", recording)
+    monkeypatch.setattr(walgebra, "_add_block", recording)
+    monkeypatch.setattr(verify, "_add_block", recording)
     return seen
 
 
@@ -548,7 +556,7 @@ def test_mode_tables_are_reused_across_degrees(monkeypatch):
     # recursion run enumerates no block twice, and a second solve over the
     # same layout reuses its raisers as they are and enumerates nothing
     monkeypatch.setattr(walgebra, "_RAISERS", {})
-    seen = _recording_rows(monkeypatch)
+    seen = _recording_blocks(monkeypatch)
     compute_tau(4, 5)
     assert seen and len(set(seen)) == len(seen)
     count = len(seen)
@@ -560,12 +568,24 @@ def test_diagnostics_reuse_the_solve_raisers(monkeypatch):
     # the exponential and the commutators raise over the solve's layout
     # (one memoised object), so they enumerate no block of their own
     monkeypatch.setattr(walgebra, "_RAISERS", {})
-    seen = _recording_rows(monkeypatch)
+    seen = _recording_blocks(monkeypatch)
     tau = compute_tau(4, 6)
     count = len(seen)
     compute_tau_exponential(4, 6)
     check_commutators(tau)
     assert count and len(seen) == count
+
+
+def test_raisers_of_one_layout_only(monkeypatch):
+    # a raise over another layout drops the raisers held, so a process keeps
+    # one layout's raisers whatever it solved before
+    monkeypatch.setattr(walgebra, "_RAISERS", {})
+    compute_tau(4, 5)
+    shift = _layout(4, 5)[0]
+    assert [op.l for op in walgebra.raisers_over(4, shift)] == [1, 2, 3]
+    compute_tau(3, 6)
+    assert walgebra.raisers_over(4, shift) == []
+    assert [op.l for op in walgebra.raisers_over(3, _layout(3, 6)[0])] == [1, 2]
 
 
 def _tuple_weight_block(r, k, j, m, wa):
@@ -574,9 +594,9 @@ def _tuple_weight_block(r, k, j, m, wa):
     acc = {}
     for orders, scale in _twisted_currents(r)[1][k]:
         for p in range(len(orders) - j + 1):
-            for cre in _partitions(wa - r * m - j * (r + 1), len(orders) - j - p, r):
+            for cre, _, _ in _partitions(wa - r * m - j * (r + 1), len(orders) - j - p, r):
                 labels = (0,) * j + tuple(-n for n in cre)
-                for ann in _partitions(wa, p, r):
+                for ann, _, _ in _partitions(wa, p, r):
                     acc[cre, ann] = acc.get((cre, ann), 0) + scale * _tuple_weight(r, ann + labels, orders)
     return {key: x for key, x in acc.items() if x}
 
@@ -587,12 +607,12 @@ def test_multinomial_blocks_equal_tuple_weight_sums(monkeypatch, r, degree):
     # slots weighed by the multinomial count, merged, equal the sums of
     # _tuple_weight over the distinct orderings
     monkeypatch.setattr(walgebra, "_RAISERS", {})
-    seen = _recording_rows(monkeypatch)
+    seen = _recording_blocks(monkeypatch)
     tau = compute_tau(r, degree)
     w_constraint_residuals(tau, constraint_equations(r, degree))
     assert len(set(seen)) > 20
     for block in set(seen):
-        mine = merged(walgebra._w_mode_rows(*block))
+        mine = mode_block(*block)
         assert mine == _tuple_weight_block(*block), block
 
 
