@@ -22,9 +22,8 @@ CACHE_ENV = "RSPIN_CACHE_DIR"
 
 # Deepest degree, by r, to which correlators from the W-modes (walgebra)
 # match an independent Gelfand-Dickey (r-KdV) computation exactly at every
-# genus (at (6, 4) two genus-2 values do not); r = 2, 3 match the
-# published tables.
-ORACLE_CHECKED_DEPTH = {4: 5, 5: 5, 6: 3, 7: 3, 8: 3, **dict.fromkeys(range(9, 15), 2)}
+# genus; r = 2, 3 match the published tables.
+ORACLE_CHECKED_DEPTH = {4: 5, 5: 5, 6: 4, 7: 4, 8: 3, **dict.fromkeys(range(9, 15), 2)}
 
 
 def __getattr__(name: str):

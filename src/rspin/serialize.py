@@ -60,7 +60,7 @@ ENTRY_VERSION = 2  # of a cache entry, which holds integers only
 
 # Tag of the mode construction (walgebra), stored with cached pieces:
 # pieces built by another construction are refused rather than reused.
-MODE_CONSTRUCTION = "twisted-w-gl-r/1"
+MODE_CONSTRUCTION = "twisted-w-gl-r/2"
 
 __all__ = [
     "FORMAT_VERSION",

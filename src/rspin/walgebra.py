@@ -19,22 +19,27 @@ every such current annihilate the r-spin partition function.  Three steps
 build W(k, m):
 
 1. Generator.  Bosonizing psi*_a d^(k-1) psi_a / (k-1)! on one sheet gives
-   [eps^k] exp(sum_i eps^i X^(i) / i!), a polynomial in the derivatives
-   X^(i) = d^(i-1) X'.  Total derivatives are integrated away down to the
-   normal form in which the highest derivative occurs at least twice:
-   X'^2/2, X'^3/6, (X'^4 - X''^2)/24, (X'^5 - 5 X' X''^2)/120, ...
-   A dropped dY only adds lower modes that annihilate on their own when Y
-   is built from W-currents ((dY)_m = -(m+k-1) Y_m), which holds through
-   k = 5.  At k = 6 the reduction drops d^2(X''^2)/1440, and X''^2 is no
-   W-current: the modes are wrong from r = 6, degree 4 on.
+   J_k = [eps^k] exp(sum_i eps^i X^(i) / i!), a polynomial in the
+   derivatives X^(i) = d^(i-1) X'.  Charge conjugation C (psi <-> psi*,
+   X -> -X) signs a monomial of p factors by (-1)^p, and C J_k is
+   (-1)^k J_k plus derivatives of lower currents.  The generator keeps
+   the monomials with p = k (mod 2), that is (J_k + (-1)^k C J_k) / 2:
+   X'^2/2, (X'^3 + X''')/6, X'''X'/6 + X''^2/8 + X'^4/24, ...  This is
+   still a W_{1+inf} current.  The part it drops is a sum of d^n J_l with
+   l + n = k, and those modes m >= 1 - k annihilate on their own:
+   (d^n J_l)_m = (-1)^n (m+l) .. (m+k-1) (J_l)_m is zero for
+   1 - k <= m <= -l, and (J_l)_m annihilates for m >= 1 - l.  One parity
+   keeps every A_l graded (below): each factor is one oscillator, and a
+   pairing removes two.  A one-factor term such as X'''/6 gives no mode,
+   since its sheet sum needs u = r*m, which is excluded.
 2. Twisted normal ordering.  An untwisted normally ordered product equals
    the twisted normally ordered one plus every partial pairing of its
    factors, a pair of factors X^(i), X^(j) of one sheet replaced by the
    regular part of (twisted - untwisted) propagator at coincident points,
    _contraction(r, i, j) * z^(-i-j).  For X' X' this is (r^2-1)/(12 r^2),
-   the familiar (r^2-1)/24 in W(2, 0); the cubic current gets none.  From
-   spin 4 on, these terms and the derivative factors are what plain
-   oscillator powers miss.
+   the familiar (r^2-1)/24 in W(2, 0); in the cubic current it leaves one
+   factor, which gives no mode.  From spin 4 on, these terms and the
+   derivative factors are what plain oscillator powers miss.
 3. Modes.  X^(i) on sheet a is (1/r) sum_u alpha_u w^(-a u)
    (-u/r-1)_(i-1) z^(-u/r-i) (falling factorial, w = e^(2 pi i/r)); the
    sum over sheets keeps the ordered tuples with u_1 + .. + u_p = r*m and
@@ -198,33 +203,19 @@ def _falling(a: Fraction, n: int) -> Fraction:
 
 
 def _generator(k: int) -> dict[tuple[int, ...], Fraction]:
-    """Spin-k current of one sheet modulo total derivatives, as
-    {derivative orders (non-increasing): coefficient}.  A change to the
-    modes bumps serialize.MODE_CONSTRUCTION and re-measures
-    cli.ORACLE_CHECKED_DEPTH."""
-    todo: dict[tuple[int, ...], Fraction] = {}
-    for count in range(1, k + 1):
+    """Spin-k current of one sheet, as {derivative orders (non-increasing):
+    coefficient}: the monomials of [eps^k] exp(sum_i eps^i X^(i) / i!)
+    whose factor count has the parity of k, its charge-conjugation
+    eigenpart, with no integration by parts.  A change to the modes bumps
+    serialize.MODE_CONSTRUCTION and re-measures cli.ORACLE_CHECKED_DEPTH."""
+    current: dict[tuple[int, ...], Fraction] = {}
+    for count in range(2 - k % 2, k + 1, 2):  # the factor counts of k's parity
         for orders, _, _ in _partitions(k, count, k + 1):  # no part is a multiple of k+1
             coeff = Fraction(1)
             for i, e in Counter(orders).items():
                 coeff /= factorial(i) ** e * factorial(e)
-            todo[orders] = coeff
-    out: dict[tuple[int, ...], Fraction] = {}
-    while todo:
-        mono = max(todo)  # highest derivative first
-        coeff = todo.pop(mono)
-        top, rest = mono[0], mono[1:]
-        if top == 1 or (rest and rest[0] == top):
-            out[mono] = out.get(mono, 0) + coeff
-            continue
-        # M X^(top) = -d(M) X^(top-1) up to a total derivative; raising one of
-        # the e factors of order top-1 in M gives back M X^(top) itself.
-        e = rest.count(top - 1)
-        for idx, o in enumerate(rest):
-            if o != top - 1:
-                new = tuple(sorted(rest[:idx] + (o + 1,) + rest[idx + 1:] + (top - 1,), reverse=True))
-                todo[new] = todo.get(new, 0) - coeff / (1 + e)
-    return {mono: c for mono, c in out.items() if c}
+            current[orders] = coeff
+    return current
 
 
 @lru_cache(maxsize=None)

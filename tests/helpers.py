@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the package's multiset enumeration and
 recursion internals: W modes are rebuilt from ordered oscillator tuples
-with per-tuple weights (from a hand-reduced table of the currents and
+with per-tuple weights (from a hand-written table of the currents and
 closed-form contraction constants) and applied one factor at a time;
 genus-0 values for r=2 come from the string equation alone; the graded log
 is checked against the plain power series of log(1 + x) and against the
@@ -550,28 +550,35 @@ def tau1_r2() -> TPolynomial:
 # -- ordered-tuple oracle for W modes ---------------------------------------
 
 # The spin-k current of one sheet, psi* d^(k-1) psi / (k-1)! bosonized
-# ([eps^k] exp(sum_i eps^i X^(i) / i!)) and integrated by parts by hand
-# until the highest derivative occurs at least twice; keys are the
-# derivative orders of the factors X^(i) = d^(i-1) X'.
+# ([eps^k] exp(sum_i eps^i X^(i) / i!)), written out by hand and kept to
+# its monomials whose factor count has the parity of k (the current's
+# charge-conjugation eigenpart); keys are the derivative orders of the
+# factors X^(i) = d^(i-1) X'.
 SHEET_CURRENTS = {
     2: {(1, 1): Fraction(1, 2)},
-    3: {(1, 1, 1): Fraction(1, 6)},
-    4: {(1, 1, 1, 1): Fraction(1, 24), (2, 2): Fraction(-1, 24)},
-    5: {(1, 1, 1, 1, 1): Fraction(1, 120), (2, 2, 1): Fraction(-1, 24)},
+    3: {(3,): Fraction(1, 6), (1, 1, 1): Fraction(1, 6)},
+    4: {(3, 1): Fraction(1, 6), (2, 2): Fraction(1, 8), (1, 1, 1, 1): Fraction(1, 24)},
+    5: {(5,): Fraction(1, 120), (3, 1, 1): Fraction(1, 12), (2, 2, 1): Fraction(1, 8), (1, 1, 1, 1, 1): Fraction(1, 120)},
 }
 
 
 def sheet_contraction(r, i, j):
     """Regular part of the twisted minus the untwisted propagator of one
     sheet at coincident points, d_z^(i-1) d_w^(j-1) G(z, w) = g z^(-i-j),
-    in closed form (the r=2 values follow by hand from
-    G = 1/(4 sqrt(zw) (sqrt(z) + sqrt(w))^2))."""
+    in closed form.  The r=2 values follow by hand from
+    G = 1/(4 sqrt(zw) (sqrt(z) + sqrt(w))^2): at z = 1, w = 1 + x,
+    sqrt(w) = 1 + x/2 - x^2/8, 1/sqrt(w) = 1 - x/2 + 3x^2/8 and
+    (1 + sqrt(w))^-2 = (1 - x/2 + 5x^2/16)/4, so G = (1 - x + 15x^2/16)/16
+    up to x^3, and d_w^2 G = 2 * 15/256 = 15/128, the (1, 3) value."""
     g11 = Fraction(r * r - 1, 12 * r * r)
+    g13 = Fraction((r * r - 1) * (19 * r * r - 1), 120 * r**4)
     return {
         (1, 1): g11,
         (1, 2): -g11,
         (2, 1): -g11,
         (2, 2): Fraction((r * r - 1) * (11 * r * r + 1), 120 * r**4),
+        (1, 3): g13,
+        (3, 1): g13,
     }[(i, j)]
 
 

@@ -321,8 +321,8 @@ def test_verbosity_flags_before_or_after_subcommand(tmp_path, capsys, before):
             ["compute", "--r", "4", "--degree", "6"],
             [
                 "A_1: 182 terms, 278 rows of 351 blocks",
-                "A_2: 684 terms, 1060 rows of 210 blocks",
-                "A_3: 1394 terms, 1872 rows of 88 blocks",
+                "A_2: 684 terms, 1067 rows of 210 blocks",
+                "A_3: 1394 terms, 1958 rows of 88 blocks",
             ],
         ),
         (
@@ -484,16 +484,17 @@ def test_compute_spin_four_and_five_bytes_are_pinned(tmp_path, r, degree):
 
 # sha256 of the r = 4, degree-6 tau document, recorded while it was still
 # written through json.dumps, and of its cache entries, recorded when
-# entries came to hold integers (ENTRY_VERSION 2); no other test pins the
-# bytes of a cache entry.
+# entries came to hold integers (ENTRY_VERSION 2) and re-recorded when only
+# their mode tag changed (twisted-w-gl-r/2); no other test pins the bytes
+# of a cache entry.
 SPIN_FOUR_DEGREE_SIX_DIGEST = "5593b96ce55d14f0d54b3268a550d832c9a67b4d8e192a2a4949391ee29f3bd6"
 SPIN_FOUR_CACHE_DIGESTS = {
-    "r4_deg1.json": "4c5655136fc03d2c595f8bccd5b71c930b38d4be5affc724791efc2d3c134db5",
-    "r4_deg2.json": "64d371c73edb549824c53b5d434fd00a98b2bf4543180645b63a4ada0f29b92d",
-    "r4_deg3.json": "5949667565fc926a4cd613181dfd0191e8d1b24de00b946e5ba84ae50196895f",
-    "r4_deg4.json": "71dcd5f9a16b5a05c7e39a8a0739ec25d98523d7b7bce933a01ffc73a4ca8c31",
-    "r4_deg5.json": "41df31fd38d185492a879811e7b7eb82674dda19c07105d4f67ffc8dececdd2d",
-    "r4_deg6.json": "013cc6ea6353cc2d248f039241bb48fb918337b544d21dcf59f9d52f5ac28a3f",
+    "r4_deg1.json": "2b7353acb7abfa3ee03dbac02253f4474bd9c1ff1565f6722ce2d80670f9b972",
+    "r4_deg2.json": "2cd0b0d9d70a8fbc3fe14c8d057d46e7f1d766d0616d6f1c4ff26f8ac06780ae",
+    "r4_deg3.json": "dae7b6287334a1c07ef3690ef0b498808cfa3caad359fd1317b4f1d86a447cb9",
+    "r4_deg4.json": "de5511ac8570672fb73d43d85c6d420f65e0a5407093783fd86209ba11479ac9",
+    "r4_deg5.json": "fd183bad653717a1a047e8c0cfc79178b0c795656ac7fc0669c4c35197877b49",
+    "r4_deg6.json": "afdea6542b4741ebbd5dba6c6a97069cf67c18da08461cf359d6fde7fa9f7f53",
 }
 
 
@@ -506,9 +507,11 @@ def test_compute_and_cache_entry_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the commutator reports; the spin-4 raisers reach these through
-# check_commutators and compute_tau_exponential as well as the recursion.
+# check_commutators and compute_tau_exponential as well as the recursion,
+# so the projected spin-4 current (which gains d^2 W_2 / 6) changes them
+# though tau at r = 4 does not.
 COMMUTATOR_DIGESTS = {
-    (4, 4): "cc2213c595084db601b07f561081f50664ec12dd0ab32b8f564fe49697855f8c",
+    (4, 4): "8b9f0065b948e6c9288c578c695e1dcbcff35ea30f9fbb54ecd475b4a9fb7646",
 }
 
 
@@ -536,7 +539,7 @@ def test_unchecked_r_warns_without_changing_data(tmp_path, capsys, command):
 def test_warning_follows_the_oracle_depth_of_each_r(capsys, r):
     # warned on stderr past the depth the r-KdV oracle covers for this r,
     # at every degree for r >= 15, never for r = 2, 3 (the published
-    # tables); at (6, 4) two genus-2 values disagree with the oracle
+    # tables)
     checked = ORACLE_CHECKED_DEPTH.get(r, 0 if r > 3 else 10)
     for degree in (checked, checked + 1):
         _warn_unchecked(argparse.Namespace(r=r, degree=degree))
@@ -554,6 +557,30 @@ def test_cache_without_mode_tag_exits_2(tmp_path, capsys):
     code = main(["compute", "--r", "4", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "y.json")])
     assert code == 2
     assert "W-mode construction" in capsys.readouterr().err
+
+
+def test_cache_of_the_old_mode_construction_exits_2(tmp_path, capsys):
+    # an entry built by the integrated-by-parts currents, which are wrong
+    # from r = 6, is refused, and the message names both tags
+    cache = tmp_path / "cache"
+    main(["compute", "--r", "4", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "x.json")])
+    entry = cache / "r4_deg1.json"
+    entry.write_text(entry.read_text().replace("twisted-w-gl-r/2", "twisted-w-gl-r/1"))
+    code = main(["compute", "--r", "4", "--degree", "1", "--cache-dir", str(cache), "--out", str(tmp_path / "y.json")])
+    assert code == 2
+    assert "W-mode construction 'twisted-w-gl-r/1', not 'twisted-w-gl-r/2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r, degree", [(6, 4), (7, 4), (8, 4)])
+def test_verify_passes_past_the_spin_six_current(tmp_path, r, degree):
+    # the first depths whose raisers use the spin-6 (and higher) currents
+    # at a nonzero mode: every check, the spin >= 6 W-constraints among them
+    out = tmp_path / "report.json"
+    assert main(["verify", "--r", str(r), "--degree", str(degree), "--out", str(out), "-q"]) == 0
+    reports = json.loads(out.read_text())
+    assert [(rep["check_name"], rep["status"]) for rep in reports] == [
+        ("wconstraints", "pass"), ("string_dilaton", "pass"), ("grading", "pass"), ("selection", "pass")
+    ]
 
 
 def test_invalid_r_exits_2(capsys):

@@ -4,8 +4,7 @@ The oracle first reproduces the published r = 2 and r = 3 values, which
 pins its normalization; then every correlator (genus 0 to 3 in range)
 that the W-constraint recursion produces for
 r = 4 .. 14 must equal the oracle's value exactly, to the depths
-cli.ORACLE_CHECKED_DEPTH names.  At (6, 4) two genus-2 values do
-not, which a strict xfail pins.
+cli.ORACLE_CHECKED_DEPTH names.
 """
 
 from fractions import Fraction
@@ -48,22 +47,12 @@ def test_oracle_agrees_with_verified_tables(r, depth):
 
 @pytest.mark.parametrize(
     "r, depth",
-    [(4, 4), (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2), (14, 2)],
+    [(4, 4), (4, 5), (5, 3), (5, 4), (5, 5), (6, 3), (6, 4), (7, 2), (7, 4), (8, 2), (8, 3), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2), (14, 2)],
 )
 def test_spin_four_and_up_correlators_match_oracle(r, depth):
     records, bad = _mismatches(r, depth)
     genera = {rec.genus for rec in records}
     assert {0, 1} <= genera
-    assert bad == []
-
-
-@pytest.mark.xfail(strict=True, reason="spin >= 6 modes: two genus-2 values at (6, 4) differ from the oracle")
-def test_r6_degree4_correlators_match_oracle():
-    # the engine gives 41647/54286848 and 29713/15966720 where the oracle
-    # gives 167/207360 and 341/207360; verify --r 6 --degree 4 fails its
-    # spin-6 equations at degree 4 too.  A root fix of the modes makes this
-    # pass, and strict turns that into a failure to notice
-    records, bad = _mismatches(6, 4)
     assert bad == []
 
 

@@ -369,12 +369,12 @@ def test_modes_move_the_grading():
 
 
 def test_currents_and_contractions_match_closed_forms():
-    # the package derives both by series and integration by parts; the
-    # oracle's hand-reduced table and closed forms must agree with them
+    # the package derives both by series; the oracle's hand-written table
+    # and closed forms must agree with them
     for k, current in SHEET_CURRENTS.items():
         assert _generator(k) == current
     for r in range(2, max(ORACLE_CHECKED_DEPTH) + 2):
-        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
             assert _contraction(r, i, j) == sheet_contraction(r, i, j)
 
 
@@ -704,13 +704,13 @@ def test_multiset_enumeration_equals_ordered_tuples_small():
 
 
 # sha256 over every term of W(k, j, m), all k and j, m = -(k-1)..2, under
-# caps (cap, cap): the tables of the pairing-by-pairing, permutation-summing
-# construction these digests were recorded from.  A row's last slot is the
-# lam shift -j that the mode's (-r*s/lam)^j carries.
+# caps (cap, cap), recorded once the r-KdV oracle matched the correlators
+# of the charge-conjugation-projected currents at (6, 4) and (7, 4).  A
+# row's last slot is the lam shift -j that the mode's (-r*s/lam)^j carries.
 MODE_TABLE_DIGESTS = {
-    (6, 10): "a77e570f95c141cba0931ebe3782f340266dcb3c3d317461959e1fa0fd896e38",
-    (7, 10): "17c14bed613926acefe6c5aa744d3706a62fe58502470605caa9995957d72281",
-    (12, 4): "567106cabdd43189d95d4cf4a6e4ed44b062959ffef120ac193aeac55612e4c2",
+    (6, 10): "3adc1e08e8da9918cf3f16611f83d55e1a8a3af54512f3e7549bb5b1644957b1",
+    (7, 10): "9e06b2faa4296d27147a3976529641aef0fafd0e496cac8a7be9a2297f2f6ad1",
+    (12, 4): "c6b6eb44d123b1bc76d534f211b425d0f50a0b189a6f597f01944f9c04457f64",
 }
 
 
