@@ -20,7 +20,7 @@ _HOMES = {  # exported name -> its home module
     for module, names in {
         "correlator": "CorrelatorRecord Insertion conversion_constant extract_correlators insertion_for_index "
         "selection_check variable_index",
-        "errors": "CacheError ContextError ContractError ExtractionError InvalidIndexError InvalidInsertionError "
+        "errors": "CacheError ContractError ExtractionError InvalidIndexError InvalidInsertionError "
         "InvalidSpecError ParseError RSpinError",
         "scalar": "QScalar TPolynomial",
         "serialize": "FORMAT_VERSION TauCache parse_tau serialize_tau",

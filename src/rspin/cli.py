@@ -16,7 +16,7 @@ import time
 # fractions; correlator is loaded on first use (__getattr__)
 from .errors import RSpinError
 from .serialize import TauCache, records_csv_chunks, records_json_chunks, reports_to_json, tau_chunks
-from .solver import _layout, compute_tau
+from .solver import compute_tau
 
 CACHE_ENV = "RSPIN_CACHE_DIR"
 
@@ -135,9 +135,9 @@ def _timed(args, label: str, run):
     return out
 
 
-def _note_tables(args) -> None:
+def _note_tables(args, tau) -> None:
     """Under -v, the hits and misses of the memoised partitions, and for
-    each raiser built over the solve's layout its term count after merging,
+    each raiser built over tau's layout its term count after merging,
     the rows and mode blocks it enumerated before, and its build time."""
     if not args.verbose:
         return
@@ -145,8 +145,7 @@ def _note_tables(args) -> None:
 
     info = _partitions.cache_info()
     print(f"_partitions: {info.hits} hits, {info.misses} misses", file=sys.stderr)
-    shift, _ = _layout(args.r, args.degree)
-    for op in raisers_over(args.r, shift):
+    for op in raisers_over(args.r, tau.shift):
         terms = sum(len(cres) for _, cres, _ in op.op[0].values())
         print(
             f"A_{op.l}: {terms} terms, {op.read} rows of {op.blocks} blocks before merging, "
@@ -159,7 +158,7 @@ def _run_compute(args) -> int:
     _warn_unchecked(args)
     tau = _timed(args, "solve", lambda: compute_tau(args.r, args.degree, cache=_cache(args)))
     _timed(args, "write", lambda: _write(args, tau_chunks(tau)))
-    _note_tables(args)
+    _note_tables(args, tau)
     return 0
 
 
@@ -169,7 +168,7 @@ def _run_correlators(args) -> int:
     records = _timed(args, "extract", lambda: sys.modules[__name__].extract_correlators(tau))
     writer = records_csv_chunks if args.format == "csv" else records_json_chunks
     _timed(args, "write", lambda: _write(args, writer(records)))
-    _note_tables(args)
+    _note_tables(args, tau)
     return 0
 
 
@@ -190,7 +189,7 @@ def _run_verify(args) -> int:
     _write(args, [reports_to_json(reports).decode("utf-8")])
     for note in notes:
         _note(args, note)
-    _note_tables(args)
+    _note_tables(args, tau)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -211,7 +210,7 @@ def _run_commutator(args) -> int:
             print(f"WARNING: {warning}:", *(f"  {label}" for label, _ in report.residuals), sep="\n", file=sys.stderr)
         else:
             _note(args, note)
-    _note_tables(args)
+    _note_tables(args, tau)
     return 0
 
 

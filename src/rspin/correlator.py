@@ -4,9 +4,11 @@ correlator extraction.
 A descendant insertion is a pair (m, a) with level m >= 0 and spin label
 0 <= a <= r-2; it corresponds bijectively to the time variable with index
 n = r*m + a + 1 (indices divisible by r are exactly the excluded label
-a = r-1).  The descendant variable t_{m,a} equals c * T_n with
+a = r-1).  The descendant variable t_{m,a} equals q * s * T_n with
 
-    c = (-1)^m * s * prod_{i=0..m} (i + (a+1)/r),        s = sqrt(-r).
+    q = (-1)^m * prod_{i=0..m} (i + (a+1)/r),        s = sqrt(-r),
+
+the rational q being conversion_constant(r, m, a).
 
 The free energy is the graded log of tau; a monomial of the free energy
 with lam exponent 2g-2 and variable part prod T_n^{e_n} encodes the genus-g
@@ -17,7 +19,7 @@ The grading makes the log rational.  A degree-j monomial of tau in N
 variables carries lam^(j-N) and a coefficient in Q * s^j, so each piece is
 read once as integer numerators over one denominator, with s^j and the lam
 exponent implied by the degree and the monomial: the TauExpansion's packed
-pieces, over the solve's layout (tpoly.exponent_fields), a bit field per
+pieces, over the solve's layout (TauExpansion.fields), a bit field per
 index wide enough for the top weight D*(r+1); no product in the log exceeds
 that weight, so adding two keys multiplies two monomials without a carry.
 Each piece was graded once by the package's one rule (tpoly.check_piece)
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import ExtractionError, InvalidInsertionError
 from .solver import TauExpansion
-from .tpoly import Packed, TMonomial, canonical_rows, exponent_fields, reduced
+from .tpoly import Packed, TMonomial, canonical_rows, reduced
 
 __all__ = [
     "Insertion",
@@ -67,21 +69,14 @@ def insertion_for_index(r: int, n: int) -> Insertion:
     return Insertion((n - 1) // r, (n - 1) % r)
 
 
-def _conversion_rational(r: int, m: int, a: int) -> Fraction:
-    """The rational q with conversion_constant(r, m, a) = q * s."""
+def conversion_constant(r: int, m: int, a: int) -> Fraction:
+    """The rational q with t_{m,a} = q * s * T_{r*m + a + 1}."""
     if m < 0 or not 0 <= a <= r - 2:
         raise InvalidInsertionError(f"insertion (m={m}, a={a}) out of range for r={r}")
     q = Fraction(1)
     for i in range(m + 1):
         q *= i + Fraction(a + 1, r)
     return -q if m % 2 else q
-
-
-def conversion_constant(r: int, m: int, a: int):
-    """The QScalar c with t_{m,a} = c * T_{r*m + a + 1}."""
-    from .scalar import QScalar  # the value type, loaded only by this caller
-
-    return QScalar(Fraction(0), _conversion_rational(r, m, a))
 
 
 class CorrelatorRecord(NamedTuple):
@@ -114,8 +109,7 @@ def _free_energy(tau: TauExpansion) -> list[tuple[int, int, list]]:
     add and a product coefficient one int product; each degree has one
     denominator.
     """
-    taus, r, top = tau.held, tau.r, tau.max_degree
-    _, fields = exponent_fields(r, top * (r + 1))
+    taus, top, fields = tau.held, tau.max_degree, tau.fields
     logs: list[Packed] = [({}, 1)]
     free_energy = []
     for n in range(1, top + 1):
@@ -147,7 +141,7 @@ def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:
     free-energy coefficient num/den * s^n on N insertions with lam
     exponent n - N = 2g-2 gives the value
     num/den * (-r)^(g-1) * prod(e!) / prod(q^e),
-    q the rational part of each conversion constant.  The monomials are
+    q the conversion_constant of each insertion.  The monomials are
     read in canonical order, so an error names the first bad one.
     """
     r = tau.r
@@ -170,7 +164,7 @@ def extract_correlators(tau: TauExpansion) -> list[CorrelatorRecord]:
                 ins = insertion.get(i)
                 if ins is None:
                     ins = insertion[i] = insertion_for_index(r, i)
-                    ratio[i] = _conversion_rational(r, ins.m, ins.a)
+                    ratio[i] = conversion_constant(r, ins.m, ins.a)
                 insertions.extend([ins] * e)
                 q = ratio[i]
                 top *= factorial(e) * q.denominator**e

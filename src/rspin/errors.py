@@ -5,10 +5,6 @@ class RSpinError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ContextError(RSpinError, ValueError):
-    """Polynomials built over different r were combined."""
-
-
 class InvalidIndexError(RSpinError, ValueError):
     """A time variable index is not positive or is divisible by r."""
 

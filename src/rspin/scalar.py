@@ -3,10 +3,11 @@ TPolynomial view, and the reader of a tau document's fraction text.
 
 The package computes with packed integer numerators over one denominator
 (tpoly.Packed), never with coefficients.  A QScalar, a pair of reduced
-rationals with s^2 = -r, is only the value a TPolynomial holds, or
-conversion_constant's.  A TPolynomial is only a view: what a caller hands to
-TauExpansion (packed there by tpoly.pack_piece) and what TauExpansion.pieces
-returns (unpacked), with no zero coefficient and sorted monomials only.
+rationals with s^2 = -r, is only the value a TPolynomial holds, spelled
+by tpoly.coefficient_text.  A TPolynomial is only a view: what a caller
+hands to TauExpansion (packed there by tpoly.pack_piece) and what
+TauExpansion.pieces returns (unpacked), with no zero coefficient and
+sorted monomials only.
 Neither has arithmetic, and equality is exact.  Only those readers and
 parse_tau (_read_piece) import this module: compute loads neither it nor
 the standard library's fractions.
@@ -20,7 +21,9 @@ from math import gcd
 from typing import Mapping
 
 from .errors import ContractError, ParseError
-from .tpoly import Packed, TMonomial, check_index, check_piece, pack_terms, shared_pair, unpack_exponents
+from .tpoly import (
+    Packed, TMonomial, check_index, check_piece, coefficient_text, pack_terms, shared_pair, unpack_exponents,
+)
 
 
 class QScalar:
@@ -55,11 +58,7 @@ class QScalar:
         return bool(self.a or self.b)
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        term = "" if not b else "s" if b == 1 else "-s" if b == -1 else f"{b}*s"
-        if not a:
-            return term or "0"
-        return f"{a} - {term[1:]}" if term[:1] == "-" else f"{a} + {term}" if term else str(a)
+        return coefficient_text(self.a, self.b)
 
 
 class TPolynomial:

@@ -32,9 +32,10 @@ and encoded, so both ways give the same bytes.  Every polynomial the
 package writes is packed, and _packed_json renders it, on integers, each
 term from a template already moved to its depth: a piece a TauExpansion
 holds, and a verify.Residual in a check report, whose offset and power of
-s may be negative.  A cache entry is written in such chunks too,
-each term from its _entry_template; the tau document renders every piece
-itself, once, whether the solve computed it or loaded it.
+s may be negative.  A cache entry is written in such chunks too, each
+term of the packed piece's canonical_rows, the tau document's order, from
+its _entry_template; the tau document renders every piece itself, once,
+whether the solve computed it or loaded it.
 """
 
 from __future__ import annotations
@@ -296,9 +297,8 @@ def tau_chunks(tau: TauExpansion):
     """The canonical tau document as str chunks: json.dumps(indent=1) on the
     document of its pieces, plus a newline, each piece rendered once by
     _packed_json."""
-    _, fields = _layout(tau.r, tau.max_degree)
     head = {"format_version": FORMAT_VERSION, "r": tau.r, "max_degree": tau.max_degree, "s_legend": f'"{S_LEGEND}"'}
-    pieces = _block_chunks((_packed_json(tau.r, j, piece, fields, "  ") for j, piece in enumerate(tau.held)), " ")
+    pieces = _block_chunks((_packed_json(tau.r, j, piece, tau.fields, "  ") for j, piece in enumerate(tau.held)), " ")
     return _batched(_document_chunks(head, "pieces", pieces))
 
 
@@ -465,13 +465,13 @@ class TauCache:
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             raise CacheError(f"unusable cache entry {path}: {exc}") from None
 
-    def store(self, r: int, degree: int, rows: tuple[int, list]) -> None:
-        """Write tau_degree from its (den, [(key, exps, num), ...]), as
-        tpoly.kernel_rows unpacks it: den, then each term from its
-        _entry_template, in canonical order."""
-        den, kernel = rows
-        terms = sorted([(degree - sum(e for _, e in exps), exps, num) for _, exps, num in kernel])
-        lines = (_entry_template(len(exps)) % (num, *chain.from_iterable(exps)) for _, exps, num in terms)
+    def store(self, r: int, degree: int, piece: Packed, layout) -> None:
+        """Write tau_degree, packed over layout (solver._layout of the solve
+        that stores it), as load reads it: den, then each term of its
+        tpoly.canonical_rows from its _entry_template."""
+        nums, den = piece
+        rows = canonical_rows(degree, nums, layout[1])
+        lines = (_entry_template(len(exps)) % (num, *chain.from_iterable(exps)) for _, exps, num in rows)
         head = {
             "format_version": ENTRY_VERSION, "modes": json.dumps(MODE_CONSTRUCTION), "r": r, "degree": degree, "den": den,
         }

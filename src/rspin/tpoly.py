@@ -15,8 +15,9 @@ reads, makes, stores or holds, and every residual of verify (at any offset
 and power of s, both equal, both maybe negative).
 
 The TPolynomial view and its QScalar coefficients live in scalar, which
-pack_piece never imports (it reads .r and .terms) and check_piece imports
-only to word a refusal: a packed run loads neither scalar nor fractions.
+this module never imports (pack_piece reads .r and .terms, and a refusal
+spells a + b*s by coefficient_text): a packed run loads neither scalar nor
+fractions.
 """
 
 from __future__ import annotations
@@ -130,12 +131,18 @@ def check_piece(r: int, j: int, rows) -> None:
             elif lam != j - count or lam % 2 or lam < -2 * j:
                 why = f"lam exponent {lam} on {count} variables, expected {j - count}, even and >= {-2 * j}"
             elif a if odd else b:
-                from .scalar import QScalar  # only to word the refusal
-
-                why = f"coefficient {QScalar(a, b)} outside Q*s^{odd}"
+                why = f"coefficient {coefficient_text(a, b)} outside Q*s^{odd}"
             else:
                 continue
         raise ContractError(f"piece {j} has monomial {TMonomial(lam, exps)} off the grading: {why}")
+
+
+def coefficient_text(a, b) -> str:
+    """The spelling of the coefficient a + b*s: a QScalar's, and a refusal's."""
+    term = "" if not b else "s" if b == 1 else "-s" if b == -1 else f"{b}*s"
+    if not a:
+        return term or "0"
+    return f"{a} - {term[1:]}" if term[:1] == "-" else f"{a} + {term}" if term else str(a)
 
 
 def pack_piece(r: int, j: int, piece, shift: dict[int, int]) -> Packed:

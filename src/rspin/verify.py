@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
-from .solver import TauExpansion, _layout, raise_step
+from .solver import TauExpansion, compute_tau_exponential, raise_step
 from .tpoly import Packed, exponent_fields, kernel_rows, summed
 from .walgebra import _add_block, _kernel_operator, _operator_loop, _twisted_currents
 
@@ -105,8 +105,8 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
     equation is one rational sum, a Residual at degree d-k+1 over the
-    solve's layout.  Piece i is read as tau.packed(i), over
-    the solve's layout of top weight D*(r+1), and its call carries the
+    solve's layout (tau.fields).  Piece i is read as tau.packed(i), over
+    that layout of top weight D*(r+1), and its call carries the
     blocks (walgebra._add_block), up to its weight i*(r+1), of every mode
     that reads it, each scaled by r^(2l) and each creator key tagged with
     its equation's index above the layout's top bit.  An equation is finished once its last piece is done.  engaged is
@@ -126,7 +126,7 @@ def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict
     engaged = {read[0] for by_piece in reads.values() for read in by_piece}
     # equation (k, m, d) weighs (d-k+1)(r+1) - r*m <= d(r+1) - (k-1), as m >= 1 - k,
     # and d <= D: the solve's layout holds every creator, annihilator and output
-    shift, fields = exponent_fields(r, top_degree * (r + 1))
+    shift, fields = tau.shift, tau.fields
     top = sum(width for _, width, _ in fields)
     mask = (1 << top) - 1
     mode_den = _twisted_currents(r)[0]  # of the rows of every block
@@ -336,33 +336,6 @@ def check_commutators(tau: TauExpansion) -> CheckReport:
     )
 
 
-def exponential_pieces(r: int, max_degree: int) -> list[Packed]:
-    """The graded truncation of exp(sum_l A_l / l) applied to 1, packed:
-    degree j as numerators over one den of s^j, over solver._layout(r, max_degree).
-
-    Agrees with compute_tau exactly when the raisers commute; any
-    disagreement is evidence against that conjecture, so this path is a
-    diagnostic, never the authority.
-    """
-    shift, fields = _layout(r, max_degree)
-    acc: dict[int, list[Packed]] = {0: [({0: 1}, 1)]}
-    power: dict[int, Packed] = {0: ({0: 1}, 1)}
-    # power holds B^n/n! . 1 by degree, B = sum_l A_l / l; its lowest degree
-    # is n, so n ranges over 1 .. max_degree only.
-    for n in range(1, max_degree + 1):
-        nxt: dict[int, list[Packed]] = {}
-        for d, packed in power.items():
-            if d < max_degree:  # the top degree raises no further
-                rows = kernel_rows(packed, fields)
-                for l in range(1, min(r, max_degree - d + 1)):
-                    nums, den = raise_step(r, l, d + l, rows, shift)
-                    nxt.setdefault(d + l, []).append((nums, den * l))
-        power = {d: summed(parts, n) for d, parts in nxt.items()}
-        for d, packed in power.items():
-            acc.setdefault(d, []).append(packed)
-    return [summed(acc.get(j, [])) for j in range(max_degree + 1)]
-
-
 def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     """Compare tau, the recursion output, against the exponential-formula
     path to the same depth.
@@ -370,16 +343,15 @@ def check_exponential_agreement(tau: TauExpansion) -> CheckReport:
     Agreement is expected under the commutativity conjecture; this check is
     diagnostic because the recursion path is the authority either way.
     Each piece of tau is read as tau.packed holds it, over the solve's
-    layout, as the constraint pass reads it, and compared
-    there with exponential_pieces' packed sums.
+    layout, as the constraint pass reads it, and compared there with the
+    piece compute_tau_exponential holds over the same layout.
     """
     r, degree = tau.r, tau.max_degree
-    _, fields = exponent_fields(r, degree * (r + 1))
     residuals = []
-    for j, (theirs, exp_den) in enumerate(exponential_pieces(r, degree)):
+    for j, (theirs, exp_den) in enumerate(compute_tau_exponential(r, degree).held):
         diff = summed([tau.packed(j), (theirs, -exp_den)])
         if diff[0]:
-            residuals.append((f"degree {j}", Residual(r, j, diff, fields)))
+            residuals.append((f"degree {j}", Residual(r, j, diff, tau.fields)))
     return CheckReport(
         check_name="exponential_agreement",
         status=DIAGNOSTIC,

@@ -34,7 +34,7 @@ from itertools import chain
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
-from rspin import ContextError, ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
+from rspin import ContractError, QScalar, TauExpansion, TPolynomial, compute_tau, mode_bound
 from rspin.correlator import _free_energy
 from rspin.tpoly import TMonomial, check_index, exponent_fields, kernel_rows, reduced, unpack_exponents
 from rspin.walgebra import _add_block, _kernel_operator, _operator_loop, _twisted_currents, raise_packed
@@ -103,12 +103,12 @@ def monomial(r, coeff, lambda_exp=0, exps=()) -> TPolynomial:
 
 
 def sum_of(r, polys) -> TPolynomial:
-    """The sum of polynomials over r (ContextError on another r), zero
+    """The sum of polynomials over r (ContractError on another r), zero
     coefficients dropped."""
     acc = {}
     for p in polys:
         if p.r != r:
-            raise ContextError(f"summand over r={p.r} in sum over r={r}")
+            raise ContractError(f"summand over r={p.r} in sum over r={r}")
         for mono, coeff in p.terms.items():
             new = q_add(acc[mono], coeff) if mono in acc else coeff
             if new:

@@ -11,7 +11,7 @@ from rspin import TauCache, compute_tau, extract_correlators, parse_tau, seriali
 from rspin.cli import _warn_unchecked, main
 from rspin.cli import ORACLE_CHECKED_DEPTH
 from rspin.solver import _layout
-from rspin.tpoly import kernel_rows, pack_piece
+from rspin.tpoly import pack_piece
 
 from helpers import add, monomial, qs, tau1_r3
 
@@ -431,7 +431,7 @@ def _bad_cache(tmp_path) -> str:
     keeps the weight and the grading, so it passes the cache's own checks."""
     cache, layout = TauCache(tmp_path / "cache"), _layout(3, 2)
     piece = add(compute_tau(3, 1).pieces[1], monomial(3, qs(0, 1), 0, {4: 1}))
-    cache.store(3, 1, kernel_rows(pack_piece(3, 1, piece, layout[0]), layout[1]))
+    cache.store(3, 1, pack_piece(3, 1, piece, layout[0]), layout)
     return str(cache.directory)
 
 

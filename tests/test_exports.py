@@ -36,7 +36,7 @@ def test_every_exported_name_resolves():
 
 
 def test_each_export_is_its_home_modules_object():
-    assert len(rspin.__all__) == 31
+    assert len(rspin.__all__) == 30
     for name in rspin.__all__:
         assert getattr(rspin, name) is getattr(importlib.import_module(f"rspin.{rspin._HOMES[name]}"), name), name
     assert rspin.compute_tau is rspin.solver.compute_tau

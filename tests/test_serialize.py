@@ -27,7 +27,7 @@ from rspin.serialize import records_to_csv, records_to_json, reports_to_json
 from rspin.verify import CHECKS, CheckReport, Residual, check_commutators, check_exponential_agreement, run_checks
 from rspin.serialize import ENTRY_VERSION, MODE_CONSTRUCTION
 from rspin.solver import _layout
-from rspin.tpoly import exponent_fields, kernel_rows, packed_key
+from rspin.tpoly import exponent_fields, packed_key
 
 from helpers import (
     _dump, _entry_dump, add, entry_obj, make_monomial, monomial, one, poly_to_obj, qs, report_to_obj, with_piece, zero,
@@ -111,7 +111,7 @@ def test_cache_entries_match_json_dumps(tmp_path):
     tau = compute_tau(4, 4)
     packed = [tau.packed(degree) for degree in range(5)]
     for degree, piece in enumerate(packed):
-        cache.store(4, degree, kernel_rows(piece, layout[1]))
+        cache.store(4, degree, piece, layout)
         doc = {"format_version": ENTRY_VERSION, "modes": MODE_CONSTRUCTION, "r": 4, "degree": degree}
         text = cache.path(4, degree).read_bytes()
         assert text == _entry_dump({**doc, **entry_obj(tau.pieces[degree], degree)})
@@ -186,7 +186,7 @@ def _stored(kind, tmp_path):
     if kind == "document":
         return json.loads(serialize_tau(tau)), "pieces", parse_tau, tau.pieces
     cache = TauCache(tmp_path)
-    cache.store(3, 2, kernel_rows(tau.packed(2), layout[1]))
+    cache.store(3, 2, tau.packed(2), layout)
     path = cache.path(3, 2)
 
     def load(text):
@@ -305,7 +305,7 @@ def test_an_entry_gone_before_it_is_opened_is_a_miss(tmp_path, monkeypatch):
     assert cache.load(3, 2, _layout(3, 3)) is None
     assert opened == [gone] and not gone.exists()
     stored, store = [], cache.store
-    monkeypatch.setattr(cache, "store", lambda r, j, rows: stored.append(j) or store(r, j, rows))
+    monkeypatch.setattr(cache, "store", lambda r, j, piece, layout: stored.append(j) or store(r, j, piece, layout))
     assert compute_tau(3, 3, cache=cache).pieces == expected.pieces
     assert stored == [2] and gone.exists()
 

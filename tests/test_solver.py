@@ -19,7 +19,6 @@ from rspin import (
 )
 from rspin import serialize, solver, walgebra
 from rspin.serialize import MODE_CONSTRUCTION
-from rspin.tpoly import kernel_rows
 
 from helpers import (
     add,
@@ -242,6 +241,25 @@ def test_cache_round_trip(tmp_path):
     assert first == second
 
 
+def test_every_expansion_holds_its_solves_layout(tmp_path):
+    # however an expansion is made, it holds the memoised layout objects of
+    # its (r, D), which every reader and writer of its pieces reads
+    from rspin import parse_tau
+
+    cache, layout = TauCache(tmp_path), solver._layout(3, 4)
+    computed = compute_tau(3, 4, cache=cache)
+    made = {
+        "computed": computed,
+        "parsed": parse_tau(serialize_tau(computed)),
+        "cached": compute_tau(3, 4, cache=cache),
+        "exponential": compute_tau_exponential(3, 4),
+        "from polynomials": TauExpansion(3, 4, computed.pieces),
+        "from packed pieces": TauExpansion(3, 4, computed.held),
+    }
+    for name, tau in made.items():
+        assert tau.shift is layout[0] and tau.fields is layout[1], name
+
+
 def test_filled_cache_checks_each_piece_once(tmp_path, monkeypatch):
     from rspin import serialize, solver
 
@@ -402,7 +420,7 @@ def test_failed_store_keeps_previous_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "_document_chunks", torn_write)
     with pytest.raises(OSError, match="disk full"):
-        cache.store(3, 1, kernel_rows(({key: 2 * num for key, num in piece[0].items()}, piece[1]), layout[1]))
+        cache.store(3, 1, ({key: 2 * num for key, num in piece[0].items()}, piece[1]), layout)
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert cache.path(3, 1).read_bytes() == entry

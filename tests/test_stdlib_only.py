@@ -30,6 +30,43 @@ def test_engine_imports_only_the_standard_library():
     assert outside == []
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module's `from .x import` statements
+    name, at module and function level, outside `if TYPE_CHECKING:` blocks."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_package_imports_form_no_cycle():
+    graph = {
+        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    assert graph["cli"] and graph["solver"]
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(module):] + [module])}")
+        if module not in done:
+            path.append(module)
+            for imported in sorted(graph.get(module, ())):
+                visit(imported)
+            path.pop()
+            done.add(module)
+
+    for module in graph:
+        visit(module)
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # both cost every process start time and memory; the value types are
     # NamedTuples and plain classes.  resource is imported only under -v,

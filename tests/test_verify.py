@@ -17,7 +17,7 @@ from rspin import (
     compute_tau,
     extract_correlators,
 )
-from rspin import ContractError, InvalidSpecError, compute_tau_exponential, correlator, run_checks, solver, tpoly, verify, walgebra
+from rspin import ContractError, InvalidSpecError, compute_tau_exponential, run_checks, solver, tpoly, verify, walgebra
 from rspin.serialize import reports_to_json
 from rspin.verify import CHECKS, check_names, constraint_equations, w_constraint_residuals
 from rspin.walgebra import _operator_loop
@@ -355,12 +355,27 @@ def test_one_layout_per_run(monkeypatch, r, D):
         weights.append(weight)
         return fields(r, weight)
 
-    for module in (tpoly, solver, verify, correlator):
+    for module in (tpoly, solver, verify):
         monkeypatch.setattr(module, "exponent_fields", recording)
     list(run_checks(tau, CHECKS))
     check_commutators(tau)
     check_exponential_agreement(tau)
     assert weights and set(weights) == {D * (r + 1)}
+
+
+def test_every_residual_is_over_the_solves_layout():
+    # the constraint pass and the exponential diagnostic sum their residuals
+    # over the layout the expansion holds; a correlator identity's residual
+    # is a rational, at degree 0 with no variable
+    tau = compute_tau(3, 4)
+    tau = with_piece(tau, 1, add(tau.pieces[1], _s_times_var(3, 4)))  # seeded error
+    reports = [*run_checks(tau, CHECKS), check_exponential_agreement(tau)]
+    assert all(report.residuals for report in reports[:2] + reports[-1:])
+    for report in reports:
+        for label, res in report.residuals:
+            if res.fields is not tau.fields:
+                assert (res.degree, res.fields, set(res.piece[0])) == (0, [], {0}), (report.check_name, label)
+    assert sum(res.fields is tau.fields for report in reports for _, res in report.residuals) > 2
 
 
 def test_commutator_diagnostic_r3():
