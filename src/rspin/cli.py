@@ -145,13 +145,10 @@ def _note_tables(args, tau) -> None:
 
     info = _partitions.cache_info()
     print(f"_partitions: {info.hits} hits, {info.misses} misses", file=sys.stderr)
-    for op in raisers_over(args.r, tau.shift):
+    for l, op in raisers_over(args.r, tau.shift).items():
         terms = sum(len(cres) for _, cres, _ in op.op[0].values())
-        print(
-            f"A_{op.l}: {terms} terms, {op.read} rows of {op.blocks} blocks before merging, "
-            f"built in {op.seconds * 1000.0:.1f} ms",
-            file=sys.stderr,
-        )
+        rows = f"{op.read} rows of {op.blocks} blocks before merging"
+        print(f"A_{l}: {terms} terms, {rows}, built in {op.seconds * 1000.0:.1f} ms", file=sys.stderr)
 
 
 def _run_compute(args) -> int:

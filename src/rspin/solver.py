@@ -59,7 +59,7 @@ class TauExpansion:
             raise ContractError(f"expected {max_degree + 1} pieces, found {len(held)}")
         for j, piece in enumerate(held):
             if type(piece) is tuple:
-                _check_packed(j, piece)
+                _check_packed(j, piece, fields)
             else:
                 from .scalar import TPolynomial  # only a caller's polynomial loads the view
 
@@ -81,8 +81,8 @@ class TauExpansion:
         return self.held[j]
 
 
-def _check_packed(j: int, piece: tuple) -> None:
-    """Refuse (ContractError) a tuple not ({int key >= 0: nonzero int}, int den >= 1); no key is decoded."""
+def _check_packed(j: int, piece: tuple, fields: list[tuple[int, int, int]]) -> None:
+    """Refuse (ContractError) a tuple not ({int key >= 0 in fields: nonzero int}, int den >= 1); no key is decoded."""
     nums, den = piece if len(piece) == 2 else (None, None)
     if type(nums) is not dict:
         why = "not a ({key: num}, den) pair"
@@ -90,6 +90,8 @@ def _check_packed(j: int, piece: tuple) -> None:
         why = f"den {den!r} is not an integer >= 1"
     elif not set(map(type, nums)) <= {int} or min(nums, default=0) < 0:
         why = f"key {next(k for k in nums if type(k) is not int or k < 0)!r} is not an integer >= 0"
+    elif max(nums, default=0) >> (top := sum(width for _, width, _ in fields)):
+        why = f"key {max(nums)} is past the layout's {top} bits"
     elif not set(map(type, nums.values())) <= {int} or 0 in nums.values():
         why = f"numerator {next(c for c in nums.values() if type(c) is not int or not c)!r} is not a nonzero integer"
     else:

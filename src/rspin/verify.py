@@ -17,7 +17,7 @@ reported prominently but fails nothing.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Collection, Iterator
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,7 +26,7 @@ from .correlator import CorrelatorRecord, Insertion, extract_correlators
 from .errors import InvalidSpecError
 from .solver import TauExpansion, compute_tau_exponential, raise_step
 from .tpoly import Packed, exponent_fields, kernel_rows, summed
-from .walgebra import _add_block, _kernel_operator, _operator_loop, _twisted_currents
+from .walgebra import _ModeSum, _operator_loop, _twisted_currents
 
 __all__ = [
     "CHECKS",
@@ -100,55 +100,53 @@ def constraint_equations(r: int, max_degree: int) -> list[Equation]:
 
 def w_constraint_residuals(tau: TauExpansion, equations: list[Equation]) -> dict[Equation, tuple[Residual, bool]]:
     """{(k, m, degree): (residual, engaged)} for the given equations, in one
-    kernel call per nonzero piece read.
+    kernel call per nonzero piece i and c <= D-i.
 
     Equation (k, m, d) sums W(k, l, m) tau_{d-k+1+l} over l.  In the solver's
     s^j convention W(k, l, m) maps x * s^i to x * r^(2l) * s^(d-k+1), so each
     equation is one rational sum, a Residual at degree d-k+1 over the
-    solve's layout (tau.fields).  Piece i is read as tau.packed(i), over
-    that layout of top weight D*(r+1), and its call carries the
-    blocks (walgebra._add_block), up to its weight i*(r+1), of every mode
-    that reads it, each scaled by r^(2l) and each creator key tagged with
-    its equation's index above the layout's top bit.  An equation is finished once its last piece is done.  engaged is
-    False when every piece it reads is zero.  Raises InvalidSpecError on an
-    equation off the computed range (degree outside 0..max_degree, or no
-    mode W(k, 0, m))."""
+    solve's layout (tau.fields).  By c = k-1-l it is sum_c C_c tau_{d-c}, C_c
+    one walgebra._ModeSum of W(k, k-1-c, m) over the equations' (k, m), each
+    scaled by r^(2(k-1-c)), its creator keys tagged with its (k, m) above
+    the layout's top bit.  Piece i, read as tau.packed(i), goes through each
+    C_c with c <= D-i, grown to its weight, so a run reads each block once;
+    C_c is dropped after piece D-c.  An equation is finished with its piece
+    d.  engaged is False when every piece it reads is zero.  Raises
+    InvalidSpecError on an equation off the computed range (degree outside
+    0..max_degree, or no mode W(k, 0, m))."""
     r, top_degree = tau.r, tau.max_degree
-    reads: dict[int, list] = {}  # piece -> (equation index, k, l, m)
-    finish: dict[int, list[int]] = {}  # last piece an equation reads -> its indices
-    for e, (k, m, d) in enumerate(equations):
+    finish: dict[int, dict[Equation, None]] = {}  # degree -> its equations, each once, in the given order
+    for k, m, d in equations:
         if not (2 <= k <= r and m >= 1 - k and 0 <= d <= top_degree):
             raise InvalidSpecError(f"no equation k={k} m={m} degree={d} for r={r} to degree {top_degree}")
-        for j in range(max(0, d - k + 1), d + 1):
-            reads.setdefault(j, []).append((e, k, j - d + k - 1, m))
-        finish.setdefault(d, []).append(e)
-    reads = {j: by_piece for j, by_piece in sorted(reads.items()) if tau.packed(j)[0]}  # the nonzero pieces
-    engaged = {read[0] for by_piece in reads.values() for read in by_piece}
+        finish.setdefault(d, {})[(k, m, d)] = None
+    pairs = list(dict.fromkeys((k, m) for k, m, _ in equations))
     # equation (k, m, d) weighs (d-k+1)(r+1) - r*m <= d(r+1) - (k-1), as m >= 1 - k,
     # and d <= D: the solve's layout holds every creator, annihilator and output
     shift, fields = tau.shift, tau.fields
     top = sum(width for _, width, _ in fields)
-    mask = (1 << top) - 1
-    mode_den = _twisted_currents(r)[0]  # of the rows of every block
-    parts: dict[int, list] = {}  # equation index -> [(numerators, den)], one per piece read
+    mask, den = (1 << top) - 1, _twisted_currents(r)[0]
+    sums = []  # C_c for c = 0 .. min(max k - 1, D), each block tagged with its (k, m) index p
+    for c in range(min(max((k for k, _ in pairs), default=0), top_degree + 1)):
+        modes = [(k, k - 1 - c, m, p << top, r ** (2 * (k - 1 - c))) for p, (k, m) in enumerate(pairs) if k > c]
+        sums.append(_ModeSum(r, shift, modes, den))
+    parts: dict[Equation, list] = {}  # equation -> [(numerators, den)], one per piece read
     out = {}
-    for j in range(top_degree + 1):
-        if reads.get(j):
-            den, rows = kernel_rows(tau.packed(j), fields)
-            blocks: dict = defaultdict(dict)
-            for e, k, l, m in reads[j]:  # W(k, l, m)'s blocks with creators, up to the piece's weight
-                for wa in range(max(r * m + l * (r + 1), 0), j * (r + 1) + 1):
-                    _add_block(r, k, l, m, wa, blocks, shift, e << top, r ** (2 * l))
-            acc = _operator_loop(_kernel_operator(blocks, shift), rows)
-            split: dict[int, dict[int, int]] = {}  # equation index -> its numerators
-            for key, x in acc.items():
-                if x:
-                    split.setdefault(key >> top, {})[key & mask] = x
-            for e, part in split.items():
-                parts.setdefault(e, []).append((part, den * mode_den))
-        for e in finish.get(j, ()):
-            k, m, d = equations[e]
-            out[(k, m, d)] = Residual(r, d - k + 1, summed(parts.pop(e, ())), fields), e in engaged
+    for i in range(top_degree + 1):
+        if sums and tau.packed(i)[0]:
+            piece_den, rows = kernel_rows(tau.packed(i), fields)
+            for c, mode_sum in enumerate(sums):
+                mode_sum.grow(i * (r + 1))
+                split: dict[int, dict[int, int]] = {}  # (k, m) index -> its numerators
+                for key, x in _operator_loop(mode_sum.op, rows).items():
+                    if x:
+                        split.setdefault(key >> top, {})[key & mask] = x
+                for p, part in split.items():
+                    parts.setdefault((*pairs[p], i + c), []).append((part, piece_den * den))
+        del sums[top_degree - i:]  # C_{D-i} has read its last piece
+        for k, m, d in finish.get(i, ()):
+            engaged = any(tau.packed(j)[0] for j in range(max(0, d - k + 1), d + 1))
+            out[(k, m, d)] = Residual(r, d - k + 1, summed(parts.pop((k, m, d), ())), fields), engaged
     return out
 
 

@@ -83,15 +83,15 @@ one denominator, grouped by annihilator multiset as {annihilators: (key,
 creator keys, numerators)}, and every prefix of those multisets.  A group
 that divides a monomial is one int to subtract, each creator key one int
 to add, with an int product into one accumulator.  Packing is tpoly's one
-rule, and the kernel is the package's one operator path: every raiser
-call is solver.raise_step on raise_packed, and verify packs each piece
-once for all its constraint modes, each creator key tagged with its
-equation above the layout's top bit.  Both build an operator through two
-functions only: _add_block adds one block of a mode straight into
-{annihilators: {creator key: numerator}}, under the caller's creator tag
-and scale, and _kernel_operator turns that into (groups, prefixes).  A
-block lighter than r*m + j*(r+1) has no creators, and one heavier than
-an input acts on it as zero, so a caller adds the weights in between.
+rule, and the kernel is the package's one operator path.  Every operator
+is a grown mode sum (_ModeSum): modes W(k, j, m), each under a creator
+tag and an int scale, whose blocks _add_block adds into {annihilators:
+{creator key: numerator}} and _kernel_operator turns into (groups,
+prefixes).  A block lighter than r*m + j*(r+1) has no creators and one
+heavier than an input acts on it as zero, so a sum grown to an input's
+weight adds just the blocks it newly reaches.  The raisers are mode sums
+(below), and verify reads the equations of degree d as sum_c C_c
+tau_{d-c}, C_c the sum of W(k, k-1-c, m) over the equations' (k, m).
 
 A degree raiser A_l = sum_{k,m} c_k T_{r*m+k-1} W(k, k-1-l, m-k+1), with
 c_k = -(k-1)!/(r+1) * (-r*s/lam)^(1-k), is one kernel call: T_{r*m+k-1}
@@ -100,14 +100,13 @@ ordered.  The powers of -r*s/lam of c_k and of the inner mode combine to
 (-r*s/lam)^(-l) for every k, so a term carries the int -(k-1)! and the
 operator's denominator the r+1, and A_l moves the offset up by l.  A
 term whose annihilators weigh wa has creators weighing wa + l*(r+1).
-Each A_l is built once per layout (_Raiser), its blocks tagged with
-T_{r*m+k-1} and scaled by -(k-1)! (r*m+k-1), so that rows of any k and m
-with equal annihilators and creators add into one integer over (r+1)
-times the currents' denominator; a heavier call adds just the blocks it
-newly reaches.  A process holds one layout's raisers: a raise over
-another drops them.  A tuple of slots weighs an integer over
-r^(sum(orders) - len(orders)), or a multinomial count, from the run
-counts _partitions carries, if all are order 1.
+Each A_l is one mode sum per layout (_raiser), a mode for each T_n,
+n = r*m+k-1, of the layout, tagged with T_n and scaled by -(k-1)! n, so
+that rows of any k and m with equal annihilators and creators add into
+one integer over (r+1) times the currents' denominator.  A process holds
+one layout's raisers: a raise over another drops them.  A tuple of slots
+weighs an integer over r^(sum(orders) - len(orders)), or a multinomial
+count, from the run counts _partitions carries, if all are order 1.
 """
 
 from __future__ import annotations
@@ -338,35 +337,29 @@ def mode_bound(r: int, k: int, target_degree: int) -> int:
     return (target_degree * (r + 1) - (k - 1)) // r
 
 
-class _Raiser:
-    """A_l over one layout, without its (-r*s/lam)^(-l): the kernel operator
-    of its terms whose annihilators weigh at most top, over den; blocks
-    counts the mode blocks it added, each once, read their rows, and
-    seconds the time its growth took."""
+class _ModeSum:
+    """The sum of scale * W(k, j, m), creator keys offset by tag, over the
+    (k, j, m, tag, scale) of modes, without the modes' powers of -r*s/lam:
+    the kernel operator of its terms whose annihilators weigh at most top,
+    over den; blocks counts the mode blocks it added, each once, read their
+    rows, and seconds the time its growth took."""
 
-    def __init__(self, r: int, l: int, shift: dict[int, int]):
-        self.r, self.l, self.shift, self.top, self.read, self.blocks, self.seconds = r, l, shift, -1, 0, 0, 0.0
-        self.den = (r + 1) * _twisted_currents(r)[0]
-        self.op: tuple[dict, set] = ({}, set())
+    def __init__(self, r: int, shift: dict[int, int], modes: list[tuple[int, int, int, int, int]], den: int):
+        self.r, self.shift, self.modes, self.den = r, shift, modes, den
+        self.top, self.read, self.blocks, self.seconds, self.op = -1, 0, 0, 0.0, ({}, set())
 
     def grow(self, top: int) -> None:
         """Add the blocks whose annihilators weigh more than self.top and at
-        most top, which is (target - l)*(r+1) for the target degree of a
-        raise; the layout must hold weight target*(r+1).  Each block of
-        W(k, k-1-l, m-k+1) is tagged with its outer creator T_{r*m+k-1} and
-        scaled by -(k-1)! times its index."""
+        most top; the layout must hold each block's creators."""
         if top <= self.top:
             return
         start = time.perf_counter()
-        r, l, shift = self.r, self.l, self.shift
+        r, shift = self.r, self.shift
         acc: dict = defaultdict(dict)
-        for k in range(l + 1, r + 1):
-            j, factor = k - 1 - l, -factorial(k - 1)
-            for m in range(mode_bound(r, k, top // (r + 1) + l) + 1):
-                n, inner = r * m + k - 1, m - k + 1
-                for wa in range(max(r * inner + j * (r + 1), self.top + 1), top + 1):
-                    self.read += _add_block(r, k, j, inner, wa, acc, shift, 1 << shift[n], factor * n)
-                    self.blocks += 1
+        for k, j, m, tag, scale in self.modes:
+            for wa in range(max(r * m + j * (r + 1), self.top + 1), top + 1):
+                self.read += _add_block(r, k, j, m, wa, acc, shift, tag, scale)
+                self.blocks += 1
         groups, prefixes = _kernel_operator(acc, shift)
         self.op[0].update(groups)  # of new annihilator weights, so no group is held yet
         self.op[1].update(prefixes)
@@ -374,12 +367,21 @@ class _Raiser:
         self.seconds += time.perf_counter() - start
 
 
-_RAISERS: dict[tuple[int, int, int], _Raiser] = {}  # (r, l, id(shift)) -> A_l of one layout, which keeps shift alive
+def _raiser(r: int, l: int, shift: dict[int, int]) -> _ModeSum:
+    """A_l over one layout, without its (-r*s/lam)^(-l): a mode
+    W(k, k-1-l, m-k+1) for each T_n of the layout, n = r*m+k-1 and k > l,
+    tagged with T_n and scaled by -(k-1)! n, by k and m.  A mode with
+    n > target*(r+1) adds no block to a raise into degree target."""
+    modes = [(n % r + 1, n % r - l, n // r - n % r, 1 << shift[n], -factorial(n % r) * n) for n in shift if n % r >= l]
+    return _ModeSum(r, shift, sorted(modes), (r + 1) * _twisted_currents(r)[0])
 
 
-def raisers_over(r: int, shift: dict[int, int]) -> list[_Raiser]:
-    """The raisers built over this layout, by l."""
-    return [op for l in range(1, r) if (op := _RAISERS.get((r, l, id(shift)))) is not None]
+_RAISERS: dict[tuple[int, int, int], _ModeSum] = {}  # (r, l, id(shift)) -> A_l of one layout, which keeps shift alive
+
+
+def raisers_over(r: int, shift: dict[int, int]) -> dict[int, _ModeSum]:
+    """The raisers built over this layout, {l: A_l} by l."""
+    return {l: op for l in range(1, r) if (op := _RAISERS.get((r, l, id(shift)))) is not None}
 
 
 def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]) -> tuple[dict[int, int], int]:
@@ -394,6 +396,6 @@ def raise_packed(r: int, l: int, rows, target_degree: int, shift: dict[int, int]
     if op is None:
         if any(held[::2] != key[::2] for held in _RAISERS):
             _RAISERS.clear()
-        op = _RAISERS[key] = _Raiser(r, l, shift)
+        op = _RAISERS[key] = _raiser(r, l, shift)
     op.grow((target_degree - l) * (r + 1))
     return _operator_loop(op.op, rows), op.den

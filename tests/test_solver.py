@@ -117,9 +117,10 @@ def test_validate_accepts_good_and_rejects_bad():
 
 def test_malformed_packed_pieces_are_refused():
     # a caller's piece is a TPolynomial or a packed ({key >= 0: nonzero int},
-    # den >= 1), checked by the types of its values alone: anything else is
-    # refused, one message per fault, where it once escaped as an
-    # AttributeError (a list) or was held as it came (the rest)
+    # den >= 1) whose keys fit the layout's bits, checked by the types of its
+    # values and the keys' lengths alone: anything else is refused, one
+    # message per fault, where it once escaped as an AttributeError (a list)
+    # or was held as it came (the rest)
     held = compute_tau(3, 2).held
     nums = held[2][0]
     malformed = "packed piece 2 is malformed: "
@@ -134,6 +135,9 @@ def test_malformed_packed_pieces_are_refused():
         ((nums, True), malformed + "den True is not an integer >= 1"),
         (({**nums, -1: 1}, 1), malformed + "key -1 is not an integer >= 0"),
         (({**nums, 1.0: 1}, 1), malformed + "key 1.0 is not an integer >= 0"),
+        # T_4 (bit 7 of the 12-bit (3, 2) layout) with a bit past the layout,
+        # which unpack_exponents would drop and read as plain T_4
+        (({**nums, (1 << 7) | (1 << 12): 1}, 1), malformed + "key 4224 is past the layout's 12 bits"),
         (({**nums, 5: 1.5}, 1), malformed + "numerator 1.5 is not a nonzero integer"),
         (({**nums, 5: Fraction(1, 2)}, 1), malformed + "numerator Fraction(1, 2) is not a nonzero integer"),
         (({**nums, 5: 0}, 1), malformed + "numerator 0 is not a nonzero integer"),

@@ -1,6 +1,7 @@
 """Exact verification checks: constraints, string/dilaton, grading,
 commutator and exponential diagnostics."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -64,14 +65,17 @@ def test_w_constraints_detect_seeded_error():
 def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
     # a mode that sends every monomial of a piece below weight 0 has no
     # terms to apply; the check counts such equations as engaged but reads
-    # no block of them, and makes one kernel call per nonzero piece.  Each
-    # block a piece reads has creators of weight at least 0 and
-    # annihilators no heavier than the piece, and none is read twice
-    tau = compute_tau(3, 6)
+    # no block of them.  It makes one kernel call per nonzero piece i and
+    # c <= min(r-1, D-i), on C_c grown just before to the piece's weight:
+    # each block it adds is a mode W(k, k-1-c, m) with creators of weight at
+    # least 0 and annihilators no heavier than the piece, and no block is
+    # read twice in the whole run
+    r, D = 3, 6
+    tau = compute_tau(r, D)
     calls, blocks, add_block = [], [], walgebra._add_block
 
     def counting(groups, kernel_rows):
-        calls.append(len(blocks))  # the operator is built before its call
+        calls.append(len(blocks))  # the operator is grown before its call
         return _operator_loop(groups, kernel_rows)
 
     def recording(*args):
@@ -79,16 +83,17 @@ def test_w_constraints_skip_modes_that_empty_a_piece(monkeypatch):
         return add_block(*args)
 
     monkeypatch.setattr(verify, "_operator_loop", counting)
-    monkeypatch.setattr(verify, "_add_block", recording)
+    monkeypatch.setattr(walgebra, "_add_block", recording)
     (report,) = run_checks(tau, ["wconstraints"])
     assert report.status == "pass"
     assert report.details == {"equations": 147, "vacuous": 0, "m_max": 8}
-    assert len(calls) == sum(not is_zero(piece) for piece in tau.pieces) == 7
-    for j, (start, end) in enumerate(zip([0, *calls], calls)):
-        read = blocks[start:end]
-        assert read and len(set(read)) == len(read), j
-        for r, k, l, m, wa in read:
-            assert wa - r * m - l * (r + 1) >= 0 and wa <= j * (r + 1), (j, k, l, m, wa)
+    assert sum(not is_zero(piece) for piece in tau.pieces) == 7
+    reads = [(i, c) for i, piece in enumerate(tau.held) if piece[0] for c in range(min(r - 1, D - i) + 1)]
+    assert len(calls) == len(reads) and calls[-1] == len(blocks)
+    assert blocks and len(set(blocks)) == len(blocks)
+    for (i, c), start, end in zip(reads, [0, *calls], calls):
+        for _, k, l, m, wa in blocks[start:end]:
+            assert k - 1 - l == c and wa - r * m - l * (r + 1) >= 0 and wa <= i * (r + 1), (i, c, k, l, m, wa)
 
 
 # the tamperings of _tampered off the grading -> the piece they change
@@ -135,6 +140,26 @@ def test_constraint_pass_equals_mode_by_mode_reference(r, D):
             assert (decoded(residual), engaged) == reference_w_residual(pieces, k, m, d), (name, k, m, d)
         failing = sum(not is_zero(decoded(residual)) for residual, _ in passed.values())
         assert (failing == 0) == (name == "tau"), name
+
+
+@pytest.mark.parametrize("r, D", [(3, 6), (4, 5)])
+def test_re_keyed_sums_ignore_the_order_and_repeats_of_equations(r, D):
+    # the pass tags its mode sums' blocks by the equations' (k, m) and keys
+    # its parts by (k, m, degree): the equations shuffled with a failing one
+    # listed twice, or a shuffled third of them, give each equation the residual
+    # and engagement it has in constraint_equations order, on a tampered
+    # tau whose residuals are not zero
+    tau = dict(_tampered(r, D))["5/7*T_1*T_{2r+1}"]()
+    equations = constraint_equations(r, D)
+    full = w_constraint_residuals(tau, equations)
+    assert sum(bool(residual.piece[0]) for residual, _ in full.values()) >= 10
+    shuffled = random.Random(r * 100 + D).sample(equations, len(equations))
+    twice = next(equation for equation in shuffled if full[equation][0].piece[0])
+    for given in (shuffled + [twice], shuffled[::3]):
+        passed = w_constraint_residuals(tau, given)
+        assert set(passed) == set(given)
+        for equation in given:
+            assert passed[equation] == full[equation], equation
 
 
 @pytest.mark.parametrize("r, D", [(3, 4), (4, 3)])

@@ -10,11 +10,11 @@ from math import factorial, prod
 import pytest
 
 from rspin import ContractError, InvalidSpecError, compute_tau, mode_bound
-from rspin import check_commutators, compute_tau_exponential, verify, walgebra
+from rspin import check_commutators, compute_tau_exponential, walgebra
 from rspin.cli import ORACLE_CHECKED_DEPTH
 from rspin.solver import _layout
 from rspin.tpoly import exponent_fields, kernel_rows, pack_piece, reduced
-from rspin.verify import constraint_equations, w_constraint_residuals
+from rspin.verify import constraint_equations, run_checks, w_constraint_residuals
 from rspin.walgebra import (
     _contraction,
     _falling,
@@ -538,8 +538,8 @@ def test_operator_sum_matches_single_terms_on_random_inputs():
 
 
 def _recording_blocks(monkeypatch):
-    """Patch walgebra._add_block, and verify's name for it, to record each
-    (r, k, j, m, wa) block added, and return the list of them."""
+    """Patch walgebra._add_block, which every mode sum calls, to record
+    each (r, k, j, m, wa) block added, and return the list of them."""
     seen, add_block = [], walgebra._add_block
 
     def recording(*args):
@@ -547,21 +547,26 @@ def _recording_blocks(monkeypatch):
         return add_block(*args)
 
     monkeypatch.setattr(walgebra, "_add_block", recording)
-    monkeypatch.setattr(verify, "_add_block", recording)
     return seen
 
 
 def test_mode_tables_are_reused_across_degrees(monkeypatch):
     # each raiser grows by the blocks a heavier degree newly reaches, so a
     # recursion run enumerates no block twice, and a second solve over the
-    # same layout reuses its raisers as they are and enumerates nothing
+    # same layout reuses its raisers as they are and enumerates nothing.
+    # Each constraint pass grows its own mode sums the same way, so one
+    # run_checks enumerates each constraint block once
     monkeypatch.setattr(walgebra, "_RAISERS", {})
     seen = _recording_blocks(monkeypatch)
-    compute_tau(4, 5)
+    tau = compute_tau(4, 5)
     assert seen and len(set(seen)) == len(seen)
     count = len(seen)
     compute_tau(4, 5)
     assert len(seen) == count
+    for names in (["wconstraints"], ["wconstraints", "string_dilaton"]):
+        del seen[:]
+        assert all(report.passed for report in run_checks(tau, names))
+        assert seen and len(set(seen)) == len(seen), names
 
 
 def test_diagnostics_reuse_the_solve_raisers(monkeypatch):
@@ -582,10 +587,10 @@ def test_raisers_of_one_layout_only(monkeypatch):
     monkeypatch.setattr(walgebra, "_RAISERS", {})
     compute_tau(4, 5)
     shift = _layout(4, 5)[0]
-    assert [op.l for op in walgebra.raisers_over(4, shift)] == [1, 2, 3]
+    assert list(walgebra.raisers_over(4, shift)) == [1, 2, 3]
     compute_tau(3, 6)
-    assert walgebra.raisers_over(4, shift) == []
-    assert [op.l for op in walgebra.raisers_over(3, _layout(3, 6)[0])] == [1, 2]
+    assert walgebra.raisers_over(4, shift) == {}
+    assert list(walgebra.raisers_over(3, _layout(3, 6)[0])) == [1, 2]
 
 
 def _tuple_weight_block(r, k, j, m, wa):
@@ -629,12 +634,12 @@ def test_raiser_grows_and_shrinks_exactly(monkeypatch):
         rows = {d: kernel_rows(pack_piece(r, d - l, pieces[d - l], shift), fields)[1] for d in range(l, top + 1)}
         walgebra._RAISERS.clear()
         for d in [*range(l, top + 1), *range(top, l - 1, -1)]:
-            fresh = walgebra._Raiser(r, l, shift)
+            fresh = walgebra._raiser(r, l, shift)
             fresh.grow((d - l) * (r + 1))
             expected = reduced(walgebra._operator_loop(fresh.op, rows[d]), fresh.den)
             assert reduced(*raise_packed(r, l, rows[d], d, shift)) == expected, (l, d)
-        (op,) = walgebra.raisers_over(r, shift)
-        assert (op.l, op.top) == (l, (top - l) * (r + 1))
+        ((held, op),) = walgebra.raisers_over(r, shift).items()
+        assert (held, op.top) == (l, (top - l) * (r + 1))
 
 
 def test_raiser_matches_degree_one_fixture():
